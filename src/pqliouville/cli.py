@@ -97,11 +97,21 @@ def _instance_args(sub):
     sub.add_argument("--M", type=float)
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _common_args(sub):
     sub.add_argument("--params", help="parameter file (flat key = value, grids allowed)")
     sub.add_argument("--out", help="output path (stdout when omitted)")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--jobs", type=_worker_count, default=1)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--optimal-search", action="store_true", dest="optimal_search")
     sub.add_argument("--tol", action="append", metavar="name=value")

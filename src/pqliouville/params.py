@@ -12,8 +12,7 @@ from __future__ import annotations
 from .instance import KINDS, ProblemInstance
 
 INSTANCE_KEYS = ("kind", "N", "p", "q", "s", "m", "M")
-RADIAL_KEYS = ("r0", "r1", "u0", "u1", "mesh_n", "reg_eps", "log_transform", "c")
-SCALAR_KEYS = ("q_il", "m_il")
+RADIAL_KEYS = ("r0", "r1", "u0", "u1", "mesh_n", "reg_eps", "log_transform")
 
 
 class ParamError(ValueError):

@@ -6,9 +6,9 @@ In radial coordinates the equation is the conservation law
     Phi(t) = (|t|^(p-2) + |t|^(q-2)) t,
 
 discretised with conservative finite volumes on a uniform node grid
-(fluxes on half-grid faces) and solved by damped Newton with
-continuation in the flux regularization and, for large boundary data,
-in the data itself.
+(fluxes on half-grid faces) and solved by damped Newton at the
+regularisation reg_eps, with continuation in the boundary data when it
+is large.
 """
 
 from __future__ import annotations
@@ -98,16 +98,22 @@ def flux(t, p: float, q: float, eps: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (np.power(w, (p - 2.0) / 2.0) + np.power(w, (q - 2.0) / 2.0)) * t_arr
     out = np.where(w == 0.0, 0.0, out)
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def flux_derivative(t, p: float, q: float, eps: float):
-    w = t * t + eps * eps
-    return w ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * t * t / w) + w ** (
-        (q - 2.0) / 2.0
-    ) * (1.0 + (q - 2.0) * t * t / w)
+    """Derivative of `flux` in t; where t^2 + eps^2 = 0, the t -> 0 limit of
+    sum_(r in {p, q}) (r-1)|t|^(r-2): r-1 for r = 2, 0 for r > 2, inf for r < 2."""
+    t_arr = np.asarray(t, dtype=float)
+    w = t_arr * t_arr + eps * eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = sum(
+            np.power(w, (r - 2.0) / 2.0) * (1.0 + (r - 2.0) * t_arr * t_arr / w)
+            for r in (p, q)
+        )
+    limit = sum(r - 1.0 if r == 2.0 else (0.0 if r > 2.0 else np.inf) for r in (p, q))
+    out = np.where(w == 0.0, limit, out)
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def reaction_function(inst: ProblemInstance) -> Callable:
@@ -120,20 +126,27 @@ def reaction_function(inst: ProblemInstance) -> Callable:
     return lambda r, u, du: u**s + M * np.abs(du) ** m
 
 
-def _assemble(u, r, h, n_exp, f, p, q, eps):
+def _assemble(x, r, h, n_exp, f, p, q, eps, log=False):
     """Residual, its scale, and the pieces needed for the Jacobian.
 
-    Non-finite values (e.g. fractional powers of a negative iterate) are
-    tolerated here; the damped line search rejects such steps.
+    The unknown x is u, or w = log u when `log` is set (face and centred
+    slopes then follow the chain rule du = u dw).  Non-finite values
+    (e.g. fractional powers of a negative iterate) are tolerated here;
+    the damped line search rejects such steps.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        du_face = np.diff(u) / h
+        du_face = np.diff(x) / h
+        du_c = (x[2:] - x[:-2]) / (2.0 * h)
+        u_in = x[1:-1]
+        if log:
+            du_face = np.exp(0.5 * (x[:-1] + x[1:])) * du_face
+            u_in = np.exp(u_in)
+            du_c = u_in * du_c
         r_face = 0.5 * (r[:-1] + r[1:])
         w_face = r_face ** (n_exp - 1)
         flx = w_face * flux(du_face, p, q, eps)
-        du_c = (u[2:] - u[:-2]) / (2.0 * h)
         r_in = r[1:-1]
-        src = r_in ** (n_exp - 1) * f(r_in, u[1:-1], du_c)
+        src = r_in ** (n_exp - 1) * f(r_in, u_in, du_c)
         res = np.diff(flx) / h + src
         scale = 1.0 + np.max(np.abs(flx)) / h + np.max(np.abs(src))
     return res, scale, flx, du_face, w_face, du_c
@@ -145,79 +158,84 @@ def _scaled_norm(res, scale) -> float:
 
 
 def _jacobian_bands(u, r, h, n_exp, f, p, q, eps, du_face, w_face, du_c):
+    """Banded (solve_banded (1, 1) layout) Jacobian of `_assemble`'s residual.
+
+    The flux part is exact; the reaction's u and u' derivatives are
+    central differences, so `rhs_override` is handled like the built-in
+    reactions.
+    """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        return _jacobian_bands_raw(u, r, h, n_exp, f, p, q, eps, du_face, w_face, du_c)
+        dphi = w_face * flux_derivative(du_face, p, q, eps)
+        r_in = r[1:-1]
+        weight = r_in ** (n_exp - 1)
+        u_in = u[1:-1]
+        delta_u = 1e-7 * (1.0 + np.abs(u_in))
+        f_u = (f(r_in, u_in + delta_u, du_c) - f(r_in, u_in - delta_u, du_c)) / (2.0 * delta_u)
+        delta_d = 1e-7 * (1.0 + np.abs(du_c))
+        f_d = (f(r_in, u_in, du_c + delta_d) - f(r_in, u_in, du_c - delta_d)) / (2.0 * delta_d)
+        # du_c at node i involves u_{i+1} (+1/2h) and u_{i-1} (-1/2h)
+        side = weight * f_d / (2.0 * h)
+        ab = np.zeros((3, u.size - 2))
+        ab[0, 1:] = dphi[1:-1] / (h * h) + side[:-1]
+        ab[1, :] = -(dphi[1:] + dphi[:-1]) / (h * h) + weight * f_u
+        ab[2, :-1] = dphi[1:-1] / (h * h) - side[1:]
+    return ab
 
 
-def _jacobian_bands_raw(u, r, h, n_exp, f, p, q, eps, du_face, w_face, du_c):
-    dphi = w_face * flux_derivative(du_face, p, q, eps)
-    up = dphi[1:] / (h * h)
-    lo = dphi[:-1] / (h * h)
-    diag = -(dphi[1:] + dphi[:-1]) / (h * h)
-    r_in = r[1:-1]
-    weight = r_in ** (n_exp - 1)
-    u_in = u[1:-1]
-    delta_u = 1e-7 * (1.0 + np.abs(u_in))
-    f_u = (f(r_in, u_in + delta_u, du_c) - f(r_in, u_in - delta_u, du_c)) / (2.0 * delta_u)
-    delta_d = 1e-7 * (1.0 + np.abs(du_c))
-    f_d = (f(r_in, u_in, du_c + delta_d) - f(r_in, u_in, du_c - delta_d)) / (2.0 * delta_d)
-    diag = diag + weight * f_u
-    # du_c at node i involves u_{i+1} (+1/2h) and u_{i-1} (-1/2h)
-    up = up + weight * f_d / (2.0 * h)
-    lo = lo - weight * f_d / (2.0 * h)
-    return lo, diag, up
+def _colour_bands(residual, w, res):
+    """Banded Jacobian of `residual` by three-colour forward differencing.
+
+    Unknowns three apart never touch the same residual row, so one
+    perturbed evaluation per colour fills a third of the columns.
+    """
+    n_int = res.size
+    ab = np.zeros((3, n_int))
+    delta = 1e-8 * (1.0 + np.abs(w[1:-1]))
+    for colour in range(3):
+        cols = np.arange(colour, n_int, 3)
+        w_pert = w.copy()
+        w_pert[cols + 1] += delta[cols]
+        diff = residual(w_pert)[0] - res
+        for off in (-1, 0, 1):
+            # ab[1 + i - j, j] = dres_i / dw_(j+1) with i = j + off
+            j = cols[(cols + off >= 0) & (cols + off < n_int)]
+            ab[1 + off, j] = diff[j + off] / delta[j]
+    return ab
 
 
-def _newton(u, r, h, n_exp, f, p, q, eps, tol, max_iter=MAX_NEWTON):
-    res, scale, *_ = _assemble(u, r, h, n_exp, f, p, q, eps)
-    norm = _scaled_norm(res, scale)
+def _damped_newton(residual, bands, x, tol):
+    """Damped Newton on the interior entries of x, boundary entries fixed.
+
+    residual(x) returns (res, scale, ...); bands(x, evaluation) turns
+    that evaluation into the banded Jacobian.  Returns the best iterate,
+    its scaled residual norm, the iteration count and a failure tag
+    ('jacobian_singular', 'newton_stalled') or None.
+    """
+    evaluation = residual(x)
+    norm = _scaled_norm(*evaluation[:2])
     iters = 0
-    while norm > tol and iters < max_iter:
-        _, _, _, du_face, w_face, du_c = _assemble(u, r, h, n_exp, f, p, q, eps)
-        lo, diag, up = _jacobian_bands(u, r, h, n_exp, f, p, q, eps, du_face, w_face, du_c)
-        n_int = diag.size
-        ab = np.zeros((3, n_int))
-        ab[0, 1:] = up[:-1]
-        ab[1, :] = diag
-        ab[2, :-1] = lo[1:]
-        if not (np.isfinite(ab).all() and np.isfinite(res).all()):
-            return u, norm, iters, "jacobian_singular"
+    while norm > tol and iters < MAX_NEWTON:
         try:
-            step = solve_banded((1, 1), ab, -res)
+            # solve_banded rejects non-finite bands or residuals with ValueError
+            step = solve_banded((1, 1), bands(x, evaluation), -evaluation[0])
         except (np.linalg.LinAlgError, ValueError):
-            return u, norm, iters, "jacobian_singular"
+            return x, norm, iters, "jacobian_singular"
         if not np.isfinite(step).all():
-            return u, norm, iters, "jacobian_singular"
+            return x, norm, iters, "jacobian_singular"
         lam = 1.0
-        accepted = False
         for _ in range(MAX_DAMPS):
-            u_try = u.copy()
-            u_try[1:-1] += lam * step
-            res_try, scale_try, *_ = _assemble(u_try, r, h, n_exp, f, p, q, eps)
-            norm_try = _scaled_norm(res_try, scale_try)
+            x_try = x.copy()
+            x_try[1:-1] += lam * step
+            evaluation = residual(x_try)
+            norm_try = _scaled_norm(*evaluation[:2])
             if norm_try <= (1.0 - 1e-4 * lam) * norm or norm_try <= tol:
-                accepted = True
                 break
             lam *= 0.5
-        if not accepted:
-            return u, norm, iters, "newton_stalled"
-        u, res, norm = u_try, res_try, norm_try
+        else:
+            return x, norm, iters, "newton_stalled"
+        x, norm = x_try, norm_try
         iters += 1
-    if norm > tol:
-        return u, norm, iters, "newton_stalled"
-    return u, norm, iters, None
-
-
-def _eps_schedule(reg_eps: float) -> list[float]:
-    if reg_eps >= 1e-2:
-        return [reg_eps]
-    out = []
-    eps = 1e-2
-    while eps > reg_eps:
-        out.append(eps)
-        eps *= 0.5
-    out.append(reg_eps)
-    return out
+    return x, norm, iters, None if norm <= tol else "newton_stalled"
 
 
 def _data_factors(prob: RadialProblem) -> list[float]:
@@ -229,163 +247,43 @@ def _data_factors(prob: RadialProblem) -> list[float]:
 
 
 def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution:
-    """Damped-Newton finite-volume solve with regularization/data continuation.
+    """Damped-Newton finite-volume solve at `reg_eps`.
 
-    Returns converged=False with the best iterate (and a failure tag of
-    'newton_stalled' or 'jacobian_singular') instead of raising when the
-    iteration cannot reach the tolerance.
+    The direct path continues in the boundary data when it is large
+    (each stage doubles it); `continuation_steps` counts those stages.
+    With `log_transform` the unknown is w = log u, solved in one stage
+    with a colour-differenced Jacobian.  Returns converged=False with the
+    best iterate (and a failure tag of 'newton_stalled' or
+    'jacobian_singular') instead of raising when the iteration cannot
+    reach the tolerance.
     """
-    n = prob.mesh_n
-    r = np.linspace(prob.r0, prob.r1, n + 1)
+    r = np.linspace(prob.r0, prob.r1, prob.mesh_n + 1)
     h = r[1] - r[0]
     inst = prob.inst
-    f_raw = prob.rhs_override if prob.rhs_override is not None else reaction_function(inst)
+    f = prob.rhs_override if prob.rhs_override is not None else reaction_function(inst)
+    args = (r, h, inst.N, f, inst.p, inst.q, prob.reg_eps)
+    lo, hi = prob.u_at_r0, prob.u_at_r1
+    residual = lambda x: _assemble(x, *args, log=prob.log_transform)
     if prob.log_transform:
-        return _solve_log(prob, r, h, f_raw, tol)
-    factors = _data_factors(prob)
-    schedule_first = _eps_schedule(prob.reg_eps)
+        lo, hi = math.log(lo), math.log(hi)
+        bands = lambda w, evaluation: _colour_bands(residual, w, evaluation[0])
+        factors = [1.0]
+    else:
+        bands = lambda u, evaluation: _jacobian_bands(u, *args, *evaluation[3:])
+        factors = _data_factors(prob)
+    x = lo + (hi - lo) * (r - r[0]) / (r[-1] - r[0])
     newton_total = 0
-    cont_steps = 0
-    u = None
-    prev_fac = None
-    for stage, fac in enumerate(factors):
-        ua, ub = prob.u_at_r0 * fac, prob.u_at_r1 * fac
-        if u is None:
-            u = ua + (ub - ua) * (r - r[0]) / (r[-1] - r[0])
-        else:
-            u = u * (fac / prev_fac)
-            u[0], u[-1] = ua, ub
-        prev_fac = fac
-        for eps in schedule_first if stage == 0 else [prob.reg_eps]:
-            cont_steps += 1
-            u, norm, iters, fail = _newton(u, r, h, inst.N, f_raw, inst.p, inst.q, eps, tol)
-            newton_total += iters
-            if fail is not None:
-                du = np.diff(u) / h
-                return RadialSolution(
-                    r=r,
-                    u=u,
-                    du=du,
-                    residual_norm=norm,
-                    newton_iters=newton_total,
-                    continuation_steps=cont_steps,
-                    converged=False,
-                    failure=fail,
-                    problem=prob,
-                )
-    du = np.diff(u) / h
-    return RadialSolution(
-        r=r,
-        u=u,
-        du=du,
-        residual_norm=norm,
-        newton_iters=newton_total,
-        continuation_steps=cont_steps,
-        converged=True,
-        problem=prob,
-    )
-
-
-def _solve_log(prob: RadialProblem, r, h, f_raw, tol) -> RadialSolution:
-    """Solve for w = log u; Jacobian by tridiagonal three-colour differencing."""
-    inst = prob.inst
-    n_exp = inst.N
-    p, q = inst.p, inst.q
-    eps_list = _eps_schedule(prob.reg_eps)
-    w = np.log(prob.u_at_r0) + (np.log(prob.u_at_r1) - np.log(prob.u_at_r0)) * (
-        r - r[0]
-    ) / (r[-1] - r[0])
-
-    def residual(wvec, eps):
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            return _log_residual(wvec, eps)
-
-    def _log_residual(wvec, eps):
-        w_face = 0.5 * (wvec[:-1] + wvec[1:])
-        dw_face = np.diff(wvec) / h
-        du_face = np.exp(w_face) * dw_face
-        r_face = 0.5 * (r[:-1] + r[1:])
-        flx = r_face ** (n_exp - 1) * flux(du_face, p, q, eps)
-        u_in = np.exp(wvec[1:-1])
-        du_c = u_in * (wvec[2:] - wvec[:-2]) / (2.0 * h)
-        r_in = r[1:-1]
-        src = r_in ** (n_exp - 1) * f_raw(r_in, u_in, du_c)
-        res = np.diff(flx) / h + src
-        scale = 1.0 + np.max(np.abs(flx)) / h + np.max(np.abs(src))
-        return res, scale
-
-    newton_total = 0
-    cont_steps = 0
-    for eps in eps_list:
-        cont_steps += 1
-        norm = None
-        for _ in range(MAX_NEWTON):
-            res, scale = residual(w, eps)
-            norm = _scaled_norm(res, scale)
-            if norm <= tol:
-                break
-            n_int = res.size
-            # ab[1 + i - j, j] = dres_i/dw_{j+1}: tridiagonal Jacobian by
-            # three-colour differencing (perturbed unknowns 3 apart never
-            # touch the same residual row).
-            ab = np.zeros((3, n_int))
-            for colour in range(3):
-                w_pert = w.copy()
-                idx = np.arange(1 + colour, w.size - 1, 3)
-                delta = 1e-7 * (1.0 + np.abs(w[idx]))
-                w_pert[idx] += delta
-                res_pert, _ = residual(w_pert, eps)
-                for j, dj in zip(idx - 1, delta):
-                    for off in (-1, 0, 1):
-                        i = j + off
-                        if 0 <= i < n_int:
-                            ab[1 + off, j] = (res_pert[i] - res[i]) / dj
-            if np.isfinite(ab).all() and np.isfinite(res).all():
-                try:
-                    step = solve_banded((1, 1), ab, -res)
-                except (np.linalg.LinAlgError, ValueError):
-                    step = None
-            else:
-                step = None
-            if step is None or not np.isfinite(step).all():
-                u = np.exp(w)
-                return RadialSolution(
-                    r=r, u=u, du=np.diff(u) / h, residual_norm=norm,
-                    newton_iters=newton_total, continuation_steps=cont_steps,
-                    converged=False, failure="jacobian_singular", problem=prob,
-                )
-            lam, accepted = 1.0, False
-            for _ in range(MAX_DAMPS):
-                w_try = w.copy()
-                w_try[1:-1] += lam * step
-                res_try, scale_try = residual(w_try, eps)
-                norm_try = _scaled_norm(res_try, scale_try)
-                if norm_try <= (1.0 - 1e-4 * lam) * norm or norm_try <= tol:
-                    accepted = True
-                    break
-                lam *= 0.5
-            if not accepted:
-                u = np.exp(w)
-                return RadialSolution(
-                    r=r, u=u, du=np.diff(u) / h, residual_norm=norm,
-                    newton_iters=newton_total, continuation_steps=cont_steps,
-                    converged=False, failure="newton_stalled", problem=prob,
-                )
-            w = w_try
-            newton_total += 1
-            norm = norm_try
-        if norm > tol:
-            u = np.exp(w)
-            return RadialSolution(
-                r=r, u=u, du=np.diff(u) / h, residual_norm=norm,
-                newton_iters=newton_total, continuation_steps=cont_steps,
-                converged=False, failure="newton_stalled", problem=prob,
-            )
-    u = np.exp(w)
+    # x carries the boundary data; rescaling by a power of two keeps it exact
+    for stages, (prev, fac) in enumerate(zip([1.0, *factors], factors), start=1):
+        x, norm, iters, failure = _damped_newton(residual, bands, x * (fac / prev), tol)
+        newton_total += iters
+        if failure is not None:
+            break
+    u = np.exp(x) if prob.log_transform else x
     return RadialSolution(
         r=r, u=u, du=np.diff(u) / h, residual_norm=norm,
-        newton_iters=newton_total, continuation_steps=cont_steps,
-        converged=True, problem=prob,
+        newton_iters=newton_total, continuation_steps=stages,
+        converged=failure is None, failure=failure, problem=prob,
     )
 
 

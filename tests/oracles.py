@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 the radial oracle integrates the first-integral form with quadrature and
-scalar root finding, the operator reference is a hand-derived analytic
+root finding, the operator reference is a hand-derived analytic
 expansion, and the parameter-window oracle brackets the feasibility
 predicate by bisection.
 """
@@ -47,22 +47,19 @@ def pq_reference_sin_cos(x, y, p, q):
 
 def inverse_flux(values, p, q):
     """Pointwise inverse of the strictly increasing odd map
-    t -> (|t|^(p-2) + |t|^(q-2)) t, by bracketing and Brent iteration."""
+    t -> (|t|^(p-2) + |t|^(q-2)) t, by bracketing and array bisection."""
     values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
-    flat_in = np.ravel(values)
-    flat_out = out.ravel()
-    for i, yi in enumerate(flat_in):
-        if yi == 0.0:
-            flat_out[i] = 0.0
-            continue
-        mag = abs(yi)
-        hi = max(mag ** (1.0 / (p - 1.0)), mag ** (1.0 / (q - 1.0)), 1e-12)
-        while flux(hi, p, q, 0.0) < mag:
-            hi *= 2.0
-        root = brentq(lambda t: flux(t, p, q, 0.0) - mag, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
-        flat_out[i] = np.sign(yi) * root
-    return out
+    mag = np.abs(values)
+    lo = np.zeros_like(mag)
+    hi = np.maximum(np.maximum(mag ** (1.0 / (p - 1.0)), mag ** (1.0 / (q - 1.0))), 1e-12)
+    while np.any(short := flux(hi, p, q, 0.0) < mag):
+        hi = np.where(short, 2.0 * hi, hi)
+    while np.any(hi - lo > 1e-15 + 8.9e-16 * hi):
+        mid = 0.5 * (lo + hi)
+        below = flux(mid, p, q, 0.0) < mag
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.sign(values) * 0.5 * (lo + hi)
 
 
 def constant_rhs_profile(N, p, q, r0, r1, u0, u1, c, r_nodes, refine=32):

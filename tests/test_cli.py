@@ -75,6 +75,14 @@ class TestCommands:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_jobs_below_one_rejected(self, capsys):
+        for jobs in ("0", "-2"):
+            assert run([
+                "classify", "--kind", "product", "--N", "2", "--p", "2.2",
+                "--q", "2", "--s", "0.5", "--m", "2.0", "--jobs", jobs,
+            ]) == 2
+            assert "--jobs: must be at least 1" in capsys.readouterr().err
+
     def test_sweep_single_operator_thresholds(self, tmp_path, capsys):
         par = tmp_path / "sweep.par"
         par.write_text("kind = product\nN = 2 3\np = 1.5 2 3\nq = p\ns = 0.5\nm = 0\n")

@@ -14,6 +14,7 @@ from pqliouville import (
     solve_radial,
     unregularized_residual,
 )
+from pqliouville.radial import flux_derivative
 from oracles import constant_rhs_profile
 
 
@@ -81,6 +82,29 @@ class TestSolver:
             errs.append(np.max(np.abs(sol.u - u(sol.r))))
         assert 3.2 <= errs[0] / errs[1] <= 4.8
 
+    def test_sign_changing_slope_on_singular_branch(self):
+        # zero data at both ends: u' changes sign and the q < 2 flux is
+        # singular there; the solve needs no continuation stage
+        inst = ProblemInstance(N=2, p=2.5, q=1.5, kind="product", s=1.0, m=0.0)
+        prob = RadialProblem(inst, 1.0, 2.0, 0.0, 0.0, mesh_n=512, reg_eps=1e-10,
+                             rhs_override=constant_rhs(2.0))
+        sol = solve_radial(prob)
+        assert sol.converged
+        assert sol.continuation_steps == 1
+        assert np.any(sol.du > 0.0) and np.any(sol.du < 0.0)
+        oracle = constant_rhs_profile(2, 2.5, 1.5, 1.0, 2.0, 0.0, 0.0, 2.0, sol.r)
+        h = sol.r[1] - sol.r[0]
+        rel = np.max(np.abs(sol.u - oracle)) / np.max(np.abs(oracle))
+        assert rel <= 10.0 * h * h
+
+    def test_large_data_needs_data_continuation(self):
+        inst = ProblemInstance(N=2, p=3.0, q=2.0, kind="hamilton_jacobi", m=2.5)
+        prob = RadialProblem(inst, 1.0, 2.0, -40960.0, 0.0, mesh_n=4096, reg_eps=1e-8)
+        sol = solve_radial(prob)
+        assert sol.converged
+        assert sol.residual_norm <= 1e-10
+        assert sol.continuation_steps > 1
+
     def test_residual_certificate(self):
         inst = ProblemInstance(N=2, p=2.5, q=1.5, kind="product", s=1.0, m=0.0)
         prob = RadialProblem(inst, 1.0, 2.0, 0.0, 1.0, mesh_n=128, reg_eps=1e-10,
@@ -100,13 +124,14 @@ class TestSolver:
         assert sol.failure in ("newton_stalled", "jacobian_singular")
         assert sol.u.shape == sol.r.shape
 
-    def test_log_transform_matches_plain_solution(self):
+    @pytest.mark.parametrize("mesh_n", [64, 1024])
+    def test_log_transform_matches_plain_solution(self, mesh_n):
         inst = ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=0.5)
         plain = solve_radial(
-            RadialProblem(inst, 1.0, 2.0, 1.0, 2.0, mesh_n=64, reg_eps=1e-8)
+            RadialProblem(inst, 1.0, 2.0, 1.0, 2.0, mesh_n=mesh_n, reg_eps=1e-8)
         )
         logged = solve_radial(
-            RadialProblem(inst, 1.0, 2.0, 1.0, 2.0, mesh_n=64, reg_eps=1e-8,
+            RadialProblem(inst, 1.0, 2.0, 1.0, 2.0, mesh_n=mesh_n, reg_eps=1e-8,
                           log_transform=True)
         )
         assert plain.converged and logged.converged
@@ -124,6 +149,17 @@ class TestSolver:
             RadialProblem(LANE, 1.0, 2.0, 0.0, 0.0, reg_eps=0.5)
         with pytest.raises(AdmissibilityError):
             RadialProblem(LANE, 1.0, 2.0, -1.0, 1.0, log_transform=True)
+
+
+class TestFluxDerivative:
+    @pytest.mark.parametrize("p,q,limit", [
+        (2.0, 2.0, 2.0), (3.0, 2.0, 1.0), (3.0, 2.5, 0.0), (2.5, 1.5, np.inf),
+    ])
+    def test_zero_slope_limit_without_regularization(self, p, q, limit):
+        assert flux_derivative(0.0, p, q, 0.0) == limit
+        values = flux_derivative(np.array([0.0, 1.0]), p, q, 0.0)
+        assert values[0] == limit
+        assert values[1] == pytest.approx(p + q - 2.0)
 
 
 class TestProfiles:
