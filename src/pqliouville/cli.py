@@ -76,15 +76,16 @@ def _load_params(args) -> dict[str, list[str]]:
     return {}
 
 
-def _instances(args) -> list[ProblemInstance]:
-    params = _load_params(args)
-    inline = {key: getattr(args, key, None) for key in ("kind", "N", "p", "q", "s", "m", "M")}
-    for key, value in inline.items():
+def _instances(args, params: dict[str, list[str]]) -> list[ProblemInstance]:
+    """Expand the parameter-file map, with inline flags overriding its keys."""
+    merged = dict(params)
+    for key in ("kind", "N", "p", "q", "s", "m", "M"):
+        value = getattr(args, key, None)
         if value is not None:
-            params[key] = [str(value)]
-    if not params:
+            merged[key] = [str(value)]
+    if not merged:
         raise CliError("no instance parameters given (use --params or inline flags)")
-    return expand_instances(params)
+    return expand_instances(merged)
 
 
 def _instance_args(sub):
@@ -162,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_echo(args, extra: dict | None = None) -> dict:
+def _config_echo(args, params: dict[str, list[str]], extra: dict | None = None) -> dict:
     echo = {
         "command": args.command,
         "seed": getattr(args, "seed", 0),
@@ -170,7 +171,6 @@ def _config_echo(args, extra: dict | None = None) -> dict:
         "optimal_search": getattr(args, "optimal_search", False),
         "tolerances": _parse_tolerances(getattr(args, "tol", None)),
     }
-    params = _load_params(args) if hasattr(args, "params") else {}
     if params:
         echo["params"] = {k: list(v) for k, v in sorted(params.items())}
     if extra:
@@ -179,17 +179,21 @@ def _config_echo(args, extra: dict | None = None) -> dict:
 
 
 def _classify_one(payload):
-    inst_dict, optimal = payload
-    inst = ProblemInstance(**inst_dict)
+    inst, optimal = payload
     return classify(inst, optimal_search=optimal).as_dict()
 
 
 def _search_one(payload):
-    inst_dict, oracle_points = payload
-    inst = ProblemInstance(**inst_dict)
+    """Selection row; product rows add the trinomial and its grid oracle.
+
+    oracle_points None gives the selection alone (sweep rows).  With
+    m+s-q+1 <= 0 there is no trinomial: selection reports infeasible and
+    the row stops there.
+    """
+    inst, oracle_points = payload
     selection = select_b_product(inst) if inst.kind == "product" else sum_selection(inst)
     row = {"instance": inst.as_dict(), "selection": selection.as_dict()}
-    if inst.kind == "product":
+    if oracle_points is not None and inst.kind == "product" and inst.combined_exponent > 0.0:
         coeffs = product_trinomial(inst, 0.0)
         row["trinomial"] = coeffs.as_dict()
         t_ref = selection.t_star if selection.feasible else 1.0
@@ -202,8 +206,8 @@ def _search_one(payload):
             "grid_points": points,
             "t_min": t_min,
             "value_min": value_min,
-            "curve_t": [float(x) for x in grid],
-            "curve_value": [float(x) for x in coeffs.value(grid)],
+            "curve_t": grid.tolist(),
+            "curve_value": coeffs.value(grid).tolist(),
         }
     return row
 
@@ -215,30 +219,31 @@ def _run_parallel(worker, payloads, jobs):
         return list(pool.map(worker, payloads))
 
 
-def _cmd_classify(args) -> tuple[Report, int]:
-    instances = _instances(args)
-    payloads = [(inst.as_dict(), args.optimal_search) for inst in instances]
+def _cmd_classify(args, params) -> tuple[Report, int]:
+    instances = _instances(args, params)
+    payloads = [(inst, args.optimal_search) for inst in instances]
     started = time.perf_counter()
     results = _run_parallel(_classify_one, payloads, args.jobs)
     timing = [{"total_s": time.perf_counter() - started}]
-    return Report(__version__, _config_echo(args), results, timing), 0
+    return Report(__version__, _config_echo(args, params), results, timing), 0
 
 
-def _cmd_search_b(args) -> tuple[Report, int]:
-    instances = _instances(args)
+def _cmd_search_b(args, params) -> tuple[Report, int]:
+    instances = _instances(args, params)
     oracle_points = getattr(args, "oracle_points", DEFAULT_ORACLE_POINTS)
-    payloads = [(inst.as_dict(), oracle_points) for inst in instances]
+    payloads = [(inst, oracle_points) for inst in instances]
     started = time.perf_counter()
     results = _run_parallel(_search_one, payloads, args.jobs)
     timing = [{"total_s": time.perf_counter() - started}]
-    echo = _config_echo(args, {"oracle_points": oracle_points})
+    echo = _config_echo(args, params, {"oracle_points": oracle_points})
     return Report(__version__, echo, results, timing), 0
 
 
-def _cmd_il_window(args) -> tuple[Report, int]:
+def _cmd_il_window(args, params) -> tuple[Report, int]:
     window = il_parameter_window(args.q, args.m, gamma_samples=args.gamma_samples)
     results = [{"q": args.q, "m": args.m, "window": window.as_dict()}]
-    return Report(__version__, _config_echo(args, {"q": args.q, "m": args.m}), results), 0
+    echo = _config_echo(args, params, {"q": args.q, "m": args.m})
+    return Report(__version__, echo, results), 0
 
 
 def _identity_suite(resolution: int, factor: float) -> list[dict]:
@@ -284,21 +289,20 @@ def _identity_suite(resolution: int, factor: float) -> list[dict]:
     return results
 
 
-def _cmd_verify_identities(args) -> tuple[Report, int]:
+def _cmd_verify_identities(args, params) -> tuple[Report, int]:
     tolerances = _parse_tolerances(args.tol)
     started = time.perf_counter()
     results = _identity_suite(args.resolution, tolerances["identity_factor"])
     timing = [{"total_s": time.perf_counter() - started}]
-    echo = _config_echo(args, {"resolution": args.resolution})
+    echo = _config_echo(args, params, {"resolution": args.resolution})
     return Report(__version__, echo, results, timing), 0
 
 
-def _cmd_solve_radial(args) -> tuple[Report, int]:
-    instances = _instances(args)
+def _cmd_solve_radial(args, params) -> tuple[Report, int]:
+    instances = _instances(args, params)
     if len(instances) != 1:
         raise CliError("solve-radial expects exactly one instance")
     inst = instances[0]
-    params = _load_params(args)
     settings = radial_settings(params)
     for key, arg_key in (("r0", "r0"), ("r1", "r1"), ("u0", "u0"), ("u1", "u1"),
                          ("mesh_n", "mesh_n"), ("reg_eps", "reg_eps")):
@@ -333,14 +337,14 @@ def _cmd_solve_radial(args) -> tuple[Report, int]:
         "residual_norm": sol.residual_norm,
         "newton_iters": sol.newton_iters,
         "continuation_steps": sol.continuation_steps,
-        "r": [float(x) for x in sol.r],
-        "u": [float(x) for x in sol.u],
-        "du": [float(x) for x in sol.du],
+        "r": sol.r.tolist(),
+        "u": sol.u.tolist(),
+        "du": sol.du.tolist(),
     }
     code = 0
     if sol.converged:
         profile = gradient_vs_distance(sol)
-        row["gradient_profile"] = [[float(a), float(b)] for a, b in profile]
+        row["gradient_profile"] = profile.tolist()
         if args.fit:
             window = default_fit_window(sol)
             try:
@@ -349,30 +353,23 @@ def _cmd_solve_radial(args) -> tuple[Report, int]:
                 row["fit"] = {"error": str(exc)}
     else:
         code = 3
-    echo = _config_echo(args, {"radial": {k: settings.get(k) for k in sorted(settings)}})
+    echo = _config_echo(args, params, {"radial": {k: settings.get(k) for k in sorted(settings)}})
     return Report(__version__, echo, [row], timing), code
 
 
-def _cmd_sweep(args) -> tuple[Report, int]:
-    instances = _instances(args)
+def _cmd_sweep(args, params) -> tuple[Report, int]:
+    instances = _instances(args, params)
     if args.task == "classify":
-        payloads = [(inst.as_dict(), args.optimal_search) for inst in instances]
+        payloads = [(inst, args.optimal_search) for inst in instances]
         worker = _classify_one
     else:
-        payloads = [(inst.as_dict(), 0) for inst in instances]
-        worker = _sweep_search_one
+        payloads = [(inst, None) for inst in instances]
+        worker = _search_one
     started = time.perf_counter()
     results = _run_parallel(worker, payloads, args.jobs)
     timing = [{"total_s": time.perf_counter() - started}]
-    echo = _config_echo(args, {"task": args.task})
+    echo = _config_echo(args, params, {"task": args.task})
     return Report(__version__, echo, results, timing), 0
-
-
-def _sweep_search_one(payload):
-    inst_dict, _ = payload
-    inst = ProblemInstance(**inst_dict)
-    selection = select_b_product(inst) if inst.kind == "product" else sum_selection(inst)
-    return {"instance": inst.as_dict(), "selection": selection.as_dict()}
 
 
 def _plot_rows(report: dict, selector: str) -> tuple[str, list]:
@@ -461,17 +458,17 @@ def main(argv=None) -> int:
             "solve-radial": _cmd_solve_radial,
             "sweep": _cmd_sweep,
         }[args.command]
-        report, code = handler(args)
+        report, code = handler(args, _load_params(args))
+        if args.format == "csv":
+            text = _csv_text(report, args.command)
+        else:
+            text = report.to_json(include_timing=args.timing)
     except (CliError, ParamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", 2)
     except AdmissibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "csv":
-        text = _csv_text(report, args.command)
-    else:
-        text = report.to_json(include_timing=args.timing)
     if args.out:
         atomic_write_text(args.out, text)
     else:

@@ -1,9 +1,11 @@
 """Deterministic report records and atomic file output.
 
-Reports serialize with sorted keys and stable float repr, so identical
-configurations (and seed) produce byte-identical files.  Wall-clock
-timings are collected but only emitted when explicitly requested, to
-keep the default output reproducible.
+Reports serialize as one compact line with sorted keys and stable float
+repr, so identical configurations (and seed) produce byte-identical
+files; compact output lets ``json`` use its C encoder, which it skips
+whenever ``indent`` is set.  Wall-clock timings are collected but only
+emitted when explicitly requested, to keep the default output
+reproducible.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ class Report:
         return out
 
     def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.as_dict(include_timing), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(self.as_dict(include_timing), sort_keys=True, separators=(",", ":"))
+        return text + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pqliouville.cli import main
+from pqliouville.cli import _cmd_sweep, _load_params, build_parser, main
 from pqliouville.params import ParamError, expand_instances, parse_params
 
 
@@ -74,6 +74,43 @@ class TestCommands:
             ]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_report_is_compact_sorted_json(self, tmp_path):
+        par = tmp_path / "sweep.par"
+        par.write_text("kind = product\nN = 2 3\np = 2.2 3\nq = 2\ns = 0.5\nm = 0.5 2\n")
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--params", str(par), "--out", str(out)]
+        assert run(argv) == 0
+        text = out.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        args = build_parser().parse_args(argv)
+        params = _load_params(args)
+        report, _ = _cmd_sweep(args, params)
+        assert json.loads(text) == report.as_dict()
+        assert json.loads(text)["config_echo"]["params"] == params
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_search_b_degenerate_product_writes_selection_row(self, tmp_path):
+        # m = 0.5 gives m+s-q+1 = -0.4, where no trinomial exists; m = 2 is regular
+        par = tmp_path / "mixed.par"
+        par.write_text("kind = product\nN = 2\np = 2\nq = 2\ns = 0.1\nm = 0.5 2\n")
+        outs = []
+        for name, jobs in (("a.json", "1"), ("b.json", "2")):
+            out = tmp_path / name
+            assert run(["search-b", "--params", str(par), "--jobs", jobs, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        degenerate, regular = json.loads(outs[0])["results"]
+        assert sorted(degenerate) == ["instance", "selection"]
+        assert degenerate["instance"]["m"] == 0.5
+        assert degenerate["selection"]["case_tag"] == "infeasible"
+        assert {"trinomial", "oracle"} <= set(regular)
+        out = tmp_path / "single.json"
+        assert run([
+            "search-b", "--kind", "product", "--N", "2", "--p", "2", "--q", "2",
+            "--s", "0.1", "--m", "0.5", "--out", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["results"] == [degenerate]
 
     def test_jobs_below_one_rejected(self, capsys):
         for jobs in ("0", "-2"):
@@ -165,6 +202,7 @@ class TestCommands:
         assert run(["classify", "--params", str(bad)]) == 2
         assert run(["classify", "--kind", "product", "--N", "2", "--p", "2.2",
                     "--q", "2", "--tol", "nosuch=1"]) == 2
+        assert run(["il-window", "--q", "2", "--m", "3", "--format", "csv"]) == 2
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "table.csv"
