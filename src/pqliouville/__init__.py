@@ -7,6 +7,8 @@ differential identities on manufactured grid fields, and solves radial
 boundary-value reductions to probe the predicted gradient-decay rates.
 """
 
+import importlib
+
 from .classify import EstimateRate, RegimeDecision, TheoremCondition, classify, estimate_rate
 from .exponents import (
     ExponentBundle,
@@ -23,32 +25,8 @@ from .exponents import (
     theta_exponent,
 )
 from .errors import AdmissibilityError, FieldError, UndefinedThresholdError
-from .fields import CATALOG, ManufacturedField
-from .grid import GridField, from_bytes, grid_field, read_binary, sample_function, to_bytes, write_binary
-from .identities import (
-    IdentityReport,
-    attach_order,
-    bochner_check,
-    change_of_variable_check,
-    default_tolerance,
-    refinement_order,
-    scaling_check,
-)
 from .instance import KINDS, ProblemInstance
 from .ishii_lions import ILWindow, il_alpha_window, il_gamma_lo, il_parameter_window
-from .operators import laplacian, p_laplacian, pq_laplacian
-from .radial import (
-    BlowupFit,
-    RadialProblem,
-    RadialSolution,
-    default_fit_window,
-    estimate_consistency,
-    fit_blowup_exponent,
-    gradient_vs_distance,
-    manufactured_source,
-    solve_radial,
-    unregularized_residual,
-)
 from .selection import BSelection, ConditionCheck, select_b_product, small_s_threshold, sum_selection
 from .thresholds import (
     ProductThresholds,
@@ -65,6 +43,38 @@ from .trinomial import (
     verify_negativity,
 )
 from .weights import AuxWeights, aux_weights
+
+# Names from the numpy/scipy-backed modules load on first access (PEP 562),
+# so `import pqliouville` and the closed-form commands import neither.
+_DEFERRED = {
+    name: module
+    for module, names in (
+        ("fields", ("CATALOG", "ManufacturedField")),
+        ("grid", ("GridField", "from_bytes", "grid_field", "read_binary", "sample_function",
+                  "to_bytes", "write_binary")),
+        ("identities", ("IdentityReport", "attach_order", "bochner_check",
+                        "change_of_variable_check", "default_tolerance", "refinement_order",
+                        "scaling_check")),
+        ("operators", ("laplacian", "p_laplacian", "pq_laplacian")),
+        ("radial", ("BlowupFit", "RadialProblem", "RadialSolution", "default_fit_window",
+                    "estimate_consistency", "fit_blowup_exponent", "gradient_vs_distance",
+                    "manufactured_source", "solve_radial", "unregularized_residual")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_DEFERRED[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_DEFERRED))
+
 
 __version__ = "0.1.0"
 

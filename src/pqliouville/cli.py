@@ -9,41 +9,51 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
 
 from . import __version__
 from .classify import classify
 from .errors import AdmissibilityError
-from .fields import CATALOG, ManufacturedField
-from .identities import (
-    attach_order,
-    bochner_check,
-    change_of_variable_check,
-    refinement_order,
-    scaling_check,
-)
 from .instance import ProblemInstance
 from .ishii_lions import il_parameter_window
 from .params import ParamError, expand_instances, parse_params, radial_settings
-from .radial import (
-    RadialProblem,
-    default_fit_window,
-    fit_blowup_exponent,
-    gradient_vs_distance,
-    solve_radial,
-)
 from .report import Report, atomic_write_text
 from .selection import select_b_product, sum_selection
 from .trinomial import product_trinomial, verify_negativity
 
 DEFAULT_ORACLE_POINTS = 2048
 TOLERANCE_DEFAULTS = {"identity_factor": 25.0, "newton_tol": 1e-10}
+
+# Names the solve-radial and verify-identities handlers use from the
+# numpy/scipy-backed modules.  They are bound into this module's globals on
+# first use, so the other commands import neither library.  A name already
+# bound (a tracing wrapper, a test monkeypatch) is kept and gets the call.
+_HEAVY = {
+    "fields": ("CATALOG",),
+    "identities": ("attach_order", "bochner_check", "change_of_variable_check",
+                   "refinement_order", "scaling_check"),
+    "radial": ("RadialProblem", "default_fit_window", "fit_blowup_exponent",
+               "gradient_vs_distance", "solve_radial"),
+}
+
+
+def _bind_heavy(*modules: str) -> None:
+    for module_name in modules:
+        module = importlib.import_module(f"{__package__}.{module_name}")
+        for name in _HEAVY[module_name]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    for module_name, names in _HEAVY.items():
+        if name in names:
+            _bind_heavy(module_name)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CliError(Exception):
@@ -98,21 +108,26 @@ def _instance_args(sub):
     sub.add_argument("--M", type=float)
 
 
-def _worker_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _common_args(sub):
     sub.add_argument("--params", help="parameter file (flat key = value, grids allowed)")
     sub.add_argument("--out", help="output path (stdout when omitted)")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--jobs", type=_worker_count, default=1)
+    sub.add_argument("--jobs", type=_int_at_least(1), default=1)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--optimal-search", action="store_true", dest="optimal_search")
     sub.add_argument("--tol", action="append", metavar="name=value")
@@ -139,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify-identities")
     _common_args(sub)
-    sub.add_argument("--resolution", type=int, default=65, help="coarse nodes per axis")
+    sub.add_argument("--resolution", type=_int_at_least(5), default=65,
+                     help="coarse nodes per axis")
 
     sub = subs.add_parser("solve-radial")
     _common_args(sub)
@@ -194,6 +210,8 @@ def _search_one(payload):
     selection = select_b_product(inst) if inst.kind == "product" else sum_selection(inst)
     row = {"instance": inst.as_dict(), "selection": selection.as_dict()}
     if oracle_points is not None and inst.kind == "product" and inst.combined_exponent > 0.0:
+        import numpy as np
+
         coeffs = product_trinomial(inst, 0.0)
         row["trinomial"] = coeffs.as_dict()
         t_ref = selection.t_star if selection.feasible else 1.0
@@ -215,6 +233,8 @@ def _search_one(payload):
 def _run_parallel(worker, payloads, jobs):
     if jobs <= 1 or len(payloads) <= 1:
         return [worker(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, payloads))
 
@@ -247,6 +267,7 @@ def _cmd_il_window(args, params) -> tuple[Report, int]:
 
 
 def _identity_suite(resolution: int, factor: float) -> list[dict]:
+    _bind_heavy("fields", "identities")
     field = CATALOG["offset_sine"]
     results = []
     n_coarse = resolution
@@ -276,7 +297,7 @@ def _identity_suite(resolution: int, factor: float) -> list[dict]:
             {"check": "bochner", "params": {"field": name, "h": 1.0 / (n_fine - 1)}, "report": rep.as_dict()}
         )
     for fname, k, alpha, p in (("radial_square", 2.0, 1.0, 2.0), ("sine_x1", 0.5, 2.0, 3.0)):
-        f: ManufacturedField = CATALOG[fname]
+        f = CATALOG[fname]
         rep = scaling_check(f, k, alpha, p, n=n_coarse,
                             tolerance=factor * ((f.hi - f.lo) / (n_coarse - 1)) ** 2)
         results.append(
@@ -302,6 +323,7 @@ def _cmd_solve_radial(args, params) -> tuple[Report, int]:
     instances = _instances(args, params)
     if len(instances) != 1:
         raise CliError("solve-radial expects exactly one instance")
+    _bind_heavy("radial")
     inst = instances[0]
     settings = radial_settings(params)
     for key, arg_key in (("r0", "r0"), ("r1", "r1"), ("u0", "u0"), ("u1", "u1"),

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import AdmissibilityError
+
 
 @dataclass(frozen=True)
 class ILWindow:
@@ -55,9 +57,9 @@ def il_parameter_window(q: float, m: float, gamma_samples: int = 9) -> ILWindow:
     the gamma window (gamma_samples points).
     """
     if q <= 1.0:
-        raise ValueError("q must exceed 1")
+        raise AdmissibilityError("q must exceed 1")
     if m <= 0.0:
-        raise ValueError("m must be positive")
+        raise AdmissibilityError("m must be positive")
     if m <= q:
         return ILWindow(feasible=False, gamma_lo=None, gamma_hi=None, alpha_bounds=())
     lo = il_gamma_lo(q, m)

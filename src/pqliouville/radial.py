@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .classify import RegimeDecision, estimate_rate
 from .errors import AdmissibilityError
@@ -211,6 +210,8 @@ def _damped_newton(residual, bands, x, tol):
     its scaled residual norm, the iteration count and a failure tag
     ('jacobian_singular', 'newton_stalled') or None.
     """
+    from scipy.linalg import solve_banded
+
     evaluation = residual(x)
     norm = _scaled_norm(*evaluation[:2])
     iters = 0

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import AdmissibilityError
 from .instance import ProblemInstance
 from .thresholds import operator_gap
@@ -111,6 +109,8 @@ def verify_negativity(
     smaller t.  Used only to validate the constructive selection, never
     to produce it.
     """
+    import numpy as np
+
     if t_max <= 0.0:
         raise AdmissibilityError("t_max must be positive")
     if grid_points < 1000:

@@ -204,6 +204,16 @@ class TestCommands:
                     "--q", "2", "--tol", "nosuch=1"]) == 2
         assert run(["il-window", "--q", "2", "--m", "3", "--format", "csv"]) == 2
 
+    def test_invalid_inputs_exit_two_with_an_error_line(self, capsys):
+        for argv, message in (
+            (["il-window", "--q", "0.5", "--m", "3"], "error: q must exceed 1"),
+            (["il-window", "--q", "2", "--m", "0"], "error: m must be positive"),
+            (["verify-identities", "--resolution", "1"], "--resolution: must be at least 5"),
+            (["verify-identities", "--resolution", "4"], "--resolution: must be at least 5"),
+        ):
+            assert run(argv) == 2
+            assert message in capsys.readouterr().err
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "table.csv"
         assert run([

@@ -1,0 +1,123 @@
+"""Import footprint per command, the lazy public API and the CLI patch points."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pqliouville
+import pqliouville.cli as cli
+
+ROOT = Path(__file__).resolve().parents[1]
+TINY_GRID = str(ROOT / "bench" / "inputs" / "tiny_product_grid.par")
+PRODUCT = ["--kind", "product", "--N", "2", "--p", "2.2", "--q", "2", "--s", "0.5", "--m", "2.0"]
+DEGENERATE = ["--kind", "product", "--N", "2", "--p", "2", "--q", "2", "--s", "0.1", "--m", "0.5"]
+SUM = ["--kind", "sum", "--N", "2", "--p", "2", "--q", "1.9", "--s", "1.5", "--m", "0.5",
+       "--M", "1"]
+HEAVY = ("numpy", "scipy")
+
+
+def fresh(code: str):
+    """Run code in a new interpreter; return the JSON it prints on its last line."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def loaded_by(code: str) -> list[str]:
+    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+    return fresh(probe)
+
+
+def loaded_by_cli(argv: list[str], tmp_path) -> list[str]:
+    argv = [*argv, "--out", str(tmp_path / "report.json")]
+    return loaded_by(f"import pqliouville.cli\nassert pqliouville.cli.main({argv!r}) == 0")
+
+
+def test_package_import_skips_numpy_and_scipy():
+    assert loaded_by("import pqliouville") == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", *PRODUCT],
+        ["il-window", "--q", "2", "--m", "3"],
+        ["sweep", "--params", TINY_GRID],
+        ["search-b", *SUM],
+        ["search-b", *DEGENERATE],
+    ],
+    ids=["classify", "il-window", "sweep", "search-b-sum", "search-b-degenerate"],
+)
+def test_closed_form_commands_skip_numpy_and_scipy(argv, tmp_path):
+    assert loaded_by_cli(argv, tmp_path) == []
+
+
+def test_product_search_b_loads_numpy_only(tmp_path):
+    assert loaded_by_cli(["search-b", *PRODUCT], tmp_path) == ["numpy"]
+
+
+def test_public_names_resolve_in_a_fresh_interpreter():
+    names = fresh(
+        "import json, pqliouville\n"
+        "listed = sorted(set(pqliouville.__all__) - set(dir(pqliouville)))\n"
+        "namespace = {}\n"
+        "exec('from pqliouville import *', namespace)\n"
+        "starred = sorted(set(pqliouville.__all__) - set(namespace))\n"
+        "print(json.dumps([listed, starred]))"
+    )
+    assert names == [[], []]
+    for name in pqliouville.__all__:
+        assert getattr(pqliouville, name) is not None
+
+
+def test_classify_stays_the_function():
+    kinds = fresh(
+        "import json, pqliouville.cli\n"
+        "kinds = [type(pqliouville.classify).__name__]\n"
+        "pqliouville.solve_radial, pqliouville.CATALOG, pqliouville.cli.bochner_check\n"
+        "kinds.append(type(pqliouville.classify).__name__)\n"
+        "print(json.dumps(kinds))"
+    )
+    assert kinds == ["function", "function"]
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pqliouville.no_such_name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+
+
+def spy(monkeypatch, name: str) -> list:
+    calls = []
+    original = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_patched_solve_radial_gets_the_call(monkeypatch, tmp_path):
+    calls = spy(monkeypatch, "solve_radial")
+    assert cli.main([
+        "solve-radial", "--kind", "hamilton_jacobi", "--N", "2", "--p", "3", "--q", "2",
+        "--m", "2.5", "--r0", "1", "--r1", "2", "--u0", "-64", "--u1", "0", "--mesh-n", "64",
+        "--out", str(tmp_path / "radial.json"),
+    ]) == 0
+    assert calls == ["solve_radial"]
+
+
+def test_patched_bochner_check_gets_the_calls(monkeypatch, tmp_path):
+    calls = spy(monkeypatch, "bochner_check")
+    assert cli.main(["verify-identities", "--resolution", "5",
+                     "--out", str(tmp_path / "identities.json")]) == 0
+    assert calls == ["bochner_check"] * 3
