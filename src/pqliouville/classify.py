@@ -16,7 +16,15 @@ from typing import NamedTuple
 from .errors import AdmissibilityError
 from .exponents import ExponentBundle, exponent_bundle, sum_exponent_bundle
 from .instance import ProblemInstance
-from .selection import BSelection, select_b_product, small_s_threshold, sum_selection
+from .selection import (
+    BSelection,
+    product_shared_rows,
+    select_b_product,
+    small_s_row,
+    sum_liouville_rows,
+    sum_selection,
+    window_position,
+)
 from .thresholds import ProductThresholds, SumThresholds, product_thresholds, sum_thresholds
 
 THEOREMS = (
@@ -34,6 +42,13 @@ PRODUCT_SHARED = "product_shared"
 
 GRAD_U = "|grad u|"
 GRAD_U_POWER = "|grad u^(1/b)|"
+
+
+def _owners(theorem: str) -> set[str]:
+    """Theorems whose rows a theorem needs: product cases also own the shared block."""
+    if theorem.startswith("thm_product_"):
+        return {theorem, PRODUCT_SHARED}
+    return {theorem}
 
 
 @dataclass(frozen=True)
@@ -68,9 +83,7 @@ class RegimeDecision:
 
     def conditions_for(self, theorem: str) -> tuple[TheoremCondition, ...]:
         """Conditions owned by a theorem (product cases share their common block)."""
-        owners = {theorem}
-        if theorem.startswith("thm_product_"):
-            owners.add(PRODUCT_SHARED)
+        owners = _owners(theorem)
         return tuple(c for c in self.conditions if c.theorem in owners)
 
     def as_dict(self) -> dict:
@@ -123,8 +136,12 @@ class _Trace:
         self.rows.append(TheoremCondition(theorem, label, rendering, bool(passed)))
         return bool(passed)
 
-    def all_pass(self, theorem: str, extra: tuple[str, ...] = ()) -> bool:
-        owners = {theorem, *extra}
+    def extend(self, theorem: str, rows) -> None:
+        """Append (label, rendering, passed) rows under one theorem."""
+        self.rows += [TheoremCondition(theorem, *row) for row in rows]
+
+    def all_pass(self, theorem: str) -> bool:
+        owners = _owners(theorem)
         rows = [r for r in self.rows if r.theorem in owners]
         return bool(rows) and all(r.passed for r in rows)
 
@@ -155,22 +172,17 @@ def _product_case_rows(
     if not th.discriminant_ok:
         return None
     Q, q1, q2 = th.Q, th.Q1, th.Q2
-    s_thr = small_s_threshold(inst)
-    if Q == q1 or Q == q2:
+    position = window_position(th)
+    if position == "boundary":
         trace.add(
             "thm_product_B",
             "boundary_window",
             f"Q in {{Q1, Q2}}: Q = {Q:.6g}",
             True,
         )
-        trace.add(
-            "thm_product_B",
-            "small_s",
-            f"s < (q-1)/(p-1+N(p-q)/2): {inst.s:.6g} < {s_thr:.6g}",
-            inst.s < s_thr,
-        )
+        trace.add("thm_product_B", *small_s_row(inst))
         return "thm_product_B"
-    if q1 < Q < q2:
+    if position == "inside":
         trace.add(
             "thm_product_A",
             "open_window",
@@ -179,12 +191,7 @@ def _product_case_rows(
         )
         return "thm_product_A"
     theorem = "thm_product_C"
-    trace.add(
-        theorem,
-        "small_s",
-        f"s < (q-1)/(p-1+N(p-q)/2): {inst.s:.6g} < {s_thr:.6g}",
-        inst.s < s_thr,
-    )
+    trace.add(theorem, *small_s_row(inst))
     trace.add(theorem, "m_le_q", f"m <= q: {inst.m:.6g} <= {inst.q:.6g}", inst.m <= inst.q)
     trace.add(theorem, "q_lt_p", f"q < p: {inst.q:.6g} < {inst.p:.6g}", inst.q < inst.p)
     trace.add(
@@ -199,7 +206,7 @@ def _product_case_rows(
             sel.case_tag == "case3_convex",
         )
         return theorem
-    if Q > q2:
+    if position == "above":
         if th.Q3 is None:
             trace.add(theorem, "upper_window", "Q3 undefined at s=0", False)
         else:
@@ -210,7 +217,8 @@ def _product_case_rows(
                 Q < th.Q3,
             )
         return theorem
-    # Q < Q1 lower window; needs the comparison ratio a.
+    # Q below Q1, so the lower-window row tests its lower bound only; it
+    # needs the comparison ratio a.
     if th.a is None:
         trace.add(theorem, "lower_window", "comparison ratio a undefined (s=0 or p=q)", False)
         return theorem
@@ -220,7 +228,7 @@ def _product_case_rows(
     else:
         lower = inst.N * th.R / (4.0 * (inst.q - 1.0))
         rendering = f"a > 1 branch: NR/(4(q-1)) < Q < Q1: {lower:.6g} < {Q:.6g} < {q1:.6g}"
-    trace.add(theorem, "lower_window", rendering, lower < Q < q1)
+    trace.add(theorem, "lower_window", rendering, lower < Q)
     return theorem
 
 
@@ -228,32 +236,11 @@ def _classify_product(
     inst: ProblemInstance, trace: _Trace, optimal_search: bool
 ) -> tuple[ProductThresholds, str | None, BSelection | None, ExponentBundle | None]:
     th = product_thresholds(inst)
-    Q = th.Q
-    lim = 1.0 - (inst.p - inst.q) * (1.0 + inst.s) / Q if Q != 0.0 else float("-inf")
-    trace.add(PRODUCT_SHARED, "s_positive", f"s > 0: {inst.s:.6g}", inst.s > 0.0)
-    trace.add(PRODUCT_SHARED, "Q_positive", f"m+s-q+1 > 0: {Q:.6g}", Q > 0.0)
-    trace.add(
-        PRODUCT_SHARED,
-        "beta2_limit_positive",
-        f"1 - (p-q)(1+s)/Q > 0: {lim:.6g}",
-        lim > 0.0,
-    )
-    trace.add(
-        PRODUCT_SHARED,
-        "superlinear_reaction",
-        f"m+s > p-1: {inst.m + inst.s:.6g} > {inst.p - 1.0:.6g}",
-        inst.m + inst.s > inst.p - 1.0,
-    )
-    trace.add(
-        PRODUCT_SHARED,
-        "discriminant",
-        f"4(q-1)^2 >= N^2 R: {4.0 * (inst.q - 1.0) ** 2:.6g} >= {inst.N**2 * th.R:.6g}",
-        th.discriminant_ok,
-    )
+    trace.extend(PRODUCT_SHARED, product_shared_rows(inst, th))
     case_theorem = _product_case_rows(inst, th, trace, optimal_search)
     _ishii_lions_rows(inst, trace)
     selection = bundle = None
-    if case_theorem is not None and trace.all_pass(case_theorem, (PRODUCT_SHARED,)):
+    if case_theorem is not None and trace.all_pass(case_theorem):
         selection = select_b_product(inst)
         trace.add(
             case_theorem,
@@ -270,24 +257,10 @@ def _classify_sum(
     inst: ProblemInstance, trace: _Trace
 ) -> tuple[SumThresholds, BSelection | None, ExponentBundle | None]:
     th = sum_thresholds(inst)
-    N, p, q, s, m = inst.N, inst.p, inst.q, inst.s, inst.m
+    p, q, s, m = inst.p, inst.q, inst.s, inst.m
     liou = "thm_sum_liouville"
     trace.add(liou, "M_positive", f"M > 0: {inst.M:.6g}", inst.M > 0.0)
-    trace.add(liou, "gap", f"N(p-q) < 2(q-1): {N * (p - q):.6g} < {2.0 * (q - 1.0):.6g}", th.gap_ok)
-    trace.add(liou, "delta_positive", f"delta_pq = {th.delta_pq:.6g} > 0", th.delta_pq > 0.0)
-    if th.s_minus is not None:
-        s_lo = max(th.s_minus, p - 1.0)
-        trace.add(
-            liou,
-            "s_window",
-            f"max(s_minus, p-1) < s < s_plus: {s_lo:.6g} < {s:.6g} < {th.s_plus:.6g}",
-            s_lo < s < th.s_plus,
-        )
-    else:
-        trace.add(liou, "s_window", "s-window undefined (delta_pq <= 0)", False)
-    lim = 1.0 - (p - q) * (1.0 + s) / (s - q + 1.0) if s != q - 1.0 else float("-inf")
-    trace.add(liou, "beta2_limit_positive", f"1 - (p-q)(1+s)/(s-q+1) > 0: {lim:.6g}", lim > 0.0)
-    trace.add(liou, "m_window", f"0 < m <= (N+2)(q-1)/N: 0 < {m:.6g} <= {th.m_max:.6g}", 0.0 < m <= th.m_max)
+    trace.extend(liou, sum_liouville_rows(inst, th))
 
     growth = "thm_sum_growth"
     trace.add(growth, "M_positive", f"M > 0: {inst.M:.6g}", inst.M > 0.0)
@@ -335,11 +308,7 @@ def classify(inst: ProblemInstance, optimal_search: bool = False) -> RegimeDecis
         sums_th, selection, bundle = _classify_sum(inst, trace)
         candidates = ["thm_sum_liouville", "thm_sum_growth"]
 
-    matches = []
-    for theorem in candidates:
-        extra = (PRODUCT_SHARED,) if theorem.startswith("thm_product_") else ()
-        if trace.all_pass(theorem, extra):
-            matches.append(theorem)
+    matches = [theorem for theorem in candidates if trace.all_pass(theorem)]
 
     theorem = matches[0] if matches else "none"
     liouville = theorem not in ("none", "thm_sum_growth")

@@ -127,7 +127,6 @@ def _common_args(sub):
     sub.add_argument("--params", help="parameter file (flat key = value, grids allowed)")
     sub.add_argument("--out", help="output path (stdout when omitted)")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--jobs", type=_int_at_least(1), default=1)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--optimal-search", action="store_true", dest="optimal_search")
     sub.add_argument("--tol", action="append", metavar="name=value")
@@ -144,13 +143,14 @@ def build_parser() -> argparse.ArgumentParser:
         _common_args(sub)
         _instance_args(sub)
         if name == "search-b":
-            sub.add_argument("--oracle-points", type=int, default=DEFAULT_ORACLE_POINTS)
+            sub.add_argument("--oracle-points", type=_int_at_least(1000),
+                             default=DEFAULT_ORACLE_POINTS)
 
     sub = subs.add_parser("il-window")
     _common_args(sub)
     sub.add_argument("--q", type=float, required=True)
     sub.add_argument("--m", type=float, required=True)
-    sub.add_argument("--gamma-samples", type=int, default=9)
+    sub.add_argument("--gamma-samples", type=_int_at_least(1), default=9)
 
     sub = subs.add_parser("verify-identities")
     _common_args(sub)
@@ -194,19 +194,13 @@ def _config_echo(args, params: dict[str, list[str]], extra: dict | None = None) 
     return echo
 
 
-def _classify_one(payload):
-    inst, optimal = payload
-    return classify(inst, optimal_search=optimal).as_dict()
-
-
-def _search_one(payload):
+def _search_one(inst: ProblemInstance, oracle_points: int | None) -> dict:
     """Selection row; product rows add the trinomial and its grid oracle.
 
     oracle_points None gives the selection alone (sweep rows).  With
     m+s-q+1 <= 0 there is no trinomial: selection reports infeasible and
     the row stops there.
     """
-    inst, oracle_points = payload
     selection = select_b_product(inst) if inst.kind == "product" else sum_selection(inst)
     row = {"instance": inst.as_dict(), "selection": selection.as_dict()}
     if oracle_points is not None and inst.kind == "product" and inst.combined_exponent > 0.0:
@@ -216,12 +210,11 @@ def _search_one(payload):
         row["trinomial"] = coeffs.as_dict()
         t_ref = selection.t_star if selection.feasible else 1.0
         t_max = 2.0 * max(t_ref, 1.0)
-        points = max(1000, oracle_points)
-        t_min, value_min = verify_negativity(coeffs, t_max, points)
-        grid = np.linspace(0.0, t_max, points)
+        t_min, value_min = verify_negativity(coeffs, t_max, oracle_points)
+        grid = np.linspace(0.0, t_max, oracle_points)
         row["oracle"] = {
             "t_max": t_max,
-            "grid_points": points,
+            "grid_points": oracle_points,
             "t_min": t_min,
             "value_min": value_min,
             "curve_t": grid.tolist(),
@@ -230,30 +223,19 @@ def _search_one(payload):
     return row
 
 
-def _run_parallel(worker, payloads, jobs):
-    if jobs <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, payloads))
-
-
 def _cmd_classify(args, params) -> tuple[Report, int]:
     instances = _instances(args, params)
-    payloads = [(inst, args.optimal_search) for inst in instances]
     started = time.perf_counter()
-    results = _run_parallel(_classify_one, payloads, args.jobs)
+    results = [classify(inst, optimal_search=args.optimal_search).as_dict() for inst in instances]
     timing = [{"total_s": time.perf_counter() - started}]
     return Report(__version__, _config_echo(args, params), results, timing), 0
 
 
 def _cmd_search_b(args, params) -> tuple[Report, int]:
     instances = _instances(args, params)
-    oracle_points = getattr(args, "oracle_points", DEFAULT_ORACLE_POINTS)
-    payloads = [(inst, oracle_points) for inst in instances]
+    oracle_points = args.oracle_points
     started = time.perf_counter()
-    results = _run_parallel(_search_one, payloads, args.jobs)
+    results = [_search_one(inst, oracle_points) for inst in instances]
     timing = [{"total_s": time.perf_counter() - started}]
     echo = _config_echo(args, params, {"oracle_points": oracle_points})
     return Report(__version__, echo, results, timing), 0
@@ -381,14 +363,11 @@ def _cmd_solve_radial(args, params) -> tuple[Report, int]:
 
 def _cmd_sweep(args, params) -> tuple[Report, int]:
     instances = _instances(args, params)
-    if args.task == "classify":
-        payloads = [(inst, args.optimal_search) for inst in instances]
-        worker = _classify_one
-    else:
-        payloads = [(inst, None) for inst in instances]
-        worker = _search_one
     started = time.perf_counter()
-    results = _run_parallel(worker, payloads, args.jobs)
+    if args.task == "classify":
+        results = [classify(inst, optimal_search=args.optimal_search).as_dict() for inst in instances]
+    else:
+        results = [_search_one(inst, None) for inst in instances]
     timing = [{"total_s": time.perf_counter() - started}]
     echo = _config_echo(args, params, {"task": args.task})
     return Report(__version__, echo, results, timing), 0

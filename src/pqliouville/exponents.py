@@ -28,6 +28,12 @@ def _beta2(p: float, q: float, s: float, m: float, b: float) -> float:
     return (b - 1.0) * (p - q) * (m - q) / (bq + q - m) + _beta1(p, q, s, m, b)
 
 
+def beta2_limit(p: float, q: float, s: float, m: float) -> float:
+    """Limit of beta2 as b -> infinity: 1 - (p-q)(1+s)/(m+s-q+1), -inf when m+s-q+1 = 0."""
+    Q = _combined(p, q, s, m)
+    return 1.0 - (p - q) * (1.0 + s) / Q if Q != 0.0 else float("-inf")
+
+
 def admissible_floor(inst: ProblemInstance) -> float:
     """Lower admissibility bound for b: max{0, (m-q+1)/Q}."""
     Q = inst.combined_exponent
@@ -60,7 +66,7 @@ def beta2(inst: ProblemInstance, b: float) -> float:
 
 def beta2_large_b_limit(inst: ProblemInstance) -> float:
     """Limit of beta2 as b -> infinity: 1 - (p-q)(1+s)/Q."""
-    return 1.0 - (inst.p - inst.q) * (1.0 + inst.s) / inst.combined_exponent
+    return beta2_limit(inst.p, inst.q, inst.s, inst.m)
 
 
 def gamma_exponent(inst: ProblemInstance, b: float) -> float:

@@ -27,11 +27,12 @@ from .exponents import (
     b_from_t,
     beta1,
     beta2,
+    beta2_limit,
     gamma_exponent,
     sum_beta2,
 )
 from .instance import ProblemInstance
-from .thresholds import product_thresholds, sum_thresholds
+from .thresholds import ProductThresholds, SumThresholds, product_thresholds, sum_thresholds
 from .trinomial import product_trinomial, sum_leading_coefficient
 
 DOUBLING_CAP = 2.0**60
@@ -91,10 +92,21 @@ def small_s_threshold(inst: ProblemInstance) -> float:
     return (inst.q - 1.0) / (inst.p - 1.0 + inst.N * (inst.p - inst.q) / 2.0)
 
 
-def _shared_hypotheses(inst: ProblemInstance, th, trace: list[ConditionCheck]) -> bool:
-    Q = inst.combined_exponent
-    lim = 1.0 - (inst.p - inst.q) * (1.0 + inst.s) / Q if Q != 0.0 else float("-inf")
-    rows = [
+# Hypothesis rows are plain (label, rendering, passed) tuples in report
+# order; selection wraps them in ConditionCheck, classify in TheoremCondition.
+
+
+def small_s_row(inst: ProblemInstance) -> tuple[str, str, bool]:
+    """Small-s side condition of theorems B and C (selection case 2)."""
+    s_thr = small_s_threshold(inst)
+    return ("small_s", f"s < (q-1)/(p-1+N(p-q)/2): {inst.s:.6g} < {s_thr:.6g}", inst.s < s_thr)
+
+
+def product_shared_rows(inst: ProblemInstance, th: ProductThresholds) -> list[tuple[str, str, bool]]:
+    """The five hypotheses every product theorem (A, B, C) and the selection share."""
+    Q = th.Q
+    lim = beta2_limit(inst.p, inst.q, inst.s, inst.m)
+    return [
         ("s_positive", f"s > 0: {inst.s:.6g}", inst.s > 0.0),
         ("Q_positive", f"m+s-q+1 > 0: {Q:.6g}", Q > 0.0),
         ("beta2_limit_positive", f"1 - (p-q)(1+s)/Q > 0: {lim:.6g}", lim > 0.0),
@@ -109,11 +121,43 @@ def _shared_hypotheses(inst: ProblemInstance, th, trace: list[ConditionCheck]) -
             th.discriminant_ok,
         ),
     ]
-    ok = True
-    for label, rendering, passed in rows:
-        trace.append(_check(label, rendering, passed))
-        ok = ok and passed
-    return ok
+
+
+def sum_liouville_rows(inst: ProblemInstance, th: SumThresholds) -> list[tuple[str, str, bool]]:
+    """Gap, delta, s-window, beta2-limit and m-window rows of the sum Liouville theorem."""
+    N, p, q, s, m = inst.N, inst.p, inst.q, inst.s, inst.m
+    if th.s_minus is None:
+        s_window = ("s_window", "s-window undefined (delta_pq <= 0)", False)
+    else:
+        s_lo = max(th.s_minus, p - 1.0)
+        s_window = (
+            "s_window",
+            f"max(s_minus, p-1) < s < s_plus: {s_lo:.6g} < {s:.6g} < {th.s_plus:.6g}",
+            s_lo < s < th.s_plus,
+        )
+    lim = beta2_limit(p, q, s, 0.0)
+    return [
+        ("gap", f"N(p-q) < 2(q-1): {N * (p - q):.6g} < {2.0 * (q - 1.0):.6g}", th.gap_ok),
+        ("delta_positive", f"delta_pq = {th.delta_pq:.6g} > 0", th.delta_pq > 0.0),
+        s_window,
+        ("beta2_limit_positive", f"1 - (p-q)(1+s)/(s-q+1) > 0: {lim:.6g}", lim > 0.0),
+        ("m_window", f"0 < m <= (N+2)(q-1)/N: {m:.6g} <= {th.m_max:.6g}", 0.0 < m <= th.m_max),
+    ]
+
+
+def window_position(th: ProductThresholds) -> str:
+    """Position of Q against [Q1, Q2]: "boundary", "inside", "above" or "below".
+
+    The one place Q is compared with the window roots (exact floating
+    comparison, so boundary instances are those that hit a root exactly).
+    Requires the discriminant condition, so that Q1 and Q2 exist.
+    """
+    Q, q1, q2 = th.Q, th.Q1, th.Q2
+    if Q == q1 or Q == q2:
+        return "boundary"
+    if q1 < Q < q2:
+        return "inside"
+    return "above" if Q > q2 else "below"
 
 
 def _doubling_search(inst: ProblemInstance, coeffs, floor: float, trace: list[ConditionCheck]):
@@ -146,20 +190,20 @@ def select_b_product(inst: ProblemInstance) -> BSelection:
     """
     if inst.kind != "product":
         raise AdmissibilityError("b-selection requires kind='product'")
-    trace: list[ConditionCheck] = []
     th = product_thresholds(inst)
-    if not _shared_hypotheses(inst, th, trace):
+    trace = [_check(*row) for row in product_shared_rows(inst, th)]
+    if not all(c.passed for c in trace):
         return _infeasible(trace)
     coeffs = product_trinomial(inst, epsilon=0.0)
     floor = admissible_floor(inst)
     Q, q1, q2 = th.Q, th.Q1, th.Q2
-    s_thr = small_s_threshold(inst)
+    position = window_position(th)
 
-    if Q == q1 or Q == q2:
+    if position == "boundary":
         trace.append(_check("case", f"Q on window boundary: Q={Q:.6g}", True))
-        side = inst.s < s_thr
-        trace.append(_check("small_s", f"s < (q-1)/(p-1+N(p-q)/2): {inst.s:.6g} < {s_thr:.6g}", side))
-        if not side:
+        side = _check(*small_s_row(inst))
+        trace.append(side)
+        if not side.passed:
             return _infeasible(trace)
         trace.append(_check("L2_negative", f"L2 = {coeffs.L2:.6g} < 0", coeffs.L2 < 0.0))
         if not coeffs.L2 < 0.0:
@@ -170,7 +214,7 @@ def select_b_product(inst: ProblemInstance) -> BSelection:
         t, b = found
         return BSelection("case2_L1zero", t, b, 1.0, 0.0, tuple(trace))
 
-    if q1 < Q < q2:
+    if position == "inside":
         trace.append(_check("case", f"Q1 < Q < Q2: {q1:.6g} < {Q:.6g} < {q2:.6g}", True))
         trace.append(_check("L1_negative", f"L1 = {coeffs.L1:.6g} < 0", coeffs.L1 < 0.0))
         found = _doubling_search(inst, coeffs, floor, trace)
@@ -187,7 +231,7 @@ def select_b_product(inst: ProblemInstance) -> BSelection:
     trace.append(
         _check(
             "L2_negative",
-            f"L2 = {coeffs.L2:.6g} < 0 (equivalent to s < {s_thr:.6g})",
+            f"L2 = {coeffs.L2:.6g} < 0 (equivalent to s < {small_s_threshold(inst):.6g})",
             coeffs.L2 < 0.0,
         )
     )
@@ -231,25 +275,13 @@ def sum_selection(inst: ProblemInstance) -> BSelection:
     """
     if inst.kind != "sum":
         raise AdmissibilityError("tau-selection requires kind='sum'")
-    trace: list[ConditionCheck] = []
     th = sum_thresholds(inst)
-    N, p, q, s, m = inst.N, inst.p, inst.q, inst.s, inst.m
-    trace.append(
-        _check("gap", f"N(p-q) < 2(q-1): {N * (p - q):.6g} < {2.0 * (q - 1.0):.6g}", th.gap_ok)
-    )
-    trace.append(_check("delta_positive", f"delta_pq = {th.delta_pq:.6g} > 0", th.delta_pq > 0.0))
+    q, s = inst.q, inst.s
+    rows = sum_liouville_rows(inst, th)
     if not (th.gap_ok and th.delta_pq > 0.0):
-        return _infeasible(trace)
-    s_lo = max(th.s_minus, p - 1.0)
-    s_window = s_lo < s < th.s_plus
-    trace.append(
-        _check("s_window", f"max(s_minus, p-1) < s < s_plus: {s_lo:.6g} < {s:.6g} < {th.s_plus:.6g}", s_window)
-    )
-    lim = 1.0 - (p - q) * (1.0 + s) / (s - q + 1.0) if s != q - 1.0 else float("-inf")
-    trace.append(_check("beta2_limit_positive", f"1 - (p-q)(1+s)/(s-q+1) > 0: {lim:.6g}", lim > 0.0))
-    m_ok = 0.0 < m <= th.m_max
-    trace.append(_check("m_window", f"0 < m <= (N+2)(q-1)/N: {m:.6g} <= {th.m_max:.6g}", m_ok))
-    if not (s_window and lim > 0.0 and m_ok):
+        rows = rows[:2]  # the s-window and what follows are not reported
+    trace = [_check(*row) for row in rows]
+    if not all(c.passed for c in trace):
         return _infeasible(trace)
     lead = sum_leading_coefficient(inst)
     trace.append(_check("leading_coefficient", f"leading tau^2 coefficient = {lead:.6g} < 0", lead < 0.0))

@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pqliouville import (
     AdmissibilityError,
     ProblemInstance,
     classify,
     estimate_rate,
+    select_b_product,
+    sum_selection,
 )
 from oracles import sample_admissible_product, sample_theorem14_instance
 
@@ -92,6 +96,14 @@ class TestWorkedExamples:
         assert decision.theorem == "thm_IL"
         assert decision.liouville
 
+    def test_sum_with_zero_beta2_limit_denominator(self):
+        # s - q + 1 rounds to exactly 0 although s != q - 1 in floats
+        inst = ProblemInstance(N=2, p=1.3, q=1.3, kind="sum", s=0.3, m=0.2, M=1.0)
+        decision = classify(inst)
+        assert decision.theorem == "none"
+        row = [c for c in decision.conditions if c.label == "beta2_limit_positive"]
+        assert len(row) == 1 and not row[0].passed and row[0].rendering.endswith("-inf")
+
     def test_none_with_full_trace(self):
         inst = ProblemInstance(N=2, p=3.0, q=2.0, kind="hamilton_jacobi", m=1.5)
         decision = classify(inst)
@@ -165,3 +177,79 @@ class TestMonotoneHypotheses:
                 rate = estimate_rate(decision)
                 assert rate.rate == decision.estimate_exponent
                 assert rate.target == decision.estimate_target
+
+
+def _grid_or_float(grid, lo, hi):
+    # decimal grid values reach the exact window boundaries, floats the rest
+    return st.one_of(st.sampled_from(grid), st.floats(lo, hi))
+
+
+@st.composite
+def _instances(draw, kind):
+    p = draw(_grid_or_float((1.5, 2.0, 2.2, 2.5, 3.0), 1.05, 4.0))
+    q = draw(st.one_of(st.just(p), _grid_or_float((1.5, 1.9, 2.0, 2.24), 1.01, p)))
+    return ProblemInstance(
+        N=draw(st.integers(2, 5)),
+        p=p,
+        q=min(q, p),
+        kind=kind,
+        s=draw(_grid_or_float((0.0, 0.05, 0.1, 0.5, 1.0, 1.5, 2.0), 0.0, 3.0)),
+        m=draw(_grid_or_float((0.0, 0.5, 1.5, 2.0, 2.5, 3.0), 0.0, 6.0)),
+        M=1.0,
+    )
+
+
+def _rows(conditions):
+    return [(c.label, c.rendering, c.passed) for c in conditions]
+
+
+CASE_THEOREM = {
+    "Q on window boundary": "thm_product_B",
+    "Q1 < Q < Q2": "thm_product_A",
+    "Q outside [Q1, Q2]": "thm_product_C",
+}
+
+
+class TestSelectionAgreement:
+    """Classify and the constructive selection report the same hypothesis rows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_instances("product"))
+    @example(product())  # inside the window
+    @example(product(p=2.0, q=2.0, m=2.5))  # Q = Q2 exactly
+    @example(product(p=2.61, q=2.24, s=0.06, m=1.7))  # below Q1
+    def test_product_shared_rows(self, inst):
+        decision = classify(inst)
+        selection = select_b_product(inst)
+        shared = _rows(c for c in decision.conditions if c.theorem == "product_shared")
+        assert shared == _rows(selection.trace[:5])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_instances("product"))
+    @example(product())
+    @example(product(p=2.0, q=2.0, m=2.5))
+    @example(product(p=2.61, q=2.24, s=0.06, m=1.7))
+    def test_product_case_theorem(self, inst):
+        decision = classify(inst)
+        selection = select_b_product(inst)
+        if len(selection.trace) <= 5:
+            return  # a shared hypothesis failed before the case split
+        case = selection.trace[5]
+        assert case.label == "case"
+        expected = [v for k, v in CASE_THEOREM.items() if case.rendering.startswith(k)]
+        cases = {c.theorem for c in decision.conditions if c.theorem.startswith("thm_product_")}
+        assert cases == set(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_instances("sum"))
+    @example(ProblemInstance(N=2, p=2.0, q=2.0, kind="sum", s=2.0, m=1.5, M=1.0))
+    def test_sum_liouville_rows(self, inst):
+        decision = classify(inst)
+        selection = sum_selection(inst)
+        liouville = [c for c in decision.conditions if c.theorem == "thm_sum_liouville"]
+        labels = [c.label for c in liouville]
+        rows = _rows(liouville[labels.index("gap"):labels.index("m_window") + 1])
+        if rows[0][2] and rows[1][2]:
+            assert rows == _rows(selection.trace[:5])
+        else:
+            assert rows[:2] == _rows(selection.trace)

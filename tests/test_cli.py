@@ -62,18 +62,15 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["results"][0]["theorem"] == "none"
 
-    def test_sweep_determinism_and_jobs(self, tmp_path):
+    def test_sweep_determinism(self, tmp_path):
         par = tmp_path / "sweep.par"
         par.write_text("kind = product\nN = 2 3\np = 1.5 2 3\nq = p\ns = 0.5\nm = 0\n")
         outs = []
-        for name, jobs in (("a.json", "1"), ("b.json", "1"), ("c.json", "2")):
+        for name in ("a.json", "b.json"):
             out = tmp_path / name
-            assert run([
-                "sweep", "--params", str(par), "--out", str(out), "--seed", "11",
-                "--jobs", jobs,
-            ]) == 0
+            assert run(["sweep", "--params", str(par), "--out", str(out), "--seed", "11"]) == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1]
 
     def test_report_is_compact_sorted_json(self, tmp_path):
         par = tmp_path / "sweep.par"
@@ -94,13 +91,9 @@ class TestCommands:
         # m = 0.5 gives m+s-q+1 = -0.4, where no trinomial exists; m = 2 is regular
         par = tmp_path / "mixed.par"
         par.write_text("kind = product\nN = 2\np = 2\nq = 2\ns = 0.1\nm = 0.5 2\n")
-        outs = []
-        for name, jobs in (("a.json", "1"), ("b.json", "2")):
-            out = tmp_path / name
-            assert run(["search-b", "--params", str(par), "--jobs", jobs, "--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-        degenerate, regular = json.loads(outs[0])["results"]
+        out = tmp_path / "grid.json"
+        assert run(["search-b", "--params", str(par), "--out", str(out)]) == 0
+        degenerate, regular = json.loads(out.read_text())["results"]
         assert sorted(degenerate) == ["instance", "selection"]
         assert degenerate["instance"]["m"] == 0.5
         assert degenerate["selection"]["case_tag"] == "infeasible"
@@ -111,14 +104,6 @@ class TestCommands:
             "--s", "0.1", "--m", "0.5", "--out", str(out),
         ]) == 0
         assert json.loads(out.read_text())["results"] == [degenerate]
-
-    def test_jobs_below_one_rejected(self, capsys):
-        for jobs in ("0", "-2"):
-            assert run([
-                "classify", "--kind", "product", "--N", "2", "--p", "2.2",
-                "--q", "2", "--s", "0.5", "--m", "2.0", "--jobs", jobs,
-            ]) == 2
-            assert "--jobs: must be at least 1" in capsys.readouterr().err
 
     def test_sweep_single_operator_thresholds(self, tmp_path, capsys):
         par = tmp_path / "sweep.par"
@@ -210,6 +195,13 @@ class TestCommands:
             (["il-window", "--q", "2", "--m", "0"], "error: m must be positive"),
             (["verify-identities", "--resolution", "1"], "--resolution: must be at least 5"),
             (["verify-identities", "--resolution", "4"], "--resolution: must be at least 5"),
+            (["il-window", "--q", "2", "--m", "3", "--gamma-samples", "0"],
+             "--gamma-samples: must be at least 1"),
+            (["il-window", "--q", "2", "--m", "3", "--gamma-samples", "-3"],
+             "--gamma-samples: must be at least 1"),
+            (["search-b", "--kind", "product", "--N", "2", "--p", "2.2", "--q", "2",
+              "--s", "0.5", "--m", "2.0", "--oracle-points", "10"],
+             "--oracle-points: must be at least 1000"),
         ):
             assert run(argv) == 2
             assert message in capsys.readouterr().err

@@ -1,4 +1,7 @@
+from types import SimpleNamespace
+
 import pytest
+import sympy
 
 from pqliouville import (
     AdmissibilityError,
@@ -15,7 +18,7 @@ from pqliouville import (
     t_from_b,
     theta_exponent,
 )
-from pqliouville.exponents import _beta2
+from pqliouville.exponents import _beta2, beta2_limit
 from oracles import sample_admissible_pair, sample_admissible_product
 
 
@@ -61,6 +64,21 @@ class TestBetaExponents:
             assert abs(beta2(inst, 1e6) - beta2_large_b_limit(inst)) <= 1e-4 * (
                 1.0 + abs(beta2_large_b_limit(inst))
             )
+
+    def test_large_b_limits_symbolic(self):
+        # b -> infinity of the product beta2 and of the sum beta2 (m = 0)
+        sym = SimpleNamespace(**dict(zip("pqsmb", sympy.symbols("p q s m b", positive=True))))
+        product_limit = sympy.limit(_beta2(sym.p, sym.q, sym.s, sym.m, sym.b), sym.b, sympy.oo)
+        sum_limit = sympy.limit(sum_beta2(sym, sym.b), sym.b, sympy.oo)
+        for limit, m in ((product_limit, sym.m), (sum_limit, 0)):
+            closed = beta2_limit(sym.p, sym.q, sym.s, m)
+            assert sympy.simplify(sympy.nsimplify(limit - closed, rational=True)) == 0
+
+    def test_limit_is_minus_infinity_at_zero_denominator(self):
+        # 0.3 - 1.3 + 1 rounds to exactly 0, although 0.3 != 1.3 - 1 in floats
+        assert beta2_limit(1.3, 1.3, 0.3, 0.0) == float("-inf")
+        inst = ProblemInstance(N=2, p=2.5, q=2.0, kind="product", s=0.5, m=0.5)
+        assert beta2_large_b_limit(inst) == float("-inf")
 
     def test_beta1_at_floor_is_m_plus_1_minus_p(self, rng):
         # evaluated exactly at b = (m-q+1)/Q the first exponent collapses
