@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -40,6 +41,18 @@ class GridField:
         ]
         return list(np.meshgrid(*axes, indexing="ij"))
 
+    @cached_property
+    def derivatives(self):
+        """Centred derivatives of `values` (operators.Derivatives), computed once per field.
+
+        The cache belongs to this instance: a field built from other
+        values, for example with dataclasses.replace, starts empty.
+        Treat `values` as read-only once derivatives have been taken.
+        """
+        from .operators import Derivatives
+
+        return Derivatives(self.values, self.spacing)
+
 
 def grid_field(values: np.ndarray, spacing: float, origin=None) -> GridField:
     """Validated constructor: 2- or 3-d, all dims >= 5, finite values, h > 0."""
@@ -58,11 +71,22 @@ def grid_field(values: np.ndarray, spacing: float, origin=None) -> GridField:
 
 
 def sample_function(fn: Callable, lo: float, hi: float, n: int, dim: int = 2) -> GridField:
-    """Sample fn(x1, ..., xd) at n nodes per axis on [lo, hi]^dim."""
+    """Sample fn(x1, ..., xd) at n nodes per axis on [lo, hi]^dim.
+
+    fn receives open axes (np.meshgrid(..., indexing="ij", sparse=True)):
+    xk has length n along axis k and length 1 along the others, so fn
+    must combine its arguments by broadcasting, as numpy ufuncs and
+    arithmetic do.  Each node still sees the same operations as on a
+    dense grid, but transcendental functions run on n values per axis
+    instead of n^dim.  The result, which may keep singleton axes (for
+    example lambda x, y, z: np.sin(x)), is broadcast into one full,
+    C-contiguous, writeable array.
+    """
     h = (hi - lo) / (n - 1)
     axes = [lo + h * np.arange(n) for _ in range(dim)]
-    coords = np.meshgrid(*axes, indexing="ij")
-    return grid_field(fn(*coords), h, (lo,) * dim)
+    values = np.empty((n,) * dim)
+    values[...] = fn(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    return grid_field(values, h, (lo,) * dim)
 
 
 def to_bytes(field: GridField) -> bytes:

@@ -15,15 +15,9 @@ import numpy as np
 
 from .errors import FieldError
 from .fields import ManufacturedField
-from .grid import GridField
-from .operators import (
-    dot_arrays,
-    grad_squared,
-    gradient_components,
-    laplacian,
-    p_laplacian,
-    pq_laplacian,
-)
+from .grid import GridField, sample_function
+from .operators import dot_arrays, gradient_components, laplacian, p_laplacian, pq_laplacian
+from .weights import _coefficients
 
 DEFAULT_TOLERANCE_FACTOR = 25.0
 
@@ -52,12 +46,18 @@ def default_tolerance(h: float, factor: float = DEFAULT_TOLERANCE_FACTOR) -> flo
     return factor * h * h
 
 
-def refinement_order(report_h: IdentityReport, report_h2: IdentityReport) -> float:
-    """Observed order from errors at spacings h and h/2."""
+def refinement_order(report_h: IdentityReport, report_h2: IdentityReport) -> float | None:
+    """Observed order from errors at spacings h and h/2.
+
+    None when either error is exactly 0: the identity then holds to
+    rounding on that grid and no order is observable.
+    """
+    if report_h.rel_error == 0.0 or report_h2.rel_error == 0.0:
+        return None
     return math.log2(report_h.rel_error / report_h2.rel_error)
 
 
-def attach_order(report: IdentityReport, order: float) -> IdentityReport:
+def attach_order(report: IdentityReport, order: float | None) -> IdentityReport:
     return replace(report, observed_order=order)
 
 
@@ -82,7 +82,8 @@ def change_of_variable_check(
         b |b|^(q-2) v^((b-1)(q-1)) [ z^(q/2-1) A lap(v)
             + (b-1) E z^(q/2) / v + (D/2) z^((q-4)/2) <grad z, grad v> ]
 
-    from finite differences of v and z = |grad v|^2.  Nodes with a
+    from finite differences of v and z = |grad v|^2, shared with every
+    other check on the same field through `v.derivatives`.  Nodes with a
     degenerate gradient are excluded; more than 10% exclusions aborts.
     """
     if b == 0.0:
@@ -92,40 +93,33 @@ def change_of_variable_check(
     h = v.spacing
     tol = default_tolerance(h) if tolerance is None else tolerance
 
+    # Both sides are compared on the ring-2 interior, so the right side
+    # is assembled there only; it is elementwise, so node values match.
+    inner = tuple(slice(2, -2) for _ in range(v.ndim))
     u = GridField(values=v.values**b, spacing=h, origin=v.origin)
-    lhs = pq_laplacian(u, p, q).values
+    lhs = pq_laplacian(u, p, q).values[inner]
 
-    grads = gradient_components(v.values, h)
-    z = grad_squared(v.values, h)
-    lap = laplacian(v.values, h)
-    grads_z = gradient_components(z, h)
-    dzv = dot_arrays(grads_z, grads)
-
-    vv = v.values
+    derivs = v.derivatives
+    vv, z = v.values[inner], derivs.grad_sq[inner]
     with np.errstate(invalid="ignore", divide="ignore"):
-        w = abs(b) ** (p - q) * vv ** ((b - 1.0) * (p - q)) * z ** ((p - q) / 2.0)
-        A = 1.0 + w
-        D = q - 2.0 + (p - 2.0) * w
-        E = q - 1.0 + (p - 1.0) * w
+        A, D, E = _coefficients(b, vv, z, p, q)
         rhs = (
             b
             * abs(b) ** (q - 2.0)
             * vv ** ((b - 1.0) * (q - 1.0))
             * (
-                z ** (q / 2.0 - 1.0) * A * lap
+                z ** (q / 2.0 - 1.0) * A * derivs.lap[inner]
                 + (b - 1.0) * E * z ** (q / 2.0) / vv
-                + 0.5 * D * z ** ((q - 4.0) / 2.0) * dzv
+                + 0.5 * D * z ** ((q - 4.0) / 2.0) * derivs.grad_sq_dot_grad[inner]
             )
         )
 
-    inner = tuple(slice(2, -2) for _ in range(v.ndim))
-    lhs_i, rhs_i, z_i = lhs[inner], rhs[inner], z[inner]
-    z_floor = 1e-12 * float(np.nanmax(z_i))
-    valid = np.isfinite(lhs_i) & np.isfinite(rhs_i) & (z_i > z_floor)
+    z_floor = 1e-12 * float(np.nanmax(z))
+    valid = np.isfinite(lhs) & np.isfinite(rhs) & (z > z_floor)
     if valid.size == 0 or (1.0 - valid.mean()) > 0.10:
         raise FieldError("test field violates |grad v|>0")
-    err = float(np.max(np.abs(lhs_i[valid] - rhs_i[valid])))
-    scale = float(np.max(np.abs(lhs_i[valid])))
+    err = float(np.max(np.abs(lhs[valid] - rhs[valid])))
+    scale = float(np.max(np.abs(lhs[valid])))
     return _report(err, max(scale, 1e-300), tol)
 
 
@@ -138,13 +132,10 @@ def bochner_check(v: GridField, N_param: int, tolerance: float | None = None) ->
     """
     h = v.spacing
     tol = default_tolerance(h) if tolerance is None else tolerance
-    z = grad_squared(v.values, h)
-    lap_v = laplacian(v.values, h)
-    lap_z = laplacian(z, h)
-    grads_v = gradient_components(v.values, h)
-    grads_lap = gradient_components(lap_v, h)
-    lhs = 0.5 * lap_z
-    rhs = lap_v * lap_v / N_param + dot_arrays(grads_lap, grads_v)
+    derivs = v.derivatives
+    lap_v = derivs.lap
+    lhs = 0.5 * laplacian(derivs.grad_sq, h)
+    rhs = lap_v * lap_v / N_param + dot_arrays(gradient_components(lap_v, h), derivs.grads)
     inner = tuple(slice(2, -2) for _ in range(v.ndim))
     lhs_i, rhs_i = lhs[inner], rhs[inner]
     valid = np.isfinite(lhs_i) & np.isfinite(rhs_i)
@@ -173,17 +164,13 @@ def scaling_check(
     """
     if k <= 0.0:
         raise FieldError("scaling factor k must be positive")
-    base = field.sample(n, dim)
-    h = base.spacing
-    tol = default_tolerance(h) if tolerance is None else tolerance
-    scaled = field.sample_scaled(k, n, dim)
 
     def dilated(*coords):
         return k**alpha * field.fn(*(k * c for c in coords))
 
-    w = GridField(
-        values=dilated(*base.coords()), spacing=h, origin=base.origin
-    )
+    w = sample_function(dilated, field.lo, field.hi, n, dim)
+    tol = default_tolerance(w.spacing) if tolerance is None else tolerance
+    scaled = field.sample_scaled(k, n, dim)
     eps = 1e-12
     lhs = p_laplacian(w, p, reg_eps=eps).values
     rhs = k ** (alpha * (p - 1.0) + p) * p_laplacian(scaled, p, reg_eps=eps).values

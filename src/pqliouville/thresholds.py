@@ -72,7 +72,9 @@ def product_thresholds(inst: ProblemInstance) -> ProductThresholds:
     q3 = a = None
     if s > 0.0:
         num = 2.0 * (q - 1.0) / N - s * (2.0 * (p - 1.0) / N + (p - q))
-        q3 = q2 + num * num / (s * (s * R / q2 + 4.0 * (p - 1.0) / N))
+        scale = s * (s * R / q2 + 4.0 * (p - 1.0) / N)
+        # scale underflows to 0 only for subnormal s; Q3 -> +inf as s -> 0+.
+        q3 = q2 + num * num / scale if scale > 0.0 else math.inf
         denom_a = N * s * R + 4.0 * (p - 1.0) * q1
         if denom_a > 0.0:
             a = (N / s) * num * num / denom_a

@@ -26,6 +26,16 @@ class AuxWeights:
     Upsilon: float
 
 
+def _coefficients(b: float, v, z, p: float, q: float):
+    """A, D and E at (b, v, z), without checking v > 0 or z > 0.
+
+    The change-of-variable check calls this directly, because it masks
+    nodes with a degenerate gradient only after evaluating them.
+    """
+    w = abs(b) ** (p - q) * v ** ((b - 1.0) * (p - q)) * z ** ((p - q) / 2.0)
+    return 1.0 + w, q - 2.0 + (p - 2.0) * w, q - 1.0 + (p - 1.0) * w
+
+
 def aux_weights(b: float, v, z, p: float, q: float, N: int) -> AuxWeights:
     """Evaluate all seven weight quantities at (b, v, z).
 
@@ -38,10 +48,7 @@ def aux_weights(b: float, v, z, p: float, q: float, N: int) -> AuxWeights:
     z = np.asarray(z, dtype=float)
     if not (v > 0).all() or not (z > 0).all():
         raise ValueError("aux weights require v > 0 and z > 0")
-    w = abs(b) ** (p - q) * v ** ((b - 1.0) * (p - q)) * z ** ((p - q) / 2.0)
-    A = 1.0 + w
-    D = q - 2.0 + (p - 2.0) * w
-    E = q - 1.0 + (p - 1.0) * w
+    A, D, E = _coefficients(b, v, z, p, q)
     frakA = (A - 1.0) / A
     Gamma = (2.0 / N) * (E / A) + (p - q) * frakA
     Xi = (E / A) ** 2 / N - (p - q) ** 2 * frakA / A

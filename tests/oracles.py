@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths it is used to check:
 the radial oracle integrates the first-integral form with quadrature and
 root finding, the operator reference is a hand-derived analytic
-expansion, and the parameter-window oracle brackets the feasibility
-predicate by bisection.
+expansion, the whole-array stencils are the straightforward NaN-ring
+forms the blocked operators must reproduce bit for bit, and the
+parameter-window oracle brackets the feasibility predicate by bisection.
 """
 
 from __future__ import annotations
@@ -38,6 +39,89 @@ def pq_reference_sin_cos(x, y, p, q):
     out = np.zeros_like(u)
     for s in (p, q):
         out = out + z ** ((s - 2.0) / 2.0) * lap + (s - 2.0) * z ** ((s - 4.0) / 2.0) * quad
+    return out
+
+
+# ---------------------------------------------------------------------------
+# whole-array reference stencils (full NaN-ring temporaries, no blocking)
+# ---------------------------------------------------------------------------
+
+def _ring_interior(ndim):
+    return tuple(slice(1, -1) for _ in range(ndim))
+
+
+def _ring_shift(ndim, axis, lo, hi):
+    sl = [slice(1, -1)] * ndim
+    sl[axis] = slice(1 + lo, (-1 + hi) or None)
+    return tuple(sl)
+
+
+def reference_gradient_components(values, h):
+    """Centred first derivatives, NaN on each component's own end layers."""
+    d = values.ndim
+    out = []
+    for axis in range(d):
+        g = np.full_like(values, np.nan)
+        mid = [slice(None)] * d
+        hi = [slice(None)] * d
+        lo = [slice(None)] * d
+        mid[axis] = slice(1, -1)
+        hi[axis] = slice(2, None)
+        lo[axis] = slice(0, -2)
+        g[tuple(mid)] = (values[tuple(hi)] - values[tuple(lo)]) / (2.0 * h)
+        out.append(g)
+    return out
+
+
+def reference_laplacian(values, h):
+    """5-/7-point Laplacian summed over whole interior arrays; NaN ring."""
+    d = values.ndim
+    out = np.full_like(values, np.nan)
+    inner = _ring_interior(d)
+    acc = np.zeros_like(values[inner])
+    for axis in range(d):
+        acc += (
+            values[_ring_shift(d, axis, 1, 1)]
+            - 2.0 * values[inner]
+            + values[_ring_shift(d, axis, -1, -1)]
+        )
+    out[inner] = acc / (h * h)
+    return out
+
+
+def _face_average(arr, axis):
+    lo = [slice(None)] * arr.ndim
+    hi = [slice(None)] * arr.ndim
+    lo[axis] = slice(0, -1)
+    hi[axis] = slice(1, None)
+    return 0.5 * (arr[tuple(lo)] + arr[tuple(hi)])
+
+
+def reference_flux_divergence(values, h, powers, reg_eps):
+    """div(sum_s (|grad u|^2 + eps^2)^((s-2)/2) grad u) from full face arrays."""
+    d = values.ndim
+    centred = reference_gradient_components(values, h)
+    out = np.full_like(values, np.nan)
+    inner = _ring_interior(d)
+    acc = np.zeros_like(values[inner])
+    eps2 = reg_eps * reg_eps
+    for axis in range(d):
+        dn = np.diff(values, axis=axis) / h
+        z_face = dn * dn
+        for other in range(d):
+            if other == axis:
+                continue
+            tang = _face_average(centred[other], axis)
+            z_face = z_face + tang * tang
+        weight = np.zeros_like(z_face)
+        for s in powers:
+            weight = weight + np.power(z_face + eps2, (s - 2.0) / 2.0)
+        flux_ = weight * dn
+        div = np.diff(flux_, axis=axis) / h
+        sl = [slice(1, -1)] * d
+        sl[axis] = slice(None)
+        acc += div[tuple(sl)]
+    out[inner] = acc
     return out
 
 

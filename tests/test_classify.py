@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from pqliouville import (
     ProblemInstance,
     classify,
     estimate_rate,
+    product_thresholds,
     select_b_product,
     sum_selection,
 )
@@ -32,6 +35,13 @@ class TestWorkedExamples:
         assert any(
             c.label == "open_window" and c.passed for c in decision.conditions
         )
+
+    def test_subnormal_s_leaves_q3_unbounded(self):
+        # s * (4(p-1)/N) underflows to 0 here; Q3's s -> 0+ limit is +inf
+        inst = product(p=1.25, q=1.25, s=5e-324, m=0.0)
+        assert product_thresholds(inst).Q3 == math.inf
+        assert classify(inst).theorem
+        assert select_b_product(inst).case_tag
 
     def test_hamilton_jacobi(self):
         inst = ProblemInstance(N=2, p=3.0, q=2.0, kind="hamilton_jacobi", m=2.5)

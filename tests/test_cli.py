@@ -224,6 +224,12 @@ class TestCommands:
         ])
         assert "timing" in json.loads(out.read_text())
 
+    def test_verify_identities_reruns_are_byte_identical(self, tmp_path):
+        paths = [tmp_path / "first.json", tmp_path / "second.json"]
+        for path in paths:
+            assert run(["verify-identities", "--resolution", "17", "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_verify_identities_default_catalog(self, capsys):
         assert run(["verify-identities", "--resolution", "33"]) == 0
         report = json.loads(capsys.readouterr().out)

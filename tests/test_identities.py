@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pqliouville import (
     CATALOG,
     FieldError,
+    IdentityReport,
     attach_order,
     bochner_check,
     change_of_variable_check,
@@ -12,7 +15,8 @@ from pqliouville import (
     scaling_check,
 )
 from pqliouville.fields import affine_field
-from pqliouville.grid import sample_function
+from pqliouville.cli import _identity_suite
+from pqliouville.grid import GridField, sample_function
 from pqliouville.operators import dot_arrays, grad_squared, gradient_components, laplacian
 
 
@@ -39,6 +43,20 @@ class TestChangeOfVariable:
         report = change_of_variable_check(CATALOG["offset_sine"].sample(65), 2.0, 2.0, 2.0)
         assert report.passed
         assert report.rel_error <= 1e-4
+
+    def test_order_is_none_when_an_error_is_exactly_zero(self):
+        # b=1, p=q=2: both sides are the same discrete Laplacian at every n
+        field = CATALOG["offset_sine"]
+        coarse = change_of_variable_check(field.sample(17), 1.0, 2.0, 2.0)
+        fine = change_of_variable_check(field.sample(33), 1.0, 2.0, 2.0)
+        assert coarse.rel_error == 0.0 and fine.rel_error == 0.0
+        assert refinement_order(coarse, fine) is None
+        assert attach_order(fine, None).observed_order is None
+        nonzero = IdentityReport(1e-3, 1e-3, True, 1.0)
+        zero = IdentityReport(0.0, 0.0, True, 1.0)
+        assert refinement_order(zero, nonzero) is None
+        assert refinement_order(nonzero, zero) is None
+        assert refinement_order(nonzero, IdentityReport(2.5e-4, 2.5e-4, True, 1.0)) == 2.0
 
     def test_degenerate_gradient_rejected(self):
         flat = grid_field(np.full((16, 16), 2.0), 1.0 / 15.0)
@@ -108,3 +126,78 @@ class TestScaling:
     def test_k_guard(self):
         with pytest.raises(FieldError):
             scaling_check(CATALOG["sine_x1"], -1.0, 1.0, 2.0)
+
+
+class TestSharedDerivatives:
+    def test_cached_derivatives_match_the_operators(self):
+        field = CATALOG["offset_sine"].sample(17, 3)
+        v, h = field.values, field.spacing
+        derivs = field.derivatives
+        assert field.derivatives is derivs
+        for ours, ref in zip(derivs.grads, gradient_components(v, h)):
+            assert np.array_equal(ours, ref, equal_nan=True)
+        z = grad_squared(v, h)
+        assert np.array_equal(derivs.grad_sq, z, equal_nan=True)
+        assert np.array_equal(derivs.lap, laplacian(v, h), equal_nan=True)
+        dzv = dot_arrays(gradient_components(z, h), gradient_components(v, h))
+        assert np.array_equal(derivs.grad_sq_dot_grad, dzv, equal_nan=True)
+        with pytest.raises(ValueError, match="read-only"):
+            derivs.lap[2, 2, 2] = 0.0
+
+    def test_changed_values_do_not_reuse_cached_derivatives(self):
+        field = CATALOG["offset_sine"].sample(33)
+        before = change_of_variable_check(field, 2.0, 3.0, 2.0)
+        assert "derivatives" in vars(field)
+        for other in (
+            dataclasses.replace(field, values=field.values * 1.5),
+            GridField(values=field.values + 0.25, spacing=field.spacing, origin=field.origin),
+        ):
+            assert "derivatives" not in vars(other)
+            fresh = GridField(values=other.values.copy(), spacing=other.spacing, origin=other.origin)
+            assert change_of_variable_check(other, 2.0, 3.0, 2.0) == change_of_variable_check(
+                fresh, 2.0, 3.0, 2.0
+            )
+            assert not np.array_equal(other.derivatives.grad_sq, field.derivatives.grad_sq)
+        assert change_of_variable_check(field, 2.0, 3.0, 2.0) == before
+
+    def test_suite_rows_equal_independent_checks(self):
+        n_coarse, factor = 17, 25.0
+        n_fine = 2 * (n_coarse - 1) + 1
+        rows = _identity_suite(n_coarse, factor)
+        assert len(rows) == 16 + 3 + 2
+        for row in rows:
+            params = row["params"]
+            if row["check"] == "change_of_variable":
+                b, p, q = params["b"], params["p"], params["q"]
+                field = CATALOG["offset_sine"]
+                coarse = change_of_variable_check(
+                    field.sample(n_coarse), b, p, q, tolerance=factor / (n_coarse - 1) ** 2
+                )
+                fine = change_of_variable_check(
+                    field.sample(n_fine), b, p, q, tolerance=factor / (n_fine - 1) ** 2
+                )
+                expected = attach_order(fine, refinement_order(coarse, fine))
+            elif row["check"] == "bochner":
+                expected = bochner_check(
+                    CATALOG[params["field"]].sample(n_fine), 2, tolerance=factor / (n_fine - 1) ** 2
+                )
+            else:
+                f = CATALOG[params["field"]]
+                expected = scaling_check(
+                    f, params["k"], params["alpha"], params["p"], n=n_coarse,
+                    tolerance=factor * ((f.hi - f.lo) / (n_coarse - 1)) ** 2,
+                )
+            assert row["report"] == expected.as_dict(), row
+
+
+class TestWeightKernel:
+    def test_check_and_aux_weights_share_one_kernel(self):
+        from pqliouville.weights import _coefficients, aux_weights
+
+        v = np.array([0.5, 1.0, 2.0])
+        z = np.array([0.0, 0.3, 4.0])
+        A, D, E = _coefficients(2.0, v, z, 3.0, 2.0)  # no positivity check
+        assert np.array_equal(A, 1.0 + 2.0 * v * np.sqrt(z))
+        weights = aux_weights(2.0, v[1:], z[1:], 3.0, 2.0, 2)
+        for ours, ref in zip((A, D, E), (weights.A, weights.D, weights.E)):
+            assert np.array_equal(ours[1:], ref)

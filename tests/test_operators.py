@@ -15,9 +15,16 @@ from pqliouville import (
     to_bytes,
     write_binary,
 )
+from pqliouville import operators
 from pqliouville.fields import affine_field
 from pqliouville.grid import write_csv
-from oracles import pq_reference_sin_cos
+from pqliouville.operators import flux_divergence, gradient_components
+from oracles import (
+    pq_reference_sin_cos,
+    reference_flux_divergence,
+    reference_gradient_components,
+    reference_laplacian,
+)
 
 
 def interior(values, k=1):
@@ -68,6 +75,82 @@ class TestFluxForm:
         assert np.isnan(out.values[0]).all() and np.isnan(out.values[-1]).all()
         assert np.isnan(out.values[:, 0]).all() and np.isnan(out.values[:, -1]).all()
         assert np.isfinite(interior(out.values)).all()
+
+
+def _stencil_inputs():
+    """Smooth and rough fields in 2-d and 3-d, cubic and not."""
+    rng = np.random.default_rng(7)
+    return [
+        CATALOG["offset_sine"].sample(33),
+        CATALOG["offset_sine"].sample(41, 3),
+        grid_field(rng.random((23, 19)) + 0.5, 0.1),
+        grid_field(rng.random((13, 11, 9)) + 0.5, 0.1),
+    ]
+
+
+# Block sizes: the default, one plane per block, and blocks that do not
+# divide the interior evenly.
+@pytest.fixture(params=[operators._BLOCK_NODES, 1, 250])
+def block_nodes(request, monkeypatch):
+    monkeypatch.setattr(operators, "_BLOCK_NODES", request.param)
+    return request.param
+
+
+class TestBlockedStencils:
+    """The blocked, trimmed kernels reproduce the whole-array forms bit for bit."""
+
+    @pytest.mark.parametrize("powers", [(2.0, 2.0), (3.0, 2.0), (2.2, 1.5), (2.5,)])
+    def test_flux_divergence_matches_reference(self, block_nodes, powers):
+        for field in _stencil_inputs():
+            eps = operators._auto_eps(field.values, field.spacing)
+            ours = flux_divergence(field.values, field.spacing, powers, eps)
+            ref = reference_flux_divergence(field.values, field.spacing, powers, eps)
+            assert np.array_equal(ours, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("powers", [(2.0, 2.0), (3.0, 2.0), (2.5, 4.0)])
+    def test_flux_divergence_zero_eps_matches_reference(self, block_nodes, powers):
+        for field in _stencil_inputs():
+            ours = flux_divergence(field.values, field.spacing, powers, 0.0)
+            ref = reference_flux_divergence(field.values, field.spacing, powers, 0.0)
+            assert np.array_equal(ours, ref, equal_nan=True)
+
+    def test_laplacian_and_gradients_match_reference(self, block_nodes):
+        for field in _stencil_inputs():
+            v, h = field.values, field.spacing
+            assert np.array_equal(laplacian(v, h), reference_laplacian(v, h), equal_nan=True)
+            for ours, ref in zip(gradient_components(v, h), reference_gradient_components(v, h)):
+                assert np.array_equal(ours, ref, equal_nan=True)
+
+    def test_default_blocks_split_a_3d_grid(self):
+        field = CATALOG["offset_sine"].sample(41, 3)
+        assert operators._BLOCK_NODES // field.values[0].size < field.dims[0] - 2
+
+
+class TestSampling:
+    @pytest.mark.parametrize("dim, n", [(2, 33), (3, 17)])
+    def test_open_axes_match_dense_meshgrid(self, dim, n):
+        for field in CATALOG.values():
+            for lo, hi in ((field.lo, field.hi), (1.7 * field.lo, 1.7 * field.hi)):
+                h = (hi - lo) / (n - 1)
+                axes = [lo + h * np.arange(n) for _ in range(dim)]
+                dense = field.fn(*np.meshgrid(*axes, indexing="ij"))
+                sampled = sample_function(field.fn, lo, hi, n, dim)
+                assert np.array_equal(sampled.values, dense), field.name
+
+    def test_singleton_axes_are_broadcast(self):
+        field = sample_function(lambda x, y, z: np.sin(x), 0.0, 1.0, 7, dim=3)
+        x = (1.0 / 6.0) * np.arange(7)
+        assert field.values.shape == (7, 7, 7)
+        assert field.values.flags.c_contiguous and field.values.flags.writeable
+        dense = np.sin(np.meshgrid(x, x, x, indexing="ij")[0])
+        assert np.array_equal(field.values, dense)
+
+    def test_catalog_samples_are_full_contiguous_and_writeable(self):
+        for field in CATALOG.values():
+            for dim in (2, 3):
+                values = field.sample(9, dim).values
+                assert values.shape == (9,) * dim
+                assert values.flags.c_contiguous and values.flags.writeable
 
 
 class TestGridField:
