@@ -50,8 +50,7 @@ _DEFERRED = {
     name: module
     for module, names in (
         ("fields", ("CATALOG", "ManufacturedField")),
-        ("grid", ("GridField", "from_bytes", "grid_field", "read_binary", "sample_function",
-                  "to_bytes", "write_binary")),
+        ("grid", ("GridField", "grid_field", "sample_function")),
         ("identities", ("IdentityReport", "attach_order", "bochner_check",
                         "change_of_variable_check", "default_tolerance", "refinement_order",
                         "scaling_check")),
@@ -119,7 +118,6 @@ __all__ = [
     "estimate_rate",
     "exponent_bundle",
     "fit_blowup_exponent",
-    "from_bytes",
     "gamma_exponent",
     "gradient_vs_distance",
     "grid_field",
@@ -133,7 +131,6 @@ __all__ = [
     "pq_laplacian",
     "product_thresholds",
     "product_trinomial",
-    "read_binary",
     "refinement_order",
     "sample_function",
     "scaling_check",
@@ -147,8 +144,6 @@ __all__ = [
     "sum_thresholds",
     "t_from_b",
     "theta_exponent",
-    "to_bytes",
     "unregularized_residual",
     "verify_negativity",
-    "write_binary",
 ]

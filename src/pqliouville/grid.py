@@ -1,12 +1,7 @@
-"""Uniform isotropic grid fields and their serialization.
-
-Binary layout (little endian): int64 ndim, int64 dims[ndim], float64
-spacing, float64 origin[ndim], then the values row-major as float64.
-"""
+"""Uniform isotropic grid fields: validated construction and sampling."""
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -14,9 +9,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import FieldError
-
-_I8 = np.dtype("<i8")
-_F8 = np.dtype("<f8")
 
 
 @dataclass(frozen=True)
@@ -88,46 +80,3 @@ def sample_function(fn: Callable, lo: float, hi: float, n: int, dim: int = 2) ->
     values[...] = fn(*np.meshgrid(*axes, indexing="ij", sparse=True))
     return grid_field(values, h, (lo,) * dim)
 
-
-def to_bytes(field: GridField) -> bytes:
-    buf = io.BytesIO()
-    buf.write(np.asarray([field.ndim], dtype=_I8).tobytes())
-    buf.write(np.asarray(field.dims, dtype=_I8).tobytes())
-    buf.write(np.asarray([field.spacing], dtype=_F8).tobytes())
-    buf.write(np.asarray(field.origin, dtype=_F8).tobytes())
-    buf.write(np.ascontiguousarray(field.values, dtype=_F8).tobytes())
-    return buf.getvalue()
-
-
-def from_bytes(raw: bytes) -> GridField:
-    offset = 0
-    ndim = int(np.frombuffer(raw, dtype=_I8, count=1, offset=offset)[0])
-    offset += _I8.itemsize
-    dims = np.frombuffer(raw, dtype=_I8, count=ndim, offset=offset).astype(int)
-    offset += ndim * _I8.itemsize
-    spacing = float(np.frombuffer(raw, dtype=_F8, count=1, offset=offset)[0])
-    offset += _F8.itemsize
-    origin = tuple(np.frombuffer(raw, dtype=_F8, count=ndim, offset=offset).tolist())
-    offset += ndim * _F8.itemsize
-    values = np.frombuffer(raw, dtype=_F8, count=int(np.prod(dims)), offset=offset)
-    return grid_field(values.reshape(tuple(dims)).copy(), spacing, origin)
-
-
-def write_binary(field: GridField, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(to_bytes(field))
-
-
-def read_binary(path) -> GridField:
-    with open(path, "rb") as fh:
-        return from_bytes(fh.read())
-
-
-def write_csv(field: GridField, stream) -> None:
-    """Plot-friendly CSV: one row of coordinates plus the value per node."""
-    names = ",".join(f"x{k + 1}" for k in range(field.ndim))
-    stream.write(f"# {names},value\n")
-    coords = field.coords()
-    flat = [c.ravel() for c in coords] + [field.values.ravel()]
-    for row in zip(*flat):
-        stream.write(",".join(repr(float(x)) for x in row) + "\n")

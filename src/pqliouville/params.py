@@ -9,10 +9,13 @@ u0, u1, mesh_n, reg_eps, log_transform.
 
 from __future__ import annotations
 
+import math
+
 from .instance import KINDS, ProblemInstance
 
 INSTANCE_KEYS = ("kind", "N", "p", "q", "s", "m", "M")
 RADIAL_KEYS = ("r0", "r1", "u0", "u1", "mesh_n", "reg_eps", "log_transform")
+MAX_INSTANCES = 1_000_000
 
 
 class ParamError(ValueError):
@@ -55,7 +58,8 @@ def expand_instances(params: dict[str, list[str]]) -> list[ProblemInstance]:
 
     Grid order is the fixed key order (kind, N, p, q, s, m, M) with the
     last key varying fastest; tied keys (value naming another key) copy
-    that key's current grid value.
+    that key's current grid value.  A grid of more than MAX_INSTANCES
+    instances is refused before any instance is built.
     """
     if "kind" not in params:
         raise ParamError("kind", "missing")
@@ -75,6 +79,9 @@ def expand_instances(params: dict[str, list[str]]) -> list[ProblemInstance]:
     for key, target in ties.items():
         if target not in params or target in ties:
             raise ParamError(key, f"tied to unavailable key {target!r}")
+    count = math.prod(len(tokens) for _, tokens in grids)
+    if count > MAX_INSTANCES:
+        raise ParamError("grid", f"{count:,} instances exceed the limit of {MAX_INSTANCES:,}")
 
     out: list[ProblemInstance] = []
 

@@ -8,7 +8,8 @@ In radial coordinates the equation is the conservation law
 discretised with conservative finite volumes on a uniform node grid
 (fluxes on half-grid faces) and solved by damped Newton at the
 regularisation reg_eps, with continuation in the boundary data when it
-is large.
+is large: the ratio between data stages doubles after each converged
+stage and halves after a refused trial.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .instance import ProblemInstance
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON = 50
+TRIAL_NEWTON = 10
 MAX_DAMPS = 40
 DATA_CONTINUATION_START = 8.0
 
@@ -86,6 +88,31 @@ class BlowupFit:
         }
 
 
+def _flux_powers(t, p: float, q: float, eps: float):
+    """The pieces of the flux and of its derivative at slopes t: t^2 + eps^2,
+    its powers (p-2)/2 and (q-2)/2, and the mask where t^2 + eps^2 = 0
+    (None when eps^2 > 0 rules that out).  Callers hold np.errstate: a
+    negative power of 0 is inf."""
+    t2e = t * t + eps * eps
+    zero = t2e == 0.0 if eps * eps == 0.0 else None
+    return t2e, np.power(t2e, (p - 2.0) / 2.0), np.power(t2e, (q - 2.0) / 2.0), zero
+
+
+def _flux_value(t, powers):
+    _, pow_p, pow_q, zero = powers
+    out = (pow_p + pow_q) * t
+    return out if zero is None else np.where(zero, 0.0, out)
+
+
+def _flux_slope(t, powers, p: float, q: float):
+    t2e, pow_p, pow_q, zero = powers
+    out = pow_p * (1.0 + (p - 2.0) * t * t / t2e) + pow_q * (1.0 + (q - 2.0) * t * t / t2e)
+    if zero is None:
+        return out
+    limit = sum(r - 1.0 if r == 2.0 else (0.0 if r > 2.0 else np.inf) for r in (p, q))
+    return np.where(zero, limit, out)
+
+
 def flux(t, p: float, q: float, eps: float):
     """Regularised combined flux ((t^2+eps^2)^((p-2)/2) + (t^2+eps^2)^((q-2)/2)) t.
 
@@ -93,10 +120,8 @@ def flux(t, p: float, q: float, eps: float):
     there, which matters for the singular branch q < 2).
     """
     t_arr = np.asarray(t, dtype=float)
-    w = t_arr * t_arr + eps * eps
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (np.power(w, (p - 2.0) / 2.0) + np.power(w, (q - 2.0) / 2.0)) * t_arr
-    out = np.where(w == 0.0, 0.0, out)
+        out = _flux_value(t_arr, _flux_powers(t_arr, p, q, eps))
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -104,14 +129,8 @@ def flux_derivative(t, p: float, q: float, eps: float):
     """Derivative of `flux` in t; where t^2 + eps^2 = 0, the t -> 0 limit of
     sum_(r in {p, q}) (r-1)|t|^(r-2): r-1 for r = 2, 0 for r > 2, inf for r < 2."""
     t_arr = np.asarray(t, dtype=float)
-    w = t_arr * t_arr + eps * eps
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = sum(
-            np.power(w, (r - 2.0) / 2.0) * (1.0 + (r - 2.0) * t_arr * t_arr / w)
-            for r in (p, q)
-        )
-    limit = sum(r - 1.0 if r == 2.0 else (0.0 if r > 2.0 else np.inf) for r in (p, q))
-    out = np.where(w == 0.0, limit, out)
+        out = _flux_slope(t_arr, _flux_powers(t_arr, p, q, eps), p, q)
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -125,110 +144,114 @@ def reaction_function(inst: ProblemInstance) -> Callable:
     return lambda r, u, du: u**s + M * np.abs(du) ** m
 
 
-def _assemble(x, r, h, n_exp, f, p, q, eps, log=False):
-    """Residual, its scale, and the pieces needed for the Jacobian.
+def _radial_weights(r, n_exp):
+    """r^(N-1) at the faces and at the interior nodes, computed once per mesh."""
+    return (0.5 * (r[:-1] + r[1:])) ** (n_exp - 1), r[1:-1] ** (n_exp - 1)
+
+
+def _assemble(x, r, h, weights, f, p, q, eps, log=False):
+    """Residual, its scale, and the pieces `_jacobian_bands` needs.
 
     The unknown x is u, or w = log u when `log` is set (face and centred
-    slopes then follow the chain rule du = u dw).  Non-finite values
-    (e.g. fractional powers of a negative iterate) are tolerated here;
-    the damped line search rejects such steps.
+    slopes then follow the chain rule du = u dw).  The pieces are the
+    face slopes, their flux powers, the face factors exp((w_i+w_(i+1))/2)
+    (None for x = u), and u and the centred slope at the interior nodes.
+    Non-finite values (e.g. fractional powers of a negative iterate) are
+    tolerated here; the damped line search rejects such steps.
     """
+    w_face, w_node = weights
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        du_face = np.diff(x) / h
+        du_face = (x[1:] - x[:-1]) / h
         du_c = (x[2:] - x[:-2]) / (2.0 * h)
         u_in = x[1:-1]
+        e_face = None
         if log:
-            du_face = np.exp(0.5 * (x[:-1] + x[1:])) * du_face
+            e_face = np.exp(0.5 * (x[:-1] + x[1:]))
+            du_face = e_face * du_face
             u_in = np.exp(u_in)
             du_c = u_in * du_c
-        r_face = 0.5 * (r[:-1] + r[1:])
-        w_face = r_face ** (n_exp - 1)
-        flx = w_face * flux(du_face, p, q, eps)
-        r_in = r[1:-1]
-        src = r_in ** (n_exp - 1) * f(r_in, u_in, du_c)
-        res = np.diff(flx) / h + src
-        scale = 1.0 + np.max(np.abs(flx)) / h + np.max(np.abs(src))
-    return res, scale, flx, du_face, w_face, du_c
+        powers = _flux_powers(du_face, p, q, eps)
+        flx = w_face * _flux_value(du_face, powers)
+        src = w_node * f(r[1:-1], u_in, du_c)
+        res = (flx[1:] - flx[:-1]) / h + src
+        scale = 1.0 + np.abs(flx).max() / h + np.abs(src).max()
+    return res, scale, (du_face, powers, e_face, u_in, du_c)
 
 
 def _scaled_norm(res, scale) -> float:
-    value = np.max(np.abs(res)) / scale
-    return float(value) if np.isfinite(value) else float("inf")
+    # Python floats: inf / inf is nan here, not a RuntimeWarning
+    value = float(np.abs(res).max()) / float(scale)
+    return value if math.isfinite(value) else math.inf
 
 
-def _jacobian_bands(u, r, h, n_exp, f, p, q, eps, du_face, w_face, du_c):
-    """Banded (solve_banded (1, 1) layout) Jacobian of `_assemble`'s residual.
+def _jacobian_bands(pieces, r, h, weights, f, p, q):
+    """Tridiagonal Jacobian of `_assemble`'s residual, in the solve_banded
+    (1, 1) layout: ab[1 + i - j, j] = dres_i/dx_j.
 
-    The flux part is exact; the reaction's u and u' derivatives are
-    central differences, so `rhs_override` is handled like the built-in
-    reactions.
+    The flux part is exact.  For x = u a face slope s has ds/dx_i = -1/h
+    and ds/dx_(i+1) = 1/h.  For x = w = log u it is s = e (w_(i+1)-w_i)/h
+    with e = exp((w_i+w_(i+1))/2), so ds/dw_i = s/2 - e/h and
+    ds/dw_(i+1) = s/2 + e/h; the reaction rows then carry f_u u and
+    f_d dd/dw, where the centred slope d = u (w_(i+1)-w_(i-1))/(2h).
+    The reaction's u and u' derivatives are central differences, so
+    `rhs_override` is handled like the built-in reactions.
     """
+    du_face, powers, e_face, u_in, du_c = pieces
+    w_face, w_node = weights
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        dphi = w_face * flux_derivative(du_face, p, q, eps)
+        dphi = w_face * _flux_slope(du_face, powers, p, q)
         r_in = r[1:-1]
-        weight = r_in ** (n_exp - 1)
-        u_in = u[1:-1]
         delta_u = 1e-7 * (1.0 + np.abs(u_in))
         f_u = (f(r_in, u_in + delta_u, du_c) - f(r_in, u_in - delta_u, du_c)) / (2.0 * delta_u)
         delta_d = 1e-7 * (1.0 + np.abs(du_c))
         f_d = (f(r_in, u_in, du_c + delta_d) - f(r_in, u_in, du_c - delta_d)) / (2.0 * delta_d)
-        # du_c at node i involves u_{i+1} (+1/2h) and u_{i-1} (-1/2h)
-        side = weight * f_d / (2.0 * h)
-        ab = np.zeros((3, u.size - 2))
-        ab[0, 1:] = dphi[1:-1] / (h * h) + side[:-1]
-        ab[1, :] = -(dphi[1:] + dphi[:-1]) / (h * h) + weight * f_u
-        ab[2, :-1] = dphi[1:-1] / (h * h) - side[1:]
+        if e_face is None:
+            # h ds/dx_(i+1) and -h ds/dx_i are both 1
+            right = left = dphi
+            diag = w_node * f_u
+        else:
+            half = 0.5 * h * du_face
+            right = dphi * (e_face + half)
+            left = dphi * (e_face - half)
+            diag = w_node * (f_u * u_in + f_d * du_c)
+            f_d = f_d * u_in
+        # the centred slope at node i involves x_(i+1) (+1/2h) and x_(i-1) (-1/2h)
+        side = w_node * f_d / (2.0 * h)
+        ab = np.zeros((3, u_in.size))
+        ab[0, 1:] = right[1:-1] / (h * h) + side[:-1]
+        ab[1, :] = -(left[1:] + right[:-1]) / (h * h) + diag
+        ab[2, :-1] = left[1:-1] / (h * h) - side[1:]
     return ab
 
 
-def _colour_bands(residual, w, res):
-    """Banded Jacobian of `residual` by three-colour forward differencing.
-
-    Unknowns three apart never touch the same residual row, so one
-    perturbed evaluation per colour fills a third of the columns.
-    """
-    n_int = res.size
-    ab = np.zeros((3, n_int))
-    delta = 1e-8 * (1.0 + np.abs(w[1:-1]))
-    for colour in range(3):
-        cols = np.arange(colour, n_int, 3)
-        w_pert = w.copy()
-        w_pert[cols + 1] += delta[cols]
-        diff = residual(w_pert)[0] - res
-        for off in (-1, 0, 1):
-            # ab[1 + i - j, j] = dres_i / dw_(j+1) with i = j + off
-            j = cols[(cols + off >= 0) & (cols + off < n_int)]
-            ab[1 + off, j] = diff[j + off] / delta[j]
-    return ab
-
-
-def _damped_newton(residual, bands, x, tol):
+def _damped_newton(residual, jacobian, x, tol, max_iter=MAX_NEWTON):
     """Damped Newton on the interior entries of x, boundary entries fixed.
 
-    residual(x) returns (res, scale, ...); bands(x, evaluation) turns
-    that evaluation into the banded Jacobian.  Returns the best iterate,
-    its scaled residual norm, the iteration count and a failure tag
+    residual(x) returns (res, scale, pieces); jacobian(pieces) turns
+    them into the banded Jacobian, solved by LAPACK's tridiagonal dgtsv.
+    At most max_iter steps.  Returns the best iterate, its scaled
+    residual norm, the iteration count and a failure tag
     ('jacobian_singular', 'newton_stalled') or None.
     """
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
 
-    evaluation = residual(x)
-    norm = _scaled_norm(*evaluation[:2])
+    res, scale, pieces = residual(x)
+    norm = _scaled_norm(res, scale)
     iters = 0
-    while norm > tol and iters < MAX_NEWTON:
-        try:
-            # solve_banded rejects non-finite bands or residuals with ValueError
-            step = solve_banded((1, 1), bands(x, evaluation), -evaluation[0])
-        except (np.linalg.LinAlgError, ValueError):
+    while norm > tol and iters < max_iter:
+        ab = jacobian(pieces)
+        # res has a non-finite entry exactly when norm is inf
+        if norm == math.inf or not np.isfinite(ab).all():
             return x, norm, iters, "jacobian_singular"
-        if not np.isfinite(step).all():
+        *_, step, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], -res, True, True, True, True)
+        if info != 0 or not np.isfinite(step).all():
             return x, norm, iters, "jacobian_singular"
         lam = 1.0
         for _ in range(MAX_DAMPS):
             x_try = x.copy()
             x_try[1:-1] += lam * step
-            evaluation = residual(x_try)
-            norm_try = _scaled_norm(*evaluation[:2])
+            res, scale, pieces = residual(x_try)
+            norm_try = _scaled_norm(res, scale)
             if norm_try <= (1.0 - 1e-4 * lam) * norm or norm_try <= tol:
                 break
             lam *= 0.5
@@ -239,22 +262,29 @@ def _damped_newton(residual, bands, x, tol):
     return x, norm, iters, None if norm <= tol else "newton_stalled"
 
 
-def _data_factors(prob: RadialProblem) -> list[float]:
+def _first_data_factor(prob: RadialProblem) -> float:
+    """Largest power-of-two factor 2^-k (k >= 0) that brings both data to at
+    most DATA_CONTINUATION_START in magnitude."""
     mag = max(abs(prob.u_at_r0), abs(prob.u_at_r1))
     if mag <= DATA_CONTINUATION_START:
-        return [1.0]
-    n_stages = math.ceil(math.log2(mag / DATA_CONTINUATION_START))
-    return [2.0 ** (j - n_stages) for j in range(n_stages + 1)]
+        return 1.0
+    return 2.0 ** -math.ceil(math.log2(mag / DATA_CONTINUATION_START))
 
 
 def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution:
     """Damped-Newton finite-volume solve at `reg_eps`.
 
-    The direct path continues in the boundary data when it is large
-    (each stage doubles it); `continuation_steps` counts those stages.
-    With `log_transform` the unknown is w = log u, solved in one stage
-    with a colour-differenced Jacobian.  Returns converged=False with the
-    best iterate (and a failure tag of 'newton_stalled' or
+    The direct path continues in the boundary data when it is large.
+    After each converged stage the ratio to the next one doubles (x2,
+    x4, ..., capped at the full data); a trial at a ratio above 2 gets
+    TRIAL_NEWTON iterations and, if it fails, is retried from the last
+    converged iterate at half the ratio.  A stage at ratio 2 gets
+    MAX_NEWTON iterations, and its failure ends the solve.
+    `continuation_steps` counts every attempted stage and `newton_iters`
+    every iteration, refused trials included.  With `log_transform` the
+    unknown is w = log u, solved in one stage; both unknowns share the
+    chain-rule Jacobian of `_jacobian_bands`.  Returns converged=False
+    with the best iterate (and a failure tag of 'newton_stalled' or
     'jacobian_singular') instead of raising when the iteration cannot
     reach the tolerance.
     """
@@ -262,24 +292,31 @@ def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution
     h = r[1] - r[0]
     inst = prob.inst
     f = prob.rhs_override if prob.rhs_override is not None else reaction_function(inst)
-    args = (r, h, inst.N, f, inst.p, inst.q, prob.reg_eps)
+    args = (r, h, _radial_weights(r, inst.N), f, inst.p, inst.q)
+    residual = lambda x: _assemble(x, *args, prob.reg_eps, log=prob.log_transform)
+    jacobian = lambda pieces: _jacobian_bands(pieces, *args)
     lo, hi = prob.u_at_r0, prob.u_at_r1
-    residual = lambda x: _assemble(x, *args, log=prob.log_transform)
     if prob.log_transform:
         lo, hi = math.log(lo), math.log(hi)
-        bands = lambda w, evaluation: _colour_bands(residual, w, evaluation[0])
-        factors = [1.0]
+        factor = 1.0
     else:
-        bands = lambda u, evaluation: _jacobian_bands(u, *args, *evaluation[3:])
-        factors = _data_factors(prob)
-    x = lo + (hi - lo) * (r - r[0]) / (r[-1] - r[0])
-    newton_total = 0
+        factor = _first_data_factor(prob)
     # x carries the boundary data; rescaling by a power of two keeps it exact
-    for stages, (prev, fac) in enumerate(zip([1.0, *factors], factors), start=1):
-        x, norm, iters, failure = _damped_newton(residual, bands, x * (fac / prev), tol)
+    x = (lo + (hi - lo) * (r - r[0]) / (r[-1] - r[0])) * factor
+    x, norm, newton_total, failure = _damped_newton(residual, jacobian, x, tol)
+    stages, ratio = 1, 2.0
+    while failure is None and factor < 1.0:
+        ratio = min(ratio, 1.0 / factor)
+        budget = MAX_NEWTON if ratio == 2.0 else TRIAL_NEWTON
+        x_try, norm_try, iters, failure = _damped_newton(residual, jacobian, x * ratio, tol, budget)
         newton_total += iters
-        if failure is not None:
-            break
+        stages += 1
+        if failure is None:
+            x, norm, factor, ratio = x_try, norm_try, factor * ratio, 2.0 * ratio
+        elif ratio > 2.0:
+            failure, ratio = None, ratio / 2.0
+        else:
+            x, norm = x_try, norm_try
     u = np.exp(x) if prob.log_transform else x
     return RadialSolution(
         r=r, u=u, du=np.diff(u) / h, residual_norm=norm,
@@ -296,7 +333,8 @@ def unregularized_residual(sol: RadialSolution) -> tuple[np.ndarray, np.ndarray]
     r, u = sol.r, sol.u
     h = r[1] - r[0]
     f_raw = prob.rhs_override if prob.rhs_override is not None else reaction_function(inst)
-    res, scale, flx, du_face, _, _ = _assemble(u, r, h, inst.N, f_raw, inst.p, inst.q, 0.0)
+    res, scale, (du_face, *_) = _assemble(u, r, h, _radial_weights(r, inst.N), f_raw,
+                                          inst.p, inst.q, 0.0)
     good_face = np.abs(du_face) > 10.0 * prob.reg_eps
     mask = good_face[:-1] & good_face[1:]
     return np.abs(res) / scale, mask

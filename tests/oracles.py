@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 the radial oracle integrates the first-integral form with quadrature and
-root finding, the operator reference is a hand-derived analytic
+root finding, the reference Jacobian differences the residual it
+belongs to, the operator reference is a hand-derived analytic
 expansion, the whole-array stencils are the straightforward NaN-ring
 forms the blocked operators must reproduce bit for bit, and the
 parameter-window oracle brackets the feasibility predicate by bisection.
@@ -172,6 +173,34 @@ def constant_rhs_profile(N, p, q, r0, r1, u0, u1, c, r_nodes, refine=32):
         hi *= 2.0
     K = brentq(mismatch, lo, hi, xtol=1e-13, rtol=8.9e-16)
     return profile(K)[::refine]
+
+
+# ---------------------------------------------------------------------------
+# forward-difference Jacobian of a three-point residual
+# ---------------------------------------------------------------------------
+
+def colour_bands(residual, x):
+    """Jacobian of residual(x), the interior residual of a three-point
+    scheme, in the interior entries of x, by three-colour forward
+    differencing; solve_banded (1, 1) layout, ab[1 + i - j, j] = dres_i/dx_j.
+
+    Unknowns three apart never touch the same residual row, so one
+    perturbed evaluation per colour fills a third of the columns.
+    """
+    res = residual(x)
+    n_int = res.size
+    ab = np.zeros((3, n_int))
+    delta = 1e-8 * (1.0 + np.abs(x[1:-1]))
+    for colour in range(3):
+        cols = np.arange(colour, n_int, 3)
+        x_pert = x.copy()
+        x_pert[cols + 1] += delta[cols]
+        diff = residual(x_pert) - res
+        for off in (-1, 0, 1):
+            # ab[1 + i - j, j] = dres_i / dx_(j+1) with i = j + off
+            j = cols[(cols + off >= 0) & (cols + off < n_int)]
+            ab[1 + off, j] = diff[j + off] / delta[j]
+    return ab
 
 
 # ---------------------------------------------------------------------------

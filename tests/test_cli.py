@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import pqliouville.params
 from pqliouville.cli import _cmd_sweep, _load_params, build_parser, main
-from pqliouville.params import ParamError, expand_instances, parse_params
+from pqliouville.params import MAX_INSTANCES, ParamError, expand_instances, parse_params
+
+PRODUCT_GRID = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "product_grid.par"
 
 
 def run(argv):
@@ -36,6 +40,27 @@ class TestParamFiles:
             expand_instances(parse_params("N = 2\np = 2\nq = 2\n"))
         with pytest.raises(ParamError, match="duplicate"):
             parse_params("N = 2\nN = 3\n")
+
+    def test_oversized_grid_exits_two_before_building(self, tmp_path, monkeypatch, capsys):
+        def refuse(**kwargs):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(pqliouville.params, "ProblemInstance", refuse)
+
+        def values(count):
+            return " ".join(str(2 + k) for k in range(count))
+
+        # N, p, q, s and m take 10 values and M 100: 10^7 instances
+        par = tmp_path / "huge.par"
+        par.write_text("kind = sum\n" + "".join(f"{key} = {values(10)}\n" for key in "Npqsm")
+                       + f"M = {values(100)}\n")
+        assert run(["sweep", "--params", str(par), "--out", str(tmp_path / "out.json")]) == 2
+        assert "10,000,000 instances" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_benchmark_grid_is_under_the_cap(self):
+        instances = expand_instances(parse_params(PRODUCT_GRID.read_text()))
+        assert len(instances) == 9600 <= MAX_INSTANCES
 
 
 class TestCommands:

@@ -1,23 +1,16 @@
-import io
-
 import numpy as np
 import pytest
 
 from pqliouville import (
     CATALOG,
     FieldError,
-    from_bytes,
     grid_field,
     laplacian,
     pq_laplacian,
-    read_binary,
     sample_function,
-    to_bytes,
-    write_binary,
 )
 from pqliouville import operators
 from pqliouville.fields import affine_field
-from pqliouville.grid import write_csv
 from pqliouville.operators import flux_divergence, gradient_components
 from oracles import (
     pq_reference_sin_cos,
@@ -165,26 +158,3 @@ class TestGridField:
         bad[3, 3] = np.nan
         with pytest.raises(FieldError):
             grid_field(bad, 0.1)
-
-    def test_bytes_round_trip(self):
-        field = CATALOG["offset_sine"].sample(9)
-        back = from_bytes(to_bytes(field))
-        assert back.values == pytest.approx(field.values, abs=0.0)
-        assert back.spacing == field.spacing
-        assert back.origin == field.origin
-
-    def test_binary_file_round_trip(self, tmp_path):
-        field = sample_function(lambda x, y, z: x + 2 * y + 3 * z, 0.0, 1.0, 6, dim=3)
-        path = tmp_path / "field.bin"
-        write_binary(field, path)
-        back = read_binary(path)
-        assert back.values.shape == (6, 6, 6)
-        assert np.array_equal(back.values, field.values)
-
-    def test_csv_stream(self):
-        field = CATALOG["offset_sine"].sample(5)
-        buf = io.StringIO()
-        write_csv(field, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# x1,x2,value"
-        assert len(lines) == 1 + 25

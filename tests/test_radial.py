@@ -14,8 +14,14 @@ from pqliouville import (
     solve_radial,
     unregularized_residual,
 )
-from pqliouville.radial import flux_derivative
-from oracles import constant_rhs_profile
+from pqliouville.radial import (
+    _assemble,
+    _jacobian_bands,
+    _radial_weights,
+    flux_derivative,
+    reaction_function,
+)
+from oracles import colour_bands, constant_rhs_profile
 
 
 LANE = ProblemInstance(N=2, p=2.0, q=2.0, kind="product", s=1.0, m=0.0)
@@ -124,6 +130,32 @@ class TestSolver:
         assert sol.failure in ("newton_stalled", "jacobian_singular")
         assert sol.u.shape == sol.r.shape
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_reaction_is_jacobian_singular(self, bad):
+        def f(r, u, du):
+            return np.where(np.abs(r - 1.5) < 0.01, bad, 1.0)
+
+        prob = RadialProblem(LANE, 1.0, 2.0, 0.0, 1.0, mesh_n=64, reg_eps=1e-8,
+                             rhs_override=f)
+        sol = solve_radial(prob)
+        assert not sol.converged
+        assert sol.failure == "jacobian_singular"
+        assert sol.newton_iters == 0
+        # the best iterate is the starting profile
+        assert np.array_equal(sol.u, (sol.r - 1.0))
+
+    def test_singular_tridiagonal_system_is_jacobian_singular(self):
+        # p, q > 2 at zero slope with eps^2 underflowing to 0: the flux
+        # derivative is exactly 0 and a constant source adds nothing, so
+        # the Jacobian is the zero matrix
+        inst = ProblemInstance(N=2, p=3.0, q=2.5, kind="product", s=1.0, m=0.0)
+        prob = RadialProblem(inst, 1.0, 2.0, 1.0, 1.0, mesh_n=64, reg_eps=1e-200,
+                             rhs_override=constant_rhs(1.0))
+        sol = solve_radial(prob)
+        assert not sol.converged
+        assert sol.failure == "jacobian_singular"
+        assert np.array_equal(sol.u, np.ones_like(sol.r))
+
     @pytest.mark.parametrize("mesh_n", [64, 1024])
     def test_log_transform_matches_plain_solution(self, mesh_n):
         inst = ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=0.5)
@@ -149,6 +181,54 @@ class TestSolver:
             RadialProblem(LANE, 1.0, 2.0, 0.0, 0.0, reg_eps=0.5)
         with pytest.raises(AdmissibilityError):
             RadialProblem(LANE, 1.0, 2.0, -1.0, 1.0, log_transform=True)
+
+
+# the parent's HJ iteration counts on this catalogue bound the new ones;
+# the two m = 2.5, u0 = -40960 cases are refusals at n = 256
+CONTINUATION_CATALOGUE = [
+    (1.5, 1.5, -640.0, 22), (1.5, 1.5, -40960.0, 34),
+    (1.5, 2.5, -640.0, 36), (1.5, 2.5, -40960.0, None),
+    (2.0, 1.5, -640.0, 22), (2.0, 1.5, -40960.0, 34),
+    (2.0, 2.5, -640.0, 36), (2.0, 2.5, -40960.0, None),
+]
+
+
+class TestContinuation:
+    def test_benchmark_hj_problem(self):
+        inst = ProblemInstance(N=2, p=3.0, q=2.0, kind="hamilton_jacobi", m=2.5)
+        prob = RadialProblem(inst, 1.0, 2.0, -4096.0, 0.0, mesh_n=256, reg_eps=1e-8)
+        sol = solve_radial(prob)
+        assert sol.converged
+        assert sol.newton_iters <= 30
+        assert sol.continuation_steps <= 5
+
+    @pytest.mark.parametrize("q,m,u0,max_iters", CONTINUATION_CATALOGUE)
+    def test_catalogue_converges_as_before(self, q, m, u0, max_iters):
+        inst = ProblemInstance(N=2, p=3.0, q=q, kind="hamilton_jacobi", m=m)
+        sol = solve_radial(RadialProblem(inst, 1.0, 2.0, u0, 0.0, mesh_n=256, reg_eps=1e-8))
+        assert sol.converged == (max_iters is not None)
+        if sol.converged:
+            assert sol.newton_iters <= max_iters
+        else:
+            assert sol.failure == "newton_stalled"
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("log", [False, True], ids=["direct", "log"])
+    @pytest.mark.parametrize("p,q,N", [(3.0, 2.0, 2), (2.5, 1.5, 3), (2.2, 2.0, 2)])
+    def test_bands_match_forward_differences(self, p, q, N, log):
+        # a sum reaction has both f_u and f_d; the iterate is positive
+        # with slopes in [0.37, 1.63]
+        inst = ProblemInstance(N=N, p=p, q=q, kind="sum", s=1.5, m=1.5, M=1.0)
+        r = np.linspace(1.0, 2.0, 65)
+        u = 1.0 + r + 0.1 * np.sin(2.0 * np.pi * r)
+        x = np.log(u) if log else u
+        args = (r, r[1] - r[0], _radial_weights(r, N), reaction_function(inst), p, q)
+        residual = lambda y: _assemble(y, *args, 1e-8, log=log)
+        bands = _jacobian_bands(residual(x)[2], *args)
+        reference = colour_bands(lambda y: residual(y)[0], x)
+        scale = np.max(np.abs(reference))
+        np.testing.assert_allclose(bands, reference, rtol=1e-5, atol=1e-7 * scale)
 
 
 class TestFluxDerivative:
