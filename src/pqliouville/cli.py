@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import importlib
 import io
 import json
@@ -23,7 +24,7 @@ from .ishii_lions import il_parameter_window
 from .params import ParamError, expand_instances, parse_params, radial_settings
 from .report import Report, atomic_write_text
 from .selection import select_b_product, sum_selection
-from .trinomial import product_trinomial, verify_negativity
+from .trinomial import TrinomialCoeffs, oracle_curve, product_trinomial, verify_negativity
 
 DEFAULT_ORACLE_POINTS = 2048
 TOLERANCE_DEFAULTS = {"identity_factor": 25.0, "newton_tol": 1e-10}
@@ -36,8 +37,8 @@ _HEAVY = {
     "fields": ("CATALOG",),
     "identities": ("attach_order", "bochner_check", "change_of_variable_check",
                    "refinement_order", "scaling_check"),
-    "radial": ("RadialProblem", "default_fit_window", "fit_blowup_exponent",
-               "gradient_vs_distance", "solve_radial"),
+    "radial": ("RadialProblem", "RadialSolution", "default_fit_window",
+               "fit_blowup_exponent", "gradient_vs_distance", "solve_radial"),
 }
 
 
@@ -127,13 +128,18 @@ def _common_args(sub):
     sub.add_argument("--params", help="parameter file (flat key = value, grids allowed)")
     sub.add_argument("--out", help="output path (stdout when omitted)")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--optimal-search", action="store_true", dest="optimal_search")
     sub.add_argument("--tol", action="append", metavar="name=value")
     sub.add_argument("--timing", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    parse_args keeps no state between calls (each call fills a fresh
+    namespace), so main can reuse it; building it costs milliseconds.
+    """
     parser = argparse.ArgumentParser(prog="pqliouville", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pqliouville {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -182,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_echo(args, params: dict[str, list[str]], extra: dict | None = None) -> dict:
     echo = {
         "command": args.command,
-        "seed": getattr(args, "seed", 0),
         "format": getattr(args, "format", "json"),
         "optimal_search": getattr(args, "optimal_search", False),
         "tolerances": _parse_tolerances(getattr(args, "tol", None)),
@@ -204,21 +209,16 @@ def _search_one(inst: ProblemInstance, oracle_points: int | None) -> dict:
     selection = select_b_product(inst) if inst.kind == "product" else sum_selection(inst)
     row = {"instance": inst.as_dict(), "selection": selection.as_dict()}
     if oracle_points is not None and inst.kind == "product" and inst.combined_exponent > 0.0:
-        import numpy as np
-
         coeffs = product_trinomial(inst, 0.0)
         row["trinomial"] = coeffs.as_dict()
         t_ref = selection.t_star if selection.feasible else 1.0
         t_max = 2.0 * max(t_ref, 1.0)
         t_min, value_min = verify_negativity(coeffs, t_max, oracle_points)
-        grid = np.linspace(0.0, t_max, oracle_points)
         row["oracle"] = {
             "t_max": t_max,
             "grid_points": oracle_points,
             "t_min": t_min,
             "value_min": value_min,
-            "curve_t": grid.tolist(),
-            "curve_value": coeffs.value(grid).tolist(),
         }
     return row
 
@@ -347,20 +347,14 @@ def _cmd_solve_radial(args, params) -> tuple[Report, int]:
         "u": sol.u.tolist(),
         "du": sol.du.tolist(),
     }
-    code = 0
-    if sol.converged:
+    if sol.converged and args.fit:
         profile = gradient_vs_distance(sol)
-        row["gradient_profile"] = profile.tolist()
-        if args.fit:
-            window = default_fit_window(sol)
-            try:
-                row["fit"] = fit_blowup_exponent(profile, window).as_dict()
-            except AdmissibilityError as exc:
-                row["fit"] = {"error": str(exc)}
-    else:
-        code = 3
+        try:
+            row["fit"] = fit_blowup_exponent(profile, default_fit_window(sol)).as_dict()
+        except AdmissibilityError as exc:
+            row["fit"] = {"error": str(exc)}
     echo = _config_echo(args, params, {"radial": {k: settings.get(k) for k in sorted(settings)}})
-    return Report(__version__, echo, [row], timing), code
+    return Report(__version__, echo, [row], timing), 0 if sol.converged else 3
 
 
 def _cmd_sweep(args, params) -> tuple[Report, int]:
@@ -376,18 +370,35 @@ def _cmd_sweep(args, params) -> tuple[Report, int]:
 
 
 def _plot_rows(report: dict, selector: str) -> tuple[str, list]:
+    """Rebuild a plotted array from the first result row that stores its inputs.
+
+    Reports store no derived arrays: the gradient profile comes from a
+    solve-radial row's r and du, the oracle curve from a search-b row's
+    trinomial, t_max and grid_points, through the code that made them.
+    """
     results = report.get("results", [])
     if selector == "gradient_profile":
+        import numpy as np
+
+        _bind_heavy("radial")
         for row in results:
-            if "gradient_profile" in row:
-                return "# d,abs_du", row["gradient_profile"]
-        raise CliError("report contains no gradient profile")
+            if "du" in row:
+                sol = RadialSolution(
+                    r=np.array(row["r"]), u=np.array(row["u"]), du=np.array(row["du"]),
+                    residual_norm=row["residual_norm"], newton_iters=row["newton_iters"],
+                    continuation_steps=row["continuation_steps"], converged=row["converged"],
+                    failure=row["failure"],
+                )
+                return "# d,abs_du", gradient_vs_distance(sol).tolist()
+        raise CliError("report contains no radial solution")
     if selector == "trinomial":
         for row in results:
             oracle = row.get("oracle")
-            if oracle and "curve_t" in oracle:
-                return "# t,value", list(zip(oracle["curve_t"], oracle["curve_value"]))
-        raise CliError("report contains no trinomial oracle curve")
+            if oracle:
+                coeffs = TrinomialCoeffs(**row["trinomial"])
+                t, values = oracle_curve(coeffs, oracle["t_max"], oracle["grid_points"])
+                return "# t,value", list(zip(t.tolist(), values.tolist()))
+        raise CliError("report contains no trinomial oracle")
     raise CliError(f"unknown selector {selector!r}")
 
 
@@ -397,7 +408,10 @@ def _cmd_plot_data(args) -> int:
             report = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read report: {exc}") from None
-    header, rows = _plot_rows(report, args.selector)
+    try:
+        header, rows = _plot_rows(report, args.selector)
+    except (KeyError, TypeError) as exc:
+        raise CliError(f"malformed report: {exc!r}") from None
     buf = io.StringIO()
     buf.write(header + "\n")
     for row in rows:

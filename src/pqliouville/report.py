@@ -1,11 +1,10 @@
 """Deterministic report records and atomic file output.
 
 Reports serialize as one compact line with sorted keys and stable float
-repr, so identical configurations (and seed) produce byte-identical
-files; compact output lets ``json`` use its C encoder, which it skips
-whenever ``indent`` is set.  Wall-clock timings are collected but only
-emitted when explicitly requested, to keep the default output
-reproducible.
+repr, so identical configurations produce byte-identical files; compact
+output lets ``json`` use its C encoder, which it skips whenever
+``indent`` is set.  Wall-clock timings are collected but only emitted
+when explicitly requested, to keep the default output reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +14,10 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
-SCHEMA_VERSION = 1
+# Schema 2: no stored array that other stored fields determine (plot-data
+# rebuilds the solve-radial gradient profile and the search-b oracle
+# curve), and no seed in config_echo.
+SCHEMA_VERSION = 2
 
 
 @dataclass

@@ -115,7 +115,14 @@ def verify_negativity(
         raise AdmissibilityError("t_max must be positive")
     if grid_points < 1000:
         raise AdmissibilityError("grid_points must be at least 1000")
-    t = np.linspace(0.0, t_max, grid_points)
-    values = coeffs.value(t)
+    t, values = oracle_curve(coeffs, t_max, grid_points)
     i = int(np.argmin(values))
     return float(t[i]), float(values[i])
+
+
+def oracle_curve(coeffs: TrinomialCoeffs, t_max: float, grid_points: int):
+    """The oracle's uniform grid on [0, t_max] and L on it: (t, values)."""
+    import numpy as np
+
+    t = np.linspace(0.0, t_max, grid_points)
+    return t, coeffs.value(t)

@@ -1,11 +1,15 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pqliouville.params
 from pqliouville.cli import _cmd_sweep, _load_params, build_parser, main
+from pqliouville.instance import ProblemInstance
 from pqliouville.params import MAX_INSTANCES, ParamError, expand_instances, parse_params
+from pqliouville.radial import RadialProblem, gradient_vs_distance, solve_radial
+from pqliouville.trinomial import product_trinomial
 
 PRODUCT_GRID = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "product_grid.par"
 
@@ -72,7 +76,7 @@ class TestCommands:
         ])
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert "timing" not in report
         row = report["results"][0]
         assert row["theorem"] == "thm_product_A"
@@ -93,7 +97,7 @@ class TestCommands:
         outs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
-            assert run(["sweep", "--params", str(par), "--out", str(out), "--seed", "11"]) == 0
+            assert run(["sweep", "--params", str(par), "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
@@ -152,10 +156,14 @@ class TestCommands:
         row = report["results"][0]
         assert row["selection"]["case_tag"] == "case1_L1neg"
         assert row["oracle"]["value_min"] <= -0.5
+        assert sorted(row["oracle"]) == ["grid_points", "t_max", "t_min", "value_min"]
         assert run(["plot-data", "--report", str(out), "--selector", "trinomial"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "# t,value"
-        assert len(lines) == 1 + row["oracle"]["grid_points"]
+        # the curve is rebuilt from the stored trinomial by the oracle's own grid
+        coeffs = product_trinomial(ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=2.0))
+        t = np.linspace(0.0, row["oracle"]["t_max"], row["oracle"]["grid_points"])
+        assert lines[1:] == [f"{a!r},{b!r}" for a, b in zip(t.tolist(), coeffs.value(t).tolist())]
 
     def test_plot_data_unknown_selector(self, tmp_path, capsys):
         out = tmp_path / "search.json"
@@ -188,13 +196,18 @@ class TestCommands:
         assert len(row["r"]) == 129
         assert len(row["du"]) == 128
         assert "fit" in row
+        assert "gradient_profile" not in row
         assert run([
             "plot-data", "--report", str(out), "--selector", "gradient_profile",
         ]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "# d,abs_du"
+        inst = ProblemInstance(N=2, p=3.0, q=2.0, kind="hamilton_jacobi", m=2.5)
+        sol = solve_radial(RadialProblem(inst, 1.0, 2.0, -64.0, 0.0, mesh_n=128, reg_eps=1e-8))
+        profile = gradient_vs_distance(sol).tolist()
+        assert lines[1:] == [f"{d!r},{g!r}" for d, g in profile]
 
-    def test_solve_radial_failure_exit_code(self, tmp_path):
+    def test_solve_radial_failure_exit_code(self, tmp_path, capsys):
         out = tmp_path / "bad.json"
         code = run([
             "solve-radial", "--kind", "product", "--N", "2", "--p", "2", "--q", "2",
@@ -204,6 +217,27 @@ class TestCommands:
         assert code == 3
         report = json.loads(out.read_text())
         assert report["results"][0]["converged"] is False
+        capsys.readouterr()
+        assert run(["plot-data", "--report", str(out), "--selector", "gradient_profile"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_cached_parser_carries_no_state(self, tmp_path, capsys):
+        argv = ["classify", "--kind", "product", "--N", "2", "--p", "2.2", "--q", "2",
+                "--s", "0.5", "--m", "2.0"]
+
+        def echo(extra):
+            assert run(argv + extra) == 0
+            return json.loads(capsys.readouterr().out)["config_echo"]
+
+        tuned = echo(["--tol", "newton_tol=1e-9"])
+        assert tuned["tolerances"]["newton_tol"] == 1e-9
+        plain = echo([])
+        assert plain["tolerances"] == {"identity_factor": 25.0, "newton_tol": 1e-10}
+        assert run(argv + ["--tol", "newton_tol=1e-7", "--bogus"]) == 2
+        capsys.readouterr()
+        assert echo(["--optimal-search"]) == dict(plain, optimal_search=True)
+        assert build_parser() is build_parser()
 
     def test_config_errors_exit_two(self, tmp_path):
         assert run(["classify"]) == 2
