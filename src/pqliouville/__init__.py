@@ -57,7 +57,8 @@ _DEFERRED = {
         ("operators", ("laplacian", "p_laplacian", "pq_laplacian")),
         ("radial", ("BlowupFit", "RadialProblem", "RadialSolution", "default_fit_window",
                     "estimate_consistency", "fit_blowup_exponent", "gradient_vs_distance",
-                    "manufactured_source", "solve_radial", "unregularized_residual")),
+                    "manufactured_source", "radial_mesh", "solve_radial",
+                    "unregularized_residual")),
     )
     for name in names
 }
@@ -131,6 +132,7 @@ __all__ = [
     "pq_laplacian",
     "product_thresholds",
     "product_trinomial",
+    "radial_mesh",
     "refinement_order",
     "sample_function",
     "scaling_check",

@@ -34,12 +34,17 @@ def beta2_limit(p: float, q: float, s: float, m: float) -> float:
     return 1.0 - (p - q) * (1.0 + s) / Q if Q != 0.0 else float("-inf")
 
 
-def admissible_floor(inst: ProblemInstance) -> float:
-    """Lower admissibility bound for b: max{0, (m-q+1)/Q}."""
+def positive_combined_exponent(inst: ProblemInstance) -> float:
+    """Q = m+s-q+1, which the change of variable and the trinomial divide by."""
     Q = inst.combined_exponent
     if Q <= 0.0:
         raise AdmissibilityError("degenerate combined exponent (m+s-q+1 must be positive)")
-    return max(0.0, (inst.m - inst.q + 1.0) / Q)
+    return Q
+
+
+def admissible_floor(inst: ProblemInstance) -> float:
+    """Lower admissibility bound for b: max{0, (m-q+1)/Q}."""
+    return max(0.0, (inst.m - inst.q + 1.0) / positive_combined_exponent(inst))
 
 
 def t_from_b(inst: ProblemInstance, b: float) -> float:
@@ -47,10 +52,7 @@ def t_from_b(inst: ProblemInstance, b: float) -> float:
 
 
 def b_from_t(inst: ProblemInstance, t: float) -> float:
-    Q = inst.combined_exponent
-    if Q <= 0.0:
-        raise AdmissibilityError("degenerate combined exponent (m+s-q+1 must be positive)")
-    return (t + inst.m - inst.q + 1.0) / Q
+    return (t + inst.m - inst.q + 1.0) / positive_combined_exponent(inst)
 
 
 def beta1(inst: ProblemInstance, b: float) -> float:
@@ -80,16 +82,19 @@ def gamma_exponent(inst: ProblemInstance, b: float) -> float:
     return min(1.0, beta2(inst, b))
 
 
+def _theta(b: float, gap: float, t: float) -> float | None:
+    """(2(b-1) gap + 2)/(t+1) with gap = p-q, or None outside (0, 2)."""
+    theta = (2.0 * (b - 1.0) * gap + 2.0) / (t + 1.0)
+    return theta if 0.0 < theta < 2.0 else None
+
+
 def theta_exponent(inst: ProblemInstance, b: float) -> float | None:
-    """Interpolation power theta, only emitted when it lands in (0, 2)."""
-    t = t_from_b(inst, b)
-    if b <= 1.0:
-        theta = 2.0 / (t + 1.0)
-    else:
-        theta = (2.0 * (b - 1.0) * (inst.p - inst.q) + 2.0) / (t + 1.0)
-    if 0.0 < theta < 2.0:
-        return theta
-    return None
+    """Interpolation power theta, only emitted when it lands in (0, 2).
+
+    For b <= 1 the numerator is 2: the gap term is dropped (exactly, as
+    (b-1)*0 + 2 = 2 in floating point).
+    """
+    return _theta(b, inst.p - inst.q if b > 1.0 else 0.0, t_from_b(inst, b))
 
 
 @dataclass(frozen=True)
@@ -155,12 +160,11 @@ def sum_exponent_bundle(inst: ProblemInstance, tau: float) -> ExponentBundle:
     if not b > 1.0:
         raise AdmissibilityError("sum exponents require tau > s (so that b > 1)")
     bta2 = sum_beta2(inst, b)
-    theta = (2.0 * (b - 1.0) * (p - q) + 2.0) / (tau + 1.0)
     return ExponentBundle(
         b=b,
         t=tau,
         beta1=_beta1(p, q, s, 0.0, b),
         beta2=bta2,
         gamma=min(1.0, bta2),
-        theta=theta if 0.0 < theta < 2.0 else None,
+        theta=_theta(b, p - q, tau),
     )

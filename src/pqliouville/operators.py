@@ -209,6 +209,14 @@ def _auto_eps(values: np.ndarray, h: float) -> float:
     return 1e-10 * max(1.0, span / h)
 
 
+def _flux_operator(field: GridField, exponents: tuple[float, ...], reg_eps) -> GridField:
+    eps = _auto_eps(field.values, field.spacing) if reg_eps == AUTO_REG else float(reg_eps)
+    out = flux_divergence(field.values, field.spacing, exponents, eps)
+    if not np.isfinite(out[_interior(field.ndim)]).all():
+        raise FieldError("field not smooth enough at spacing h")
+    return GridField(values=out, spacing=field.spacing, origin=field.origin)
+
+
 def pq_laplacian(field: GridField, p: float, q: float, reg_eps=AUTO_REG) -> GridField:
     """Discrete Delta_p u + Delta_q u on interior nodes; boundary ring unset.
 
@@ -216,17 +224,9 @@ def pq_laplacian(field: GridField, p: float, q: float, reg_eps=AUTO_REG) -> Grid
     explicit float (0 is allowed for p, q >= 2 away from critical
     points) to pin the regularization.
     """
-    eps = _auto_eps(field.values, field.spacing) if reg_eps == AUTO_REG else float(reg_eps)
-    out = flux_divergence(field.values, field.spacing, (p, q), eps)
-    if not np.isfinite(out[_interior(field.ndim)]).all():
-        raise FieldError("field not smooth enough at spacing h")
-    return GridField(values=out, spacing=field.spacing, origin=field.origin)
+    return _flux_operator(field, (p, q), reg_eps)
 
 
 def p_laplacian(field: GridField, p: float, reg_eps=AUTO_REG) -> GridField:
     """Discrete Delta_p u alone (same scheme as pq_laplacian)."""
-    eps = _auto_eps(field.values, field.spacing) if reg_eps == AUTO_REG else float(reg_eps)
-    out = flux_divergence(field.values, field.spacing, (p,), eps)
-    if not np.isfinite(out[_interior(field.ndim)]).all():
-        raise FieldError("field not smooth enough at spacing h")
-    return GridField(values=out, spacing=field.spacing, origin=field.origin)
+    return _flux_operator(field, (p,), reg_eps)

@@ -271,6 +271,11 @@ def _first_data_factor(prob: RadialProblem) -> float:
     return 2.0 ** -math.ceil(math.log2(mag / DATA_CONTINUATION_START))
 
 
+def radial_mesh(r0: float, r1: float, cells: int) -> np.ndarray:
+    """The uniform node radii of a solve: cells + 1 nodes from r0 to r1."""
+    return np.linspace(r0, r1, cells + 1)
+
+
 def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution:
     """Damped-Newton finite-volume solve at `reg_eps`.
 
@@ -288,7 +293,7 @@ def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution
     'jacobian_singular') instead of raising when the iteration cannot
     reach the tolerance.
     """
-    r = np.linspace(prob.r0, prob.r1, prob.mesh_n + 1)
+    r = radial_mesh(prob.r0, prob.r1, prob.mesh_n)
     h = r[1] - r[0]
     inst = prob.inst
     f = prob.rhs_override if prob.rhs_override is not None else reaction_function(inst)

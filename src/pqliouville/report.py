@@ -14,10 +14,10 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
-# Schema 2: no stored array that other stored fields determine (plot-data
-# rebuilds the solve-radial gradient profile and the search-b oracle
-# curve), and no seed in config_echo.
-SCHEMA_VERSION = 2
+# Schema 3: no stored array that other stored fields determine (plot-data
+# rebuilds the solve-radial mesh and gradient profile and the search-b
+# oracle curve), and config_echo holds only options the command reads.
+SCHEMA_VERSION = 3
 
 
 @dataclass

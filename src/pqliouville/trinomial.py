@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AdmissibilityError
+from .exponents import positive_combined_exponent
 from .instance import ProblemInstance
 from .thresholds import operator_gap
 
@@ -55,9 +56,7 @@ def product_trinomial(inst: ProblemInstance, epsilon: float = 0.0) -> TrinomialC
     """
     if epsilon < 0.0:
         raise AdmissibilityError("epsilon must be nonnegative")
-    Q = inst.combined_exponent
-    if Q <= 0.0:
-        raise AdmissibilityError("degenerate combined exponent (m+s-q+1 must be positive)")
+    Q = positive_combined_exponent(inst)
     N, p, q, s = inst.N, inst.p, inst.q, inst.s
     R = operator_gap(N, p, q)
     sq = s / Q
@@ -74,9 +73,7 @@ def product_trinomial(inst: ProblemInstance, epsilon: float = 0.0) -> TrinomialC
 
 def epsilon_sensitivity(inst: ProblemInstance) -> tuple[float, float, float]:
     """Explicit bounds K with |Li(eps) - Li(0)| <= K*eps for eps in [0, 1]."""
-    Q = inst.combined_exponent
-    if Q <= 0.0:
-        raise AdmissibilityError("degenerate combined exponent (m+s-q+1 must be positive)")
+    Q = positive_combined_exponent(inst)
     N, p, q, s = inst.N, inst.p, inst.q, inst.s
     sq = s / Q
     k1 = 12.0 * (p - 1.0) ** 2 / (N * Q * Q)

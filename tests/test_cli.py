@@ -1,17 +1,26 @@
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pqliouville.cli as cli
 import pqliouville.params
-from pqliouville.cli import _cmd_sweep, _load_params, build_parser, main
+from pqliouville.cli import _load_params, _report, build_parser, main
 from pqliouville.instance import ProblemInstance
 from pqliouville.params import MAX_INSTANCES, ParamError, expand_instances, parse_params
 from pqliouville.radial import RadialProblem, gradient_vs_distance, solve_radial
 from pqliouville.trinomial import product_trinomial
 
 PRODUCT_GRID = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "product_grid.par"
+TINY_GRID = str(PRODUCT_GRID.with_name("tiny_product_grid.par"))
+# Below the stated convex-case window but numerically feasible, so
+# --optimal-search changes its theorem.
+PRODUCT = ["--kind", "product", "--N", "2", "--p", "2.61", "--q", "2.24", "--s", "0.06",
+           "--m", "1.7"]
+RADIAL_SUM = ["--kind", "sum", "--N", "3", "--p", "2.5", "--q", "2", "--s", "1.5", "--m", "1",
+              "--M", "1", "--r0", "1", "--r1", "2", "--u0", "1", "--u1", "2", "--mesh-n", "64"]
 
 
 def run(argv):
@@ -76,7 +85,7 @@ class TestCommands:
         ])
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert "timing" not in report
         row = report["results"][0]
         assert row["theorem"] == "thm_product_A"
@@ -111,7 +120,7 @@ class TestCommands:
         assert text.endswith("\n") and text.count("\n") == 1
         args = build_parser().parse_args(argv)
         params = _load_params(args)
-        report, _ = _cmd_sweep(args, params)
+        report, _ = _report(args)
         assert json.loads(text) == report.as_dict()
         assert json.loads(text)["config_echo"]["params"] == params
         assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
@@ -180,6 +189,12 @@ class TestCommands:
         window = report["results"][0]["window"]
         assert window["feasible"] is True
         assert window["gamma_lo"] == pytest.approx(0.5)
+        assert len(window["alpha_bounds"]) == report["config_echo"]["gamma_samples"] == 9
+        assert run(["il-window", "--q", "2", "--m", "3", "--gamma-samples", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["results"][0]["window"]["alpha_bounds"]) == 3
+        assert report["config_echo"] == {"command": "il-window", "q": 2.0, "m": 3.0,
+                                         "gamma_samples": 3}
 
     def test_solve_radial_with_fit_and_profile(self, tmp_path, capsys):
         out = tmp_path / "radial.json"
@@ -193,7 +208,8 @@ class TestCommands:
         report = json.loads(out.read_text())
         row = report["results"][0]
         assert row["converged"] is True
-        assert len(row["r"]) == 129
+        assert "r" not in row
+        assert len(row["u"]) == 129
         assert len(row["du"]) == 128
         assert "fit" in row
         assert "gradient_profile" not in row
@@ -223,20 +239,19 @@ class TestCommands:
         assert err.startswith("error: ") and "Traceback" not in err
 
     def test_cached_parser_carries_no_state(self, tmp_path, capsys):
-        argv = ["classify", "--kind", "product", "--N", "2", "--p", "2.2", "--q", "2",
-                "--s", "0.5", "--m", "2.0"]
+        argv = ["verify-identities", "--resolution", "5"]
 
         def echo(extra):
             assert run(argv + extra) == 0
             return json.loads(capsys.readouterr().out)["config_echo"]
 
-        tuned = echo(["--tol", "newton_tol=1e-9"])
-        assert tuned["tolerances"]["newton_tol"] == 1e-9
+        tuned = echo(["--tol", "identity_factor=30"])
+        assert tuned["tolerances"]["identity_factor"] == 30.0
         plain = echo([])
-        assert plain["tolerances"] == {"identity_factor": 25.0, "newton_tol": 1e-10}
-        assert run(argv + ["--tol", "newton_tol=1e-7", "--bogus"]) == 2
+        assert plain["tolerances"] == {"identity_factor": 25.0}
+        assert run(argv + ["--tol", "identity_factor=7", "--bogus"]) == 2
         capsys.readouterr()
-        assert echo(["--optimal-search"]) == dict(plain, optimal_search=True)
+        assert echo(["--resolution", "7"]) == dict(plain, resolution=7)
         assert build_parser() is build_parser()
 
     def test_config_errors_exit_two(self, tmp_path):
@@ -261,6 +276,10 @@ class TestCommands:
             (["search-b", "--kind", "product", "--N", "2", "--p", "2.2", "--q", "2",
               "--s", "0.5", "--m", "2.0", "--oracle-points", "10"],
              "--oracle-points: must be at least 1000"),
+            (["verify-identities", "--tol", "newton_tol=1"],
+             "--tol: unknown tolerance 'newton_tol'; expected identity_factor"),
+            (["solve-radial", *RADIAL_SUM, "--tol", "newton_tol=tiny"],
+             "--tol: newton_tol: not a number: 'tiny'"),
         ):
             assert run(argv) == 2
             assert message in capsys.readouterr().err
@@ -295,3 +314,107 @@ class TestCommands:
         assert all(row["report"]["passed"] for row in report["results"])
         checks = {row["check"] for row in report["results"]}
         assert checks == {"change_of_variable", "bochner", "scaling"}
+
+
+def accepted_options() -> dict[str, set[str]]:
+    """Each subcommand's option strings, read from the parser main uses."""
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {flag for action in sub._actions for flag in action.option_strings}
+            - {"-h", "--help"} for name, sub in subs.choices.items()}
+
+
+# (command, flag, value) pairs that the parser no longer accepts: each was
+# parsed and echoed but changed nothing, and sweep --task search-b was a
+# second search-b path.
+REMOVED = (
+    ("classify", "--tol", "newton_tol=1"),
+    ("search-b", "--format", "csv"),
+    ("search-b", "--optimal-search", None),
+    ("search-b", "--tol", "newton_tol=1"),
+    ("il-window", "--params", TINY_GRID),
+    ("il-window", "--format", "csv"),
+    ("il-window", "--optimal-search", None),
+    ("il-window", "--tol", "identity_factor=1"),
+    ("verify-identities", "--params", TINY_GRID),
+    ("verify-identities", "--format", "csv"),
+    ("verify-identities", "--optimal-search", None),
+    ("solve-radial", "--optimal-search", None),
+    ("sweep", "--tol", "newton_tol=1"),
+    ("sweep", "--task", "search-b"),
+)
+
+
+class TestOptions:
+    BASES = {
+        "classify": ["classify", *PRODUCT],
+        "search-b": ["search-b", *PRODUCT],
+        "il-window": ["il-window", "--q", "2", "--m", "3"],
+        "verify-identities": ["verify-identities", "--resolution", "5"],
+        "solve-radial": ["solve-radial", *RADIAL_SUM],
+        "sweep": ["sweep", "--params", TINY_GRID],
+    }
+
+    def test_option_count(self):
+        options = accepted_options()
+        assert sum(len(flags) for flags in options.values()) == 59
+        for command, flag, _ in REMOVED:
+            assert flag not in options[command]
+
+    def test_every_option_changes_the_run(self, tmp_path, capsys):
+        par = tmp_path / "extra.par"
+        par.write_text("M = 1\nreg_eps = 1e-6\n")
+        search = tmp_path / "search.json"
+        other = tmp_path / "other.json"
+        assert run(["search-b", *PRODUCT, "--out", str(search)]) == 0
+        assert run(["search-b", *PRODUCT, "--m", "2", "--out", str(other)]) == 0
+        instance = {"--kind": "sum", "--N": "3", "--p": "3", "--q": "1.5", "--s": "1",
+                    "--m": "0.5", "--M": "2"}
+        cases = {
+            "classify": {**instance, "--params": par, "--format": "csv",
+                         "--optimal-search": None, "--timing": None},
+            "search-b": {**instance, "--params": par, "--oracle-points": "4096",
+                         "--timing": None},
+            "il-window": {"--q": "3", "--m": "4", "--gamma-samples": "3", "--timing": None},
+            "verify-identities": {"--resolution": "9", "--tol": "identity_factor=1e-6",
+                                  "--timing": None},
+            "solve-radial": {**instance, "--kind": "product", "--N": "2", "--params": par,
+                             "--r0": "0.5", "--r1": "3", "--u0": "2", "--u1": "3",
+                             "--mesh-n": "128", "--reg-eps": "1e-6", "--fit": None,
+                             "--format": "csv", "--tol": "newton_tol=1e-3", "--timing": None},
+            "sweep": {"--params": PRODUCT_GRID.with_name("tiny_sum_grid.par"),
+                      "--format": "csv", "--optimal-search": None, "--timing": None},
+            "plot-data": {"--report": other, "--selector": "gradient_profile"},
+        }
+        bases = dict(self.BASES, **{"plot-data": ["plot-data", "--report", str(search),
+                                                  "--selector", "trinomial"]})
+
+        def outcome(argv):
+            code = run(argv)
+            out = capsys.readouterr().out
+            try:
+                report = json.loads(out)
+            except ValueError:
+                return code, out
+            report.pop("config_echo")
+            return code, report
+
+        options = accepted_options()
+        assert set(cases) == set(options)
+        for command, extras in cases.items():
+            assert set(extras) == options[command] - {"--out"}, command
+            base = outcome(bases[command])
+            for flag, value in extras.items():
+                argv = bases[command] + [flag] + ([] if value is None else [str(value)])
+                assert outcome(argv) != base, argv
+
+    def test_removed_options_exit_two_at_parse_time(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(pqliouville.params, "ProblemInstance", refuse)
+        monkeypatch.setattr(cli, "il_parameter_window", refuse)
+        monkeypatch.setattr(cli, "_identity_suite", refuse)
+        for command, flag, value in REMOVED:
+            argv = self.BASES[command] + [flag] + ([] if value is None else [value])
+            assert run(argv) == 2, argv
+            assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
