@@ -51,20 +51,22 @@ def _owners(theorem: str) -> set[str]:
     return {theorem}
 
 
-@dataclass(frozen=True)
-class TheoremCondition:
+class TheoremCondition(NamedTuple):
+    """One hypothesis row: `template.format(*values)` is its rendering.
+
+    Reports store the values and an index into their `condition_templates`
+    table, so no row carries formatted text.
+    """
+
     theorem: str
     label: str
-    rendering: str
+    template: str
+    values: list
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "label": self.label,
-            "rendering": self.rendering,
-            "passed": self.passed,
-        }
+    @property
+    def rendering(self) -> str:
+        return self.template.format(*self.values)
 
 
 @dataclass(frozen=True)
@@ -86,12 +88,19 @@ class RegimeDecision:
         owners = _owners(theorem)
         return tuple(c for c in self.conditions if c.theorem in owners)
 
-    def as_dict(self) -> dict:
+    def as_dict(self, templates: dict) -> dict:
+        """The report row.  Each condition becomes [template index, passed, values].
+
+        `templates` (a `report.ConditionTemplates`) maps (theorem, label,
+        template) to its index in the report's `condition_templates` table
+        and appends keys it has not seen, so one index serves a whole report.
+        """
         return {
             "instance": self.inst.as_dict(),
             "theorem": self.theorem,
             "matches": list(self.matches),
-            "conditions": [c.as_dict() for c in self.conditions],
+            "conditions": [[templates[theorem, label, template], passed, values]
+                           for theorem, label, template, values, passed in self.conditions],
             "liouville": self.liouville,
             "estimate_exponent": self.estimate_exponent,
             "estimate_target": self.estimate_target,
@@ -129,28 +138,33 @@ def _sums_dict(th: SumThresholds | None) -> dict | None:
 
 
 class _Trace:
+    """Condition rows in report order, and per theorem whether all its rows pass."""
+
     def __init__(self):
         self.rows: list[TheoremCondition] = []
+        self.passing: dict[str, bool] = {}
 
-    def add(self, theorem: str, label: str, rendering: str, passed) -> bool:
-        self.rows.append(TheoremCondition(theorem, label, rendering, bool(passed)))
-        return bool(passed)
+    def add(self, theorem: str, label: str, template: str, values: list, passed) -> None:
+        passed = bool(passed)
+        self.rows.append(TheoremCondition(theorem, label, template, values, passed))
+        self.passing[theorem] = self.passing.get(theorem, True) and passed
 
     def extend(self, theorem: str, rows) -> None:
-        """Append (label, rendering, passed) rows under one theorem."""
-        self.rows += [TheoremCondition(theorem, *row) for row in rows]
+        """Append (label, template, values, passed) rows under one theorem."""
+        for row in rows:
+            self.add(theorem, *row)
 
     def all_pass(self, theorem: str) -> bool:
-        owners = _owners(theorem)
-        rows = [r for r in self.rows if r.theorem in owners]
-        return bool(rows) and all(r.passed for r in rows)
+        states = [self.passing[owner] for owner in _owners(theorem) if owner in self.passing]
+        return bool(states) and all(states)
 
 
 def _ishii_lions_rows(inst: ProblemInstance, trace: _Trace) -> None:
     trace.add(
         "thm_IL",
         "m_gt_q",
-        f"m > q (gradient-dominated reaction, bounded solutions): {inst.m:.6g} > {inst.q:.6g}",
+        "m > q (gradient-dominated reaction, bounded solutions): {:.6g} > {:.6g}",
+        [inst.m, inst.q],
         inst.m > inst.q,
     )
 
@@ -159,7 +173,8 @@ def _classify_hj(inst: ProblemInstance, trace: _Trace) -> None:
     trace.add(
         "thm_HJ",
         "superlinear_gradient",
-        f"m > p-1: {inst.m:.6g} > {inst.p - 1.0:.6g}",
+        "m > p-1: {:.6g} > {:.6g}",
+        [inst.m, inst.p - 1.0],
         inst.m > inst.p - 1.0,
     )
     _ishii_lions_rows(inst, trace)
@@ -174,61 +189,60 @@ def _product_case_rows(
     Q, q1, q2 = th.Q, th.Q1, th.Q2
     position = window_position(th)
     if position == "boundary":
-        trace.add(
-            "thm_product_B",
-            "boundary_window",
-            f"Q in {{Q1, Q2}}: Q = {Q:.6g}",
-            True,
-        )
+        trace.add("thm_product_B", "boundary_window", "Q in {{Q1, Q2}}: Q = {:.6g}", [Q], True)
         trace.add("thm_product_B", *small_s_row(inst))
         return "thm_product_B"
     if position == "inside":
         trace.add(
             "thm_product_A",
             "open_window",
-            f"Q1 < Q < Q2: {q1:.6g} < {Q:.6g} < {q2:.6g}",
+            "Q1 < Q < Q2: {:.6g} < {:.6g} < {:.6g}",
+            [q1, Q, q2],
             True,
         )
         return "thm_product_A"
     theorem = "thm_product_C"
     trace.add(theorem, *small_s_row(inst))
-    trace.add(theorem, "m_le_q", f"m <= q: {inst.m:.6g} <= {inst.q:.6g}", inst.m <= inst.q)
-    trace.add(theorem, "q_lt_p", f"q < p: {inst.q:.6g} < {inst.p:.6g}", inst.q < inst.p)
+    trace.add(theorem, "m_le_q", "m <= q: {:.6g} <= {:.6g}", [inst.m, inst.q], inst.m <= inst.q)
+    trace.add(theorem, "q_lt_p", "q < p: {:.6g} < {:.6g}", [inst.q, inst.p], inst.q < inst.p)
     trace.add(
-        theorem, "p_lt_m_plus_1", f"p < m+1: {inst.p:.6g} < {inst.m + 1.0:.6g}", inst.p < inst.m + 1.0
+        theorem, "p_lt_m_plus_1", "p < m+1: {:.6g} < {:.6g}", [inst.p, inst.m + 1.0],
+        inst.p < inst.m + 1.0,
     )
     if optimal_search:
         sel = select_b_product(inst)
         trace.add(
             theorem,
             "window_numeric",
-            f"numeric convex-case feasibility (vertex of the majorant is negative): {sel.case_tag}",
+            "numeric convex-case feasibility (vertex of the majorant is negative): {}",
+            [sel.case_tag],
             sel.case_tag == "case3_convex",
         )
         return theorem
     if position == "above":
         if th.Q3 is None:
-            trace.add(theorem, "upper_window", "Q3 undefined at s=0", False)
+            trace.add(theorem, "upper_window", "Q3 undefined at s=0", [], False)
         else:
             trace.add(
                 theorem,
                 "upper_window",
-                f"Q2 < Q < Q3: {q2:.6g} < {Q:.6g} < {th.Q3:.6g}",
+                "Q2 < Q < Q3: {:.6g} < {:.6g} < {:.6g}",
+                [q2, Q, th.Q3],
                 Q < th.Q3,
             )
         return theorem
     # Q below Q1, so the lower-window row tests its lower bound only; it
     # needs the comparison ratio a.
     if th.a is None:
-        trace.add(theorem, "lower_window", "comparison ratio a undefined (s=0 or p=q)", False)
+        trace.add(theorem, "lower_window", "comparison ratio a undefined (s=0 or p=q)", [], False)
         return theorem
     if th.a <= 1.0:
         lower = inst.N * ((1.0 - th.a) * th.Q1**2 + th.R) / (4.0 * (inst.q - 1.0))
-        rendering = f"a <= 1 branch: N((1-a)Q1^2+R)/(4(q-1)) < Q < Q1: {lower:.6g} < {Q:.6g} < {q1:.6g}"
+        template = "a <= 1 branch: N((1-a)Q1^2+R)/(4(q-1)) < Q < Q1: {:.6g} < {:.6g} < {:.6g}"
     else:
         lower = inst.N * th.R / (4.0 * (inst.q - 1.0))
-        rendering = f"a > 1 branch: NR/(4(q-1)) < Q < Q1: {lower:.6g} < {Q:.6g} < {q1:.6g}"
-    trace.add(theorem, "lower_window", rendering, lower < Q)
+        template = "a > 1 branch: NR/(4(q-1)) < Q < Q1: {:.6g} < {:.6g} < {:.6g}"
+    trace.add(theorem, "lower_window", template, [lower, Q, q1], lower < Q)
     return theorem
 
 
@@ -245,7 +259,8 @@ def _classify_product(
         trace.add(
             case_theorem,
             "selection_feasible",
-            f"constructive b-selection: {selection.case_tag}",
+            "constructive b-selection: {}",
+            [selection.case_tag],
             selection.feasible,
         )
         if selection.feasible:
@@ -259,16 +274,16 @@ def _classify_sum(
     th = sum_thresholds(inst)
     p, q, s, m = inst.p, inst.q, inst.s, inst.m
     liou = "thm_sum_liouville"
-    trace.add(liou, "M_positive", f"M > 0: {inst.M:.6g}", inst.M > 0.0)
+    trace.add(liou, "M_positive", "M > 0: {:.6g}", [inst.M], inst.M > 0.0)
     trace.extend(liou, sum_liouville_rows(inst, th))
 
     growth = "thm_sum_growth"
-    trace.add(growth, "M_positive", f"M > 0: {inst.M:.6g}", inst.M > 0.0)
-    trace.add(growth, "m_p_gap", f"m-p+2 > 0: {m - p + 2.0:.6g}", m - p + 2.0 > 0.0)
+    trace.add(growth, "M_positive", "M > 0: {:.6g}", [inst.M], inst.M > 0.0)
+    trace.add(growth, "m_p_gap", "m-p+2 > 0: {:.6g}", [m - p + 2.0], m - p + 2.0 > 0.0)
     s_lo_g = max(q - 1.0, 1.0)
-    trace.add(growth, "s_large", f"s > max(q-1, 1): {s:.6g} > {s_lo_g:.6g}", s > s_lo_g)
+    trace.add(growth, "s_large", "s > max(q-1, 1): {:.6g} > {:.6g}", [s, s_lo_g], s > s_lo_g)
     m_lo = max(q * s / (s + 1.0), 2.0 * s)
-    trace.add(growth, "m_large", f"m > max(qs/(s+1), 2s): {m:.6g} > {m_lo:.6g}", m > m_lo)
+    trace.add(growth, "m_large", "m > max(qs/(s+1), 2s): {:.6g} > {:.6g}", [m, m_lo], m > m_lo)
 
     selection = bundle = None
     if trace.all_pass(liou):
@@ -276,7 +291,8 @@ def _classify_sum(
         trace.add(
             liou,
             "selection_feasible",
-            f"constructive tau-selection: {selection.case_tag}",
+            "constructive tau-selection: {}",
+            [selection.case_tag],
             selection.feasible,
         )
         if selection.feasible:

@@ -22,7 +22,7 @@ from .errors import AdmissibilityError
 from .instance import KINDS, ProblemInstance
 from .ishii_lions import il_parameter_window
 from .params import ParamError, expand_instances, parse_params, radial_settings
-from .report import Report, atomic_write_text
+from .report import ConditionTemplates, Report, atomic_write_text
 from .selection import select_b_product, sum_selection
 from .trinomial import TrinomialCoeffs, oracle_curve, product_trinomial, verify_negativity
 
@@ -150,26 +150,28 @@ def _search_one(inst: ProblemInstance, oracle_points: int) -> dict:
     return row
 
 
-# Each handler returns its result rows, the config_echo entries only it
-# knows, and the exit code; _report times the call and builds the report.
+# Each handler returns its Report fields (results, and for classify and
+# sweep condition_templates), the config_echo entries only it knows, and
+# the exit code; _report times the call and builds the report.
 
 
 def _cmd_classify(args, params):
-    results = [classify(inst, optimal_search=args.optimal_search).as_dict()
+    templates = ConditionTemplates()
+    results = [classify(inst, optimal_search=args.optimal_search).as_dict(templates)
                for inst in _instances(args, params)]
-    return results, {}, 0
+    return {"results": results, "condition_templates": templates.table()}, {}, 0
 
 
 def _cmd_search_b(args, params):
     instances = _instances(args, params)
     results = [_search_one(inst, args.oracle_points) for inst in instances]
-    return results, {"oracle_points": args.oracle_points}, 0
+    return {"results": results}, {"oracle_points": args.oracle_points}, 0
 
 
 def _cmd_il_window(args, params):
     window = il_parameter_window(args.q, args.m, gamma_samples=args.gamma_samples)
     results = [{"q": args.q, "m": args.m, "window": window.as_dict()}]
-    return results, {"q": args.q, "m": args.m, "gamma_samples": args.gamma_samples}, 0
+    return {"results": results}, {"q": args.q, "m": args.m, "gamma_samples": args.gamma_samples}, 0
 
 
 def _identity_suite(resolution: int, factor: float) -> list[dict]:
@@ -220,7 +222,7 @@ def _identity_suite(resolution: int, factor: float) -> list[dict]:
 
 def _cmd_verify_identities(args, params):
     results = _identity_suite(args.resolution, args.identity_factor)
-    return results, {"resolution": args.resolution}, 0
+    return {"results": results}, {"resolution": args.resolution}, 0
 
 
 def _cmd_solve_radial(args, params):
@@ -249,7 +251,7 @@ def _cmd_solve_radial(args, params):
     )
     sol = solve_radial(prob, tol=args.newton_tol)
     radial = {k: settings[k] for k in sorted(settings)}
-    # No r: it is radial_mesh(r0, r1, len(u) - 1), which readers rebuild.
+    # No r or du: readers rebuild both from r0, r1 and u (_row_solution).
     row = {
         "instance": inst.as_dict(),
         "radial": radial,
@@ -259,7 +261,6 @@ def _cmd_solve_radial(args, params):
         "newton_iters": sol.newton_iters,
         "continuation_steps": sol.continuation_steps,
         "u": sol.u.tolist(),
-        "du": sol.du.tolist(),
     }
     if sol.converged and args.fit:
         profile = gradient_vs_distance(sol)
@@ -267,35 +268,36 @@ def _cmd_solve_radial(args, params):
             row["fit"] = fit_blowup_exponent(profile, default_fit_window(sol)).as_dict()
         except AdmissibilityError as exc:
             row["fit"] = {"error": str(exc)}
-    return [row], {"radial": radial}, 0 if sol.converged else 3
+    return {"results": [row]}, {"radial": radial}, 0 if sol.converged else 3
 
 
-def _row_mesh(row: dict):
-    """The node radii of a solve-radial row, rebuilt from its settings."""
-    return radial_mesh(row["radial"]["r0"], row["radial"]["r1"], len(row["u"]) - 1)
+def _row_solution(row: dict):
+    """The RadialSolution of a solve-radial row: its mesh is rebuilt from the
+    row's settings and len(u), so RadialSolution.du is the solver's du."""
+    import numpy as np
+
+    _bind_heavy("radial")
+    return RadialSolution(
+        r=radial_mesh(row["radial"]["r0"], row["radial"]["r1"], len(row["u"]) - 1),
+        u=np.array(row["u"]), residual_norm=row["residual_norm"],
+        newton_iters=row["newton_iters"], continuation_steps=row["continuation_steps"],
+        converged=row["converged"], failure=row["failure"],
+    )
 
 
 def _plot_rows(report: dict, selector: str) -> tuple[str, list]:
     """Rebuild a plotted array from the first result row that stores its inputs.
 
     Reports store no derived arrays: the gradient profile comes from a
-    solve-radial row's mesh settings and du, the oracle curve from a
+    solve-radial row's mesh settings and u, the oracle curve from a
     search-b row's trinomial, t_max and grid_points, through the code
-    that made them.
+    that made them.  A stored du (schema 3 and older) is not read.
     """
     results = report.get("results", [])
     if selector == "gradient_profile":
-        import numpy as np
-
-        _bind_heavy("radial")
         for row in results:
-            if "du" in row:
-                sol = RadialSolution(
-                    r=_row_mesh(row), u=np.array(row["u"]), du=np.array(row["du"]),
-                    residual_norm=row["residual_norm"], newton_iters=row["newton_iters"],
-                    continuation_steps=row["continuation_steps"], converged=row["converged"],
-                    failure=row["failure"],
-                )
+            if "radial" in row:
+                sol = _row_solution(row)
                 return "# d,abs_du", gradient_vs_distance(sol).tolist()
         raise CliError("report contains no radial solution")
     if selector == "trinomial":
@@ -328,8 +330,9 @@ def _csv_text(results: list, command: str) -> str:
     if command == "solve-radial":
         writer.writerow(["r", "u", "du_face"])
         row = results[0]
-        du = row["du"]
-        for i, (r, u) in enumerate(zip(_row_mesh(row).tolist(), row["u"])):
+        sol = _row_solution(row)
+        du = sol.du.tolist()
+        for i, (r, u) in enumerate(zip(sol.r.tolist(), row["u"])):
             writer.writerow([r, u, du[i] if i < len(du) else ""])
         return buf.getvalue()
     keys = ("kind", "N", "p", "q", "s", "m", "M")
@@ -344,7 +347,9 @@ def _csv_text(results: list, command: str) -> str:
 # Option groups: (flag, add_argument keywords) pairs.
 _INSTANCE = (("--kind", dict(choices=KINDS)), ("--N", dict(type=int)),
              *((f"--{key}", dict(type=float)) for key in ("p", "q", "s", "m", "M")))
-_PARAMS = (("--params", dict(help="parameter file (flat key = value, grids allowed)")),)
+_PARAMS_HELP = "parameter file (flat key = value, grids allowed)"
+_PARAMS = (("--params", dict(help=_PARAMS_HELP)),)
+_GRID = (("--params", dict(required=True, help=_PARAMS_HELP)),)
 _OUT = (("--out", dict(help="output path (stdout when omitted)")),)
 _TIMING = (("--timing", dict(action="store_true", help="add the wall-clock timing section")),)
 _FORMAT = (("--format", dict(choices=("json", "csv"), default="json")),)
@@ -367,7 +372,7 @@ COMMANDS = {
         ("--resolution", dict(type=_int_at_least(5), default=65, help="coarse nodes per axis")),))),
     "solve-radial": (_cmd_solve_radial, (_PARAMS, _INSTANCE, _RADIAL, _OUT, _FORMAT,
                                          _tol("newton_tol"), _TIMING)),
-    "sweep": (_cmd_classify, (_PARAMS, _OUT, _FORMAT, _OPTIMAL, _TIMING)),
+    "sweep": (_cmd_classify, (_GRID, _OUT, _FORMAT, _OPTIMAL, _TIMING)),
     "plot-data": (_cmd_plot_data, (_OUT, (("--report", dict(required=True)),
                                           ("--selector", dict(required=True))))),
 }
@@ -396,9 +401,9 @@ def _report(args) -> tuple[Report, int]:
     handler, _ = COMMANDS[args.command]
     params = _load_params(args)
     started = time.perf_counter()
-    results, extra, code = handler(args, params)
+    fields, extra, code = handler(args, params)
     timing = [{"total_s": time.perf_counter() - started}]
-    return Report(__version__, _config_echo(args, params, extra), results, timing), code
+    return Report(__version__, _config_echo(args, params, extra), timing=timing, **fields), code
 
 
 def main(argv=None) -> int:
@@ -411,8 +416,11 @@ def main(argv=None) -> int:
         if args.command == "plot-data":
             text, code = _cmd_plot_data(args), 0
         else:
+            csv_format = getattr(args, "format", "json") == "csv"
+            if csv_format and args.timing:
+                raise CliError("--timing needs --format json: a CSV table has no timing section")
             report, code = _report(args)
-            if getattr(args, "format", "json") == "csv":
+            if csv_format:
                 text = _csv_text(report.results, args.command)
             else:
                 text = report.to_json(include_timing=args.timing)

@@ -59,7 +59,6 @@ class RadialProblem:
 class RadialSolution:
     r: np.ndarray
     u: np.ndarray
-    du: np.ndarray
     residual_norm: float
     newton_iters: int
     continuation_steps: int
@@ -70,6 +69,11 @@ class RadialSolution:
     @property
     def r_half(self) -> np.ndarray:
         return 0.5 * (self.r[:-1] + self.r[1:])
+
+    @property
+    def du(self) -> np.ndarray:
+        """Face slopes (u[i+1] - u[i]) / h, at r_half."""
+        return np.diff(self.u) / (self.r[1] - self.r[0])
 
 
 @dataclass(frozen=True)
@@ -324,7 +328,7 @@ def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution
             x, norm = x_try, norm_try
     u = np.exp(x) if prob.log_transform else x
     return RadialSolution(
-        r=r, u=u, du=np.diff(u) / h, residual_norm=norm,
+        r=r, u=u, residual_norm=norm,
         newton_iters=newton_total, continuation_steps=stages,
         converged=failure is None, failure=failure, problem=prob,
     )

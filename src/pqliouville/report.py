@@ -17,7 +17,50 @@ from dataclasses import dataclass, field
 # Schema 3: no stored array that other stored fields determine (plot-data
 # rebuilds the solve-radial mesh and gradient profile and the search-b
 # oracle curve), and config_echo holds only options the command reads.
-SCHEMA_VERSION = 3
+# Schema 4: classify and sweep conditions are [template index, passed,
+# values] into a top-level condition_templates table, and solve-radial rows
+# drop du, which is np.diff(u) / h on the rebuilt mesh.
+SCHEMA_VERSION = 4
+
+
+class ConditionTemplates(dict):
+    """Index of (theorem, label, template) keys in first-use order.
+
+    `templates[key]` returns the key's index, appending a key it has not
+    seen, so a report lists only the templates its rows use.
+    """
+
+    def __missing__(self, key: tuple[str, str, str]) -> int:
+        self[key] = index = len(self)
+        return index
+
+    def table(self) -> list[list[str]]:
+        """The `condition_templates` entries: [theorem, label, template] by index."""
+        return [list(key) for key in self]
+
+
+def expand_conditions(report: dict) -> list:
+    """The result rows of a parsed report with schema-3 condition dicts.
+
+    A schema-4 condition [index, passed, values] becomes {theorem, label,
+    rendering, passed}, its rendering the template formatted with the
+    values.  A report without condition_templates (schema 3 and older, or
+    a command that stores no conditions) comes back as it is.
+    """
+    table = report.get("condition_templates")
+    if table is None:
+        return report["results"]
+    rows = []
+    for row in report["results"]:
+        if "conditions" in row:
+            conditions = []
+            for index, passed, values in row["conditions"]:
+                theorem, label, template = table[index]
+                conditions.append({"theorem": theorem, "label": label,
+                                   "rendering": template.format(*values), "passed": passed})
+            row = dict(row, conditions=conditions)
+        rows.append(row)
+    return rows
 
 
 @dataclass
@@ -26,6 +69,7 @@ class Report:
     config_echo: dict
     results: list
     timing: list = field(default_factory=list)
+    condition_templates: list = field(default_factory=list)
 
     def as_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -34,6 +78,8 @@ class Report:
             "config_echo": self.config_echo,
             "results": self.results,
         }
+        if self.condition_templates:
+            out["condition_templates"] = self.condition_templates
         if include_timing:
             out["timing"] = self.timing
         return out

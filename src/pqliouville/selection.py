@@ -92,56 +92,66 @@ def small_s_threshold(inst: ProblemInstance) -> float:
     return (inst.q - 1.0) / (inst.p - 1.0 + inst.N * (inst.p - inst.q) / 2.0)
 
 
-# Hypothesis rows are plain (label, rendering, passed) tuples in report
-# order; selection wraps them in ConditionCheck, classify in TheoremCondition.
+# Hypothesis rows are plain (label, template, values, passed) tuples in
+# report order: classify keeps them as TheoremCondition, selection formats
+# them into ConditionCheck.
+Row = tuple[str, str, list, bool]
 
 
-def small_s_row(inst: ProblemInstance) -> tuple[str, str, bool]:
+def _row_check(row: Row) -> ConditionCheck:
+    label, template, values, passed = row
+    return _check(label, template.format(*values), passed)
+
+
+def small_s_row(inst: ProblemInstance) -> Row:
     """Small-s side condition of theorems B and C (selection case 2)."""
     s_thr = small_s_threshold(inst)
-    return ("small_s", f"s < (q-1)/(p-1+N(p-q)/2): {inst.s:.6g} < {s_thr:.6g}", inst.s < s_thr)
+    return ("small_s", "s < (q-1)/(p-1+N(p-q)/2): {:.6g} < {:.6g}", [inst.s, s_thr], inst.s < s_thr)
 
 
-def product_shared_rows(inst: ProblemInstance, th: ProductThresholds) -> list[tuple[str, str, bool]]:
+def product_shared_rows(inst: ProblemInstance, th: ProductThresholds) -> list[Row]:
     """The five hypotheses every product theorem (A, B, C) and the selection share."""
     Q = th.Q
     lim = beta2_limit(inst.p, inst.q, inst.s, inst.m)
     return [
-        ("s_positive", f"s > 0: {inst.s:.6g}", inst.s > 0.0),
-        ("Q_positive", f"m+s-q+1 > 0: {Q:.6g}", Q > 0.0),
-        ("beta2_limit_positive", f"1 - (p-q)(1+s)/Q > 0: {lim:.6g}", lim > 0.0),
+        ("s_positive", "s > 0: {:.6g}", [inst.s], inst.s > 0.0),
+        ("Q_positive", "m+s-q+1 > 0: {:.6g}", [Q], Q > 0.0),
+        ("beta2_limit_positive", "1 - (p-q)(1+s)/Q > 0: {:.6g}", [lim], lim > 0.0),
         (
             "superlinear_reaction",
-            f"m+s > p-1: {inst.m + inst.s:.6g} > {inst.p - 1.0:.6g}",
+            "m+s > p-1: {:.6g} > {:.6g}",
+            [inst.m + inst.s, inst.p - 1.0],
             inst.m + inst.s > inst.p - 1.0,
         ),
         (
             "discriminant",
-            f"4(q-1)^2 >= N^2 R: {4.0 * (inst.q - 1.0) ** 2:.6g} >= {inst.N**2 * th.R:.6g}",
+            "4(q-1)^2 >= N^2 R: {:.6g} >= {:.6g}",
+            [4.0 * (inst.q - 1.0) ** 2, inst.N**2 * th.R],
             th.discriminant_ok,
         ),
     ]
 
 
-def sum_liouville_rows(inst: ProblemInstance, th: SumThresholds) -> list[tuple[str, str, bool]]:
+def sum_liouville_rows(inst: ProblemInstance, th: SumThresholds) -> list[Row]:
     """Gap, delta, s-window, beta2-limit and m-window rows of the sum Liouville theorem."""
     N, p, q, s, m = inst.N, inst.p, inst.q, inst.s, inst.m
     if th.s_minus is None:
-        s_window = ("s_window", "s-window undefined (delta_pq <= 0)", False)
+        s_window = ("s_window", "s-window undefined (delta_pq <= 0)", [], False)
     else:
         s_lo = max(th.s_minus, p - 1.0)
         s_window = (
             "s_window",
-            f"max(s_minus, p-1) < s < s_plus: {s_lo:.6g} < {s:.6g} < {th.s_plus:.6g}",
+            "max(s_minus, p-1) < s < s_plus: {:.6g} < {:.6g} < {:.6g}",
+            [s_lo, s, th.s_plus],
             s_lo < s < th.s_plus,
         )
     lim = beta2_limit(p, q, s, 0.0)
     return [
-        ("gap", f"N(p-q) < 2(q-1): {N * (p - q):.6g} < {2.0 * (q - 1.0):.6g}", th.gap_ok),
-        ("delta_positive", f"delta_pq = {th.delta_pq:.6g} > 0", th.delta_pq > 0.0),
+        ("gap", "N(p-q) < 2(q-1): {:.6g} < {:.6g}", [N * (p - q), 2.0 * (q - 1.0)], th.gap_ok),
+        ("delta_positive", "delta_pq = {:.6g} > 0", [th.delta_pq], th.delta_pq > 0.0),
         s_window,
-        ("beta2_limit_positive", f"1 - (p-q)(1+s)/(s-q+1) > 0: {lim:.6g}", lim > 0.0),
-        ("m_window", f"0 < m <= (N+2)(q-1)/N: {m:.6g} <= {th.m_max:.6g}", 0.0 < m <= th.m_max),
+        ("beta2_limit_positive", "1 - (p-q)(1+s)/(s-q+1) > 0: {:.6g}", [lim], lim > 0.0),
+        ("m_window", "0 < m <= (N+2)(q-1)/N: {:.6g} <= {:.6g}", [m, th.m_max], 0.0 < m <= th.m_max),
     ]
 
 
@@ -191,7 +201,7 @@ def select_b_product(inst: ProblemInstance) -> BSelection:
     if inst.kind != "product":
         raise AdmissibilityError("b-selection requires kind='product'")
     th = product_thresholds(inst)
-    trace = [_check(*row) for row in product_shared_rows(inst, th)]
+    trace = [_row_check(row) for row in product_shared_rows(inst, th)]
     if not all(c.passed for c in trace):
         return _infeasible(trace)
     coeffs = product_trinomial(inst, epsilon=0.0)
@@ -201,7 +211,7 @@ def select_b_product(inst: ProblemInstance) -> BSelection:
 
     if position == "boundary":
         trace.append(_check("case", f"Q on window boundary: Q={Q:.6g}", True))
-        side = _check(*small_s_row(inst))
+        side = _row_check(small_s_row(inst))
         trace.append(side)
         if not side.passed:
             return _infeasible(trace)
@@ -280,7 +290,7 @@ def sum_selection(inst: ProblemInstance) -> BSelection:
     rows = sum_liouville_rows(inst, th)
     if not (th.gap_ok and th.delta_pq > 0.0):
         rows = rows[:2]  # the s-window and what follows are not reported
-    trace = [_check(*row) for row in rows]
+    trace = [_row_check(row) for row in rows]
     if not all(c.passed for c in trace):
         return _infeasible(trace)
     lead = sum_leading_coefficient(inst)

@@ -1,5 +1,9 @@
 import argparse
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +14,8 @@ import pqliouville.params
 from pqliouville.cli import _load_params, _report, build_parser, main
 from pqliouville.instance import ProblemInstance
 from pqliouville.params import MAX_INSTANCES, ParamError, expand_instances, parse_params
-from pqliouville.radial import RadialProblem, gradient_vs_distance, solve_radial
+from pqliouville.radial import RadialProblem, gradient_vs_distance, radial_mesh, solve_radial
+from pqliouville.report import expand_conditions
 from pqliouville.trinomial import product_trinomial
 
 PRODUCT_GRID = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "product_grid.par"
@@ -85,7 +90,7 @@ class TestCommands:
         ])
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == 3
+        assert report["schema"] == 4
         assert "timing" not in report
         row = report["results"][0]
         assert row["theorem"] == "thm_product_A"
@@ -210,7 +215,7 @@ class TestCommands:
         assert row["converged"] is True
         assert "r" not in row
         assert len(row["u"]) == 129
-        assert len(row["du"]) == 128
+        assert "du" not in row
         assert "fit" in row
         assert "gradient_profile" not in row
         assert run([
@@ -280,6 +285,13 @@ class TestCommands:
              "--tol: unknown tolerance 'newton_tol'; expected identity_factor"),
             (["solve-radial", *RADIAL_SUM, "--tol", "newton_tol=tiny"],
              "--tol: newton_tol: not a number: 'tiny'"),
+            (["classify", *PRODUCT, "--format", "csv", "--timing"],
+             "error: --timing needs --format json"),
+            (["sweep", "--params", TINY_GRID, "--format", "csv", "--timing"],
+             "error: --timing needs --format json"),
+            (["solve-radial", *RADIAL_SUM, "--format", "csv", "--timing"],
+             "error: --timing needs --format json"),
+            (["sweep"], "error: the following arguments are required: --params"),
         ):
             assert run(argv) == 2
             assert message in capsys.readouterr().err
@@ -314,6 +326,101 @@ class TestCommands:
         assert all(row["report"]["passed"] for row in report["results"])
         checks = {row["check"] for row in report["results"]}
         assert checks == {"change_of_variable", "bochner", "scaling"}
+
+
+# SHA-256 of the compact sorted JSON of each grid's sweep results in schema 3,
+# where every condition was a {theorem, label, rendering, passed} dict.
+SCHEMA_3_RESULTS = {
+    "product_grid.par": "1c41f6e82f81e9692d56d9e9627e3feb12dacf1d09692788b680c321f75dd02e",
+    "sum_grid.par": "4bda10efd6f9c5a4982f3727921aa5b41fc606ba9edaa5686c710a3dab0b1be3",
+}
+
+
+def plot_in_fresh_process(report: Path) -> str:
+    """plot-data gradient_profile in a new interpreter, where nothing is bound yet."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pqliouville.cli", "plot-data", "--report", str(report),
+         "--selector", "gradient_profile"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestReportSchema:
+    @pytest.mark.parametrize("grid", sorted(SCHEMA_3_RESULTS))
+    def test_reader_rebuilds_schema_3_sweep_rows(self, grid, tmp_path):
+        out = tmp_path / "sweep.json"
+        assert run(["sweep", "--params", str(PRODUCT_GRID.with_name(grid)), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["schema"] == 4
+        assert all(isinstance(c, list) and len(c) == 3
+                   for row in report["results"] for c in row["conditions"])
+        text = json.dumps(expand_conditions(report), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == SCHEMA_3_RESULTS[grid]
+
+    def test_negative_infinity_survives_the_report(self, capsys):
+        assert run(["classify", "--kind", "sum", "--N", "2", "--p", "1.3", "--q", "1.3",
+                    "--s", "0.3", "--m", "0.2", "--M", "1"]) == 0
+        text = capsys.readouterr().out
+        assert "-Infinity" in text
+        report = json.loads(text)
+        [row] = expand_conditions(report)
+        [limit] = [c for c in row["conditions"] if c["label"] == "beta2_limit_positive"]
+        assert limit == {"theorem": "thm_sum_liouville", "label": "beta2_limit_positive",
+                         "rendering": "1 - (p-q)(1+s)/(s-q+1) > 0: -inf", "passed": False}
+
+    def test_one_instance_report_lists_only_its_templates(self, capsys):
+        assert run(["classify", "--kind", "hamilton_jacobi", "--N", "2", "--p", "3",
+                    "--q", "2", "--m", "2.5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["condition_templates"] == [
+            ["thm_HJ", "superlinear_gradient", "m > p-1: {:.6g} > {:.6g}"],
+            ["thm_IL", "m_gt_q",
+             "m > q (gradient-dominated reaction, bounded solutions): {:.6g} > {:.6g}"],
+        ]
+        assert report["results"][0]["conditions"] == [[0, True, [2.5, 2.0]], [1, True, [2.5, 2.0]]]
+        assert run(["classify", *PRODUCT]) == 0
+        report = json.loads(capsys.readouterr().out)
+        used = [c[0] for c in report["results"][0]["conditions"]]
+        # first-use order, and no template the row does not use
+        assert used == list(range(len(used))) == list(range(len(report["condition_templates"])))
+
+    def test_reports_without_conditions_have_no_template_table(self, capsys):
+        assert run(["search-b", *PRODUCT]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "condition_templates" not in report
+        assert expand_conditions(report) is report["results"]
+
+    def test_schema_3_du_and_schema_4_plot_alike(self, tmp_path):
+        new = tmp_path / "schema4.json"
+        assert run(["solve-radial", *RADIAL_SUM, "--out", str(new)]) == 0
+        report = json.loads(new.read_text())
+        row = report["results"][0]
+        assert "du" not in row
+        # The schema-3 row stored du = np.diff(u) / h on the solver's mesh.
+        r = radial_mesh(row["radial"]["r0"], row["radial"]["r1"], len(row["u"]) - 1)
+        h = float(r[1] - r[0])
+        stored = [(b - a) / h for a, b in zip(row["u"], row["u"][1:])]
+        old = tmp_path / "schema3.json"
+        old.write_text(json.dumps(dict(report, schema=3, results=[dict(row, du=stored)])))
+        assert plot_in_fresh_process(old) == plot_in_fresh_process(new)
+        csv_new = cli._csv_text(report["results"], "solve-radial")
+        csv_old = cli._csv_text(json.loads(old.read_text())["results"], "solve-radial")
+        assert csv_new == csv_old
+        du_column = [line.split(",")[2] for line in csv_new.splitlines()[1:]]
+        assert du_column == [repr(x) for x in stored] + [""]
+
+    def test_timing_with_csv_exits_before_any_work(self, monkeypatch, capsys):
+        def refuse(**kwargs):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(pqliouville.params, "ProblemInstance", refuse)
+        for argv in (["classify", *PRODUCT], ["sweep", "--params", TINY_GRID],
+                     ["solve-radial", *RADIAL_SUM]):
+            assert run(argv + ["--format", "csv", "--timing"]) == 2
+            assert capsys.readouterr().err.startswith("error: --timing needs --format json")
 
 
 def accepted_options() -> dict[str, set[str]]:
