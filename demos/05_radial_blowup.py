@@ -40,8 +40,8 @@ def main():
           f"|du| ~ {fit.fitted_C:.2f} d^(-{fit.fitted_exponent:.3f})  (r^2={fit.r_squared:.4f})")
     print(f"deviation from predicted rate: {abs(fit.fitted_exponent - predicted) / predicted:.1%}")
 
-    report = estimate_consistency(sol, decision)
-    print(f"smallest C with |du| <= C(1 + d^(-{predicted:g})): {report.constant:.2f}")
+    constant = estimate_consistency(sol, decision)
+    print(f"smallest C with |du| <= C(1 + d^(-{predicted:g})): {constant:.2f}")
 
     print("\nnear-boundary profile (d, |du|):")
     for d, g in profile[:8]:

@@ -27,7 +27,7 @@ from .exponents import (
 from .errors import AdmissibilityError, FieldError, UndefinedThresholdError
 from .instance import KINDS, ProblemInstance
 from .ishii_lions import ILWindow, il_alpha_window, il_gamma_lo, il_parameter_window
-from .selection import BSelection, ConditionCheck, select_b_product, small_s_threshold, sum_selection
+from .selection import BSelection, select_b_product, small_s_threshold, sum_selection
 from .thresholds import (
     ProductThresholds,
     SumThresholds,
@@ -84,7 +84,6 @@ __all__ = [
     "BSelection",
     "BlowupFit",
     "CATALOG",
-    "ConditionCheck",
     "EstimateRate",
     "ExponentBundle",
     "FieldError",

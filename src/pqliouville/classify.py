@@ -18,6 +18,7 @@ from .exponents import ExponentBundle, exponent_bundle, sum_exponent_bundle
 from .instance import ProblemInstance
 from .selection import (
     BSelection,
+    TheoremCondition,
     product_shared_rows,
     select_b_product,
     small_s_row,
@@ -49,24 +50,6 @@ def _owners(theorem: str) -> set[str]:
     if theorem.startswith("thm_product_"):
         return {theorem, PRODUCT_SHARED}
     return {theorem}
-
-
-class TheoremCondition(NamedTuple):
-    """One hypothesis row: `template.format(*values)` is its rendering.
-
-    Reports store the values and an index into their `condition_templates`
-    table, so no row carries formatted text.
-    """
-
-    theorem: str
-    label: str
-    template: str
-    values: list
-    passed: bool
-
-    @property
-    def rendering(self) -> str:
-        return self.template.format(*self.values)
 
 
 @dataclass(frozen=True)
@@ -105,36 +88,10 @@ class RegimeDecision:
             "estimate_exponent": self.estimate_exponent,
             "estimate_target": self.estimate_target,
             "exponents": self.exponents.as_dict() if self.exponents else None,
-            "product_thresholds": _thresholds_dict(self.product),
-            "sum_thresholds": _sums_dict(self.sums),
+            "product_thresholds": self.product.as_dict() if self.product else None,
+            "sum_thresholds": self.sums.as_dict() if self.sums else None,
             "selection": self.selection.as_dict() if self.selection else None,
         }
-
-
-def _thresholds_dict(th: ProductThresholds | None) -> dict | None:
-    if th is None:
-        return None
-    return {
-        "R": th.R,
-        "Q": th.Q,
-        "discriminant_ok": th.discriminant_ok,
-        "Q1": th.Q1,
-        "Q2": th.Q2,
-        "Q3": th.Q3,
-        "a": th.a,
-    }
-
-
-def _sums_dict(th: SumThresholds | None) -> dict | None:
-    if th is None:
-        return None
-    return {
-        "delta_pq": th.delta_pq,
-        "m_max": th.m_max,
-        "gap_ok": th.gap_ok,
-        "s_minus": th.s_minus,
-        "s_plus": th.s_plus,
-    }
 
 
 class _Trace:
@@ -182,16 +139,17 @@ def _classify_hj(inst: ProblemInstance, trace: _Trace) -> None:
 
 def _product_case_rows(
     inst: ProblemInstance, th: ProductThresholds, trace: _Trace, optimal_search: bool
-) -> str | None:
-    """Emit rows for the Q-position-selected case; return its theorem name."""
+) -> tuple[str | None, BSelection | None]:
+    """Emit rows for the Q-position-selected case; return its theorem name and
+    the selection its window_numeric row ran (optimal search only)."""
     if not th.discriminant_ok:
-        return None
+        return None, None
     Q, q1, q2 = th.Q, th.Q1, th.Q2
     position = window_position(th)
     if position == "boundary":
         trace.add("thm_product_B", "boundary_window", "Q in {{Q1, Q2}}: Q = {:.6g}", [Q], True)
         trace.add("thm_product_B", *small_s_row(inst))
-        return "thm_product_B"
+        return "thm_product_B", None
     if position == "inside":
         trace.add(
             "thm_product_A",
@@ -200,7 +158,7 @@ def _product_case_rows(
             [q1, Q, q2],
             True,
         )
-        return "thm_product_A"
+        return "thm_product_A", None
     theorem = "thm_product_C"
     trace.add(theorem, *small_s_row(inst))
     trace.add(theorem, "m_le_q", "m <= q: {:.6g} <= {:.6g}", [inst.m, inst.q], inst.m <= inst.q)
@@ -218,7 +176,7 @@ def _product_case_rows(
             [sel.case_tag],
             sel.case_tag == "case3_convex",
         )
-        return theorem
+        return theorem, sel
     if position == "above":
         if th.Q3 is None:
             trace.add(theorem, "upper_window", "Q3 undefined at s=0", [], False)
@@ -230,12 +188,12 @@ def _product_case_rows(
                 [q2, Q, th.Q3],
                 Q < th.Q3,
             )
-        return theorem
+        return theorem, None
     # Q below Q1, so the lower-window row tests its lower bound only; it
     # needs the comparison ratio a.
     if th.a is None:
         trace.add(theorem, "lower_window", "comparison ratio a undefined (s=0 or p=q)", [], False)
-        return theorem
+        return theorem, None
     if th.a <= 1.0:
         lower = inst.N * ((1.0 - th.a) * th.Q1**2 + th.R) / (4.0 * (inst.q - 1.0))
         template = "a <= 1 branch: N((1-a)Q1^2+R)/(4(q-1)) < Q < Q1: {:.6g} < {:.6g} < {:.6g}"
@@ -243,7 +201,7 @@ def _product_case_rows(
         lower = inst.N * th.R / (4.0 * (inst.q - 1.0))
         template = "a > 1 branch: NR/(4(q-1)) < Q < Q1: {:.6g} < {:.6g} < {:.6g}"
     trace.add(theorem, "lower_window", template, [lower, Q, q1], lower < Q)
-    return theorem
+    return theorem, None
 
 
 def _classify_product(
@@ -251,11 +209,11 @@ def _classify_product(
 ) -> tuple[ProductThresholds, str | None, BSelection | None, ExponentBundle | None]:
     th = product_thresholds(inst)
     trace.extend(PRODUCT_SHARED, product_shared_rows(inst, th))
-    case_theorem = _product_case_rows(inst, th, trace, optimal_search)
+    case_theorem, window_selection = _product_case_rows(inst, th, trace, optimal_search)
     _ishii_lions_rows(inst, trace)
     selection = bundle = None
     if case_theorem is not None and trace.all_pass(case_theorem):
-        selection = select_b_product(inst)
+        selection = window_selection or select_b_product(inst)
         trace.add(
             case_theorem,
             "selection_feasible",

@@ -239,16 +239,9 @@ def _cmd_solve_radial(args, params):
     for required in ("r0", "r1", "u0", "u1"):
         if required not in settings:
             raise CliError(f"solve-radial requires {required}")
-    prob = RadialProblem(
-        inst=inst,
-        r0=settings["r0"],
-        r1=settings["r1"],
-        u_at_r0=settings["u0"],
-        u_at_r1=settings["u1"],
-        mesh_n=int(settings.get("mesh_n", 256)),
-        reg_eps=settings.get("reg_eps", 1e-8),
-        log_transform=bool(settings.get("log_transform", False)),
-    )
+    # Settings not given keep RadialProblem's defaults.
+    renamed = {"u0": "u_at_r0", "u1": "u_at_r1"}
+    prob = RadialProblem(inst=inst, **{renamed.get(k, k): v for k, v in settings.items()})
     sol = solve_radial(prob, tol=args.newton_tol)
     radial = {k: settings[k] for k in sorted(settings)}
     # No r or du: readers rebuild both from r0, r1 and u (_row_solution).

@@ -9,6 +9,7 @@ u0, u1, mesh_n, reg_eps, log_transform.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .instance import KINDS, ProblemInstance
@@ -84,8 +85,9 @@ def expand_instances(params: dict[str, list[str]]) -> list[ProblemInstance]:
         raise ParamError("grid", f"{count:,} instances exceed the limit of {MAX_INSTANCES:,}")
 
     out: list[ProblemInstance] = []
-
-    def build(values: dict[str, str]):
+    keys = [key for key, _ in grids]
+    for combo in itertools.product(*(tokens for _, tokens in grids)):
+        values = dict(zip(keys, combo))
         for key, target in ties.items():
             values[key] = values[target]
         kwargs = {"kind": values["kind"]}
@@ -101,17 +103,6 @@ def expand_instances(params: dict[str, list[str]]) -> list[ProblemInstance]:
             out.append(ProblemInstance(**kwargs))
         except ValueError as exc:
             raise ParamError("instance", str(exc)) from None
-
-    def recurse(level: int, acc: dict[str, str]):
-        if level == len(grids):
-            build(dict(acc))
-            return
-        key, tokens = grids[level]
-        for token in tokens:
-            acc[key] = token
-            recurse(level + 1, acc)
-
-    recurse(0, {})
     return out
 
 

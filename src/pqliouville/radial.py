@@ -22,7 +22,6 @@ import numpy as np
 
 from .classify import RegimeDecision, estimate_rate
 from .errors import AdmissibilityError
-from .identities import IdentityReport
 from .instance import ProblemInstance
 
 NEWTON_TOL = 1e-10
@@ -408,11 +407,11 @@ def fit_blowup_exponent(profile: np.ndarray, window: tuple[float, float]) -> Blo
     )
 
 
-def estimate_consistency(sol: RadialSolution, decision: RegimeDecision) -> IdentityReport:
+def estimate_consistency(sol: RadialSolution, decision: RegimeDecision) -> float:
     """Smallest C with |grad| <= C (1 + d^(-rate)) over the solved profile.
 
-    The bound is an existence-of-C statement, so the report always
-    passes; C is recorded in `constant` for cross-run monitoring.  For
+    The bound is an existence-of-C statement, so there is nothing to
+    pass or fail: C is returned for cross-run monitoring.  For
     power-target regimes the profile is transformed to |d(u^(1/b))/dr|.
     """
     rate, target = estimate_rate(decision)
@@ -427,14 +426,7 @@ def estimate_consistency(sol: RadialSolution, decision: RegimeDecision) -> Ident
         if np.any(u_face <= 0.0):
             raise AdmissibilityError("power-target consistency requires positive u")
         g = (1.0 / b) * u_face ** (1.0 / b - 1.0) * g
-    c = float(np.max(g / (1.0 + d ** (-rate))))
-    return IdentityReport(
-        max_abs_error=0.0,
-        rel_error=0.0,
-        passed=True,
-        tolerance_used=0.0,
-        constant=c,
-    )
+    return float(np.max(g / (1.0 + d ** (-rate))))
 
 
 def manufactured_source(n_dim: int, p: float, q: float, du_fn, d2u_fn) -> Callable:

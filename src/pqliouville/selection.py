@@ -20,6 +20,7 @@ beta2 > 0 conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AdmissibilityError
 from .exponents import (
@@ -38,24 +39,35 @@ from .trinomial import product_trinomial, sum_leading_coefficient
 DOUBLING_CAP = 2.0**60
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class TheoremCondition(NamedTuple):
+    """One hypothesis row: `template.format(*values)` is its rendering.
+
+    classify files its rows under the theorem they belong to, a selection
+    trace under "selection".  Classify reports store the values and an
+    index into their `condition_templates` table; selection traces store
+    the rendering.
+    """
+
+    theorem: str
     label: str
-    rendering: str
+    template: str
+    values: list
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {"label": self.label, "rendering": self.rendering, "passed": self.passed}
+    @property
+    def rendering(self) -> str:
+        return self.template.format(*self.values)
 
 
 @dataclass(frozen=True)
 class BSelection:
+    """Selected (t*, b*, kappa) with its trace; selection works at epsilon = 0."""
+
     case_tag: str
     t_star: float | None
     b_star: float | None
     kappa: float | None
-    epsilon_used: float
-    trace: tuple[ConditionCheck, ...]
+    trace: tuple[TheoremCondition, ...]
 
     @property
     def feasible(self) -> bool:
@@ -67,24 +79,18 @@ class BSelection:
             "t_star": self.t_star,
             "b_star": self.b_star,
             "kappa": self.kappa,
-            "epsilon_used": self.epsilon_used,
-            "trace": [c.as_dict() for c in self.trace],
+            "epsilon_used": 0.0,
+            "trace": [{"label": c.label, "rendering": c.rendering, "passed": c.passed}
+                      for c in self.trace],
         }
 
 
-def _check(label: str, rendering: str, passed: bool) -> ConditionCheck:
-    return ConditionCheck(label=label, rendering=rendering, passed=bool(passed))
+def _check(label: str, template: str, values: list, passed) -> TheoremCondition:
+    return TheoremCondition("selection", label, template, values, bool(passed))
 
 
-def _infeasible(trace: list[ConditionCheck]) -> BSelection:
-    return BSelection(
-        case_tag="infeasible",
-        t_star=None,
-        b_star=None,
-        kappa=None,
-        epsilon_used=0.0,
-        trace=tuple(trace),
-    )
+def _infeasible(trace: list[TheoremCondition]) -> BSelection:
+    return BSelection("infeasible", None, None, None, tuple(trace))
 
 
 def small_s_threshold(inst: ProblemInstance) -> float:
@@ -92,15 +98,9 @@ def small_s_threshold(inst: ProblemInstance) -> float:
     return (inst.q - 1.0) / (inst.p - 1.0 + inst.N * (inst.p - inst.q) / 2.0)
 
 
-# Hypothesis rows are plain (label, template, values, passed) tuples in
-# report order: classify keeps them as TheoremCondition, selection formats
-# them into ConditionCheck.
+# Hypothesis rows shared with classify are plain (label, template, values,
+# passed) tuples in report order; each caller files them under its theorem.
 Row = tuple[str, str, list, bool]
-
-
-def _row_check(row: Row) -> ConditionCheck:
-    label, template, values, passed = row
-    return _check(label, template.format(*values), passed)
 
 
 def small_s_row(inst: ProblemInstance) -> Row:
@@ -170,23 +170,20 @@ def window_position(th: ProductThresholds) -> str:
     return "above" if Q > q2 else "below"
 
 
-def _doubling_search(inst: ProblemInstance, coeffs, floor: float, trace: list[ConditionCheck]):
+def _doubling_search(inst: ProblemInstance, coeffs, floor: float, trace: list[TheoremCondition]):
     """First t in {1, 2, 4, ...} with L(t) <= -1, b above the floor and gamma > 0."""
     t = 1.0
     while t <= DOUBLING_CAP:
         value = coeffs.value(t)
         b = b_from_t(inst, t)
         if value <= -1.0 and b > floor and b > 0.0 and gamma_exponent(inst, b) > 0.0:
-            trace.append(
-                _check(
-                    "doubling_accept",
-                    f"t={t:.6g}: L(t)={value:.6g} <= -1, b={b:.6g}, gamma={gamma_exponent(inst, b):.6g} > 0",
-                    True,
-                )
-            )
+            trace.append(_check(
+                "doubling_accept", "t={:.6g}: L(t)={:.6g} <= -1, b={:.6g}, gamma={:.6g} > 0",
+                [t, value, b, gamma_exponent(inst, b)], True,
+            ))
             return t, b
         t *= 2.0
-    trace.append(_check("doubling_accept", "no t <= 2^60 met L(t) <= -1 with gamma > 0", False))
+    trace.append(_check("doubling_accept", "no t <= 2^60 met L(t) <= -1 with gamma > 0", [], False))
     return None
 
 
@@ -201,7 +198,7 @@ def select_b_product(inst: ProblemInstance) -> BSelection:
     if inst.kind != "product":
         raise AdmissibilityError("b-selection requires kind='product'")
     th = product_thresholds(inst)
-    trace = [_row_check(row) for row in product_shared_rows(inst, th)]
+    trace = [_check(*row) for row in product_shared_rows(inst, th)]
     if not all(c.passed for c in trace):
         return _infeasible(trace)
     coeffs = product_trinomial(inst, epsilon=0.0)
@@ -210,70 +207,67 @@ def select_b_product(inst: ProblemInstance) -> BSelection:
     position = window_position(th)
 
     if position == "boundary":
-        trace.append(_check("case", f"Q on window boundary: Q={Q:.6g}", True))
-        side = _row_check(small_s_row(inst))
+        trace.append(_check("case", "Q on window boundary: Q={:.6g}", [Q], True))
+        side = _check(*small_s_row(inst))
         trace.append(side)
         if not side.passed:
             return _infeasible(trace)
-        trace.append(_check("L2_negative", f"L2 = {coeffs.L2:.6g} < 0", coeffs.L2 < 0.0))
+        trace.append(_check("L2_negative", "L2 = {:.6g} < 0", [coeffs.L2], coeffs.L2 < 0.0))
         if not coeffs.L2 < 0.0:
             return _infeasible(trace)
         found = _doubling_search(inst, coeffs, floor, trace)
         if found is None:
             return _infeasible(trace)
         t, b = found
-        return BSelection("case2_L1zero", t, b, 1.0, 0.0, tuple(trace))
+        return BSelection("case2_L1zero", t, b, 1.0, tuple(trace))
 
     if position == "inside":
-        trace.append(_check("case", f"Q1 < Q < Q2: {q1:.6g} < {Q:.6g} < {q2:.6g}", True))
-        trace.append(_check("L1_negative", f"L1 = {coeffs.L1:.6g} < 0", coeffs.L1 < 0.0))
+        trace.append(_check("case", "Q1 < Q < Q2: {:.6g} < {:.6g} < {:.6g}", [q1, Q, q2], True))
+        trace.append(_check("L1_negative", "L1 = {:.6g} < 0", [coeffs.L1], coeffs.L1 < 0.0))
         found = _doubling_search(inst, coeffs, floor, trace)
         if found is None:
             return _infeasible(trace)
         t, b = found
-        return BSelection("case1_L1neg", t, b, 1.0, 0.0, tuple(trace))
+        return BSelection("case1_L1neg", t, b, 1.0, tuple(trace))
 
     # Q outside [Q1, Q2]: strictly convex quadratic.
-    trace.append(_check("case", f"Q outside [Q1, Q2]: Q={Q:.6g}", True))
-    trace.append(_check("L1_positive", f"L1 = {coeffs.L1:.6g} > 0", coeffs.L1 > 0.0))
+    trace.append(_check("case", "Q outside [Q1, Q2]: Q={:.6g}", [Q], True))
+    trace.append(_check("L1_positive", "L1 = {:.6g} > 0", [coeffs.L1], coeffs.L1 > 0.0))
     if not coeffs.L1 > 0.0:
         return _infeasible(trace)
-    trace.append(
-        _check(
-            "L2_negative",
-            f"L2 = {coeffs.L2:.6g} < 0 (equivalent to s < {small_s_threshold(inst):.6g})",
-            coeffs.L2 < 0.0,
-        )
-    )
+    trace.append(_check(
+        "L2_negative", "L2 = {:.6g} < 0 (equivalent to s < {:.6g})",
+        [coeffs.L2, small_s_threshold(inst)], coeffs.L2 < 0.0,
+    ))
     if not coeffs.L2 < 0.0:
         return _infeasible(trace)
     disc_ok = 4.0 * coeffs.L1 * coeffs.L3 < coeffs.L2 * coeffs.L2
-    trace.append(
-        _check(
-            "vertex_discriminant",
-            f"4 L1 L3 < L2^2: {4.0 * coeffs.L1 * coeffs.L3:.6g} < {coeffs.L2**2:.6g}",
-            disc_ok,
-        )
-    )
+    trace.append(_check(
+        "vertex_discriminant", "4 L1 L3 < L2^2: {:.6g} < {:.6g}",
+        [4.0 * coeffs.L1 * coeffs.L3, coeffs.L2**2], disc_ok,
+    ))
     if not disc_ok:
         return _infeasible(trace)
     t_star = -coeffs.L2 / (2.0 * coeffs.L1)
     kappa = -coeffs.value(t_star)
     b_star = b_from_t(inst, t_star)
-    trace.append(_check("b_floor", f"b* = {b_star:.6g} > {floor:.6g}", b_star > floor))
+    trace.append(_check("b_floor", "b* = {:.6g} > {:.6g}", [b_star, floor], b_star > floor))
     if not b_star > floor:
         return _infeasible(trace)
     gamma = gamma_exponent(inst, b_star)
-    branch = (
-        f"b* <= 1: gamma = min(1, beta1) with beta1({b_star:.6g}) = {beta1(inst, b_star):.6g}"
-        if b_star <= 1.0
-        else f"b* > 1: gamma = min(1, beta2) with beta2({b_star:.6g}) = {beta2(inst, b_star):.6g}"
-        " (beta1 increasing in b for m <= q; beta2 monotone via its Moebius form)"
-    )
-    trace.append(_check("gamma_positive", f"gamma = {gamma:.6g} > 0; {branch}", gamma > 0.0))
+    if b_star <= 1.0:
+        template = "gamma = {:.6g} > 0; b* <= 1: gamma = min(1, beta1) with beta1({:.6g}) = {:.6g}"
+        branch_value = beta1(inst, b_star)
+    else:
+        template = (
+            "gamma = {:.6g} > 0; b* > 1: gamma = min(1, beta2) with beta2({:.6g}) = {:.6g}"
+            " (beta1 increasing in b for m <= q; beta2 monotone via its Moebius form)"
+        )
+        branch_value = beta2(inst, b_star)
+    trace.append(_check("gamma_positive", template, [gamma, b_star, branch_value], gamma > 0.0))
     if not gamma > 0.0:
         return _infeasible(trace)
-    return BSelection("case3_convex", t_star, b_star, kappa, 0.0, tuple(trace))
+    return BSelection("case3_convex", t_star, b_star, kappa, tuple(trace))
 
 
 def sum_selection(inst: ProblemInstance) -> BSelection:
@@ -290,11 +284,12 @@ def sum_selection(inst: ProblemInstance) -> BSelection:
     rows = sum_liouville_rows(inst, th)
     if not (th.gap_ok and th.delta_pq > 0.0):
         rows = rows[:2]  # the s-window and what follows are not reported
-    trace = [_row_check(row) for row in rows]
+    trace = [_check(*row) for row in rows]
     if not all(c.passed for c in trace):
         return _infeasible(trace)
     lead = sum_leading_coefficient(inst)
-    trace.append(_check("leading_coefficient", f"leading tau^2 coefficient = {lead:.6g} < 0", lead < 0.0))
+    trace.append(_check("leading_coefficient", "leading tau^2 coefficient = {:.6g} < 0", [lead],
+                        lead < 0.0))
     if not lead < 0.0:
         return _infeasible(trace)
     tau = 1.0
@@ -303,14 +298,9 @@ def sum_selection(inst: ProblemInstance) -> BSelection:
             b = (tau - q + 1.0) / (s - q + 1.0)
             bvalue = sum_beta2(inst, b)
             if b > 1.0 and bvalue > 0.0:
-                trace.append(
-                    _check(
-                        "tau_accept",
-                        f"tau={tau:.6g}: b={b:.6g} > 1, beta2={bvalue:.6g} > 0",
-                        True,
-                    )
-                )
-                return BSelection("sum_large_tau", tau, b, 1.0, 0.0, tuple(trace))
+                trace.append(_check("tau_accept", "tau={:.6g}: b={:.6g} > 1, beta2={:.6g} > 0",
+                                    [tau, b, bvalue], True))
+                return BSelection("sum_large_tau", tau, b, 1.0, tuple(trace))
         tau *= 2.0
-    trace.append(_check("tau_accept", "no tau <= 2^60 gave b > 1 with beta2 > 0", False))
+    trace.append(_check("tau_accept", "no tau <= 2^60 gave b > 1 with beta2 > 0", [], False))
     return _infeasible(trace)

@@ -50,6 +50,9 @@ class ProductThresholds:
             )
         return value
 
+    def as_dict(self) -> dict:
+        return dict(vars(self))  # the fields, by name
+
 
 def product_thresholds(inst: ProblemInstance) -> ProductThresholds:
     """Evaluate every product-regime threshold for the instance.
@@ -104,6 +107,9 @@ class SumThresholds:
                 f"threshold {name} undefined: delta_pq is not positive"
             )
         return value
+
+    def as_dict(self) -> dict:
+        return dict(vars(self))  # the fields, by name
 
 
 def sum_thresholds(inst: ProblemInstance) -> SumThresholds:

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,10 @@ from pqliouville import (
     select_b_product,
     sum_selection,
 )
+from pqliouville.params import expand_instances, parse_params
 from oracles import sample_admissible_product, sample_theorem14_instance
+
+PRODUCT_GRID = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "product_grid.par"
 
 
 def product(**kw):
@@ -263,3 +268,25 @@ class TestSelectionAgreement:
             assert rows == _rows(selection.trace[:5])
         else:
             assert rows[:2] == _rows(selection.trace)
+
+
+def test_optimal_search_selects_once_per_instance(monkeypatch):
+    """The window_numeric row's selection is the one a passing theorem C keeps."""
+    module = sys.modules["pqliouville.classify"]  # pqliouville.classify is the function
+    calls = []
+
+    def counted(inst):
+        calls.append(inst)
+        return select_b_product(inst)
+
+    monkeypatch.setattr(module, "select_b_product", counted)
+    reused = 0
+    for inst in expand_instances(parse_params(PRODUCT_GRID.read_text())):
+        calls.clear()
+        decision = classify(inst, optimal_search=True)
+        assert calls in ([], [inst])
+        labels = {c.label for c in decision.conditions_for("thm_product_C")}
+        if {"window_numeric", "selection_feasible"} <= labels:
+            reused += 1
+            assert decision.selection == select_b_product(inst)
+    assert reused > 0

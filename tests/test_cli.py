@@ -335,6 +335,16 @@ SCHEMA_3_RESULTS = {
     "sum_grid.par": "4bda10efd6f9c5a4982f3727921aa5b41fc606ba9edaa5686c710a3dab0b1be3",
 }
 
+# SHA-256 of the compact sorted JSON of report["results"] for commands whose
+# rows carry selection traces, pinned while selection still formatted its
+# trace rows as it built them: together they reach every selection case.
+PINNED_RESULTS = {
+    "search-b product_grid.par": "f3a43e1ed2814cb8a883538b6fb1ed28deb02ada08ad87c31e0e75149803e656",
+    "search-b sum_grid.par": "f74c1fff582ba6c0a0d5122e1ae89573ed3594ce38d1353e024978119651b090",
+    "sweep --optimal-search product_grid.par":
+        "519891f57648c6fff8483be8279259dfbf97451ba302143f87316c7daaa77ca5",
+}
+
 
 def plot_in_fresh_process(report: Path) -> str:
     """plot-data gradient_profile in a new interpreter, where nothing is bound yet."""
@@ -359,6 +369,16 @@ class TestReportSchema:
                    for row in report["results"] for c in row["conditions"])
         text = json.dumps(expand_conditions(report), sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == SCHEMA_3_RESULTS[grid]
+
+    @pytest.mark.parametrize("key", sorted(PINNED_RESULTS))
+    def test_selection_traces_keep_their_bytes(self, key, tmp_path):
+        *command, grid = key.split()
+        out = tmp_path / "report.json"
+        assert run([*command, "--params", str(PRODUCT_GRID.with_name(grid)),
+                    "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        text = json.dumps(results, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_RESULTS[key]
 
     def test_negative_infinity_survives_the_report(self, capsys):
         assert run(["classify", "--kind", "sum", "--N", "2", "--p", "1.3", "--q", "1.3",

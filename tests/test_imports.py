@@ -1,5 +1,6 @@
 """Import footprint per command, the lazy public API and the CLI patch points."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,6 +18,8 @@ PRODUCT = ["--kind", "product", "--N", "2", "--p", "2.2", "--q", "2", "--s", "0.
 DEGENERATE = ["--kind", "product", "--N", "2", "--p", "2", "--q", "2", "--s", "0.1", "--m", "0.5"]
 SUM = ["--kind", "sum", "--N", "2", "--p", "2", "--q", "1.9", "--s", "1.5", "--m", "0.5",
        "--M", "1"]
+RADIAL = ["solve-radial", "--kind", "hamilton_jacobi", "--N", "2", "--p", "3", "--q", "2",
+          "--m", "2.5", "--r0", "1", "--r1", "2", "--u0", "-64", "--u1", "0", "--mesh-n", "64"]
 HEAVY = ("numpy", "scipy")
 
 
@@ -29,14 +32,14 @@ def fresh(code: str):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def loaded_by(code: str) -> list[str]:
-    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+def loaded_by(code: str, modules=HEAVY) -> list[str]:
+    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {modules!r} if m in sys.modules]))"
     return fresh(probe)
 
 
-def loaded_by_cli(argv: list[str], tmp_path) -> list[str]:
+def loaded_by_cli(argv: list[str], tmp_path, modules=HEAVY) -> list[str]:
     argv = [*argv, "--out", str(tmp_path / "report.json")]
-    return loaded_by(f"import pqliouville.cli\nassert pqliouville.cli.main({argv!r}) == 0")
+    return loaded_by(f"import pqliouville.cli\nassert pqliouville.cli.main({argv!r}) == 0", modules)
 
 
 def test_package_import_skips_numpy_and_scipy():
@@ -60,6 +63,11 @@ def test_closed_form_commands_skip_numpy_and_scipy(argv, tmp_path):
 
 def test_product_search_b_loads_numpy_only(tmp_path):
     assert loaded_by_cli(["search-b", *PRODUCT], tmp_path) == ["numpy"]
+
+
+def test_solve_radial_skips_the_identity_checks(tmp_path):
+    modules = ("pqliouville.identities", "pqliouville.operators", "pqliouville.fields")
+    assert loaded_by_cli([*RADIAL, "--fit"], tmp_path, modules) == []
 
 
 def test_public_names_resolve_in_a_fresh_interpreter():
@@ -108,11 +116,7 @@ def spy(monkeypatch, name: str) -> list:
 
 def test_patched_solve_radial_gets_the_call(monkeypatch, tmp_path):
     calls = spy(monkeypatch, "solve_radial")
-    assert cli.main([
-        "solve-radial", "--kind", "hamilton_jacobi", "--N", "2", "--p", "3", "--q", "2",
-        "--m", "2.5", "--r0", "1", "--r1", "2", "--u0", "-64", "--u1", "0", "--mesh-n", "64",
-        "--out", str(tmp_path / "radial.json"),
-    ]) == 0
+    assert cli.main([*RADIAL, "--out", str(tmp_path / "radial.json")]) == 0
     assert calls == ["solve_radial"]
 
 
@@ -121,3 +125,23 @@ def test_patched_bochner_check_gets_the_calls(monkeypatch, tmp_path):
     assert cli.main(["verify-identities", "--resolution", "5",
                      "--out", str(tmp_path / "identities.json")]) == 0
     assert calls == ["bochner_check"] * 3
+
+
+def layer_calls() -> tuple:
+    """The benchmark's table of patch points (bench/tracing.py is stdlib-only)."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYER_CALLS
+
+
+@pytest.mark.parametrize("target, attr", [(t, a) for t, a, *_ in layer_calls()])
+def test_benchmark_patch_points_resolve(target, attr):
+    """Each name the traced benchmark wraps exists where it looks: a module
+    attribute, or a method defined on the class itself (it reads __dict__)."""
+    module_name, _, class_name = target.partition(":")
+    owner = importlib.import_module(module_name)
+    if class_name:
+        assert callable(vars(getattr(owner, class_name)).get(attr))
+    else:
+        assert callable(getattr(owner, attr))

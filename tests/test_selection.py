@@ -4,6 +4,7 @@ import pytest
 from pqliouville import (
     AdmissibilityError,
     ProblemInstance,
+    TheoremCondition,
     TrinomialCoeffs,
     beta2,
     product_trinomial,
@@ -27,6 +28,9 @@ class TestProductSelection:
         assert beta2(EXAMPLE, sel.b_star) > 0.0
         co = product_trinomial(EXAMPLE, 0.0)
         assert co.value(sel.t_star) <= -1.0
+        # trace rows are the classify row type, filed under "selection"
+        assert all(isinstance(c, TheoremCondition) and c.theorem == "selection"
+                   for c in sel.trace)
 
     def test_boundary_case2_exact_equality(self):
         # p=q, N=2: Q2 = 4(q-1)/N = 2 and m+s-q+1 hits it exactly in floats
