@@ -10,7 +10,6 @@ boundedness).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import AdmissibilityError
@@ -52,8 +51,7 @@ def _owners(theorem: str) -> set[str]:
     return {theorem}
 
 
-@dataclass(frozen=True)
-class RegimeDecision:
+class RegimeDecision(NamedTuple):
     inst: ProblemInstance
     theorem: str
     matches: tuple[str, ...]

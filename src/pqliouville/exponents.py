@@ -8,7 +8,7 @@ feed the final gradient-bound exponent gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AdmissibilityError
 from .instance import ProblemInstance
@@ -97,8 +97,7 @@ def theta_exponent(inst: ProblemInstance, b: float) -> float | None:
     return _theta(b, inst.p - inst.q if b > 1.0 else 0.0, t_from_b(inst, b))
 
 
-@dataclass(frozen=True)
-class ExponentBundle:
+class ExponentBundle(NamedTuple):
     b: float
     t: float
     beta1: float
@@ -107,14 +106,7 @@ class ExponentBundle:
     theta: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "t": self.t,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "gamma": self.gamma,
-            "theta": self.theta,
-        }
+        return self._asdict()
 
 
 def exponent_bundle(inst: ProblemInstance, b: float) -> ExponentBundle:

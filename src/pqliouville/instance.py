@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 KINDS = ("hamilton_jacobi", "product", "sum")
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class _ProblemFields(NamedTuple):
+    N: int
+    p: float
+    q: float
+    kind: str
+    s: float = 0.0
+    m: float = 0.0
+    M: float = 0.0
+
+
+class ProblemInstance(_ProblemFields):
     """One equation -Delta_p u - Delta_q u = f(u, grad u) on a domain in R^N.
 
     The reaction kind selects f:
@@ -19,32 +29,30 @@ class ProblemInstance:
     sum                 f = u^s + M |grad u|^m
     ==================  ==========================
 
-    Requires p >= q > 1 and N >= 2.  q = p is admitted as the
-    single-operator reduction mode.  For the Hamilton-Jacobi kind the
-    fields s and M are ignored and normalised to 0.
+    Requires p >= q > 1, an integer N >= 2 and finite N, p, q, s, m and
+    M.  q = p is admitted as the single-operator reduction mode.  For the
+    Hamilton-Jacobi kind the fields s and M are ignored and normalised
+    to 0.  The constructor validates; `_replace` and `_make` build the
+    tuple directly and skip validation.
     """
 
-    N: int
-    p: float
-    q: float
-    kind: str
-    s: float = 0.0
-    m: float = 0.0
-    M: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.N != int(self.N) or int(self.N) < 2:
+    def __new__(cls, *args, **kwargs):
+        N, p, q, kind, s, m, M = super().__new__(cls, *args, **kwargs)
+        if kind not in KINDS:
+            raise ValueError(f"unknown nonlinearity kind {kind!r}")
+        if not all(map(math.isfinite, (N, p, q, s, m, M))):
+            raise ValueError("N, p, q, s, m and M must be finite")
+        if N != int(N) or N < 2:
             raise ValueError("N must be an integer >= 2")
-        object.__setattr__(self, "N", int(self.N))
-        if not (1.0 < self.q <= self.p):
+        if not (1.0 < q <= p):
             raise ValueError("exponents must satisfy p >= q > 1")
-        if self.s < 0 or self.m < 0 or self.M < 0:
+        if s < 0 or m < 0 or M < 0:
             raise ValueError("s, m and M must be nonnegative")
-        if self.kind == "hamilton_jacobi":
-            object.__setattr__(self, "s", 0.0)
-            object.__setattr__(self, "M", 0.0)
+        if kind == "hamilton_jacobi":
+            s = M = 0.0
+        return super().__new__(cls, int(N), p, q, kind, s, m, M)
 
     @property
     def combined_exponent(self) -> float:
@@ -52,12 +60,4 @@ class ProblemInstance:
         return self.m + self.s - self.q + 1.0
 
     def as_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "p": self.p,
-            "q": self.q,
-            "kind": self.kind,
-            "s": self.s,
-            "m": self.m,
-            "M": self.M,
-        }
+        return self._asdict()

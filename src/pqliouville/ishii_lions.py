@@ -14,13 +14,12 @@ give an explicit alpha interval per gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AdmissibilityError
 
 
-@dataclass(frozen=True)
-class ILWindow:
+class ILWindow(NamedTuple):
     feasible: bool
     gamma_lo: float | None
     gamma_hi: float | None

@@ -17,6 +17,7 @@ from .instance import KINDS, ProblemInstance
 INSTANCE_KEYS = ("kind", "N", "p", "q", "s", "m", "M")
 RADIAL_KEYS = ("r0", "r1", "u0", "u1", "mesh_n", "reg_eps", "log_transform")
 MAX_INSTANCES = 1_000_000
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class ParamError(ValueError):
@@ -94,8 +95,6 @@ def expand_instances(params: dict[str, list[str]]) -> list[ProblemInstance]:
         for key in ("N", "p", "q", "s", "m", "M"):
             if key in values:
                 kwargs[key] = _float(key, values[key])
-        if "N" in kwargs:
-            kwargs["N"] = int(kwargs["N"])
         for required in ("N", "p", "q"):
             if required not in kwargs:
                 raise ParamError(required, "missing")
@@ -116,9 +115,15 @@ def radial_settings(params: dict[str, list[str]]) -> dict:
         if len(tokens) != 1:
             raise ParamError(key, "radial settings must be scalars")
         if key == "mesh_n":
-            out[key] = int(_float(key, tokens[0]))
+            value = _float(key, tokens[0])
+            if not value.is_integer():
+                raise ParamError(key, f"not an integer: {tokens[0]!r}")
+            out[key] = int(value)
         elif key == "log_transform":
-            out[key] = tokens[0].lower() in ("1", "true", "yes")
+            flag = tokens[0].lower()
+            if flag not in _SWITCH_VALUES:
+                raise ParamError(key, f"expected 1/true/yes or 0/false/no, got {tokens[0]!r}")
+            out[key] = _SWITCH_VALUES[flag]
         else:
             out[key] = _float(key, tokens[0])
     return out

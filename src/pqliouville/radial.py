@@ -44,6 +44,8 @@ class RadialProblem:
     log_transform: bool = False
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r0, self.r1, self.u_at_r0, self.u_at_r1))):
+            raise AdmissibilityError("r0, r1, u0 and u1 must be finite")
         if not 0.0 < self.r0 < self.r1:
             raise AdmissibilityError("annulus requires 0 < r0 < r1")
         if self.mesh_n < 64:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from typing import NamedTuple
 
 # Schema 3: no stored array that other stored fields determine (plot-data
 # rebuilds the solve-radial mesh and gradient profile and the search-b
@@ -63,13 +64,12 @@ def expand_conditions(report: dict) -> list:
     return rows
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     tool_version: str
     config_echo: dict
     results: list
-    timing: list = field(default_factory=list)
-    condition_templates: list = field(default_factory=list)
+    timing: Sequence[dict] = ()
+    condition_templates: Sequence[list] = ()
 
     def as_dict(self, include_timing: bool = False) -> dict:
         out = {

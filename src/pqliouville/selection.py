@@ -19,7 +19,6 @@ beta2 > 0 conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import AdmissibilityError
@@ -59,8 +58,7 @@ class TheoremCondition(NamedTuple):
         return self.template.format(*self.values)
 
 
-@dataclass(frozen=True)
-class BSelection:
+class BSelection(NamedTuple):
     """Selected (t*, b*, kappa) with its trace; selection works at epsilon = 0."""
 
     case_tag: str

@@ -9,7 +9,7 @@ as absent values (None), never as sentinel numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AdmissibilityError, UndefinedThresholdError
 from .instance import ProblemInstance
@@ -20,8 +20,7 @@ def operator_gap(N: int, p: float, q: float) -> float:
     return (p - q) * (p - q + 4.0 * (p - 1.0) / N)
 
 
-@dataclass(frozen=True)
-class ProductThresholds:
+class ProductThresholds(NamedTuple):
     """Derived thresholds for the product reaction u^s |grad u|^m.
 
     Q is the combined exponent m+s-q+1.  When the discriminant condition
@@ -51,7 +50,7 @@ class ProductThresholds:
         return value
 
     def as_dict(self) -> dict:
-        return dict(vars(self))  # the fields, by name
+        return self._asdict()
 
 
 def product_thresholds(inst: ProblemInstance) -> ProductThresholds:
@@ -84,8 +83,7 @@ def product_thresholds(inst: ProblemInstance) -> ProductThresholds:
     return ProductThresholds(R=R, Q=Q, discriminant_ok=True, Q1=q1, Q2=q2, Q3=q3, a=a)
 
 
-@dataclass(frozen=True)
-class SumThresholds:
+class SumThresholds(NamedTuple):
     """Derived thresholds for the sum reaction u^s + M |grad u|^m.
 
     delta_pq = (N+2)^2 (q-1)^2 - N(N+4)(p-1)^2 - 4N(p-q)^2 must be
@@ -109,7 +107,7 @@ class SumThresholds:
         return value
 
     def as_dict(self) -> dict:
-        return dict(vars(self))  # the fields, by name
+        return self._asdict()
 
 
 def sum_thresholds(inst: ProblemInstance) -> SumThresholds:

@@ -9,7 +9,7 @@ default and epsilon-robustness is tested separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AdmissibilityError
 from .exponents import positive_combined_exponent
@@ -17,8 +17,7 @@ from .instance import ProblemInstance
 from .thresholds import operator_gap
 
 
-@dataclass(frozen=True)
-class TrinomialCoeffs:
+class TrinomialCoeffs(NamedTuple):
     """Coefficients of L(t) = L1 t^2 + L2 t + L3 (source: product or sum)."""
 
     L1: float
@@ -32,13 +31,7 @@ class TrinomialCoeffs:
         return (self.L1 * t + self.L2) * t + self.L3
 
     def as_dict(self) -> dict:
-        return {
-            "L1": self.L1,
-            "L2": self.L2,
-            "L3": self.L3,
-            "epsilon": self.epsilon,
-            "source": self.source,
-        }
+        return self._asdict()
 
 
 def product_trinomial(inst: ProblemInstance, epsilon: float = 0.0) -> TrinomialCoeffs:

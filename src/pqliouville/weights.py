@@ -12,11 +12,10 @@ bounds used to majorise the variable-coefficient quadratic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class AuxWeights:
+class AuxWeights(NamedTuple):
     A: float
     D: float
     E: float

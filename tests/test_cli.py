@@ -26,6 +26,27 @@ PRODUCT = ["--kind", "product", "--N", "2", "--p", "2.61", "--q", "2.24", "--s",
            "--m", "1.7"]
 RADIAL_SUM = ["--kind", "sum", "--N", "3", "--p", "2.5", "--q", "2", "--s", "1.5", "--m", "1",
               "--M", "1", "--r0", "1", "--r1", "2", "--u0", "1", "--u1", "2", "--mesh-n", "64"]
+HJ = ["--kind", "hamilton_jacobi", "--N", "2", "--p", "3", "--q", "2"]
+RADIAL_HJ = ["solve-radial", *HJ, "--m", "2.5", "--r0", "1", "--mesh-n", "64"]
+PRODUCT_FILE = "kind = product\np = 2.2\nq = 2\ns = 0.5\nm = 2\n"
+RADIAL_FILE = "kind = hamilton_jacobi\nN = 2\np = 3\nq = 2\nm = 2.5\nr0 = 1\nr1 = 2\nu0 = -64\nu1 = 0\n"
+# Non-finite and non-integral inputs: (argv, parameter file text or None).
+REFUSED = {
+    "s-nan": (["classify", "--kind", "product", "--N", "2", "--p", "2.2", "--q", "2",
+               "--s", "nan", "--m", "2"], None),
+    "p-inf": (["classify", "--kind", "product", "--N", "2", "--p", "inf", "--q", "2",
+               "--s", "0.5", "--m", "2"], None),
+    "hj-m-inf": (["classify", *HJ, "--m", "inf"], None),
+    "file-N-2.5": (["classify"], PRODUCT_FILE + "N = 2.5\n"),
+    "file-N-nan": (["classify"], PRODUCT_FILE + "N = nan\n"),
+    "file-N-inf": (["sweep"], PRODUCT_FILE + "N = inf\n"),
+    "file-mesh_n-100.7": (["solve-radial"], RADIAL_FILE + "mesh_n = 100.7\n"),
+    "file-log_transform-on": (["solve-radial"], RADIAL_FILE + "log_transform = on\n"),
+    "u0-inf": ([*RADIAL_HJ, "--r1", "2", "--u0", "inf", "--u1", "0"], None),
+    "u0-nan": ([*RADIAL_HJ, "--r1", "2", "--u0", "nan", "--u1", "0"], None),
+    "u1-nan": ([*RADIAL_HJ, "--r1", "2", "--u0", "-64", "--u1", "nan"], None),
+    "r1-inf": ([*RADIAL_HJ, "--r1", "inf", "--u0", "-64", "--u1", "0"], None),
+}
 
 
 def run(argv):
@@ -295,6 +316,18 @@ class TestCommands:
         ):
             assert run(argv) == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, params", REFUSED.values(), ids=list(REFUSED))
+    def test_nonfinite_and_nonintegral_inputs_exit_two(self, argv, params, tmp_path, capsys):
+        if params is not None:
+            par = tmp_path / "bad.par"
+            par.write_text(params)
+            argv = [*argv, "--params", str(par)]
+        out = tmp_path / "out.json"
+        assert run([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "table.csv"

@@ -1,6 +1,38 @@
 import pytest
 
-from pqliouville import ProblemInstance
+from pqliouville import (
+    ProblemInstance,
+    aux_weights,
+    classify,
+    il_parameter_window,
+    product_trinomial,
+    sum_thresholds,
+)
+from pqliouville.report import Report
+
+PRODUCT = ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=2.0)
+DECISION = classify(PRODUCT)
+RECORDS = (
+    PRODUCT,
+    DECISION.product,
+    sum_thresholds(ProblemInstance(N=2, p=2.0, q=1.9, kind="sum", s=1.5, m=0.5, M=1.0)),
+    DECISION.exponents,
+    product_trinomial(PRODUCT),
+    DECISION.selection,
+    DECISION,
+    il_parameter_window(2.0, 3.0),
+    aux_weights(2.0, 1.5, 0.5, 2.2, 2.0, 2),
+    Report("0", {}, []),
+)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_records_are_immutable(record):
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.unlisted = None
 
 
 class TestValidation:
