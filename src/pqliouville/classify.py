@@ -75,21 +75,36 @@ class RegimeDecision(NamedTuple):
         `templates` (a `report.ConditionTemplates`) maps (theorem, label,
         template) to its index in the report's `condition_templates` table
         and appends keys it has not seen, so one index serves a whole report.
+        The row leaves out `instance` (the report's echoed parameter map
+        gives it back), every None field and an empty `matches`;
+        `report.load` puts them back.
         """
-        return {
-            "instance": self.inst.as_dict(),
+        row = {
             "theorem": self.theorem,
-            "matches": list(self.matches),
             "conditions": [[templates[theorem, label, template], passed, values]
                            for theorem, label, template, values, passed in self.conditions],
             "liouville": self.liouville,
-            "estimate_exponent": self.estimate_exponent,
-            "estimate_target": self.estimate_target,
-            "exponents": self.exponents.as_dict() if self.exponents else None,
-            "product_thresholds": self.product.as_dict() if self.product else None,
-            "sum_thresholds": self.sums.as_dict() if self.sums else None,
-            "selection": self.selection.as_dict() if self.selection else None,
         }
+        if self.matches:
+            row["matches"] = list(self.matches)
+        if self.estimate_exponent is not None:
+            row["estimate_exponent"] = self.estimate_exponent
+        if self.estimate_target is not None:
+            row["estimate_target"] = self.estimate_target
+        if self.exponents:
+            row["exponents"] = self.exponents.as_dict()
+        if self.product:
+            row["product_thresholds"] = self.product.as_dict()
+        if self.sums:
+            row["sum_thresholds"] = self.sums.as_dict()
+        if self.selection:
+            row["selection"] = self.selection.as_dict()
+        return row
+
+
+# The report row key of each RegimeDecision field whose key is not its name;
+# report.load refills a row's left-out keys from RegimeDecision._fields.
+ROW_KEYS = {"inst": "instance", "product": "product_thresholds", "sums": "sum_thresholds"}
 
 
 class _Trace:

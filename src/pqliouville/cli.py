@@ -21,8 +21,8 @@ from .classify import classify
 from .errors import AdmissibilityError
 from .instance import KINDS, ProblemInstance
 from .ishii_lions import il_parameter_window
-from .params import ParamError, expand_instances, parse_params, radial_settings
-from .report import ConditionTemplates, Report, atomic_write_text
+from .params import INSTANCE_KEYS, ParamError, expand_instances, parse_params, radial_settings
+from .report import ConditionTemplates, Report, atomic_write_text, load
 from .selection import select_b_product, sum_selection
 from .trinomial import TrinomialCoeffs, oracle_curve, product_trinomial, verify_negativity
 
@@ -65,16 +65,21 @@ def _load_params(args) -> dict[str, list[str]]:
     return {}
 
 
-def _instances(args, params: dict[str, list[str]]) -> list[ProblemInstance]:
-    """Expand the parameter-file map, with inline flags overriding its keys."""
+def _merged_params(args, params: dict[str, list[str]]) -> dict[str, list[str]]:
+    """The parameter-file map with the inline instance flags overriding its keys."""
     merged = dict(params)
-    for key in ("kind", "N", "p", "q", "s", "m", "M"):
+    for key in INSTANCE_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = [str(value)]
     if not merged:
         raise CliError("no instance parameters given (use --params or inline flags)")
-    return expand_instances(merged)
+    return merged
+
+
+def _instances(args, params: dict[str, list[str]]) -> list[ProblemInstance]:
+    """Expand the parameter-file map, with inline flags overriding its keys."""
+    return expand_instances(_merged_params(args, params))
 
 
 def _int_at_least(minimum: int):
@@ -114,7 +119,7 @@ def _tol(key: str) -> tuple:
 
 
 def _config_echo(args, params: dict[str, list[str]], extra: dict) -> dict:
-    """The command, the values of its shared options, the parameter file and extra."""
+    """The command, the values of its shared options, a parameter map and extra."""
     given = vars(args)
     echo = {"command": args.command}
     echo.update((key, given[key]) for key in ("format", "optimal_search") if key in given)
@@ -156,10 +161,12 @@ def _search_one(inst: ProblemInstance, oracle_points: int) -> dict:
 
 
 def _cmd_classify(args, params):
+    # The rows store no instance: report.load rebuilds it from the echoed map.
+    merged = _merged_params(args, params)
     templates = ConditionTemplates()
     results = [classify(inst, optimal_search=args.optimal_search).as_dict(templates)
-               for inst in _instances(args, params)]
-    return {"results": results, "condition_templates": templates.table()}, {}, 0
+               for inst in expand_instances(merged)]
+    return {"results": results, "condition_templates": templates.table()}, {"params": merged}, 0
 
 
 def _cmd_search_b(args, params):
@@ -265,28 +272,24 @@ def _cmd_solve_radial(args, params):
 
 
 def _row_solution(row: dict):
-    """The RadialSolution of a solve-radial row: its mesh is rebuilt from the
-    row's settings and len(u), so RadialSolution.du is the solver's du."""
+    """The RadialSolution of a loaded solve-radial row (see report.load)."""
     import numpy as np
 
     _bind_heavy("radial")
     return RadialSolution(
-        r=radial_mesh(row["radial"]["r0"], row["radial"]["r1"], len(row["u"]) - 1),
-        u=np.array(row["u"]), residual_norm=row["residual_norm"],
+        r=np.array(row["r"]), u=np.array(row["u"]), residual_norm=row["residual_norm"],
         newton_iters=row["newton_iters"], continuation_steps=row["continuation_steps"],
         converged=row["converged"], failure=row["failure"],
     )
 
 
-def _plot_rows(report: dict, selector: str) -> tuple[str, list]:
-    """Rebuild a plotted array from the first result row that stores its inputs.
+def _plot_rows(results: list, selector: str) -> tuple[str, list]:
+    """Rebuild a plotted array from the first loaded result row that stores its inputs.
 
     Reports store no derived arrays: the gradient profile comes from a
-    solve-radial row's mesh settings and u, the oracle curve from a
-    search-b row's trinomial, t_max and grid_points, through the code
-    that made them.  A stored du (schema 3 and older) is not read.
+    solve-radial row's mesh and u, the oracle curve from a search-b row's
+    trinomial, t_max and grid_points, through the code that made them.
     """
-    results = report.get("results", [])
     if selector == "gradient_profile":
         for row in results:
             if "radial" in row:
@@ -311,29 +314,28 @@ def _cmd_plot_data(args) -> str:
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read report: {exc}") from None
     try:
-        header, rows = _plot_rows(report, args.selector)
-    except (KeyError, TypeError) as exc:
+        header, rows = _plot_rows(load(report)["results"], args.selector)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CliError(f"malformed report: {exc!r}") from None
     return "".join([header + "\n", *(",".join(repr(float(x)) for x in row) + "\n" for row in rows)])
 
 
-def _csv_text(results: list, command: str) -> str:
+def _csv_text(report: dict) -> str:
+    """The CSV table of a classify, sweep or solve-radial report, read through report.load."""
+    results = load(report)["results"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if command == "solve-radial":
+    if report["config_echo"]["command"] == "solve-radial":
         writer.writerow(["r", "u", "du_face"])
         row = results[0]
-        sol = _row_solution(row)
-        du = sol.du.tolist()
-        for i, (r, u) in enumerate(zip(sol.r.tolist(), row["u"])):
+        du = row["du"]
+        for i, (r, u) in enumerate(zip(row["r"], row["u"])):
             writer.writerow([r, u, du[i] if i < len(du) else ""])
         return buf.getvalue()
-    keys = ("kind", "N", "p", "q", "s", "m", "M")
-    writer.writerow(["index", *keys, "theorem", "liouville", "estimate_exponent"])
+    writer.writerow(["index", *INSTANCE_KEYS, "theorem", "liouville", "estimate_exponent"])
     for i, row in enumerate(results):
-        writer.writerow([i, *(row["instance"][k] for k in keys),
-                         row.get("theorem", ""), row.get("liouville", ""),
-                         row.get("estimate_exponent", "")])
+        writer.writerow([i, *(row["instance"][k] for k in INSTANCE_KEYS),
+                         row["theorem"], row["liouville"], row["estimate_exponent"]])
     return buf.getvalue()
 
 
@@ -396,7 +398,9 @@ def _report(args) -> tuple[Report, int]:
     started = time.perf_counter()
     fields, extra, code = handler(args, params)
     timing = [{"total_s": time.perf_counter() - started}]
-    return Report(__version__, _config_echo(args, params, extra), timing=timing, **fields), code
+    # classify and sweep echo the map they expanded: the file and the inline flags.
+    echo = _config_echo(args, extra.pop("params", params), extra)
+    return Report(__version__, echo, timing=timing, **fields), code
 
 
 def main(argv=None) -> int:
@@ -414,7 +418,7 @@ def main(argv=None) -> int:
                 raise CliError("--timing needs --format json: a CSV table has no timing section")
             report, code = _report(args)
             if csv_format:
-                text = _csv_text(report.results, args.command)
+                text = _csv_text(report.as_dict())
             else:
                 text = report.to_json(include_timing=args.timing)
     except (CliError, ParamError, AdmissibilityError) as exc:

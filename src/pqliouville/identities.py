@@ -29,7 +29,6 @@ class IdentityReport:
     passed: bool
     tolerance_used: float
     observed_order: float | None = None
-    constant: float | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -38,7 +37,6 @@ class IdentityReport:
             "passed": self.passed,
             "tolerance_used": self.tolerance_used,
             "observed_order": self.observed_order,
-            "constant": self.constant,
         }
 
 

@@ -14,6 +14,7 @@ give an explicit alpha interval per gamma.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import AdmissibilityError
@@ -55,6 +56,8 @@ def il_parameter_window(q: float, m: float, gamma_samples: int = 9) -> ILWindow:
     The alpha bounds are tabulated on an evenly spaced interior grid of
     the gamma window (gamma_samples points).
     """
+    if not (math.isfinite(q) and math.isfinite(m)):
+        raise AdmissibilityError("q and m must be finite")
     if q <= 1.0:
         raise AdmissibilityError("q must exceed 1")
     if m <= 0.0:

@@ -77,7 +77,6 @@ class BSelection(NamedTuple):
             "t_star": self.t_star,
             "b_star": self.b_star,
             "kappa": self.kappa,
-            "epsilon_used": 0.0,
             "trace": [{"label": c.label, "rendering": c.rendering, "passed": c.passed}
                       for c in self.trace],
         }

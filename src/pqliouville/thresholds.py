@@ -50,7 +50,8 @@ class ProductThresholds(NamedTuple):
         return value
 
     def as_dict(self) -> dict:
-        return self._asdict()
+        """The report dict: the defined thresholds (absent ones are left out)."""
+        return {key: value for key, value in zip(self._fields, self) if value is not None}
 
 
 def product_thresholds(inst: ProblemInstance) -> ProductThresholds:
@@ -107,7 +108,8 @@ class SumThresholds(NamedTuple):
         return value
 
     def as_dict(self) -> dict:
-        return self._asdict()
+        """The report dict: the defined thresholds (absent ones are left out)."""
+        return {key: value for key, value in zip(self._fields, self) if value is not None}
 
 
 def sum_thresholds(inst: ProblemInstance) -> SumThresholds:

@@ -8,14 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pqliouville.cli as cli
 import pqliouville.params
 from pqliouville.cli import _load_params, _report, build_parser, main
-from pqliouville.instance import ProblemInstance
+from pqliouville.instance import KINDS, ProblemInstance
 from pqliouville.params import MAX_INSTANCES, ParamError, expand_instances, parse_params
 from pqliouville.radial import RadialProblem, gradient_vs_distance, radial_mesh, solve_radial
-from pqliouville.report import expand_conditions
+from pqliouville.report import load
 from pqliouville.trinomial import product_trinomial
 
 PRODUCT_GRID = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "product_grid.par"
@@ -46,6 +48,8 @@ REFUSED = {
     "u0-nan": ([*RADIAL_HJ, "--r1", "2", "--u0", "nan", "--u1", "0"], None),
     "u1-nan": ([*RADIAL_HJ, "--r1", "2", "--u0", "-64", "--u1", "nan"], None),
     "r1-inf": ([*RADIAL_HJ, "--r1", "inf", "--u0", "-64", "--u1", "0"], None),
+    "il-window-q-nan": (["il-window", "--q", "nan", "--m", "3"], None),
+    "il-window-m-inf": (["il-window", "--q", "2", "--m", "inf"], None),
 }
 
 
@@ -111,7 +115,7 @@ class TestCommands:
         ])
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == 4
+        assert report["schema"] == 5
         assert "timing" not in report
         row = report["results"][0]
         assert row["theorem"] == "thm_product_A"
@@ -174,7 +178,7 @@ class TestCommands:
         par.write_text("kind = product\nN = 2 3\np = 1.5 2 3\nq = p\ns = 0.5\nm = 0\n")
         assert run(["sweep", "--params", str(par)]) == 0
         report = json.loads(capsys.readouterr().out)
-        for row in report["results"]:
+        for row in load(report)["results"]:
             inst = row["instance"]
             th = row["product_thresholds"]
             assert th["R"] == 0.0
@@ -362,21 +366,44 @@ class TestCommands:
 
 
 # SHA-256 of the compact sorted JSON of each grid's sweep results in schema 3,
-# where every condition was a {theorem, label, rendering, passed} dict.
+# where every condition was a {theorem, label, rendering, passed} dict; the
+# rows report.load gives back hash the same.
 SCHEMA_3_RESULTS = {
     "product_grid.par": "1c41f6e82f81e9692d56d9e9627e3feb12dacf1d09692788b680c321f75dd02e",
     "sum_grid.par": "4bda10efd6f9c5a4982f3727921aa5b41fc606ba9edaa5686c710a3dab0b1be3",
 }
 
-# SHA-256 of the compact sorted JSON of report["results"] for commands whose
-# rows carry selection traces, pinned while selection still formatted its
-# trace rows as it built them: together they reach every selection case.
+# SHA-256 of the compact sorted JSON of the loaded results (report.load) for
+# commands whose rows carry selection traces: together they reach every
+# selection case.  The search-b pins date from when selection still
+# formatted its trace rows as it built them; the sweep pin is the schema-4
+# report of that grid read through the schema-4 reader (expand_conditions).
 PINNED_RESULTS = {
     "search-b product_grid.par": "f3a43e1ed2814cb8a883538b6fb1ed28deb02ada08ad87c31e0e75149803e656",
     "search-b sum_grid.par": "f74c1fff582ba6c0a0d5122e1ae89573ed3594ce38d1353e024978119651b090",
     "sweep --optimal-search product_grid.par":
-        "519891f57648c6fff8483be8279259dfbf97451ba302143f87316c7daaa77ca5",
+        "1e8a24f64675328f67f3b2eba48fb681a540a3f113a8fe36f763b2272a8a631b",
 }
+
+# SHA-256 of `--format csv` output, pinned at schema 4, when the CSV writer
+# read the instance stored in each row.
+CSV_RESULTS = {
+    "classify --kind product --N 2 --p 2.2 --q 2 --s 0.5 --m 2.0":
+        "e860eda0c662feab0a6b83e584778fc28e5df9f49358e733bb7fbdeb0fa21f0e",
+    "sweep product_grid.par": "ff5f7cac8ad16e056bc135d7a492ce74e75b285c733b541d4ce012a6a35ea24c",
+    "sweep --optimal-search sum_grid.par":
+        "b41fc9e56930c288319af77e63ecfbae2fea10537ed230169faa6f48717671b8",
+}
+
+# The keys of a schema-3 classify row, and those of its threshold dicts.
+ROW_KEYS = {"instance", "theorem", "matches", "conditions", "liouville", "estimate_exponent",
+            "estimate_target", "exponents", "product_thresholds", "sum_thresholds", "selection"}
+THRESHOLD_KEYS = {"product_thresholds": {"R", "Q", "discriminant_ok", "Q1", "Q2", "Q3", "a"},
+                  "sum_thresholds": {"delta_pq", "m_max", "gap_ok", "s_minus", "s_plus"}}
+
+
+def sha256_json(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 def plot_in_fresh_process(report: Path) -> str:
@@ -391,17 +418,35 @@ def plot_in_fresh_process(report: Path) -> str:
     return done.stdout
 
 
+def older_schemas(report: dict) -> dict[int, dict]:
+    """A schema-5 classify, sweep or search-b report as schemas 1 to 4 wrote it.
+
+    Rows of schemas 1 to 4 store the instance, the null keys and
+    epsilon_used; schema 4 conditions are the same triples as schema 5, and
+    schemas 1 to 3 store the expanded condition dicts.
+    """
+    loaded = load(report)["results"]
+    schema_4 = [dict(full, conditions=row["conditions"]) if "conditions" in row else full
+                for row, full in zip(report["results"], loaded)]
+    expanded = {k: v for k, v in report.items() if k != "condition_templates"}
+    return {4: dict(report, schema=4, results=schema_4),
+            **{schema: dict(expanded, schema=schema, results=loaded) for schema in (1, 2, 3)}}
+
+
 class TestReportSchema:
     @pytest.mark.parametrize("grid", sorted(SCHEMA_3_RESULTS))
     def test_reader_rebuilds_schema_3_sweep_rows(self, grid, tmp_path):
         out = tmp_path / "sweep.json"
         assert run(["sweep", "--params", str(PRODUCT_GRID.with_name(grid)), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == 4
-        assert all(isinstance(c, list) and len(c) == 3
-                   for row in report["results"] for c in row["conditions"])
-        text = json.dumps(expand_conditions(report), sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(text.encode()).hexdigest() == SCHEMA_3_RESULTS[grid]
+        assert report["schema"] == 5
+        assert report["config_echo"]["params"] == parse_params(PRODUCT_GRID.with_name(grid).read_text())
+        for row in report["results"]:
+            assert "instance" not in row and row.get("matches") != []
+            assert all(isinstance(c, list) and len(c) == 3 for c in row["conditions"])
+            for value in (row, row.get("product_thresholds", {}), row.get("sum_thresholds", {})):
+                assert None not in value.values()
+        assert sha256_json(load(report)["results"]) == SCHEMA_3_RESULTS[grid]
 
     @pytest.mark.parametrize("key", sorted(PINNED_RESULTS))
     def test_selection_traces_keep_their_bytes(self, key, tmp_path):
@@ -409,9 +454,30 @@ class TestReportSchema:
         out = tmp_path / "report.json"
         assert run([*command, "--params", str(PRODUCT_GRID.with_name(grid)),
                     "--out", str(out)]) == 0
-        results = json.loads(out.read_text())["results"]
-        text = json.dumps(results, sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_RESULTS[key]
+        report = json.loads(out.read_text())
+        assert "epsilon_used" not in out.read_text()
+        assert sha256_json(load(report)["results"]) == PINNED_RESULTS[key]
+
+    @pytest.mark.parametrize("key", sorted(CSV_RESULTS))
+    def test_csv_keeps_its_bytes(self, key, tmp_path):
+        argv = key.split()
+        if argv[0] == "sweep":
+            argv[-1:] = ["--params", str(PRODUCT_GRID.with_name(argv[-1]))]
+        out = tmp_path / "table.csv"
+        assert run([*argv, "--format", "csv", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_RESULTS[key]
+
+    def test_classify_echoes_the_merged_parameter_map(self, tmp_path, capsys):
+        par = tmp_path / "grid.par"
+        par.write_text("kind = sum\nN = 3\np = 3 4\nq = 2\ns = 1\nm = 0.5\nM = 2\n")
+        assert run(["classify", "--params", str(par), "--kind", "product", "--q", "1.5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config_echo"]["params"] == {
+            "M": ["2"], "N": ["3"], "kind": ["product"], "m": ["0.5"], "p": ["3", "4"],
+            "q": ["1.5"], "s": ["1"]}
+        instances = [row["instance"] for row in load(report)["results"]]
+        assert instances == [ProblemInstance(N=3, p=p, q=1.5, kind="product", s=1.0, m=0.5,
+                                             M=2.0).as_dict() for p in (3.0, 4.0)]
 
     def test_negative_infinity_survives_the_report(self, capsys):
         assert run(["classify", "--kind", "sum", "--N", "2", "--p", "1.3", "--q", "1.3",
@@ -419,7 +485,7 @@ class TestReportSchema:
         text = capsys.readouterr().out
         assert "-Infinity" in text
         report = json.loads(text)
-        [row] = expand_conditions(report)
+        [row] = load(report)["results"]
         [limit] = [c for c in row["conditions"] if c["label"] == "beta2_limit_positive"]
         assert limit == {"theorem": "thm_sum_liouville", "label": "beta2_limit_positive",
                          "rendering": "1 - (p-q)(1+s)/(s-q+1) > 0: -inf", "passed": False}
@@ -444,26 +510,90 @@ class TestReportSchema:
         assert run(["search-b", *PRODUCT]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "condition_templates" not in report
-        assert expand_conditions(report) is report["results"]
+        [row] = report["results"]
+        assert load(report)["results"] == [dict(row, selection=dict(row["selection"],
+                                                                    epsilon_used=0.0))]
 
-    def test_schema_3_du_and_schema_4_plot_alike(self, tmp_path):
-        new = tmp_path / "schema4.json"
+    def test_reports_of_every_schema_load_alike(self, tmp_path, capsys):
+        argvs = (["sweep", "--params", TINY_GRID],
+                 ["sweep", "--params", PRODUCT_GRID.with_name("tiny_sum_grid.par"),
+                  "--optimal-search"],
+                 ["classify", *PRODUCT], ["search-b", *PRODUCT])
+        for argv in argvs:
+            assert run([*map(str, argv)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            for schema, old in older_schemas(report).items():
+                assert load(old)["results"] == load(report)["results"], (argv, schema)
+                if argv[0] != "search-b":
+                    assert cli._csv_text(old) == cli._csv_text(report), (argv, schema)
+        # search-b plots its oracle curve the same from every schema
+        for schema, old in older_schemas(report).items():
+            path = tmp_path / f"schema{schema}.json"
+            path.write_text(json.dumps(old))
+            assert run(["plot-data", "--report", str(path), "--selector", "trinomial"]) == 0
+            assert capsys.readouterr().out.count("\n") == 2049
+        identities = tmp_path / "identities.json"
+        assert run(["verify-identities", "--resolution", "5", "--out", str(identities)]) == 0
+        report = json.loads(identities.read_text())
+        assert '"constant"' not in identities.read_text()
+        assert [row["report"]["constant"] for row in load(report)["results"]] == [None] * 21
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_loaded_rows_rebuild_instances_and_dropped_keys(self, tmp_path_factory, data):
+        def grid(lo, hi):
+            values = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+            return data.draw(st.lists(values, min_size=1, max_size=2, unique=True))
+
+        q = grid(1.05, 3.0)
+        lines = {"kind": [data.draw(st.sampled_from(KINDS))],
+                 "N": data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=2, unique=True)),
+                 "p": grid(max(q), 5.0), "q": q,
+                 "s": grid(0.0, 3.0), "m": grid(0.0, 6.0), "M": grid(0.0, 2.0)}
+        par = tmp_path_factory.mktemp("grid") / "grid.par"
+        par.write_text("".join(f"{key} = {' '.join(map(str, values))}\n"
+                               for key, values in lines.items()))
+        argv = ["sweep", "--params", str(par)] + data.draw(st.sampled_from([[], ["--optimal-search"]]))
+        report = json.loads(_report(build_parser().parse_args(argv))[0].to_json())
+        instances = expand_instances(report["config_echo"]["params"])
+        loaded = load(report)["results"]
+        assert len(loaded) == len(instances) == len(report["results"])
+        for i, (row, full) in enumerate(zip(report["results"], loaded)):
+            assert full["instance"] == instances[i].as_dict()
+            assert set(full) == ROW_KEYS
+            dropped = set(full) - set(row) - {"instance"}
+            assert all(full[key] is None or key == "matches" and full[key] == []
+                       for key in dropped)
+            for key, fields in THRESHOLD_KEYS.items():
+                if full[key] is not None:
+                    assert set(full[key]) == fields
+                    assert all(full[key][k] is None for k in fields - set(row[key]))
+
+    def test_radial_reports_of_every_schema_plot_alike(self, tmp_path):
+        new = tmp_path / "schema5.json"
         assert run(["solve-radial", *RADIAL_SUM, "--out", str(new)]) == 0
         report = json.loads(new.read_text())
         row = report["results"][0]
-        assert "du" not in row
-        # The schema-3 row stored du = np.diff(u) / h on the solver's mesh.
+        assert "r" not in row and "du" not in row
+        # Schemas 1 and 2 stored the mesh r, schemas 1 to 3 du = np.diff(u) / h
+        # on it, and schema 1 the gradient profile; the reader rebuilds them all.
         r = radial_mesh(row["radial"]["r0"], row["radial"]["r1"], len(row["u"]) - 1)
         h = float(r[1] - r[0])
-        stored = [(b - a) / h for a, b in zip(row["u"], row["u"][1:])]
-        old = tmp_path / "schema3.json"
-        old.write_text(json.dumps(dict(report, schema=3, results=[dict(row, du=stored)])))
-        assert plot_in_fresh_process(old) == plot_in_fresh_process(new)
-        csv_new = cli._csv_text(report["results"], "solve-radial")
-        csv_old = cli._csv_text(json.loads(old.read_text())["results"], "solve-radial")
-        assert csv_new == csv_old
+        du = [(b - a) / h for a, b in zip(row["u"], row["u"][1:])]
+        profile = gradient_vs_distance(cli._row_solution(dict(row, r=r.tolist()))).tolist()
+        stored = {4: {}, 3: {"du": du}, 2: {"r": r.tolist(), "du": du},
+                  1: {"r": r.tolist(), "du": du, "gradient_profile": profile}}
+        plot = plot_in_fresh_process(new)
+        csv_new = cli._csv_text(report)
+        for schema, extra in stored.items():
+            old = tmp_path / f"schema{schema}.json"
+            old.write_text(json.dumps(dict(report, schema=schema, results=[dict(row, **extra)])))
+            assert plot_in_fresh_process(old) == plot, schema
+            assert cli._csv_text(json.loads(old.read_text())) == csv_new, schema
+        [loaded] = load(report)["results"]
+        assert loaded == dict(row, r=r.tolist(), du=du)
         du_column = [line.split(",")[2] for line in csv_new.splitlines()[1:]]
-        assert du_column == [repr(x) for x in stored] + [""]
+        assert du_column == [repr(x) for x in du] + [""]
 
     def test_timing_with_csv_exits_before_any_work(self, monkeypatch, capsys):
         def refuse(**kwargs):
@@ -555,6 +685,8 @@ class TestOptions:
                 report = json.loads(out)
             except ValueError:
                 return code, out
+            # the loaded rows: classify rows keep their instance in the echo
+            report = load(report)
             report.pop("config_echo")
             return code, report
 
