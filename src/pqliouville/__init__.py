@@ -24,7 +24,7 @@ from .exponents import (
     t_from_b,
     theta_exponent,
 )
-from .errors import AdmissibilityError, FieldError, UndefinedThresholdError
+from .errors import AdmissibilityError, FieldError
 from .instance import KINDS, ProblemInstance
 from .ishii_lions import ILWindow, il_alpha_window, il_gamma_lo, il_parameter_window
 from .selection import BSelection, select_b_product, small_s_threshold, sum_selection
@@ -100,7 +100,6 @@ __all__ = [
     "SumThresholds",
     "TheoremCondition",
     "TrinomialCoeffs",
-    "UndefinedThresholdError",
     "admissible_floor",
     "attach_order",
     "aux_weights",

@@ -27,6 +27,11 @@ from .selection import select_b_product, sum_selection
 from .trinomial import TrinomialCoeffs, oracle_curve, product_trinomial, verify_negativity
 
 DEFAULT_ORACLE_POINTS = 2048
+# Size limits: the largest accepted run peaks near 200 MB RSS (oracle about 16 B
+# a point, il-window about 0.6 kB a sample, identities about 170 B a fine node).
+MAX_ORACLE_POINTS = 10_000_000
+MAX_GAMMA_SAMPLES = 100_000
+MAX_RESOLUTION = 513
 TOLERANCE_DEFAULTS = {"identity_factor": 25.0, "newton_tol": 1e-10}
 
 
@@ -82,8 +87,8 @@ def _instances(args, params: dict[str, list[str]]) -> list[ProblemInstance]:
     return expand_instances(_merged_params(args, params))
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer no smaller than minimum."""
+def _int_between(minimum: int, maximum: int):
+    """argparse type: an integer in [minimum, maximum]."""
 
     def parse(text: str) -> int:
         try:
@@ -92,6 +97,8 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum:,}, got {value:,}")
         return value
 
     return parse
@@ -171,6 +178,8 @@ def _cmd_classify(args, params):
 
 def _cmd_search_b(args, params):
     instances = _instances(args, params)
+    if any(inst.kind == "hamilton_jacobi" for inst in instances):
+        raise CliError("search-b selects b only for product and sum instances")
     results = [_search_one(inst, args.oracle_points) for inst in instances]
     return {"results": results}, {"oracle_points": args.oracle_points}, 0
 
@@ -359,12 +368,14 @@ _RADIAL = (*((f"--{key}", dict(type=float)) for key in ("r0", "r1", "u0", "u1"))
 COMMANDS = {
     "classify": (_cmd_classify, (_PARAMS, _INSTANCE, _OUT, _FORMAT, _OPTIMAL, _TIMING)),
     "search-b": (_cmd_search_b, (_PARAMS, _INSTANCE, _OUT, _TIMING, (
-        ("--oracle-points", dict(type=_int_at_least(1000), default=DEFAULT_ORACLE_POINTS)),))),
+        ("--oracle-points", dict(type=_int_between(1000, MAX_ORACLE_POINTS),
+                                 default=DEFAULT_ORACLE_POINTS)),))),
     "il-window": (_cmd_il_window, (_OUT, _TIMING, (
         ("--q", dict(type=float, required=True)), ("--m", dict(type=float, required=True)),
-        ("--gamma-samples", dict(type=_int_at_least(1), default=9))))),
+        ("--gamma-samples", dict(type=_int_between(1, MAX_GAMMA_SAMPLES), default=9))))),
     "verify-identities": (_cmd_verify_identities, (_OUT, _tol("identity_factor"), _TIMING, (
-        ("--resolution", dict(type=_int_at_least(5), default=65, help="coarse nodes per axis")),))),
+        ("--resolution", dict(type=_int_between(5, MAX_RESOLUTION), default=65,
+                              help="coarse nodes per axis")),))),
     "solve-radial": (_cmd_solve_radial, (_PARAMS, _INSTANCE, _RADIAL, _OUT, _FORMAT,
                                          _tol("newton_tol"), _TIMING)),
     "sweep": (_cmd_classify, (_GRID, _OUT, _FORMAT, _OPTIMAL, _TIMING)),

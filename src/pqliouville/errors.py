@@ -1,10 +1,6 @@
 """Exceptions shared across the package."""
 
 
-class UndefinedThresholdError(ValueError):
-    """A derived threshold has no value for the given parameters."""
-
-
 class AdmissibilityError(ValueError):
     """An input violates a stated admissibility precondition."""
 

@@ -4,6 +4,12 @@ The auxiliary power b and the induced exponent t = (b-1)(m-q+1) + b s
 are mutually inverse through b = (t + m - q + 1)/Q with Q = m+s-q+1.
 The decay exponents beta1 (used for b in (0,1]) and beta2 (for b > 1)
 feed the final gradient-bound exponent gamma.
+
+The sum reaction u^s + M|grad u|^m uses these exponents at m = 0
+(`inst._replace(m=0.0)`), except `sum_beta2`: it equals beta2 at m = 0
+only algebraically and rounds differently (in 11,424 of 19,200 cases of
+bench/inputs/sum_grid.par x b in {1.5, 2, 3.7, 10, 1000}), so it stays
+to keep the sum reports' bytes.
 """
 
 from __future__ import annotations
@@ -12,26 +18,6 @@ from typing import NamedTuple
 
 from .errors import AdmissibilityError
 from .instance import ProblemInstance
-
-
-def _combined(p: float, q: float, s: float, m: float) -> float:
-    return m + s - q + 1.0
-
-
-def _beta1(p: float, q: float, s: float, m: float, b: float) -> float:
-    bq = b * _combined(p, q, s, m)
-    return bq / (bq + q - m) - (p - q)
-
-
-def _beta2(p: float, q: float, s: float, m: float, b: float) -> float:
-    bq = b * _combined(p, q, s, m)
-    return (b - 1.0) * (p - q) * (m - q) / (bq + q - m) + _beta1(p, q, s, m, b)
-
-
-def beta2_limit(p: float, q: float, s: float, m: float) -> float:
-    """Limit of beta2 as b -> infinity: 1 - (p-q)(1+s)/(m+s-q+1), -inf when m+s-q+1 = 0."""
-    Q = _combined(p, q, s, m)
-    return 1.0 - (p - q) * (1.0 + s) / Q if Q != 0.0 else float("-inf")
 
 
 def positive_combined_exponent(inst: ProblemInstance) -> float:
@@ -57,18 +43,21 @@ def b_from_t(inst: ProblemInstance, t: float) -> float:
 
 def beta1(inst: ProblemInstance, b: float) -> float:
     """First decay exponent bQ/(bQ + q - m) - (p - q)."""
-    return _beta1(inst.p, inst.q, inst.s, inst.m, b)
+    bq = b * inst.combined_exponent
+    return bq / (bq + inst.q - inst.m) - (inst.p - inst.q)
 
 
 def beta2(inst: ProblemInstance, b: float) -> float:
     """Second decay exponent; equals beta1 plus the correction
     (b-1)(p-q)(m-q)/(bQ + q - m), which vanishes at p = q or m = q."""
-    return _beta2(inst.p, inst.q, inst.s, inst.m, b)
+    p, q, m = inst.p, inst.q, inst.m
+    return (b - 1.0) * (p - q) * (m - q) / (b * inst.combined_exponent + q - m) + beta1(inst, b)
 
 
 def beta2_large_b_limit(inst: ProblemInstance) -> float:
-    """Limit of beta2 as b -> infinity: 1 - (p-q)(1+s)/Q."""
-    return beta2_limit(inst.p, inst.q, inst.s, inst.m)
+    """Limit of beta2 as b -> infinity: 1 - (p-q)(1+s)/Q, -inf when Q = m+s-q+1 = 0."""
+    Q = inst.combined_exponent
+    return 1.0 - (inst.p - inst.q) * (1.0 + inst.s) / Q if Q != 0.0 else float("-inf")
 
 
 def gamma_exponent(inst: ProblemInstance, b: float) -> float:
@@ -133,8 +122,7 @@ def sum_beta2(inst: ProblemInstance, b: float) -> float:
     """Decay exponent for the sum reaction at power b:
     1 - q((b-1)(p-q) + 1)/(b(s-q+1) + q) - p + q.
 
-    Algebraically this is beta2 with the gradient power m set to 0 (the
-    u^s part of the reaction drives the sum-case trinomial).
+    Algebraically beta2 at m = 0, but it rounds differently (module docstring).
     """
     p, q, s = inst.p, inst.q, inst.s
     return 1.0 - q * ((b - 1.0) * (p - q) + 1.0) / (b * (s - q + 1.0) + q) - p + q
@@ -145,18 +133,18 @@ def sum_exponent_bundle(inst: ProblemInstance, tau: float) -> ExponentBundle:
 
     Requires s > q - 1 and tau > s so that b = (tau-q+1)/(s-q+1) > 1.
     """
-    p, q, s = inst.p, inst.q, inst.s
-    if not s > q - 1.0:
+    if not inst.s > inst.q - 1.0:
         raise AdmissibilityError("sum exponents require s > q - 1")
-    b = (tau - q + 1.0) / (s - q + 1.0)
+    gradient_free = inst._replace(m=0.0)
+    b = b_from_t(gradient_free, tau)
     if not b > 1.0:
         raise AdmissibilityError("sum exponents require tau > s (so that b > 1)")
     bta2 = sum_beta2(inst, b)
     return ExponentBundle(
         b=b,
         t=tau,
-        beta1=_beta1(p, q, s, 0.0, b),
+        beta1=beta1(gradient_free, b),
         beta2=bta2,
         gamma=min(1.0, bta2),
-        theta=_theta(b, p - q, tau),
+        theta=_theta(b, inst.p - inst.q, tau),
     )

@@ -27,7 +27,7 @@ from .exponents import (
     b_from_t,
     beta1,
     beta2,
-    beta2_limit,
+    beta2_large_b_limit,
     gamma_exponent,
     sum_beta2,
 )
@@ -109,7 +109,7 @@ def small_s_row(inst: ProblemInstance) -> Row:
 def product_shared_rows(inst: ProblemInstance, th: ProductThresholds) -> list[Row]:
     """The five hypotheses every product theorem (A, B, C) and the selection share."""
     Q = th.Q
-    lim = beta2_limit(inst.p, inst.q, inst.s, inst.m)
+    lim = beta2_large_b_limit(inst)
     return [
         ("s_positive", "s > 0: {:.6g}", [inst.s], inst.s > 0.0),
         ("Q_positive", "m+s-q+1 > 0: {:.6g}", [Q], Q > 0.0),
@@ -142,7 +142,7 @@ def sum_liouville_rows(inst: ProblemInstance, th: SumThresholds) -> list[Row]:
             [s_lo, s, th.s_plus],
             s_lo < s < th.s_plus,
         )
-    lim = beta2_limit(p, q, s, 0.0)
+    lim = beta2_large_b_limit(inst._replace(m=0.0))
     return [
         ("gap", "N(p-q) < 2(q-1): {:.6g} < {:.6g}", [N * (p - q), 2.0 * (q - 1.0)], th.gap_ok),
         ("delta_positive", "delta_pq = {:.6g} > 0", [th.delta_pq], th.delta_pq > 0.0),
@@ -277,7 +277,6 @@ def sum_selection(inst: ProblemInstance) -> BSelection:
     if inst.kind != "sum":
         raise AdmissibilityError("tau-selection requires kind='sum'")
     th = sum_thresholds(inst)
-    q, s = inst.q, inst.s
     rows = sum_liouville_rows(inst, th)
     if not (th.gap_ok and th.delta_pq > 0.0):
         rows = rows[:2]  # the s-window and what follows are not reported
@@ -289,10 +288,11 @@ def sum_selection(inst: ProblemInstance) -> BSelection:
                         lead < 0.0))
     if not lead < 0.0:
         return _infeasible(trace)
+    gradient_free = inst._replace(m=0.0)
     tau = 1.0
     while tau <= DOUBLING_CAP:
-        if tau > s:
-            b = (tau - q + 1.0) / (s - q + 1.0)
+        if tau > inst.s:
+            b = b_from_t(gradient_free, tau)
             bvalue = sum_beta2(inst, b)
             if b > 1.0 and bvalue > 0.0:
                 trace.append(_check("tau_accept", "tau={:.6g}: b={:.6g} > 1, beta2={:.6g} > 0",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import AdmissibilityError, UndefinedThresholdError
+from .errors import AdmissibilityError
 from .instance import ProblemInstance
 
 
@@ -38,16 +38,6 @@ class ProductThresholds(NamedTuple):
     Q2: float | None = None
     Q3: float | None = None
     a: float | None = None
-
-    def require(self, name: str) -> float:
-        value = getattr(self, name)
-        if value is None:
-            if name in ("Q3", "a"):
-                raise UndefinedThresholdError("threshold undefined at s=0")
-            raise UndefinedThresholdError(
-                f"threshold {name} undefined: discriminant condition fails"
-            )
-        return value
 
     def as_dict(self) -> dict:
         """The report dict: the defined thresholds (absent ones are left out)."""
@@ -98,14 +88,6 @@ class SumThresholds(NamedTuple):
     gap_ok: bool
     s_minus: float | None = None
     s_plus: float | None = None
-
-    def require(self, name: str) -> float:
-        value = getattr(self, name)
-        if value is None:
-            raise UndefinedThresholdError(
-                f"threshold {name} undefined: delta_pq is not positive"
-            )
-        return value
 
     def as_dict(self) -> dict:
         """The report dict: the defined thresholds (absent ones are left out)."""

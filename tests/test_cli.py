@@ -16,7 +16,13 @@ import pqliouville.params
 from pqliouville.cli import _load_params, _report, build_parser, main
 from pqliouville.instance import KINDS, ProblemInstance
 from pqliouville.params import MAX_INSTANCES, ParamError, expand_instances, parse_params
-from pqliouville.radial import RadialProblem, gradient_vs_distance, radial_mesh, solve_radial
+from pqliouville.radial import (
+    MAX_MESH_N,
+    RadialProblem,
+    gradient_vs_distance,
+    radial_mesh,
+    solve_radial,
+)
 from pqliouville.report import load
 from pqliouville.trinomial import product_trinomial
 
@@ -50,6 +56,19 @@ REFUSED = {
     "r1-inf": ([*RADIAL_HJ, "--r1", "inf", "--u0", "-64", "--u1", "0"], None),
     "il-window-q-nan": (["il-window", "--q", "nan", "--m", "3"], None),
     "il-window-m-inf": (["il-window", "--q", "2", "--m", "inf"], None),
+}
+
+# Size options one above their limits: (argv, what the error line names).
+OVERSIZED = {
+    "oracle-points": (["search-b", *PRODUCT, "--oracle-points", str(cli.MAX_ORACLE_POINTS + 1)],
+                      f"--oracle-points: must be at most {cli.MAX_ORACLE_POINTS:,}"),
+    "gamma-samples": (["il-window", "--q", "2", "--m", "3",
+                       "--gamma-samples", str(cli.MAX_GAMMA_SAMPLES + 1)],
+                      f"--gamma-samples: must be at most {cli.MAX_GAMMA_SAMPLES:,}"),
+    "resolution": (["verify-identities", "--resolution", str(cli.MAX_RESOLUTION + 1)],
+                   f"--resolution: must be at most {cli.MAX_RESOLUTION:,}"),
+    "mesh-n": (["solve-radial", *RADIAL_SUM, "--mesh-n", str(MAX_MESH_N + 1)],
+               f"error: mesh_n must lie in [64, {MAX_MESH_N:,}]"),
 }
 
 
@@ -317,6 +336,8 @@ class TestCommands:
             (["solve-radial", *RADIAL_SUM, "--format", "csv", "--timing"],
              "error: --timing needs --format json"),
             (["sweep"], "error: the following arguments are required: --params"),
+            (["search-b", *HJ, "--m", "2"],
+             "error: search-b selects b only for product and sum instances\n"),
         ):
             assert run(argv) == 2
             assert message in capsys.readouterr().err
@@ -331,6 +352,20 @@ class TestCommands:
         assert run([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", OVERSIZED.values(), ids=list(OVERSIZED))
+    def test_oversized_inputs_exit_two_before_any_work(self, argv, message, tmp_path,
+                                                        monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for name in ("select_b_product", "il_parameter_window", "_identity_suite",
+                     "solve_radial"):
+            monkeypatch.setattr(cli, name, refuse, raising=False)
+        out = tmp_path / "out.json"
+        assert run([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_csv_format(self, tmp_path):

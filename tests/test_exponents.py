@@ -18,7 +18,6 @@ from pqliouville import (
     t_from_b,
     theta_exponent,
 )
-from pqliouville.exponents import _beta2, beta2_limit
 from oracles import sample_admissible_pair, sample_admissible_product
 
 
@@ -67,16 +66,21 @@ class TestBetaExponents:
 
     def test_large_b_limits_symbolic(self):
         # b -> infinity of the product beta2 and of the sum beta2 (m = 0)
-        sym = SimpleNamespace(**dict(zip("pqsmb", sympy.symbols("p q s m b", positive=True))))
-        product_limit = sympy.limit(_beta2(sym.p, sym.q, sym.s, sym.m, sym.b), sym.b, sympy.oo)
-        sum_limit = sympy.limit(sum_beta2(sym, sym.b), sym.b, sympy.oo)
-        for limit, m in ((product_limit, sym.m), (sum_limit, 0)):
-            closed = beta2_limit(sym.p, sym.q, sym.s, m)
+        p, q, s, m, b = sympy.symbols("p q s m b", positive=True)
+
+        def symbolic(power):
+            return SimpleNamespace(p=p, q=q, s=s, m=power, combined_exponent=power + s - q + 1.0)
+
+        product_limit = sympy.limit(beta2(symbolic(m), b), b, sympy.oo)
+        sum_limit = sympy.limit(sum_beta2(symbolic(0), b), b, sympy.oo)
+        for limit, inst in ((product_limit, symbolic(m)), (sum_limit, symbolic(0))):
+            closed = beta2_large_b_limit(inst)
             assert sympy.simplify(sympy.nsimplify(limit - closed, rational=True)) == 0
 
     def test_limit_is_minus_infinity_at_zero_denominator(self):
         # 0.3 - 1.3 + 1 rounds to exactly 0, although 0.3 != 1.3 - 1 in floats
-        assert beta2_limit(1.3, 1.3, 0.3, 0.0) == float("-inf")
+        flat = ProblemInstance(N=2, p=1.3, q=1.3, kind="sum", s=0.3, m=0.7, M=1.0)
+        assert beta2_large_b_limit(flat._replace(m=0.0)) == float("-inf")
         inst = ProblemInstance(N=2, p=2.5, q=2.0, kind="product", s=0.5, m=0.5)
         assert beta2_large_b_limit(inst) == float("-inf")
 
@@ -156,7 +160,7 @@ class TestSumExponents:
             b = 1.0 + 4.0 * rng.random()
             inst = ProblemInstance(N=N, p=p, q=q, kind="sum", s=s, m=1.0, M=1.0)
             assert sum_beta2(inst, b) == pytest.approx(
-                _beta2(p, q, s, 0.0, b), abs=1e-12
+                beta2(inst._replace(m=0.0), b), abs=1e-12
             )
 
     def test_limit_example(self):

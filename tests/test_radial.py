@@ -256,11 +256,16 @@ class TestProfiles:
                              rhs_override=constant_rhs(1.0))
         sol = solve_radial(prob)
         inner = gradient_vs_distance(sol, side="inner")
-        outer = gradient_vs_distance(sol, side="outer")
         both = gradient_vs_distance(sol)
-        assert len(inner) + len(outer) == len(both)
-        with pytest.raises(AdmissibilityError):
-            gradient_vs_distance(sol, side="sideways")
+        rh = sol.r_half
+        near_inner = rh - sol.r[0] <= sol.r[-1] - rh
+        # 'inner' keeps the faces nearer r0, at their distance r - r0
+        assert 2 * len(inner) == len(both)
+        assert np.array_equal(inner[:, 0], (rh - sol.r[0])[near_inner])
+        assert np.array_equal(both[:, 0], np.sort(np.minimum(rh - sol.r[0], sol.r[-1] - rh)))
+        for side in ("outer", "sideways"):
+            with pytest.raises(AdmissibilityError):
+                gradient_vs_distance(sol, side=side)
 
     def test_fit_exact_power_law(self):
         d = np.geomspace(1e-3, 1e-1, 40)

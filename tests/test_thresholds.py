@@ -5,7 +5,6 @@ import pytest
 from pqliouville import (
     AdmissibilityError,
     ProblemInstance,
-    UndefinedThresholdError,
     operator_gap,
     product_thresholds,
     sum_thresholds,
@@ -51,17 +50,11 @@ class TestProductThresholds:
         assert th.R == pytest.approx(5.0, rel=1e-14)
         assert not th.discriminant_ok  # 4 < 20
         assert th.Q1 is None and th.Q2 is None and th.Q3 is None and th.a is None
-        with pytest.raises(UndefinedThresholdError):
-            th.require("Q1")
 
     def test_undefined_at_s_zero(self):
         th = product_thresholds(make(s=0.0))
         assert th.Q3 is None and th.a is None
         assert th.Q1 is not None
-        with pytest.raises(UndefinedThresholdError, match="threshold undefined at s=0"):
-            th.require("Q3")
-        with pytest.raises(UndefinedThresholdError, match="threshold undefined at s=0"):
-            th.require("a")
 
     def test_root_algebra_random(self, rng):
         for _ in range(2000):
@@ -108,8 +101,6 @@ class TestSumThresholds:
         assert th.delta_pq < 0.0
         assert th.s_minus is None and th.s_plus is None
         assert th.gap_ok  # N(p-q)=1 < 2
-        with pytest.raises(UndefinedThresholdError):
-            th.require("s_plus")
 
     def test_window_ordering_random(self, rng):
         for _ in range(2000):
