@@ -62,9 +62,9 @@ class CliError(Exception):
 def _load_params(args) -> dict[str, list[str]]:
     if getattr(args, "params", None):
         try:
-            with open(args.params) as fh:
+            with open(args.params, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read parameter file: {exc}") from None
         return parse_params(text)
     return {}
@@ -164,12 +164,19 @@ def _search_one(inst: ProblemInstance, oracle_points: int) -> dict:
 
 # Each handler returns its Report fields (results, and for classify and
 # sweep condition_templates), the config_echo entries only it knows, and
-# the exit code; _report times the call and builds the report.
+# the exit code; _report times the call and builds the report.  With
+# --format csv the results are the table's rows, header first.
 
 
 def _cmd_classify(args, params):
-    # The rows store no instance: report.load rebuilds it from the echoed map.
     merged = _merged_params(args, params)
+    if args.format == "csv":
+        decisions = (classify(inst, optimal_search=args.optimal_search) for inst in expand_instances(merged))
+        header = ["index", *INSTANCE_KEYS, "theorem", "liouville", "estimate_exponent"]
+        rows = [[i, *(getattr(d.inst, k) for k in INSTANCE_KEYS), d.theorem, d.liouville,
+                 d.estimate_exponent] for i, d in enumerate(decisions)]
+        return {"results": [header, *rows]}, {}, 0
+    # The rows store no instance: report.load rebuilds it from the echoed map.
     templates = ConditionTemplates()
     results = [classify(inst, optimal_search=args.optimal_search).as_dict(templates)
                for inst in expand_instances(merged)]
@@ -259,6 +266,10 @@ def _cmd_solve_radial(args, params):
     renamed = {"u0": "u_at_r0", "u1": "u_at_r1"}
     prob = RadialProblem(inst=inst, **{renamed.get(k, k): v for k, v in settings.items()})
     sol = solve_radial(prob, tol=args.newton_tol)
+    code = 0 if sol.converged else 3
+    if args.format == "csv":
+        rows = zip(sol.r.tolist(), sol.u.tolist(), [*sol.du.tolist(), ""])
+        return {"results": [["r", "u", "du_face"], *rows]}, {}, code
     radial = {k: settings[k] for k in sorted(settings)}
     # No r or du: readers rebuild both from r0, r1 and u (_row_solution).
     row = {
@@ -277,7 +288,7 @@ def _cmd_solve_radial(args, params):
             row["fit"] = fit_blowup_exponent(profile, default_fit_window(sol)).as_dict()
         except AdmissibilityError as exc:
             row["fit"] = {"error": str(exc)}
-    return {"results": [row]}, {"radial": radial}, 0 if sol.converged else 3
+    return {"results": [row]}, {"radial": radial}, code
 
 
 def _row_solution(row: dict):
@@ -292,8 +303,8 @@ def _row_solution(row: dict):
     )
 
 
-def _plot_rows(results: list, selector: str) -> tuple[str, list]:
-    """Rebuild a plotted array from the first loaded result row that stores its inputs.
+def _plot_rows(results: list, selector: str) -> list:
+    """CSV rows, header first, of an array rebuilt from the first loaded row that stores its inputs.
 
     Reports store no derived arrays: the gradient profile comes from a
     solve-radial row's mesh and u, the oracle curve from a search-b row's
@@ -303,7 +314,7 @@ def _plot_rows(results: list, selector: str) -> tuple[str, list]:
         for row in results:
             if "radial" in row:
                 sol = _row_solution(row)
-                return "# d,abs_du", gradient_vs_distance(sol).tolist()
+                return [["# d", "abs_du"], *gradient_vs_distance(sol).tolist()]
         raise CliError("report contains no radial solution")
     if selector == "trinomial":
         for row in results:
@@ -311,40 +322,30 @@ def _plot_rows(results: list, selector: str) -> tuple[str, list]:
             if oracle:
                 coeffs = TrinomialCoeffs(**row["trinomial"])
                 t, values = oracle_curve(coeffs, oracle["t_max"], oracle["grid_points"])
-                return "# t,value", list(zip(t.tolist(), values.tolist()))
+                return [["# t", "value"], *zip(t.tolist(), values.tolist())]
         raise CliError("report contains no trinomial oracle")
     raise CliError(f"unknown selector {selector!r}")
 
 
 def _cmd_plot_data(args) -> str:
     try:
-        with open(args.report) as fh:
+        with open(args.report, encoding="utf-8") as fh:
             report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise CliError(f"cannot read report: {exc}") from None
+    if not isinstance(report, dict):
+        raise CliError(f"malformed report: top level is {type(report).__name__}, not an object")
     try:
-        header, rows = _plot_rows(load(report)["results"], args.selector)
+        rows = _plot_rows(load(report)["results"], args.selector)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CliError(f"malformed report: {exc!r}") from None
-    return "".join([header + "\n", *(",".join(repr(float(x)) for x in row) + "\n" for row in rows)])
+    return _csv_table(rows)
 
 
-def _csv_text(report: dict) -> str:
-    """The CSV table of a classify, sweep or solve-radial report, read through report.load."""
-    results = load(report)["results"]
+def _csv_table(rows) -> str:
+    """Every CSV the CLI writes: `rows` (header first), floats as their repr."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if report["config_echo"]["command"] == "solve-radial":
-        writer.writerow(["r", "u", "du_face"])
-        row = results[0]
-        du = row["du"]
-        for i, (r, u) in enumerate(zip(row["r"], row["u"])):
-            writer.writerow([r, u, du[i] if i < len(du) else ""])
-        return buf.getvalue()
-    writer.writerow(["index", *INSTANCE_KEYS, "theorem", "liouville", "estimate_exponent"])
-    for i, row in enumerate(results):
-        writer.writerow([i, *(row["instance"][k] for k in INSTANCE_KEYS),
-                         row["theorem"], row["liouville"], row["estimate_exponent"]])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
@@ -427,11 +428,10 @@ def main(argv=None) -> int:
             csv_format = getattr(args, "format", "json") == "csv"
             if csv_format and args.timing:
                 raise CliError("--timing needs --format json: a CSV table has no timing section")
+            if csv_format and getattr(args, "fit", False):
+                raise CliError("--fit needs --format json: a CSV table has no fit section")
             report, code = _report(args)
-            if csv_format:
-                text = _csv_text(report.as_dict())
-            else:
-                text = report.to_json(include_timing=args.timing)
+            text = _csv_table(report.results) if csv_format else report.to_json(include_timing=args.timing)
     except (CliError, ParamError, AdmissibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import pqliouville.cli as cli
 import pqliouville.params
+import pqliouville.report
 from pqliouville.cli import _load_params, _report, build_parser, main
 from pqliouville.instance import KINDS, ProblemInstance
 from pqliouville.params import MAX_INSTANCES, ParamError, expand_instances, parse_params
@@ -36,6 +37,10 @@ RADIAL_SUM = ["--kind", "sum", "--N", "3", "--p", "2.5", "--q", "2", "--s", "1.5
               "--M", "1", "--r0", "1", "--r1", "2", "--u0", "1", "--u1", "2", "--mesh-n", "64"]
 HJ = ["--kind", "hamilton_jacobi", "--N", "2", "--p", "3", "--q", "2"]
 RADIAL_HJ = ["solve-radial", *HJ, "--m", "2.5", "--r0", "1", "--mesh-n", "64"]
+# The direct Hamilton-Jacobi solve with large boundary data (continuation).
+RADIAL_HJ_4096 = [*HJ, "--m", "2.5", "--r0", "1", "--r1", "2", "--u0", "-4096", "--u1", "0",
+                  "--mesh-n", "1024"]
+PRODUCT_A = ["--kind", "product", "--N", "2", "--p", "2.2", "--q", "2", "--s", "0.5", "--m", "2.0"]
 PRODUCT_FILE = "kind = product\np = 2.2\nq = 2\ns = 0.5\nm = 2\n"
 RADIAL_FILE = "kind = hamilton_jacobi\nN = 2\np = 3\nq = 2\nm = 2.5\nr0 = 1\nr1 = 2\nu0 = -64\nu1 = 0\n"
 # Non-finite and non-integral inputs: (argv, parameter file text or None).
@@ -69,6 +74,15 @@ OVERSIZED = {
                    f"--resolution: must be at most {cli.MAX_RESOLUTION:,}"),
     "mesh-n": (["solve-radial", *RADIAL_SUM, "--mesh-n", str(MAX_MESH_N + 1)],
                f"error: mesh_n must lie in [64, {MAX_MESH_N:,}]"),
+}
+
+# Files from outside that are not what their option reads: (argv before the
+# path, file bytes).
+BAD_FILES = {
+    "params-not-utf8": (["classify", "--params"], b"kind = product\nN = 2\xff\n"),
+    "report-not-utf8": (["plot-data", "--selector", "trinomial", "--report"], b'{"\xff": 1}'),
+    "report-list": (["plot-data", "--selector", "trinomial", "--report"], b"[]"),
+    "report-string": (["plot-data", "--selector", "trinomial", "--report"], b'"x"'),
 }
 
 
@@ -430,6 +444,22 @@ CSV_RESULTS = {
         "b41fc9e56930c288319af77e63ecfbae2fea10537ed230169faa6f48717671b8",
 }
 
+# SHA-256 of the solve-radial CSV tables and plot-data curves, pinned when
+# both were written from report.load's rebuilt rows: (argv, argv of the
+# command whose report plot-data reads or None, digest).
+TABLE_RESULTS = {
+    "solve-radial-direct": (["solve-radial", *RADIAL_HJ_4096, "--format", "csv"], None,
+                            "fb0b70928678a32279ae5d2fb28a0d890b18914b30d28c9b3e3c960ae9be90b1"),
+    "solve-radial-log": (["solve-radial", "--params", str(PRODUCT_GRID.with_name("log_product.par")),
+                          "--format", "csv"], None,
+                         "a1c47466a8954345890aa34218f3bd1119e64bbca6c5929ed55cbf8e6f69b91a"),
+    "plot-data-gradient_profile": (["plot-data", "--selector", "gradient_profile"],
+                                   ["solve-radial", *RADIAL_HJ_4096],
+                                   "d75b15a224b986a0e1319e03c778f5fa0a3855dd2ee1ea71b102e9c65a329e31"),
+    "plot-data-trinomial": (["plot-data", "--selector", "trinomial"], ["search-b", *PRODUCT_A],
+                            "c62cd8e90e95d790126be6d383144a2995585a1bad208d356f7f7574d6af948e"),
+}
+
 # The keys of a schema-3 classify row, and those of its threshold dicts.
 ROW_KEYS = {"instance", "theorem", "matches", "conditions", "liouville", "estimate_exponent",
             "estimate_target", "exponents", "product_thresholds", "sum_thresholds", "selection"}
@@ -559,8 +589,6 @@ class TestReportSchema:
             report = json.loads(capsys.readouterr().out)
             for schema, old in older_schemas(report).items():
                 assert load(old)["results"] == load(report)["results"], (argv, schema)
-                if argv[0] != "search-b":
-                    assert cli._csv_text(old) == cli._csv_text(report), (argv, schema)
         # search-b plots its oracle curve the same from every schema
         for schema, old in older_schemas(report).items():
             path = tmp_path / f"schema{schema}.json"
@@ -619,16 +647,19 @@ class TestReportSchema:
         stored = {4: {}, 3: {"du": du}, 2: {"r": r.tolist(), "du": du},
                   1: {"r": r.tolist(), "du": du, "gradient_profile": profile}}
         plot = plot_in_fresh_process(new)
-        csv_new = cli._csv_text(report)
         for schema, extra in stored.items():
             old = tmp_path / f"schema{schema}.json"
             old.write_text(json.dumps(dict(report, schema=schema, results=[dict(row, **extra)])))
             assert plot_in_fresh_process(old) == plot, schema
-            assert cli._csv_text(json.loads(old.read_text())) == csv_new, schema
         [loaded] = load(report)["results"]
         assert loaded == dict(row, r=r.tolist(), du=du)
-        du_column = [line.split(",")[2] for line in csv_new.splitlines()[1:]]
-        assert du_column == [repr(x) for x in du] + [""]
+        # The CSV table, written from the solution itself, has the same r, u and du.
+        table = tmp_path / "table.csv"
+        assert run(["solve-radial", *RADIAL_SUM, "--format", "csv", "--out", str(table)]) == 0
+        columns = list(zip(*(line.split(",") for line in table.read_text().splitlines()[1:])))
+        assert list(columns[0]) == [repr(x) for x in r.tolist()]
+        assert list(columns[1]) == [repr(x) for x in row["u"]]
+        assert list(columns[2]) == [repr(x) for x in du] + [""]
 
     def test_timing_with_csv_exits_before_any_work(self, monkeypatch, capsys):
         def refuse(**kwargs):
@@ -639,6 +670,42 @@ class TestReportSchema:
                      ["solve-radial", *RADIAL_SUM]):
             assert run(argv + ["--format", "csv", "--timing"]) == 2
             assert capsys.readouterr().err.startswith("error: --timing needs --format json")
+        # --fit fits a rate that a CSV table has no column for
+        assert run(["solve-radial", *RADIAL_SUM, "--format", "csv", "--fit"]) == 2
+        assert capsys.readouterr().err.startswith("error: --fit needs --format json")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_writing_output_never_reads_a_report(self, fmt, monkeypatch, capsys):
+        def refuse(report):
+            raise AssertionError("report.load was called")
+
+        monkeypatch.setattr(cli, "load", refuse)
+        monkeypatch.setattr(pqliouville.report, "load", refuse)
+        for argv in (["classify", *PRODUCT], ["sweep", "--params", TINY_GRID],
+                     ["solve-radial", *RADIAL_SUM]):
+            assert run([*argv, "--format", fmt]) == 0, argv
+            assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, source, digest", TABLE_RESULTS.values(),
+                             ids=list(TABLE_RESULTS))
+    def test_tables_keep_their_bytes(self, argv, source, digest, tmp_path):
+        if source is not None:
+            report = tmp_path / "source.json"
+            assert run([*source, "--out", str(report)]) == 0
+            argv = [*argv, "--report", str(report)]
+        out = tmp_path / "table.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, content", BAD_FILES.values(), ids=list(BAD_FILES))
+    def test_bad_files_exit_two_with_an_error_line(self, argv, content, tmp_path, capsys):
+        path = tmp_path / "bad"
+        path.write_bytes(content)
+        out = tmp_path / "out.csv"
+        assert run([*argv, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
 
 def accepted_options() -> dict[str, set[str]]:
