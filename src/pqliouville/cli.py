@@ -13,6 +13,7 @@ import functools
 import importlib
 import io
 import json
+import os
 import sys
 import time
 
@@ -21,7 +22,7 @@ from .classify import classify
 from .errors import AdmissibilityError
 from .instance import KINDS, ProblemInstance
 from .ishii_lions import il_parameter_window
-from .params import INSTANCE_KEYS, ParamError, expand_instances, parse_params, radial_settings
+from .params import INSTANCE_KEYS, KEYS, ParamError, expand_instances, parse_params, radial_settings
 from .report import ConditionTemplates, Report, atomic_write_text, load
 from .selection import select_b_product, sum_selection
 from .trinomial import TrinomialCoeffs, oracle_curve, product_trinomial, verify_negativity
@@ -71,20 +72,18 @@ def _load_params(args) -> dict[str, list[str]]:
 
 
 def _merged_params(args, params: dict[str, list[str]]) -> dict[str, list[str]]:
-    """The parameter-file map with the inline instance flags overriding its keys."""
+    """The parameter-file map with each inline instance or radial flag's token as its key's value.
+
+    A flag gives one raw token, which params.py reads by the file's rules.
+    """
     merged = dict(params)
-    for key in INSTANCE_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = [str(value)]
+    for key in KEYS:
+        token = getattr(args, key, None)
+        if token is not None:
+            merged[key] = [token]
     if not merged:
         raise CliError("no instance parameters given (use --params or inline flags)")
     return merged
-
-
-def _instances(args, params: dict[str, list[str]]) -> list[ProblemInstance]:
-    """Expand the parameter-file map, with inline flags overriding its keys."""
-    return expand_instances(_merged_params(args, params))
 
 
 def _int_between(minimum: int, maximum: int):
@@ -184,7 +183,7 @@ def _cmd_classify(args, params):
 
 
 def _cmd_search_b(args, params):
-    instances = _instances(args, params)
+    instances = expand_instances(_merged_params(args, params))
     if any(inst.kind == "hamilton_jacobi" for inst in instances):
         raise CliError("search-b selects b only for product and sum instances")
     results = [_search_one(inst, args.oracle_points) for inst in instances]
@@ -249,16 +248,13 @@ def _cmd_verify_identities(args, params):
 
 
 def _cmd_solve_radial(args, params):
-    instances = _instances(args, params)
+    merged = _merged_params(args, params)
+    instances = expand_instances(merged)
     if len(instances) != 1:
         raise CliError("solve-radial expects exactly one instance")
     _bind_heavy("radial")
     inst = instances[0]
-    settings = radial_settings(params)
-    for key in ("r0", "r1", "u0", "u1", "mesh_n", "reg_eps"):
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
+    settings = radial_settings(merged)
     for required in ("r0", "r1", "u0", "u1"):
         if required not in settings:
             raise CliError(f"solve-radial requires {required}")
@@ -271,7 +267,7 @@ def _cmd_solve_radial(args, params):
         rows = zip(sol.r.tolist(), sol.u.tolist(), [*sol.du.tolist(), ""])
         return {"results": [["r", "u", "du_face"], *rows]}, {}, code
     radial = {k: settings[k] for k in sorted(settings)}
-    # No r or du: readers rebuild both from r0, r1 and u (_row_solution).
+    # No r or du: readers rebuild both from r0, r1 and u (RadialSolution.from_row).
     row = {
         "instance": inst.as_dict(),
         "radial": radial,
@@ -291,18 +287,6 @@ def _cmd_solve_radial(args, params):
     return {"results": [row]}, {"radial": radial}, code
 
 
-def _row_solution(row: dict):
-    """The RadialSolution of a loaded solve-radial row (see report.load)."""
-    import numpy as np
-
-    _bind_heavy("radial")
-    return RadialSolution(
-        r=np.array(row["r"]), u=np.array(row["u"]), residual_norm=row["residual_norm"],
-        newton_iters=row["newton_iters"], continuation_steps=row["continuation_steps"],
-        converged=row["converged"], failure=row["failure"],
-    )
-
-
 def _plot_rows(results: list, selector: str) -> list:
     """CSV rows, header first, of an array rebuilt from the first loaded row that stores its inputs.
 
@@ -313,7 +297,8 @@ def _plot_rows(results: list, selector: str) -> list:
     if selector == "gradient_profile":
         for row in results:
             if "radial" in row:
-                sol = _row_solution(row)
+                _bind_heavy("radial")
+                sol = RadialSolution.from_row(row)
                 return [["# d", "abs_du"], *gradient_vs_distance(sol).tolist()]
         raise CliError("report contains no radial solution")
     if selector == "trinomial":
@@ -350,8 +335,9 @@ def _csv_table(rows) -> str:
 
 
 # Option groups: (flag, add_argument keywords) pairs.
-_INSTANCE = (("--kind", dict(choices=KINDS)), ("--N", dict(type=int)),
-             *((f"--{key}", dict(type=float)) for key in ("p", "q", "s", "m", "M")))
+# The instance and radial flags keep their raw token for params.py to read.
+_INSTANCE = (("--kind", dict(metavar="{" + ",".join(KINDS) + "}")),
+             *((f"--{key}", {}) for key in INSTANCE_KEYS[1:]))
 _PARAMS_HELP = "parameter file (flat key = value, grids allowed)"
 _PARAMS = (("--params", dict(help=_PARAMS_HELP)),)
 _GRID = (("--params", dict(required=True, help=_PARAMS_HELP)),)
@@ -360,9 +346,8 @@ _TIMING = (("--timing", dict(action="store_true", help="add the wall-clock timin
 _FORMAT = (("--format", dict(choices=("json", "csv"), default="json")),)
 _OPTIMAL = (("--optimal-search", dict(action="store_true", dest="optimal_search",
                                       help="numeric feasibility region for the convex case")),)
-_RADIAL = (*((f"--{key}", dict(type=float)) for key in ("r0", "r1", "u0", "u1")),
-           ("--mesh-n", dict(type=int, dest="mesh_n")),
-           ("--reg-eps", dict(type=float, dest="reg_eps")),
+_RADIAL = (*((f"--{key}", {}) for key in ("r0", "r1", "u0", "u1")),
+           ("--mesh-n", dict(dest="mesh_n")), ("--reg-eps", dict(dest="reg_eps")),
            ("--fit", dict(action="store_true", help="fit the near-boundary gradient rate")))
 
 # command -> (handler, option groups); build_parser and _report both read it.
@@ -422,6 +407,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise CliError(f"--out: no such directory: {os.path.dirname(args.out)!r}")
         if args.command == "plot-data":
             text, code = _cmd_plot_data(args), 0
         else:

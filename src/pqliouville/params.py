@@ -4,7 +4,9 @@ Format: one `key = value` per line, `#` comments, values either a
 single token or a whitespace/comma separated list (a grid).  A value
 token naming another key ties the two (e.g. `q = p` sweeps q together
 with p).  Instance keys: kind, N, p, q, s, m, M.  Radial keys: r0, r1,
-u0, u1, mesh_n, reg_eps, log_transform.
+u0, u1, mesh_n, reg_eps, log_transform.  Any other key is refused.  The
+command line's instance and radial flags each give one raw token for
+their key, read by the same rules as a file line.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .instance import KINDS, ProblemInstance
 
 INSTANCE_KEYS = ("kind", "N", "p", "q", "s", "m", "M")
 RADIAL_KEYS = ("r0", "r1", "u0", "u1", "mesh_n", "reg_eps", "log_transform")
+KEYS = INSTANCE_KEYS + RADIAL_KEYS
 MAX_INSTANCES = 1_000_000
 _SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -40,6 +43,8 @@ def parse_params(text: str) -> dict[str, list[str]]:
         tokens = [t for t in value.replace(",", " ").split() if t]
         if not key:
             raise ParamError(f"line {lineno}", "empty key")
+        if key not in KEYS:
+            raise ParamError(key, f"unknown key; known keys: {', '.join(KEYS)}")
         if not tokens:
             raise ParamError(key, "empty value")
         if key in out:

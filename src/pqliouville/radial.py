@@ -84,6 +84,20 @@ class RadialSolution:
         """Face slopes (u[i+1] - u[i]) / h, at r_half."""
         return np.diff(self.u) / (self.r[1] - self.r[0])
 
+    @classmethod
+    def from_row(cls, row: dict) -> RadialSolution:
+        """The solution of a solve-radial report row, on the mesh rebuilt from its r0, r1 and u.
+
+        Rows store no r or du; report.load and plot-data both rebuild them here.
+        """
+        u = np.array(row["u"])
+        return cls(
+            r=radial_mesh(row["radial"]["r0"], row["radial"]["r1"], len(u) - 1), u=u,
+            residual_norm=row["residual_norm"], newton_iters=row["newton_iters"],
+            continuation_steps=row["continuation_steps"], converged=row["converged"],
+            failure=row["failure"],
+        )
+
 
 @dataclass(frozen=True)
 class BlowupFit:

@@ -50,20 +50,6 @@ class ConditionTemplates(dict):
         return [list(key) for key in self]
 
 
-def _radial_arrays(row: dict) -> tuple[list, list]:
-    """The node radii r and face slopes du of a solve-radial row.
-
-    The mesh is rebuilt from the row's radial.r0, radial.r1 and len(u),
-    and du is (u[i+1] - u[i]) / h on it, as RadialSolution.du computes it.
-    """
-    import numpy as np
-
-    from .radial import radial_mesh
-
-    r = radial_mesh(row["radial"]["r0"], row["radial"]["r1"], len(row["u"]) - 1)
-    return r.tolist(), (np.diff(np.array(row["u"])) / (r[1] - r[0])).tolist()
-
-
 def load(report: dict) -> dict:
     """A parsed report of any schema (1 to 5) in one in-memory form.
 
@@ -74,9 +60,9 @@ def load(report: dict) -> dict:
     ProductThresholds and SumThresholds fields), and its conditions as
     {theorem, label, rendering, passed} dicts; a selection gets
     `epsilon_used` and an identity report `constant` back; a solve-radial
-    row gets `r` and `du` rebuilt, ignoring any stored copy.  The other
-    top-level entries are kept; `condition_templates` is consumed.  The
-    input is not modified.
+    row gets `r` and `du` rebuilt (RadialSolution.from_row), ignoring any
+    stored copy.  The other top-level entries are kept;
+    `condition_templates` is consumed.  The input is not modified.
     """
     table = report.get("condition_templates")
     instances = None
@@ -106,7 +92,10 @@ def load(report: dict) -> dict:
             if isinstance(row.get(key), dict):
                 row[key] = {**constants, **row[key]}
         if "radial" in row:
-            row["r"], row["du"] = _radial_arrays(row)
+            from .radial import RadialSolution
+
+            sol = RadialSolution.from_row(row)
+            row["r"], row["du"] = sol.r.tolist(), sol.du.tolist()
         rows.append(row)
     loaded = dict(report, results=rows)
     loaded.pop("condition_templates", None)

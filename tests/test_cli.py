@@ -20,6 +20,7 @@ from pqliouville.params import MAX_INSTANCES, ParamError, expand_instances, pars
 from pqliouville.radial import (
     MAX_MESH_N,
     RadialProblem,
+    RadialSolution,
     gradient_vs_distance,
     radial_mesh,
     solve_radial,
@@ -51,9 +52,14 @@ REFUSED = {
                "--s", "0.5", "--m", "2"], None),
     "hj-m-inf": (["classify", *HJ, "--m", "inf"], None),
     "file-N-2.5": (["classify"], PRODUCT_FILE + "N = 2.5\n"),
+    "flag-N-2.5": (["classify", "--kind", "product", "--N", "2.5", "--p", "2.2", "--q", "2",
+                    "--s", "0.5", "--m", "2"], None),
     "file-N-nan": (["classify"], PRODUCT_FILE + "N = nan\n"),
     "file-N-inf": (["sweep"], PRODUCT_FILE + "N = inf\n"),
     "file-mesh_n-100.7": (["solve-radial"], RADIAL_FILE + "mesh_n = 100.7\n"),
+    "flag-mesh_n-100.7": (["solve-radial", *HJ, "--m", "2.5", "--r0", "1", "--r1", "2",
+                           "--u0", "-64", "--u1", "0", "--mesh-n", "100.7"], None),
+    "file-misspelled-key": (["solve-radial"], RADIAL_FILE + "mesh-n = 1024\n"),
     "file-log_transform-on": (["solve-radial"], RADIAL_FILE + "log_transform = on\n"),
     "u0-inf": ([*RADIAL_HJ, "--r1", "2", "--u0", "inf", "--u1", "0"], None),
     "u0-nan": ([*RADIAL_HJ, "--r1", "2", "--u0", "nan", "--u1", "0"], None),
@@ -61,6 +67,16 @@ REFUSED = {
     "r1-inf": ([*RADIAL_HJ, "--r1", "inf", "--u0", "-64", "--u1", "0"], None),
     "il-window-q-nan": (["il-window", "--q", "nan", "--m", "3"], None),
     "il-window-m-inf": (["il-window", "--q", "2", "--m", "inf"], None),
+}
+
+# Each instance and radial key of one solve-radial run: (flag, token, bad token).
+# A flag gives one token, read by the same rules as the file line.
+PARITY = {
+    "kind": ("--kind", "sum", "bogus"), "N": ("--N", "3.0", "2.5"), "p": ("--p", "2.5", "oops"),
+    "q": ("--q", "2", "nan"), "s": ("--s", "1.5", "x"), "m": ("--m", "1", "inf"),
+    "M": ("--M", "1", "nan"), "r0": ("--r0", "1", "inf"), "r1": ("--r1", "2", "nan"),
+    "u0": ("--u0", "1", "oops"), "u1": ("--u1", "2", "inf"),
+    "mesh_n": ("--mesh-n", "6.4e1", "100.7"), "reg_eps": ("--reg-eps", "1e-8", "1"),
 }
 
 # Size options one above their limits: (argv, what the error line names).
@@ -133,6 +149,11 @@ class TestParamFiles:
         assert run(["sweep", "--params", str(par), "--out", str(tmp_path / "out.json")]) == 2
         assert "10,000,000 instances" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
+
+    def test_unknown_key_is_refused(self):
+        known = "kind, N, p, q, s, m, M, r0, r1, u0, u1, mesh_n, reg_eps, log_transform"
+        with pytest.raises(ParamError, match=f"'mesh-n': unknown key; known keys: {known}$"):
+            parse_params("kind = sum\nmesh-n = 1024\n")
 
     def test_benchmark_grid_is_under_the_cap(self):
         instances = expand_instances(parse_params(PRODUCT_GRID.read_text()))
@@ -367,6 +388,55 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", sorted(PARITY))
+    def test_flag_and_file_line_read_alike(self, key, tmp_path, capsys):
+        def outcome(token, as_flag):
+            lines = {k: token if k == key else good for k, (_, good, _) in PARITY.items()}
+            par = tmp_path / "radial.par"
+            par.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()
+                                   if not (as_flag and k == key)))
+            flag = [PARITY[key][0], token] if as_flag else []
+            code = run(["solve-radial", "--params", str(par), *flag])
+            out, err = capsys.readouterr()
+            return code, load(json.loads(out))["results"] if code == 0 else err
+
+        _, good, bad = PARITY[key]
+        assert outcome(good, True) == outcome(good, False)
+        refused = outcome(bad, True)
+        assert refused[0] == 2 and refused[1].startswith("error: ")
+        assert refused == outcome(bad, False)
+
+    def test_flag_tokens_follow_the_file_rules(self, tmp_path, capsys):
+        base = RADIAL_SUM[:6] + RADIAL_SUM[8:-2]  # without --q and --mesh-n
+        par = tmp_path / "radial.par"
+        for key, flag, token, other in (("mesh_n", "--mesh-n", "1e3", ["--q", "2"]),
+                                        ("q", "--q", "p", ["--mesh-n", "64"])):
+            par.write_text(f"{key} = {token}\n")
+            assert run(["solve-radial", *base, *other, "--params", str(par)]) == 0
+            from_file = load(json.loads(capsys.readouterr().out))["results"]
+            assert run(["solve-radial", *base, *other, flag, token]) == 0
+            [row] = load(json.loads(capsys.readouterr().out))["results"]
+            assert [row] == from_file
+            if key == "mesh_n":
+                assert row["radial"]["mesh_n"] == 1000 and len(row["u"]) == 1001
+            else:
+                assert row["instance"]["q"] == row["instance"]["p"] == 2.5
+
+    def test_missing_out_directory_exits_two_before_any_work(self, tmp_path, monkeypatch,
+                                                              capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(pqliouville.params, "ProblemInstance", refuse)
+        monkeypatch.setattr(cli, "il_parameter_window", refuse)
+        out = tmp_path / "missing" / "x.json"
+        for argv in (["classify", *HJ, "--m", "2.5"], ["sweep", "--params", TINY_GRID],
+                     ["il-window", "--q", "2", "--m", "3"]):
+            assert run([*argv, "--out", str(out)]) == 2, argv
+            err = capsys.readouterr().err
+            assert err == f"error: --out: no such directory: {str(out.parent)!r}\n"
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("argv, message", OVERSIZED.values(), ids=list(OVERSIZED))
     def test_oversized_inputs_exit_two_before_any_work(self, argv, message, tmp_path,
@@ -643,7 +713,7 @@ class TestReportSchema:
         r = radial_mesh(row["radial"]["r0"], row["radial"]["r1"], len(row["u"]) - 1)
         h = float(r[1] - r[0])
         du = [(b - a) / h for a, b in zip(row["u"], row["u"][1:])]
-        profile = gradient_vs_distance(cli._row_solution(dict(row, r=r.tolist()))).tolist()
+        profile = gradient_vs_distance(RadialSolution.from_row(row)).tolist()
         stored = {4: {}, 3: {"du": du}, 2: {"r": r.tolist(), "du": du},
                   1: {"r": r.tolist(), "du": du, "gradient_profile": profile}}
         plot = plot_in_fresh_process(new)
