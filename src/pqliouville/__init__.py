@@ -57,8 +57,7 @@ _DEFERRED = {
         ("operators", ("laplacian", "p_laplacian", "pq_laplacian")),
         ("radial", ("BlowupFit", "RadialProblem", "RadialSolution", "default_fit_window",
                     "estimate_consistency", "fit_blowup_exponent", "gradient_vs_distance",
-                    "manufactured_source", "radial_mesh", "solve_radial",
-                    "unregularized_residual")),
+                    "manufactured_source", "radial_mesh", "solve_radial")),
     )
     for name in names
 }
@@ -144,6 +143,5 @@ __all__ = [
     "sum_thresholds",
     "t_from_b",
     "theta_exponent",
-    "unregularized_residual",
     "verify_negativity",
 ]

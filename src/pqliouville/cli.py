@@ -370,6 +370,21 @@ COMMANDS = {
 }
 
 
+class _NumberToken:
+    """Stands in for argparse's negative-number pattern (`-4096`, `-.5`):
+    any token that float() reads, such as `-1e3` or `-inf`, is a value, so
+    it reaches params.py as a file line does instead of being taken for an
+    unknown option."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.
@@ -382,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_, groups) in COMMANDS.items():
         sub = subs.add_parser(name)
+        sub._negative_number_matcher = _NumberToken
         for group in groups:
             for flag, kwargs in group:
                 sub.add_argument(flag, **kwargs)

@@ -15,7 +15,7 @@ stage and halves after a refused trial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -67,7 +67,6 @@ class RadialSolution:
     continuation_steps: int
     converged: bool
     failure: str | None = None
-    problem: RadialProblem = field(repr=False, default=None)
 
     @property
     def r_half(self) -> np.ndarray:
@@ -176,33 +175,23 @@ def _radial_weights(r, n_exp):
     return (0.5 * (r[:-1] + r[1:])) ** (n_exp - 1), r[1:-1] ** (n_exp - 1)
 
 
-def _assemble(x, r, h, weights, f, p, q, eps, log=False):
-    """Residual, its scale, and the pieces `_jacobian_bands` needs.
-
-    The unknown x is u, or w = log u when `log` is set (face and centred
-    slopes then follow the chain rule du = u dw).  The pieces are the
-    face slopes, their flux powers, the face factors exp((w_i+w_(i+1))/2)
-    (None for x = u), and u and the centred slope at the interior nodes.
-    Non-finite values (e.g. fractional powers of a negative iterate) are
-    tolerated here; the damped line search rejects such steps.
+def _assemble(u, r, h, weights, f, p, q, eps):
+    """Residual, its scale, and the pieces `_jacobian_bands` needs: the face
+    slopes, their flux powers, and u and the centred slope at the interior
+    nodes.  Non-finite values (e.g. fractional powers of a negative iterate)
+    are tolerated here; the damped line search rejects such steps.
     """
     w_face, w_node = weights
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        du_face = (x[1:] - x[:-1]) / h
-        du_c = (x[2:] - x[:-2]) / (2.0 * h)
-        u_in = x[1:-1]
-        e_face = None
-        if log:
-            e_face = np.exp(0.5 * (x[:-1] + x[1:]))
-            du_face = e_face * du_face
-            u_in = np.exp(u_in)
-            du_c = u_in * du_c
+        du_face = (u[1:] - u[:-1]) / h
+        du_c = (u[2:] - u[:-2]) / (2.0 * h)
+        u_in = u[1:-1]
         powers = _flux_powers(du_face, p, q, eps)
         flx = w_face * _flux_value(du_face, powers)
         src = w_node * f(r[1:-1], u_in, du_c)
         res = (flx[1:] - flx[:-1]) / h + src
         scale = 1.0 + np.abs(flx).max() / h + np.abs(src).max()
-    return res, scale, (du_face, powers, e_face, u_in, du_c)
+    return res, scale, (du_face, powers, u_in, du_c)
 
 
 def _scaled_norm(res, scale) -> float:
@@ -213,17 +202,13 @@ def _scaled_norm(res, scale) -> float:
 
 def _jacobian_bands(pieces, r, h, weights, f, p, q):
     """Tridiagonal Jacobian of `_assemble`'s residual, in the solve_banded
-    (1, 1) layout: ab[1 + i - j, j] = dres_i/dx_j.
+    (1, 1) layout: ab[1 + i - j, j] = dres_i/du_j.
 
-    The flux part is exact.  For x = u a face slope s has ds/dx_i = -1/h
-    and ds/dx_(i+1) = 1/h.  For x = w = log u it is s = e (w_(i+1)-w_i)/h
-    with e = exp((w_i+w_(i+1))/2), so ds/dw_i = s/2 - e/h and
-    ds/dw_(i+1) = s/2 + e/h; the reaction rows then carry f_u u and
-    f_d dd/dw, where the centred slope d = u (w_(i+1)-w_(i-1))/(2h).
-    The reaction's u and u' derivatives are central differences, so
-    `rhs_override` is handled like the built-in reactions.
+    The flux part is exact: a face slope s has ds/du_i = -1/h and
+    ds/du_(i+1) = 1/h.  The reaction's u and u' derivatives are central
+    differences, so `rhs_override` is handled like the built-in reactions.
     """
-    du_face, powers, e_face, u_in, du_c = pieces
+    du_face, powers, u_in, du_c = pieces
     w_face, w_node = weights
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         dphi = w_face * _flux_slope(du_face, powers, p, q)
@@ -232,22 +217,12 @@ def _jacobian_bands(pieces, r, h, weights, f, p, q):
         f_u = (f(r_in, u_in + delta_u, du_c) - f(r_in, u_in - delta_u, du_c)) / (2.0 * delta_u)
         delta_d = 1e-7 * (1.0 + np.abs(du_c))
         f_d = (f(r_in, u_in, du_c + delta_d) - f(r_in, u_in, du_c - delta_d)) / (2.0 * delta_d)
-        if e_face is None:
-            # h ds/dx_(i+1) and -h ds/dx_i are both 1
-            right = left = dphi
-            diag = w_node * f_u
-        else:
-            half = 0.5 * h * du_face
-            right = dphi * (e_face + half)
-            left = dphi * (e_face - half)
-            diag = w_node * (f_u * u_in + f_d * du_c)
-            f_d = f_d * u_in
-        # the centred slope at node i involves x_(i+1) (+1/2h) and x_(i-1) (-1/2h)
+        # the centred slope at node i involves u_(i+1) (+1/2h) and u_(i-1) (-1/2h)
         side = w_node * f_d / (2.0 * h)
         ab = np.zeros((3, u_in.size))
-        ab[0, 1:] = right[1:-1] / (h * h) + side[:-1]
-        ab[1, :] = -(left[1:] + right[:-1]) / (h * h) + diag
-        ab[2, :-1] = left[1:-1] / (h * h) - side[1:]
+        ab[0, 1:] = dphi[1:-1] / (h * h) + side[:-1]
+        ab[1, :] = -(dphi[1:] + dphi[:-1]) / (h * h) + w_node * f_u
+        ab[2, :-1] = dphi[1:-1] / (h * h) - side[1:]
     return ab
 
 
@@ -314,9 +289,10 @@ def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution
     MAX_NEWTON iterations, and its failure ends the solve.
     `continuation_steps` counts every attempted stage and `newton_iters`
     every iteration, refused trials included.  With `log_transform` the
-    unknown is w = log u, solved in one stage; both unknowns share the
-    chain-rule Jacobian of `_jacobian_bands`.  Returns converged=False
-    with the best iterate (and a failure tag of 'newton_stalled' or
+    unknown is w = log u, with u = exp(w) pinned to the exact data at both
+    ends: Newton takes another path to the same discrete solution, in one
+    stage from a start linear in w.  Returns converged=False with the
+    best iterate (and a failure tag of 'newton_stalled' or
     'jacobian_singular') instead of raising when the iteration cannot
     reach the tolerance.
     """
@@ -325,16 +301,27 @@ def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution
     inst = prob.inst
     f = prob.rhs_override if prob.rhs_override is not None else reaction_function(inst)
     args = (r, h, _radial_weights(r, inst.N), f, inst.p, inst.q)
-    residual = lambda x: _assemble(x, *args, prob.reg_eps, log=prob.log_transform)
-    jacobian = lambda pieces: _jacobian_bands(pieces, *args)
     lo, hi = prob.u_at_r0, prob.u_at_r1
+    bands = lambda pieces: _jacobian_bands(pieces, *args)
     if prob.log_transform:
-        lo, hi = math.log(lo), math.log(hi)
-        factor = 1.0
+        def to_u(w):
+            with np.errstate(over="ignore"):
+                u = np.exp(w)
+            u[0], u[-1] = lo, hi  # the exact data, not exp(log(data))
+            return u
+
+        def jacobian(pieces):
+            # du_j/dw_j = u_j scales column j; pieces[2] is u at the interior nodes
+            with np.errstate(invalid="ignore", over="ignore"):
+                return bands(pieces) * pieces[2]
+
+        x_lo, x_hi, factor = math.log(lo), math.log(hi), 1.0
     else:
-        factor = _first_data_factor(prob)
+        to_u, jacobian = (lambda u: u), bands
+        x_lo, x_hi, factor = lo, hi, _first_data_factor(prob)
+    residual = lambda x: _assemble(to_u(x), *args, prob.reg_eps)
     # x carries the boundary data; rescaling by a power of two keeps it exact
-    x = (lo + (hi - lo) * (r - r[0]) / (r[-1] - r[0])) * factor
+    x = (x_lo + (x_hi - x_lo) * (r - r[0]) / (r[-1] - r[0])) * factor
     x, norm, newton_total, failure = _damped_newton(residual, jacobian, x, tol)
     stages, ratio = 1, 2.0
     while failure is None and factor < 1.0:
@@ -349,27 +336,11 @@ def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution
             failure, ratio = None, ratio / 2.0
         else:
             x, norm = x_try, norm_try
-    u = np.exp(x) if prob.log_transform else x
     return RadialSolution(
-        r=r, u=u, residual_norm=norm,
+        r=r, u=to_u(x), residual_norm=norm,
         newton_iters=newton_total, continuation_steps=stages,
-        converged=failure is None, failure=failure, problem=prob,
+        converged=failure is None, failure=failure,
     )
-
-
-def unregularized_residual(sol: RadialSolution) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled pointwise residual with eps = 0, and a node mask restricted to
-    where both adjacent face derivatives exceed 10 reg_eps."""
-    prob = sol.problem
-    inst = prob.inst
-    r, u = sol.r, sol.u
-    h = r[1] - r[0]
-    f_raw = prob.rhs_override if prob.rhs_override is not None else reaction_function(inst)
-    res, scale, (du_face, *_) = _assemble(u, r, h, _radial_weights(r, inst.N), f_raw,
-                                          inst.p, inst.q, 0.0)
-    good_face = np.abs(du_face) > 10.0 * prob.reg_eps
-    mask = good_face[:-1] & good_face[1:]
-    return np.abs(res) / scale, mask
 
 
 def gradient_vs_distance(sol: RadialSolution, side: str = "both") -> np.ndarray:

@@ -2,11 +2,13 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 the radial oracle integrates the first-integral form with quadrature and
-root finding, the reference Jacobian differences the residual it
-belongs to, the operator reference is a hand-derived analytic
-expansion, the whole-array stencils are the straightforward NaN-ring
-forms the blocked operators must reproduce bit for bit, and the
-parameter-window oracle brackets the feasibility predicate by bisection.
+root finding, the unregularised residual writes the finite-volume
+equations out from `flux` at eps = 0 instead of calling the solver's
+assembly, the reference Jacobian differences the residual it belongs
+to, the operator reference is a hand-derived analytic expansion, the
+whole-array stencils are the straightforward NaN-ring forms the blocked
+operators must reproduce bit for bit, and the parameter-window oracle
+brackets the feasibility predicate by bisection.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 
 from pqliouville import ProblemInstance, product_thresholds, product_trinomial
-from pqliouville.radial import flux
+from pqliouville.radial import flux, reaction_function
 from pqliouville.selection import small_s_threshold
 
 
@@ -173,6 +175,23 @@ def constant_rhs_profile(N, p, q, r0, r1, u0, u1, c, r_nodes, refine=32):
         hi *= 2.0
     K = brentq(mismatch, lo, hi, xtol=1e-13, rtol=8.9e-16)
     return profile(K)[::refine]
+
+
+def unregularized_residual(prob, sol):
+    """Scaled pointwise residual of sol's finite-volume equations at eps = 0,
+    and a node mask restricted to where both adjacent face slopes exceed
+    10 reg_eps."""
+    inst = prob.inst
+    r, u = sol.r, sol.u
+    h = r[1] - r[0]
+    f = prob.rhs_override if prob.rhs_override is not None else reaction_function(inst)
+    du_face = np.diff(u) / h
+    flx = (0.5 * (r[:-1] + r[1:])) ** (inst.N - 1) * flux(du_face, inst.p, inst.q, 0.0)
+    src = r[1:-1] ** (inst.N - 1) * f(r[1:-1], u[1:-1], (u[2:] - u[:-2]) / (2.0 * h))
+    res = np.diff(flx) / h + src
+    scale = 1.0 + np.abs(flx).max() / h + np.abs(src).max()
+    good_face = np.abs(du_face) > 10.0 * prob.reg_eps
+    return np.abs(res) / scale, good_face[:-1] & good_face[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ RADIAL_HJ_4096 = [*HJ, "--m", "2.5", "--r0", "1", "--r1", "2", "--u0", "-4096", 
 PRODUCT_A = ["--kind", "product", "--N", "2", "--p", "2.2", "--q", "2", "--s", "0.5", "--m", "2.0"]
 PRODUCT_FILE = "kind = product\np = 2.2\nq = 2\ns = 0.5\nm = 2\n"
 RADIAL_FILE = "kind = hamilton_jacobi\nN = 2\np = 3\nq = 2\nm = 2.5\nr0 = 1\nr1 = 2\nu0 = -64\nu1 = 0\n"
-# Non-finite and non-integral inputs: (argv, parameter file text or None).
+# Non-finite, non-integral and out-of-range inputs: (argv, parameter file text or None).
 REFUSED = {
     "s-nan": (["classify", "--kind", "product", "--N", "2", "--p", "2.2", "--q", "2",
                "--s", "nan", "--m", "2"], None),
@@ -67,6 +67,7 @@ REFUSED = {
     "r1-inf": ([*RADIAL_HJ, "--r1", "inf", "--u0", "-64", "--u1", "0"], None),
     "il-window-q-nan": (["il-window", "--q", "nan", "--m", "3"], None),
     "il-window-m-inf": (["il-window", "--q", "2", "--m", "inf"], None),
+    "il-window-m-minus-1e3": (["il-window", "--q", "2", "--m", "-1e3"], None),
 }
 
 # Each instance and radial key of one solve-radial run: (flag, token, bad token).
@@ -75,7 +76,7 @@ PARITY = {
     "kind": ("--kind", "sum", "bogus"), "N": ("--N", "3.0", "2.5"), "p": ("--p", "2.5", "oops"),
     "q": ("--q", "2", "nan"), "s": ("--s", "1.5", "x"), "m": ("--m", "1", "inf"),
     "M": ("--M", "1", "nan"), "r0": ("--r0", "1", "inf"), "r1": ("--r1", "2", "nan"),
-    "u0": ("--u0", "1", "oops"), "u1": ("--u1", "2", "inf"),
+    "u0": ("--u0", "1", "-inf"), "u1": ("--u1", "2", "inf"),
     "mesh_n": ("--mesh-n", "6.4e1", "100.7"), "reg_eps": ("--reg-eps", "1e-8", "1"),
 }
 
@@ -407,6 +408,16 @@ class TestCommands:
         assert refused[0] == 2 and refused[1].startswith("error: ")
         assert refused == outcome(bad, False)
 
+    def test_negative_exponent_token_reads_as_its_file_line(self, tmp_path, capsys):
+        # argparse took a "-" token that is not a plain decimal for an option
+        results = []
+        for flag, line in ((["--u0", "-1e3"], ""), ([], "u0 = -1e3\n")):
+            par = tmp_path / "radial.par"
+            par.write_text(RADIAL_FILE.replace("u0 = -64\n", line))
+            assert run(["solve-radial", "--params", str(par), *flag]) == 0
+            results.append(load(json.loads(capsys.readouterr().out))["results"])
+        assert results[0] == results[1]
+
     def test_flag_tokens_follow_the_file_rules(self, tmp_path, capsys):
         base = RADIAL_SUM[:6] + RADIAL_SUM[8:-2]  # without --q and --mesh-n
         par = tmp_path / "radial.par"
@@ -520,9 +531,10 @@ CSV_RESULTS = {
 TABLE_RESULTS = {
     "solve-radial-direct": (["solve-radial", *RADIAL_HJ_4096, "--format", "csv"], None,
                             "fb0b70928678a32279ae5d2fb28a0d890b18914b30d28c9b3e3c960ae9be90b1"),
+    # re-taken when the log path became Newton in w = log u on the direct residual
     "solve-radial-log": (["solve-radial", "--params", str(PRODUCT_GRID.with_name("log_product.par")),
                           "--format", "csv"], None,
-                         "a1c47466a8954345890aa34218f3bd1119e64bbca6c5929ed55cbf8e6f69b91a"),
+                         "2494541b2f2c53b03b31e968f1010d52e463b1924b4b15756826076271e25760"),
     "plot-data-gradient_profile": (["plot-data", "--selector", "gradient_profile"],
                                    ["solve-radial", *RADIAL_HJ_4096],
                                    "d75b15a224b986a0e1319e03c778f5fa0a3855dd2ee1ea71b102e9c65a329e31"),
