@@ -370,19 +370,23 @@ COMMANDS = {
 }
 
 
-class _NumberToken:
-    """Stands in for argparse's negative-number pattern (`-4096`, `-.5`):
-    any token that float() reads, such as `-1e3` or `-inf`, is a value, so
-    it reaches params.py as a file line does instead of being taken for an
-    unknown option."""
+# Flags that take a value; main joins each with a next token such as -1e3.
+_VALUE_FLAGS = frozenset(flag for _, groups in COMMANDS.values() for group in groups
+                         for flag, kwargs in group if "action" not in kwargs)
 
-    @staticmethod
-    def match(token: str) -> bool:
-        try:
-            float(token)
-        except ValueError:
-            return False
-        return True
+
+def _joined_values(argv: list[str]) -> list[str]:
+    """argv with each value flag joined to a next token that starts with
+    one `-` (`--u0 -1e3` -> `--u0=-1e3`).  argparse takes only plain
+    decimals such as -4096 for such a value; joined, `-1e3` or `-inf`
+    reaches its reader as a file line does."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _VALUE_FLAGS and token[:1] == "-" and token[:2] != "--":
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 @functools.cache
@@ -397,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_, groups) in COMMANDS.items():
         sub = subs.add_parser(name)
-        sub._negative_number_matcher = _NumberToken
         for group in groups:
             for flag, kwargs in group:
                 sub.add_argument(flag, **kwargs)
@@ -419,7 +422,7 @@ def _report(args) -> tuple[Report, int]:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -226,6 +226,13 @@ def _jacobian_bands(pieces, r, h, weights, f, p, q):
     return ab
 
 
+def _log_jacobian_bands(pieces, *args):
+    """`_jacobian_bands` in the unknown w = log u: du_j/dw_j = u_j scales
+    column j of the bands (pieces[2] is u at the interior nodes)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _jacobian_bands(pieces, *args) * pieces[2]
+
+
 def _damped_newton(residual, jacobian, x, tol, max_iter=MAX_NEWTON):
     """Damped Newton on the interior entries of x, boundary entries fixed.
 
@@ -302,7 +309,6 @@ def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution
     f = prob.rhs_override if prob.rhs_override is not None else reaction_function(inst)
     args = (r, h, _radial_weights(r, inst.N), f, inst.p, inst.q)
     lo, hi = prob.u_at_r0, prob.u_at_r1
-    bands = lambda pieces: _jacobian_bands(pieces, *args)
     if prob.log_transform:
         def to_u(w):
             with np.errstate(over="ignore"):
@@ -310,14 +316,10 @@ def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution
             u[0], u[-1] = lo, hi  # the exact data, not exp(log(data))
             return u
 
-        def jacobian(pieces):
-            # du_j/dw_j = u_j scales column j; pieces[2] is u at the interior nodes
-            with np.errstate(invalid="ignore", over="ignore"):
-                return bands(pieces) * pieces[2]
-
+        jacobian = lambda pieces: _log_jacobian_bands(pieces, *args)
         x_lo, x_hi, factor = math.log(lo), math.log(hi), 1.0
     else:
-        to_u, jacobian = (lambda u: u), bands
+        to_u, jacobian = (lambda u: u), lambda pieces: _jacobian_bands(pieces, *args)
         x_lo, x_hi, factor = lo, hi, _first_data_factor(prob)
     residual = lambda x: _assemble(to_u(x), *args, prob.reg_eps)
     # x carries the boundary data; rescaling by a power of two keeps it exact

@@ -76,7 +76,7 @@ PARITY = {
     "kind": ("--kind", "sum", "bogus"), "N": ("--N", "3.0", "2.5"), "p": ("--p", "2.5", "oops"),
     "q": ("--q", "2", "nan"), "s": ("--s", "1.5", "x"), "m": ("--m", "1", "inf"),
     "M": ("--M", "1", "nan"), "r0": ("--r0", "1", "inf"), "r1": ("--r1", "2", "nan"),
-    "u0": ("--u0", "1", "-inf"), "u1": ("--u1", "2", "inf"),
+    "u0": ("--u0", "1", "oops"), "u1": ("--u1", "2", "-inf"),
     "mesh_n": ("--mesh-n", "6.4e1", "100.7"), "reg_eps": ("--reg-eps", "1e-8", "1"),
 }
 

@@ -16,6 +16,7 @@ from pqliouville import (
 from pqliouville.radial import (
     _assemble,
     _jacobian_bands,
+    _log_jacobian_bands,
     _radial_weights,
     flux_derivative,
     reaction_function,
@@ -226,15 +227,14 @@ class TestJacobian:
     @pytest.mark.parametrize("p,q,N", [(3.0, 2.0, 2), (2.5, 1.5, 3), (2.2, 2.0, 2)])
     def test_bands_match_forward_differences(self, p, q, N, log):
         # a sum reaction has both f_u and f_d; the iterate is positive
-        # with slopes in [0.37, 1.63].  In w = log u, du_j/dw_j = u_j
-        # scales column j of the bands.
+        # with slopes in [0.37, 1.63].  The log case checks the bands
+        # solve_radial uses in w = log u against residual(exp w).
         inst = ProblemInstance(N=N, p=p, q=q, kind="sum", s=1.5, m=1.5, M=1.0)
         r = np.linspace(1.0, 2.0, 65)
         u = 1.0 + r + 0.1 * np.sin(2.0 * np.pi * r)
         args = (r, r[1] - r[0], _radial_weights(r, N), reaction_function(inst), p, q)
-        bands = _jacobian_bands(_assemble(u, *args, 1e-8)[2], *args)
-        if log:
-            bands = bands * u[1:-1]
+        bands = (_log_jacobian_bands if log else _jacobian_bands)(
+            _assemble(u, *args, 1e-8)[2], *args)
         to_u = np.exp if log else (lambda y: y)
         reference = colour_bands(lambda y: _assemble(to_u(y), *args, 1e-8)[0],
                                  np.log(u) if log else u)
