@@ -17,6 +17,7 @@ from .exponents import ExponentBundle, exponent_bundle, sum_exponent_bundle
 from .instance import ProblemInstance
 from .selection import (
     BSelection,
+    Row,
     TheoremCondition,
     product_shared_rows,
     select_b_product,
@@ -27,28 +28,28 @@ from .selection import (
 )
 from .thresholds import ProductThresholds, SumThresholds, product_thresholds, sum_thresholds
 
-THEOREMS = (
-    "thm_HJ",
-    "thm_product_A",
-    "thm_product_B",
-    "thm_product_C",
-    "thm_IL",
-    "thm_sum_growth",
-    "thm_sum_liouville",
-    "none",
-)
-
 PRODUCT_SHARED = "product_shared"
 
 GRAD_U = "|grad u|"
 GRAD_U_POWER = "|grad u^(1/b)|"
 
 
-def _owners(theorem: str) -> set[str]:
-    """Theorems whose rows a theorem needs: product cases also own the shared block."""
-    if theorem.startswith("thm_product_"):
-        return {theorem, PRODUCT_SHARED}
-    return {theorem}
+def _owned(rows, theorem: str) -> list[TheoremCondition]:
+    """The rows a theorem needs: product cases also own the shared block."""
+    owners = {theorem, PRODUCT_SHARED} if theorem.startswith("thm_product_") else {theorem}
+    return [c for c in rows if c.theorem in owners]
+
+
+def _passes(rows, theorem: str) -> bool:
+    """A theorem passes when it owns at least one row and every row it owns passes."""
+    owned = _owned(rows, theorem)
+    return bool(owned) and all([c.passed for c in owned])
+
+
+def _file(rows: list[TheoremCondition], theorem: str, *entries: Row) -> None:
+    """Append (label, template, values, passed) entries as rows under one theorem."""
+    rows += [TheoremCondition(theorem, label, template, values, bool(passed))
+             for label, template, values, passed in entries]
 
 
 class RegimeDecision(NamedTuple):
@@ -66,8 +67,7 @@ class RegimeDecision(NamedTuple):
 
     def conditions_for(self, theorem: str) -> tuple[TheoremCondition, ...]:
         """Conditions owned by a theorem (product cases share their common block)."""
-        owners = _owners(theorem)
-        return tuple(c for c in self.conditions if c.theorem in owners)
+        return tuple(_owned(self.conditions, theorem))
 
     def as_dict(self, templates: dict) -> dict:
         """The report row.  Each condition becomes [template index, passed, values].
@@ -75,83 +75,50 @@ class RegimeDecision(NamedTuple):
         `templates` (a `report.ConditionTemplates`) maps (theorem, label,
         template) to its index in the report's `condition_templates` table
         and appends keys it has not seen, so one index serves a whole report.
-        The row leaves out `instance` (the report's echoed parameter map
-        gives it back), every None field and an empty `matches`;
-        `report.load` puts them back.
+        One rule covers every field: the row leaves out `inst` (the
+        report's echoed parameter map gives it back), every None and an
+        empty `matches`, keys each field by ROW_KEYS, and writes a nested
+        record through its own `as_dict`; `report.load` puts back what the
+        row leaves out.
         """
-        row = {
-            "theorem": self.theorem,
-            "conditions": [[templates[theorem, label, template], passed, values]
-                           for theorem, label, template, values, passed in self.conditions],
-            "liouville": self.liouville,
-        }
-        if self.matches:
-            row["matches"] = list(self.matches)
-        if self.estimate_exponent is not None:
-            row["estimate_exponent"] = self.estimate_exponent
-        if self.estimate_target is not None:
-            row["estimate_target"] = self.estimate_target
-        if self.exponents:
-            row["exponents"] = self.exponents.as_dict()
-        if self.product:
-            row["product_thresholds"] = self.product.as_dict()
-        if self.sums:
-            row["sum_thresholds"] = self.sums.as_dict()
-        if self.selection:
-            row["selection"] = self.selection.as_dict()
+        row = {}
+        for key, value in zip(ROW_KEYS, self):
+            if value is None or key == "instance":
+                continue
+            if key == "conditions":
+                value = [[templates[theorem, label, template], passed, values]
+                         for theorem, label, template, values, passed in value]
+            elif key == "matches":
+                if not value:
+                    continue
+                value = list(value)
+            elif isinstance(value, tuple):
+                value = value.as_dict()
+            row[key] = value
         return row
 
 
-# The report row key of each RegimeDecision field whose key is not its name;
-# report.load refills a row's left-out keys from RegimeDecision._fields.
-ROW_KEYS = {"inst": "instance", "product": "product_thresholds", "sums": "sum_thresholds"}
+# The report row key of each RegimeDecision field, in field order: the
+# field's name unless renamed here.  report.load refills a row's left-out
+# keys from it.
+_RENAMED = {"inst": "instance", "product": "product_thresholds", "sums": "sum_thresholds"}
+ROW_KEYS = tuple(_RENAMED.get(field, field) for field in RegimeDecision._fields)
 
 
-class _Trace:
-    """Condition rows in report order, and per theorem whether all its rows pass."""
-
-    def __init__(self):
-        self.rows: list[TheoremCondition] = []
-        self.passing: dict[str, bool] = {}
-
-    def add(self, theorem: str, label: str, template: str, values: list, passed) -> None:
-        passed = bool(passed)
-        self.rows.append(TheoremCondition(theorem, label, template, values, passed))
-        self.passing[theorem] = self.passing.get(theorem, True) and passed
-
-    def extend(self, theorem: str, rows) -> None:
-        """Append (label, template, values, passed) rows under one theorem."""
-        for row in rows:
-            self.add(theorem, *row)
-
-    def all_pass(self, theorem: str) -> bool:
-        states = [self.passing[owner] for owner in _owners(theorem) if owner in self.passing]
-        return bool(states) and all(states)
+def _ishii_lions_rows(inst: ProblemInstance, rows: list[TheoremCondition]) -> None:
+    template = "m > q (gradient-dominated reaction, bounded solutions): {:.6g} > {:.6g}"
+    _file(rows, "thm_IL", ("m_gt_q", template, [inst.m, inst.q], inst.m > inst.q))
 
 
-def _ishii_lions_rows(inst: ProblemInstance, trace: _Trace) -> None:
-    trace.add(
-        "thm_IL",
-        "m_gt_q",
-        "m > q (gradient-dominated reaction, bounded solutions): {:.6g} > {:.6g}",
-        [inst.m, inst.q],
-        inst.m > inst.q,
-    )
-
-
-def _classify_hj(inst: ProblemInstance, trace: _Trace) -> None:
-    trace.add(
-        "thm_HJ",
-        "superlinear_gradient",
-        "m > p-1: {:.6g} > {:.6g}",
-        [inst.m, inst.p - 1.0],
-        inst.m > inst.p - 1.0,
-    )
-    _ishii_lions_rows(inst, trace)
+def _classify_hj(inst: ProblemInstance, rows: list[TheoremCondition]) -> None:
+    _file(rows, "thm_HJ", ("superlinear_gradient", "m > p-1: {:.6g} > {:.6g}",
+                           [inst.m, inst.p - 1.0], inst.m > inst.p - 1.0))
+    _ishii_lions_rows(inst, rows)
 
 
 def _product_case_rows(
-    inst: ProblemInstance, th: ProductThresholds, trace: _Trace, optimal_search: bool
+    inst: ProblemInstance, th: ProductThresholds, rows: list[TheoremCondition],
+    optimal_search: bool,
 ) -> tuple[str | None, BSelection | None]:
     """Emit rows for the Q-position-selected case; return its theorem name and
     the selection its window_numeric row ran (optimal search only)."""
@@ -160,52 +127,42 @@ def _product_case_rows(
     Q, q1, q2 = th.Q, th.Q1, th.Q2
     position = window_position(th)
     if position == "boundary":
-        trace.add("thm_product_B", "boundary_window", "Q in {{Q1, Q2}}: Q = {:.6g}", [Q], True)
-        trace.add("thm_product_B", *small_s_row(inst))
+        _file(rows, "thm_product_B", ("boundary_window", "Q in {{Q1, Q2}}: Q = {:.6g}", [Q], True),
+              small_s_row(inst))
         return "thm_product_B", None
     if position == "inside":
-        trace.add(
-            "thm_product_A",
-            "open_window",
-            "Q1 < Q < Q2: {:.6g} < {:.6g} < {:.6g}",
-            [q1, Q, q2],
-            True,
-        )
+        _file(rows, "thm_product_A",
+              ("open_window", "Q1 < Q < Q2: {:.6g} < {:.6g} < {:.6g}", [q1, Q, q2], True))
         return "thm_product_A", None
     theorem = "thm_product_C"
-    trace.add(theorem, *small_s_row(inst))
-    trace.add(theorem, "m_le_q", "m <= q: {:.6g} <= {:.6g}", [inst.m, inst.q], inst.m <= inst.q)
-    trace.add(theorem, "q_lt_p", "q < p: {:.6g} < {:.6g}", [inst.q, inst.p], inst.q < inst.p)
-    trace.add(
-        theorem, "p_lt_m_plus_1", "p < m+1: {:.6g} < {:.6g}", [inst.p, inst.m + 1.0],
-        inst.p < inst.m + 1.0,
+    _file(
+        rows, theorem, small_s_row(inst),
+        ("m_le_q", "m <= q: {:.6g} <= {:.6g}", [inst.m, inst.q], inst.m <= inst.q),
+        ("q_lt_p", "q < p: {:.6g} < {:.6g}", [inst.q, inst.p], inst.q < inst.p),
+        ("p_lt_m_plus_1", "p < m+1: {:.6g} < {:.6g}", [inst.p, inst.m + 1.0],
+         inst.p < inst.m + 1.0),
     )
     if optimal_search:
         sel = select_b_product(inst)
-        trace.add(
-            theorem,
+        _file(rows, theorem, (
             "window_numeric",
             "numeric convex-case feasibility (vertex of the majorant is negative): {}",
             [sel.case_tag],
             sel.case_tag == "case3_convex",
-        )
+        ))
         return theorem, sel
     if position == "above":
         if th.Q3 is None:
-            trace.add(theorem, "upper_window", "Q3 undefined at s=0", [], False)
+            _file(rows, theorem, ("upper_window", "Q3 undefined at s=0", [], False))
         else:
-            trace.add(
-                theorem,
-                "upper_window",
-                "Q2 < Q < Q3: {:.6g} < {:.6g} < {:.6g}",
-                [q2, Q, th.Q3],
-                Q < th.Q3,
-            )
+            _file(rows, theorem, ("upper_window", "Q2 < Q < Q3: {:.6g} < {:.6g} < {:.6g}",
+                                  [q2, Q, th.Q3], Q < th.Q3))
         return theorem, None
     # Q below Q1, so the lower-window row tests its lower bound only; it
     # needs the comparison ratio a.
     if th.a is None:
-        trace.add(theorem, "lower_window", "comparison ratio a undefined (s=0 or p=q)", [], False)
+        _file(rows, theorem,
+              ("lower_window", "comparison ratio a undefined (s=0 or p=q)", [], False))
         return theorem, None
     if th.a <= 1.0:
         lower = inst.N * ((1.0 - th.a) * th.Q1**2 + th.R) / (4.0 * (inst.q - 1.0))
@@ -213,59 +170,50 @@ def _product_case_rows(
     else:
         lower = inst.N * th.R / (4.0 * (inst.q - 1.0))
         template = "a > 1 branch: NR/(4(q-1)) < Q < Q1: {:.6g} < {:.6g} < {:.6g}"
-    trace.add(theorem, "lower_window", template, [lower, Q, q1], lower < Q)
+    _file(rows, theorem, ("lower_window", template, [lower, Q, q1], lower < Q))
     return theorem, None
 
 
 def _classify_product(
-    inst: ProblemInstance, trace: _Trace, optimal_search: bool
+    inst: ProblemInstance, rows: list[TheoremCondition], optimal_search: bool
 ) -> tuple[ProductThresholds, str | None, BSelection | None, ExponentBundle | None]:
     th = product_thresholds(inst)
-    trace.extend(PRODUCT_SHARED, product_shared_rows(inst, th))
-    case_theorem, window_selection = _product_case_rows(inst, th, trace, optimal_search)
-    _ishii_lions_rows(inst, trace)
+    _file(rows, PRODUCT_SHARED, *product_shared_rows(inst, th))
+    case_theorem, window_selection = _product_case_rows(inst, th, rows, optimal_search)
+    _ishii_lions_rows(inst, rows)
     selection = bundle = None
-    if case_theorem is not None and trace.all_pass(case_theorem):
+    if case_theorem is not None and _passes(rows, case_theorem):
         selection = window_selection or select_b_product(inst)
-        trace.add(
-            case_theorem,
-            "selection_feasible",
-            "constructive b-selection: {}",
-            [selection.case_tag],
-            selection.feasible,
-        )
+        _file(rows, case_theorem, ("selection_feasible", "constructive b-selection: {}",
+                                   [selection.case_tag], selection.feasible))
         if selection.feasible:
             bundle = exponent_bundle(inst, selection.b_star)
     return th, case_theorem, selection, bundle
 
 
 def _classify_sum(
-    inst: ProblemInstance, trace: _Trace
+    inst: ProblemInstance, rows: list[TheoremCondition]
 ) -> tuple[SumThresholds, BSelection | None, ExponentBundle | None]:
     th = sum_thresholds(inst)
     p, q, s, m = inst.p, inst.q, inst.s, inst.m
     liou = "thm_sum_liouville"
-    trace.add(liou, "M_positive", "M > 0: {:.6g}", [inst.M], inst.M > 0.0)
-    trace.extend(liou, sum_liouville_rows(inst, th))
+    M_positive = ("M_positive", "M > 0: {:.6g}", [inst.M], inst.M > 0.0)
+    _file(rows, liou, M_positive, *sum_liouville_rows(inst, th))
 
-    growth = "thm_sum_growth"
-    trace.add(growth, "M_positive", "M > 0: {:.6g}", [inst.M], inst.M > 0.0)
-    trace.add(growth, "m_p_gap", "m-p+2 > 0: {:.6g}", [m - p + 2.0], m - p + 2.0 > 0.0)
     s_lo_g = max(q - 1.0, 1.0)
-    trace.add(growth, "s_large", "s > max(q-1, 1): {:.6g} > {:.6g}", [s, s_lo_g], s > s_lo_g)
     m_lo = max(q * s / (s + 1.0), 2.0 * s)
-    trace.add(growth, "m_large", "m > max(qs/(s+1), 2s): {:.6g} > {:.6g}", [m, m_lo], m > m_lo)
+    _file(
+        rows, "thm_sum_growth", M_positive,
+        ("m_p_gap", "m-p+2 > 0: {:.6g}", [m - p + 2.0], m - p + 2.0 > 0.0),
+        ("s_large", "s > max(q-1, 1): {:.6g} > {:.6g}", [s, s_lo_g], s > s_lo_g),
+        ("m_large", "m > max(qs/(s+1), 2s): {:.6g} > {:.6g}", [m, m_lo], m > m_lo),
+    )
 
     selection = bundle = None
-    if trace.all_pass(liou):
+    if _passes(rows, liou):
         selection = sum_selection(inst)
-        trace.add(
-            liou,
-            "selection_feasible",
-            "constructive tau-selection: {}",
-            [selection.case_tag],
-            selection.feasible,
-        )
+        _file(rows, liou, ("selection_feasible", "constructive tau-selection: {}",
+                           [selection.case_tag], selection.feasible))
         if selection.feasible:
             bundle = sum_exponent_bundle(inst, selection.t_star)
     return th, selection, bundle
@@ -279,23 +227,20 @@ def classify(inst: ProblemInstance, optimal_search: bool = False) -> RegimeDecis
     window membership is delegated to the numeric feasibility of the
     majorant instead of the stated (non-optimal) closed-form bounds.
     """
-    trace = _Trace()
+    rows: list[TheoremCondition] = []
     product_th = sums_th = selection = bundle = None
-    candidates: list[str] = []
 
     if inst.kind == "hamilton_jacobi":
-        _classify_hj(inst, trace)
+        _classify_hj(inst, rows)
         candidates = ["thm_HJ", "thm_IL"]
     elif inst.kind == "product":
-        product_th, case_theorem, selection, bundle = _classify_product(
-            inst, trace, optimal_search
-        )
+        product_th, case_theorem, selection, bundle = _classify_product(inst, rows, optimal_search)
         candidates = ([case_theorem] if case_theorem else []) + ["thm_IL"]
     else:
-        sums_th, selection, bundle = _classify_sum(inst, trace)
+        sums_th, selection, bundle = _classify_sum(inst, rows)
         candidates = ["thm_sum_liouville", "thm_sum_growth"]
 
-    matches = [theorem for theorem in candidates if trace.all_pass(theorem)]
+    matches = [theorem for theorem in candidates if _passes(rows, theorem)]
 
     theorem = matches[0] if matches else "none"
     liouville = theorem not in ("none", "thm_sum_growth")
@@ -315,7 +260,7 @@ def classify(inst: ProblemInstance, optimal_search: bool = False) -> RegimeDecis
         inst=inst,
         theorem=theorem,
         matches=tuple(matches),
-        conditions=tuple(trace.rows),
+        conditions=tuple(rows),
         liouville=liouville,
         estimate_exponent=estimate,
         estimate_target=target,

@@ -426,6 +426,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.out and os.path.isdir(args.out):
+            raise CliError(f"--out: names a directory, not a file: {args.out!r}")
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise CliError(f"--out: no such directory: {os.path.dirname(args.out)!r}")
         if args.command == "plot-data":

@@ -64,45 +64,43 @@ def expand_instances(params: dict[str, list[str]]) -> list[ProblemInstance]:
     """Cartesian expansion of the instance keys into validated instances.
 
     Grid order is the fixed key order (kind, N, p, q, s, m, M) with the
-    last key varying fastest; tied keys (value naming another key) copy
-    that key's current grid value.  A grid of more than MAX_INSTANCES
-    instances is refused before any instance is built.
+    last key varying fastest; tied keys (value naming another numeric key)
+    copy that key's current grid value.  A grid of more than MAX_INSTANCES
+    instances is refused before any instance is built, and every token is
+    read once, before the first instance.
     """
     if "kind" not in params:
         raise ParamError("kind", "missing")
     for kind in params["kind"]:
         if kind not in KINDS:
             raise ParamError("kind", f"unknown kind {kind!r}")
-    grids: list[tuple[str, list[str]]] = []
+    grids: dict[str, list[str]] = {}
     ties: dict[str, str] = {}
     for key in INSTANCE_KEYS:
         if key not in params:
             continue
         tokens = params[key]
-        if len(tokens) == 1 and tokens[0] in INSTANCE_KEYS and tokens[0] != key:
+        if len(tokens) == 1 and tokens[0] in INSTANCE_KEYS[1:] and tokens[0] != key:
             ties[key] = tokens[0]
         else:
-            grids.append((key, tokens))
+            grids[key] = tokens
     for key, target in ties.items():
         if target not in params or target in ties:
             raise ParamError(key, f"tied to unavailable key {target!r}")
-    count = math.prod(len(tokens) for _, tokens in grids)
+    count = math.prod(map(len, grids.values()))
     if count > MAX_INSTANCES:
         raise ParamError("grid", f"{count:,} instances exceed the limit of {MAX_INSTANCES:,}")
+    for required in ("N", "p", "q"):
+        if required not in params:
+            raise ParamError(required, "missing")
+    values = {key: tokens if key == "kind" else [_float(key, t) for t in tokens]
+              for key, tokens in grids.items()}
 
     out: list[ProblemInstance] = []
-    keys = [key for key, _ in grids]
-    for combo in itertools.product(*(tokens for _, tokens in grids)):
-        values = dict(zip(keys, combo))
+    for combo in itertools.product(*values.values()):
+        kwargs = dict(zip(values, combo))
         for key, target in ties.items():
-            values[key] = values[target]
-        kwargs = {"kind": values["kind"]}
-        for key in ("N", "p", "q", "s", "m", "M"):
-            if key in values:
-                kwargs[key] = _float(key, values[key])
-        for required in ("N", "p", "q"):
-            if required not in kwargs:
-                raise ParamError(required, "missing")
+            kwargs[key] = kwargs[target]
         try:
             out.append(ProblemInstance(**kwargs))
         except ValueError as exc:

@@ -15,7 +15,7 @@ import tempfile
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .classify import ROW_KEYS, RegimeDecision
+from .classify import ROW_KEYS
 from .params import expand_instances
 from .thresholds import ProductThresholds, SumThresholds
 
@@ -56,7 +56,7 @@ def load(report: dict) -> dict:
     The result rows come back as schema 3 wrote them, with what other
     schemas leave out put back: a classify or sweep row gets its
     `instance` (rebuilt from the echoed parameter map and the row index),
-    its null keys and empty `matches` (from the RegimeDecision,
+    its null keys and empty `matches` (from classify.ROW_KEYS and the
     ProductThresholds and SumThresholds fields), and its conditions as
     {theorem, label, rendering, passed} dicts; a selection gets
     `epsilon_used` and an identity report `constant` back; a solve-radial
@@ -82,8 +82,8 @@ def load(report: dict) -> dict:
                                        "rendering": template.format(*values), "passed": passed})
                 row["conditions"] = conditions
             row.setdefault("matches", [])
-            for field in RegimeDecision._fields:
-                row.setdefault(ROW_KEYS.get(field, field), None)
+            for key in ROW_KEYS:
+                row.setdefault(key, None)
             for key, record in (("product_thresholds", ProductThresholds),
                                 ("sum_thresholds", SumThresholds)):
                 if row[key] is not None:

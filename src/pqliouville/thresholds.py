@@ -20,6 +20,11 @@ def operator_gap(N: int, p: float, q: float) -> float:
     return (p - q) * (p - q + 4.0 * (p - 1.0) / N)
 
 
+def _defined(thresholds) -> dict:
+    """The report dict of a threshold record: its defined thresholds (absent ones are left out)."""
+    return {key: value for key, value in zip(thresholds._fields, thresholds) if value is not None}
+
+
 class ProductThresholds(NamedTuple):
     """Derived thresholds for the product reaction u^s |grad u|^m.
 
@@ -39,9 +44,7 @@ class ProductThresholds(NamedTuple):
     Q3: float | None = None
     a: float | None = None
 
-    def as_dict(self) -> dict:
-        """The report dict: the defined thresholds (absent ones are left out)."""
-        return {key: value for key, value in zip(self._fields, self) if value is not None}
+    as_dict = _defined
 
 
 def product_thresholds(inst: ProblemInstance) -> ProductThresholds:
@@ -89,9 +92,7 @@ class SumThresholds(NamedTuple):
     s_minus: float | None = None
     s_plus: float | None = None
 
-    def as_dict(self) -> dict:
-        """The report dict: the defined thresholds (absent ones are left out)."""
-        return {key: value for key, value in zip(self._fields, self) if value is not None}
+    as_dict = _defined
 
 
 def sum_thresholds(inst: ProblemInstance) -> SumThresholds:

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -15,10 +16,13 @@ import pqliouville.cli as cli
 import pqliouville.params
 import pqliouville.report
 from pqliouville.cli import _load_params, _report, build_parser, main
+from pqliouville.identities import DEFAULT_TOLERANCE_FACTOR
 from pqliouville.instance import KINDS, ProblemInstance
+from pqliouville.ishii_lions import il_parameter_window
 from pqliouville.params import MAX_INSTANCES, ParamError, expand_instances, parse_params
 from pqliouville.radial import (
     MAX_MESH_N,
+    NEWTON_TOL,
     RadialProblem,
     RadialSolution,
     gradient_vs_distance,
@@ -150,6 +154,14 @@ class TestParamFiles:
         assert run(["sweep", "--params", str(par), "--out", str(tmp_path / "out.json")]) == 2
         assert "10,000,000 instances" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
+
+    def test_bad_token_is_refused_before_building(self, monkeypatch):
+        def refuse(**kwargs):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(pqliouville.params, "ProblemInstance", refuse)
+        with pytest.raises(ParamError, match="'p': not a number: 'oops'"):
+            expand_instances(parse_params("kind = product\nN = 2\np = 2.2 oops\nq = 2\n"))
 
     def test_unknown_key_is_refused(self):
         known = "kind, N, p, q, s, m, M, r0, r1, u0, u1, mesh_n, reg_eps, log_transform"
@@ -442,12 +454,14 @@ class TestCommands:
         monkeypatch.setattr(pqliouville.params, "ProblemInstance", refuse)
         monkeypatch.setattr(cli, "il_parameter_window", refuse)
         out = tmp_path / "missing" / "x.json"
-        for argv in (["classify", *HJ, "--m", "2.5"], ["sweep", "--params", TINY_GRID],
-                     ["il-window", "--q", "2", "--m", "3"]):
-            assert run([*argv, "--out", str(out)]) == 2, argv
-            err = capsys.readouterr().err
-            assert err == f"error: --out: no such directory: {str(out.parent)!r}\n"
-        assert not out.parent.exists()
+        # An --out that names a directory is refused the same way.
+        for path, message in ((out, f"no such directory: {str(out.parent)!r}"),
+                              (tmp_path, f"names a directory, not a file: {str(tmp_path)!r}")):
+            for argv in (["classify", *HJ, "--m", "2.5"], ["sweep", "--params", TINY_GRID],
+                         ["il-window", "--q", "2", "--m", "3"]):
+                assert run([*argv, "--out", str(path)]) == 2, argv
+                assert capsys.readouterr().err == f"error: --out: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", OVERSIZED.values(), ids=list(OVERSIZED))
     def test_oversized_inputs_exit_two_before_any_work(self, argv, message, tmp_path,
@@ -523,6 +537,18 @@ CSV_RESULTS = {
     "sweep product_grid.par": "ff5f7cac8ad16e056bc135d7a492ce74e75b285c733b541d4ce012a6a35ea24c",
     "sweep --optimal-search sum_grid.par":
         "b41fc9e56930c288319af77e63ecfbae2fea10537ed230169faa6f48717671b8",
+}
+
+# SHA-256 of the raw bytes of schema-5 sweep reports.  SCHEMA_3_RESULTS and
+# PINNED_RESULTS hash report.load's output, which refills null keys, so they
+# cannot see a row that writes a null; these can.
+SWEEP_BYTES = {
+    "sweep tiny_product_grid.par": "a13c47fba6ad3fb730a4e2c02ec6f9ae05c9a2687fda9108eabfcad632f68be7",
+    "sweep --optimal-search tiny_product_grid.par":
+        "9dc651493d4d0768fb3024434e172efdffef0d723e2fb25e308c5bcbbd659922",
+    "sweep tiny_sum_grid.par": "82ecd125c0147c93466126e80c13b6dc238d5daf3a8e720455f9deae550ed12a",
+    "sweep --optimal-search tiny_sum_grid.par":
+        "bd3b51e9d61334369dd095d019438c6b3e0a72621356c6f78c42032ab66644ac",
 }
 
 # SHA-256 of the solve-radial CSV tables and plot-data curves, pinned when
@@ -604,6 +630,14 @@ class TestReportSchema:
         report = json.loads(out.read_text())
         assert "epsilon_used" not in out.read_text()
         assert sha256_json(load(report)["results"]) == PINNED_RESULTS[key]
+
+    @pytest.mark.parametrize("key", sorted(SWEEP_BYTES))
+    def test_sweep_reports_keep_their_bytes(self, key, tmp_path):
+        *command, grid = key.split()
+        out = tmp_path / "report.json"
+        assert run([*command, "--params", str(PRODUCT_GRID.with_name(grid)),
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_BYTES[key]
 
     @pytest.mark.parametrize("key", sorted(CSV_RESULTS))
     def test_csv_keeps_its_bytes(self, key, tmp_path):
@@ -833,6 +867,13 @@ class TestOptions:
         assert sum(len(flags) for flags in options.values()) == 59
         for command, flag, _ in REMOVED:
             assert flag not in options[command]
+
+    def test_cli_defaults_equal_the_library_defaults(self):
+        # cli.py imports no numpy-backed module at start-up, so it repeats these values.
+        assert cli.TOLERANCE_DEFAULTS == {"identity_factor": DEFAULT_TOLERANCE_FACTOR,
+                                          "newton_tol": NEWTON_TOL}
+        library = inspect.signature(il_parameter_window).parameters["gamma_samples"].default
+        assert build_parser().parse_args(self.BASES["il-window"]).gamma_samples == library
 
     def test_every_option_changes_the_run(self, tmp_path, capsys):
         par = tmp_path / "extra.par"
