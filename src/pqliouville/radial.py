@@ -7,9 +7,20 @@ In radial coordinates the equation is the conservation law
 
 discretised with conservative finite volumes on a uniform node grid
 (fluxes on half-grid faces) and solved by damped Newton at the
-regularisation reg_eps, with continuation in the boundary data when it
-is large: the ratio between data stages doubles after each converged
-stage and halves after a refused trial.
+regularisation reg_eps.  The Jacobian is exact: the flux derivative and
+the closed-form partials of the built-in reactions.  An `rhs_override`
+is a source in r alone, so it adds nothing to the Jacobian.
+
+The solve runs coarse to fine (nested iteration; Briggs, Henson &
+McCormick, A Multigrid Tutorial, 2000).  The levels halve mesh_n,
+rounding up, until it is at most COARSE_MESH_N.  The coarsest level
+solves from the data: with continuation in the data when they are large
+(the ratio between data stages doubles after each converged stage and
+halves after a refused trial), or in one stage in w = log u.  Each finer
+level interpolates the iterate and runs one damped Newton, which then
+takes a few steps whatever the mesh (the mesh-independence principle of
+Allgower, Boehmer, Potra & Rheinboldt, 1986).  If the coarse solve or a
+level fails, the solve starts over once from the data on mesh_n itself.
 """
 
 from __future__ import annotations
@@ -29,8 +40,12 @@ MAX_NEWTON = 50
 TRIAL_NEWTON = 10
 MAX_DAMPS = 40
 DATA_CONTINUATION_START = 8.0
-# A converged solve costs about 270 B a cell (mesh_n = 524,288: 160 MB peak RSS).
-MAX_MESH_N = 1_000_000
+COARSE_MESH_N = 256
+# The residual's round-off floor grows like n, so the default NEWTON_TOL is out
+# of reach on fine meshes: the smooth sum case N = 3, p = 2.5, q = 2, s = 1.5,
+# m = M = 1 with data 1 and 2 on [1, 2] reaches 4.8e-11 at 65,536 cells and
+# stops at 1.0e-10 at 131,072.
+MAX_MESH_N = 65_536
 
 
 @dataclass
@@ -42,6 +57,7 @@ class RadialProblem:
     u_at_r1: float
     mesh_n: int = 256
     reg_eps: float = 1e-8
+    # a source f(r, u, du) that depends on r alone; Newton takes its u and du derivatives as 0
     rhs_override: Callable | None = None
     log_transform: bool = False
 
@@ -160,14 +176,33 @@ def flux_derivative(t, p: float, q: float, eps: float):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def reaction_function(inst: ProblemInstance) -> Callable:
-    """Vectorised f(r, u, du) for the instance's nonlinearity."""
+def reaction_function(inst: ProblemInstance) -> tuple[Callable, Callable]:
+    """The instance's nonlinearity f(r, u, du), vectorised, and its exact
+    partials (df/du, df/d(du)) at (u, du).
+
+    Every kind reaches du through |du|^m, whose derivative m |du|^(m-1)
+    sign(du) is taken as 0 at du = 0: the symmetric difference's value
+    there, where m < 1 would otherwise give 0 * inf.
+    """
     kind, s, m, M = inst.kind, inst.s, inst.m, inst.M
     if kind == "hamilton_jacobi":
-        return lambda r, u, du: np.abs(du) ** m
-    if kind == "product":
-        return lambda r, u, du: u**s * np.abs(du) ** m
-    return lambda r, u, du: u**s + M * np.abs(du) ** m
+        f = lambda r, u, du: np.abs(du) ** m
+    elif kind == "product":
+        f = lambda r, u, du: u**s * np.abs(du) ** m
+    else:
+        f = lambda r, u, du: u**s + M * np.abs(du) ** m
+
+    def partials(u, du):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = np.abs(du)
+            f_slope = np.where(du == 0.0, 0.0, m * g ** (m - 1.0) * np.sign(du))
+            if kind == "hamilton_jacobi":
+                return 0.0, f_slope
+            if kind == "product":
+                return s * u ** (s - 1.0) * g**m, u**s * f_slope
+            return s * u ** (s - 1.0), M * f_slope
+
+    return f, partials
 
 
 def _radial_weights(r, n_exp):
@@ -175,7 +210,7 @@ def _radial_weights(r, n_exp):
     return (0.5 * (r[:-1] + r[1:])) ** (n_exp - 1), r[1:-1] ** (n_exp - 1)
 
 
-def _assemble(u, r, h, weights, f, p, q, eps):
+def _assemble(u, r, h, weights, reaction, p, q, eps):
     """Residual, its scale, and the pieces `_jacobian_bands` needs: the face
     slopes, their flux powers, and u and the centred slope at the interior
     nodes.  Non-finite values (e.g. fractional powers of a negative iterate)
@@ -188,7 +223,7 @@ def _assemble(u, r, h, weights, f, p, q, eps):
         u_in = u[1:-1]
         powers = _flux_powers(du_face, p, q, eps)
         flx = w_face * _flux_value(du_face, powers)
-        src = w_node * f(r[1:-1], u_in, du_c)
+        src = w_node * reaction[0](r[1:-1], u_in, du_c)
         res = (flx[1:] - flx[:-1]) / h + src
         scale = 1.0 + np.abs(flx).max() / h + np.abs(src).max()
     return res, scale, (du_face, powers, u_in, du_c)
@@ -200,29 +235,30 @@ def _scaled_norm(res, scale) -> float:
     return value if math.isfinite(value) else math.inf
 
 
-def _jacobian_bands(pieces, r, h, weights, f, p, q):
+def _jacobian_bands(pieces, r, h, weights, reaction, p, q):
     """Tridiagonal Jacobian of `_assemble`'s residual, in the solve_banded
     (1, 1) layout: ab[1 + i - j, j] = dres_i/du_j.
 
-    The flux part is exact: a face slope s has ds/du_i = -1/h and
-    ds/du_(i+1) = 1/h.  The reaction's u and u' derivatives are central
-    differences, so `rhs_override` is handled like the built-in reactions.
+    Exact: a face slope s has ds/du_i = -1/h and ds/du_(i+1) = 1/h, and the
+    reaction's partials come with it (`reaction_function`).  A reaction
+    without partials (`rhs_override`, a source in r alone) adds nothing.
     """
     du_face, powers, u_in, du_c = pieces
     w_face, w_node = weights
+    partials = reaction[1]
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        dphi = w_face * _flux_slope(du_face, powers, p, q)
-        r_in = r[1:-1]
-        delta_u = 1e-7 * (1.0 + np.abs(u_in))
-        f_u = (f(r_in, u_in + delta_u, du_c) - f(r_in, u_in - delta_u, du_c)) / (2.0 * delta_u)
-        delta_d = 1e-7 * (1.0 + np.abs(du_c))
-        f_d = (f(r_in, u_in, du_c + delta_d) - f(r_in, u_in, du_c - delta_d)) / (2.0 * delta_d)
-        # the centred slope at node i involves u_(i+1) (+1/2h) and u_(i-1) (-1/2h)
-        side = w_node * f_d / (2.0 * h)
+        dphi = w_face * _flux_slope(du_face, powers, p, q) / (h * h)
         ab = np.zeros((3, u_in.size))
-        ab[0, 1:] = dphi[1:-1] / (h * h) + side[:-1]
-        ab[1, :] = -(dphi[1:] + dphi[:-1]) / (h * h) + w_node * f_u
-        ab[2, :-1] = dphi[1:-1] / (h * h) - side[1:]
+        ab[0, 1:] = dphi[1:-1]
+        ab[1, :] = -(dphi[1:] + dphi[:-1])
+        ab[2, :-1] = dphi[1:-1]
+        if partials is not None:
+            f_u, f_d = partials(u_in, du_c)
+            # the centred slope at node i involves u_(i+1) (+1/2h) and u_(i-1) (-1/2h)
+            side = w_node * f_d / (2.0 * h)
+            ab[0, 1:] += side[:-1]
+            ab[1, :] += w_node * f_u
+            ab[2, :-1] -= side[1:]
     return ab
 
 
@@ -285,29 +321,41 @@ def radial_mesh(r0: float, r1: float, cells: int) -> np.ndarray:
     return np.linspace(r0, r1, cells + 1)
 
 
-def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution:
-    """Damped-Newton finite-volume solve at `reg_eps`.
+def mesh_levels(mesh_n: int) -> list[int]:
+    """The cell counts a solve runs through, coarse to fine: mesh_n halved
+    (rounding up) until it is at most COARSE_MESH_N."""
+    levels = [mesh_n]
+    while levels[-1] > COARSE_MESH_N:
+        levels.append((levels[-1] + 1) // 2)
+    return levels[::-1]
 
-    The direct path continues in the boundary data when it is large.
-    After each converged stage the ratio to the next one doubles (x2,
-    x4, ..., capped at the full data); a trial at a ratio above 2 gets
-    TRIAL_NEWTON iterations and, if it fails, is retried from the last
-    converged iterate at half the ratio.  A stage at ratio 2 gets
-    MAX_NEWTON iterations, and its failure ends the solve.
-    `continuation_steps` counts every attempted stage and `newton_iters`
-    every iteration, refused trials included.  With `log_transform` the
-    unknown is w = log u, with u = exp(w) pinned to the exact data at both
-    ends: Newton takes another path to the same discrete solution, in one
-    stage from a start linear in w.  Returns converged=False with the
-    best iterate (and a failure tag of 'newton_stalled' or
-    'jacobian_singular') instead of raising when the iteration cannot
-    reach the tolerance.
+
+def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution:
+    """Damped-Newton finite-volume solve at `reg_eps`, coarse to fine.
+
+    On the coarsest of `mesh_levels(mesh_n)` the solve starts from the
+    data.  The direct path continues in the boundary data when it is
+    large: after each converged stage the ratio to the next one doubles
+    (x2, x4, ..., capped at the full data); a trial at a ratio above 2
+    gets TRIAL_NEWTON iterations and, if it fails, is retried from the
+    last converged iterate at half the ratio.  A stage at ratio 2 gets
+    MAX_NEWTON iterations, and its failure ends the stage loop.  With
+    `log_transform` the unknown is w = log u, with u = exp(w) pinned to
+    the exact data at both ends: Newton takes another path to the same
+    discrete solution, in one stage from a start linear in w.
+
+    Each finer level interpolates the last iterate onto its nodes (every
+    mesh ends at r0 and r1, so the boundary entries stay exact) and runs
+    one damped Newton.  If the coarse solve or a level fails, the solve
+    starts over once on mesh_n itself, as on the coarsest level.
+    `continuation_steps` counts the data stages and `newton_iters` the
+    iterations of every level, refused trials and the restart included.
+    Returns converged=False with the best iterate (and a failure tag of
+    'newton_stalled' or 'jacobian_singular') instead of raising when the
+    iteration cannot reach the tolerance.
     """
-    r = radial_mesh(prob.r0, prob.r1, prob.mesh_n)
-    h = r[1] - r[0]
     inst = prob.inst
-    f = prob.rhs_override if prob.rhs_override is not None else reaction_function(inst)
-    args = (r, h, _radial_weights(r, inst.N), f, inst.p, inst.q)
+    reaction = (prob.rhs_override, None) if prob.rhs_override is not None else reaction_function(inst)
     lo, hi = prob.u_at_r0, prob.u_at_r1
     if prob.log_transform:
         def to_u(w):
@@ -316,31 +364,52 @@ def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution
             u[0], u[-1] = lo, hi  # the exact data, not exp(log(data))
             return u
 
-        jacobian = lambda pieces: _log_jacobian_bands(pieces, *args)
-        x_lo, x_hi, factor = math.log(lo), math.log(hi), 1.0
+        bands, x_lo, x_hi, first_factor = _log_jacobian_bands, math.log(lo), math.log(hi), 1.0
     else:
-        to_u, jacobian = (lambda u: u), lambda pieces: _jacobian_bands(pieces, *args)
-        x_lo, x_hi, factor = lo, hi, _first_data_factor(prob)
-    residual = lambda x: _assemble(to_u(x), *args, prob.reg_eps)
-    # x carries the boundary data; rescaling by a power of two keeps it exact
-    x = (x_lo + (x_hi - x_lo) * (r - r[0]) / (r[-1] - r[0])) * factor
-    x, norm, newton_total, failure = _damped_newton(residual, jacobian, x, tol)
-    stages, ratio = 1, 2.0
-    while failure is None and factor < 1.0:
-        ratio = min(ratio, 1.0 / factor)
-        budget = MAX_NEWTON if ratio == 2.0 else TRIAL_NEWTON
-        x_try, norm_try, iters, failure = _damped_newton(residual, jacobian, x * ratio, tol, budget)
-        newton_total += iters
-        stages += 1
-        if failure is None:
-            x, norm, factor, ratio = x_try, norm_try, factor * ratio, 2.0 * ratio
-        elif ratio > 2.0:
-            failure, ratio = None, ratio / 2.0
-        else:
-            x, norm = x_try, norm_try
+        to_u, bands = (lambda u: u), _jacobian_bands
+        x_lo, x_hi, first_factor = lo, hi, _first_data_factor(prob)
+
+    def level(cells):
+        """The nodes of a mesh and damped Newton on its residual."""
+        r = radial_mesh(prob.r0, prob.r1, cells)
+        args = (r, r[1] - r[0], _radial_weights(r, inst.N), reaction, inst.p, inst.q)
+        residual = lambda x: _assemble(to_u(x), *args, prob.reg_eps)
+        jacobian = lambda pieces: bands(pieces, *args)
+        return r, lambda x, budget=MAX_NEWTON: _damped_newton(residual, jacobian, x, tol, budget)
+
+    def from_data(cells):
+        r, newton = level(cells)
+        # x carries the boundary data; rescaling by a power of two keeps it exact
+        x = (x_lo + (x_hi - x_lo) * (r - r[0]) / (r[-1] - r[0])) * first_factor
+        x, norm, iters, failure = newton(x)
+        stages, ratio, factor = 1, 2.0, first_factor
+        while failure is None and factor < 1.0:
+            ratio = min(ratio, 1.0 / factor)
+            x_try, norm_try, k, failure = newton(x * ratio, MAX_NEWTON if ratio == 2.0 else TRIAL_NEWTON)
+            iters += k
+            stages += 1
+            if failure is None:
+                x, norm, factor, ratio = x_try, norm_try, factor * ratio, 2.0 * ratio
+            elif ratio > 2.0:
+                failure, ratio = None, ratio / 2.0
+            else:
+                x, norm = x_try, norm_try
+        return r, x, norm, iters, stages, failure
+
+    levels = mesh_levels(prob.mesh_n)
+    r, x, norm, iters, stages, failure = from_data(levels[0])
+    for cells in levels[1:]:
+        if failure is not None:
+            break
+        r_fine, newton = level(cells)
+        x, norm, k, failure = newton(np.interp(r_fine, r, x))
+        r, iters = r_fine, iters + k
+    if failure is not None and len(levels) > 1:
+        r, x, norm, k, restart_stages, failure = from_data(prob.mesh_n)
+        iters, stages = iters + k, stages + restart_stages
     return RadialSolution(
         r=r, u=to_u(x), residual_norm=norm,
-        newton_iters=newton_total, continuation_steps=stages,
+        newton_iters=iters, continuation_steps=stages,
         converged=failure is None, failure=failure,
     )
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths it is used to check:
 the radial oracle integrates the first-integral form with quadrature and
 root finding, the unregularised residual writes the finite-volume
 equations out from `flux` at eps = 0 instead of calling the solver's
-assembly, the reference Jacobian differences the residual it belongs
+assembly, the BVP reference solves the radial equation as a first-order
+system by collocation (scipy's solve_bvp), the reference Jacobian differences the residual it belongs
 to, the operator reference is a hand-derived analytic expansion, the
 whole-array stencils are the straightforward NaN-ring forms the blocked
 operators must reproduce bit for bit, and the parameter-window oracle
@@ -14,7 +15,7 @@ brackets the feasibility predicate by bisection.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, solve_bvp
 from scipy.optimize import brentq
 
 from pqliouville import ProblemInstance, product_thresholds, product_trinomial
@@ -184,7 +185,7 @@ def unregularized_residual(prob, sol):
     inst = prob.inst
     r, u = sol.r, sol.u
     h = r[1] - r[0]
-    f = prob.rhs_override if prob.rhs_override is not None else reaction_function(inst)
+    f = prob.rhs_override if prob.rhs_override is not None else reaction_function(inst)[0]
     du_face = np.diff(u) / h
     flx = (0.5 * (r[:-1] + r[1:])) ** (inst.N - 1) * flux(du_face, inst.p, inst.q, 0.0)
     src = r[1:-1] ** (inst.N - 1) * f(r[1:-1], u[1:-1], (u[2:] - u[:-2]) / (2.0 * h))
@@ -192,6 +193,49 @@ def unregularized_residual(prob, sol):
     scale = 1.0 + np.abs(flx).max() / h + np.abs(src).max()
     good_face = np.abs(du_face) > 10.0 * prob.reg_eps
     return np.abs(res) / scale, good_face[:-1] & good_face[1:]
+
+
+# ---------------------------------------------------------------------------
+# collocation reference for a radial problem (scipy.integrate.solve_bvp)
+# ---------------------------------------------------------------------------
+
+def bvp_reference(prob, start, tol=1e-6, max_nodes=100_000):
+    """The radial problem solved as a first-order system by collocation.
+
+    With v = u', the equation -(r^(N-1) Phi(v))' = r^(N-1) f(u, |v|) is
+    v' = -((N-1)/r Phi(v) + f(u, |v|)) / Phi'(v), with Phi regularised at
+    the problem's reg_eps.  Phi, Phi' and f are written out here from the
+    instance, not taken from the solver.  `start` is a solution whose
+    nodes, u and centred slopes seed the collocation mesh.  Returns
+    scipy's result; its .sol(r)[0] is u.
+    """
+    inst = prob.inst
+    N, p, q, eps2 = inst.N, inst.p, inst.q, prob.reg_eps**2
+
+    def phi_and_slope(v):
+        t2 = v * v + eps2
+        a, b = t2 ** ((p - 2.0) / 2.0), t2 ** ((q - 2.0) / 2.0)
+        return (a + b) * v, a * (1.0 + (p - 2.0) * v * v / t2) + b * (1.0 + (q - 2.0) * v * v / t2)
+
+    def reaction(u, v):
+        g = np.abs(v) ** inst.m
+        if inst.kind == "hamilton_jacobi":
+            return g
+        if inst.kind == "product":
+            return u**inst.s * g
+        return u**inst.s + inst.M * g
+
+    def rhs(r, y):
+        u, v = y
+        phi, slope = phi_and_slope(v)
+        return np.vstack([v, -((N - 1.0) / r * phi + reaction(u, v)) / slope])
+
+    def bc(ya, yb):
+        return np.array([ya[0] - prob.u_at_r0, yb[0] - prob.u_at_r1])
+
+    r, u = start.r, start.u
+    v = np.gradient(u, r)
+    return solve_bvp(rhs, bc, r, np.vstack([u, v]), tol=tol, max_nodes=max_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -555,15 +555,16 @@ SWEEP_BYTES = {
 # both were written from report.load's rebuilt rows: (argv, argv of the
 # command whose report plot-data reads or None, digest).
 TABLE_RESULTS = {
+    # the three radial pins were re-taken when the Jacobian became exact and
+    # the solve coarse to fine; u moved by at most 3.7e-10 max|u|
     "solve-radial-direct": (["solve-radial", *RADIAL_HJ_4096, "--format", "csv"], None,
-                            "fb0b70928678a32279ae5d2fb28a0d890b18914b30d28c9b3e3c960ae9be90b1"),
-    # re-taken when the log path became Newton in w = log u on the direct residual
+                            "68a4ff1183be86dba648cd642a45d4394381ae31f0977653bffcab936b31c4cc"),
     "solve-radial-log": (["solve-radial", "--params", str(PRODUCT_GRID.with_name("log_product.par")),
                           "--format", "csv"], None,
-                         "2494541b2f2c53b03b31e968f1010d52e463b1924b4b15756826076271e25760"),
+                         "ad72104389f102beb8da014cf22894588968e90e0c838415934961ef7aa336ae"),
     "plot-data-gradient_profile": (["plot-data", "--selector", "gradient_profile"],
                                    ["solve-radial", *RADIAL_HJ_4096],
-                                   "d75b15a224b986a0e1319e03c778f5fa0a3855dd2ee1ea71b102e9c65a329e31"),
+                                   "5f96a04a558185965b50273e2948a989f7eaa504a3ed2f53c047aa9ad12c5ea9"),
     "plot-data-trinomial": (["plot-data", "--selector", "trinomial"], ["search-b", *PRODUCT_A],
                             "c62cd8e90e95d790126be6d383144a2995585a1bad208d356f7f7574d6af948e"),
 }

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,15 +15,18 @@ from pqliouville import (
     manufactured_source,
     solve_radial,
 )
+from pqliouville import radial
 from pqliouville.radial import (
+    MAX_MESH_N,
     _assemble,
     _jacobian_bands,
     _log_jacobian_bands,
     _radial_weights,
     flux_derivative,
+    mesh_levels,
     reaction_function,
 )
-from oracles import colour_bands, constant_rhs_profile, unregularized_residual
+from oracles import bvp_reference, colour_bands, constant_rhs_profile, unregularized_residual
 
 
 LANE = ProblemInstance(N=2, p=2.0, q=2.0, kind="product", s=1.0, m=0.0)
@@ -173,8 +178,9 @@ class TestSolver:
         assert np.all(logged.u > 0.0)
 
     def test_log_transform_converges_where_direct_newton_stalls(self):
-        # Newton in u ends newton_stalled here after MAX_NEWTON steps; in
-        # w = log u it converges on the same residual
+        # Newton in u from the data on this mesh ends newton_stalled after
+        # MAX_NEWTON steps (coarse to fine it converges); in w = log u it
+        # converges on the same residual
         inst = ProblemInstance(N=2, p=2.2, q=2.0, kind="sum", s=3.0, m=2.0, M=1.0)
         sol = solve_radial(RadialProblem(inst, 1.0, 2.0, 2.0, 1.0, mesh_n=1024, reg_eps=1e-8,
                                          log_transform=True))
@@ -222,14 +228,110 @@ class TestContinuation:
             assert sol.failure == "newton_stalled"
 
 
+# the smooth sum case whose iteration count grew with the mesh under
+# one-mesh Newton (newton_stalled from n = 65,536 on)
+SMOOTH_SUM = ProblemInstance(N=3, p=2.5, q=2.0, kind="sum", s=1.5, m=1.0, M=1.0)
+HJ_Q2 = ProblemInstance(N=2, p=3.0, q=2.0, kind="hamilton_jacobi", m=2.5)
+LOG_PRODUCT = ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=0.5)
+
+
+def newton_calls(monkeypatch):
+    """(cells, iterations, failure) of every damped Newton a solve runs."""
+    calls, newton = [], radial._damped_newton
+
+    def recording(residual, jacobian, x, tol, max_iter=radial.MAX_NEWTON):
+        out = newton(residual, jacobian, x, tol, max_iter)
+        calls.append((x.size - 1, out[2], out[3]))
+        return out
+
+    monkeypatch.setattr(radial, "_damped_newton", recording)
+    return calls
+
+
+class TestCoarseToFine:
+    def test_levels_halve_down_to_the_coarse_mesh(self):
+        assert mesh_levels(64) == [64]
+        assert mesh_levels(256) == [256]
+        assert mesh_levels(257) == [129, 257]
+        assert mesh_levels(1000) == [250, 500, 1000]
+        assert mesh_levels(4096) == [256, 512, 1024, 2048, 4096]
+
+    def test_smooth_sum_converges_up_to_the_mesh_cap(self):
+        assert MAX_MESH_N == 65536
+        sol = solve_radial(RadialProblem(SMOOTH_SUM, 1.0, 2.0, 1.0, 2.0, mesh_n=MAX_MESH_N))
+        assert sol.converged and sol.residual_norm <= 1e-10
+        assert sol.u[0] == 1.0 and sol.u[-1] == 2.0
+        assert sol.newton_iters <= 30
+
+    @pytest.mark.parametrize("inst,u0,u1,mesh_n,log", [
+        (SMOOTH_SUM, 1.0, 2.0, 16384, False),
+        (HJ_Q2, -4096.0, 0.0, 4096, False),
+        (LOG_PRODUCT, 1.0, 2.0, 4096, True),
+    ], ids=["sum", "hj_q2", "log_product"])
+    def test_each_finer_level_takes_few_steps(self, monkeypatch, inst, u0, u1, mesh_n, log):
+        calls = newton_calls(monkeypatch)
+        sol = solve_radial(RadialProblem(inst, 1.0, 2.0, u0, u1, mesh_n=mesh_n, log_transform=log))
+        assert sol.converged and sol.residual_norm <= 1e-10
+        levels = mesh_levels(mesh_n)
+        finer = [(cells, iters) for cells, iters, _ in calls if cells != levels[0]]
+        assert [cells for cells, _ in finer] == levels[1:]
+        assert all(iters <= 5 for _, iters in finer)
+        assert sol.newton_iters == sum(iters for _, iters, _ in calls)
+
+    @pytest.mark.parametrize("u0,mesh_n", [(-40960.0, 4096), (-20480.0, 2048)])
+    def test_failed_coarse_solve_starts_over_on_the_target_mesh(self, monkeypatch, u0, mesh_n):
+        calls = newton_calls(monkeypatch)
+        sol = solve_radial(RadialProblem(HJ_Q2, 1.0, 2.0, u0, 0.0, mesh_n=mesh_n))
+        assert sol.converged and sol.residual_norm <= 1e-10
+        coarse = [failure for cells, _, failure in calls if cells == 256]
+        assert coarse[-1] == "newton_stalled"
+        # no intermediate level runs: the restart is on mesh_n alone
+        assert {cells for cells, _, _ in calls} == {256, mesh_n}
+        assert sol.continuation_steps == len(calls)
+
+    @pytest.mark.parametrize("inst,u0,u1,log", [
+        (HJ_Q2, -4096.0, 0.0, False),
+        (ProblemInstance(N=2, p=3.0, q=1.5, kind="hamilton_jacobi", m=2.5), -4096.0, 0.0, False),
+        (LOG_PRODUCT, 1.0, 2.0, True),
+        (SMOOTH_SUM, 1.0, 2.0, False),
+    ], ids=["hj_q2", "hj_q1.5", "log_product", "sum"])
+    def test_second_order_against_a_collocation_oracle(self, inst, u0, u1, log):
+        # solve_bvp on the first-order system shares no code with the
+        # finite-volume solver.  The solves run at newton_tol 1e-11: at the
+        # default 1e-10 the n = 4096 log_product solve stops at a residual
+        # of 6e-11, whose error (1.0e-9) is above the truncation error
+        # (2.1e-10) that the order measures.
+        sols = [solve_radial(RadialProblem(inst, 1.0, 2.0, u0, u1, mesh_n=n, log_transform=log),
+                             tol=1e-11)
+                for n in (256, 1024, 4096)]
+        assert all(sol.converged for sol in sols)
+        reference = bvp_reference(RadialProblem(inst, 1.0, 2.0, u0, u1), sols[1])
+        assert reference.status == 0
+        errors = [np.max(np.abs(sol.u - reference.sol(sol.r)[0])) for sol in sols]
+        orders = np.log(np.array(errors[:-1]) / errors[1:]) / np.log(4.0)
+        assert np.all((1.7 <= orders) & (orders <= 2.3)), (errors, orders)
+
+
+JACOBIAN_CASES = [
+    pytest.param("sum", 3.0, 2.0, 2, id="3.0-2.0-2"),
+    pytest.param("sum", 2.5, 1.5, 3, id="2.5-1.5-3"),
+    pytest.param("sum", 2.2, 2.0, 2, id="2.2-2.0-2"),
+    pytest.param("product", 3.0, 2.0, 2, id="product-3.0-2.0-2"),
+    pytest.param("product", 2.5, 1.5, 3, id="product-2.5-1.5-3"),
+    pytest.param("hamilton_jacobi", 3.0, 2.0, 2, id="hamilton_jacobi-3.0-2.0-2"),
+    pytest.param("hamilton_jacobi", 2.5, 1.5, 3, id="hamilton_jacobi-2.5-1.5-3"),
+]
+
+
 class TestJacobian:
     @pytest.mark.parametrize("log", [False, True], ids=["direct", "log"])
-    @pytest.mark.parametrize("p,q,N", [(3.0, 2.0, 2), (2.5, 1.5, 3), (2.2, 2.0, 2)])
-    def test_bands_match_forward_differences(self, p, q, N, log):
-        # a sum reaction has both f_u and f_d; the iterate is positive
-        # with slopes in [0.37, 1.63].  The log case checks the bands
-        # solve_radial uses in w = log u against residual(exp w).
-        inst = ProblemInstance(N=N, p=p, q=q, kind="sum", s=1.5, m=1.5, M=1.0)
+    @pytest.mark.parametrize("kind,p,q,N", JACOBIAN_CASES)
+    def test_bands_match_forward_differences(self, kind, p, q, N, log):
+        # sum and product reactions have both f_u and f_d, HJ only f_d; the
+        # iterate is positive with slopes in [0.37, 1.63].  The log case
+        # checks the bands solve_radial uses in w = log u against
+        # residual(exp w).
+        inst = ProblemInstance(N=N, p=p, q=q, kind=kind, s=1.5, m=1.5, M=1.0)
         r = np.linspace(1.0, 2.0, 65)
         u = 1.0 + r + 0.1 * np.sin(2.0 * np.pi * r)
         args = (r, r[1] - r[0], _radial_weights(r, N), reaction_function(inst), p, q)
@@ -240,6 +342,32 @@ class TestJacobian:
                                  np.log(u) if log else u)
         scale = np.max(np.abs(reference))
         np.testing.assert_allclose(bands, reference, rtol=1e-5, atol=1e-7 * scale)
+
+    @pytest.mark.parametrize("kind", ["hamilton_jacobi", "product", "sum"])
+    def test_zero_slope_partial_with_m_below_one(self, kind):
+        # m |du|^(m-1) sign(du) is 0 * inf at du = 0 for m < 1; the partial
+        # takes the symmetric difference's value there, 0, with no warning
+        inst = ProblemInstance(N=2, p=3.0, q=2.0, kind=kind, s=1.5, m=0.5, M=1.0)
+        f, partials = reaction_function(inst)
+        u, du = np.full(3, 2.0), np.array([-1e-3, 0.0, 1e-3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f_u, f_d = partials(u, du)
+        delta = 1e-9
+        symmetric = (f(None, u, du + delta) - f(None, u, du - delta)) / (2.0 * delta)
+        assert f_d[1] == symmetric[1] == 0.0
+        assert np.all(np.isfinite(f_u)) and np.all(np.isfinite(f_d))
+        assert f_d[0] == -f_d[2] != 0.0
+
+    def test_zero_slope_start_with_m_below_one_converges(self):
+        # equal data start Newton from a constant: every centred slope is 0,
+        # so a nan partial there would end the solve as jacobian_singular
+        inst = ProblemInstance(N=2, p=3.0, q=2.0, kind="sum", s=1.5, m=0.5, M=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_radial(RadialProblem(inst, 1.0, 2.0, 1.0, 1.0, mesh_n=64))
+        assert sol.converged and sol.residual_norm <= 1e-10
+        assert sol.newton_iters > 0
 
 
 class TestFluxDerivative:
