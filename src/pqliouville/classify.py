@@ -78,8 +78,7 @@ class RegimeDecision(NamedTuple):
         One rule covers every field: the row leaves out `inst` (the
         report's echoed parameter map gives it back), every None and an
         empty `matches`, keys each field by ROW_KEYS, and writes a nested
-        record through its own `as_dict`; `report.load` puts back what the
-        row leaves out.
+        record through its own `as_dict`.
         """
         row = {}
         for key, value in zip(ROW_KEYS, self):
@@ -99,8 +98,7 @@ class RegimeDecision(NamedTuple):
 
 
 # The report row key of each RegimeDecision field, in field order: the
-# field's name unless renamed here.  report.load refills a row's left-out
-# keys from it.
+# field's name unless renamed here.  A row holds a subset of these keys.
 _RENAMED = {"inst": "instance", "product": "product_thresholds", "sums": "sum_thresholds"}
 ROW_KEYS = tuple(_RENAMED.get(field, field) for field in RegimeDecision._fields)
 

@@ -13,6 +13,7 @@ import functools
 import importlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -23,7 +24,7 @@ from .errors import AdmissibilityError
 from .instance import KINDS, ProblemInstance
 from .ishii_lions import il_parameter_window
 from .params import INSTANCE_KEYS, KEYS, ParamError, expand_instances, parse_params, radial_settings
-from .report import ConditionTemplates, Report, atomic_write_text, load
+from .report import ConditionTemplates, Report, atomic_write_text
 from .selection import select_b_product, sum_selection
 from .trinomial import TrinomialCoeffs, oracle_curve, product_trinomial, verify_negativity
 
@@ -111,9 +112,12 @@ def _tolerance(key: str):
         if name != key:
             raise argparse.ArgumentTypeError(f"unknown tolerance {name!r}; expected {key}")
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{key}: not a number: {value!r}") from None
+        if not (math.isfinite(number) and number > 0.0):
+            raise argparse.ArgumentTypeError(f"{key}: must be finite and positive, got {value!r}")
+        return number
 
     return parse
 
@@ -175,7 +179,7 @@ def _cmd_classify(args, params):
         rows = [[i, *(getattr(d.inst, k) for k in INSTANCE_KEYS), d.theorem, d.liouville,
                  d.estimate_exponent] for i, d in enumerate(decisions)]
         return {"results": [header, *rows]}, {}, 0
-    # The rows store no instance: report.load rebuilds it from the echoed map.
+    # The rows store no instance: row i is instance i of the echoed map's expansion.
     templates = ConditionTemplates()
     results = [classify(inst, optimal_search=args.optimal_search).as_dict(templates)
                for inst in expand_instances(merged)]
@@ -288,11 +292,12 @@ def _cmd_solve_radial(args, params):
 
 
 def _plot_rows(results: list, selector: str) -> list:
-    """CSV rows, header first, of an array rebuilt from the first loaded row that stores its inputs.
+    """CSV rows, header first, of an array rebuilt from the first report row that stores its inputs.
 
     Reports store no derived arrays: the gradient profile comes from a
-    solve-radial row's mesh and u, the oracle curve from a search-b row's
+    solve-radial row's r0, r1 and u, the oracle curve from a search-b row's
     trinomial, t_max and grid_points, through the code that made them.
+    Every schema writes these keys alike, so rows are read as written.
     """
     if selector == "gradient_profile":
         for row in results:
@@ -321,8 +326,10 @@ def _cmd_plot_data(args) -> str:
     if not isinstance(report, dict):
         raise CliError(f"malformed report: top level is {type(report).__name__}, not an object")
     try:
-        rows = _plot_rows(load(report)["results"], args.selector)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        rows = _plot_rows(report["results"], args.selector)
+    except AdmissibilityError:  # a row that cannot be plotted, such as an unconverged solve
+        raise
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise CliError(f"malformed report: {exc!r}") from None
     return _csv_table(rows)
 

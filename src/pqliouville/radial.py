@@ -103,7 +103,7 @@ class RadialSolution:
     def from_row(cls, row: dict) -> RadialSolution:
         """The solution of a solve-radial report row, on the mesh rebuilt from its r0, r1 and u.
 
-        Rows store no r or du; report.load and plot-data both rebuild them here.
+        Rows store no r or du; plot-data rebuilds them here.
         """
         u = np.array(row["u"])
         return cls(
