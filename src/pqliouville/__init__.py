@@ -42,7 +42,6 @@ from .trinomial import (
     sum_leading_coefficient,
     verify_negativity,
 )
-from .weights import AuxWeights, aux_weights
 
 # Names from the numpy/scipy-backed modules load on first access (PEP 562),
 # so `import pqliouville` and the closed-form commands import neither.
@@ -51,7 +50,7 @@ _DEFERRED = {
     for module, names in (
         ("fields", ("CATALOG", "ManufacturedField")),
         ("grid", ("GridField", "grid_field", "sample_function")),
-        ("identities", ("IdentityReport", "attach_order", "bochner_check",
+        ("identities", ("AuxWeights", "IdentityReport", "aux_weights", "bochner_check",
                         "change_of_variable_check", "default_tolerance", "refinement_order",
                         "scaling_check")),
         ("operators", ("laplacian", "p_laplacian", "pq_laplacian")),
@@ -61,6 +60,11 @@ _DEFERRED = {
     )
     for name in names
 }
+
+# The public names: what the imports above bind, less the submodules they
+# bind as a side effect, and the deferred names.
+__all__ = sorted([name for name, value in globals().items() if not name.startswith("_")
+                  and not isinstance(value, type(importlib))] + list(_DEFERRED))
 
 
 def __getattr__(name: str):
@@ -77,71 +81,3 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityError",
-    "AuxWeights",
-    "BSelection",
-    "BlowupFit",
-    "CATALOG",
-    "EstimateRate",
-    "ExponentBundle",
-    "FieldError",
-    "GridField",
-    "ILWindow",
-    "IdentityReport",
-    "KINDS",
-    "ManufacturedField",
-    "ProblemInstance",
-    "ProductThresholds",
-    "RadialProblem",
-    "RadialSolution",
-    "RegimeDecision",
-    "SumThresholds",
-    "TheoremCondition",
-    "TrinomialCoeffs",
-    "admissible_floor",
-    "attach_order",
-    "aux_weights",
-    "b_from_t",
-    "beta1",
-    "beta2",
-    "beta2_large_b_limit",
-    "bochner_check",
-    "change_of_variable_check",
-    "classify",
-    "default_fit_window",
-    "default_tolerance",
-    "epsilon_sensitivity",
-    "estimate_consistency",
-    "estimate_rate",
-    "exponent_bundle",
-    "fit_blowup_exponent",
-    "gamma_exponent",
-    "gradient_vs_distance",
-    "grid_field",
-    "il_alpha_window",
-    "il_gamma_lo",
-    "il_parameter_window",
-    "laplacian",
-    "manufactured_source",
-    "operator_gap",
-    "p_laplacian",
-    "pq_laplacian",
-    "product_thresholds",
-    "product_trinomial",
-    "radial_mesh",
-    "refinement_order",
-    "sample_function",
-    "scaling_check",
-    "select_b_product",
-    "small_s_threshold",
-    "solve_radial",
-    "sum_beta2",
-    "sum_exponent_bundle",
-    "sum_leading_coefficient",
-    "sum_selection",
-    "sum_thresholds",
-    "t_from_b",
-    "theta_exponent",
-    "verify_negativity",
-]

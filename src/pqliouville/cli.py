@@ -218,7 +218,7 @@ def _identity_suite(resolution: int, factor: float) -> list[dict]:
                 fine = change_of_variable_check(
                     v_fine, b, p, q, tolerance=factor / (n_fine - 1) ** 2,
                 )
-                fine = attach_order(fine, refinement_order(coarse, fine))
+                fine = fine._replace(observed_order=refinement_order(coarse, fine))
                 results.append(
                     {
                         "check": "change_of_variable",

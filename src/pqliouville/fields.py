@@ -59,16 +59,6 @@ def _sine_x1(*coords):
     return np.sin(coords[0])
 
 
-def affine_field(slopes, offset: float = 0.0) -> Callable:
-    def fn(*coords):
-        out = np.full_like(coords[0], offset)
-        for a, c in zip(slopes, coords):
-            out = out + a * c
-        return out
-
-    return fn
-
-
 OFFSET_SINE = ManufacturedField("offset_sine", _offset_sine, 0.0, 1.0)
 PARABOLIC_BOWL = ManufacturedField("parabolic_bowl", _parabolic_bowl, 0.0, 1.0)
 SADDLE = ManufacturedField("saddle", _saddle, -0.5, 0.5)

@@ -4,12 +4,18 @@ Each check compares two independently assembled discrete quantities on
 the common valid interior and reports a normalised error against a
 spacing-aware tolerance (default 25 h^2).  Pass/fail never silently
 loosens: the tolerance used is recorded in the report.
+
+The change of variable u = v^b has the weights A = 1 + w, D = q-2 + (p-2) w
+and E = q-1 + (p-1) w, with w = |b|^(p-q) v^((b-1)(p-q)) z^((p-q)/2) and
+z = |grad v|^2.  As E + (p-q) = (p-1) A and D + (p-q) = (p-2) A, D/A and
+E/A average (q-2, p-2) and (q-1, p-1); Gamma, Xi and Upsilon inherit the
+interval bounds that majorise the variable-coefficient quadratic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,13 +23,11 @@ from .errors import FieldError
 from .fields import ManufacturedField
 from .grid import GridField, sample_function
 from .operators import dot_arrays, gradient_components, laplacian, p_laplacian, pq_laplacian
-from .weights import _coefficients
 
 DEFAULT_TOLERANCE_FACTOR = 25.0
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     max_abs_error: float
     rel_error: float
     passed: bool
@@ -31,13 +35,47 @@ class IdentityReport:
     observed_order: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "max_abs_error": self.max_abs_error,
-            "rel_error": self.rel_error,
-            "passed": self.passed,
-            "tolerance_used": self.tolerance_used,
-            "observed_order": self.observed_order,
-        }
+        return self._asdict()
+
+
+class AuxWeights(NamedTuple):
+    A: float
+    D: float
+    E: float
+    frakA: float
+    Gamma: float
+    Xi: float
+    Upsilon: float
+
+
+def _coefficients(b: float, v, z, p: float, q: float):
+    """A, D and E at (b, v, z), without checking v > 0 or z > 0.
+
+    The change-of-variable check calls this directly, because it masks
+    nodes with a degenerate gradient only after evaluating them.
+    """
+    w = abs(b) ** (p - q) * v ** ((b - 1.0) * (p - q)) * z ** ((p - q) / 2.0)
+    return 1.0 + w, q - 2.0 + (p - 2.0) * w, q - 1.0 + (p - 1.0) * w
+
+
+def aux_weights(b: float, v, z, p: float, q: float, N: int) -> AuxWeights:
+    """Evaluate all seven weight quantities at (b, v, z).
+
+    Accepts scalars or numpy arrays for v and z (both must be strictly
+    positive).
+    """
+    v = np.asarray(v, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if not (v > 0).all() or not (z > 0).all():
+        raise ValueError("aux weights require v > 0 and z > 0")
+    A, D, E = _coefficients(b, v, z, p, q)
+    frakA = (A - 1.0) / A
+    Gamma = (2.0 / N) * (E / A) + (p - q) * frakA
+    Xi = (E / A) ** 2 / N - (p - q) ** 2 * frakA / A
+    Upsilon = (p - q) ** 2 * frakA**2 + (4.0 / N) * (p - 1.0) * (p - q) * frakA
+    if v.ndim == 0:
+        return AuxWeights(*(float(x) for x in (A, D, E, frakA, Gamma, Xi, Upsilon)))
+    return AuxWeights(A=A, D=D, E=E, frakA=frakA, Gamma=Gamma, Xi=Xi, Upsilon=Upsilon)
 
 
 def default_tolerance(h: float, factor: float = DEFAULT_TOLERANCE_FACTOR) -> float:
@@ -53,10 +91,6 @@ def refinement_order(report_h: IdentityReport, report_h2: IdentityReport) -> flo
     if report_h.rel_error == 0.0 or report_h2.rel_error == 0.0:
         return None
     return math.log2(report_h.rel_error / report_h2.rel_error)
-
-
-def attach_order(report: IdentityReport, order: float | None) -> IdentityReport:
-    return replace(report, observed_order=order)
 
 
 def _report(err: float, scale: float, tolerance: float) -> IdentityReport:

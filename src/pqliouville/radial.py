@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -114,20 +114,14 @@ class RadialSolution:
         )
 
 
-@dataclass(frozen=True)
-class BlowupFit:
+class BlowupFit(NamedTuple):
     fitted_exponent: float
     fitted_C: float
     window: tuple[float, float]
     r_squared: float
 
     def as_dict(self) -> dict:
-        return {
-            "fitted_exponent": self.fitted_exponent,
-            "fitted_C": self.fitted_C,
-            "window": list(self.window),
-            "r_squared": self.r_squared,
-        }
+        return self._asdict()
 
 
 def _flux_powers(t, p: float, q: float, eps: float):

@@ -5,11 +5,12 @@ the radial oracle integrates the first-integral form with quadrature and
 root finding, the unregularised residual writes the finite-volume
 equations out from `flux` at eps = 0 instead of calling the solver's
 assembly, the BVP reference solves the radial equation as a first-order
-system by collocation (scipy's solve_bvp), the reference Jacobian differences the residual it belongs
-to, the operator reference is a hand-derived analytic expansion, the
-whole-array stencils are the straightforward NaN-ring forms the blocked
-operators must reproduce bit for bit, and the parameter-window oracle
-brackets the feasibility predicate by bisection.
+system by collocation (scipy's solve_bvp), the reference Jacobian
+differences the residual it belongs to, the operator reference is a
+hand-derived analytic expansion, the whole-array stencils are the
+straightforward NaN-ring forms the blocked operators must reproduce bit
+for bit, the affine field is written out by hand, and the
+parameter-window oracle brackets the feasibility predicate by bisection.
 """
 
 from __future__ import annotations
@@ -236,6 +237,21 @@ def bvp_reference(prob, start, tol=1e-6, max_nodes=100_000):
     r, u = start.r, start.u
     v = np.gradient(u, r)
     return solve_bvp(rhs, bc, r, np.vstack([u, v]), tol=tol, max_nodes=max_nodes)
+
+
+# ---------------------------------------------------------------------------
+# affine field: every centred second difference of it is exactly zero
+# ---------------------------------------------------------------------------
+
+def affine_field(slopes, offset: float = 0.0):
+    """offset + sum_i slopes[i] x_i, as a function of the grid coordinates."""
+    def fn(*coords):
+        out = np.full_like(coords[0], offset)
+        for a, c in zip(slopes, coords):
+            out = out + a * c
+        return out
+
+    return fn
 
 
 # ---------------------------------------------------------------------------

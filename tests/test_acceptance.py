@@ -16,7 +16,6 @@ import pytest
 from pqliouville import (
     CATALOG,
     ProblemInstance,
-    attach_order,
     beta1,
     beta2,
     beta2_large_b_limit,
@@ -198,7 +197,7 @@ def test_identity_suite():
                     fine = change_of_variable_check(field.sample(129), b, p, q)
                     assert coarse.passed and fine.passed, (b, p, q)
                     order = refinement_order(coarse, fine)
-                    report = attach_order(fine, order)
+                    report = fine._replace(observed_order=order)
                     assert 1.7 <= report.observed_order <= 2.3, (b, p, q, order)
         for name in ("saddle", "offset_sine", "sine_product"):
             rep = bochner_check(CATALOG[name].sample(129), 2)

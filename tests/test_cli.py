@@ -585,6 +585,15 @@ TABLE_RESULTS = {
                             "c62cd8e90e95d790126be6d383144a2995585a1bad208d356f7f7574d6af948e"),
 }
 
+# SHA-256 of the JSON reports, written to stdout, that serialise an
+# IdentityReport or a BlowupFit: (argv, digest).
+RECORD_BYTES = {
+    "verify-identities": (["verify-identities", "--resolution", "33"],
+                          "9209af26a8199a9119e8e5b25d0267aeeb50aa7854f1d6d0308cb70fe7c2c03b"),
+    "solve-radial-fit": (["solve-radial", *RADIAL_HJ_4096, "--fit"],
+                         "a8cd3367b88b90d2c95792e073c2d2c99e74a5744a35fc52591e858b2cd87674"),
+}
+
 # The keys a classify row may hold, and those of its threshold dicts.
 ROW_KEYS = {"instance", "theorem", "matches", "conditions", "liouville", "estimate_exponent",
             "estimate_target", "exponents", "product_thresholds", "sum_thresholds", "selection"}
@@ -779,6 +788,11 @@ class TestReportSchema:
         out = tmp_path / "table.csv"
         assert run([*argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", RECORD_BYTES.values(), ids=list(RECORD_BYTES))
+    def test_records_keep_their_bytes(self, argv, digest, capsys):
+        assert run(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv, content", BAD_FILES.values(), ids=list(BAD_FILES))
     def test_bad_files_exit_two_with_an_error_line(self, argv, content, tmp_path, capsys):

@@ -7,17 +7,16 @@ from pqliouville import (
     CATALOG,
     FieldError,
     IdentityReport,
-    attach_order,
     bochner_check,
     change_of_variable_check,
     grid_field,
     refinement_order,
     scaling_check,
 )
-from pqliouville.fields import affine_field
 from pqliouville.cli import _identity_suite
 from pqliouville.grid import GridField, sample_function
 from pqliouville.operators import dot_arrays, grad_squared, gradient_components, laplacian
+from oracles import affine_field
 
 
 class TestChangeOfVariable:
@@ -29,7 +28,7 @@ class TestChangeOfVariable:
             assert coarse.passed and fine.passed
             order = refinement_order(coarse, fine)
             assert 1.7 <= order <= 2.3
-            report = attach_order(fine, order)
+            report = fine._replace(observed_order=order)
             assert report.observed_order == order
 
     def test_identity_collapse_at_b_one_single_operator(self):
@@ -51,7 +50,7 @@ class TestChangeOfVariable:
         fine = change_of_variable_check(field.sample(33), 1.0, 2.0, 2.0)
         assert coarse.rel_error == 0.0 and fine.rel_error == 0.0
         assert refinement_order(coarse, fine) is None
-        assert attach_order(fine, None).observed_order is None
+        assert fine._replace(observed_order=None).observed_order is None
         nonzero = IdentityReport(1e-3, 1e-3, True, 1.0)
         zero = IdentityReport(0.0, 0.0, True, 1.0)
         assert refinement_order(zero, nonzero) is None
@@ -176,7 +175,7 @@ class TestSharedDerivatives:
                 fine = change_of_variable_check(
                     field.sample(n_fine), b, p, q, tolerance=factor / (n_fine - 1) ** 2
                 )
-                expected = attach_order(fine, refinement_order(coarse, fine))
+                expected = fine._replace(observed_order=refinement_order(coarse, fine))
             elif row["check"] == "bochner":
                 expected = bochner_check(
                     CATALOG[params["field"]].sample(n_fine), 2, tolerance=factor / (n_fine - 1) ** 2
@@ -192,7 +191,7 @@ class TestSharedDerivatives:
 
 class TestWeightKernel:
     def test_check_and_aux_weights_share_one_kernel(self):
-        from pqliouville.weights import _coefficients, aux_weights
+        from pqliouville.identities import _coefficients, aux_weights
 
         v = np.array([0.5, 1.0, 2.0])
         z = np.array([0.0, 0.3, 4.0])

@@ -1,5 +1,6 @@
 """Import footprint per command, the lazy public API and the CLI patch points."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -85,6 +86,21 @@ def test_public_names_resolve_in_a_fresh_interpreter():
     assert names == [[], []]
     for name in pqliouville.__all__:
         assert getattr(pqliouville, name) is not None
+
+
+def test_every_public_name_is_its_submodules_object():
+    """__all__ is built from the package namespace, so a helper the package
+    imports from elsewhere would leak into it.  Each exported name must be
+    one the package imports, eagerly or deferred, from a submodule, and be
+    the object that submodule binds."""
+    tree = ast.parse(Path(pqliouville.__file__).read_text())
+    sources = {alias.asname or alias.name: node.module for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    sources.update(pqliouville._DEFERRED)
+    assert set(pqliouville.__all__) == set(sources)
+    for name in pqliouville.__all__:
+        module = importlib.import_module(f"pqliouville.{sources[name]}")
+        assert getattr(pqliouville, name) is vars(module)[name], name
 
 
 def test_classify_stays_the_function():

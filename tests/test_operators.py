@@ -10,9 +10,9 @@ from pqliouville import (
     sample_function,
 )
 from pqliouville import operators
-from pqliouville.fields import affine_field
 from pqliouville.operators import flux_divergence, gradient_components
 from oracles import (
+    affine_field,
     pq_reference_sin_cos,
     reference_flux_divergence,
     reference_gradient_components,

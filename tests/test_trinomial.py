@@ -1,11 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import sympy
 
 from pqliouville import (
     AdmissibilityError,
     ProblemInstance,
     TrinomialCoeffs,
     epsilon_sensitivity,
+    operator_gap,
     product_thresholds,
     product_trinomial,
     sum_leading_coefficient,
@@ -97,6 +101,31 @@ class TestSumLeadingCoefficient:
     def test_vertex_value_matches_roots(self):
         inst = ProblemInstance(N=2, p=2.0, q=2.0, kind="sum", s=2.0, m=1.5, M=1.0)
         assert sum_leading_coefficient(inst) == pytest.approx(-1.0, rel=1e-14)
+
+
+def vanishes(expr) -> bool:
+    """The float coefficients the code writes are exact rationals; expr simplifies to 0."""
+    return sympy.simplify(sympy.nsimplify(expr, rational=True)) == 0
+
+
+class TestSymbolicWindows:
+    """The closed forms, run on symbols, equal the window polynomials whose
+    signs route the product and sum theorems."""
+
+    N, p, q, s, Q = sympy.symbols("N p q s Q", positive=True)
+
+    def test_product_leading_coefficient_is_the_q_window_polynomial(self):
+        N, p, q, s, Q = self.N, self.p, self.q, self.s, self.Q
+        co = product_trinomial(SimpleNamespace(N=N, p=p, q=q, s=s, combined_exponent=Q), 0)
+        assert vanishes(co.L1 * Q**2 - (Q**2 - 4 * (q - 1) * Q / N + operator_gap(N, p, q)))
+
+    def test_sum_leading_coefficient_factors_over_the_s_window(self):
+        N, p, q, s = self.N, self.p, self.q, self.s
+        # delta_pq as in sum_thresholds
+        delta = (N + 2) ** 2 * (q - 1) ** 2 - N * (N + 4) * (p - 1) ** 2 - 4 * N * (p - q) ** 2
+        s_minus, s_plus = (((N + 2) * (q - 1) + sign * sympy.sqrt(delta)) / N for sign in (-1, 1))
+        leading = sum_leading_coefficient(SimpleNamespace(N=N, p=p, q=q, s=s))
+        assert vanishes(leading - (s - s_minus) * (s - s_plus))
 
 
 class TestGridOracle:
