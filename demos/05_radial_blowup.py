@@ -33,7 +33,7 @@ def main():
     print(f"solved annulus [1,2] with u(1) = -{depth:g}: converged={sol.converged} "
           f"({sol.newton_iters} Newton steps over {sol.continuation_steps} continuation stages)")
 
-    profile = gradient_vs_distance(sol, side="inner")
+    profile = gradient_vs_distance(sol)
     window = default_fit_window(sol)
     fit = fit_blowup_exponent(profile, window)
     print(f"fit window d in [{window[0]:.4g}, {window[1]:.4g}]: "

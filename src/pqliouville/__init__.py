@@ -37,7 +37,6 @@ from .thresholds import (
 )
 from .trinomial import (
     TrinomialCoeffs,
-    epsilon_sensitivity,
     product_trinomial,
     sum_leading_coefficient,
     verify_negativity,
@@ -49,11 +48,11 @@ _DEFERRED = {
     name: module
     for module, names in (
         ("fields", ("CATALOG", "ManufacturedField")),
-        ("grid", ("GridField", "grid_field", "sample_function")),
         ("identities", ("AuxWeights", "IdentityReport", "aux_weights", "bochner_check",
                         "change_of_variable_check", "default_tolerance", "refinement_order",
                         "scaling_check")),
-        ("operators", ("laplacian", "p_laplacian", "pq_laplacian")),
+        ("operators", ("GridField", "grid_field", "laplacian", "p_laplacian", "pq_laplacian",
+                       "sample_function")),
         ("radial", ("BlowupFit", "RadialProblem", "RadialSolution", "default_fit_window",
                     "estimate_consistency", "fit_blowup_exponent", "gradient_vs_distance",
                     "manufactured_source", "radial_mesh", "solve_radial")),

@@ -206,7 +206,7 @@ def _identity_suite(resolution: int, factor: float) -> list[dict]:
     n_coarse = resolution
     n_fine = 2 * (resolution - 1) + 1
     # One sample per field and resolution: the checks on a field share
-    # its cached derivatives (GridField.derivatives).
+    # the derivatives it caches (GridField.grad_sq, .lap, ...).
     v_coarse = CATALOG["offset_sine"].sample(n_coarse)
     v_fine = CATALOG["offset_sine"].sample(n_fine)
     for b in (0.5, 1.0, 2.0, 5.0):

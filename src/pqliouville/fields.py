@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridField, sample_function
+from .operators import GridField, sample_function
 
 
 @dataclass(frozen=True)

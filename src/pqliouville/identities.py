@@ -21,8 +21,15 @@ import numpy as np
 
 from .errors import FieldError
 from .fields import ManufacturedField
-from .grid import GridField, sample_function
-from .operators import dot_arrays, gradient_components, laplacian, p_laplacian, pq_laplacian
+from .operators import (
+    GridField,
+    dot_arrays,
+    gradient_components,
+    laplacian,
+    p_laplacian,
+    pq_laplacian,
+    sample_function,
+)
 
 DEFAULT_TOLERANCE_FACTOR = 25.0
 
@@ -114,9 +121,10 @@ def change_of_variable_check(
         b |b|^(q-2) v^((b-1)(q-1)) [ z^(q/2-1) A lap(v)
             + (b-1) E z^(q/2) / v + (D/2) z^((q-4)/2) <grad z, grad v> ]
 
-    from finite differences of v and z = |grad v|^2, shared with every
-    other check on the same field through `v.derivatives`.  Nodes with a
-    degenerate gradient are excluded; more than 10% exclusions aborts.
+    from the derivatives of v and z = |grad v|^2 that the field caches
+    (`v.grad_sq`, `v.lap`, `v.grad_sq_dot_grad`), so every other check
+    on the same field reuses them.  Nodes with a degenerate gradient are
+    excluded; more than 10% exclusions aborts.
     """
     if b == 0.0:
         raise FieldError("change of variable requires b != 0")
@@ -128,11 +136,10 @@ def change_of_variable_check(
     # Both sides are compared on the ring-2 interior, so the right side
     # is assembled there only; it is elementwise, so node values match.
     inner = tuple(slice(2, -2) for _ in range(v.ndim))
-    u = GridField(values=v.values**b, spacing=h, origin=v.origin)
+    u = GridField(values=v.values**b, spacing=h)
     lhs = pq_laplacian(u, p, q).values[inner]
 
-    derivs = v.derivatives
-    vv, z = v.values[inner], derivs.grad_sq[inner]
+    vv, z = v.values[inner], v.grad_sq[inner]
     with np.errstate(invalid="ignore", divide="ignore"):
         A, D, E = _coefficients(b, vv, z, p, q)
         rhs = (
@@ -140,9 +147,9 @@ def change_of_variable_check(
             * abs(b) ** (q - 2.0)
             * vv ** ((b - 1.0) * (q - 1.0))
             * (
-                z ** (q / 2.0 - 1.0) * A * derivs.lap[inner]
+                z ** (q / 2.0 - 1.0) * A * v.lap[inner]
                 + (b - 1.0) * E * z ** (q / 2.0) / vv
-                + 0.5 * D * z ** ((q - 4.0) / 2.0) * derivs.grad_sq_dot_grad[inner]
+                + 0.5 * D * z ** ((q - 4.0) / 2.0) * v.grad_sq_dot_grad[inner]
             )
         )
 
@@ -164,10 +171,9 @@ def bochner_check(v: GridField, N_param: int, tolerance: float | None = None) ->
     """
     h = v.spacing
     tol = default_tolerance(h) if tolerance is None else tolerance
-    derivs = v.derivatives
-    lap_v = derivs.lap
-    lhs = 0.5 * laplacian(derivs.grad_sq, h)
-    rhs = lap_v * lap_v / N_param + dot_arrays(gradient_components(lap_v, h), derivs.grads)
+    lap_v = v.lap
+    lhs = 0.5 * laplacian(v.grad_sq, h)
+    rhs = lap_v * lap_v / N_param + dot_arrays(gradient_components(lap_v, h), v.grads)
     inner = tuple(slice(2, -2) for _ in range(v.ndim))
     lhs_i, rhs_i = lhs[inner], rhs[inner]
     valid = np.isfinite(lhs_i) & np.isfinite(rhs_i)

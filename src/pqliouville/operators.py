@@ -1,4 +1,4 @@
-"""Second-order finite-difference operators on uniform grid fields.
+"""Uniform grid fields and second-order finite-difference operators on them.
 
 All node-centred stencils are valid one ring inside the boundary; the
 boundary ring of every output is marked unset (NaN).  The divergence
@@ -19,13 +19,13 @@ whole-array evaluation.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import FieldError
-from .grid import GridField
 
 AUTO_REG = "auto"
 
@@ -120,21 +120,27 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class Derivatives:
-    """Centred derivatives of one field's values, each computed on first use.
+@dataclass(frozen=True)
+class GridField:
+    """Values on a uniform isotropic grid, with their centred derivatives.
 
-    `GridField.derivatives` holds one per field, so every check on the
-    same field shares them; a field built from other values gets its own.
-    The shared arrays are read-only.
+    Each derivative is computed on first use and cached on this instance,
+    so every check on the same field shares it; a field built from other
+    values, for example with dataclasses.replace, starts empty.  The
+    cached arrays are read-only; treat `values` as read-only once a
+    derivative has been taken.
     """
 
-    def __init__(self, values: np.ndarray, h: float):
-        self._values = values
-        self._h = h
+    values: np.ndarray
+    spacing: float
+
+    @property
+    def ndim(self) -> int:
+        return self.values.ndim
 
     @cached_property
     def grads(self) -> tuple[np.ndarray, ...]:
-        return tuple(_read_only(g) for g in gradient_components(self._values, self._h))
+        return tuple(_read_only(g) for g in gradient_components(self.values, self.spacing))
 
     @cached_property
     def grad_sq(self) -> np.ndarray:
@@ -143,12 +149,45 @@ class Derivatives:
 
     @cached_property
     def lap(self) -> np.ndarray:
-        return _read_only(laplacian(self._values, self._h))
+        return _read_only(laplacian(self.values, self.spacing))
 
     @cached_property
     def grad_sq_dot_grad(self) -> np.ndarray:
         """<grad z, grad v>."""
-        return _read_only(dot_arrays(gradient_components(self.grad_sq, self._h), self.grads))
+        return _read_only(dot_arrays(gradient_components(self.grad_sq, self.spacing), self.grads))
+
+
+def grid_field(values: np.ndarray, spacing: float) -> GridField:
+    """Validated constructor: 2- or 3-d, all dims >= 5, finite values, h > 0."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim not in (2, 3):
+        raise FieldError("grid fields must be 2- or 3-dimensional")
+    if min(values.shape) < 5:
+        raise FieldError("all dims must be at least 5 (stencils need two interior layers)")
+    if not spacing > 0.0:
+        raise FieldError("spacing must be positive")
+    if not np.isfinite(values).all():
+        raise FieldError("field values must be finite")
+    return GridField(values=values, spacing=float(spacing))
+
+
+def sample_function(fn: Callable, lo: float, hi: float, n: int, dim: int = 2) -> GridField:
+    """Sample fn(x1, ..., xd) at n nodes per axis on [lo, hi]^dim.
+
+    fn receives open axes (np.meshgrid(..., indexing="ij", sparse=True)):
+    xk has length n along axis k and length 1 along the others, so fn
+    must combine its arguments by broadcasting, as numpy ufuncs and
+    arithmetic do.  Each node still sees the same operations as on a
+    dense grid, but transcendental functions run on n values per axis
+    instead of n^dim.  The result, which may keep singleton axes (for
+    example lambda x, y, z: np.sin(x)), is broadcast into one full,
+    C-contiguous, writeable array.
+    """
+    h = (hi - lo) / (n - 1)
+    axes = [lo + h * np.arange(n) for _ in range(dim)]
+    values = np.empty((n,) * dim)
+    values[...] = fn(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    return grid_field(values, h)
 
 
 def flux_divergence(
@@ -214,7 +253,7 @@ def _flux_operator(field: GridField, exponents: tuple[float, ...], reg_eps) -> G
     out = flux_divergence(field.values, field.spacing, exponents, eps)
     if not np.isfinite(out[_interior(field.ndim)]).all():
         raise FieldError("field not smooth enough at spacing h")
-    return GridField(values=out, spacing=field.spacing, origin=field.origin)
+    return GridField(values=out, spacing=field.spacing)
 
 
 def pq_laplacian(field: GridField, p: float, q: float, reg_eps=AUTO_REG) -> GridField:

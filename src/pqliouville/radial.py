@@ -408,22 +408,21 @@ def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution
     )
 
 
-def gradient_vs_distance(sol: RadialSolution, side: str = "both") -> np.ndarray:
-    """Pairs (distance to the nearer wall, |du|) at half-grid nodes, ascending in d.
+def gradient_vs_distance(sol: RadialSolution) -> np.ndarray:
+    """Pairs (distance to the steeper wall, |du|) at half-grid nodes, ascending in d.
 
-    side='inner' keeps only the half of the annulus next to r0, where
-    that distance is r - r0 (one-sided blow-up studies need an unmixed
-    profile).
+    The steeper wall is the one whose end face has the larger |du|, r0 on
+    a tie.  Only the half of the faces nearer it is kept, so a one-sided
+    blow-up profile is not mixed with the flat side of the annulus.
     """
     if not sol.converged:
         raise AdmissibilityError("gradient profile requires a converged solution")
-    d, g = sol.wall_distance, np.abs(sol.du)
-    if side == "inner":
-        rh = sol.r_half
-        keep = rh - sol.r[0] <= sol.r[-1] - rh
-        d, g = d[keep], g[keep]
-    elif side != "both":
-        raise AdmissibilityError("side must be 'both' or 'inner'")
+    g = np.abs(sol.du)
+    rh = sol.r_half
+    to_r0, to_r1 = rh - sol.r[0], sol.r[-1] - rh
+    d, other = (to_r0, to_r1) if g[0] >= g[-1] else (to_r1, to_r0)
+    keep = d <= other
+    d, g = d[keep], g[keep]
     order = np.argsort(d, kind="stable")
     return np.column_stack([d[order], g[order]])
 
@@ -466,8 +465,11 @@ def estimate_consistency(sol: RadialSolution, decision: RegimeDecision) -> float
     """Smallest C with |grad| <= C (1 + d^(-rate)) over the solved profile.
 
     The bound is an existence-of-C statement, so there is nothing to
-    pass or fail: C is returned for cross-run monitoring.  For
-    power-target regimes the profile is transformed to |d(u^(1/b))/dr|.
+    pass or fail: C is returned for cross-run monitoring.  Unlike
+    gradient_vs_distance it keeps the faces near both walls, since the
+    a priori bound is in the distance to the boundary, whichever wall is
+    nearer.  For power-target regimes the profile is transformed to
+    |d(u^(1/b))/dr|.
     """
     rate, target = estimate_rate(decision)
     if not sol.converged:

@@ -64,17 +64,6 @@ def product_trinomial(inst: ProblemInstance, epsilon: float = 0.0) -> TrinomialC
     return TrinomialCoeffs(L1=L1, L2=L2, L3=L3, epsilon=epsilon, source="product")
 
 
-def epsilon_sensitivity(inst: ProblemInstance) -> tuple[float, float, float]:
-    """Explicit bounds K with |Li(eps) - Li(0)| <= K*eps for eps in [0, 1]."""
-    Q = positive_combined_exponent(inst)
-    N, p, q, s = inst.N, inst.p, inst.q, inst.s
-    sq = s / Q
-    k1 = 12.0 * (p - 1.0) ** 2 / (N * Q * Q)
-    k2 = (12.0 / Q) * ((p - 1.0) + 2.0 * sq * (q - 1.0) ** 2 / N + 2.0 * sq * (p - q) ** 2)
-    k3 = 4.0 * (3.0 * sq * (sq * (p - 1.0) ** 2 / N + (q - 1.0)) + 1.0 / N + 3.0)
-    return k1, k2, k3
-
-
 def sum_leading_coefficient(inst: ProblemInstance) -> float:
     """Leading tau^2 coefficient majorant for the sum-reaction quadratic:
     s^2 - 2s(N+2)(q-1)/N + [(N+4)(p-1)^2 + 4(p-q)^2]/N.

@@ -9,7 +9,8 @@ system by collocation (scipy's solve_bvp), the reference Jacobian
 differences the residual it belongs to, the operator reference is a
 hand-derived analytic expansion, the whole-array stencils are the
 straightforward NaN-ring forms the blocked operators must reproduce bit
-for bit, the affine field is written out by hand, and the
+for bit, the affine field is written out by hand, the epsilon sensitivity
+bounds the epsilon terms of the product trinomial term by term, and the
 parameter-window oracle brackets the feasibility predicate by bisection.
 """
 
@@ -20,6 +21,7 @@ from scipy.integrate import cumulative_trapezoid, solve_bvp
 from scipy.optimize import brentq
 
 from pqliouville import ProblemInstance, product_thresholds, product_trinomial
+from pqliouville.exponents import positive_combined_exponent
 from pqliouville.radial import flux, reaction_function
 from pqliouville.selection import small_s_threshold
 
@@ -252,6 +254,21 @@ def affine_field(slopes, offset: float = 0.0):
         return out
 
     return fn
+
+
+# ---------------------------------------------------------------------------
+# first-order epsilon envelope of the product trinomial
+# ---------------------------------------------------------------------------
+
+def epsilon_sensitivity(inst: ProblemInstance) -> tuple[float, float, float]:
+    """Explicit bounds K with |Li(eps) - Li(0)| <= K*eps for eps in [0, 1]."""
+    Q = positive_combined_exponent(inst)
+    N, p, q, s = inst.N, inst.p, inst.q, inst.s
+    sq = s / Q
+    k1 = 12.0 * (p - 1.0) ** 2 / (N * Q * Q)
+    k2 = (12.0 / Q) * ((p - 1.0) + 2.0 * sq * (q - 1.0) ** 2 / N + 2.0 * sq * (p - q) ** 2)
+    k3 = 4.0 * (3.0 * sq * (sq * (p - 1.0) ** 2 / N + (q - 1.0)) + 1.0 / N + 3.0)
+    return k1, k2, k3
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def test_radial_solver():
         prob = RadialProblem(inst, 1.0, 2.0, -10.0 * mesh, 0.0, mesh_n=mesh, reg_eps=1e-8)
         sol = solve_radial(prob)
         assert sol.converged
-        profile = gradient_vs_distance(sol, side="inner")
+        profile = gradient_vs_distance(sol)
         # |du| grows monotonically toward the steep boundary
         window_g = profile[profile[:, 0] <= 0.1, 1]
         assert np.all(np.diff(window_g) <= 0.0)

@@ -578,9 +578,11 @@ TABLE_RESULTS = {
     "solve-radial-log": (["solve-radial", "--params", str(PRODUCT_GRID.with_name("log_product.par")),
                           "--format", "csv"], None,
                          "ad72104389f102beb8da014cf22894588968e90e0c838415934961ef7aa336ae"),
+    # re-taken when the profile came to read the steeper wall only: the
+    # 512 faces nearer r0, not all 1,024 faces at the nearer-wall distance
     "plot-data-gradient_profile": (["plot-data", "--selector", "gradient_profile"],
                                    ["solve-radial", *RADIAL_HJ_4096],
-                                   "5f96a04a558185965b50273e2948a989f7eaa504a3ed2f53c047aa9ad12c5ea9"),
+                                   "d930f8ecb70510289781deb34980df0a5f48b9dba035078171145839a8dda58d"),
     "plot-data-trinomial": (["plot-data", "--selector", "trinomial"], ["search-b", *PRODUCT_A],
                             "c62cd8e90e95d790126be6d383144a2995585a1bad208d356f7f7574d6af948e"),
 }
@@ -590,8 +592,10 @@ TABLE_RESULTS = {
 RECORD_BYTES = {
     "verify-identities": (["verify-identities", "--resolution", "33"],
                           "9209af26a8199a9119e8e5b25d0267aeeb50aa7854f1d6d0308cb70fe7c2c03b"),
+    # re-taken with the one-wall profile: only "fit" moved, from exponent
+    # 0.8257 (r^2 0.037) to 1.7265 (r^2 0.996)
     "solve-radial-fit": (["solve-radial", *RADIAL_HJ_4096, "--fit"],
-                         "a8cd3367b88b90d2c95792e073c2d2c99e74a5744a35fc52591e858b2cd87674"),
+                         "15775bb702c92442f4d3b3b6108125c216e9191af25b0ff1aa69f4f93790935d"),
 }
 
 # The keys a classify row may hold, and those of its threshold dicts.

@@ -14,8 +14,15 @@ from pqliouville import (
     scaling_check,
 )
 from pqliouville.cli import _identity_suite
-from pqliouville.grid import GridField, sample_function
-from pqliouville.operators import dot_arrays, grad_squared, gradient_components, laplacian
+from pqliouville import operators
+from pqliouville.operators import (
+    GridField,
+    dot_arrays,
+    grad_squared,
+    gradient_components,
+    laplacian,
+    sample_function,
+)
 from oracles import affine_field
 
 
@@ -127,36 +134,64 @@ class TestScaling:
             scaling_check(CATALOG["sine_x1"], -1.0, 1.0, 2.0)
 
 
+DERIVATIVES = ("grads", "grad_sq", "lap", "grad_sq_dot_grad")
+
+
 class TestSharedDerivatives:
     def test_cached_derivatives_match_the_operators(self):
         field = CATALOG["offset_sine"].sample(17, 3)
         v, h = field.values, field.spacing
-        derivs = field.derivatives
-        assert field.derivatives is derivs
-        for ours, ref in zip(derivs.grads, gradient_components(v, h)):
+        for ours, ref in zip(field.grads, gradient_components(v, h)):
             assert np.array_equal(ours, ref, equal_nan=True)
         z = grad_squared(v, h)
-        assert np.array_equal(derivs.grad_sq, z, equal_nan=True)
-        assert np.array_equal(derivs.lap, laplacian(v, h), equal_nan=True)
+        assert np.array_equal(field.grad_sq, z, equal_nan=True)
+        assert np.array_equal(field.lap, laplacian(v, h), equal_nan=True)
         dzv = dot_arrays(gradient_components(z, h), gradient_components(v, h))
-        assert np.array_equal(derivs.grad_sq_dot_grad, dzv, equal_nan=True)
-        with pytest.raises(ValueError, match="read-only"):
-            derivs.lap[2, 2, 2] = 0.0
+        assert np.array_equal(field.grad_sq_dot_grad, dzv, equal_nan=True)
+
+    def test_each_derivative_is_computed_once_per_field(self, monkeypatch):
+        calls = []
+        for name in ("gradient_components", "laplacian", "dot_arrays"):
+            def counted(*args, _name=name, _original=getattr(operators, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(operators, name, counted)
+        field = CATALOG["offset_sine"].sample(33)
+        first = [getattr(field, name) for name in DERIVATIVES]
+        for _ in range(2):
+            change_of_variable_check(field, 2.0, 3.0, 2.0)
+            bochner_check(field, 2)
+            assert all(getattr(field, name) is ours for name, ours in zip(DERIVATIVES, first))
+        # grads, grad_sq, lap and grad_sq_dot_grad, one pass each
+        assert sorted(calls) == ["dot_arrays", "dot_arrays", "gradient_components",
+                                 "gradient_components", "laplacian"]
+
+    def test_cached_derivatives_are_read_only(self):
+        field = CATALOG["offset_sine"].sample(17, 3)
+        assert isinstance(field.grads, tuple)
+        for arr in (*field.grads, field.grad_sq, field.lap, field.grad_sq_dot_grad):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[2, 2, 2] = 0.0
+        for name in DERIVATIVES:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(field, name, None)
 
     def test_changed_values_do_not_reuse_cached_derivatives(self):
         field = CATALOG["offset_sine"].sample(33)
         before = change_of_variable_check(field, 2.0, 3.0, 2.0)
-        assert "derivatives" in vars(field)
+        assert set(DERIVATIVES) <= set(vars(field))
         for other in (
             dataclasses.replace(field, values=field.values * 1.5),
-            GridField(values=field.values + 0.25, spacing=field.spacing, origin=field.origin),
+            GridField(values=field.values + 0.25, spacing=field.spacing),
         ):
-            assert "derivatives" not in vars(other)
-            fresh = GridField(values=other.values.copy(), spacing=other.spacing, origin=other.origin)
+            assert not set(DERIVATIVES) & set(vars(other))
+            fresh = GridField(values=other.values.copy(), spacing=other.spacing)
             assert change_of_variable_check(other, 2.0, 3.0, 2.0) == change_of_variable_check(
                 fresh, 2.0, 3.0, 2.0
             )
-            assert not np.array_equal(other.derivatives.grad_sq, field.derivatives.grad_sq)
+            assert not np.array_equal(other.grad_sq, field.grad_sq)
+            assert not np.array_equal(other.lap, field.lap)
         assert change_of_variable_check(field, 2.0, 3.0, 2.0) == before
 
     def test_suite_rows_equal_independent_checks(self):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,43 @@ def test_every_public_name_is_its_submodules_object():
     for name in pqliouville.__all__:
         module = importlib.import_module(f"pqliouville.{sources[name]}")
         assert getattr(pqliouville, name) is vars(module)[name], name
+
+
+def package_imports(package: Path) -> dict[str, set[str]]:
+    """Each module of the package and the package modules it imports.
+
+    Imports inside functions count as well as top-level ones; the package
+    itself is `__init__`.  Imports built at run time (importlib) do not.
+    """
+    modules = {path.stem for path in package.glob("*.py")}
+
+    def targets(module, names):
+        if module:
+            return {module.split(".")[0]}
+        return {name if name in modules else "__init__" for name in names}
+
+    graph = {}
+    for name in modules:
+        found = set()
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found |= targets(node.module, [alias.name for alias in node.names])
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pqliouville":
+                found |= targets(node.module.partition(".")[2], [alias.name for alias in node.names])
+            elif isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[1] if "." in alias.name else "__init__"
+                          for alias in node.names if alias.name.split(".")[0] == "pqliouville"}
+        graph[name] = found
+    return graph
+
+
+def test_package_import_graph_is_acyclic():
+    graph = package_imports(Path(pqliouville.__file__).parent)
+    assert {"operators", "fields"} <= graph["identities"] and "__init__" in graph["cli"]
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
 def test_classify_stays_the_function():

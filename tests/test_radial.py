@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from pqliouville import (
     AdmissibilityError,
     ProblemInstance,
     RadialProblem,
+    RadialSolution,
     classify,
     default_fit_window,
     estimate_consistency,
@@ -16,6 +18,7 @@ from pqliouville import (
     solve_radial,
 )
 from pqliouville import radial
+from pqliouville.cli import main
 from pqliouville.radial import (
     MAX_MESH_N,
     _assemble,
@@ -30,6 +33,7 @@ from oracles import bvp_reference, colour_bands, constant_rhs_profile, unregular
 
 
 LANE = ProblemInstance(N=2, p=2.0, q=2.0, kind="product", s=1.0, m=0.0)
+HJ_Q2 = ProblemInstance(N=2, p=3.0, q=2.0, kind="hamilton_jacobi", m=2.5)
 
 
 def constant_rhs(c):
@@ -390,21 +394,48 @@ class TestProfiles:
         assert np.max(profile[:, 1]) <= 1e-12
         assert np.all(np.diff(profile[:, 0]) >= 0.0)
 
-    def test_sides(self):
-        prob = RadialProblem(LANE, 1.0, 2.0, 0.0, 1.0, mesh_n=64, reg_eps=1e-8,
-                             rhs_override=constant_rhs(1.0))
-        sol = solve_radial(prob)
-        inner = gradient_vs_distance(sol, side="inner")
-        both = gradient_vs_distance(sol)
+    @pytest.mark.parametrize("u0, u1, wall", [(-4096.0, 0.0, 0), (0.0, -4096.0, -1)],
+                             ids=["steep-r0", "steep-r1"])
+    def test_profile_reads_the_steeper_wall(self, u0, u1, wall):
+        sol = solve_radial(RadialProblem(HJ_Q2, 1.0, 2.0, u0, u1, mesh_n=1024))
+        assert sol.converged
         rh = sol.r_half
-        near_inner = rh - sol.r[0] <= sol.r[-1] - rh
-        # 'inner' keeps the faces nearer r0, at their distance r - r0
-        assert 2 * len(inner) == len(both)
-        assert np.array_equal(inner[:, 0], (rh - sol.r[0])[near_inner])
-        assert np.array_equal(both[:, 0], np.sort(np.minimum(rh - sol.r[0], sol.r[-1] - rh)))
-        for side in ("outer", "sideways"):
-            with pytest.raises(AdmissibilityError):
-                gradient_vs_distance(sol, side=side)
+        to_wall = rh - sol.r[0] if wall == 0 else sol.r[-1] - rh
+        near = to_wall <= sol.wall_distance
+        profile = gradient_vs_distance(sol)
+        # half the faces, those nearer that wall, at their distance to it
+        assert 2 * len(profile) == len(rh)
+        assert np.array_equal(profile[:, 0], np.sort(to_wall[near]))
+        assert np.array_equal(profile[:, 1], np.abs(sol.du)[near][np.argsort(to_wall[near])])
+        assert profile[0, 1] == abs(sol.du[wall])
+
+    def test_profile_tie_goes_to_r0(self):
+        # equal end slopes, different halves; dyadic steps keep du exact
+        du = np.ones(64)
+        du[0] = du[-1] = 4.0
+        du[-2] = 2.0
+        r = np.linspace(1.0, 2.0, 65)
+        sol = RadialSolution(r=r, u=np.concatenate([[0.0], np.cumsum(du / 64.0)]),
+                             residual_norm=0.0, newton_iters=0, continuation_steps=0,
+                             converged=True)
+        assert np.array_equal(sol.du, du)
+        profile = gradient_vs_distance(sol)
+        assert np.array_equal(profile[:, 0], sol.r_half[:32] - 1.0)
+        assert np.array_equal(profile[:, 1], du[:32])
+
+    @pytest.mark.parametrize("q", ["2", "1.5"])
+    def test_cli_fit_is_the_library_fit(self, q, tmp_path):
+        out = tmp_path / "fit.json"
+        assert main(["solve-radial", "--kind", "hamilton_jacobi", "--N", "2", "--p", "3",
+                     "--q", q, "--m", "2.5", "--r0", "1", "--r1", "2", "--u0", "-4096",
+                     "--u1", "0", "--mesh-n", "4096", "--fit", "--out", str(out)]) == 0
+        [row] = json.loads(out.read_text())["results"]
+        inst = ProblemInstance(N=2, p=3.0, q=float(q), kind="hamilton_jacobi", m=2.5)
+        sol = solve_radial(RadialProblem(inst, 1.0, 2.0, -4096.0, 0.0, mesh_n=4096))
+        fit = fit_blowup_exponent(gradient_vs_distance(sol), default_fit_window(sol))
+        assert row["fit"] == json.loads(json.dumps(fit.as_dict()))
+        assert fit.r_squared > 0.95
+        assert fit.fitted_exponent == pytest.approx(1.6186, abs=1e-3)
 
     def test_fit_exact_power_law(self):
         d = np.geomspace(1e-3, 1e-1, 40)

@@ -13,7 +13,7 @@ from pqliouville import (
     sum_selection,
     verify_negativity,
 )
-from oracles import sample_case3_discriminant_fail, sample_theorem14_instance
+from oracles import epsilon_sensitivity, sample_case3_discriminant_fail, sample_theorem14_instance
 
 
 EXAMPLE = ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=2.0)
@@ -92,8 +92,6 @@ class TestProductSelection:
         # case tags agree for small epsilon; kappa moves by <1% at 1e-6,
         # and stays within the explicit first-order envelope at 1e-4
         # (the 1% figure is not scale-free for far-out convex vertices).
-        from pqliouville import epsilon_sensitivity
-
         for _ in range(50):
             inst = sample_theorem14_instance(rng)
             base = select_b_product(inst)

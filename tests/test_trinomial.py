@@ -8,7 +8,6 @@ from pqliouville import (
     AdmissibilityError,
     ProblemInstance,
     TrinomialCoeffs,
-    epsilon_sensitivity,
     operator_gap,
     product_thresholds,
     product_trinomial,
@@ -16,7 +15,7 @@ from pqliouville import (
     sum_thresholds,
     verify_negativity,
 )
-from oracles import sample_admissible_product
+from oracles import epsilon_sensitivity, sample_admissible_product
 
 
 EXAMPLE = ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=2.0)
