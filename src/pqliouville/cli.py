@@ -26,12 +26,11 @@ from .ishii_lions import il_parameter_window
 from .params import INSTANCE_KEYS, KEYS, ParamError, expand_instances, parse_params, radial_settings
 from .report import ConditionTemplates, Report, atomic_write_text
 from .selection import select_b_product, sum_selection
-from .trinomial import TrinomialCoeffs, oracle_curve, product_trinomial, verify_negativity
+from .trinomial import MAX_ORACLE_POINTS, TrinomialCoeffs, oracle_curve, product_trinomial, verify_negativity
 
 DEFAULT_ORACLE_POINTS = 2048
 # Size limits: the largest accepted run peaks near 200 MB RSS (oracle about 16 B
 # a point, il-window about 0.6 kB a sample, identities about 170 B a fine node).
-MAX_ORACLE_POINTS = 10_000_000
 MAX_GAMMA_SAMPLES = 100_000
 MAX_RESOLUTION = 513
 TOLERANCE_DEFAULTS = {"identity_factor": 25.0, "newton_tol": 1e-10}

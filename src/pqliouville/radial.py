@@ -48,6 +48,12 @@ COARSE_MESH_N = 256
 MAX_MESH_N = 65_536
 
 
+def _check_annulus(r0: float, r1: float) -> None:
+    """The radii a solve and a solve-radial report row need: finite 0 < r0 < r1."""
+    if not 0.0 < r0 < r1 < math.inf:
+        raise AdmissibilityError(f"annulus requires finite 0 < r0 < r1, got r0={r0!r}, r1={r1!r}")
+
+
 @dataclass
 class RadialProblem:
     inst: ProblemInstance
@@ -62,10 +68,9 @@ class RadialProblem:
     log_transform: bool = False
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.r0, self.r1, self.u_at_r0, self.u_at_r1))):
-            raise AdmissibilityError("r0, r1, u0 and u1 must be finite")
-        if not 0.0 < self.r0 < self.r1:
-            raise AdmissibilityError("annulus requires 0 < r0 < r1")
+        _check_annulus(self.r0, self.r1)
+        if not (math.isfinite(self.u_at_r0) and math.isfinite(self.u_at_r1)):
+            raise AdmissibilityError("u0 and u1 must be finite")
         if not 64 <= self.mesh_n <= MAX_MESH_N:
             raise AdmissibilityError(f"mesh_n must lie in [64, {MAX_MESH_N:,}]")
         if not 0.0 < self.reg_eps <= 1e-2:
@@ -105,9 +110,11 @@ class RadialSolution:
 
         Rows store no r or du; plot-data rebuilds them here.
         """
+        r0, r1 = row["radial"]["r0"], row["radial"]["r1"]
+        _check_annulus(r0, r1)
         u = np.array(row["u"])
         return cls(
-            r=radial_mesh(row["radial"]["r0"], row["radial"]["r1"], len(u) - 1), u=u,
+            r=radial_mesh(r0, r1, len(u) - 1), u=u,
             residual_norm=row["residual_norm"], newton_iters=row["newton_iters"],
             continuation_steps=row["continuation_steps"], converged=row["converged"],
             failure=row["failure"],

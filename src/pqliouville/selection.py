@@ -3,10 +3,10 @@
 The product reaction splits into three cases by the position of the
 combined exponent Q relative to the window [Q1, Q2]:
 
-  case 1  (Q strictly inside):  L1 < 0, take t on a doubling schedule
-          until L(t) <= -1 with a positive gamma;
+  case 1  (Q strictly inside):  L1 < 0, take the first power of two t
+          with L(t) <= -1, b above the floor and a positive gamma;
   case 2  (Q on the boundary):  L1 = 0 and, under the small-s side
-          condition, L2 < 0, so the same doubling schedule applies;
+          condition, L2 < 0, so the same search applies;
   case 3  (Q outside):          L1 > 0, the quadratic is strictly convex
           with vertex t* = -L2/(2 L1); feasibility is the discriminant
           condition 4 L1 L3 < L2^2 and kappa = -L(t*).
@@ -15,10 +15,15 @@ The sum reaction always selects a large tau once its leading
 coefficient is negative; only that coefficient is available in closed
 form, so the certificate is the coefficient sign plus the b > 1 and
 beta2 > 0 conditions.
+
+A selection is a sequence of check blocks, each appended to the trace
+whole; it ends infeasible right after the first block that holds a
+failing row, so it is feasible exactly when every trace row passed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Generator
 from typing import NamedTuple
 
 from .errors import AdmissibilityError
@@ -34,9 +39,6 @@ from .exponents import (
 from .instance import ProblemInstance
 from .thresholds import ProductThresholds, SumThresholds, product_thresholds, sum_thresholds
 from .trinomial import product_trinomial, sum_leading_coefficient
-
-DOUBLING_CAP = 2.0**60
-
 
 class TheoremCondition(NamedTuple):
     """One hypothesis row: `template.format(*values)` is its rendering.
@@ -80,14 +82,6 @@ class BSelection(NamedTuple):
             "trace": [{"label": c.label, "rendering": c.rendering, "passed": c.passed}
                       for c in self.trace],
         }
-
-
-def _check(label: str, template: str, values: list, passed) -> TheoremCondition:
-    return TheoremCondition("selection", label, template, values, bool(passed))
-
-
-def _infeasible(trace: list[TheoremCondition]) -> BSelection:
-    return BSelection("infeasible", None, None, None, tuple(trace))
 
 
 def small_s_threshold(inst: ProblemInstance) -> float:
@@ -167,137 +161,123 @@ def window_position(th: ProductThresholds) -> str:
     return "above" if Q > q2 else "below"
 
 
-def _doubling_search(inst: ProblemInstance, coeffs, floor: float, trace: list[TheoremCondition]):
-    """First t in {1, 2, 4, ...} with L(t) <= -1, b above the floor and gamma > 0."""
-    t = 1.0
-    while t <= DOUBLING_CAP:
-        value = coeffs.value(t)
-        b = b_from_t(inst, t)
-        if value <= -1.0 and b > floor and b > 0.0 and gamma_exponent(inst, b) > 0.0:
-            trace.append(_check(
-                "doubling_accept", "t={:.6g}: L(t)={:.6g} <= -1, b={:.6g}, gamma={:.6g} > 0",
-                [t, value, b, gamma_exponent(inst, b)], True,
-            ))
-            return t, b
-        t *= 2.0
-    trace.append(_check("doubling_accept", "no t <= 2^60 met L(t) <= -1 with gamma > 0", [], False))
-    return None
+def _first_power_of_two(accept: Callable[[float], bool]) -> float | None:
+    """First t in {1, 2, 4, ..., 2^60} with accept(t), or None."""
+    return next(filter(accept, (2.0**k for k in range(61))), None)
+
+
+def _run(blocks: Generator[list[Row], None, tuple]) -> BSelection:
+    """Trace each block whole; after the first block with a failing row, stop
+    (infeasible) without resuming the generator.  A generator that runs out
+    returns (case_tag, t, b, kappa)."""
+    trace: list[TheoremCondition] = []
+    while True:
+        try:
+            block = next(blocks)
+        except StopIteration as done:
+            return BSelection(*done.value, tuple(trace))
+        trace.extend(TheoremCondition("selection", label, template, values, bool(passed))
+                     for label, template, values, passed in block)
+        if not all(row[3] for row in block):
+            return BSelection("infeasible", None, None, None, tuple(trace))
 
 
 def select_b_product(inst: ProblemInstance) -> BSelection:
     """Constructively select (t*, b*, kappa) for the product reaction.
 
     Dispatches on the position of Q relative to [Q1, Q2] (boundary
-    instances use exact floating comparison and route to case 2).  Emits
-    the full inequality trace; infeasible instances name the failing
-    check.
+    instances use exact floating comparison and route to case 2).  The
+    five shared rows form one block, every later check a block of one
+    row; the selection stops after the first block with a failing row,
+    so case 1 stops when L1 >= 0.
     """
     if inst.kind != "product":
         raise AdmissibilityError("b-selection requires kind='product'")
+    return _run(_product_blocks(inst))
+
+
+def _product_blocks(inst: ProblemInstance):
     th = product_thresholds(inst)
-    trace = [_check(*row) for row in product_shared_rows(inst, th)]
-    if not all(c.passed for c in trace):
-        return _infeasible(trace)
+    yield product_shared_rows(inst, th)
     coeffs = product_trinomial(inst, epsilon=0.0)
     floor = admissible_floor(inst)
-    Q, q1, q2 = th.Q, th.Q1, th.Q2
     position = window_position(th)
 
+    if position in ("above", "below"):  # strictly convex quadratic
+        yield [("case", "Q outside [Q1, Q2]: Q={:.6g}", [th.Q], True)]
+        yield [("L1_positive", "L1 = {:.6g} > 0", [coeffs.L1], coeffs.L1 > 0.0)]
+        yield [("L2_negative", "L2 = {:.6g} < 0 (equivalent to s < {:.6g})",
+                [coeffs.L2, small_s_threshold(inst)], coeffs.L2 < 0.0)]
+        yield [("vertex_discriminant", "4 L1 L3 < L2^2: {:.6g} < {:.6g}",
+                [4.0 * coeffs.L1 * coeffs.L3, coeffs.L2**2],
+                4.0 * coeffs.L1 * coeffs.L3 < coeffs.L2 * coeffs.L2)]
+        t_star = -coeffs.L2 / (2.0 * coeffs.L1)
+        b_star = b_from_t(inst, t_star)
+        yield [("b_floor", "b* = {:.6g} > {:.6g}", [b_star, floor], b_star > floor)]
+        # Only above the floor: below it bQ + q - m can be 0.
+        gamma = gamma_exponent(inst, b_star)
+        if b_star <= 1.0:
+            template = "gamma = {:.6g} > 0; b* <= 1: gamma = min(1, beta1) with beta1({:.6g}) = {:.6g}"
+            branch_value = beta1(inst, b_star)
+        else:
+            template = (
+                "gamma = {:.6g} > 0; b* > 1: gamma = min(1, beta2) with beta2({:.6g}) = {:.6g}"
+                " (beta1 increasing in b for m <= q; beta2 monotone via its Moebius form)"
+            )
+            branch_value = beta2(inst, b_star)
+        yield [("gamma_positive", template, [gamma, b_star, branch_value], gamma > 0.0)]
+        return "case3_convex", t_star, b_star, -coeffs.value(t_star)
+
     if position == "boundary":
-        trace.append(_check("case", "Q on window boundary: Q={:.6g}", [Q], True))
-        side = _check(*small_s_row(inst))
-        trace.append(side)
-        if not side.passed:
-            return _infeasible(trace)
-        trace.append(_check("L2_negative", "L2 = {:.6g} < 0", [coeffs.L2], coeffs.L2 < 0.0))
-        if not coeffs.L2 < 0.0:
-            return _infeasible(trace)
-        found = _doubling_search(inst, coeffs, floor, trace)
-        if found is None:
-            return _infeasible(trace)
-        t, b = found
-        return BSelection("case2_L1zero", t, b, 1.0, tuple(trace))
-
-    if position == "inside":
-        trace.append(_check("case", "Q1 < Q < Q2: {:.6g} < {:.6g} < {:.6g}", [q1, Q, q2], True))
-        trace.append(_check("L1_negative", "L1 = {:.6g} < 0", [coeffs.L1], coeffs.L1 < 0.0))
-        found = _doubling_search(inst, coeffs, floor, trace)
-        if found is None:
-            return _infeasible(trace)
-        t, b = found
-        return BSelection("case1_L1neg", t, b, 1.0, tuple(trace))
-
-    # Q outside [Q1, Q2]: strictly convex quadratic.
-    trace.append(_check("case", "Q outside [Q1, Q2]: Q={:.6g}", [Q], True))
-    trace.append(_check("L1_positive", "L1 = {:.6g} > 0", [coeffs.L1], coeffs.L1 > 0.0))
-    if not coeffs.L1 > 0.0:
-        return _infeasible(trace)
-    trace.append(_check(
-        "L2_negative", "L2 = {:.6g} < 0 (equivalent to s < {:.6g})",
-        [coeffs.L2, small_s_threshold(inst)], coeffs.L2 < 0.0,
-    ))
-    if not coeffs.L2 < 0.0:
-        return _infeasible(trace)
-    disc_ok = 4.0 * coeffs.L1 * coeffs.L3 < coeffs.L2 * coeffs.L2
-    trace.append(_check(
-        "vertex_discriminant", "4 L1 L3 < L2^2: {:.6g} < {:.6g}",
-        [4.0 * coeffs.L1 * coeffs.L3, coeffs.L2**2], disc_ok,
-    ))
-    if not disc_ok:
-        return _infeasible(trace)
-    t_star = -coeffs.L2 / (2.0 * coeffs.L1)
-    kappa = -coeffs.value(t_star)
-    b_star = b_from_t(inst, t_star)
-    trace.append(_check("b_floor", "b* = {:.6g} > {:.6g}", [b_star, floor], b_star > floor))
-    if not b_star > floor:
-        return _infeasible(trace)
-    gamma = gamma_exponent(inst, b_star)
-    if b_star <= 1.0:
-        template = "gamma = {:.6g} > 0; b* <= 1: gamma = min(1, beta1) with beta1({:.6g}) = {:.6g}"
-        branch_value = beta1(inst, b_star)
+        tag = "case2_L1zero"
+        yield [("case", "Q on window boundary: Q={:.6g}", [th.Q], True)]
+        yield [small_s_row(inst)]
+        yield [("L2_negative", "L2 = {:.6g} < 0", [coeffs.L2], coeffs.L2 < 0.0)]
     else:
-        template = (
-            "gamma = {:.6g} > 0; b* > 1: gamma = min(1, beta2) with beta2({:.6g}) = {:.6g}"
-            " (beta1 increasing in b for m <= q; beta2 monotone via its Moebius form)"
-        )
-        branch_value = beta2(inst, b_star)
-    trace.append(_check("gamma_positive", template, [gamma, b_star, branch_value], gamma > 0.0))
-    if not gamma > 0.0:
-        return _infeasible(trace)
-    return BSelection("case3_convex", t_star, b_star, kappa, tuple(trace))
+        tag = "case1_L1neg"
+        yield [("case", "Q1 < Q < Q2: {:.6g} < {:.6g} < {:.6g}", [th.Q1, th.Q, th.Q2], True)]
+        yield [("L1_negative", "L1 = {:.6g} < 0", [coeffs.L1], coeffs.L1 < 0.0)]
+
+    def accept(t):
+        b = b_from_t(inst, t)
+        return coeffs.value(t) <= -1.0 and b > floor and gamma_exponent(inst, b) > 0.0
+
+    t = _first_power_of_two(accept)
+    if t is None:
+        yield [("doubling_accept", "no t <= 2^60 met L(t) <= -1 with gamma > 0", [], False)]
+    b = b_from_t(inst, t)
+    yield [("doubling_accept", "t={:.6g}: L(t)={:.6g} <= -1, b={:.6g}, gamma={:.6g} > 0",
+            [t, coeffs.value(t), b, gamma_exponent(inst, b)], True)]
+    return tag, t, b, 1.0
 
 
 def sum_selection(inst: ProblemInstance) -> BSelection:
     """Select tau (hence b > 1) for the sum reaction.
 
-    Verifies the closed-form hypotheses, the negativity of the leading
-    quadratic coefficient, and picks the first tau in {1, 2, 4, ...}
-    with b = (tau-q+1)/(s-q+1) > 1 and beta2(b) > 0.
+    Check blocks, the first with a failing row ending the selection: the
+    gap and delta rows, the rest of the sum window, the sign of the leading
+    quadratic coefficient, then the first power of two tau > s with
+    b = (tau-q+1)/(s-q+1) > 1 and beta2(b) > 0.
     """
     if inst.kind != "sum":
         raise AdmissibilityError("tau-selection requires kind='sum'")
-    th = sum_thresholds(inst)
-    rows = sum_liouville_rows(inst, th)
-    if not (th.gap_ok and th.delta_pq > 0.0):
-        rows = rows[:2]  # the s-window and what follows are not reported
-    trace = [_check(*row) for row in rows]
-    if not all(c.passed for c in trace):
-        return _infeasible(trace)
+    return _run(_sum_blocks(inst))
+
+
+def _sum_blocks(inst: ProblemInstance):
+    rows = sum_liouville_rows(inst, sum_thresholds(inst))
+    yield rows[:2]  # gap and delta: without them the s-window is not reported
+    yield rows[2:]
     lead = sum_leading_coefficient(inst)
-    trace.append(_check("leading_coefficient", "leading tau^2 coefficient = {:.6g} < 0", [lead],
-                        lead < 0.0))
-    if not lead < 0.0:
-        return _infeasible(trace)
+    yield [("leading_coefficient", "leading tau^2 coefficient = {:.6g} < 0", [lead], lead < 0.0)]
     gradient_free = inst._replace(m=0.0)
-    tau = 1.0
-    while tau <= DOUBLING_CAP:
-        if tau > inst.s:
-            b = b_from_t(gradient_free, tau)
-            bvalue = sum_beta2(inst, b)
-            if b > 1.0 and bvalue > 0.0:
-                trace.append(_check("tau_accept", "tau={:.6g}: b={:.6g} > 1, beta2={:.6g} > 0",
-                                    [tau, b, bvalue], True))
-                return BSelection("sum_large_tau", tau, b, 1.0, tuple(trace))
-        tau *= 2.0
-    trace.append(_check("tau_accept", "no tau <= 2^60 gave b > 1 with beta2 > 0", [], False))
-    return _infeasible(trace)
+
+    def accept(tau):
+        return tau > inst.s and (b := b_from_t(gradient_free, tau)) > 1.0 and sum_beta2(inst, b) > 0.0
+
+    tau = _first_power_of_two(accept)
+    if tau is None:
+        yield [("tau_accept", "no tau <= 2^60 gave b > 1 with beta2 > 0", [], False)]
+    b = b_from_t(gradient_free, tau)
+    yield [("tau_accept", "tau={:.6g}: b={:.6g} > 1, beta2={:.6g} > 0", [tau, b, sum_beta2(inst, b)], True)]
+    return "sum_large_tau", tau, b, 1.0

@@ -9,12 +9,16 @@ default and epsilon-robustness is tested separately.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import AdmissibilityError
 from .exponents import positive_combined_exponent
 from .instance import ProblemInstance
 from .thresholds import operator_gap
+
+# The oracle's grid cap, for search-b's --oracle-points and the reports plot-data reads.
+MAX_ORACLE_POINTS = 10_000_000
 
 
 class TrinomialCoeffs(NamedTuple):
@@ -90,17 +94,24 @@ def verify_negativity(
     """
     import numpy as np
 
-    if t_max <= 0.0:
-        raise AdmissibilityError("t_max must be positive")
-    if grid_points < 1000:
-        raise AdmissibilityError("grid_points must be at least 1000")
     t, values = oracle_curve(coeffs, t_max, grid_points)
     i = int(np.argmin(values))
     return float(t[i]), float(values[i])
 
 
 def oracle_curve(coeffs: TrinomialCoeffs, t_max: float, grid_points: int):
-    """The oracle's uniform grid on [0, t_max] and L on it: (t, values)."""
+    """The oracle's uniform grid on [0, t_max] and L on it: (t, values).
+
+    Checks what search-b and plot-data both pass in: a finite t_max > 0
+    and an int grid_points in [1000, MAX_ORACLE_POINTS].
+    """
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise AdmissibilityError(f"oracle t_max must be finite and positive, got {t_max!r}")
+    if isinstance(grid_points, bool) or not isinstance(grid_points, int):
+        raise AdmissibilityError(f"oracle grid_points must be an int, got {grid_points!r}")
+    if not 1000 <= grid_points <= MAX_ORACLE_POINTS:
+        raise AdmissibilityError(f"oracle grid_points must lie in [1000, {MAX_ORACLE_POINTS:,}]")
+
     import numpy as np
 
     t = np.linspace(0.0, t_max, grid_points)

@@ -16,7 +16,11 @@ parameter-window oracle brackets the feasibility predicate by bisection.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, solve_bvp
 from scipy.optimize import brentq
 
@@ -430,3 +434,45 @@ def sample_case3_discriminant_fail(rng, max_tries=500) -> ProblemInstance:
         if co.L1 > 0.0 and co.L2 < 0.0 and 4.0 * co.L1 * co.L3 - co.L2**2 >= 1e-9 * scale:
             return inst
     raise RuntimeError("sampler failed to find a discriminant-failing instance")
+
+
+# ---------------------------------------------------------------------------
+# hypothesis strategies: instances on and beside the exact window boundaries
+# ---------------------------------------------------------------------------
+
+def _grid_or_float(grid, lo, hi):
+    # decimal grid values reach the exact window boundaries, floats the rest
+    return st.one_of(st.sampled_from(grid), st.floats(lo, hi))
+
+
+@st.composite
+def instances(draw, kind):
+    p = draw(_grid_or_float((1.5, 2.0, 2.2, 2.5, 3.0), 1.05, 4.0))
+    q = draw(st.one_of(st.just(p), _grid_or_float((1.5, 1.9, 2.0, 2.24), 1.01, p)))
+    return ProblemInstance(
+        N=draw(st.integers(2, 5)),
+        p=p,
+        q=min(q, p),
+        kind=kind,
+        s=draw(_grid_or_float((0.0, 0.05, 0.1, 0.5, 1.0, 1.5, 2.0), 0.0, 3.0)),
+        m=draw(_grid_or_float((0.0, 0.5, 1.5, 2.0, 2.5, 3.0), 0.0, 6.0)),
+        M=1.0,
+    )
+
+
+@st.composite
+def near_window_root(draw):
+    """A product instance whose m lies a few ulps from m+s-q+1 = Q1 or Q2,
+    where the float routing and the sign of L1 can disagree."""
+    N = draw(st.integers(2, 4))
+    q = draw(st.floats(1.1, 3.0))
+    p = draw(st.one_of(st.just(q), st.floats(q, q + 0.5)))
+    th = product_thresholds(ProblemInstance(N=N, p=p, q=q, kind="product", s=0.5, m=1.0))
+    assume(th.discriminant_ok)
+    s = draw(st.floats(0.01, 2.0))
+    m = draw(st.sampled_from((th.Q1, th.Q2))) + q - 1.0 - s
+    direction = draw(st.sampled_from((-math.inf, math.inf)))
+    for _ in range(draw(st.integers(0, 3))):
+        m = math.nextafter(m, direction)
+    assume(m >= 0.0)
+    return ProblemInstance(N=N, p=p, q=q, kind="product", s=s, m=m)

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from pqliouville import (
     AdmissibilityError,
@@ -16,7 +15,7 @@ from pqliouville import (
     sum_selection,
 )
 from pqliouville.params import expand_instances, parse_params
-from oracles import sample_admissible_product, sample_theorem14_instance
+from oracles import instances, sample_admissible_product, sample_theorem14_instance
 
 PRODUCT_GRID = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "product_grid.par"
 
@@ -194,26 +193,6 @@ class TestMonotoneHypotheses:
                 assert rate.target == decision.estimate_target
 
 
-def _grid_or_float(grid, lo, hi):
-    # decimal grid values reach the exact window boundaries, floats the rest
-    return st.one_of(st.sampled_from(grid), st.floats(lo, hi))
-
-
-@st.composite
-def _instances(draw, kind):
-    p = draw(_grid_or_float((1.5, 2.0, 2.2, 2.5, 3.0), 1.05, 4.0))
-    q = draw(st.one_of(st.just(p), _grid_or_float((1.5, 1.9, 2.0, 2.24), 1.01, p)))
-    return ProblemInstance(
-        N=draw(st.integers(2, 5)),
-        p=p,
-        q=min(q, p),
-        kind=kind,
-        s=draw(_grid_or_float((0.0, 0.05, 0.1, 0.5, 1.0, 1.5, 2.0), 0.0, 3.0)),
-        m=draw(_grid_or_float((0.0, 0.5, 1.5, 2.0, 2.5, 3.0), 0.0, 6.0)),
-        M=1.0,
-    )
-
-
 def _rows(conditions):
     return [(c.label, c.rendering, c.passed) for c in conditions]
 
@@ -229,7 +208,7 @@ class TestSelectionAgreement:
     """Classify and the constructive selection report the same hypothesis rows."""
 
     @settings(max_examples=100, deadline=None)
-    @given(_instances("product"))
+    @given(instances("product"))
     @example(product())  # inside the window
     @example(product(p=2.0, q=2.0, m=2.5))  # Q = Q2 exactly
     @example(product(p=2.61, q=2.24, s=0.06, m=1.7))  # below Q1
@@ -240,7 +219,7 @@ class TestSelectionAgreement:
         assert shared == _rows(selection.trace[:5])
 
     @settings(max_examples=100, deadline=None)
-    @given(_instances("product"))
+    @given(instances("product"))
     @example(product())
     @example(product(p=2.0, q=2.0, m=2.5))
     @example(product(p=2.61, q=2.24, s=0.06, m=1.7))
@@ -256,7 +235,7 @@ class TestSelectionAgreement:
         assert cases == set(expected)
 
     @settings(max_examples=100, deadline=None)
-    @given(_instances("sum"))
+    @given(instances("sum"))
     @example(ProblemInstance(N=2, p=2.0, q=2.0, kind="sum", s=2.0, m=1.5, M=1.0))
     def test_sum_liouville_rows(self, inst):
         decision = classify(inst)

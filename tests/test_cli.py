@@ -45,6 +45,9 @@ RADIAL_HJ = ["solve-radial", *HJ, "--m", "2.5", "--r0", "1", "--mesh-n", "64"]
 RADIAL_HJ_4096 = [*HJ, "--m", "2.5", "--r0", "1", "--r1", "2", "--u0", "-4096", "--u1", "0",
                   "--mesh-n", "1024"]
 PRODUCT_A = ["--kind", "product", "--N", "2", "--p", "2.2", "--q", "2", "--s", "0.5", "--m", "2.0"]
+# Q is 1 ulp below Q2: it routes to case 1, where L1 evaluates to 0.
+PRODUCT_L1_ZERO = ["--kind", "product", "--N", "3", "--p", "2.159947555903314", "--q",
+                   "2.159947555903314", "--s", "0.5175873612214492", "--m", "2.1889569358862833"]
 PRODUCT_FILE = "kind = product\np = 2.2\nq = 2\ns = 0.5\nm = 2\n"
 RADIAL_FILE = "kind = hamilton_jacobi\nN = 2\np = 3\nq = 2\nm = 2.5\nr0 = 1\nr1 = 2\nu0 = -64\nu1 = 0\n"
 # Non-finite, non-integral and out-of-range inputs: (argv, parameter file text or None).
@@ -117,6 +120,18 @@ BAD_FILES = {
     "report-results-object": (["plot-data", "--selector", "trinomial", "--report"],
                               b'{"results": {"a": 1}}'),
     "report-row-int": (["plot-data", "--selector", "trinomial", "--report"], b'{"results": [5]}'),
+}
+
+
+# Report fields plot-data rebuilds an array from, set to values it must refuse:
+# (command writing the report, selector, section, field, value).
+TAMPERED = {
+    "grid_points-0": (["search-b", *PRODUCT_A], "trinomial", "oracle", "grid_points", 0),
+    "grid_points-true": (["search-b", *PRODUCT_A], "trinomial", "oracle", "grid_points", True),
+    "t_max-nan": (["search-b", *PRODUCT_A], "trinomial", "oracle", "t_max", math.nan),
+    "r0-above-r1": (["solve-radial", *RADIAL_SUM], "gradient_profile", "radial", "r0", 3.0),
+    "r0-negative": (["solve-radial", *RADIAL_SUM], "gradient_profile", "radial", "r0", -1.0),
+    "r0-nan": (["solve-radial", *RADIAL_SUM], "gradient_profile", "radial", "r0", math.nan),
 }
 
 
@@ -283,6 +298,16 @@ class TestCommands:
         coeffs = product_trinomial(ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=2.0))
         t = np.linspace(0.0, row["oracle"]["t_max"], row["oracle"]["grid_points"])
         assert lines[1:] == [f"{a!r},{b!r}" for a, b in zip(t.tolist(), coeffs.value(t).tolist())]
+
+    def test_case1_with_L1_zero_is_infeasible(self, capsys):
+        assert run(["search-b", *PRODUCT_L1_ZERO]) == 0
+        [row] = json.loads(capsys.readouterr().out)["results"]
+        assert row["selection"]["case_tag"] == "infeasible"
+        assert row["selection"]["trace"][-1] == {"label": "L1_negative", "passed": False,
+                                                 "rendering": "L1 = 0 < 0"}
+        assert run(["classify", *PRODUCT_L1_ZERO]) == 0
+        [row] = json.loads(capsys.readouterr().out)["results"]
+        assert row["theorem"] == "thm_IL"  # m > q: Ishii-Lions
 
     def test_plot_data_unknown_selector(self, tmp_path, capsys):
         out = tmp_path / "search.json"
@@ -797,6 +822,22 @@ class TestReportSchema:
     def test_records_keep_their_bytes(self, argv, digest, capsys):
         assert run(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("source, selector, section, field, value", TAMPERED.values(),
+                             ids=list(TAMPERED))
+    def test_tampered_reports_exit_two(self, source, selector, section, field, value, tmp_path,
+                                       capsys):
+        report = tmp_path / "report.json"
+        assert run([*source, "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        doc["results"][0][section][field] = value
+        report.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        assert run(["plot-data", "--report", str(report), "--selector", selector,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, content", BAD_FILES.values(), ids=list(BAD_FILES))
     def test_bad_files_exit_two_with_an_error_line(self, argv, content, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pqliouville import (
     AdmissibilityError,
@@ -13,10 +15,19 @@ from pqliouville import (
     sum_selection,
     verify_negativity,
 )
-from oracles import epsilon_sensitivity, sample_case3_discriminant_fail, sample_theorem14_instance
+from oracles import (
+    epsilon_sensitivity,
+    instances,
+    near_window_root,
+    sample_case3_discriminant_fail,
+    sample_theorem14_instance,
+)
 
 
 EXAMPLE = ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=2.0)
+# Q is 1 ulp below Q2, so it routes inside the window, yet L1 evaluates to 0.
+ONE_ULP_BELOW_Q2 = ProblemInstance(N=3, p=2.159947555903314, q=2.159947555903314, kind="product",
+                                   s=0.5175873612214492, m=2.1889569358862833)
 
 
 class TestProductSelection:
@@ -124,6 +135,15 @@ class TestProductSelection:
             select_b_product(
                 ProblemInstance(N=2, p=2.0, q=2.0, kind="sum", s=2.0, m=1.5, M=1.0)
             )
+
+
+class TestStopRule:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(near_window_root(), instances("product"), instances("sum")))
+    @example(ONE_ULP_BELOW_Q2)
+    def test_feasible_exactly_when_every_row_passed(self, inst):
+        sel = select_b_product(inst) if inst.kind == "product" else sum_selection(inst)
+        assert sel.feasible == all(c.passed for c in sel.trace)
 
 
 class TestDiscriminantEquivalence:

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from pqliouville import (
     sum_thresholds,
     verify_negativity,
 )
+from pqliouville.trinomial import MAX_ORACLE_POINTS, oracle_curve
 from oracles import epsilon_sensitivity, sample_admissible_product
 
 
@@ -155,3 +157,8 @@ class TestGridOracle:
             verify_negativity(co, t_max=0.0)
         with pytest.raises(AdmissibilityError):
             verify_negativity(co, t_max=1.0, grid_points=10)
+        # plot-data passes report fields straight in; the cap case is refused before any grid
+        for t_max, points in ((math.nan, 2048), (math.inf, 2048), (1.0, True), (1.0, 2048.0),
+                              (1.0, MAX_ORACLE_POINTS + 1)):
+            with pytest.raises(AdmissibilityError):
+                oracle_curve(co, t_max, points)
