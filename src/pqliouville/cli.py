@@ -30,8 +30,7 @@ from .trinomial import MAX_ORACLE_POINTS, TrinomialCoeffs, oracle_curve, product
 
 DEFAULT_ORACLE_POINTS = 2048
 # Size limits: the largest accepted run peaks near 200 MB RSS (oracle about 16 B
-# a point, il-window about 0.6 kB a sample, identities about 170 B a fine node).
-MAX_GAMMA_SAMPLES = 100_000
+# a point, identities about 170 B a fine node).
 MAX_RESOLUTION = 513
 TOLERANCE_DEFAULTS = {"identity_factor": 25.0, "newton_tol": 1e-10}
 
@@ -194,9 +193,9 @@ def _cmd_search_b(args, params):
 
 
 def _cmd_il_window(args, params):
-    window = il_parameter_window(args.q, args.m, gamma_samples=args.gamma_samples)
+    window = il_parameter_window(args.q, args.m)
     results = [{"q": args.q, "m": args.m, "window": window.as_dict()}]
-    return {"results": results}, {"q": args.q, "m": args.m, "gamma_samples": args.gamma_samples}, 0
+    return {"results": results}, {"q": args.q, "m": args.m}, 0
 
 
 def _identity_suite(resolution: int, factor: float) -> list[dict]:
@@ -363,8 +362,7 @@ COMMANDS = {
         ("--oracle-points", dict(type=_int_between(1000, MAX_ORACLE_POINTS),
                                  default=DEFAULT_ORACLE_POINTS)),))),
     "il-window": (_cmd_il_window, (_OUT, _TIMING, (
-        ("--q", dict(type=float, required=True)), ("--m", dict(type=float, required=True)),
-        ("--gamma-samples", dict(type=_int_between(1, MAX_GAMMA_SAMPLES), default=9))))),
+        ("--q", dict(type=float, required=True)), ("--m", dict(type=float, required=True))))),
     "verify-identities": (_cmd_verify_identities, (_OUT, _tol("identity_factor"), _TIMING, (
         ("--resolution", dict(type=_int_between(5, MAX_RESOLUTION), default=65,
                               help="coarse nodes per axis")),))),

@@ -85,8 +85,8 @@ def aux_weights(b: float, v, z, p: float, q: float, N: int) -> AuxWeights:
     return AuxWeights(A=A, D=D, E=E, frakA=frakA, Gamma=Gamma, Xi=Xi, Upsilon=Upsilon)
 
 
-def default_tolerance(h: float, factor: float = DEFAULT_TOLERANCE_FACTOR) -> float:
-    return factor * h * h
+def default_tolerance(h: float) -> float:
+    return DEFAULT_TOLERANCE_FACTOR * h * h
 
 
 def refinement_order(report_h: IdentityReport, report_h2: IdentityReport) -> float | None:
@@ -210,8 +210,8 @@ def scaling_check(
     tol = default_tolerance(w.spacing) if tolerance is None else tolerance
     scaled = field.sample_scaled(k, n, dim)
     eps = 1e-12
-    lhs = p_laplacian(w, p, reg_eps=eps).values
-    rhs = k ** (alpha * (p - 1.0) + p) * p_laplacian(scaled, p, reg_eps=eps).values
+    lhs = p_laplacian(w, p, eps).values
+    rhs = k ** (alpha * (p - 1.0) + p) * p_laplacian(scaled, p, eps).values
     inner = tuple(slice(1, -1) for _ in range(dim))
     err = float(np.max(np.abs(lhs[inner] - rhs[inner])))
     scale = max(float(np.max(np.abs(rhs[inner]))), 1e-300)

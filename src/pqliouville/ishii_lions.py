@@ -21,21 +21,20 @@ from .errors import AdmissibilityError
 
 
 class ILWindow(NamedTuple):
+    """The (gamma, alpha) window in closed form.
+
+    gamma_lo < gamma < gamma_hi = 1, and at each such gamma the decay
+    power of r^(-alpha) lies in (gamma - gamma_lo, gamma), the interval
+    il_alpha_window gives.  gamma_lo and gamma_hi are None when the
+    window is empty (m <= q).
+    """
+
     feasible: bool
     gamma_lo: float | None
     gamma_hi: float | None
-    alpha_bounds: tuple[tuple[float, tuple[float, float]], ...]
 
     def as_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "gamma_lo": self.gamma_lo,
-            "gamma_hi": self.gamma_hi,
-            "alpha_bounds": [
-                {"gamma": g, "alpha_lo": lo, "alpha_hi": hi}
-                for g, (lo, hi) in self.alpha_bounds
-            ],
-        }
+        return self._asdict()
 
 
 def il_gamma_lo(q: float, m: float) -> float:
@@ -50,12 +49,8 @@ def il_alpha_window(q: float, m: float, gamma: float) -> tuple[float, float]:
     return lo, gamma
 
 
-def il_parameter_window(q: float, m: float, gamma_samples: int = 9) -> ILWindow:
-    """Feasible (gamma, alpha) window; empty whenever m <= q.
-
-    The alpha bounds are tabulated on an evenly spaced interior grid of
-    the gamma window (gamma_samples points).
-    """
+def il_parameter_window(q: float, m: float) -> ILWindow:
+    """Feasible (gamma, alpha) window; empty whenever m <= q."""
     if not (math.isfinite(q) and math.isfinite(m)):
         raise AdmissibilityError("q and m must be finite")
     if q <= 1.0:
@@ -63,10 +58,5 @@ def il_parameter_window(q: float, m: float, gamma_samples: int = 9) -> ILWindow:
     if m <= 0.0:
         raise AdmissibilityError("m must be positive")
     if m <= q:
-        return ILWindow(feasible=False, gamma_lo=None, gamma_hi=None, alpha_bounds=())
-    lo = il_gamma_lo(q, m)
-    gammas = [
-        lo + (k + 1) * (1.0 - lo) / (gamma_samples + 1) for k in range(gamma_samples)
-    ]
-    bounds = tuple((g, il_alpha_window(q, m, g)) for g in gammas)
-    return ILWindow(feasible=True, gamma_lo=lo, gamma_hi=1.0, alpha_bounds=bounds)
+        return ILWindow(feasible=False, gamma_lo=None, gamma_hi=None)
+    return ILWindow(feasible=True, gamma_lo=il_gamma_lo(q, m), gamma_hi=1.0)

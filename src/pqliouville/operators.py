@@ -27,8 +27,6 @@ import numpy as np
 
 from .errors import FieldError
 
-AUTO_REG = "auto"
-
 # Nodes per block of axis-0 planes in the ring stencils (0.5 MB per
 # float64 temporary).
 _BLOCK_NODES = 1 << 16
@@ -248,24 +246,21 @@ def _auto_eps(values: np.ndarray, h: float) -> float:
     return 1e-10 * max(1.0, span / h)
 
 
-def _flux_operator(field: GridField, exponents: tuple[float, ...], reg_eps) -> GridField:
-    eps = _auto_eps(field.values, field.spacing) if reg_eps == AUTO_REG else float(reg_eps)
-    out = flux_divergence(field.values, field.spacing, exponents, eps)
+def _flux_operator(field: GridField, exponents: tuple[float, ...], reg_eps: float) -> GridField:
+    out = flux_divergence(field.values, field.spacing, exponents, reg_eps)
     if not np.isfinite(out[_interior(field.ndim)]).all():
         raise FieldError("field not smooth enough at spacing h")
     return GridField(values=out, spacing=field.spacing)
 
 
-def pq_laplacian(field: GridField, p: float, q: float, reg_eps=AUTO_REG) -> GridField:
+def pq_laplacian(field: GridField, p: float, q: float) -> GridField:
     """Discrete Delta_p u + Delta_q u on interior nodes; boundary ring unset.
 
-    reg_eps='auto' picks 1e-10 times the field's gradient scale; pass an
-    explicit float (0 is allowed for p, q >= 2 away from critical
-    points) to pin the regularization.
+    The flux is regularised at 1e-10 times the field's gradient scale.
     """
-    return _flux_operator(field, (p, q), reg_eps)
+    return _flux_operator(field, (p, q), _auto_eps(field.values, field.spacing))
 
 
-def p_laplacian(field: GridField, p: float, reg_eps=AUTO_REG) -> GridField:
-    """Discrete Delta_p u alone (same scheme as pq_laplacian)."""
+def p_laplacian(field: GridField, p: float, reg_eps: float) -> GridField:
+    """Discrete Delta_p u alone (same scheme as pq_laplacian), regularised at reg_eps."""
     return _flux_operator(field, (p,), reg_eps)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -60,11 +61,22 @@ class Report(NamedTuple):
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename."""
+    """Write via a sibling temp file and rename.
+
+    The file gets the mode a plain open would give it: an existing
+    target keeps its mode, a new one gets 0o666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

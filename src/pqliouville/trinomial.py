@@ -83,9 +83,7 @@ def sum_leading_coefficient(inst: ProblemInstance) -> float:
     )
 
 
-def verify_negativity(
-    coeffs: TrinomialCoeffs, t_max: float, grid_points: int = 100_000
-) -> tuple[float, float]:
+def verify_negativity(coeffs: TrinomialCoeffs, t_max: float, grid_points: int) -> tuple[float, float]:
     """Grid-search oracle: minimiser of L over [0, t_max].
 
     Returns (t_min, value_min) over a uniform grid; ties resolve to the

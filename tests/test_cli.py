@@ -1,9 +1,9 @@
 import argparse
 import hashlib
-import inspect
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +18,6 @@ import pqliouville.params
 from pqliouville.cli import _load_params, _report, build_parser, main
 from pqliouville.identities import DEFAULT_TOLERANCE_FACTOR
 from pqliouville.instance import KINDS, ProblemInstance
-from pqliouville.ishii_lions import il_parameter_window
 from pqliouville.params import MAX_INSTANCES, ParamError, expand_instances, parse_params
 from pqliouville.radial import (
     MAX_MESH_N,
@@ -50,30 +49,62 @@ PRODUCT_L1_ZERO = ["--kind", "product", "--N", "3", "--p", "2.159947555903314", 
                    "2.159947555903314", "--s", "0.5175873612214492", "--m", "2.1889569358862833"]
 PRODUCT_FILE = "kind = product\np = 2.2\nq = 2\ns = 0.5\nm = 2\n"
 RADIAL_FILE = "kind = hamilton_jacobi\nN = 2\np = 3\nq = 2\nm = 2.5\nr0 = 1\nr1 = 2\nu0 = -64\nu1 = 0\n"
-# Non-finite, non-integral and out-of-range inputs: (argv, parameter file text or None).
+# Non-finite, non-integral, out-of-range and malformed inputs: (argv, parameter
+# file text or None, the error line without its "error: ").
+FINITE = "parameter 'instance': N, p, q, s, m and M must be finite"
 REFUSED = {
     "s-nan": (["classify", "--kind", "product", "--N", "2", "--p", "2.2", "--q", "2",
-               "--s", "nan", "--m", "2"], None),
+               "--s", "nan", "--m", "2"], None, FINITE),
     "p-inf": (["classify", "--kind", "product", "--N", "2", "--p", "inf", "--q", "2",
-               "--s", "0.5", "--m", "2"], None),
-    "hj-m-inf": (["classify", *HJ, "--m", "inf"], None),
-    "file-N-2.5": (["classify"], PRODUCT_FILE + "N = 2.5\n"),
+               "--s", "0.5", "--m", "2"], None, FINITE),
+    "hj-m-inf": (["classify", *HJ, "--m", "inf"], None, FINITE),
+    "file-N-2.5": (["classify"], PRODUCT_FILE + "N = 2.5\n",
+                   "parameter 'instance': N must be an integer >= 2"),
     "flag-N-2.5": (["classify", "--kind", "product", "--N", "2.5", "--p", "2.2", "--q", "2",
-                    "--s", "0.5", "--m", "2"], None),
-    "file-N-nan": (["classify"], PRODUCT_FILE + "N = nan\n"),
-    "file-N-inf": (["sweep"], PRODUCT_FILE + "N = inf\n"),
-    "file-mesh_n-100.7": (["solve-radial"], RADIAL_FILE + "mesh_n = 100.7\n"),
+                    "--s", "0.5", "--m", "2"], None,
+                   "parameter 'instance': N must be an integer >= 2"),
+    "file-N-nan": (["classify"], PRODUCT_FILE + "N = nan\n", FINITE),
+    "file-N-inf": (["sweep"], PRODUCT_FILE + "N = inf\n", FINITE),
+    "file-N-missing": (["classify"], PRODUCT_FILE, "parameter 'N': missing"),
+    "file-p-missing": (["classify"], PRODUCT_FILE.replace("p = 2.2\n", "N = 2\n"),
+                       "parameter 'p': missing"),
+    "file-q-missing": (["sweep"], PRODUCT_FILE.replace("q = 2\n", "N = 2\n"),
+                       "parameter 'q': missing"),
+    "file-no-equals": (["classify"], PRODUCT_FILE + "N 2\n",
+                       "parameter 'line 6': expected key = value"),
+    "file-empty-key": (["classify"], PRODUCT_FILE + " = 2\n", "parameter 'line 6': empty key"),
+    "file-empty-value": (["classify"], PRODUCT_FILE + "N =\n", "parameter 'N': empty value"),
+    "file-tied-to-absent-key": (["classify"], PRODUCT_FILE.replace("q = 2", "q = M") + "N = 2\n",
+                                "parameter 'q': tied to unavailable key 'M'"),
+    "file-mesh_n-100.7": (["solve-radial"], RADIAL_FILE + "mesh_n = 100.7\n",
+                          "parameter 'mesh_n': not an integer: '100.7'"),
     "flag-mesh_n-100.7": (["solve-radial", *HJ, "--m", "2.5", "--r0", "1", "--r1", "2",
-                           "--u0", "-64", "--u1", "0", "--mesh-n", "100.7"], None),
-    "file-misspelled-key": (["solve-radial"], RADIAL_FILE + "mesh-n = 1024\n"),
-    "file-log_transform-on": (["solve-radial"], RADIAL_FILE + "log_transform = on\n"),
-    "u0-inf": ([*RADIAL_HJ, "--r1", "2", "--u0", "inf", "--u1", "0"], None),
-    "u0-nan": ([*RADIAL_HJ, "--r1", "2", "--u0", "nan", "--u1", "0"], None),
-    "u1-nan": ([*RADIAL_HJ, "--r1", "2", "--u0", "-64", "--u1", "nan"], None),
-    "r1-inf": ([*RADIAL_HJ, "--r1", "inf", "--u0", "-64", "--u1", "0"], None),
-    "il-window-q-nan": (["il-window", "--q", "nan", "--m", "3"], None),
-    "il-window-m-inf": (["il-window", "--q", "2", "--m", "inf"], None),
-    "il-window-m-minus-1e3": (["il-window", "--q", "2", "--m", "-1e3"], None),
+                           "--u0", "-64", "--u1", "0", "--mesh-n", "100.7"], None,
+                          "parameter 'mesh_n': not an integer: '100.7'"),
+    "file-mesh_n-grid": (["solve-radial"], RADIAL_FILE + "mesh_n = 64 128\n",
+                         "parameter 'mesh_n': radial settings must be scalars"),
+    "file-misspelled-key": (["solve-radial"], RADIAL_FILE + "mesh-n = 1024\n",
+                            "parameter 'mesh-n': unknown key; known keys: kind, N, p, q, s, m, "
+                            "M, r0, r1, u0, u1, mesh_n, reg_eps, log_transform"),
+    "file-log_transform-on": (["solve-radial"], RADIAL_FILE + "log_transform = on\n",
+                              "parameter 'log_transform': expected 1/true/yes or 0/false/no, "
+                              "got 'on'"),
+    "file-two-instances": (["solve-radial"], RADIAL_FILE.replace("p = 3", "p = 3 4"),
+                           "solve-radial expects exactly one instance"),
+    "file-r0-missing": (["solve-radial"], RADIAL_FILE.replace("r0 = 1\n", ""),
+                        "solve-radial requires r0"),
+    "u0-inf": ([*RADIAL_HJ, "--r1", "2", "--u0", "inf", "--u1", "0"], None,
+               "u0 and u1 must be finite"),
+    "u0-nan": ([*RADIAL_HJ, "--r1", "2", "--u0", "nan", "--u1", "0"], None,
+               "u0 and u1 must be finite"),
+    "u1-nan": ([*RADIAL_HJ, "--r1", "2", "--u0", "-64", "--u1", "nan"], None,
+               "u0 and u1 must be finite"),
+    "r1-inf": ([*RADIAL_HJ, "--r1", "inf", "--u0", "-64", "--u1", "0"], None,
+               "annulus requires finite 0 < r0 < r1, got r0=1.0, r1=inf"),
+    "il-window-q-nan": (["il-window", "--q", "nan", "--m", "3"], None, "q and m must be finite"),
+    "il-window-m-inf": (["il-window", "--q", "2", "--m", "inf"], None, "q and m must be finite"),
+    "il-window-m-minus-1e3": (["il-window", "--q", "2", "--m", "-1e3"], None,
+                              "m must be positive"),
 }
 
 # Each instance and radial key of one solve-radial run: (flag, token, bad token).
@@ -86,15 +117,15 @@ PARITY = {
     "mesh_n": ("--mesh-n", "6.4e1", "100.7"), "reg_eps": ("--reg-eps", "1e-8", "1"),
 }
 
-# Size options one above their limits: (argv, what the error line names).
+# Size options one above their limits, or not integers: (argv, what the error
+# line names).
 OVERSIZED = {
     "oracle-points": (["search-b", *PRODUCT, "--oracle-points", str(cli.MAX_ORACLE_POINTS + 1)],
                       f"--oracle-points: must be at most {cli.MAX_ORACLE_POINTS:,}"),
-    "gamma-samples": (["il-window", "--q", "2", "--m", "3",
-                       "--gamma-samples", str(cli.MAX_GAMMA_SAMPLES + 1)],
-                      f"--gamma-samples: must be at most {cli.MAX_GAMMA_SAMPLES:,}"),
     "resolution": (["verify-identities", "--resolution", str(cli.MAX_RESOLUTION + 1)],
                    f"--resolution: must be at most {cli.MAX_RESOLUTION:,}"),
+    "resolution-5.5": (["verify-identities", "--resolution", "5.5"],
+                       "error: argument --resolution: not an integer: '5.5'"),
     "mesh-n": (["solve-radial", *RADIAL_SUM, "--mesh-n", str(MAX_MESH_N + 1)],
                f"error: mesh_n must lie in [64, {MAX_MESH_N:,}]"),
 }
@@ -108,18 +139,23 @@ BAD_TOLERANCES = {
 }
 
 # Files from outside that are not what their option reads: (argv before the
-# path, file bytes).
+# path, file bytes or the argv of the command that writes the file, the start
+# of the error line).
+PLOT_TRINOMIAL = ["plot-data", "--selector", "trinomial", "--report"]
 BAD_FILES = {
-    "params-not-utf8": (["classify", "--params"], b"kind = product\nN = 2\xff\n"),
-    "report-not-utf8": (["plot-data", "--selector", "trinomial", "--report"], b'{"\xff": 1}'),
-    "report-list": (["plot-data", "--selector", "trinomial", "--report"], b"[]"),
-    "report-string": (["plot-data", "--selector", "trinomial", "--report"], b'"x"'),
-    "report-no-results": (["plot-data", "--selector", "trinomial", "--report"], b"{}"),
-    "report-results-int": (["plot-data", "--selector", "trinomial", "--report"],
-                           b'{"results": 5}'),
-    "report-results-object": (["plot-data", "--selector", "trinomial", "--report"],
-                              b'{"results": {"a": 1}}'),
-    "report-row-int": (["plot-data", "--selector", "trinomial", "--report"], b'{"results": [5]}'),
+    "params-not-utf8": (["classify", "--params"], b"kind = product\nN = 2\xff\n",
+                        "error: cannot read parameter file: 'utf-8' codec can't decode"),
+    "report-not-utf8": (PLOT_TRINOMIAL, b'{"\xff": 1}',
+                        "error: cannot read report: 'utf-8' codec can't decode"),
+    "report-list": (PLOT_TRINOMIAL, b"[]", "error: malformed report: top level is list"),
+    "report-string": (PLOT_TRINOMIAL, b'"x"', "error: malformed report: top level is str"),
+    "report-no-results": (PLOT_TRINOMIAL, b"{}", "error: malformed report: KeyError('results')"),
+    "report-results-int": (PLOT_TRINOMIAL, b'{"results": 5}', "error: malformed report: TypeError"),
+    "report-results-object": (PLOT_TRINOMIAL, b'{"results": {"a": 1}}',
+                              "error: malformed report: AttributeError"),
+    "report-row-int": (PLOT_TRINOMIAL, b'{"results": [5]}', "error: malformed report: AttributeError"),
+    "report-solve-radial": (PLOT_TRINOMIAL, ["solve-radial", *RADIAL_SUM],
+                            "error: report contains no trinomial oracle\n"),
 }
 
 
@@ -329,17 +365,34 @@ class TestCommands:
         assert capsys.readouterr().err == "error: report contains no radial solution\n"
 
     def test_il_window(self, capsys):
+        # The window is stated in closed form: no sampled alpha table.
         assert run(["il-window", "--q", "2", "--m", "3"]) == 0
         report = json.loads(capsys.readouterr().out)
-        window = report["results"][0]["window"]
-        assert window["feasible"] is True
-        assert window["gamma_lo"] == pytest.approx(0.5)
-        assert len(window["alpha_bounds"]) == report["config_echo"]["gamma_samples"] == 9
-        assert run(["il-window", "--q", "2", "--m", "3", "--gamma-samples", "3"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert len(report["results"][0]["window"]["alpha_bounds"]) == 3
-        assert report["config_echo"] == {"command": "il-window", "q": 2.0, "m": 3.0,
-                                         "gamma_samples": 3}
+        assert report["results"] == [{"q": 2.0, "m": 3.0, "window": {
+            "feasible": True, "gamma_lo": 0.5, "gamma_hi": 1.0}}]
+        assert report["config_echo"] == {"command": "il-window", "q": 2.0, "m": 3.0}
+        assert run(["il-window", "--q", "2", "--m", "2"]) == 0
+        [row] = json.loads(capsys.readouterr().out)["results"]
+        assert row["window"] == {"feasible": False, "gamma_lo": None, "gamma_hi": None}
+
+    def test_out_file_gets_the_mode_of_a_plain_open(self, tmp_path):
+        # A new file gets 0o666 less the umask; an overwritten one keeps its mode.
+        out = tmp_path / "window.json"
+        argv = ["il-window", "--q", "2", "--m", "3", "--out", str(out)]
+        umask = os.umask(0o022)
+        try:
+            assert run(argv) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o644
+            out.chmod(0o604)
+            assert run(argv) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o604
+            out.unlink()
+            os.umask(0o007)
+            assert run(argv) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o660
+        finally:
+            os.umask(umask)
+        assert [path.name for path in tmp_path.iterdir()] == ["window.json"]
 
     def test_solve_radial_with_fit_and_profile(self, tmp_path, capsys):
         out = tmp_path / "radial.json"
@@ -413,10 +466,6 @@ class TestCommands:
             (["il-window", "--q", "2", "--m", "0"], "error: m must be positive"),
             (["verify-identities", "--resolution", "1"], "--resolution: must be at least 5"),
             (["verify-identities", "--resolution", "4"], "--resolution: must be at least 5"),
-            (["il-window", "--q", "2", "--m", "3", "--gamma-samples", "0"],
-             "--gamma-samples: must be at least 1"),
-            (["il-window", "--q", "2", "--m", "3", "--gamma-samples", "-3"],
-             "--gamma-samples: must be at least 1"),
             (["search-b", "--kind", "product", "--N", "2", "--p", "2.2", "--q", "2",
               "--s", "0.5", "--m", "2.0", "--oracle-points", "10"],
              "--oracle-points: must be at least 1000"),
@@ -437,16 +486,16 @@ class TestCommands:
             assert run(argv) == 2
             assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, params", REFUSED.values(), ids=list(REFUSED))
-    def test_nonfinite_and_nonintegral_inputs_exit_two(self, argv, params, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, params, message", REFUSED.values(), ids=list(REFUSED))
+    def test_nonfinite_and_nonintegral_inputs_exit_two(self, argv, params, message, tmp_path,
+                                                       capsys):
         if params is not None:
             par = tmp_path / "bad.par"
             par.write_text(params)
             argv = [*argv, "--params", str(par)]
         out = tmp_path / "out.json"
         assert run([*argv, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key", sorted(PARITY))
@@ -839,14 +888,18 @@ class TestReportSchema:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, content", BAD_FILES.values(), ids=list(BAD_FILES))
-    def test_bad_files_exit_two_with_an_error_line(self, argv, content, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, content, message", BAD_FILES.values(), ids=list(BAD_FILES))
+    def test_bad_files_exit_two_with_an_error_line(self, argv, content, message, tmp_path,
+                                                   capsys):
         path = tmp_path / "bad"
-        path.write_bytes(content)
+        if isinstance(content, list):
+            assert run([*content, "--out", str(path)]) == 0
+        else:
+            path.write_bytes(content)
         out = tmp_path / "out.csv"
         assert run([*argv, str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith(message) and "Traceback" not in err
         assert not out.exists()
 
 
@@ -858,8 +911,8 @@ def accepted_options() -> dict[str, set[str]]:
 
 
 # (command, flag, value) pairs that the parser no longer accepts: each was
-# parsed and echoed but changed nothing, and sweep --task search-b was a
-# second search-b path.
+# parsed and echoed but changed nothing, sweep --task search-b was a
+# second search-b path, and il-window --gamma-samples sampled a closed form.
 REMOVED = (
     ("classify", "--tol", "newton_tol=1"),
     ("search-b", "--format", "csv"),
@@ -869,6 +922,7 @@ REMOVED = (
     ("il-window", "--format", "csv"),
     ("il-window", "--optimal-search", None),
     ("il-window", "--tol", "identity_factor=1"),
+    ("il-window", "--gamma-samples", "3"),
     ("verify-identities", "--params", TINY_GRID),
     ("verify-identities", "--format", "csv"),
     ("verify-identities", "--optimal-search", None),
@@ -890,7 +944,7 @@ class TestOptions:
 
     def test_option_count(self):
         options = accepted_options()
-        assert sum(len(flags) for flags in options.values()) == 59
+        assert sum(len(flags) for flags in options.values()) == 58
         for command, flag, _ in REMOVED:
             assert flag not in options[command]
 
@@ -898,8 +952,6 @@ class TestOptions:
         # cli.py imports no numpy-backed module at start-up, so it repeats these values.
         assert cli.TOLERANCE_DEFAULTS == {"identity_factor": DEFAULT_TOLERANCE_FACTOR,
                                           "newton_tol": NEWTON_TOL}
-        library = inspect.signature(il_parameter_window).parameters["gamma_samples"].default
-        assert build_parser().parse_args(self.BASES["il-window"]).gamma_samples == library
 
     def test_every_option_changes_the_run(self, tmp_path, capsys):
         par = tmp_path / "extra.par"
@@ -915,7 +967,7 @@ class TestOptions:
                          "--optimal-search": None, "--timing": None},
             "search-b": {**instance, "--params": par, "--oracle-points": "4096",
                          "--timing": None},
-            "il-window": {"--q": "3", "--m": "4", "--gamma-samples": "3", "--timing": None},
+            "il-window": {"--q": "3", "--m": "4", "--timing": None},
             "verify-identities": {"--resolution": "9", "--tol": "identity_factor=1e-6",
                                   "--timing": None},
             "solve-radial": {**instance, "--kind": "product", "--N": "2", "--params": par,

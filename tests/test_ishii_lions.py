@@ -23,22 +23,20 @@ class TestWindow:
                 assert window.feasible == (m > q)
 
     def test_boundary_m_eq_q_infeasible(self):
-        window = il_parameter_window(2.0, 2.0)
-        assert not window.feasible
-        assert window.gamma_lo is None and window.alpha_bounds == ()
+        assert il_parameter_window(2.0, 2.0) == (False, None, None)
 
     def test_small_q_example(self):
         window = il_parameter_window(1.5, 2.5)
         assert window.gamma_lo == pytest.approx(0.5, abs=1e-15)
 
     def test_alpha_window_nonempty_and_clamped(self):
+        # At every gamma of the window, alpha ranges over (gamma - gamma_lo, gamma).
         for q, m in ((1.3, 2.0), (2.0, 2.5), (2.5, 6.0)):
-            window = il_parameter_window(q, m, gamma_samples=25)
-            for gamma, (lo, hi) in window.alpha_bounds:
-                assert window.gamma_lo < gamma < 1.0
-                assert lo < hi
-                assert hi == gamma
-                assert lo == max(0.0, gamma - 1.0 + 1.0 / (m + 1.0 - q))
+            window = il_parameter_window(q, m)
+            for gamma in np.linspace(window.gamma_lo, window.gamma_hi, 27)[1:-1]:
+                lo, hi = il_alpha_window(q, m, gamma)
+                assert 0.0 < lo < hi == gamma
+                assert lo == pytest.approx(gamma - window.gamma_lo, abs=1e-15)
 
     def test_closed_form_matches_bisection(self):
         for q in np.linspace(1.1, 3.5, 13):

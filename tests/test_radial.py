@@ -490,6 +490,33 @@ class TestEstimateConsistency:
         assert isinstance(constant, float)
         assert np.isfinite(constant) and constant > 0.0
 
+    def test_power_target_bounds_the_gradient_of_u_to_the_1_over_b(self):
+        # thm_product_A bounds |grad u^(1/b)|, with b* = 10/3 and rate 2.5 here.
+        inst = ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=2.0)
+        decision = classify(inst)
+        assert (decision.theorem, decision.estimate_target) == ("thm_product_A",
+                                                                 "|grad u^(1/b)|")
+        b, rate = decision.exponents.b, decision.estimate_exponent
+        assert (b, rate) == (pytest.approx(10.0 / 3.0), pytest.approx(2.5))
+        sol = solve_radial(RadialProblem(inst, 1.0, 2.0, 1.0, 2.0, mesh_n=256))
+        assert sol.converged
+        # The face slope of v = u^(1/b) itself: the chain rule at the face
+        # midpoint, which estimate_consistency uses, agrees to O(h^2).
+        r_half = 0.5 * (sol.r[:-1] + sol.r[1:])
+        d = np.minimum(r_half - sol.r[0], sol.r[-1] - r_half)
+        dv = np.abs(np.diff(sol.u ** (1.0 / b)) / np.diff(sol.r))
+        constant = estimate_consistency(sol, decision)
+        assert constant == pytest.approx(np.max(dv / (1.0 + d ** -rate)), rel=1e-5)
+        assert constant == pytest.approx(0.0289, rel=1e-2)
+
+    def test_power_target_refuses_nonpositive_u(self):
+        decision = classify(ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=2.0))
+        sol = RadialSolution(r=np.linspace(1.0, 2.0, 5), u=np.array([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                             residual_norm=0.0, newton_iters=0, continuation_steps=0,
+                             converged=True)
+        with pytest.raises(AdmissibilityError, match="power-target consistency requires positive u"):
+            estimate_consistency(sol, decision)
+
     def test_default_window(self):
         prob = RadialProblem(LANE, 1.0, 2.0, 0.0, 1.0, mesh_n=100, reg_eps=1e-8,
                              rhs_override=constant_rhs(1.0))

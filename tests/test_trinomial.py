@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, given, settings
 
 from pqliouville import (
     AdmissibilityError,
@@ -17,7 +18,7 @@ from pqliouville import (
     verify_negativity,
 )
 from pqliouville.trinomial import MAX_ORACLE_POINTS, oracle_curve
-from oracles import epsilon_sensitivity, sample_admissible_product
+from oracles import epsilon_sensitivity, instances, sample_admissible_product
 
 
 EXAMPLE = ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=2.0)
@@ -128,6 +129,42 @@ class TestSymbolicWindows:
         leading = sum_leading_coefficient(SimpleNamespace(N=N, p=p, q=q, s=s))
         assert vanishes(leading - (s - s_minus) * (s - s_plus))
 
+    R = sympy.Symbol("R", real=True)
+
+    def q_window_polynomial(self):
+        return self.Q**2 - 4 * (self.q - 1) * self.Q / self.N + self.R
+
+    def test_product_thresholds_are_the_roots_of_the_q_window_polynomial(self):
+        N, q, R, Q = self.N, self.q, self.R, self.Q
+        poly = self.q_window_polynomial()
+        # Q1 and Q2 as in product_thresholds
+        root = sympy.sqrt(4 * (q - 1) ** 2 - N**2 * R) / N
+        q1, q2 = 2 * (q - 1) / N - root, 2 * (q - 1) / N + root
+        assert sympy.expand(poly.subs(Q, q1)) == 0 and sympy.expand(poly.subs(Q, q2)) == 0
+        assert sympy.expand((Q - q1) * (Q - q2) - poly) == 0
+
+    def test_the_roots_are_real_exactly_when_the_discriminant_test_holds(self):
+        # A real quadratic has real roots iff its discriminant is >= 0, and
+        # here the discriminant is 4(q-1)^2 - N^2 R times the positive 4/N^2.
+        N, q, R, Q = self.N, self.q, self.R, self.Q
+        disc = sympy.discriminant(self.q_window_polynomial(), Q)
+        assert sympy.simplify(disc - 4 * (4 * (q - 1) ** 2 - N**2 * R) / N**2) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances("product"))
+    def test_product_thresholds_match_sympy_roots(self, inst):
+        th = product_thresholds(inst)
+        exact = {self.N: inst.N, self.q: sympy.Rational(inst.q), self.R: sympy.Rational(th.R)}
+        disc = 4 * (exact[self.q] - 1) ** 2 - inst.N**2 * exact[self.R]
+        # Within rounding of a double root the float sign may differ from the
+        # exact one: that is the exact-sign routing ROADMAP item 4 leaves open.
+        assume(abs(disc) > 1e-9 * (inst.q - 1.0) ** 2)
+        roots = sympy.roots(self.q_window_polynomial().subs(exact), self.Q, multiple=True)
+        assert th.discriminant_ok == all(r.is_real for r in roots) == (disc > 0)
+        if th.discriminant_ok:
+            expected = sorted(float(r) for r in roots)
+            assert [th.Q1, th.Q2] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
 
 class TestGridOracle:
     def test_convex_vertex_location(self):
@@ -154,7 +191,7 @@ class TestGridOracle:
     def test_guards(self):
         co = product_trinomial(EXAMPLE, 0.0)
         with pytest.raises(AdmissibilityError):
-            verify_negativity(co, t_max=0.0)
+            verify_negativity(co, t_max=0.0, grid_points=100_000)
         with pytest.raises(AdmissibilityError):
             verify_negativity(co, t_max=1.0, grid_points=10)
         # plot-data passes report fields straight in; the cap case is refused before any grid
