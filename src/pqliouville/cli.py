@@ -70,13 +70,18 @@ def _load_params(args) -> dict[str, list[str]]:
     return {}
 
 
-def _merged_params(args, params: dict[str, list[str]]) -> dict[str, list[str]]:
-    """The parameter-file map with each inline instance or radial flag's token as its key's value.
+def _merged_params(args, params: dict[str, list[str]], keys=INSTANCE_KEYS) -> dict[str, list[str]]:
+    """The parameter-file map with each inline flag's token as its key's value.
 
-    A flag gives one raw token, which params.py reads by the file's rules.
+    `keys` are the keys the command reads.  A flag gives one raw token,
+    which params.py reads by the file's rules, and a file key outside
+    `keys` is refused, as its flag would be.
     """
+    for key in params:
+        if key not in keys:
+            raise ParamError(key, f"not read by {args.command}, which reads {', '.join(keys)}")
     merged = dict(params)
-    for key in KEYS:
+    for key in keys:
         token = getattr(args, key, None)
         if token is not None:
             merged[key] = [token]
@@ -185,11 +190,14 @@ def _cmd_classify(args, params):
 
 
 def _cmd_search_b(args, params):
-    instances = expand_instances(_merged_params(args, params))
+    merged = _merged_params(args, params)
+    instances = expand_instances(merged)
     if any(inst.kind == "hamilton_jacobi" for inst in instances):
         raise CliError("search-b selects b only for product and sum instances")
     results = [_search_one(inst, args.oracle_points) for inst in instances]
-    return {"results": results}, {"oracle_points": args.oracle_points}, 0
+    # The rows store their instance: the map is echoed only when a file gave one.
+    extra = {"oracle_points": args.oracle_points, "params": merged if params else {}}
+    return {"results": results}, extra, 0
 
 
 def _cmd_il_window(args, params):
@@ -250,7 +258,7 @@ def _cmd_verify_identities(args, params):
 
 
 def _cmd_solve_radial(args, params):
-    merged = _merged_params(args, params)
+    merged = _merged_params(args, params, KEYS)
     instances = expand_instances(merged)
     if len(instances) != 1:
         raise CliError("solve-radial expects exactly one instance")
@@ -286,7 +294,8 @@ def _cmd_solve_radial(args, params):
             row["fit"] = fit_blowup_exponent(profile, default_fit_window(sol)).as_dict()
         except AdmissibilityError as exc:
             row["fit"] = {"error": str(exc)}
-    return {"results": [row]}, {"radial": radial}, code
+    # As in search-b, the map is echoed only when a file gave one.
+    return {"results": [row]}, {"radial": radial, "params": merged if params else {}}, code
 
 
 def _plot_rows(results: list, selector: str) -> list:
@@ -418,8 +427,9 @@ def _report(args) -> tuple[Report, int]:
     started = time.perf_counter()
     fields, extra, code = handler(args, params)
     timing = [{"total_s": time.perf_counter() - started}]
-    # classify and sweep echo the map they expanded: the file and the inline flags.
-    echo = _config_echo(args, extra.pop("params", params), extra)
+    # A command that expands instances returns the map to echo, the file
+    # with the inline flags laid over it, as extra["params"].
+    echo = _config_echo(args, extra.pop("params", {}), extra)
     return Report(__version__, echo, timing=timing, **fields), code
 
 

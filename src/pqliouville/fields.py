@@ -31,10 +31,7 @@ class ManufacturedField:
 
 
 def _offset_sine(*coords):
-    out = np.sin(coords[0])
-    for c in coords[1:]:
-        out = out * np.cos(c)
-    return 2.0 + 0.3 * out
+    return 2.0 + 0.3 * _sine_product(*coords)
 
 
 def _parabolic_bowl(*coords):

@@ -18,7 +18,8 @@ import pqliouville.params
 from pqliouville.cli import _load_params, _report, build_parser, main
 from pqliouville.identities import DEFAULT_TOLERANCE_FACTOR
 from pqliouville.instance import KINDS, ProblemInstance
-from pqliouville.params import MAX_INSTANCES, ParamError, expand_instances, parse_params
+from pqliouville.params import (MAX_INSTANCES, ParamError, expand_instances, parse_params,
+                                radial_settings)
 from pqliouville.radial import (
     MAX_MESH_N,
     NEWTON_TOL,
@@ -44,6 +45,9 @@ RADIAL_HJ = ["solve-radial", *HJ, "--m", "2.5", "--r0", "1", "--mesh-n", "64"]
 RADIAL_HJ_4096 = [*HJ, "--m", "2.5", "--r0", "1", "--r1", "2", "--u0", "-4096", "--u1", "0",
                   "--mesh-n", "1024"]
 PRODUCT_A = ["--kind", "product", "--N", "2", "--p", "2.2", "--q", "2", "--s", "0.5", "--m", "2.0"]
+# A solve whose Newton iteration does not converge (exit 3).
+FAILING_SOLVE = ["solve-radial", "--kind", "product", "--N", "2", "--p", "2", "--q", "2", "--s", "0.5",
+                 "--m", "0", "--r0", "1", "--r1", "2", "--u0", "-1", "--u1", "-1", "--mesh-n", "64"]
 # Q is 1 ulp below Q2: it routes to case 1, where L1 evaluates to 0.
 PRODUCT_L1_ZERO = ["--kind", "product", "--N", "3", "--p", "2.159947555903314", "--q",
                    "2.159947555903314", "--s", "0.5175873612214492", "--m", "2.1889569358862833"]
@@ -52,6 +56,8 @@ RADIAL_FILE = "kind = hamilton_jacobi\nN = 2\np = 3\nq = 2\nm = 2.5\nr0 = 1\nr1 
 # Non-finite, non-integral, out-of-range and malformed inputs: (argv, parameter
 # file text or None, the error line without its "error: ").
 FINITE = "parameter 'instance': N, p, q, s, m and M must be finite"
+# The keys classify, sweep and search-b read: a radial key in their file is refused.
+READ_KEYS = "kind, N, p, q, s, m, M"
 REFUSED = {
     "s-nan": (["classify", "--kind", "product", "--N", "2", "--p", "2.2", "--q", "2",
                "--s", "nan", "--m", "2"], None, FINITE),
@@ -101,6 +107,13 @@ REFUSED = {
                "u0 and u1 must be finite"),
     "r1-inf": ([*RADIAL_HJ, "--r1", "inf", "--u0", "-64", "--u1", "0"], None,
                "annulus requires finite 0 < r0 < r1, got r0=1.0, r1=inf"),
+    "file-u0-classify": (["classify"], PRODUCT_FILE + "N = 2\nu0 = 5\nmesh_n = 7\n",
+                         f"parameter 'u0': not read by classify, which reads {READ_KEYS}"),
+    "file-mesh_n-sweep": (["sweep"], PRODUCT_FILE + "N = 2\nmesh_n = 7\n",
+                          f"parameter 'mesh_n': not read by sweep, which reads {READ_KEYS}"),
+    "file-log_transform-search-b": (["search-b"], PRODUCT_FILE + "N = 2\nlog_transform = 1\n",
+                                    "parameter 'log_transform': not read by search-b, which "
+                                    f"reads {READ_KEYS}"),
     "il-window-q-nan": (["il-window", "--q", "nan", "--m", "3"], None, "q and m must be finite"),
     "il-window-m-inf": (["il-window", "--q", "2", "--m", "inf"], None, "q and m must be finite"),
     "il-window-m-minus-1e3": (["il-window", "--q", "2", "--m", "-1e3"], None,
@@ -423,17 +436,28 @@ class TestCommands:
 
     def test_solve_radial_failure_exit_code(self, tmp_path, capsys):
         out = tmp_path / "bad.json"
-        code = run([
-            "solve-radial", "--kind", "product", "--N", "2", "--p", "2", "--q", "2",
-            "--s", "0.5", "--m", "0", "--r0", "1", "--r1", "2", "--u0", "-1",
-            "--u1", "-1", "--mesh-n", "64",
-        ] + ["--out", str(out)])
+        code = run([*FAILING_SOLVE, "--out", str(out)])
         assert code == 3
         report = json.loads(out.read_text())
         assert report["results"][0]["converged"] is False
         capsys.readouterr()
         assert run(["plot-data", "--report", str(out), "--selector", "gradient_profile"]) == 2
         assert capsys.readouterr().err == "error: gradient profile requires a converged solution\n"
+
+    def test_module_entry_exit_codes(self, tmp_path):
+        # python -m pqliouville.cli in a new interpreter: 0 on a run, 2 with one
+        # error line and no --out, 3 on a solve that does not converge
+        out = tmp_path / "out.json"
+        done = cli_in_fresh_process(["solve-radial", *RADIAL_SUM, "--out", str(out)])
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        assert json.loads(out.read_text())["results"][0]["converged"] is True
+        out.unlink()
+        done = cli_in_fresh_process(["il-window", "--q", "nan", "--m", "3", "--out", str(out)])
+        assert (done.returncode, done.stderr) == (2, "error: q and m must be finite\n")
+        assert not out.exists()
+        done = cli_in_fresh_process([*FAILING_SOLVE, "--out", str(out)])
+        assert done.returncode == 3, done.stderr
+        assert json.loads(out.read_text())["results"][0]["converged"] is False
 
     def test_cached_parser_carries_no_state(self, tmp_path, capsys):
         argv = ["verify-identities", "--resolution", "5"]
@@ -601,9 +625,13 @@ class TestCommands:
     def test_verify_identities_default_catalog(self, capsys):
         assert run(["verify-identities", "--resolution", "33"]) == 0
         report = json.loads(capsys.readouterr().out)
+        assert len(report["results"]) == 21
         assert all(row["report"]["passed"] for row in report["results"])
         checks = {row["check"] for row in report["results"]}
         assert checks == {"change_of_variable", "bochner", "scaling"}
+        orders = [row["report"]["observed_order"] for row in report["results"]
+                  if row["check"] == "change_of_variable"]
+        assert orders and all(order is not None and 1.7 <= order <= 2.3 for order in orders)
         # an identity report's constant is always null, so it is not written
         assert not any("constant" in row["report"] for row in report["results"])
 
@@ -630,6 +658,8 @@ CSV_RESULTS = {
     "sweep product_grid.par": "ff5f7cac8ad16e056bc135d7a492ce74e75b285c733b541d4ce012a6a35ea24c",
     "sweep --optimal-search sum_grid.par":
         "b41fc9e56930c288319af77e63ecfbae2fea10537ed230169faa6f48717671b8",
+    # a header and 16 instance lines
+    "sweep tiny_product_grid.par": "36bebfba7f8cd6e53371d52e59daaf8b727f195a43c379bd0b61c93404537710",
 }
 
 # SHA-256 of the raw bytes of sweep reports on the tiny grids.
@@ -670,6 +700,10 @@ RECORD_BYTES = {
     # 0.8257 (r^2 0.037) to 1.7265 (r^2 0.996)
     "solve-radial-fit": (["solve-radial", *RADIAL_HJ_4096, "--fit"],
                          "15775bb702c92442f4d3b3b6108125c216e9191af25b0ff1aa69f4f93790935d"),
+    # the same run with u0 written as an exponent token gives the same bytes
+    "solve-radial-fit-u0-exponent": (
+        ["solve-radial", *[token.replace("-4096", "-4.096e3") for token in RADIAL_HJ_4096], "--fit"],
+        "15775bb702c92442f4d3b3b6108125c216e9191af25b0ff1aa69f4f93790935d"),
 }
 
 # The keys a classify row may hold, and those of its threshold dicts.
@@ -687,14 +721,18 @@ def grid_report(key: str, tmp_path: Path) -> bytes:
     return out.read_bytes()
 
 
-def plot_in_fresh_process(report: Path) -> str:
-    """plot-data gradient_profile in a new interpreter, where nothing is bound yet."""
+def cli_in_fresh_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """`python -m pqliouville.cli argv` in a new interpreter, where nothing is bound yet."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "pqliouville.cli", "plot-data", "--report", str(report),
-         "--selector", "gradient_profile"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    return subprocess.run([sys.executable, "-m", "pqliouville.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+def plot_in_fresh_process(report: Path) -> str:
+    """plot-data gradient_profile in a new interpreter."""
+    done = cli_in_fresh_process(["plot-data", "--report", str(report), "--selector",
+                                 "gradient_profile"])
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -733,6 +771,24 @@ class TestReportSchema:
         assert expand_instances(report["config_echo"]["params"]) == [
             ProblemInstance(N=3, p=p, q=1.5, kind="product", s=1.0, m=0.5, M=2.0)
             for p in (3.0, 4.0)]
+
+    def test_search_b_and_solve_radial_echo_the_merged_parameter_map(self, tmp_path, capsys):
+        # An inline flag overrides its file key in the echo as in the run.
+        par = tmp_path / "one.par"
+        for command, text, (flag, token) in (("search-b", PRODUCT_FILE + "N = 2\n", ("--s", "0.3")),
+                                             ("solve-radial", RADIAL_FILE, ("--u0", "-32"))):
+            par.write_text(text)
+            assert run([command, "--params", str(par), flag, token]) == 0
+            report = json.loads(capsys.readouterr().out)
+            params = report["config_echo"]["params"]
+            assert params == dict(parse_params(text), **{flag[2:]: [token]})
+            [row] = report["results"]
+            assert expand_instances(params) == [ProblemInstance(**row["instance"])]
+            if command == "solve-radial":
+                assert radial_settings(params) == row["radial"]
+        # With inline flags only, the row's instance is the whole input: no map is echoed.
+        assert run(["search-b", *PRODUCT_A]) == 0
+        assert "params" not in json.loads(capsys.readouterr().out)["config_echo"]
 
     def test_negative_infinity_survives_the_report(self, capsys):
         assert run(["classify", "--kind", "sum", "--N", "2", "--p", "1.3", "--q", "1.3",
@@ -955,7 +1011,9 @@ class TestOptions:
 
     def test_every_option_changes_the_run(self, tmp_path, capsys):
         par = tmp_path / "extra.par"
-        par.write_text("M = 1\nreg_eps = 1e-6\n")
+        par.write_text("M = 1\n")
+        radial_par = tmp_path / "radial.par"
+        radial_par.write_text("M = 1\nreg_eps = 1e-6\n")
         search = tmp_path / "search.json"
         other = tmp_path / "other.json"
         assert run(["search-b", *PRODUCT, "--out", str(search)]) == 0
@@ -970,7 +1028,7 @@ class TestOptions:
             "il-window": {"--q": "3", "--m": "4", "--timing": None},
             "verify-identities": {"--resolution": "9", "--tol": "identity_factor=1e-6",
                                   "--timing": None},
-            "solve-radial": {**instance, "--kind": "product", "--N": "2", "--params": par,
+            "solve-radial": {**instance, "--kind": "product", "--N": "2", "--params": radial_par,
                              "--r0": "0.5", "--r1": "3", "--u0": "2", "--u1": "3",
                              "--mesh-n": "128", "--reg-eps": "1e-6", "--fit": None,
                              "--format": "csv", "--tol": "newton_tol=1e-3", "--timing": None},

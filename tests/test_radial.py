@@ -423,19 +423,22 @@ class TestProfiles:
         assert np.array_equal(profile[:, 0], sol.r_half[:32] - 1.0)
         assert np.array_equal(profile[:, 1], du[:32])
 
-    @pytest.mark.parametrize("q", ["2", "1.5"])
-    def test_cli_fit_is_the_library_fit(self, q, tmp_path):
+    @pytest.mark.parametrize("q, mesh_n", [("2", 4096), ("1.5", 4096), ("2", 1024)],
+                             ids=["2", "1.5", "2-mesh_n-1024"])
+    def test_cli_fit_is_the_library_fit(self, q, mesh_n, tmp_path):
         out = tmp_path / "fit.json"
         assert main(["solve-radial", "--kind", "hamilton_jacobi", "--N", "2", "--p", "3",
                      "--q", q, "--m", "2.5", "--r0", "1", "--r1", "2", "--u0", "-4096",
-                     "--u1", "0", "--mesh-n", "4096", "--fit", "--out", str(out)]) == 0
+                     "--u1", "0", "--mesh-n", str(mesh_n), "--fit", "--out", str(out)]) == 0
         [row] = json.loads(out.read_text())["results"]
         inst = ProblemInstance(N=2, p=3.0, q=float(q), kind="hamilton_jacobi", m=2.5)
-        sol = solve_radial(RadialProblem(inst, 1.0, 2.0, -4096.0, 0.0, mesh_n=4096))
+        sol = solve_radial(RadialProblem(inst, 1.0, 2.0, -4096.0, 0.0, mesh_n=mesh_n))
         fit = fit_blowup_exponent(gradient_vs_distance(sol), default_fit_window(sol))
         assert row["fit"] == json.loads(json.dumps(fit.as_dict()))
-        assert fit.r_squared > 0.95
-        assert fit.fitted_exponent == pytest.approx(1.6186, abs=1e-3)
+        # a clean one-wall power law at every mesh
+        assert fit.r_squared > 0.95 and 1.5 < fit.fitted_exponent < 1.9
+        if mesh_n == 4096:
+            assert fit.fitted_exponent == pytest.approx(1.6186, abs=1e-3)
 
     def test_fit_exact_power_law(self):
         d = np.geomspace(1e-3, 1e-1, 40)
