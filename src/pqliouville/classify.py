@@ -40,16 +40,39 @@ def _owned(rows, theorem: str) -> list[TheoremCondition]:
     return [c for c in rows if c.theorem in owners]
 
 
-def _passes(rows, theorem: str) -> bool:
-    """A theorem passes when it owns at least one row and every row it owns passes."""
-    owned = _owned(rows, theorem)
-    return bool(owned) and all([c.passed for c in owned])
+class _Trace:
+    """The rows classify files, in filing order, and a running verdict per
+    theorem: whether every row filed under it so far passed."""
+
+    __slots__ = ("rows", "verdict")
+
+    def __init__(self):
+        self.rows: list[TheoremCondition] = []
+        self.verdict: dict[str, bool] = {}
 
 
-def _file(rows: list[TheoremCondition], theorem: str, *entries: Row) -> None:
-    """Append (label, template, values, passed) entries as rows under one theorem."""
-    rows += [TheoremCondition(theorem, label, template, values, bool(passed))
-             for label, template, values, passed in entries]
+def _passes(trace: _Trace, theorem: str) -> bool:
+    """A theorem passes when it owns at least one row and every row it owns
+    passes (a product case owns the shared block too, as in `_owned`)."""
+    verdict = trace.verdict.get(theorem)
+    if theorem.startswith("thm_product_"):
+        shared = trace.verdict.get(PRODUCT_SHARED)
+        if shared is not None:
+            verdict = shared if verdict is None else verdict and shared
+    return bool(verdict)
+
+
+def _file(trace: _Trace, theorem: str, *entries: Row) -> None:
+    """File (label, template, values, passed) entries as rows under one theorem."""
+    append = trace.rows.append
+    verdict = trace.verdict.get(theorem, True)
+    for label, template, values, passed in entries:
+        passed = bool(passed)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__, the
+        # larger part of a row's cost.
+        append(tuple.__new__(TheoremCondition, (theorem, label, template, values, passed)))
+        verdict = verdict and passed
+    trace.verdict[theorem] = verdict
 
 
 class RegimeDecision(NamedTuple):
@@ -75,47 +98,46 @@ class RegimeDecision(NamedTuple):
         `templates` (a `report.ConditionTemplates`) maps (theorem, label,
         template) to its index in the report's `condition_templates` table
         and appends keys it has not seen, so one index serves a whole report.
-        One rule covers every field: the row leaves out `inst` (the
-        report's echoed parameter map gives it back), every None and an
-        empty `matches`, keys each field by ROW_KEYS, and writes a nested
-        record through its own `as_dict`.
+        The row leaves out `inst` (the report's echoed parameter map gives
+        it back), every None and an empty `matches`; the four records
+        (exponents, thresholds, selection) are written through their own
+        `as_dict`, under the keys RECORD_KEYS gives them.
         """
-        row = {}
-        for key, value in zip(ROW_KEYS, self):
-            if value is None or key == "instance":
-                continue
-            if key == "conditions":
-                value = [[templates[theorem, label, template], passed, values]
-                         for theorem, label, template, values, passed in value]
-            elif key == "matches":
-                if not value:
-                    continue
-                value = list(value)
-            elif isinstance(value, tuple):
-                value = value.as_dict()
-            row[key] = value
+        row = {
+            "theorem": self.theorem,
+            "conditions": [[templates[theorem, label, template], passed, values]
+                           for theorem, label, template, values, passed in self.conditions],
+            "liouville": self.liouville,
+        }
+        if self.matches:
+            row["matches"] = list(self.matches)
+        if self.estimate_exponent is not None:
+            row["estimate_exponent"] = self.estimate_exponent
+        if self.estimate_target is not None:
+            row["estimate_target"] = self.estimate_target
+        for key, record in zip(RECORD_KEYS, self[7:]):
+            if record is not None:
+                row[key] = record.as_dict()
         return row
 
 
-# The report row key of each RegimeDecision field, in field order: the
-# field's name unless renamed here.  A row holds a subset of these keys.
-_RENAMED = {"inst": "instance", "product": "product_thresholds", "sums": "sum_thresholds"}
-ROW_KEYS = tuple(_RENAMED.get(field, field) for field in RegimeDecision._fields)
+# The report row keys of the record fields, RegimeDecision's last four.
+RECORD_KEYS = ("exponents", "product_thresholds", "sum_thresholds", "selection")
 
 
-def _ishii_lions_rows(inst: ProblemInstance, rows: list[TheoremCondition]) -> None:
+def _ishii_lions_rows(inst: ProblemInstance, trace: _Trace) -> None:
     template = "m > q (gradient-dominated reaction, bounded solutions): {:.6g} > {:.6g}"
-    _file(rows, "thm_IL", ("m_gt_q", template, [inst.m, inst.q], inst.m > inst.q))
+    _file(trace, "thm_IL", ("m_gt_q", template, [inst.m, inst.q], inst.m > inst.q))
 
 
-def _classify_hj(inst: ProblemInstance, rows: list[TheoremCondition]) -> None:
-    _file(rows, "thm_HJ", ("superlinear_gradient", "m > p-1: {:.6g} > {:.6g}",
-                           [inst.m, inst.p - 1.0], inst.m > inst.p - 1.0))
-    _ishii_lions_rows(inst, rows)
+def _classify_hj(inst: ProblemInstance, trace: _Trace) -> None:
+    _file(trace, "thm_HJ", ("superlinear_gradient", "m > p-1: {:.6g} > {:.6g}",
+                            [inst.m, inst.p - 1.0], inst.m > inst.p - 1.0))
+    _ishii_lions_rows(inst, trace)
 
 
 def _product_case_rows(
-    inst: ProblemInstance, th: ProductThresholds, rows: list[TheoremCondition],
+    inst: ProblemInstance, th: ProductThresholds, trace: _Trace,
     optimal_search: bool,
 ) -> tuple[str | None, BSelection | None]:
     """Emit rows for the Q-position-selected case; return its theorem name and
@@ -125,16 +147,16 @@ def _product_case_rows(
     Q, q1, q2 = th.Q, th.Q1, th.Q2
     position = window_position(th)
     if position == "boundary":
-        _file(rows, "thm_product_B", ("boundary_window", "Q in {{Q1, Q2}}: Q = {:.6g}", [Q], True),
+        _file(trace, "thm_product_B", ("boundary_window", "Q in {{Q1, Q2}}: Q = {:.6g}", [Q], True),
               small_s_row(inst))
         return "thm_product_B", None
     if position == "inside":
-        _file(rows, "thm_product_A",
+        _file(trace, "thm_product_A",
               ("open_window", "Q1 < Q < Q2: {:.6g} < {:.6g} < {:.6g}", [q1, Q, q2], True))
         return "thm_product_A", None
     theorem = "thm_product_C"
     _file(
-        rows, theorem, small_s_row(inst),
+        trace, theorem, small_s_row(inst),
         ("m_le_q", "m <= q: {:.6g} <= {:.6g}", [inst.m, inst.q], inst.m <= inst.q),
         ("q_lt_p", "q < p: {:.6g} < {:.6g}", [inst.q, inst.p], inst.q < inst.p),
         ("p_lt_m_plus_1", "p < m+1: {:.6g} < {:.6g}", [inst.p, inst.m + 1.0],
@@ -142,7 +164,7 @@ def _product_case_rows(
     )
     if optimal_search:
         sel = select_b_product(inst)
-        _file(rows, theorem, (
+        _file(trace, theorem, (
             "window_numeric",
             "numeric convex-case feasibility (vertex of the majorant is negative): {}",
             [sel.case_tag],
@@ -151,15 +173,15 @@ def _product_case_rows(
         return theorem, sel
     if position == "above":
         if th.Q3 is None:
-            _file(rows, theorem, ("upper_window", "Q3 undefined at s=0", [], False))
+            _file(trace, theorem, ("upper_window", "Q3 undefined at s=0", [], False))
         else:
-            _file(rows, theorem, ("upper_window", "Q2 < Q < Q3: {:.6g} < {:.6g} < {:.6g}",
-                                  [q2, Q, th.Q3], Q < th.Q3))
+            _file(trace, theorem, ("upper_window", "Q2 < Q < Q3: {:.6g} < {:.6g} < {:.6g}",
+                                   [q2, Q, th.Q3], Q < th.Q3))
         return theorem, None
     # Q below Q1, so the lower-window row tests its lower bound only; it
     # needs the comparison ratio a.
     if th.a is None:
-        _file(rows, theorem,
+        _file(trace, theorem,
               ("lower_window", "comparison ratio a undefined (s=0 or p=q)", [], False))
         return theorem, None
     if th.a <= 1.0:
@@ -168,50 +190,50 @@ def _product_case_rows(
     else:
         lower = inst.N * th.R / (4.0 * (inst.q - 1.0))
         template = "a > 1 branch: NR/(4(q-1)) < Q < Q1: {:.6g} < {:.6g} < {:.6g}"
-    _file(rows, theorem, ("lower_window", template, [lower, Q, q1], lower < Q))
+    _file(trace, theorem, ("lower_window", template, [lower, Q, q1], lower < Q))
     return theorem, None
 
 
 def _classify_product(
-    inst: ProblemInstance, rows: list[TheoremCondition], optimal_search: bool
+    inst: ProblemInstance, trace: _Trace, optimal_search: bool
 ) -> tuple[ProductThresholds, str | None, BSelection | None, ExponentBundle | None]:
     th = product_thresholds(inst)
-    _file(rows, PRODUCT_SHARED, *product_shared_rows(inst, th))
-    case_theorem, window_selection = _product_case_rows(inst, th, rows, optimal_search)
-    _ishii_lions_rows(inst, rows)
+    _file(trace, PRODUCT_SHARED, *product_shared_rows(inst, th))
+    case_theorem, window_selection = _product_case_rows(inst, th, trace, optimal_search)
+    _ishii_lions_rows(inst, trace)
     selection = bundle = None
-    if case_theorem is not None and _passes(rows, case_theorem):
+    if case_theorem is not None and _passes(trace, case_theorem):
         selection = window_selection or select_b_product(inst)
-        _file(rows, case_theorem, ("selection_feasible", "constructive b-selection: {}",
-                                   [selection.case_tag], selection.feasible))
+        _file(trace, case_theorem, ("selection_feasible", "constructive b-selection: {}",
+                                    [selection.case_tag], selection.feasible))
         if selection.feasible:
             bundle = exponent_bundle(inst, selection.b_star)
     return th, case_theorem, selection, bundle
 
 
 def _classify_sum(
-    inst: ProblemInstance, rows: list[TheoremCondition]
+    inst: ProblemInstance, trace: _Trace
 ) -> tuple[SumThresholds, BSelection | None, ExponentBundle | None]:
     th = sum_thresholds(inst)
     p, q, s, m = inst.p, inst.q, inst.s, inst.m
     liou = "thm_sum_liouville"
     M_positive = ("M_positive", "M > 0: {:.6g}", [inst.M], inst.M > 0.0)
-    _file(rows, liou, M_positive, *sum_liouville_rows(inst, th))
+    _file(trace, liou, M_positive, *sum_liouville_rows(inst, th))
 
     s_lo_g = max(q - 1.0, 1.0)
     m_lo = max(q * s / (s + 1.0), 2.0 * s)
     _file(
-        rows, "thm_sum_growth", M_positive,
+        trace, "thm_sum_growth", M_positive,
         ("m_p_gap", "m-p+2 > 0: {:.6g}", [m - p + 2.0], m - p + 2.0 > 0.0),
         ("s_large", "s > max(q-1, 1): {:.6g} > {:.6g}", [s, s_lo_g], s > s_lo_g),
         ("m_large", "m > max(qs/(s+1), 2s): {:.6g} > {:.6g}", [m, m_lo], m > m_lo),
     )
 
     selection = bundle = None
-    if _passes(rows, liou):
+    if _passes(trace, liou):
         selection = sum_selection(inst)
-        _file(rows, liou, ("selection_feasible", "constructive tau-selection: {}",
-                           [selection.case_tag], selection.feasible))
+        _file(trace, liou, ("selection_feasible", "constructive tau-selection: {}",
+                            [selection.case_tag], selection.feasible))
         if selection.feasible:
             bundle = sum_exponent_bundle(inst, selection.t_star)
     return th, selection, bundle
@@ -225,20 +247,20 @@ def classify(inst: ProblemInstance, optimal_search: bool = False) -> RegimeDecis
     window membership is delegated to the numeric feasibility of the
     majorant instead of the stated (non-optimal) closed-form bounds.
     """
-    rows: list[TheoremCondition] = []
+    trace = _Trace()
     product_th = sums_th = selection = bundle = None
 
     if inst.kind == "hamilton_jacobi":
-        _classify_hj(inst, rows)
+        _classify_hj(inst, trace)
         candidates = ["thm_HJ", "thm_IL"]
     elif inst.kind == "product":
-        product_th, case_theorem, selection, bundle = _classify_product(inst, rows, optimal_search)
+        product_th, case_theorem, selection, bundle = _classify_product(inst, trace, optimal_search)
         candidates = ([case_theorem] if case_theorem else []) + ["thm_IL"]
     else:
-        sums_th, selection, bundle = _classify_sum(inst, rows)
+        sums_th, selection, bundle = _classify_sum(inst, trace)
         candidates = ["thm_sum_liouville", "thm_sum_growth"]
 
-    matches = [theorem for theorem in candidates if _passes(rows, theorem)]
+    matches = [theorem for theorem in candidates if _passes(trace, theorem)]
 
     theorem = matches[0] if matches else "none"
     liouville = theorem not in ("none", "thm_sum_growth")
@@ -254,19 +276,8 @@ def classify(inst: ProblemInstance, optimal_search: bool = False) -> RegimeDecis
         if bundle is not None:
             estimate, target = 2.0 / bundle.gamma, GRAD_U_POWER
 
-    return RegimeDecision(
-        inst=inst,
-        theorem=theorem,
-        matches=tuple(matches),
-        conditions=tuple(rows),
-        liouville=liouville,
-        estimate_exponent=estimate,
-        estimate_target=target,
-        exponents=exponents,
-        product=product_th,
-        sums=sums_th,
-        selection=selection,
-    )
+    return RegimeDecision(inst, theorem, tuple(matches), tuple(trace.rows), liouville, estimate,
+                          target, exponents, product_th, sums_th, selection)
 
 
 class EstimateRate(NamedTuple):

@@ -169,9 +169,10 @@ def _search_one(inst: ProblemInstance, oracle_points: int) -> dict:
 
 
 # Each handler returns its Report fields (results, and for classify and
-# sweep condition_templates), the config_echo entries only it knows, and
-# the exit code; _report times the call and builds the report.  With
-# --format csv the results are the table's rows, header first.
+# sweep condition_templates and the times of their stages as "timing"),
+# the config_echo entries only it knows, and the exit code; _report times
+# the call and builds the report.  With --format csv the results are the
+# table's rows, header first.
 
 
 def _cmd_classify(args, params):
@@ -183,10 +184,15 @@ def _cmd_classify(args, params):
                  d.estimate_exponent] for i, d in enumerate(decisions)]
         return {"results": [header, *rows]}, {}, 0
     # The rows store no instance: row i is instance i of the echoed map's expansion.
+    started = time.perf_counter()
+    instances = expand_instances(merged)
+    expanded = time.perf_counter()
     templates = ConditionTemplates()
     results = [classify(inst, optimal_search=args.optimal_search).as_dict(templates)
-               for inst in expand_instances(merged)]
-    return {"results": results, "condition_templates": templates.table()}, {"params": merged}, 0
+               for inst in instances]
+    stages = {"expand_s": expanded - started, "rows_s": time.perf_counter() - expanded}
+    fields = {"results": results, "condition_templates": templates.table(), "timing": stages}
+    return fields, {"params": merged}, 0
 
 
 def _cmd_search_b(args, params):
@@ -426,7 +432,7 @@ def _report(args) -> tuple[Report, int]:
     params = _load_params(args)
     started = time.perf_counter()
     fields, extra, code = handler(args, params)
-    timing = [{"total_s": time.perf_counter() - started}]
+    timing = [{**fields.pop("timing", {}), "total_s": time.perf_counter() - started}]
     # A command that expands instances returns the map to echo, the file
     # with the inline flags laid over it, as extra["params"].
     echo = _config_echo(args, extra.pop("params", {}), extra)

@@ -38,8 +38,7 @@ class ProblemInstance(_ProblemFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        N, p, q, kind, s, m, M = super().__new__(cls, *args, **kwargs)
+    def __new__(cls, N, p, q, kind, s=0.0, m=0.0, M=0.0):
         if kind not in KINDS:
             raise ValueError(f"unknown nonlinearity kind {kind!r}")
         if not all(map(math.isfinite, (N, p, q, s, m, M))):
@@ -52,7 +51,7 @@ class ProblemInstance(_ProblemFields):
             raise ValueError("s, m and M must be nonnegative")
         if kind == "hamilton_jacobi":
             s = M = 0.0
-        return super().__new__(cls, int(N), p, q, kind, s, m, M)
+        return tuple.__new__(cls, (int(N), p, q, kind, s, m, M))
 
     @property
     def combined_exponent(self) -> float:

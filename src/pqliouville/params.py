@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .instance import KINDS, ProblemInstance
 
@@ -20,6 +21,9 @@ INSTANCE_KEYS = ("kind", "N", "p", "q", "s", "m", "M")
 RADIAL_KEYS = ("r0", "r1", "u0", "u1", "mesh_n", "reg_eps", "log_transform")
 KEYS = INSTANCE_KEYS + RADIAL_KEYS
 MAX_INSTANCES = 1_000_000
+# ProblemInstance's positional order, and the defaults of the keys a map may leave out.
+_FIELDS = ProblemInstance._fields
+_DEFAULTS = ProblemInstance._field_defaults
 _SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -67,7 +71,9 @@ def expand_instances(params: dict[str, list[str]]) -> list[ProblemInstance]:
     last key varying fastest; tied keys (value naming another numeric key)
     copy that key's current grid value.  A grid of more than MAX_INSTANCES
     instances is refused before any instance is built, and every token is
-    read once, before the first instance.
+    read once, before the first instance.  When a grid of several
+    instances holds one that ProblemInstance refuses, the error names its
+    0-based grid index and its values.
     """
     if "kind" not in params:
         raise ParamError("kind", "missing")
@@ -95,16 +101,25 @@ def expand_instances(params: dict[str, list[str]]) -> list[ProblemInstance]:
             raise ParamError(required, "missing")
     values = {key: tokens if key == "kind" else [_float(key, t) for t in tokens]
               for key, tokens in grids.items()}
+    # An absent key is a one-value column holding its default; a tied key
+    # reads its target's column.
+    for key, default in _DEFAULTS.items():
+        if key not in ties:
+            values.setdefault(key, [default])
+    columns = list(values)
+    pick = operator.itemgetter(*(columns.index(ties.get(key, key)) for key in _FIELDS))
 
     out: list[ProblemInstance] = []
     for combo in itertools.product(*values.values()):
-        kwargs = dict(zip(values, combo))
-        for key, target in ties.items():
-            kwargs[key] = kwargs[target]
+        args = pick(combo)
         try:
-            out.append(ProblemInstance(**kwargs))
+            out.append(ProblemInstance(*args))
         except ValueError as exc:
-            raise ParamError("instance", str(exc)) from None
+            if count == 1:
+                raise ParamError("instance", str(exc)) from None
+            point = ", ".join(f"{key}={value}" for key, value in zip(_FIELDS, args))
+            message = f"grid index {len(out)} of {count:,} ({point}): {exc}"
+            raise ParamError("instance", message) from None
     return out
 
 

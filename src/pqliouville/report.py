@@ -3,8 +3,10 @@
 Reports serialize as one compact line with sorted keys and stable float
 repr, so identical configurations produce byte-identical files; compact
 output lets ``json`` use its C encoder, which it skips whenever
-``indent`` is set.  Wall-clock timings are collected but only emitted
-when explicitly requested, to keep the default output reproducible.
+``indent`` is set.  The encoder also skips its cycle check: a report's
+lists and dicts come from records and never hold themselves.  Wall-clock
+timings are collected but only emitted when explicitly requested, to
+keep the default output reproducible.
 """
 
 from __future__ import annotations
@@ -56,7 +58,14 @@ class Report(NamedTuple):
         return out
 
     def to_json(self, include_timing: bool = False) -> str:
-        text = json.dumps(self.as_dict(include_timing), sort_keys=True, separators=(",", ":"))
+        """The report as one compact line with sorted keys.
+
+        `check_circular=False`: a report's lists and dicts are built from
+        records and never hold themselves, so the check could only find
+        nothing, at the cost of tracking every container it visits.
+        """
+        text = json.dumps(self.as_dict(include_timing), sort_keys=True, separators=(",", ":"),
+                          check_circular=False)
         return text + "\n"
 
 

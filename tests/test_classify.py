@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pqliouville import (
     AdmissibilityError,
@@ -15,7 +16,12 @@ from pqliouville import (
     sum_selection,
 )
 from pqliouville.params import expand_instances, parse_params
-from oracles import instances, sample_admissible_product, sample_theorem14_instance
+from oracles import (
+    instances,
+    near_window_root,
+    sample_admissible_product,
+    sample_theorem14_instance,
+)
 
 PRODUCT_GRID = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "product_grid.par"
 
@@ -127,6 +133,38 @@ class TestWorkedExamples:
         assert decision.conditions  # trace retained
         with pytest.raises(AdmissibilityError):
             estimate_rate(decision)
+
+
+# Q is 1 ulp below Q2: it routes to case 1, where L1 evaluates to 0.
+PRODUCT_L1_ZERO = product(N=3, p=2.159947555903314, q=2.159947555903314, s=0.5175873612214492,
+                          m=2.1889569358862833)
+# The theorems each kind is tested against, strongest first.
+PRECEDENCE = {
+    "hamilton_jacobi": ("thm_HJ", "thm_IL"),
+    "product": ("thm_product_A", "thm_product_B", "thm_product_C", "thm_IL"),
+    "sum": ("thm_sum_liouville", "thm_sum_growth"),
+}
+
+
+class TestMatchesFollowTheRows:
+    """A theorem matches exactly when it filed rows of its own and every row
+    it owns passed; matches come in precedence order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(*map(instances, PRECEDENCE), near_window_root()), st.booleans())
+    @example(PRODUCT_L1_ZERO, False)
+    @example(PRODUCT_L1_ZERO, True)
+    @example(product(p=2.0, q=2.0, m=2.5), False)  # Q = Q2 exactly
+    @example(product(p=2.0, q=2.0, m=2.5), True)
+    @example(product(p=2.61, q=2.24, s=0.06, m=1.7), True)  # numeric case C
+    @example(ProblemInstance(N=2, p=2.0, q=2.0, kind="sum", s=2.0, m=1.5, M=1.0), False)
+    def test_matches_are_the_all_passed_candidates(self, inst, optimal_search):
+        decision = classify(inst, optimal_search=optimal_search)
+        filed = {c.theorem for c in decision.conditions}
+        expected = [theorem for theorem in PRECEDENCE[inst.kind] if theorem in filed
+                    and all(c.passed for c in decision.conditions_for(theorem))]
+        assert list(decision.matches) == expected
+        assert decision.theorem == (expected[0] if expected else "none")
 
 
 class TestOptimalSearch:

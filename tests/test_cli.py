@@ -216,7 +216,7 @@ class TestParamFiles:
             parse_params("N = 2\nN = 3\n")
 
     def test_oversized_grid_exits_two_before_building(self, tmp_path, monkeypatch, capsys):
-        def refuse(**kwargs):
+        def refuse(*args, **kwargs):
             raise AssertionError("an instance was built")
 
         monkeypatch.setattr(pqliouville.params, "ProblemInstance", refuse)
@@ -233,7 +233,7 @@ class TestParamFiles:
         assert not (tmp_path / "out.json").exists()
 
     def test_bad_token_is_refused_before_building(self, monkeypatch):
-        def refuse(**kwargs):
+        def refuse(*args, **kwargs):
             raise AssertionError("an instance was built")
 
         monkeypatch.setattr(pqliouville.params, "ProblemInstance", refuse)
@@ -368,7 +368,7 @@ class TestCommands:
         assert code == 2
 
     def test_plot_data_builds_no_instance(self, tmp_path, monkeypatch, capsys):
-        def refuse(**kwargs):
+        def refuse(*args, **kwargs):
             raise AssertionError("an instance was built")
 
         report = tmp_path / "sweep.json"
@@ -522,6 +522,17 @@ class TestCommands:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_refused_grid_point_names_its_index_and_values(self, tmp_path, capsys):
+        # a one-instance input keeps the bare message (the REFUSED cases)
+        par = tmp_path / "grid.par"
+        par.write_text("kind = product\nN = 2\np = 3 1.5\nq = 2\n")
+        out = tmp_path / "out.json"
+        assert run(["sweep", "--params", str(par), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: parameter 'instance': grid index 1 of 2 (N=2.0, p=1.5, q=2.0, kind=product, "
+            "s=0.0, m=0.0, M=0.0): exponents must satisfy p >= q > 1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", sorted(PARITY))
     def test_flag_and_file_line_read_alike(self, key, tmp_path, capsys):
         def outcome(token, as_flag):
@@ -609,12 +620,22 @@ class TestCommands:
         assert "thm_product_A" in lines[1]
 
     def test_timing_flag_adds_section(self, tmp_path):
-        out = tmp_path / "t.json"
-        run([
-            "classify", "--kind", "product", "--N", "2", "--p", "2.2", "--q", "2",
-            "--s", "0.5", "--m", "2.0", "--timing", "--out", str(out),
-        ])
-        assert "timing" in json.loads(out.read_text())
+        # classify and sweep time their expansion and their rows (classify
+        # and as_dict); other commands give the total alone
+        stages = {"expand_s", "rows_s", "total_s"}
+        for argv, keys in (
+            (["classify", *PRODUCT_A], stages),
+            (["sweep", "--params", TINY_GRID], stages),
+            (["search-b", *PRODUCT_A], {"total_s"}),
+            (["il-window", "--q", "2", "--m", "3"], {"total_s"}),
+        ):
+            out = tmp_path / "t.json"
+            assert run([*argv, "--timing", "--out", str(out)]) == 0
+            timing = json.loads(out.read_text())["timing"]
+            assert [set(entry) for entry in timing] == [keys]
+            assert all(seconds >= 0.0 for seconds in timing[0].values())
+            if keys == stages:
+                assert timing[0]["expand_s"] + timing[0]["rows_s"] <= timing[0]["total_s"]
 
     def test_verify_identities_reruns_are_byte_identical(self, tmp_path):
         paths = [tmp_path / "first.json", tmp_path / "second.json"]
@@ -642,6 +663,8 @@ class TestCommands:
 FULL_SWEEP_BYTES = {
     "sweep product_grid.par": "ae0a47bbfbe88457031efbe8f73ae2012171f084e892d25c793bcbbeb80c66e6",
     "sweep sum_grid.par": "743e8f72f1c7061b934674e16f4acb84a09ef8fada00f3395ecd19508c40e88f",
+    "sweep --optimal-search sum_grid.par":
+        "3ff3da0914e6d21a2c4c0ae314e1f1a10a64849674eb2121d41267b293f415e3",
 }
 TRACE_BYTES = {
     "search-b product_grid.par": "35be79b7496fb39ac807c44e5aa6d61ffa14eaa89e168f75c225252f9f2fddf3",
@@ -900,7 +923,7 @@ class TestReportSchema:
         assert list(columns[2]) == [repr(x) for x in du] + [""]
 
     def test_timing_with_csv_exits_before_any_work(self, monkeypatch, capsys):
-        def refuse(**kwargs):
+        def refuse(*args, **kwargs):
             raise AssertionError("an instance was built")
 
         monkeypatch.setattr(pqliouville.params, "ProblemInstance", refuse)
