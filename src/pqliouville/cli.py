@@ -30,7 +30,7 @@ from .trinomial import MAX_ORACLE_POINTS, TrinomialCoeffs, oracle_curve, product
 
 DEFAULT_ORACLE_POINTS = 2048
 # Size limits: the largest accepted run peaks near 200 MB RSS (oracle about 16 B
-# a point, identities about 170 B a fine node).
+# a point, identities about 150 B a fine node).
 MAX_RESOLUTION = 513
 TOLERANCE_DEFAULTS = {"identity_factor": 25.0, "newton_tol": 1e-10}
 
@@ -168,8 +168,10 @@ def _search_one(inst: ProblemInstance, oracle_points: int) -> dict:
     return row
 
 
-# Each handler returns its Report fields (results, and for classify and
-# sweep condition_templates and the times of their stages as "timing"),
+# Each handler returns its Report fields (results; for classify and
+# sweep condition_templates and the times of their stages as "timing";
+# for verify-identities "timing" with "workers", the size of the grid
+# kernels' thread pool),
 # the config_echo entries only it knows, and the exit code; _report times
 # the call and builds the report.  With --format csv the results are the
 # table's rows, header first.
@@ -260,7 +262,10 @@ def _identity_suite(resolution: int, factor: float) -> list[dict]:
 
 def _cmd_verify_identities(args, params):
     results = _identity_suite(args.resolution, args.identity_factor)
-    return {"results": results}, {"resolution": args.resolution}, 0
+    from .operators import worker_count
+
+    fields = {"results": results, "timing": {"workers": worker_count()}}
+    return fields, {"resolution": args.resolution}, 0
 
 
 def _cmd_solve_radial(args, params):

@@ -23,7 +23,9 @@ from .errors import FieldError
 from .fields import ManufacturedField
 from .operators import (
     GridField,
+    blocked_result,
     dot_arrays,
+    fits_one_block,
     gradient_components,
     laplacian,
     p_laplacian,
@@ -134,24 +136,18 @@ def change_of_variable_check(
     tol = default_tolerance(h) if tolerance is None else tolerance
 
     # Both sides are compared on the ring-2 interior, so the right side
-    # is assembled there only; it is elementwise, so node values match.
+    # is assembled there only, block by block; it is elementwise, so node
+    # values match.
     inner = tuple(slice(2, -2) for _ in range(v.ndim))
     u = GridField(values=v.values**b, spacing=h)
     lhs = pq_laplacian(u, p, q).values[inner]
 
-    vv, z = v.values[inner], v.grad_sq[inner]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        A, D, E = _coefficients(b, vv, z, p, q)
-        rhs = (
-            b
-            * abs(b) ** (q - 2.0)
-            * vv ** ((b - 1.0) * (q - 1.0))
-            * (
-                z ** (q / 2.0 - 1.0) * A * v.lap[inner]
-                + (b - 1.0) * E * z ** (q / 2.0) / vv
-                + 0.5 * D * z ** ((q - 4.0) / 2.0) * v.grad_sq_dot_grad[inner]
-            )
-        )
+    z = v.grad_sq[inner]
+    if not fits_one_block(z):
+        # The blocks run on pool threads, which must not compute the
+        # cached derivatives: take them here, on the caller's thread.
+        v.lap, v.grad_sq_dot_grad
+    rhs = blocked_result(lambda sl, out: _change_of_variable_rhs(v, inner, sl, b, p, q, out), z)
 
     z_floor = 1e-12 * float(np.nanmax(z))
     valid = np.isfinite(lhs) & np.isfinite(rhs) & (z > z_floor)
@@ -160,6 +156,28 @@ def change_of_variable_check(
     err = float(np.max(np.abs(lhs[valid] - rhs[valid])))
     scale = float(np.max(np.abs(lhs[valid])))
     return _report(err, max(scale, 1e-300), tol)
+
+
+def _change_of_variable_rhs(v: GridField, inner, sl: slice, b, p, q, out):
+    """Planes `sl` of the right side on the `inner` nodes of v, into out (new when None).
+
+    The cached derivatives are read inside the expression, so on a
+    one-block grid they are first computed after the first temporaries,
+    as whole-array code did.  Computed before them, they left the
+    temporaries on top of the heap, where the allocator gave them back
+    and faulted them in again on every check: three times the page
+    faults of `verify-identities --resolution 129`.
+    """
+    vv, z = v.values[inner][sl], v.grad_sq[inner][sl]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        A, D, E = _coefficients(b, vv, z, p, q)
+        return np.multiply(
+            b * abs(b) ** (q - 2.0) * vv ** ((b - 1.0) * (q - 1.0)),
+            z ** (q / 2.0 - 1.0) * A * v.lap[inner][sl]
+            + (b - 1.0) * E * z ** (q / 2.0) / vv
+            + 0.5 * D * z ** ((q - 4.0) / 2.0) * v.grad_sq_dot_grad[inner][sl],
+            out=out,
+        )
 
 
 def bochner_check(v: GridField, N_param: int, tolerance: float | None = None) -> IdentityReport:

@@ -6,19 +6,39 @@ form uses centred fluxes on half-grid faces with face-averaged
 tangential gradients, so one canonical scheme backs every identity
 check.
 
-The ring stencils (`laplacian`, `flux_divergence`) fill their output in
-blocks of planes along axis 0, each read with one halo plane on either
-side, so a block's temporaries stay in cache instead of streaming
+Every grid kernel (`laplacian`, `flux_divergence`, `gradient_components`,
+`dot_arrays`, and through them the `GridField` derivatives) fills its
+output in blocks of axis-0 planes through one driver, `map_plane_blocks`.
+A block holds about `_BLOCK_NODES` nodes and reads at most one halo plane
+on either side, so its temporaries stay in cache instead of streaming
 whole-grid arrays through memory at every elementwise step.  Face
 quantities are built only on the tangential interior the divergence
 keeps and updated in place; no full-size NaN-ring temporary is made.
-Blocking and trimming change which nodes a temporary covers, never the
-operations applied at a node, so the results are bit-identical to
-whole-array evaluation.
+
+Elementwise results (`dot_arrays`, the change-of-variable right side)
+go through `blocked_result`, which gives a one-block grid the kernel's
+own array, allocated where whole-array code allocates it.
+
+A range that fits in one block runs inline on the caller's thread.  A
+larger one is mapped over a module-level thread pool, which numpy's
+elementwise loops keep busy because they release the interpreter lock.
+The pool is created on the first multi-block call, with one thread per
+CPU this process may run on (`worker_count`), and is dropped in a
+forked child.  A block kernel never submits to the pool, so no worker
+waits on another and nothing can deadlock; it runs under the caller's
+`np.errstate`, which numpy keeps per thread.  Any number of threads may
+call the kernels at once.
+
+Blocking, trimming and threading change which nodes a temporary covers
+and which thread computes them, never the operations applied at a node,
+so the results are bit-identical to whole-array evaluation for any block
+size and worker count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,9 +47,95 @@ import numpy as np
 
 from .errors import FieldError
 
-# Nodes per block of axis-0 planes in the ring stencils (0.5 MB per
-# float64 temporary).
+# About this many nodes per block of axis-0 planes (0.5 MB per float64
+# temporary).
 _BLOCK_NODES = 1 << 16
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist there."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def worker_count() -> int:
+    """Threads in the block pool: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(worker_count(), thread_name_prefix="pqliouville-block")
+        return _pool
+
+
+def _block_count(planes: int, plane_nodes: int) -> int:
+    """Blocks for `planes` planes: about _BLOCK_NODES nodes each, whole planes."""
+    return max(1, min(planes, (planes * plane_nodes + _BLOCK_NODES // 2) // _BLOCK_NODES))
+
+
+def fits_one_block(arr: np.ndarray) -> bool:
+    """Whether the driver runs all of arr's axis-0 planes inline, as one block."""
+    return _block_count(arr.shape[0], arr[0].size) == 1
+
+
+def map_plane_blocks(
+    kernel: Callable[[int, int], None], lo: int, hi: int, plane_nodes: int
+) -> None:
+    """Call kernel(i0, i1) on consecutive blocks [i0, i1) that cover planes [lo, hi).
+
+    The range splits into as many blocks of about `_BLOCK_NODES` nodes as
+    its size rounds to, at most one per plane, of nearly equal length.
+    One block runs inline; more go to the pool, each under the caller's
+    np.errstate, and this returns when all are done, raising the first
+    failure.  The kernel must write disjoint parts of its output per
+    block and must not call back into this driver.
+    """
+    count = _block_count(hi - lo, plane_nodes)
+    if count == 1:
+        kernel(lo, hi)
+        return
+    step = -(-(hi - lo) // count)
+    errstate = dict(np.geterr(), call=np.geterrcall())
+
+    def run(i0: int) -> None:
+        with np.errstate(**errstate):
+            kernel(i0, min(i0 + step, hi))
+
+    for _ in _executor().map(run, range(lo, hi, step)):
+        pass
+
+
+def blocked_result(
+    kernel: Callable[[slice, np.ndarray | None], np.ndarray], like: np.ndarray
+) -> np.ndarray:
+    """An elementwise result shaped like `like`, assembled over blocks of axis-0 planes.
+
+    kernel(sl, out) computes planes `sl` of the result into `out`, or into
+    a new array when out is None, and returns it.  A grid that fits in one
+    block gets the kernel's own array, so its allocations happen in the
+    same order as in whole-array code; otherwise every block writes into
+    one preallocated output.
+    """
+    if fits_one_block(like):
+        return kernel(slice(None), None)
+    out = np.empty_like(like)
+    map_plane_blocks(lambda i0, i1: kernel(slice(i0, i1), out[i0:i1]), 0, len(out), out[0].size)
+    return out
 
 
 def _interior(ndim: int, k: int = 1) -> tuple[slice, ...]:
@@ -51,11 +157,11 @@ def _ring_stencil(block_kernel, values: np.ndarray, *args) -> np.ndarray:
     """
     d = values.ndim
     out = np.zeros_like(values)
-    n0 = values.shape[0]
-    step = max(1, _BLOCK_NODES // values[0].size)
-    for i0 in range(1, n0 - 1, step):
-        i1 = min(i0 + step, n0 - 1)
+
+    def fill(i0: int, i1: int) -> None:
         block_kernel(values[i0 - 1:i1 + 1], *args, out[i0 - 1:i1 + 1][_interior(d)])
+
+    map_plane_blocks(fill, 1, values.shape[0] - 1, values[0].size)
     for axis in range(d):
         out[_along(d, axis, slice(0, 1))] = np.nan
         out[_along(d, axis, slice(-1, None))] = np.nan
@@ -70,18 +176,33 @@ def gradient_components(values: np.ndarray, h: float) -> list[np.ndarray]:
     the full interior ring while face averages keep their tangential
     reach.
     """
-    d = values.ndim
-    out = []
-    for axis in range(d):
-        g = np.empty_like(values)
+    out = [np.empty_like(values) for _ in range(values.ndim)]
+    map_plane_blocks(lambda i0, i1: _gradient_block(values, h, out, i0, i1),
+                     0, values.shape[0], values[0].size)
+    return out
+
+
+def _gradient_block(values: np.ndarray, h: float, out: list[np.ndarray], i0: int, i1: int) -> None:
+    """Planes [i0, i1) of every component in `out`."""
+    d, n0 = values.ndim, values.shape[0]
+    # Along axis 0 the block reads one halo plane on either side.
+    lo, hi = max(i0, 1), min(i1, n0 - 1)
+    g = out[0][lo:hi]
+    np.subtract(values[lo + 1:hi + 1], values[lo - 1:hi - 1], out=g)
+    g /= 2.0 * h
+    if i0 == 0:
+        out[0][0] = np.nan
+    if i1 == n0:
+        out[0][-1] = np.nan
+    block = values[i0:i1]
+    for axis in range(1, d):
+        g = out[axis][i0:i1]
         mid = g[_along(d, axis, slice(1, -1))]
-        np.subtract(values[_along(d, axis, slice(2, None))],
-                    values[_along(d, axis, slice(0, -2))], out=mid)
+        np.subtract(block[_along(d, axis, slice(2, None))],
+                    block[_along(d, axis, slice(0, -2))], out=mid)
         mid /= 2.0 * h
         g[_along(d, axis, slice(0, 1))] = np.nan
         g[_along(d, axis, slice(-1, None))] = np.nan
-        out.append(g)
-    return out
 
 
 def laplacian(values: np.ndarray, h: float) -> np.ndarray:
@@ -101,11 +222,16 @@ def _laplacian_block(values: np.ndarray, h: float, acc: np.ndarray) -> None:
 
 
 def dot_arrays(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> np.ndarray:
-    out = a[0] * b[0]
-    term = np.empty_like(out)
-    for x, y in zip(a[1:], b[1:]):
-        out += np.multiply(x, y, out=term)
-    return out
+    """sum_k a[k] * b[k], accumulated in k order at every node."""
+
+    def dot(sl: slice, out: np.ndarray | None) -> np.ndarray:
+        acc = np.multiply(a[0][sl], b[0][sl], out=out)
+        term = np.empty_like(acc)
+        for x, y in zip(a[1:], b[1:]):
+            acc += np.multiply(x[sl], y[sl], out=term)
+        return acc
+
+    return blocked_result(dot, a[0])
 
 
 def grad_squared(values: np.ndarray, h: float) -> np.ndarray:

@@ -136,6 +136,50 @@ def reference_flux_divergence(values, h, powers, reg_eps):
     return out
 
 
+def reference_dot(a, b):
+    """sum_k a[k] * b[k] over whole arrays, added in k order."""
+    out = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        out = out + x * y
+    return out
+
+
+def reference_change_of_variable_sides(values, h, b, p, q):
+    """Both sides of the change-of-variable identity and z = |grad v|^2 on
+    the ring-2 interior, from whole-array stencils and one whole-array
+    right side."""
+    grads = reference_gradient_components(values, h)
+    z_full = reference_dot(grads, grads)
+    u = values**b
+    eps = 1e-10 * max(1.0, float(np.nanmax(u) - np.nanmin(u)) / h)
+    inner = tuple(slice(2, -2) for _ in range(values.ndim))
+    lhs = reference_flux_divergence(u, h, (p, q), eps)[inner]
+    v, z = values[inner], z_full[inner]
+    lap = reference_laplacian(values, h)[inner]
+    dzv = reference_dot(reference_gradient_components(z_full, h), grads)[inner]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = abs(b) ** (p - q) * v ** ((b - 1.0) * (p - q)) * z ** ((p - q) / 2.0)
+        A, D, E = 1.0 + w, q - 2.0 + (p - 2.0) * w, q - 1.0 + (p - 1.0) * w
+        rhs = (
+            b * abs(b) ** (q - 2.0) * v ** ((b - 1.0) * (q - 1.0))
+            * (z ** (q / 2.0 - 1.0) * A * lap
+               + (b - 1.0) * E * z ** (q / 2.0) / v
+               + 0.5 * D * z ** ((q - 4.0) / 2.0) * dzv)
+        )
+    return lhs, rhs, z
+
+
+def reference_change_of_variable_check(values, h, b, p, q, tolerance):
+    """The change-of-variable check on the reference sides, as the tuple
+    of IdentityReport's fields."""
+    lhs, rhs, z = reference_change_of_variable_sides(values, h, b, p, q)
+    valid = np.isfinite(lhs) & np.isfinite(rhs) & (z > 1e-12 * float(np.nanmax(z)))
+    err = float(np.max(np.abs(lhs[valid] - rhs[valid])))
+    scale = max(float(np.max(np.abs(lhs[valid]))), 1e-300)
+    rel = err / scale
+    return err, rel, rel <= tolerance, tolerance, None
+
+
 # ---------------------------------------------------------------------------
 # semi-analytic constant-source radial profile (quadrature + root finding)
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pqliouville.params
 from pqliouville.cli import _load_params, _report, build_parser, main
 from pqliouville.identities import DEFAULT_TOLERANCE_FACTOR
 from pqliouville.instance import KINDS, ProblemInstance
+from pqliouville.operators import worker_count
 from pqliouville.params import (MAX_INSTANCES, ParamError, expand_instances, parse_params,
                                 radial_settings)
 from pqliouville.radial import (
@@ -621,13 +622,15 @@ class TestCommands:
 
     def test_timing_flag_adds_section(self, tmp_path):
         # classify and sweep time their expansion and their rows (classify
-        # and as_dict); other commands give the total alone
+        # and as_dict), verify-identities gives the size of the grid
+        # kernels' thread pool; other commands give the total alone
         stages = {"expand_s", "rows_s", "total_s"}
         for argv, keys in (
             (["classify", *PRODUCT_A], stages),
             (["sweep", "--params", TINY_GRID], stages),
             (["search-b", *PRODUCT_A], {"total_s"}),
             (["il-window", "--q", "2", "--m", "3"], {"total_s"}),
+            (["verify-identities", "--resolution", "5"], {"workers", "total_s"}),
         ):
             out = tmp_path / "t.json"
             assert run([*argv, "--timing", "--out", str(out)]) == 0
@@ -636,6 +639,7 @@ class TestCommands:
             assert all(seconds >= 0.0 for seconds in timing[0].values())
             if keys == stages:
                 assert timing[0]["expand_s"] + timing[0]["rows_s"] <= timing[0]["total_s"]
+        assert timing[0]["workers"] == worker_count() >= 1
 
     def test_verify_identities_reruns_are_byte_identical(self, tmp_path):
         paths = [tmp_path / "first.json", tmp_path / "second.json"]

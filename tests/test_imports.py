@@ -23,9 +23,12 @@ SUM = ["--kind", "sum", "--N", "2", "--p", "2", "--q", "1.9", "--s", "1.5", "--m
 RADIAL = ["solve-radial", "--kind", "hamilton_jacobi", "--N", "2", "--p", "3", "--q", "2",
           "--m", "2.5", "--r0", "1", "--r1", "2", "--u0", "-64", "--u1", "0", "--mesh-n", "64"]
 HEAVY = ("numpy", "scipy")
+# The grid kernels' thread pool; operators imports it on the first
+# multi-block call only.
+POOL = "concurrent.futures"
 # dataclasses pulls in inspect, ast, dis and tokenize; the closed-form records
 # are NamedTuples so that the closed-form path imports none of them.
-CLOSED_FORM_SKIPS = (*HEAVY, "dataclasses", "inspect")
+CLOSED_FORM_SKIPS = (*HEAVY, "dataclasses", "inspect", POOL)
 
 
 def fresh(code: str):
@@ -67,12 +70,29 @@ def test_closed_form_commands_skip_numpy_and_scipy(argv, tmp_path):
 
 
 def test_product_search_b_loads_numpy_only(tmp_path):
-    assert loaded_by_cli(["search-b", *PRODUCT], tmp_path) == ["numpy"]
+    assert loaded_by_cli(["search-b", *PRODUCT], tmp_path, (*HEAVY, POOL)) == ["numpy"]
 
 
 def test_solve_radial_skips_the_identity_checks(tmp_path):
     modules = ("pqliouville.identities", "pqliouville.operators", "pqliouville.fields")
     assert loaded_by_cli([*RADIAL, "--fit"], tmp_path, modules) == []
+
+
+def test_solve_radial_starts_no_thread(tmp_path):
+    # scipy imports concurrent.futures itself, so count the threads instead.
+    argv = [*RADIAL, "--fit", "--out", str(tmp_path / "report.json")]
+    threads = fresh(f"import json, threading, pqliouville.cli\n"
+                    f"assert pqliouville.cli.main({argv!r}) == 0\n"
+                    f"print(json.dumps(threading.active_count()))")
+    assert threads == 1
+
+
+def test_thread_pool_loads_on_the_first_multi_block_call(tmp_path):
+    # verify-identities at resolution 9 fits every kernel into one block.
+    assert loaded_by_cli(["verify-identities", "--resolution", "9"], tmp_path, (POOL,)) == []
+    grid_3d = "import numpy as np\nfrom pqliouville.operators import laplacian\n"
+    assert loaded_by(f"{grid_3d}laplacian(np.ones((9, 9, 9)), 0.1)", (POOL,)) == []
+    assert loaded_by(f"{grid_3d}laplacian(np.ones((97, 97, 97)), 0.1)", (POOL,)) == [POOL]
 
 
 def test_public_names_resolve_in_a_fresh_interpreter():

@@ -1,19 +1,31 @@
+import os
+import signal
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from pqliouville import (
     CATALOG,
     FieldError,
+    IdentityReport,
+    change_of_variable_check,
     grid_field,
     laplacian,
     pq_laplacian,
     sample_function,
 )
 from pqliouville import operators
-from pqliouville.operators import flux_divergence, gradient_components
+from pqliouville.identities import _change_of_variable_rhs
+from pqliouville.operators import dot_arrays, flux_divergence, gradient_components
 from oracles import (
     affine_field,
     pq_reference_sin_cos,
+    reference_change_of_variable_check,
+    reference_change_of_variable_sides,
+    reference_dot,
     reference_flux_divergence,
     reference_gradient_components,
     reference_laplacian,
@@ -77,7 +89,7 @@ def _stencil_inputs():
     rng = np.random.default_rng(7)
     return [
         CATALOG["offset_sine"].sample(33),
-        CATALOG["offset_sine"].sample(41, 3),
+        CATALOG["offset_sine"].sample(49, 3),
         grid_field(rng.random((23, 19)) + 0.5, 0.1),
         grid_field(rng.random((13, 11, 9)) + 0.5, 0.1),
     ]
@@ -116,9 +128,64 @@ class TestBlockedStencils:
             for ours, ref in zip(gradient_components(v, h), reference_gradient_components(v, h)):
                 assert np.array_equal(ours, ref, equal_nan=True)
 
+    def test_dot_and_cached_derivatives_match_reference(self, block_nodes):
+        for field in _stencil_inputs():
+            v, h = field.values, field.spacing
+            grads = reference_gradient_components(v, h)
+            z = reference_dot(grads, grads)
+            dzv = reference_dot(reference_gradient_components(z, h), grads)
+            assert np.array_equal(dot_arrays(grads, grads), z, equal_nan=True)
+            assert np.array_equal(field.grad_sq, z, equal_nan=True)
+            assert np.array_equal(field.grad_sq_dot_grad, dzv, equal_nan=True)
+
+    @pytest.mark.parametrize("b, p, q", [(2.0, 3.0, 2.0), (0.5, 2.2, 1.5), (5.0, 3.0, 1.5),
+                                         (0.7, 2.5, 1.8)])
+    def test_change_of_variable_check_matches_reference(self, block_nodes, b, p, q):
+        for field in _stencil_inputs():
+            v, h = field.values, field.spacing
+            ours = change_of_variable_check(field, b, p, q, tolerance=1e-3)
+            assert ours == IdentityReport(*reference_change_of_variable_check(v, h, b, p, q, 1e-3))
+            # The check above cached the derivatives the blocks read.
+            inner = (slice(2, -2),) * field.ndim
+            rhs = operators.blocked_result(
+                lambda sl, out: _change_of_variable_rhs(field, inner, sl, b, p, q, out),
+                field.grad_sq[inner])
+            _, ref, _ = reference_change_of_variable_sides(v, h, b, p, q)
+            assert np.array_equal(rhs, ref, equal_nan=True)
+
+    def test_blocks_run_under_the_callers_errstate(self, block_nodes):
+        # A constant field has zero face gradients: 0 ** (negative) at eps = 0.
+        values = np.ones((9, 7, 7))
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            flux_divergence(values, 0.1, (1.5,), 0.0)
+        with np.errstate(all="ignore"):  # a RuntimeWarning would fail the test
+            assert np.isnan(flux_divergence(values, 0.1, (1.5,), 0.0)[1:-1, 1:-1, 1:-1]).all()
+
     def test_default_blocks_split_a_3d_grid(self):
-        field = CATALOG["offset_sine"].sample(41, 3)
-        assert operators._BLOCK_NODES // field.values[0].size < field.values.shape[0] - 2
+        # The 3-d input above runs on the pool at the default block size too.
+        values = CATALOG["offset_sine"].sample(49, 3).values
+        assert not operators.fits_one_block(values)
+        assert not operators.fits_one_block(values[1:-1])
+
+    def test_default_blocks_send_the_benchmark_grid_to_the_pool(self, monkeypatch):
+        """A 97^3 grid splits into blocks that run on the pool; the 129^2
+        and 257^2 grids of verify-identities --resolution 129 run inline."""
+        calls = []
+        executor = operators._executor
+
+        def counted():
+            calls.append(1)
+            return executor()
+
+        monkeypatch.setattr(operators, "_executor", counted)
+        for n in (129, 257):
+            assert operators.fits_one_block(np.empty((n, n)))
+            laplacian(np.ones((n, n)), 0.1)
+            gradient_components(np.ones((n, n)), 0.1)
+        assert calls == []
+        assert not operators.fits_one_block(np.empty((93, 93, 93)))
+        laplacian(np.ones((97, 97, 97)), 0.1)
+        assert calls == [1]
 
 
 class TestSampling:
@@ -160,3 +227,72 @@ class TestGridField:
         bad[3, 3] = np.nan
         with pytest.raises(FieldError):
             grid_field(bad, 0.1)
+
+
+def _check_and_operator(field, b, p, q):
+    return change_of_variable_check(field, b, p, q), pq_laplacian(field, p, q).values
+
+
+def _same(ours, ref):
+    return ours[0] == ref[0] and np.array_equal(ours[1], ref[1], equal_nan=True)
+
+
+class TestConcurrentUse:
+    """The kernels may be called from several threads at once."""
+
+    JOBS = [(2.0, 3.0, 2.0), (0.5, 2.2, 1.5), (5.0, 3.0, 1.5), (1.0, 2.5, 2.0)]
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["one-field", "own-fields"])
+    def test_user_threads_get_the_serial_results(self, monkeypatch, shared):
+        # One plane per block, so every call maps many blocks over the pool.
+        monkeypatch.setattr(operators, "_BLOCK_NODES", 250)
+        spec = CATALOG["offset_sine"]
+        serial = [_check_and_operator(spec.sample(17, 3), *job) for job in self.JOBS]
+        field = spec.sample(17, 3)
+        results = [[] for _ in self.JOBS]
+        errors = []
+
+        def work(i):
+            try:
+                for _ in range(5):
+                    v = field if shared else spec.sample(17, 3)
+                    results[i].append(_check_and_operator(v, *self.JOBS[i]))
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,), daemon=True)
+                   for i in range(len(self.JOBS))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "deadlock: a thread did not finish"
+        assert errors == []
+        for ours, ref in zip(results, serial):
+            assert len(ours) == 5 and all(_same(r, ref) for r in ours)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_pool(self):
+        values = CATALOG["offset_sine"].sample(97, 3).values
+        expected = laplacian(values, 0.1)  # the parent's pool now runs
+        assert operators._pool is not None
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(laplacian(values, 0.1), expected, equal_nan=True) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG)) == (0, 0) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done == (0, 0):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung on the parent's pool")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
