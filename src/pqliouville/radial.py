@@ -21,6 +21,15 @@ level interpolates the iterate and runs one damped Newton, which then
 takes a few steps whatever the mesh (the mesh-independence principle of
 Allgower, Boehmer, Potra & Rheinboldt, 1986).  If the coarse solve or a
 level fails, the solve starts over once from the data on mesh_n itself.
+
+Only the last solve, the full data on mesh_n, is reported, so only it is
+solved tight (Deuflhard, Newton Methods for Nonlinear Problems, 2004:
+nested iteration and error-oriented termination).  Every earlier data
+stage and level stops at the scaled residual max(tol, STAGE_TOL).  The
+last one stops when its residual is <= tol and its last full Newton
+correction is <= STEP_TOL * max(1, max|x|) (scaled by tol / NEWTON_TOL):
+at the discrete solution, not where the residual first crosses tol.  Once its residual is <= tol,
+a later failure returns that iterate as converged.
 """
 
 from __future__ import annotations
@@ -37,6 +46,10 @@ from .instance import ProblemInstance
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON = 50
+# the stop rule of solve_radial: the residual of an intermediate solve, and the
+# last solve's relative Newton correction at tol = NEWTON_TOL
+STAGE_TOL = 1e-3
+STEP_TOL = 1e-8
 TRIAL_NEWTON = 10
 MAX_DAMPS = 40
 DATA_CONTINUATION_START = 8.0
@@ -270,28 +283,38 @@ def _log_jacobian_bands(pieces, *args):
         return _jacobian_bands(pieces, *args) * pieces[2]
 
 
-def _damped_newton(residual, jacobian, x, tol, max_iter=MAX_NEWTON):
+def _damped_newton(residual, jacobian, x, tol, max_iter=MAX_NEWTON, step_tol=None):
     """Damped Newton on the interior entries of x, boundary entries fixed.
 
     residual(x) returns (res, scale, pieces); jacobian(pieces) turns
     them into the banded Jacobian, solved by LAPACK's tridiagonal dgtsv.
-    At most max_iter steps.  Returns the best iterate, its scaled
-    residual norm, the iteration count and a failure tag
-    ('jacobian_singular', 'newton_stalled') or None.
+    At most max_iter steps.  Without step_tol the iteration stops at the
+    first scaled residual <= tol.  With step_tol it goes on until the
+    last correction was a full (lambda = 1) step of at most
+    step_tol * max(1, max|x|); that test only extends the iteration, so
+    once the residual is <= tol any later failure (a singular Jacobian, a
+    refused line search, the budget) returns the iterate as converged.
+    Returns the best iterate, its scaled residual norm, the iteration
+    count and a failure tag ('jacobian_singular', 'newton_stalled') or
+    None exactly when the residual is <= tol.
     """
     from scipy.linalg.lapack import dgtsv
 
     res, scale, pieces = residual(x)
     norm = _scaled_norm(res, scale)
     iters = 0
-    while norm > tol and iters < max_iter:
+    settled = step_tol is None
+    failure = "newton_stalled"
+    while (norm > tol or not settled) and iters < max_iter:
         ab = jacobian(pieces)
         # res has a non-finite entry exactly when norm is inf
         if norm == math.inf or not np.isfinite(ab).all():
-            return x, norm, iters, "jacobian_singular"
+            failure = "jacobian_singular"
+            break
         *_, step, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], -res, True, True, True, True)
         if info != 0 or not np.isfinite(step).all():
-            return x, norm, iters, "jacobian_singular"
+            failure = "jacobian_singular"
+            break
         lam = 1.0
         for _ in range(MAX_DAMPS):
             x_try = x.copy()
@@ -302,10 +325,12 @@ def _damped_newton(residual, jacobian, x, tol, max_iter=MAX_NEWTON):
                 break
             lam *= 0.5
         else:
-            return x, norm, iters, "newton_stalled"
+            break
         x, norm = x_try, norm_try
         iters += 1
-    return x, norm, iters, None if norm <= tol else "newton_stalled"
+        if step_tol is not None:
+            settled = lam == 1.0 and np.abs(step).max() <= step_tol * max(1.0, np.abs(x).max())
+    return x, norm, iters, None if norm <= tol else failure
 
 
 def _first_data_factor(prob: RadialProblem) -> float:
@@ -349,11 +374,19 @@ def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution
     mesh ends at r0 and r1, so the boundary entries stay exact) and runs
     one damped Newton.  If the coarse solve or a level fails, the solve
     starts over once on mesh_n itself, as on the coarsest level.
+
+    Every data stage before the full data and every level before mesh_n
+    (those of the restart too) stops at the scaled residual
+    max(tol, STAGE_TOL).  The last solve, the full data on mesh_n, goes on
+    until its residual is <= tol and its last full (lambda = 1) Newton
+    correction is <= STEP_TOL * (tol / NEWTON_TOL) * max(1, max|x|);
+    once the residual is <= tol, a later failure still converges.
     `continuation_steps` counts the data stages and `newton_iters` the
     iterations of every level, refused trials and the restart included.
-    Returns converged=False with the best iterate (and a failure tag of
-    'newton_stalled' or 'jacobian_singular') instead of raising when the
-    iteration cannot reach the tolerance.
+    `converged` means residual_norm <= tol.  Returns converged=False with
+    the best iterate (and a failure tag of 'newton_stalled' or
+    'jacobian_singular') instead of raising when the iteration cannot
+    reach the tolerance.
     """
     inst = prob.inst
     reaction = (prob.rhs_override, None) if prob.rhs_override is not None else reaction_function(inst)
@@ -371,22 +404,30 @@ def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution
         x_lo, x_hi, first_factor = lo, hi, _first_data_factor(prob)
 
     def level(cells):
-        """The nodes of a mesh and damped Newton on its residual."""
+        """The nodes of a mesh and damped Newton on its residual, tight on
+        mesh_n at the full data (factor 1), else to the stage tolerance."""
         r = radial_mesh(prob.r0, prob.r1, cells)
         args = (r, r[1] - r[0], _radial_weights(r, inst.N), reaction, inst.p, inst.q)
         residual = lambda x: _assemble(to_u(x), *args, prob.reg_eps)
         jacobian = lambda pieces: bands(pieces, *args)
-        return r, lambda x, budget=MAX_NEWTON: _damped_newton(residual, jacobian, x, tol, budget)
+
+        def newton(x, factor=1.0, budget=MAX_NEWTON):
+            if cells == prob.mesh_n and factor == 1.0:
+                return _damped_newton(residual, jacobian, x, tol, budget, STEP_TOL * tol / NEWTON_TOL)
+            return _damped_newton(residual, jacobian, x, max(tol, STAGE_TOL), budget)
+
+        return r, newton
 
     def from_data(cells):
         r, newton = level(cells)
         # x carries the boundary data; rescaling by a power of two keeps it exact
         x = (x_lo + (x_hi - x_lo) * (r - r[0]) / (r[-1] - r[0])) * first_factor
-        x, norm, iters, failure = newton(x)
+        x, norm, iters, failure = newton(x, first_factor)
         stages, ratio, factor = 1, 2.0, first_factor
         while failure is None and factor < 1.0:
             ratio = min(ratio, 1.0 / factor)
-            x_try, norm_try, k, failure = newton(x * ratio, MAX_NEWTON if ratio == 2.0 else TRIAL_NEWTON)
+            x_try, norm_try, k, failure = newton(x * ratio, factor * ratio,
+                                                 MAX_NEWTON if ratio == 2.0 else TRIAL_NEWTON)
             iters += k
             stages += 1
             if failure is None:

@@ -700,20 +700,26 @@ SWEEP_BYTES = {
 }
 
 # SHA-256 of the solve-radial CSV tables and plot-data curves: (argv, argv
-# of the command whose report plot-data reads or None, digest).
+# of the command whose report plot-data reads or None, digest).  The radial
+# pins here and in RECORD_BYTES hash floats from numpy's SIMD kernels, and
+# were taken with its AVX-512 kernels (ROADMAP item 17).
 TABLE_RESULTS = {
     # the three radial pins were re-taken when the Jacobian became exact and
-    # the solve coarse to fine; u moved by at most 3.7e-10 max|u|
+    # the solve coarse to fine; u moved by at most 3.7e-10 max|u|.  Re-taken
+    # again when only the last solve ran tight, to its Newton correction:
+    # here u moved by 4.0e-15 max|u| and newton_iters went 38 -> 19
     "solve-radial-direct": (["solve-radial", *RADIAL_HJ_4096, "--format", "csv"], None,
-                            "68a4ff1183be86dba648cd642a45d4394381ae31f0977653bffcab936b31c4cc"),
+                            "a2b427564f4206acb062d44f84de5a98738004cfabc9187c5bbe0681d71bdab3"),
+    # re-taken with the stop rule: u moved by 2.2e-16 max|u|, newton_iters 4 -> 5
     "solve-radial-log": (["solve-radial", "--params", str(PRODUCT_GRID.with_name("log_product.par")),
                           "--format", "csv"], None,
-                         "ad72104389f102beb8da014cf22894588968e90e0c838415934961ef7aa336ae"),
+                         "08749f48ce5b600bdd9def743da9b9fe76a216c143a10567771dadf6932ea2f0"),
     # re-taken when the profile came to read the steeper wall only: the
-    # 512 faces nearer r0, not all 1,024 faces at the nearer-wall distance
+    # 512 faces nearer r0, not all 1,024 faces at the nearer-wall distance;
+    # and with the stop rule, from the solve-radial-direct run above
     "plot-data-gradient_profile": (["plot-data", "--selector", "gradient_profile"],
                                    ["solve-radial", *RADIAL_HJ_4096],
-                                   "d930f8ecb70510289781deb34980df0a5f48b9dba035078171145839a8dda58d"),
+                                   "111be7ac2879673346ebde75be39f0854df0d2f92b8746502009b8bdd5a1626c"),
     "plot-data-trinomial": (["plot-data", "--selector", "trinomial"], ["search-b", *PRODUCT_A],
                             "c62cd8e90e95d790126be6d383144a2995585a1bad208d356f7f7574d6af948e"),
 }
@@ -724,13 +730,15 @@ RECORD_BYTES = {
     "verify-identities": (["verify-identities", "--resolution", "33"],
                           "9209af26a8199a9119e8e5b25d0267aeeb50aa7854f1d6d0308cb70fe7c2c03b"),
     # re-taken with the one-wall profile: only "fit" moved, from exponent
-    # 0.8257 (r^2 0.037) to 1.7265 (r^2 0.996)
+    # 0.8257 (r^2 0.037) to 1.7265 (r^2 0.996).  Re-taken with the stop
+    # rule: u moved by 4.0e-15 max|u|, newton_iters 38 -> 19, residual_norm
+    # 1.6e-15 -> 4.7e-16, the exponent in its 14th digit
     "solve-radial-fit": (["solve-radial", *RADIAL_HJ_4096, "--fit"],
-                         "15775bb702c92442f4d3b3b6108125c216e9191af25b0ff1aa69f4f93790935d"),
+                         "4d6e51bd708fe1de83a822fad26b92d63f9abe3d5e09c7c78be4c7a7002dfc92"),
     # the same run with u0 written as an exponent token gives the same bytes
     "solve-radial-fit-u0-exponent": (
         ["solve-radial", *[token.replace("-4096", "-4.096e3") for token in RADIAL_HJ_4096], "--fit"],
-        "15775bb702c92442f4d3b3b6108125c216e9191af25b0ff1aa69f4f93790935d"),
+        "4d6e51bd708fe1de83a822fad26b92d63f9abe3d5e09c7c78be4c7a7002dfc92"),
 }
 
 # The keys a classify row may hold, and those of its threshold dicts.

@@ -202,13 +202,14 @@ class TestSolver:
             RadialProblem(LANE, 1.0, 2.0, -1.0, 1.0, log_transform=True)
 
 
-# the parent's HJ iteration counts on this catalogue bound the new ones;
-# the two m = 2.5, u0 = -40960 cases are refusals at n = 256
+# the HJ iteration counts on this catalogue since the data stages stop at
+# STAGE_TOL (15, 17 and 26 before); the two m = 2.5, u0 = -40960 cases are
+# refusals at n = 256
 CONTINUATION_CATALOGUE = [
-    (1.5, 1.5, -640.0, 22), (1.5, 1.5, -40960.0, 34),
-    (1.5, 2.5, -640.0, 36), (1.5, 2.5, -40960.0, None),
-    (2.0, 1.5, -640.0, 22), (2.0, 1.5, -40960.0, 34),
-    (2.0, 2.5, -640.0, 36), (2.0, 2.5, -40960.0, None),
+    (1.5, 1.5, -640.0, 6), (1.5, 1.5, -40960.0, 6),
+    (1.5, 2.5, -640.0, 14), (1.5, 2.5, -40960.0, None),
+    (2.0, 1.5, -640.0, 6), (2.0, 1.5, -40960.0, 6),
+    (2.0, 2.5, -640.0, 14), (2.0, 2.5, -40960.0, None),
 ]
 
 
@@ -218,7 +219,7 @@ class TestContinuation:
         prob = RadialProblem(inst, 1.0, 2.0, -4096.0, 0.0, mesh_n=256, reg_eps=1e-8)
         sol = solve_radial(prob)
         assert sol.converged
-        assert sol.newton_iters <= 30
+        assert sol.newton_iters <= 18
         assert sol.continuation_steps <= 5
 
     @pytest.mark.parametrize("q,m,u0,max_iters", CONTINUATION_CATALOGUE)
@@ -243,8 +244,8 @@ def newton_calls(monkeypatch):
     """(cells, iterations, failure) of every damped Newton a solve runs."""
     calls, newton = [], radial._damped_newton
 
-    def recording(residual, jacobian, x, tol, max_iter=radial.MAX_NEWTON):
-        out = newton(residual, jacobian, x, tol, max_iter)
+    def recording(residual, jacobian, x, tol, max_iter=radial.MAX_NEWTON, step_tol=None):
+        out = newton(residual, jacobian, x, tol, max_iter, step_tol)
         calls.append((x.size - 1, out[2], out[3]))
         return out
 
@@ -301,12 +302,12 @@ class TestCoarseToFine:
     ], ids=["hj_q2", "hj_q1.5", "log_product", "sum"])
     def test_second_order_against_a_collocation_oracle(self, inst, u0, u1, log):
         # solve_bvp on the first-order system shares no code with the
-        # finite-volume solver.  The solves run at newton_tol 1e-11: at the
-        # default 1e-10 the n = 4096 log_product solve stops at a residual
-        # of 6e-11, whose error (1.0e-9) is above the truncation error
-        # (2.1e-10) that the order measures.
-        sols = [solve_radial(RadialProblem(inst, 1.0, 2.0, u0, u1, mesh_n=n, log_transform=log),
-                             tol=1e-11)
+        # finite-volume solver.  The solves run at the default newton_tol:
+        # a residual-only stop left the n = 4096 log_product solve at an
+        # error of 1.0e-9, above the truncation error (2.1e-10) that the
+        # order measures; the correction test stops it at the discrete
+        # solution.
+        sols = [solve_radial(RadialProblem(inst, 1.0, 2.0, u0, u1, mesh_n=n, log_transform=log))
                 for n in (256, 1024, 4096)]
         assert all(sol.converged for sol in sols)
         reference = bvp_reference(RadialProblem(inst, 1.0, 2.0, u0, u1), sols[1])
@@ -314,6 +315,68 @@ class TestCoarseToFine:
         errors = [np.max(np.abs(sol.u - reference.sol(sol.r)[0])) for sol in sols]
         orders = np.log(np.array(errors[:-1]) / errors[1:]) / np.log(4.0)
         assert np.all((1.7 <= orders) & (orders <= 2.3)), (errors, orders)
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("mesh_n", [256, 1024])
+    @pytest.mark.parametrize("inst,u0,u1,log", [
+        (HJ_Q2, -4096.0, 0.0, False),
+        (ProblemInstance(N=2, p=3.0, q=1.5, kind="hamilton_jacobi", m=2.5), -4096.0, 0.0, False),
+        (SMOOTH_SUM, 1.0, 2.0, False),
+        (LOG_PRODUCT, 1.0, 2.0, True),
+    ], ids=["hj_q2", "hj_q1.5", "sum", "log_product"])
+    def test_default_solve_is_the_discrete_solution(self, inst, u0, u1, log, mesh_n):
+        # the last solve stops on its Newton correction, so the default
+        # newton_tol gives the solution a tighter one does (a residual-only
+        # stop left hj_q2 at n = 256 4.6e-10 max|u| away)
+        prob = RadialProblem(inst, 1.0, 2.0, u0, u1, mesh_n=mesh_n, log_transform=log)
+        sol, tight = solve_radial(prob), solve_radial(prob, tol=1e-12)
+        assert sol.converged and tight.converged
+        assert np.max(np.abs(sol.u - tight.u)) <= 1e-12 * np.max(np.abs(tight.u))
+
+    @pytest.mark.parametrize("inst,u0,u1", [
+        (ProblemInstance(N=2, p=3.0, q=2.0, kind="product", s=0.5, m=0.5), 1e-6, 1e3),
+        (ProblemInstance(N=2, p=3.0, q=2.0, kind="sum", s=1.5, m=2.0, M=1.0), 1e3, 1e-3),
+    ], ids=["product", "sum"])
+    def test_polishing_a_zero_residual_stays_converged(self, inst, u0, u1):
+        # both reach a scaled residual of 0.0 in w = log u, as they did
+        # under a residual-only stop; polishing on towards a small
+        # correction must not turn that into a failure.  The 0.0 is not a
+        # solution: max u is about 1e150, and the residual's scale
+        # overflows to inf (a FOUND line on `_assemble` in CHANGES.md)
+        sol = solve_radial(RadialProblem(inst, 1.0, 2.0, u0, u1, mesh_n=1024, log_transform=True))
+        assert sol.converged and sol.failure is None
+        assert sol.residual_norm <= 1e-10
+
+    def test_budget_spent_after_the_residual_test_is_converged(self, monkeypatch):
+        # with no correction small enough the last solve spends its whole
+        # budget, yet its residual met newton_tol long before
+        calls = newton_calls(monkeypatch)
+        monkeypatch.setattr(radial, "STEP_TOL", 0.0)
+        sol = solve_radial(RadialProblem(SMOOTH_SUM, 1.0, 2.0, 1.0, 2.0, mesh_n=64))
+        assert [(cells, iters) for cells, iters, _ in calls] == [(64, radial.MAX_NEWTON)]
+        assert sol.converged and sol.failure is None
+        assert sol.residual_norm <= 1e-10
+
+    def test_only_the_last_solve_is_tight(self, monkeypatch):
+        # the five data stages on 256 cells and the 512 level stop at STAGE_TOL;
+        # the full data on 1024 cells get newton_tol and the correction test
+        calls, newton = [], radial._damped_newton
+
+        def recording(residual, jacobian, x, tol, max_iter=radial.MAX_NEWTON, step_tol=None):
+            out = newton(residual, jacobian, x, tol, max_iter, step_tol)
+            calls.append((x.size - 1, tol, step_tol, out[1]))
+            return out
+
+        monkeypatch.setattr(radial, "_damped_newton", recording)
+        sol = solve_radial(RadialProblem(HJ_Q2, 1.0, 2.0, -4096.0, 0.0, mesh_n=1024))
+        assert sol.converged
+        *early, last = calls
+        assert [cells for cells, *_ in early] == [256] * 5 + [512]
+        assert all(tol == radial.STAGE_TOL and step_tol is None and 1e-10 < norm <= tol
+                   for _, tol, step_tol, norm in early)
+        assert last[:3] == (1024, 1e-10, radial.STEP_TOL)
+        assert last[3] == sol.residual_norm <= 1e-10
 
 
 JACOBIAN_CASES = [
