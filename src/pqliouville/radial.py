@@ -11,25 +11,29 @@ regularisation reg_eps.  The Jacobian is exact: the flux derivative and
 the closed-form partials of the built-in reactions.  An `rhs_override`
 is a source in r alone, so it adds nothing to the Jacobian.
 
-The solve runs coarse to fine (nested iteration; Briggs, Henson &
-McCormick, A Multigrid Tutorial, 2000).  The levels halve mesh_n,
-rounding up, until it is at most COARSE_MESH_N.  The coarsest level
-solves from the data: with continuation in the data when they are large
-(the ratio between data stages doubles after each converged stage and
-halves after a refused trial), or in one stage in w = log u.  Each finer
-level interpolates the iterate and runs one damped Newton, which then
-takes a few steps whatever the mesh (the mesh-independence principle of
-Allgower, Boehmer, Potra & Rheinboldt, 1986).  If the coarse solve or a
-level fails, the solve starts over once from the data on mesh_n itself.
+The solve is one loop over stages, each one damped Newton on one mesh at
+one data factor (nested iteration; Briggs, Henson & McCormick, A
+Multigrid Tutorial, 2000).  The stages climb a ladder of cell counts:
+mesh_levels(mesh_n) halves mesh_n, rounding up, until it is at most
+COARSE_MESH_N.  The first cell count solves from the data: with
+continuation in the data when they are large (the ratio between data
+stages doubles after each converged stage and halves after a refused
+trial), or in one stage in w = log u.  Each finer cell count
+interpolates the iterate and runs one stage, which then takes a few
+steps whatever the mesh (the mesh-independence principle of Allgower,
+Boehmer, Potra & Rheinboldt, 1986).  A failed stage ends its ladder;
+after a failed ladder of several cell counts a second one, mesh_n alone,
+starts over from the data.
 
-Only the last solve, the full data on mesh_n, is reported, so only it is
+Only a stage at the full data on mesh_n can be reported, so only it is
 solved tight (Deuflhard, Newton Methods for Nonlinear Problems, 2004:
-nested iteration and error-oriented termination).  Every earlier data
-stage and level stops at the scaled residual max(tol, STAGE_TOL).  The
-last one stops when its residual is <= tol and its last full Newton
+nested iteration and error-oriented termination).  Every other stage
+stops at the scaled residual max(tol, STAGE_TOL).  A full-data stage on
+mesh_n stops when its residual is <= tol and its last full Newton
 correction is <= STEP_TOL * max(1, max|x|) (scaled by tol / NEWTON_TOL):
-at the discrete solution, not where the residual first crosses tol.  Once its residual is <= tol,
-a later failure returns that iterate as converged.
+at the discrete solution, not where the residual first crosses tol.
+Once its residual is <= tol, a later failure returns that iterate as
+converged.
 """
 
 from __future__ import annotations
@@ -244,9 +248,10 @@ def _assemble(u, r, h, weights, reaction, p, q, eps):
 
 
 def _scaled_norm(res, scale) -> float:
-    # Python floats: inf / inf is nan here, not a RuntimeWarning
+    # Python floats: inf / inf is nan here, not a RuntimeWarning.  An
+    # overflowed scale is a failed residual too, not a finite one read as 0.
     value = float(np.abs(res).max()) / float(scale)
-    return value if math.isfinite(value) else math.inf
+    return value if math.isfinite(value) and math.isfinite(scale) else math.inf
 
 
 def _jacobian_bands(pieces, r, h, weights, reaction, p, q):
@@ -307,7 +312,7 @@ def _damped_newton(residual, jacobian, x, tol, max_iter=MAX_NEWTON, step_tol=Non
     failure = "newton_stalled"
     while (norm > tol or not settled) and iters < max_iter:
         ab = jacobian(pieces)
-        # res has a non-finite entry exactly when norm is inf
+        # norm is inf exactly when res has a non-finite entry or its scale overflowed
         if norm == math.inf or not np.isfinite(ab).all():
             failure = "jacobian_singular"
             break
@@ -357,36 +362,36 @@ def mesh_levels(mesh_n: int) -> list[int]:
 
 
 def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution:
-    """Damped-Newton finite-volume solve at `reg_eps`, coarse to fine.
+    """Damped-Newton finite-volume solve at `reg_eps`, in one loop over stages.
 
-    On the coarsest of `mesh_levels(mesh_n)` the solve starts from the
-    data.  The direct path continues in the boundary data when it is
-    large: after each converged stage the ratio to the next one doubles
-    (x2, x4, ..., capped at the full data); a trial at a ratio above 2
-    gets TRIAL_NEWTON iterations and, if it fails, is retried from the
-    last converged iterate at half the ratio.  A stage at ratio 2 gets
-    MAX_NEWTON iterations, and its failure ends the stage loop.  With
-    `log_transform` the unknown is w = log u, with u = exp(w) pinned to
-    the exact data at both ends: Newton takes another path to the same
-    discrete solution, in one stage from a start linear in w.
+    A stage is one damped Newton on one mesh, from x * ratio at the data
+    factor factor * ratio.  The stages climb a ladder of cell counts,
+    `mesh_levels(mesh_n)`.  On its first cell count a ladder starts at
+    ratio 1 from a start linear in the unknown, scaled by
+    `_first_data_factor`.  A stage that converges below the full data
+    multiplies the factor by the ratio and doubles the ratio (capped at
+    the full data).  A stage at a ratio above 2 is a trial of TRIAL_NEWTON
+    iterations, retried at half the ratio if it fails; any other stage
+    gets MAX_NEWTON, and its failure ends the ladder.  After a stage
+    converges at the full data, the next cell count runs one stage from
+    the iterate interpolated onto its nodes (every mesh ends at r0 and
+    r1, so the boundary entries stay exact).  When a ladder of more than
+    one cell count fails, a second ladder, mesh_n alone, starts over from
+    the data.  With `log_transform` the unknown is w = log u, with
+    u = exp(w) pinned to the exact data at both ends: Newton takes another
+    path to the same discrete solution, from the full data.
 
-    Each finer level interpolates the last iterate onto its nodes (every
-    mesh ends at r0 and r1, so the boundary entries stay exact) and runs
-    one damped Newton.  If the coarse solve or a level fails, the solve
-    starts over once on mesh_n itself, as on the coarsest level.
-
-    Every data stage before the full data and every level before mesh_n
-    (those of the restart too) stops at the scaled residual
-    max(tol, STAGE_TOL).  The last solve, the full data on mesh_n, goes on
+    A stage below the full data or on a coarser mesh stops at the scaled
+    residual max(tol, STAGE_TOL).  One at the full data on mesh_n goes on
     until its residual is <= tol and its last full (lambda = 1) Newton
-    correction is <= STEP_TOL * (tol / NEWTON_TOL) * max(1, max|x|);
-    once the residual is <= tol, a later failure still converges.
-    `continuation_steps` counts the data stages and `newton_iters` the
-    iterations of every level, refused trials and the restart included.
-    `converged` means residual_norm <= tol.  Returns converged=False with
-    the best iterate (and a failure tag of 'newton_stalled' or
-    'jacobian_singular') instead of raising when the iteration cannot
-    reach the tolerance.
+    correction is <= STEP_TOL * (tol / NEWTON_TOL) * max(1, max|x|); once
+    the residual is <= tol, a later failure still converges.
+    `continuation_steps` counts the stages on each ladder's first cell
+    count, refused trials included, and `newton_iters` the iterations of
+    every stage.  `converged` means residual_norm <= tol.  Returns
+    converged=False with the best iterate (and a failure tag of
+    'newton_stalled' or 'jacobian_singular') instead of raising when the
+    iteration cannot reach the tolerance.
     """
     inst = prob.inst
     reaction = (prob.rhs_override, None) if prob.rhs_override is not None else reaction_function(inst)
@@ -403,52 +408,44 @@ def solve_radial(prob: RadialProblem, tol: float = NEWTON_TOL) -> RadialSolution
         to_u, bands = (lambda u: u), _jacobian_bands
         x_lo, x_hi, first_factor = lo, hi, _first_data_factor(prob)
 
-    def level(cells):
-        """The nodes of a mesh and damped Newton on its residual, tight on
-        mesh_n at the full data (factor 1), else to the stage tolerance."""
-        r = radial_mesh(prob.r0, prob.r1, cells)
-        args = (r, r[1] - r[0], _radial_weights(r, inst.N), reaction, inst.p, inst.q)
-        residual = lambda x: _assemble(to_u(x), *args, prob.reg_eps)
-        jacobian = lambda pieces: bands(pieces, *args)
-
-        def newton(x, factor=1.0, budget=MAX_NEWTON):
-            if cells == prob.mesh_n and factor == 1.0:
-                return _damped_newton(residual, jacobian, x, tol, budget, STEP_TOL * tol / NEWTON_TOL)
-            return _damped_newton(residual, jacobian, x, max(tol, STAGE_TOL), budget)
-
-        return r, newton
-
-    def from_data(cells):
-        r, newton = level(cells)
-        # x carries the boundary data; rescaling by a power of two keeps it exact
-        x = (x_lo + (x_hi - x_lo) * (r - r[0]) / (r[-1] - r[0])) * first_factor
-        x, norm, iters, failure = newton(x, first_factor)
-        stages, ratio, factor = 1, 2.0, first_factor
-        while failure is None and factor < 1.0:
-            ratio = min(ratio, 1.0 / factor)
-            x_try, norm_try, k, failure = newton(x * ratio, factor * ratio,
-                                                 MAX_NEWTON if ratio == 2.0 else TRIAL_NEWTON)
-            iters += k
-            stages += 1
-            if failure is None:
-                x, norm, factor, ratio = x_try, norm_try, factor * ratio, 2.0 * ratio
-            elif ratio > 2.0:
-                failure, ratio = None, ratio / 2.0
-            else:
-                x, norm = x_try, norm_try
-        return r, x, norm, iters, stages, failure
-
     levels = mesh_levels(prob.mesh_n)
-    r, x, norm, iters, stages, failure = from_data(levels[0])
-    for cells in levels[1:]:
-        if failure is not None:
+    r, iters, stages = None, 0, 0
+    # the second ladder, mesh_n alone, runs only when the first one fails
+    for ladder in [levels, [prob.mesh_n]] if len(levels) > 1 else [levels]:
+        for cells in ladder:
+            r_coarse, r = r, radial_mesh(prob.r0, prob.r1, cells)
+            args = (r, r[1] - r[0], _radial_weights(r, inst.N), reaction, inst.p, inst.q)
+            residual = lambda x: _assemble(to_u(x), *args, prob.reg_eps)
+            jacobian = lambda pieces: bands(pieces, *args)
+            if cells == ladder[0]:
+                # x carries the boundary data; rescaling by a power of two keeps it exact
+                x = (x_lo + (x_hi - x_lo) * (r - r[0]) / (r[-1] - r[0])) * first_factor
+                factor = first_factor
+            else:
+                x = np.interp(r, r_coarse, x)
+            ratio = 1.0
+            while True:
+                last = cells == prob.mesh_n and factor * ratio == 1.0
+                x_try, norm, k, failure = _damped_newton(
+                    residual, jacobian, x * ratio, tol if last else max(tol, STAGE_TOL),
+                    TRIAL_NEWTON if ratio > 2.0 else MAX_NEWTON,
+                    STEP_TOL * tol / NEWTON_TOL if last else None)
+                iters += k
+                stages += cells == ladder[0]
+                if failure is None:
+                    x, factor = x_try, factor * ratio
+                    if factor == 1.0:
+                        break
+                    ratio = min(2.0 * ratio, 1.0 / factor)
+                elif ratio > 2.0:
+                    ratio /= 2.0
+                else:
+                    x = x_try
+                    break
+            if failure is not None:
+                break
+        if failure is None:
             break
-        r_fine, newton = level(cells)
-        x, norm, k, failure = newton(np.interp(r_fine, r, x))
-        r, iters = r_fine, iters + k
-    if failure is not None and len(levels) > 1:
-        r, x, norm, k, restart_stages, failure = from_data(prob.mesh_n)
-        iters, stages = iters + k, stages + restart_stages
     return RadialSolution(
         r=r, u=to_u(x), residual_norm=norm,
         newton_iters=iters, continuation_steps=stages,

@@ -1,5 +1,6 @@
 import json
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -240,13 +241,23 @@ HJ_Q2 = ProblemInstance(N=2, p=3.0, q=2.0, kind="hamilton_jacobi", m=2.5)
 LOG_PRODUCT = ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=0.5)
 
 
+class NewtonCall(NamedTuple):
+    cells: int
+    max_iter: int
+    tol: float
+    step_tol: float | None
+    iters: int
+    failure: str | None
+    norm: float
+
+
 def newton_calls(monkeypatch):
-    """(cells, iterations, failure) of every damped Newton a solve runs."""
+    """A NewtonCall for every damped Newton a solve runs."""
     calls, newton = [], radial._damped_newton
 
     def recording(residual, jacobian, x, tol, max_iter=radial.MAX_NEWTON, step_tol=None):
         out = newton(residual, jacobian, x, tol, max_iter, step_tol)
-        calls.append((x.size - 1, out[2], out[3]))
+        calls.append(NewtonCall(x.size - 1, max_iter, tol, step_tol, out[2], out[3], out[1]))
         return out
 
     monkeypatch.setattr(radial, "_damped_newton", recording)
@@ -278,20 +289,20 @@ class TestCoarseToFine:
         sol = solve_radial(RadialProblem(inst, 1.0, 2.0, u0, u1, mesh_n=mesh_n, log_transform=log))
         assert sol.converged and sol.residual_norm <= 1e-10
         levels = mesh_levels(mesh_n)
-        finer = [(cells, iters) for cells, iters, _ in calls if cells != levels[0]]
-        assert [cells for cells, _ in finer] == levels[1:]
-        assert all(iters <= 5 for _, iters in finer)
-        assert sol.newton_iters == sum(iters for _, iters, _ in calls)
+        finer = [call for call in calls if call.cells != levels[0]]
+        assert [call.cells for call in finer] == levels[1:]
+        assert all(call.iters <= 5 for call in finer)
+        assert sol.newton_iters == sum(call.iters for call in calls)
 
     @pytest.mark.parametrize("u0,mesh_n", [(-40960.0, 4096), (-20480.0, 2048)])
     def test_failed_coarse_solve_starts_over_on_the_target_mesh(self, monkeypatch, u0, mesh_n):
         calls = newton_calls(monkeypatch)
         sol = solve_radial(RadialProblem(HJ_Q2, 1.0, 2.0, u0, 0.0, mesh_n=mesh_n))
         assert sol.converged and sol.residual_norm <= 1e-10
-        coarse = [failure for cells, _, failure in calls if cells == 256]
+        coarse = [call.failure for call in calls if call.cells == 256]
         assert coarse[-1] == "newton_stalled"
         # no intermediate level runs: the restart is on mesh_n alone
-        assert {cells for cells, _, _ in calls} == {256, mesh_n}
+        assert {call.cells for call in calls} == {256, mesh_n}
         assert sol.continuation_steps == len(calls)
 
     @pytest.mark.parametrize("inst,u0,u1,log", [
@@ -338,15 +349,15 @@ class TestStopRule:
         (ProblemInstance(N=2, p=3.0, q=2.0, kind="product", s=0.5, m=0.5), 1e-6, 1e3),
         (ProblemInstance(N=2, p=3.0, q=2.0, kind="sum", s=1.5, m=2.0, M=1.0), 1e3, 1e-3),
     ], ids=["product", "sum"])
-    def test_polishing_a_zero_residual_stays_converged(self, inst, u0, u1):
-        # both reach a scaled residual of 0.0 in w = log u, as they did
-        # under a residual-only stop; polishing on towards a small
-        # correction must not turn that into a failure.  The 0.0 is not a
-        # solution: max u is about 1e150, and the residual's scale
-        # overflows to inf (a FOUND line on `_assemble` in CHANGES.md)
+    def test_an_overflowed_residual_scale_is_not_converged(self, inst, u0, u1):
+        # in w = log u both head for max u about 1e150, where the residual's
+        # scale 1 + max|flux|/h + max|src| overflows to inf while the
+        # residual stays finite; read as 0.0 that would be `converged`.  An
+        # inf scale is a failed residual, so the line search refuses those
+        # steps and the solve stalls between the data
         sol = solve_radial(RadialProblem(inst, 1.0, 2.0, u0, u1, mesh_n=1024, log_transform=True))
-        assert sol.converged and sol.failure is None
-        assert sol.residual_norm <= 1e-10
+        assert not sol.converged and sol.failure == "newton_stalled"
+        assert min(u0, u1) <= sol.u.min() and sol.u.max() <= max(u0, u1)
 
     def test_budget_spent_after_the_residual_test_is_converged(self, monkeypatch):
         # with no correction small enough the last solve spends its whole
@@ -354,29 +365,72 @@ class TestStopRule:
         calls = newton_calls(monkeypatch)
         monkeypatch.setattr(radial, "STEP_TOL", 0.0)
         sol = solve_radial(RadialProblem(SMOOTH_SUM, 1.0, 2.0, 1.0, 2.0, mesh_n=64))
-        assert [(cells, iters) for cells, iters, _ in calls] == [(64, radial.MAX_NEWTON)]
+        assert [(call.cells, call.iters) for call in calls] == [(64, radial.MAX_NEWTON)]
         assert sol.converged and sol.failure is None
         assert sol.residual_norm <= 1e-10
 
     def test_only_the_last_solve_is_tight(self, monkeypatch):
         # the five data stages on 256 cells and the 512 level stop at STAGE_TOL;
         # the full data on 1024 cells get newton_tol and the correction test
-        calls, newton = [], radial._damped_newton
-
-        def recording(residual, jacobian, x, tol, max_iter=radial.MAX_NEWTON, step_tol=None):
-            out = newton(residual, jacobian, x, tol, max_iter, step_tol)
-            calls.append((x.size - 1, tol, step_tol, out[1]))
-            return out
-
-        monkeypatch.setattr(radial, "_damped_newton", recording)
+        calls = newton_calls(monkeypatch)
         sol = solve_radial(RadialProblem(HJ_Q2, 1.0, 2.0, -4096.0, 0.0, mesh_n=1024))
         assert sol.converged
         *early, last = calls
-        assert [cells for cells, *_ in early] == [256] * 5 + [512]
-        assert all(tol == radial.STAGE_TOL and step_tol is None and 1e-10 < norm <= tol
-                   for _, tol, step_tol, norm in early)
-        assert last[:3] == (1024, 1e-10, radial.STEP_TOL)
-        assert last[3] == sol.residual_norm <= 1e-10
+        assert [call.cells for call in early] == [256] * 5 + [512]
+        assert all(call.tol == radial.STAGE_TOL and call.step_tol is None
+                   and 1e-10 < call.norm <= call.tol for call in early)
+        assert (last.cells, last.tol, last.step_tol) == (1024, 1e-10, radial.STEP_TOL)
+        assert last.norm == sol.residual_norm <= 1e-10
+
+
+# (cells, max_iter, tol, step_tol, iterations, failure) of every damped
+# Newton in two HJ_Q2 solves at the default newton_tol.  Literal values, so
+# that a change to TRIAL_NEWTON, to the trial budget or to the refused-trial
+# ratio shows here even when every solve still converges.
+STAGE_SCHEDULES = {
+    # from 1/512 of the data at ratios 1, 2, 4 and 8 to 1/8; the full-data
+    # trial at 8 is refused, 4 reaches 1/2, and the full-data stage at 2 stalls
+    (-4096.0, 64): [
+        (64, 50, 1e-3, None, 2, None),
+        (64, 50, 1e-3, None, 2, None),
+        (64, 10, 1e-3, None, 2, None),
+        (64, 10, 1e-3, None, 3, None),
+        (64, 10, 1e-10, 1e-8, 5, "newton_stalled"),
+        (64, 10, 1e-3, None, 3, None),
+        (64, 50, 1e-10, 1e-8, 5, "newton_stalled"),
+    ],
+    # the 256-cell ladder stalls at ratio 2 after two refused trials; the
+    # second ladder, 2048 cells alone, starts over from the data
+    (-40960.0, 2048): [
+        (256, 50, 1e-3, None, 2, None),
+        (256, 50, 1e-3, None, 1, None),
+        (256, 10, 1e-3, None, 2, None),
+        (256, 10, 1e-3, None, 3, None),
+        (256, 10, 1e-3, None, 4, None),
+        (256, 10, 1e-3, None, 4, "newton_stalled"),
+        (256, 10, 1e-3, None, 7, "newton_stalled"),
+        (256, 50, 1e-3, None, 2, "newton_stalled"),
+        (2048, 50, 1e-3, None, 1, None),
+        (2048, 50, 1e-3, None, 0, None),
+        (2048, 10, 1e-3, None, 1, None),
+        (2048, 10, 1e-3, None, 2, None),
+        (2048, 10, 1e-3, None, 2, None),
+        (2048, 10, 1e-10, 1e-8, 10, "newton_stalled"),
+        (2048, 10, 1e-3, None, 3, None),
+        (2048, 50, 1e-10, 1e-8, 10, None),
+    ],
+}
+
+
+class TestStageSchedule:
+    @pytest.mark.parametrize("u0,mesh_n", list(STAGE_SCHEDULES),
+                             ids=["refused_trials", "second_ladder"])
+    def test_every_stage_is_as_scheduled(self, monkeypatch, u0, mesh_n):
+        calls = newton_calls(monkeypatch)
+        sol = solve_radial(RadialProblem(HJ_Q2, 1.0, 2.0, u0, 0.0, mesh_n=mesh_n))
+        assert [call[:6] for call in calls] == STAGE_SCHEDULES[u0, mesh_n]
+        assert sol.newton_iters == sum(call.iters for call in calls)
+        assert sol.failure == calls[-1].failure
 
 
 JACOBIAN_CASES = [
