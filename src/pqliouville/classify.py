@@ -5,7 +5,9 @@ reaction kind; all matches are reported and `theorem` holds the
 strongest one under the precedence product > IL > sum > HJ (the
 dedicated Hamilton-Jacobi statement outranks the bounded-solution
 rigidity result for its own kind, since its conclusion needs no
-boundedness).
+boundedness).  The trace keeps every hypothesis row as a hashable
+`TheoremCondition`, so a report row can name each one by its index in
+the report's condition table.
 """
 
 from __future__ import annotations
@@ -92,21 +94,24 @@ class RegimeDecision(NamedTuple):
         """Conditions owned by a theorem (product cases share their common block)."""
         return tuple(_owned(self.conditions, theorem))
 
-    def as_dict(self, templates: dict) -> dict:
-        """The report row.  Each condition becomes [template index, passed, values].
+    def as_dict(self, table) -> dict:
+        """The report row.  Each condition becomes its index in `table`.
 
-        `templates` (a `report.ConditionTemplates`) maps (theorem, label,
-        template) to its index in the report's `condition_templates` table
-        and appends keys it has not seen, so one index serves a whole report.
+        `table` (a `report.ConditionTable`) numbers the distinct conditions
+        of a whole report; the report writes them once, as its
+        `conditions` entries.  An instance whose p, q, s, m or M is not a
+        float can put ints among the values, which the table must tell
+        from floats.
         The row leaves out `inst` (the report's echoed parameter map gives
         it back), every None and an empty `matches`; the four records
         (exponents, thresholds, selection) are written through their own
         `as_dict`, under the keys RECORD_KEYS gives them.
         """
+        _, p, q, _, s, m, M = self.inst
+        floats = type(p) is type(q) is type(s) is type(m) is type(M) is float
         row = {
             "theorem": self.theorem,
-            "conditions": [[templates[theorem, label, template], passed, values]
-                           for theorem, label, template, values, passed in self.conditions],
+            "conditions": table.indices(self.conditions, ints=not floats),
             "liouville": self.liouville,
         }
         if self.matches:
@@ -127,12 +132,12 @@ RECORD_KEYS = ("exponents", "product_thresholds", "sum_thresholds", "selection")
 
 def _ishii_lions_rows(inst: ProblemInstance, trace: _Trace) -> None:
     template = "m > q (gradient-dominated reaction, bounded solutions): {:.6g} > {:.6g}"
-    _file(trace, "thm_IL", ("m_gt_q", template, [inst.m, inst.q], inst.m > inst.q))
+    _file(trace, "thm_IL", ("m_gt_q", template, (inst.m, inst.q), inst.m > inst.q))
 
 
 def _classify_hj(inst: ProblemInstance, trace: _Trace) -> None:
     _file(trace, "thm_HJ", ("superlinear_gradient", "m > p-1: {:.6g} > {:.6g}",
-                            [inst.m, inst.p - 1.0], inst.m > inst.p - 1.0))
+                            (inst.m, inst.p - 1.0), inst.m > inst.p - 1.0))
     _ishii_lions_rows(inst, trace)
 
 
@@ -147,19 +152,19 @@ def _product_case_rows(
     Q, q1, q2 = th.Q, th.Q1, th.Q2
     position = window_position(th)
     if position == "boundary":
-        _file(trace, "thm_product_B", ("boundary_window", "Q in {{Q1, Q2}}: Q = {:.6g}", [Q], True),
+        _file(trace, "thm_product_B", ("boundary_window", "Q in {{Q1, Q2}}: Q = {:.6g}", (Q,), True),
               small_s_row(inst))
         return "thm_product_B", None
     if position == "inside":
         _file(trace, "thm_product_A",
-              ("open_window", "Q1 < Q < Q2: {:.6g} < {:.6g} < {:.6g}", [q1, Q, q2], True))
+              ("open_window", "Q1 < Q < Q2: {:.6g} < {:.6g} < {:.6g}", (q1, Q, q2), True))
         return "thm_product_A", None
     theorem = "thm_product_C"
     _file(
         trace, theorem, small_s_row(inst),
-        ("m_le_q", "m <= q: {:.6g} <= {:.6g}", [inst.m, inst.q], inst.m <= inst.q),
-        ("q_lt_p", "q < p: {:.6g} < {:.6g}", [inst.q, inst.p], inst.q < inst.p),
-        ("p_lt_m_plus_1", "p < m+1: {:.6g} < {:.6g}", [inst.p, inst.m + 1.0],
+        ("m_le_q", "m <= q: {:.6g} <= {:.6g}", (inst.m, inst.q), inst.m <= inst.q),
+        ("q_lt_p", "q < p: {:.6g} < {:.6g}", (inst.q, inst.p), inst.q < inst.p),
+        ("p_lt_m_plus_1", "p < m+1: {:.6g} < {:.6g}", (inst.p, inst.m + 1.0),
          inst.p < inst.m + 1.0),
     )
     if optimal_search:
@@ -167,22 +172,22 @@ def _product_case_rows(
         _file(trace, theorem, (
             "window_numeric",
             "numeric convex-case feasibility (vertex of the majorant is negative): {}",
-            [sel.case_tag],
+            (sel.case_tag,),
             sel.case_tag == "case3_convex",
         ))
         return theorem, sel
     if position == "above":
         if th.Q3 is None:
-            _file(trace, theorem, ("upper_window", "Q3 undefined at s=0", [], False))
+            _file(trace, theorem, ("upper_window", "Q3 undefined at s=0", (), False))
         else:
             _file(trace, theorem, ("upper_window", "Q2 < Q < Q3: {:.6g} < {:.6g} < {:.6g}",
-                                   [q2, Q, th.Q3], Q < th.Q3))
+                                   (q2, Q, th.Q3), Q < th.Q3))
         return theorem, None
     # Q below Q1, so the lower-window row tests its lower bound only; it
     # needs the comparison ratio a.
     if th.a is None:
         _file(trace, theorem,
-              ("lower_window", "comparison ratio a undefined (s=0 or p=q)", [], False))
+              ("lower_window", "comparison ratio a undefined (s=0 or p=q)", (), False))
         return theorem, None
     if th.a <= 1.0:
         lower = inst.N * ((1.0 - th.a) * th.Q1**2 + th.R) / (4.0 * (inst.q - 1.0))
@@ -190,7 +195,7 @@ def _product_case_rows(
     else:
         lower = inst.N * th.R / (4.0 * (inst.q - 1.0))
         template = "a > 1 branch: NR/(4(q-1)) < Q < Q1: {:.6g} < {:.6g} < {:.6g}"
-    _file(trace, theorem, ("lower_window", template, [lower, Q, q1], lower < Q))
+    _file(trace, theorem, ("lower_window", template, (lower, Q, q1), lower < Q))
     return theorem, None
 
 
@@ -205,7 +210,7 @@ def _classify_product(
     if case_theorem is not None and _passes(trace, case_theorem):
         selection = window_selection or select_b_product(inst)
         _file(trace, case_theorem, ("selection_feasible", "constructive b-selection: {}",
-                                    [selection.case_tag], selection.feasible))
+                                    (selection.case_tag,), selection.feasible))
         if selection.feasible:
             bundle = exponent_bundle(inst, selection.b_star)
     return th, case_theorem, selection, bundle
@@ -217,23 +222,23 @@ def _classify_sum(
     th = sum_thresholds(inst)
     p, q, s, m = inst.p, inst.q, inst.s, inst.m
     liou = "thm_sum_liouville"
-    M_positive = ("M_positive", "M > 0: {:.6g}", [inst.M], inst.M > 0.0)
+    M_positive = ("M_positive", "M > 0: {:.6g}", (inst.M,), inst.M > 0.0)
     _file(trace, liou, M_positive, *sum_liouville_rows(inst, th))
 
     s_lo_g = max(q - 1.0, 1.0)
     m_lo = max(q * s / (s + 1.0), 2.0 * s)
     _file(
         trace, "thm_sum_growth", M_positive,
-        ("m_p_gap", "m-p+2 > 0: {:.6g}", [m - p + 2.0], m - p + 2.0 > 0.0),
-        ("s_large", "s > max(q-1, 1): {:.6g} > {:.6g}", [s, s_lo_g], s > s_lo_g),
-        ("m_large", "m > max(qs/(s+1), 2s): {:.6g} > {:.6g}", [m, m_lo], m > m_lo),
+        ("m_p_gap", "m-p+2 > 0: {:.6g}", (m - p + 2.0,), m - p + 2.0 > 0.0),
+        ("s_large", "s > max(q-1, 1): {:.6g} > {:.6g}", (s, s_lo_g), s > s_lo_g),
+        ("m_large", "m > max(qs/(s+1), 2s): {:.6g} > {:.6g}", (m, m_lo), m > m_lo),
     )
 
     selection = bundle = None
     if _passes(trace, liou):
         selection = sum_selection(inst)
         _file(trace, liou, ("selection_feasible", "constructive tau-selection: {}",
-                            [selection.case_tag], selection.feasible))
+                            (selection.case_tag,), selection.feasible))
         if selection.feasible:
             bundle = sum_exponent_bundle(inst, selection.t_star)
     return th, selection, bundle

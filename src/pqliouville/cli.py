@@ -24,7 +24,7 @@ from .errors import AdmissibilityError
 from .instance import KINDS, ProblemInstance
 from .ishii_lions import il_parameter_window
 from .params import INSTANCE_KEYS, KEYS, ParamError, expand_instances, parse_params, radial_settings
-from .report import ConditionTemplates, Report, atomic_write_text
+from .report import ConditionTable, Report, atomic_write_text
 from .selection import select_b_product, sum_selection
 from .trinomial import MAX_ORACLE_POINTS, TrinomialCoeffs, oracle_curve, product_trinomial, verify_negativity
 
@@ -169,9 +169,9 @@ def _search_one(inst: ProblemInstance, oracle_points: int) -> dict:
 
 
 # Each handler returns its Report fields (results; for classify and
-# sweep condition_templates and the times of their stages as "timing";
-# for verify-identities "timing" with "workers", the size of the grid
-# kernels' thread pool),
+# sweep the condition table as "conditions" and the times of their
+# stages as "timing"; for verify-identities "timing" with "workers", the
+# size of the grid kernels' thread pool),
 # the config_echo entries only it knows, and the exit code; _report times
 # the call and builds the report.  With --format csv the results are the
 # table's rows, header first.
@@ -189,11 +189,11 @@ def _cmd_classify(args, params):
     started = time.perf_counter()
     instances = expand_instances(merged)
     expanded = time.perf_counter()
-    templates = ConditionTemplates()
-    results = [classify(inst, optimal_search=args.optimal_search).as_dict(templates)
+    table = ConditionTable()
+    results = [classify(inst, optimal_search=args.optimal_search).as_dict(table)
                for inst in instances]
     stages = {"expand_s": expanded - started, "rows_s": time.perf_counter() - expanded}
-    fields = {"results": results, "condition_templates": templates.table(), "timing": stages}
+    fields = {"results": results, "conditions": table.entries, "timing": stages}
     return fields, {"params": merged}, 0
 
 

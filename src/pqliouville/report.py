@@ -7,6 +7,11 @@ output lets ``json`` use its C encoder, which it skips whenever
 lists and dicts come from records and never hold themselves.  Wall-clock
 timings are collected but only emitted when explicitly requested, to
 keep the default output reproducible.
+
+Schema 6: a classify or sweep report writes each distinct hypothesis
+condition once, in its top-level `conditions` table (a
+`ConditionTable`), and each row's `conditions` are indices into it.  On
+a sweep most conditions repeat, since each depends on a few keys only.
 """
 
 from __future__ import annotations
@@ -18,23 +23,58 @@ import tempfile
 from collections.abc import Sequence
 from typing import NamedTuple
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
-class ConditionTemplates(dict):
-    """Index of (theorem, label, template) keys in first-use order.
+class ConditionTable(dict):
+    """Each distinct hypothesis condition of one report once, in first-use order.
 
-    `templates[key]` returns the key's index, appending a key it has not
-    seen, so a report lists only the templates its rows use.
+    `indices` returns the index of each (theorem, label, template, values,
+    passed) condition and numbers those it has not seen; `entries` lists
+    them by index, as `[theorem, label, template, passed, values]`, for the
+    report's `conditions` table.  Two conditions share an index exactly
+    when they write the same JSON.  Python equality is looser: 0.0 == -0.0
+    == 0 and 2 == 2.0, and NaN equals nothing.  So a condition whose
+    values hold a zero, an int or NaN is keyed by the repr of its values,
+    which tells those apart as JSON does; any other condition is its own
+    key.
     """
 
-    def __missing__(self, key: tuple[str, str, str]) -> int:
-        self[key] = index = len(self)
+    def __init__(self):
+        super().__init__()
+        self.entries: list[list] = []
+
+    def __missing__(self, condition) -> int:
+        # A condition holding a zero or NaN is never stored as its own key,
+        # so its lookup always lands here, never on a zero of the other sign.
+        for value in condition[3]:
+            if value == 0.0 or value != value:
+                return self._exact(condition)
+        self[condition] = index = self._add(condition)
         return index
 
-    def table(self) -> list[list[str]]:
-        """The `condition_templates` entries: [theorem, label, template] by index."""
-        return [list(key) for key in self]
+    def _add(self, condition) -> int:
+        theorem, label, template, values, passed = condition
+        self.entries.append([theorem, label, template, passed, list(values)])
+        return len(self.entries) - 1
+
+    def _exact(self, condition) -> int:
+        theorem, label, template, values, passed = condition
+        key = (theorem, label, template, repr(values), passed)
+        index = self.get(key)
+        if index is None:
+            self[key] = index = self._add(condition)
+        return index
+
+    def indices(self, conditions, ints: bool = False) -> list[int]:
+        """The indices of `conditions`, numbering new ones.
+
+        Pass `ints` when a value may be an int, which equals the float of
+        the same value: each condition is then checked for one.
+        """
+        if not ints:
+            return list(map(self.__getitem__, conditions))
+        return [self._exact(c) if int in map(type, c[3]) else self[c] for c in conditions]
 
 
 class Report(NamedTuple):
@@ -42,7 +82,7 @@ class Report(NamedTuple):
     config_echo: dict
     results: list
     timing: Sequence[dict] = ()
-    condition_templates: Sequence[list] = ()
+    conditions: Sequence[list] = ()
 
     def as_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -51,8 +91,8 @@ class Report(NamedTuple):
             "config_echo": self.config_echo,
             "results": self.results,
         }
-        if self.condition_templates:
-            out["condition_templates"] = self.condition_templates
+        if self.conditions:
+            out["conditions"] = self.conditions
         if include_timing:
             out["timing"] = self.timing
         return out

@@ -44,15 +44,17 @@ class TheoremCondition(NamedTuple):
     """One hypothesis row: `template.format(*values)` is its rendering.
 
     classify files its rows under the theorem they belong to, a selection
-    trace under "selection".  Classify reports store the values and an
-    index into their `condition_templates` table; selection traces store
-    the rendering.
+    trace under "selection".  `values` is a tuple, so a condition is
+    hashable and serves as its own key in a report's condition table.
+    Classify reports store each distinct condition once, in their
+    `conditions` table, and rows index it; selection traces store the
+    rendering.
     """
 
     theorem: str
     label: str
     template: str
-    values: list
+    values: tuple
     passed: bool
 
     @property
@@ -90,14 +92,15 @@ def small_s_threshold(inst: ProblemInstance) -> float:
 
 
 # Hypothesis rows shared with classify are plain (label, template, values,
-# passed) tuples in report order; each caller files them under its theorem.
-Row = tuple[str, str, list, bool]
+# passed) tuples in report order, values a tuple; each caller files them
+# under its theorem.
+Row = tuple[str, str, tuple, bool]
 
 
 def small_s_row(inst: ProblemInstance) -> Row:
     """Small-s side condition of theorems B and C (selection case 2)."""
     s_thr = small_s_threshold(inst)
-    return ("small_s", "s < (q-1)/(p-1+N(p-q)/2): {:.6g} < {:.6g}", [inst.s, s_thr], inst.s < s_thr)
+    return ("small_s", "s < (q-1)/(p-1+N(p-q)/2): {:.6g} < {:.6g}", (inst.s, s_thr), inst.s < s_thr)
 
 
 def product_shared_rows(inst: ProblemInstance, th: ProductThresholds) -> list[Row]:
@@ -105,19 +108,19 @@ def product_shared_rows(inst: ProblemInstance, th: ProductThresholds) -> list[Ro
     Q = th.Q
     lim = beta2_large_b_limit(inst)
     return [
-        ("s_positive", "s > 0: {:.6g}", [inst.s], inst.s > 0.0),
-        ("Q_positive", "m+s-q+1 > 0: {:.6g}", [Q], Q > 0.0),
-        ("beta2_limit_positive", "1 - (p-q)(1+s)/Q > 0: {:.6g}", [lim], lim > 0.0),
+        ("s_positive", "s > 0: {:.6g}", (inst.s,), inst.s > 0.0),
+        ("Q_positive", "m+s-q+1 > 0: {:.6g}", (Q,), Q > 0.0),
+        ("beta2_limit_positive", "1 - (p-q)(1+s)/Q > 0: {:.6g}", (lim,), lim > 0.0),
         (
             "superlinear_reaction",
             "m+s > p-1: {:.6g} > {:.6g}",
-            [inst.m + inst.s, inst.p - 1.0],
+            (inst.m + inst.s, inst.p - 1.0),
             inst.m + inst.s > inst.p - 1.0,
         ),
         (
             "discriminant",
             "4(q-1)^2 >= N^2 R: {:.6g} >= {:.6g}",
-            [4.0 * (inst.q - 1.0) ** 2, inst.N**2 * th.R],
+            (4.0 * (inst.q - 1.0) ** 2, inst.N**2 * th.R),
             th.discriminant_ok,
         ),
     ]
@@ -127,22 +130,22 @@ def sum_liouville_rows(inst: ProblemInstance, th: SumThresholds) -> list[Row]:
     """Gap, delta, s-window, beta2-limit and m-window rows of the sum Liouville theorem."""
     N, p, q, s, m = inst.N, inst.p, inst.q, inst.s, inst.m
     if th.s_minus is None:
-        s_window = ("s_window", "s-window undefined (delta_pq <= 0)", [], False)
+        s_window = ("s_window", "s-window undefined (delta_pq <= 0)", (), False)
     else:
         s_lo = max(th.s_minus, p - 1.0)
         s_window = (
             "s_window",
             "max(s_minus, p-1) < s < s_plus: {:.6g} < {:.6g} < {:.6g}",
-            [s_lo, s, th.s_plus],
+            (s_lo, s, th.s_plus),
             s_lo < s < th.s_plus,
         )
     lim = beta2_large_b_limit(inst._replace(m=0.0))
     return [
-        ("gap", "N(p-q) < 2(q-1): {:.6g} < {:.6g}", [N * (p - q), 2.0 * (q - 1.0)], th.gap_ok),
-        ("delta_positive", "delta_pq = {:.6g} > 0", [th.delta_pq], th.delta_pq > 0.0),
+        ("gap", "N(p-q) < 2(q-1): {:.6g} < {:.6g}", (N * (p - q), 2.0 * (q - 1.0)), th.gap_ok),
+        ("delta_positive", "delta_pq = {:.6g} > 0", (th.delta_pq,), th.delta_pq > 0.0),
         s_window,
-        ("beta2_limit_positive", "1 - (p-q)(1+s)/(s-q+1) > 0: {:.6g}", [lim], lim > 0.0),
-        ("m_window", "0 < m <= (N+2)(q-1)/N: {:.6g} <= {:.6g}", [m, th.m_max], 0.0 < m <= th.m_max),
+        ("beta2_limit_positive", "1 - (p-q)(1+s)/(s-q+1) > 0: {:.6g}", (lim,), lim > 0.0),
+        ("m_window", "0 < m <= (N+2)(q-1)/N: {:.6g} <= {:.6g}", (m, th.m_max), 0.0 < m <= th.m_max),
     ]
 
 
@@ -204,16 +207,16 @@ def _product_blocks(inst: ProblemInstance):
     position = window_position(th)
 
     if position in ("above", "below"):  # strictly convex quadratic
-        yield [("case", "Q outside [Q1, Q2]: Q={:.6g}", [th.Q], True)]
-        yield [("L1_positive", "L1 = {:.6g} > 0", [coeffs.L1], coeffs.L1 > 0.0)]
+        yield [("case", "Q outside [Q1, Q2]: Q={:.6g}", (th.Q,), True)]
+        yield [("L1_positive", "L1 = {:.6g} > 0", (coeffs.L1,), coeffs.L1 > 0.0)]
         yield [("L2_negative", "L2 = {:.6g} < 0 (equivalent to s < {:.6g})",
-                [coeffs.L2, small_s_threshold(inst)], coeffs.L2 < 0.0)]
+                (coeffs.L2, small_s_threshold(inst)), coeffs.L2 < 0.0)]
         yield [("vertex_discriminant", "4 L1 L3 < L2^2: {:.6g} < {:.6g}",
-                [4.0 * coeffs.L1 * coeffs.L3, coeffs.L2**2],
+                (4.0 * coeffs.L1 * coeffs.L3, coeffs.L2**2),
                 4.0 * coeffs.L1 * coeffs.L3 < coeffs.L2 * coeffs.L2)]
         t_star = -coeffs.L2 / (2.0 * coeffs.L1)
         b_star = b_from_t(inst, t_star)
-        yield [("b_floor", "b* = {:.6g} > {:.6g}", [b_star, floor], b_star > floor)]
+        yield [("b_floor", "b* = {:.6g} > {:.6g}", (b_star, floor), b_star > floor)]
         # Only above the floor: below it bQ + q - m can be 0.
         gamma = gamma_exponent(inst, b_star)
         if b_star <= 1.0:
@@ -225,18 +228,18 @@ def _product_blocks(inst: ProblemInstance):
                 " (beta1 increasing in b for m <= q; beta2 monotone via its Moebius form)"
             )
             branch_value = beta2(inst, b_star)
-        yield [("gamma_positive", template, [gamma, b_star, branch_value], gamma > 0.0)]
+        yield [("gamma_positive", template, (gamma, b_star, branch_value), gamma > 0.0)]
         return "case3_convex", t_star, b_star, -coeffs.value(t_star)
 
     if position == "boundary":
         tag = "case2_L1zero"
-        yield [("case", "Q on window boundary: Q={:.6g}", [th.Q], True)]
+        yield [("case", "Q on window boundary: Q={:.6g}", (th.Q,), True)]
         yield [small_s_row(inst)]
-        yield [("L2_negative", "L2 = {:.6g} < 0", [coeffs.L2], coeffs.L2 < 0.0)]
+        yield [("L2_negative", "L2 = {:.6g} < 0", (coeffs.L2,), coeffs.L2 < 0.0)]
     else:
         tag = "case1_L1neg"
-        yield [("case", "Q1 < Q < Q2: {:.6g} < {:.6g} < {:.6g}", [th.Q1, th.Q, th.Q2], True)]
-        yield [("L1_negative", "L1 = {:.6g} < 0", [coeffs.L1], coeffs.L1 < 0.0)]
+        yield [("case", "Q1 < Q < Q2: {:.6g} < {:.6g} < {:.6g}", (th.Q1, th.Q, th.Q2), True)]
+        yield [("L1_negative", "L1 = {:.6g} < 0", (coeffs.L1,), coeffs.L1 < 0.0)]
 
     def accept(t):
         b = b_from_t(inst, t)
@@ -244,10 +247,10 @@ def _product_blocks(inst: ProblemInstance):
 
     t = _first_power_of_two(accept)
     if t is None:
-        yield [("doubling_accept", "no t <= 2^60 met L(t) <= -1 with gamma > 0", [], False)]
+        yield [("doubling_accept", "no t <= 2^60 met L(t) <= -1 with gamma > 0", (), False)]
     b = b_from_t(inst, t)
     yield [("doubling_accept", "t={:.6g}: L(t)={:.6g} <= -1, b={:.6g}, gamma={:.6g} > 0",
-            [t, coeffs.value(t), b, gamma_exponent(inst, b)], True)]
+            (t, coeffs.value(t), b, gamma_exponent(inst, b)), True)]
     return tag, t, b, 1.0
 
 
@@ -269,7 +272,7 @@ def _sum_blocks(inst: ProblemInstance):
     yield rows[:2]  # gap and delta: without them the s-window is not reported
     yield rows[2:]
     lead = sum_leading_coefficient(inst)
-    yield [("leading_coefficient", "leading tau^2 coefficient = {:.6g} < 0", [lead], lead < 0.0)]
+    yield [("leading_coefficient", "leading tau^2 coefficient = {:.6g} < 0", (lead,), lead < 0.0)]
     gradient_free = inst._replace(m=0.0)
 
     def accept(tau):
@@ -277,7 +280,7 @@ def _sum_blocks(inst: ProblemInstance):
 
     tau = _first_power_of_two(accept)
     if tau is None:
-        yield [("tau_accept", "no tau <= 2^60 gave b > 1 with beta2 > 0", [], False)]
+        yield [("tau_accept", "no tau <= 2^60 gave b > 1 with beta2 > 0", (), False)]
     b = b_from_t(gradient_free, tau)
-    yield [("tau_accept", "tau={:.6g}: b={:.6g} > 1, beta2={:.6g} > 0", [tau, b, sum_beta2(inst, b)], True)]
+    yield [("tau_accept", "tau={:.6g}: b={:.6g} > 1, beta2={:.6g} > 0", (tau, b, sum_beta2(inst, b)), True)]
     return "sum_large_tau", tau, b, 1.0

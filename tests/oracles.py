@@ -11,11 +11,13 @@ hand-derived analytic expansion, the whole-array stencils are the
 straightforward NaN-ring forms the blocked operators must reproduce bit
 for bit, the affine field is written out by hand, the epsilon sensitivity
 bounds the epsilon terms of the product trinomial term by term, and the
-parameter-window oracle brackets the feasibility predicate by bisection.
+parameter-window oracle brackets the feasibility predicate by bisection,
+and the schema-5 view re-expands a report's condition table row by row.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -520,3 +522,35 @@ def near_window_root(draw):
         m = math.nextafter(m, direction)
     assume(m >= 0.0)
     return ProblemInstance(N=N, p=p, q=q, kind="product", s=s, m=m)
+
+
+# ---------------------------------------------------------------------------
+# schema-5 view of a report
+# ---------------------------------------------------------------------------
+
+def schema5_view(text: str | bytes) -> bytes:
+    """The bytes schema 5 wrote for the run that wrote this report.
+
+    Schema 6 lists each distinct condition once, as `[theorem, label,
+    template, passed, values]` in the top-level `conditions` table, and a
+    row's `conditions` are indices into it.  Schema 5 wrote each condition
+    in its row as `[template_index, passed, values]`, the index into a
+    top-level `condition_templates` list of `[theorem, label, template]` in
+    first-use order.  A report without a condition table differs only in
+    `schema`.  Parsing and writing again give the same bytes: every float
+    a report holds is written as its repr, which reads back to itself.
+    """
+    report = json.loads(text)
+    report["schema"] = 5
+    table = report.pop("conditions", None)
+    if table is not None:
+        templates: dict[tuple, int] = {}
+        for row in report["results"]:
+            expanded = []
+            for index in row["conditions"]:
+                theorem, label, template, passed, values = table[index]
+                key = theorem, label, template
+                expanded.append([templates.setdefault(key, len(templates)), passed, values])
+            row["conditions"] = expanded
+        report["condition_templates"] = [list(key) for key in templates]
+    return (json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n").encode()

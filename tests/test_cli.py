@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import schema5_view
 
 import pqliouville.cli as cli
 import pqliouville.params
+from pqliouville.classify import classify
 from pqliouville.cli import _load_params, _report, build_parser, main
 from pqliouville.identities import DEFAULT_TOLERANCE_FACTOR
 from pqliouville.instance import KINDS, ProblemInstance
@@ -30,6 +32,7 @@ from pqliouville.radial import (
     radial_mesh,
     solve_radial,
 )
+from pqliouville.report import ConditionTable, Report
 from pqliouville.trinomial import product_trinomial
 
 PRODUCT_GRID = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "product_grid.par"
@@ -260,11 +263,13 @@ class TestCommands:
         ])
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == 5
+        assert report["schema"] == 6
         assert "timing" not in report
         row = report["results"][0]
         assert row["theorem"] == "thm_product_A"
         assert row["liouville"] is True
+        # one instance files each of its conditions once, so the row indexes the whole table
+        assert row["conditions"] == list(range(len(report["conditions"])))
 
     def test_classify_none_is_exit_zero(self, tmp_path, capsys):
         code = run([
@@ -661,9 +666,9 @@ class TestCommands:
         assert not any("constant" in row["report"] for row in report["results"])
 
 
-# SHA-256 of the raw bytes of reports on the full benchmark grids: plain
-# sweeps, and the reports whose selection traces together reach every
-# selection case.
+# SHA-256 of reports on the full benchmark grids, pinned at schema 5 and
+# read through `oracles.schema5_view`: plain sweeps, and the reports whose
+# selection traces together reach every selection case.
 FULL_SWEEP_BYTES = {
     "sweep product_grid.par": "ae0a47bbfbe88457031efbe8f73ae2012171f084e892d25c793bcbbeb80c66e6",
     "sweep sum_grid.par": "743e8f72f1c7061b934674e16f4acb84a09ef8fada00f3395ecd19508c40e88f",
@@ -689,7 +694,8 @@ CSV_RESULTS = {
     "sweep tiny_product_grid.par": "36bebfba7f8cd6e53371d52e59daaf8b727f195a43c379bd0b61c93404537710",
 }
 
-# SHA-256 of the raw bytes of sweep reports on the tiny grids.
+# SHA-256 of sweep reports on the tiny grids, pinned at schema 5 and read
+# through `oracles.schema5_view`.
 SWEEP_BYTES = {
     "sweep tiny_product_grid.par": "a13c47fba6ad3fb730a4e2c02ec6f9ae05c9a2687fda9108eabfcad632f68be7",
     "sweep --optimal-search tiny_product_grid.par":
@@ -697,6 +703,22 @@ SWEEP_BYTES = {
     "sweep tiny_sum_grid.par": "82ecd125c0147c93466126e80c13b6dc238d5daf3a8e720455f9deae550ed12a",
     "sweep --optimal-search tiny_sum_grid.par":
         "bd3b51e9d61334369dd095d019438c6b3e0a72621356c6f78c42032ab66644ac",
+}
+
+# SHA-256 of the raw schema-6 bytes of the sweep reports above.
+SCHEMA6_BYTES = {
+    "sweep product_grid.par": "a95a3d334c95a7e69f593628ec69dc36346c667150b28307840f6e780574c6b4",
+    "sweep sum_grid.par": "365feae34005b317e388c93ed997208b243f8c80f26dd3d5f68fe032a2c19c80",
+    "sweep --optimal-search product_grid.par":
+        "f3b6fd31655afc180e273cd8086c8f54aedfb53d87c27c1d5cbdad7c61a640aa",
+    "sweep --optimal-search sum_grid.par":
+        "2b77f3034ac0f1c9cb3d07b59ac4ab133f9acda7acd6d9a2e6392a936a6a136c",
+    "sweep tiny_product_grid.par": "0825ef6f5dc5b3af1e09e259a33544b37505efdaa6dae48b872dbe10c7950f57",
+    "sweep --optimal-search tiny_product_grid.par":
+        "27471ae35f37ad9d613bd85c5bd8b3c9ebce26c1d8770376df2e2c0c44f50969",
+    "sweep tiny_sum_grid.par": "ba6400906f95decda0c032eea6b673a516e283342a4bfc320957ebebd72d9db2",
+    "sweep --optimal-search tiny_sum_grid.par":
+        "89541ed304b07c08072ce0c142e25ef8576ee6baf332876eb08e760dc7120e44",
 }
 
 # SHA-256 of the solve-radial CSV tables and plot-data curves: (argv, argv
@@ -725,7 +747,8 @@ TABLE_RESULTS = {
 }
 
 # SHA-256 of the JSON reports, written to stdout, that serialise an
-# IdentityReport or a BlowupFit: (argv, digest).
+# IdentityReport or a BlowupFit: (argv, digest), pinned at schema 5 and read
+# through `oracles.schema5_view`, which changes only their `schema`.
 RECORD_BYTES = {
     "verify-identities": (["verify-identities", "--resolution", "33"],
                           "9209af26a8199a9119e8e5b25d0267aeeb50aa7854f1d6d0308cb70fe7c2c03b"),
@@ -746,6 +769,20 @@ ROW_KEYS = {"instance", "theorem", "matches", "conditions", "liouville", "estima
             "estimate_target", "exponents", "product_thresholds", "sum_thresholds", "selection"}
 THRESHOLD_KEYS = {"product_thresholds": {"R", "Q", "discriminant_ok", "Q1", "Q2", "Q3", "a"},
                   "sum_thresholds": {"delta_pq", "m_max", "gap_ok", "s_minus", "s_plus"}}
+
+
+def schema5_conditions(decisions) -> list[str]:
+    """Each decision's conditions as schema 5 wrote them, as JSON text: one
+    [template_index, passed, values] per condition, the index numbering
+    (theorem, label, template) in first-use order across the report."""
+    templates: dict[tuple, int] = {}
+    return [json.dumps([[templates.setdefault(c[:3], len(templates)), c.passed, list(c.values)]
+                        for c in decision.conditions]) for decision in decisions]
+
+
+def viewed_conditions(text: str) -> list[str]:
+    """Each row's conditions of a report, expanded through its table by the schema-5 view."""
+    return [json.dumps(row["conditions"]) for row in json.loads(schema5_view(text))["results"]]
 
 
 def grid_report(key: str, tmp_path: Path) -> bytes:
@@ -777,12 +814,16 @@ class TestReportSchema:
     def test_selection_traces_keep_their_bytes(self, key, tmp_path):
         text = grid_report(key, tmp_path)
         assert b"epsilon_used" not in text
-        assert hashlib.sha256(text).hexdigest() == TRACE_BYTES[key]
+        assert hashlib.sha256(schema5_view(text)).hexdigest() == TRACE_BYTES[key]
+        if key in SCHEMA6_BYTES:
+            assert hashlib.sha256(text).hexdigest() == SCHEMA6_BYTES[key]
 
     @pytest.mark.parametrize("key", sorted(SWEEP_BYTES.keys() | FULL_SWEEP_BYTES.keys()))
     def test_sweep_reports_keep_their_bytes(self, key, tmp_path):
-        digest = hashlib.sha256(grid_report(key, tmp_path)).hexdigest()
+        text = grid_report(key, tmp_path)
+        digest = hashlib.sha256(schema5_view(text)).hexdigest()
         assert digest == {**SWEEP_BYTES, **FULL_SWEEP_BYTES}[key]
+        assert hashlib.sha256(text).hexdigest() == SCHEMA6_BYTES[key]
 
     @pytest.mark.parametrize("key", sorted(CSV_RESULTS))
     def test_csv_keeps_its_bytes(self, key, tmp_path):
@@ -832,10 +873,9 @@ class TestReportSchema:
         assert "-Infinity" in text
         report = json.loads(text)
         [row] = report["results"]
-        [limit] = [(report["condition_templates"][index], passed, values)
-                   for index, passed, values in row["conditions"]
-                   if report["condition_templates"][index][1] == "beta2_limit_positive"]
-        (theorem, _, template), passed, values = limit
+        [limit] = [report["conditions"][index] for index in row["conditions"]
+                   if report["conditions"][index][1] == "beta2_limit_positive"]
+        theorem, _, template, passed, values = limit
         assert (theorem, passed, values) == ("thm_sum_liouville", False, [-math.inf])
         assert template.format(*values) == "1 - (p-q)(1+s)/(s-q+1) > 0: -inf"
 
@@ -843,38 +883,41 @@ class TestReportSchema:
         assert run(["classify", "--kind", "hamilton_jacobi", "--N", "2", "--p", "3",
                     "--q", "2", "--m", "2.5"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["condition_templates"] == [
-            ["thm_HJ", "superlinear_gradient", "m > p-1: {:.6g} > {:.6g}"],
+        assert report["conditions"] == [
+            ["thm_HJ", "superlinear_gradient", "m > p-1: {:.6g} > {:.6g}", True, [2.5, 2.0]],
             ["thm_IL", "m_gt_q",
-             "m > q (gradient-dominated reaction, bounded solutions): {:.6g} > {:.6g}"],
+             "m > q (gradient-dominated reaction, bounded solutions): {:.6g} > {:.6g}",
+             True, [2.5, 2.0]],
         ]
-        assert report["results"][0]["conditions"] == [[0, True, [2.5, 2.0]], [1, True, [2.5, 2.0]]]
+        assert report["results"][0]["conditions"] == [0, 1]
         assert run(["classify", *PRODUCT]) == 0
         report = json.loads(capsys.readouterr().out)
-        used = [c[0] for c in report["results"][0]["conditions"]]
-        # first-use order, and no template the row does not use
-        assert used == list(range(len(used))) == list(range(len(report["condition_templates"])))
+        used = report["results"][0]["conditions"]
+        # first-use order, and no condition the row does not use
+        assert used == list(range(len(used))) == list(range(len(report["conditions"])))
 
     def test_reports_without_conditions_have_no_template_table(self, capsys):
         assert run(["search-b", *PRODUCT]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert "condition_templates" not in report
+        assert "conditions" not in report and "condition_templates" not in report
         [row] = report["results"]
         assert "epsilon_used" not in row["selection"]
 
     def test_search_b_reports_of_every_schema_plot_alike(self, tmp_path, capsys):
-        new = tmp_path / "schema5.json"
+        new = tmp_path / "schema6.json"
         assert run(["search-b", *PRODUCT, "--out", str(new)]) == 0
         report = json.loads(new.read_text())
         [row] = report["results"]
         assert run(["plot-data", "--report", str(new), "--selector", "trinomial"]) == 0
         plot = capsys.readouterr().out
         assert plot.count("\n") == cli.DEFAULT_ORACLE_POINTS + 1
-        # Schemas 1 to 4 stored a selection's epsilon_used, always 0.0.
+        # Schemas 1 to 4 stored a selection's epsilon_used, always 0.0; a
+        # schema-5 row is the schema-6 row.
         old_row = dict(row, selection=dict(row["selection"], epsilon_used=0.0))
-        for schema in (1, 2, 3, 4):
+        for schema in (1, 2, 3, 4, 5):
             old = tmp_path / f"schema{schema}.json"
-            old.write_text(json.dumps(dict(report, schema=schema, results=[old_row])))
+            rows = [row if schema == 5 else old_row]
+            old.write_text(json.dumps(dict(report, schema=schema, results=rows)))
             assert run(["plot-data", "--report", str(old), "--selector", "trinomial"]) == 0
             assert capsys.readouterr().out == plot, schema
 
@@ -893,22 +936,74 @@ class TestReportSchema:
         par = tmp_path_factory.mktemp("grid") / "grid.par"
         par.write_text("".join(f"{key} = {' '.join(map(str, values))}\n"
                                for key, values in lines.items()))
-        argv = ["sweep", "--params", str(par)] + data.draw(st.sampled_from([[], ["--optimal-search"]]))
-        report = json.loads(_report(build_parser().parse_args(argv))[0].to_json())
-        assert len(expand_instances(report["config_echo"]["params"])) == len(report["results"])
-        templates = report["condition_templates"]
+        optimal = data.draw(st.booleans())
+        argv = ["sweep", "--params", str(par)] + (["--optimal-search"] if optimal else [])
+        text = _report(build_parser().parse_args(argv))[0].to_json()
+        report = json.loads(text)
+        instances = expand_instances(report["config_echo"]["params"])
+        assert len(instances) == len(report["results"])
+        decisions = [classify(inst, optimal_search=optimal) for inst in instances]
+        assert viewed_conditions(text) == schema5_conditions(decisions)
+        table = report["conditions"]
+        for theorem, label, template, passed, values in table:
+            assert isinstance(passed, bool) and isinstance(values, list)
         for row in report["results"]:
             assert set(row) <= ROW_KEYS - {"instance"}
             assert None not in row.values() and row.get("matches") != []
-            for index, passed, values in row["conditions"]:
-                assert 0 <= index < len(templates) and isinstance(passed, bool)
-                assert isinstance(values, list)
+            for index in row["conditions"]:
+                assert type(index) is int and 0 <= index < len(table)
             for key, fields in THRESHOLD_KEYS.items():
                 if key in row:
                     assert set(row[key]) <= fields and None not in row[key].values()
 
+    def test_condition_table_keeps_zero_signs_infinities_and_nan(self, tmp_path):
+        # -0 gives s = -0.0, which equals 0.0; s = 1e200 overflows Q3 to NaN;
+        # s = q - 1 makes the sum beta2 limit -inf.
+        grids = {"product": "kind = product\nN = 2\np = 2.2 2\nq = 2\ns = 0 -0 0.5 1e200\n"
+                            "m = 0 -0 1 2\n",
+                 "sum": "kind = sum\nN = 2\np = 1.3\nq = 1.3\ns = 0.3 0 -0\nm = 0.2 0 -0\n"
+                        "M = 1 0 -0\n"}
+        for kind, lines in grids.items():
+            par = tmp_path / f"{kind}.par"
+            par.write_text(lines)
+            out = tmp_path / f"{kind}.json"
+            assert run(["sweep", "--params", str(par), "--out", str(out)]) == 0
+            text = out.read_text()
+            decisions = [classify(inst) for inst in expand_instances(parse_params(lines))]
+            assert viewed_conditions(text) == schema5_conditions(decisions), kind
+            # each distinct condition once: no two entries write the same JSON
+            entries = [json.dumps(entry) for entry in json.loads(text)["conditions"]]
+            assert len(entries) == len(set(entries)), kind
+            assert "-0.0" in text and "0.0" in text, kind
+        assert "NaN" in (tmp_path / "product.json").read_text()
+        assert "-Infinity" in (tmp_path / "sum.json").read_text()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_condition_table_tells_int_from_float_fields(self, data):
+        # library callers may pass int fields: 2 == 2.0 and 0 == -0.0, but JSON tells them apart
+        def field(*choices):
+            return data.draw(st.sampled_from(choices))
+
+        instances = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            q = field(2, 2.0, 1.5)
+            p = field(q, float(q), 2, 2.0, 3, 2.2)
+            instances.append(ProblemInstance(field(2, 3), max(p, q), q, field(*KINDS),
+                                             s=field(0, 0.0, -0.0, 1, 1.0, 0.5, 1e200),
+                                             m=field(0, 0.0, -0.0, 1, 1.0, 2, 2.0, 2.5),
+                                             M=field(0, -0.0, 1, 1.0)))
+        optimal = data.draw(st.booleans())
+        decisions = [classify(inst, optimal_search=optimal) for inst in instances]
+        table = ConditionTable()
+        results = [decision.as_dict(table) for decision in decisions]
+        text = Report("0", {}, results, conditions=table.entries).to_json()
+        assert viewed_conditions(text) == schema5_conditions(decisions)
+        entries = [json.dumps(entry) for entry in json.loads(text)["conditions"]]
+        assert len(entries) == len(set(entries))
+
     def test_radial_reports_of_every_schema_plot_alike(self, tmp_path):
-        new = tmp_path / "schema5.json"
+        new = tmp_path / "schema6.json"
         assert run(["solve-radial", *RADIAL_SUM, "--out", str(new)]) == 0
         report = json.loads(new.read_text())
         row = report["results"][0]
@@ -919,7 +1014,7 @@ class TestReportSchema:
         h = float(r[1] - r[0])
         du = [(b - a) / h for a, b in zip(row["u"], row["u"][1:])]
         profile = gradient_vs_distance(RadialSolution.from_row(row)).tolist()
-        stored = {4: {}, 3: {"du": du}, 2: {"r": r.tolist(), "du": du},
+        stored = {5: {}, 4: {}, 3: {"du": du}, 2: {"r": r.tolist(), "du": du},
                   1: {"r": r.tolist(), "du": du, "gradient_profile": profile}}
         plot = plot_in_fresh_process(new)
         for schema, extra in stored.items():
@@ -961,7 +1056,9 @@ class TestReportSchema:
     @pytest.mark.parametrize("argv, digest", RECORD_BYTES.values(), ids=list(RECORD_BYTES))
     def test_records_keep_their_bytes(self, argv, digest, capsys):
         assert run(argv) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        text = capsys.readouterr().out
+        assert json.loads(text)["schema"] == 6 and "conditions" not in json.loads(text)
+        assert hashlib.sha256(schema5_view(text)).hexdigest() == digest
 
     @pytest.mark.parametrize("source, selector, section, field, value", TAMPERED.values(),
                              ids=list(TAMPERED))
@@ -1084,7 +1181,7 @@ class TestOptions:
             # classify and sweep rows store no instance: compare the instances
             # the run classified, expanded from the echo, but not the echo
             echo = report.pop("config_echo")
-            classified = "condition_templates" in report
+            classified = "conditions" in report
             return code, report, expand_instances(echo["params"]) if classified else None
 
         options = accepted_options()
