@@ -6,6 +6,11 @@ import math
 from typing import NamedTuple
 
 KINDS = ("hamilton_jacobi", "product", "sum")
+# The largest accepted field.  Below 2^53 the 1 in p - 1, q - 1 and
+# m + s - q + 1 is not lost to rounding, and no closed form overflows; from
+# about 1e154 on, (q - 1.0) ** 2 raises OverflowError and Q3 at such an s is
+# inf/inf.
+MAX_FIELD = 1e15
 
 
 class _ProblemFields(NamedTuple):
@@ -30,10 +35,10 @@ class ProblemInstance(_ProblemFields):
     ==================  ==========================
 
     Requires p >= q > 1, an integer N >= 2 and finite N, p, q, s, m and
-    M.  q = p is admitted as the single-operator reduction mode.  For the
-    Hamilton-Jacobi kind the fields s and M are ignored and normalised
-    to 0.  The constructor validates; `_replace` and `_make` build the
-    tuple directly and skip validation.
+    M of at most MAX_FIELD.  q = p is admitted as the single-operator
+    reduction mode.  For the Hamilton-Jacobi kind the fields s and M are
+    ignored and normalised to 0.  The constructor validates; `_replace`
+    and `_make` build the tuple directly and skip validation.
     """
 
     __slots__ = ()
@@ -43,6 +48,8 @@ class ProblemInstance(_ProblemFields):
             raise ValueError(f"unknown nonlinearity kind {kind!r}")
         if not all(map(math.isfinite, (N, p, q, s, m, M))):
             raise ValueError("N, p, q, s, m and M must be finite")
+        if max(N, p, q, s, m, M) > MAX_FIELD:
+            raise ValueError(f"N, p, q, s, m and M must be at most {MAX_FIELD:g}")
         if N != int(N) or N < 2:
             raise ValueError("N must be an integer >= 2")
         if not (1.0 < q <= p):

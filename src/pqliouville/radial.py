@@ -38,8 +38,12 @@ converged.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -58,6 +62,8 @@ TRIAL_NEWTON = 10
 MAX_DAMPS = 40
 DATA_CONTINUATION_START = 8.0
 COARSE_MESH_N = 256
+# scipy's compiled LAPACK wrappers, relative to the scipy package folder
+FLAPACK = os.path.join("linalg", "_flapack")
 # The residual's round-off floor grows like n, so the default NEWTON_TOL is out
 # of reach on fine meshes: the smooth sum case N = 3, p = 2.5, q = 2, s = 1.5,
 # m = M = 1 with data 1 and 2 on [1, 2] reaches 4.8e-11 at 65,536 cells and
@@ -288,11 +294,39 @@ def _log_jacobian_bands(pieces, *args):
         return _jacobian_bands(pieces, *args) * pieces[2]
 
 
+@functools.cache
+def _dgtsv():
+    """LAPACK's tridiagonal solver dgtsv, loaded without importing scipy.linalg.
+
+    The package import costs far more than a solve, so scipy's extension
+    module FLAPACK is loaded by file; find_spec locates scipy without
+    importing it.  The function is the one scipy.linalg.lapack.dgtsv names:
+    CPython keeps one copy of the module per file.  Where the file is
+    missing or does not load, the public import is used.
+    """
+    spec = importlib.util.find_spec("scipy")
+    folders = (spec and spec.submodule_search_locations) or ()
+    paths = [os.path.join(folder, FLAPACK + suffix)
+             for folder in folders for suffix in EXTENSION_SUFFIXES]
+    for path in filter(os.path.isfile, paths):
+        module_spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+        try:
+            module = importlib.util.module_from_spec(module_spec)
+            module_spec.loader.exec_module(module)
+        except ImportError:
+            continue
+        return module.dgtsv
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv
+
+
 def _damped_newton(residual, jacobian, x, tol, max_iter=MAX_NEWTON, step_tol=None):
     """Damped Newton on the interior entries of x, boundary entries fixed.
 
     residual(x) returns (res, scale, pieces); jacobian(pieces) turns
-    them into the banded Jacobian, solved by LAPACK's tridiagonal dgtsv.
+    them into the banded Jacobian, solved by LAPACK's tridiagonal dgtsv
+    (`_dgtsv`, which does not import scipy.linalg).
     At most max_iter steps.  Without step_tol the iteration stops at the
     first scaled residual <= tol.  With step_tol it goes on until the
     last correction was a full (lambda = 1) step of at most
@@ -303,8 +337,7 @@ def _damped_newton(residual, jacobian, x, tol, max_iter=MAX_NEWTON, step_tol=Non
     count and a failure tag ('jacobian_singular', 'newton_stalled') or
     None exactly when the residual is <= tol.
     """
-    from scipy.linalg.lapack import dgtsv
-
+    dgtsv = _dgtsv()
     res, scale, pieces = residual(x)
     norm = _scaled_norm(res, scale)
     iters = 0

@@ -19,7 +19,7 @@ import pqliouville.params
 from pqliouville.classify import classify
 from pqliouville.cli import _load_params, _report, build_parser, main
 from pqliouville.identities import DEFAULT_TOLERANCE_FACTOR
-from pqliouville.instance import KINDS, ProblemInstance
+from pqliouville.instance import KINDS, MAX_FIELD, ProblemInstance
 from pqliouville.operators import worker_count
 from pqliouville.params import (MAX_INSTANCES, ParamError, expand_instances, parse_params,
                                 radial_settings)
@@ -62,6 +62,10 @@ RADIAL_FILE = "kind = hamilton_jacobi\nN = 2\np = 3\nq = 2\nm = 2.5\nr0 = 1\nr1 
 FINITE = "parameter 'instance': N, p, q, s, m and M must be finite"
 # The keys classify, sweep and search-b read: a radial key in their file is refused.
 READ_KEYS = "kind, N, p, q, s, m, M"
+TOO_LARGE = f"N, p, q, s, m and M must be at most {MAX_FIELD:g}"
+HUGE = f"parameter 'instance': {TOO_LARGE}"
+HUGE_PRODUCT = ["--kind", "product", "--N", "2", "--p", "1e200", "--q", "1e200", "--s", "1",
+                "--m", "1e200"]
 REFUSED = {
     "s-nan": (["classify", "--kind", "product", "--N", "2", "--p", "2.2", "--q", "2",
                "--s", "nan", "--m", "2"], None, FINITE),
@@ -118,6 +122,16 @@ REFUSED = {
     "file-log_transform-search-b": (["search-b"], PRODUCT_FILE + "N = 2\nlog_transform = 1\n",
                                     "parameter 'log_transform': not read by search-b, which "
                                     f"reads {READ_KEYS}"),
+    # past instance.MAX_FIELD, where Q3 was NaN (s) or a square raised OverflowError
+    "product-s-1e200": (["classify", "--kind", "product", "--N", "2", "--p", "2.2", "--q", "2",
+                         "--s", "1e200", "--m", "1"], None, HUGE),
+    "product-p-q-m-1e200": (["classify", *HUGE_PRODUCT], None, HUGE),
+    "search-b-p-q-m-1e200": (["search-b", *HUGE_PRODUCT], None, HUGE),
+    "sum-p-q-1e200": (["classify", "--kind", "sum", "--N", "2", "--p", "1e200", "--q", "1e200",
+                       "--s", "1", "--m", "1", "--M", "1"], None, HUGE),
+    "file-s-1e200": (["sweep"], PRODUCT_FILE.replace("s = 0.5", "s = 0.5 1e200") + "N = 2\n",
+                     "parameter 'instance': grid index 1 of 2 (N=2.0, p=2.2, q=2.0, "
+                     f"kind=product, s=1e+200, m=2.0, M=0.0): {TOO_LARGE}"),
     "il-window-q-nan": (["il-window", "--q", "nan", "--m", "3"], None, "q and m must be finite"),
     "il-window-m-inf": (["il-window", "--q", "2", "--m", "inf"], None, "q and m must be finite"),
     "il-window-m-minus-1e3": (["il-window", "--q", "2", "--m", "-1e3"], None,
@@ -527,6 +541,40 @@ class TestCommands:
         assert run([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_any_finite_input_exits_zero_or_two_without_nan(self, tmp_path_factory, data):
+        """Finite floats up to 1e308 in every key, as flags or as a small
+        sweep grid: a report without NaN, or exit 2, never a traceback."""
+        value = st.one_of(st.floats(0.0, 1e308), st.floats(1.0, 6.0),
+                          st.integers(-320, 308).map(lambda e: 10.0 ** e))
+
+        def values():
+            return data.draw(st.lists(value, min_size=1, max_size=2, unique=True))
+
+        command = data.draw(st.sampled_from(["classify", "search-b", "sweep", "il-window"]))
+        q = data.draw(value)
+        keys = {"N": data.draw(st.lists(st.one_of(st.integers(2, 6), value), min_size=1,
+                                        max_size=2, unique=True)),
+                "p": sorted({max(p, q) for p in values()}), "q": [q],
+                "s": values(), "m": values(), "M": values()}
+        folder = tmp_path_factory.mktemp("finite")
+        if command == "il-window":
+            argv = [command, "--q", repr(keys["q"][0]), "--m", repr(keys["m"][0])]
+        elif command == "sweep":
+            par = folder / "grid.par"
+            par.write_text(f"kind = {data.draw(st.sampled_from(KINDS))}\n" + "".join(
+                f"{key} = {' '.join(map(repr, grid))}\n" for key, grid in keys.items()))
+            argv = [command, "--params", str(par)]
+        else:
+            argv = [command, "--kind", data.draw(st.sampled_from(KINDS)), "--oracle-points", "64"]
+            argv = argv[:3] if command == "classify" else argv
+            argv += [arg for key, grid in keys.items() for arg in (f"--{key}", repr(grid[0]))]
+        out = folder / "out.json"
+        code = run([*argv, "--out", str(out)])
+        assert code in (0, 2)
+        assert code == 2 or "NaN" not in out.read_text()
 
     def test_refused_grid_point_names_its_index_and_values(self, tmp_path, capsys):
         # a one-instance input keeps the bare message (the REFUSED cases)
@@ -957,9 +1005,10 @@ class TestReportSchema:
                     assert set(row[key]) <= fields and None not in row[key].values()
 
     def test_condition_table_keeps_zero_signs_infinities_and_nan(self, tmp_path):
-        # -0 gives s = -0.0, which equals 0.0; s = 1e200 overflows Q3 to NaN;
-        # s = q - 1 makes the sum beta2 limit -inf.
-        grids = {"product": "kind = product\nN = 2\np = 2.2 2\nq = 2\ns = 0 -0 0.5 1e200\n"
+        # -0 gives s = -0.0, which equals 0.0; s = MAX_FIELD keeps Q3 finite
+        # (NaN at s = 1e200, which is now refused); s = q - 1 makes the sum
+        # beta2 limit -inf.
+        grids = {"product": "kind = product\nN = 2\np = 2.2 2\nq = 2\ns = 0 -0 0.5 1e15\n"
                             "m = 0 -0 1 2\n",
                  "sum": "kind = sum\nN = 2\np = 1.3\nq = 1.3\ns = 0.3 0 -0\nm = 0.2 0 -0\n"
                         "M = 1 0 -0\n"}
@@ -975,7 +1024,7 @@ class TestReportSchema:
             entries = [json.dumps(entry) for entry in json.loads(text)["conditions"]]
             assert len(entries) == len(set(entries)), kind
             assert "-0.0" in text and "0.0" in text, kind
-        assert "NaN" in (tmp_path / "product.json").read_text()
+        assert "NaN" not in (tmp_path / "product.json").read_text()
         assert "-Infinity" in (tmp_path / "sum.json").read_text()
 
     @settings(max_examples=60, deadline=None)
@@ -990,7 +1039,7 @@ class TestReportSchema:
             q = field(2, 2.0, 1.5)
             p = field(q, float(q), 2, 2.0, 3, 2.2)
             instances.append(ProblemInstance(field(2, 3), max(p, q), q, field(*KINDS),
-                                             s=field(0, 0.0, -0.0, 1, 1.0, 0.5, 1e200),
+                                             s=field(0, 0.0, -0.0, 1, 1.0, 0.5, MAX_FIELD),
                                              m=field(0, 0.0, -0.0, 1, 1.0, 2, 2.0, 2.5),
                                              M=field(0, -0.0, 1, 1.0)))
         optimal = data.draw(st.booleans())

@@ -78,13 +78,57 @@ def test_solve_radial_skips_the_identity_checks(tmp_path):
     assert loaded_by_cli([*RADIAL, "--fit"], tmp_path, modules) == []
 
 
+def test_solve_radial_loads_numpy_only(tmp_path):
+    modules = (*HEAVY, "scipy.linalg", POOL)
+    assert loaded_by_cli([*RADIAL, "--fit"], tmp_path, modules) == ["numpy"]
+
+
 def test_solve_radial_starts_no_thread(tmp_path):
-    # scipy imports concurrent.futures itself, so count the threads instead.
+    # The module test above sees only the grid kernels' pool; a thread
+    # started by numpy or LAPACK would show in this count.
     argv = [*RADIAL, "--fit", "--out", str(tmp_path / "report.json")]
     threads = fresh(f"import json, threading, pqliouville.cli\n"
                     f"assert pqliouville.cli.main({argv!r}) == 0\n"
                     f"print(json.dumps(threading.active_count()))")
     assert threads == 1
+
+
+def dgtsv_probe(flapack=None) -> dict:
+    """In a fresh interpreter: which scipy modules radial._dgtsv loads, the
+    file of the LAPACK module its dgtsv comes from, and a catalogue solve's
+    u digest.  A flapack path replaces radial.FLAPACK first."""
+    patch = "" if flapack is None else f"radial.FLAPACK = {flapack!r}\n"
+    return fresh(
+        "import hashlib, json, sys\n"
+        "from pqliouville import radial\n"
+        f"{patch}"
+        "dgtsv = radial._dgtsv()\n"
+        "loaded = [m for m in ('scipy', 'scipy.linalg') if m in sys.modules]\n"
+        "module = sys.modules['scipy.linalg._flapack']\n"
+        "inst = radial.ProblemInstance(2, 3.0, 2.0, 'hamilton_jacobi', m=2.5)\n"
+        "sol = radial.solve_radial(radial.RadialProblem(inst, 1.0, 2.0, -4096.0, 0.0, 1024))\n"
+        "import scipy.linalg.lapack\n"
+        "print(json.dumps({'loaded': loaded, 'file': module.__file__,\n"
+        "                  'same': dgtsv is module.dgtsv is scipy.linalg.lapack.dgtsv,\n"
+        "                  'converged': sol.converged,\n"
+        "                  'u': hashlib.sha256(sol.u.tobytes()).hexdigest()}))"
+    )
+
+
+def test_dgtsv_loads_from_the_lapack_file():
+    probe = dgtsv_probe()
+    folder = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    assert probe["loaded"] == []
+    assert os.path.dirname(probe["file"]) == os.path.join(folder, "linalg")
+    assert os.path.basename(probe["file"]).startswith("_flapack.")
+    assert probe["same"] and probe["converged"]
+
+
+def test_dgtsv_falls_back_to_the_public_import():
+    by_file, public = dgtsv_probe(), dgtsv_probe(os.path.join("linalg", "_no_such_module"))
+    assert public["loaded"] == ["scipy", "scipy.linalg"]
+    assert public["same"] and public["converged"]
+    assert public["u"] == by_file["u"]
 
 
 def test_thread_pool_loads_on_the_first_multi_block_call(tmp_path):

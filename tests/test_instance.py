@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pqliouville import (
@@ -8,6 +10,7 @@ from pqliouville import (
     product_trinomial,
     sum_thresholds,
 )
+from pqliouville.instance import MAX_FIELD
 from pqliouville.report import Report
 
 PRODUCT = ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=2.0)
@@ -52,6 +55,14 @@ class TestValidation:
         for bad in (dict(s=-0.1), dict(m=-1.0), dict(M=-2.0)):
             with pytest.raises(ValueError):
                 ProblemInstance(N=2, p=2.0, q=2.0, kind="sum", **bad)
+
+    def test_fields_up_to_max_field(self):
+        top = dict(N=MAX_FIELD, p=MAX_FIELD, q=MAX_FIELD, s=MAX_FIELD, m=MAX_FIELD, M=MAX_FIELD)
+        assert ProblemInstance(kind="sum", **top) == (int(MAX_FIELD), *[MAX_FIELD] * 2, "sum",
+                                                      *[MAX_FIELD] * 3)
+        for key in top:
+            with pytest.raises(ValueError, match="at most"):
+                ProblemInstance(kind="sum", **dict(top, **{key: math.nextafter(MAX_FIELD, math.inf)}))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
