@@ -19,8 +19,6 @@ from .exponents import (
     beta2_large_b_limit,
     exponent_bundle,
     gamma_exponent,
-    sum_beta2,
-    sum_exponent_bundle,
     t_from_b,
     theta_exponent,
 )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import AdmissibilityError
-from .exponents import ExponentBundle, exponent_bundle, sum_exponent_bundle
+from .exponents import ExponentBundle, exponent_bundle
 from .instance import ProblemInstance
 from .selection import (
     BSelection,
@@ -240,7 +240,7 @@ def _classify_sum(
         _file(trace, liou, ("selection_feasible", "constructive tau-selection: {}",
                             (selection.case_tag,), selection.feasible))
         if selection.feasible:
-            bundle = sum_exponent_bundle(inst, selection.t_star)
+            bundle = exponent_bundle(inst._replace(m=0.0), selection.b_star)
     return th, selection, bundle
 
 

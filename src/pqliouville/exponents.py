@@ -6,10 +6,7 @@ The decay exponents beta1 (used for b in (0,1]) and beta2 (for b > 1)
 feed the final gradient-bound exponent gamma.
 
 The sum reaction u^s + M|grad u|^m uses these exponents at m = 0
-(`inst._replace(m=0.0)`), except `sum_beta2`: it equals beta2 at m = 0
-only algebraically and rounds differently (in 11,424 of 19,200 cases of
-bench/inputs/sum_grid.par x b in {1.5, 2, 3.7, 10, 1000}), so it stays
-to keep the sum reports' bytes.
+(`inst._replace(m=0.0)`).
 """
 
 from __future__ import annotations
@@ -71,19 +68,16 @@ def gamma_exponent(inst: ProblemInstance, b: float) -> float:
     return min(1.0, beta2(inst, b))
 
 
-def _theta(b: float, gap: float, t: float) -> float | None:
-    """(2(b-1) gap + 2)/(t+1) with gap = p-q, or None outside (0, 2)."""
-    theta = (2.0 * (b - 1.0) * gap + 2.0) / (t + 1.0)
-    return theta if 0.0 < theta < 2.0 else None
-
-
 def theta_exponent(inst: ProblemInstance, b: float) -> float | None:
-    """Interpolation power theta, only emitted when it lands in (0, 2).
+    """Interpolation power theta = (2(b-1)(p-q) + 2)/(t+1), only emitted
+    when it lands in (0, 2).
 
     For b <= 1 the numerator is 2: the gap term is dropped (exactly, as
     (b-1)*0 + 2 = 2 in floating point).
     """
-    return _theta(b, inst.p - inst.q if b > 1.0 else 0.0, t_from_b(inst, b))
+    gap = inst.p - inst.q if b > 1.0 else 0.0
+    theta = (2.0 * (b - 1.0) * gap + 2.0) / (t_from_b(inst, b) + 1.0)
+    return theta if 0.0 < theta < 2.0 else None
 
 
 class ExponentBundle(NamedTuple):
@@ -117,34 +111,3 @@ def exponent_bundle(inst: ProblemInstance, b: float) -> ExponentBundle:
         theta=theta_exponent(inst, b),
     )
 
-
-def sum_beta2(inst: ProblemInstance, b: float) -> float:
-    """Decay exponent for the sum reaction at power b:
-    1 - q((b-1)(p-q) + 1)/(b(s-q+1) + q) - p + q.
-
-    Algebraically beta2 at m = 0, but it rounds differently (module docstring).
-    """
-    p, q, s = inst.p, inst.q, inst.s
-    return 1.0 - q * ((b - 1.0) * (p - q) + 1.0) / (b * (s - q + 1.0) + q) - p + q
-
-
-def sum_exponent_bundle(inst: ProblemInstance, tau: float) -> ExponentBundle:
-    """Exponents for the sum reaction in terms of tau = b(s-q+1) + q - 1.
-
-    Requires s > q - 1 and tau > s so that b = (tau-q+1)/(s-q+1) > 1.
-    """
-    if not inst.s > inst.q - 1.0:
-        raise AdmissibilityError("sum exponents require s > q - 1")
-    gradient_free = inst._replace(m=0.0)
-    b = b_from_t(gradient_free, tau)
-    if not b > 1.0:
-        raise AdmissibilityError("sum exponents require tau > s (so that b > 1)")
-    bta2 = sum_beta2(inst, b)
-    return ExponentBundle(
-        b=b,
-        t=tau,
-        beta1=beta1(gradient_free, b),
-        beta2=bta2,
-        gamma=min(1.0, bta2),
-        theta=_theta(b, inst.p - inst.q, tau),
-    )

@@ -46,7 +46,11 @@ class ProblemInstance(_ProblemFields):
     def __new__(cls, N, p, q, kind, s=0.0, m=0.0, M=0.0):
         if kind not in KINDS:
             raise ValueError(f"unknown nonlinearity kind {kind!r}")
-        if not all(map(math.isfinite, (N, p, q, s, m, M))):
+        try:
+            finite = all(map(math.isfinite, (N, p, q, s, m, M)))
+        except OverflowError:  # an int beyond float range
+            finite = False
+        if not finite:
             raise ValueError("N, p, q, s, m and M must be finite")
         if max(N, p, q, s, m, M) > MAX_FIELD:
             raise ValueError(f"N, p, q, s, m and M must be at most {MAX_FIELD:g}")

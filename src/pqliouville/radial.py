@@ -92,6 +92,11 @@ class RadialProblem:
 
     def __post_init__(self):
         _check_annulus(self.r0, self.r1)
+        try:
+            self.r1 ** (self.inst.N - 1)  # the largest radial weight; one that underflows is fine
+        except OverflowError:
+            raise AdmissibilityError(
+                f"radial weight r1^(N-1) overflows a float: N={self.inst.N}, r1={self.r1!r}") from None
         if not (math.isfinite(self.u_at_r0) and math.isfinite(self.u_at_r1)):
             raise AdmissibilityError("u0 and u1 must be finite")
         if not 64 <= self.mesh_n <= MAX_MESH_N:

@@ -34,7 +34,6 @@ from .exponents import (
     beta2,
     beta2_large_b_limit,
     gamma_exponent,
-    sum_beta2,
 )
 from .instance import ProblemInstance
 from .thresholds import ProductThresholds, SumThresholds, product_thresholds, sum_thresholds
@@ -276,11 +275,11 @@ def _sum_blocks(inst: ProblemInstance):
     gradient_free = inst._replace(m=0.0)
 
     def accept(tau):
-        return tau > inst.s and (b := b_from_t(gradient_free, tau)) > 1.0 and sum_beta2(inst, b) > 0.0
+        return tau > inst.s and (b := b_from_t(gradient_free, tau)) > 1.0 and beta2(gradient_free, b) > 0.0
 
     tau = _first_power_of_two(accept)
     if tau is None:
         yield [("tau_accept", "no tau <= 2^60 gave b > 1 with beta2 > 0", (), False)]
     b = b_from_t(gradient_free, tau)
-    yield [("tau_accept", "tau={:.6g}: b={:.6g} > 1, beta2={:.6g} > 0", (tau, b, sum_beta2(inst, b)), True)]
+    yield [("tau_accept", "tau={:.6g}: b={:.6g} > 1, beta2={:.6g} > 0", (tau, b, beta2(gradient_free, b)), True)]
     return "sum_large_tau", tau, b, 1.0

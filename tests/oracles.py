@@ -12,13 +12,16 @@ straightforward NaN-ring forms the blocked operators must reproduce bit
 for bit, the affine field is written out by hand, the epsilon sensitivity
 bounds the epsilon terms of the product trinomial term by term, and the
 parameter-window oracle brackets the feasibility predicate by bisection,
-and the schema-5 view re-expands a report's condition table row by row.
+the Bernstein bounds and the sum exponent are the paper's formulas
+written out, and the schema-5 view re-expands a report's condition table
+row by row.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import assume
@@ -319,6 +322,47 @@ def epsilon_sensitivity(inst: ProblemInstance) -> tuple[float, float, float]:
     k2 = (12.0 / Q) * ((p - 1.0) + 2.0 * sq * (q - 1.0) ** 2 / N + 2.0 * sq * (p - q) ** 2)
     k3 = 4.0 * (3.0 * sq * (sq * (p - 1.0) ** 2 / N + (q - 1.0)) + 1.0 / N + 3.0)
     return k1, k2, k3
+
+
+# ---------------------------------------------------------------------------
+# extremes of the Bernstein weights
+# ---------------------------------------------------------------------------
+
+class BernsteinBounds(NamedTuple):
+    gamma_lo: object
+    gamma_hi: object
+    upsilon_hi: object
+    xi_hi: object
+
+
+def bernstein_bounds(N, p, q) -> BernsteinBounds:
+    """The interval bounds of the aux weights over every b, v and z:
+    Gamma in [2(q-1)/N, 2(p-1)/N + (p-q)], Upsilon in [0, R] with R the
+    operator gap (p-q)(p-q + 4(p-1)/N), and Xi <= (p-1)^2/N.
+
+    Generic in the number type: floats, numpy arrays or sympy symbols.
+    """
+    return BernsteinBounds(
+        gamma_lo=2 * (q - 1) / N,
+        gamma_hi=2 * (p - 1) / N + (p - q),
+        upsilon_hi=(p - q) * (p - q + 4 * (p - 1) / N),
+        xi_hi=(p - 1) ** 2 / N,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the sum reaction's decay exponent, as the paper writes it
+# ---------------------------------------------------------------------------
+
+def sum_beta2_reference(p, q, s, b):
+    """1 - q((b-1)(p-q) + 1)/(b(s-q+1) + q) - p + q, the sum reaction's
+    second decay exponent at power b > 1.
+
+    Generic in the number type: floats give the formula's own float
+    evaluation, `fractions.Fraction`s its exact value, sympy symbols its
+    closed form.
+    """
+    return 1 - q * ((b - 1) * (p - q) + 1) / (b * (s - q + 1) + q) - p + q
 
 
 # ---------------------------------------------------------------------------

@@ -479,6 +479,29 @@ class TestCommands:
         assert done.returncode == 3, done.stderr
         assert json.loads(out.read_text())["results"][0]["converged"] is False
 
+    @pytest.mark.parametrize("N", ["2000", "1e15"])
+    def test_radial_weight_overflow_exits_two(self, N, tmp_path, capsys):
+        # r1^(N-1) on [1, 2] is beyond float range: refused before any Newton step
+        argv = [*RADIAL_HJ, "--N", N, "--r1", "2", "--u0", "-64", "--u1", "0",
+                "--out", str(tmp_path / "out.json")]
+        error = f"error: radial weight r1^(N-1) overflows a float: N={int(float(N))}, r1=2.0\n"
+        assert run(argv) == 2
+        assert capsys.readouterr().err == error
+        done = cli_in_fresh_process(argv)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", error)
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("N, r0, r1", [("2000", "0.5", "0.9"), ("600", "0.1", "0.2")])
+    def test_radial_weight_underflow_solves(self, N, r0, r1, tmp_path):
+        out = tmp_path / "out.json"
+        argv = [*RADIAL_HJ, "--N", N, "--r0", r0, "--r1", r1, "--u0", "-64", "--u1", "0",
+                "--out", str(out)]
+        assert run(argv) == 0
+        out.unlink()
+        done = cli_in_fresh_process(argv)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        assert json.loads(out.read_text())["results"][0]["converged"] is True
+
     def test_cached_parser_carries_no_state(self, tmp_path, capsys):
         argv = ["verify-identities", "--resolution", "5"]
 
@@ -716,12 +739,16 @@ class TestCommands:
 
 # SHA-256 of reports on the full benchmark grids, pinned at schema 5 and
 # read through `oracles.schema5_view`: plain sweeps, and the reports whose
-# selection traces together reach every selection case.
+# selection traces together reach every selection case.  The sum digests
+# here, in SWEEP_BYTES, SCHEMA6_BYTES and CSV_RESULTS were re-taken when the
+# sum exponents became the product ones at m = 0: only exponents.beta2,
+# exponents.gamma and estimate_exponent moved, in their last digits, and
+# each moved nearer the exact rational value.
 FULL_SWEEP_BYTES = {
     "sweep product_grid.par": "ae0a47bbfbe88457031efbe8f73ae2012171f084e892d25c793bcbbeb80c66e6",
-    "sweep sum_grid.par": "743e8f72f1c7061b934674e16f4acb84a09ef8fada00f3395ecd19508c40e88f",
+    "sweep sum_grid.par": "88b845778f81f6a53704e671dd269366e399359155f98c839a0d87b8b01f2ee8",
     "sweep --optimal-search sum_grid.par":
-        "3ff3da0914e6d21a2c4c0ae314e1f1a10a64849674eb2121d41267b293f415e3",
+        "293185409480b36d55c5a2db3c3dd2bdc353c5b1217031b9e6178b5294d98023",
 }
 TRACE_BYTES = {
     "search-b product_grid.par": "35be79b7496fb39ac807c44e5aa6d61ffa14eaa89e168f75c225252f9f2fddf3",
@@ -737,7 +764,7 @@ CSV_RESULTS = {
         "e860eda0c662feab0a6b83e584778fc28e5df9f49358e733bb7fbdeb0fa21f0e",
     "sweep product_grid.par": "ff5f7cac8ad16e056bc135d7a492ce74e75b285c733b541d4ce012a6a35ea24c",
     "sweep --optimal-search sum_grid.par":
-        "b41fc9e56930c288319af77e63ecfbae2fea10537ed230169faa6f48717671b8",
+        "01546a1a6e161359f056cbac3221a1f9d80b187e9ccd10656cc1706ab1c60006",
     # a header and 16 instance lines
     "sweep tiny_product_grid.par": "36bebfba7f8cd6e53371d52e59daaf8b727f195a43c379bd0b61c93404537710",
 }
@@ -748,25 +775,25 @@ SWEEP_BYTES = {
     "sweep tiny_product_grid.par": "a13c47fba6ad3fb730a4e2c02ec6f9ae05c9a2687fda9108eabfcad632f68be7",
     "sweep --optimal-search tiny_product_grid.par":
         "9dc651493d4d0768fb3024434e172efdffef0d723e2fb25e308c5bcbbd659922",
-    "sweep tiny_sum_grid.par": "82ecd125c0147c93466126e80c13b6dc238d5daf3a8e720455f9deae550ed12a",
+    "sweep tiny_sum_grid.par": "60ec7a538ad6805d70a4c7081c2c37fbf785f8c0b5919166b3d2cd15473d95af",
     "sweep --optimal-search tiny_sum_grid.par":
-        "bd3b51e9d61334369dd095d019438c6b3e0a72621356c6f78c42032ab66644ac",
+        "b0c7d55a00c542b5c24c4fac6b52cf4658620f825c62558306a2b6d47a2ba20b",
 }
 
 # SHA-256 of the raw schema-6 bytes of the sweep reports above.
 SCHEMA6_BYTES = {
     "sweep product_grid.par": "a95a3d334c95a7e69f593628ec69dc36346c667150b28307840f6e780574c6b4",
-    "sweep sum_grid.par": "365feae34005b317e388c93ed997208b243f8c80f26dd3d5f68fe032a2c19c80",
+    "sweep sum_grid.par": "c7cf0195a20d41869ec2c5ef6d5d119151477a57699b5a2225c5c8a235a7d1ff",
     "sweep --optimal-search product_grid.par":
         "f3b6fd31655afc180e273cd8086c8f54aedfb53d87c27c1d5cbdad7c61a640aa",
     "sweep --optimal-search sum_grid.par":
-        "2b77f3034ac0f1c9cb3d07b59ac4ab133f9acda7acd6d9a2e6392a936a6a136c",
+        "8a97f5a11f491275faec54f4eb057c3ac41d58fdfcc4a72737df048dd45ba603",
     "sweep tiny_product_grid.par": "0825ef6f5dc5b3af1e09e259a33544b37505efdaa6dae48b872dbe10c7950f57",
     "sweep --optimal-search tiny_product_grid.par":
         "27471ae35f37ad9d613bd85c5bd8b3c9ebce26c1d8770376df2e2c0c44f50969",
-    "sweep tiny_sum_grid.par": "ba6400906f95decda0c032eea6b673a516e283342a4bfc320957ebebd72d9db2",
+    "sweep tiny_sum_grid.par": "23aff7509e3eb75977757c4001f2e41880d630fcda487863dad4fd2719abeeac",
     "sweep --optimal-search tiny_sum_grid.par":
-        "89541ed304b07c08072ce0c142e25ef8576ee6baf332876eb08e760dc7120e44",
+        "8999ed28ece76a4f839dd5cc40f015f6d5db79c23c043bf34a0494d1d32f8eec",
 }
 
 # SHA-256 of the solve-radial CSV tables and plot-data curves: (argv, argv
@@ -842,11 +869,15 @@ def grid_report(key: str, tmp_path: Path) -> bytes:
 
 
 def cli_in_fresh_process(argv: list[str]) -> subprocess.CompletedProcess:
-    """`python -m pqliouville.cli argv` in a new interpreter, where nothing is bound yet."""
+    """`python -m pqliouville.cli argv` in a new interpreter, where nothing is bound yet.
+
+    A RuntimeWarning is an error there, as pyproject makes it one in this process.
+    """
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "pqliouville.cli", *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "pqliouville.cli",
+                           *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
 
 
 def plot_in_fresh_process(report: Path) -> str:

@@ -1,3 +1,7 @@
+import functools
+import sys
+from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -11,17 +15,18 @@ from pqliouville import (
     beta1,
     beta2,
     beta2_large_b_limit,
+    classify,
     exponent_bundle,
     gamma_exponent,
-    sum_beta2,
-    sum_exponent_bundle,
     t_from_b,
     theta_exponent,
 )
-from oracles import sample_admissible_pair, sample_admissible_product
+from pqliouville.params import expand_instances, parse_params
+from oracles import sample_admissible_pair, sample_admissible_product, sum_beta2_reference
 
 
 EXAMPLE = ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=2.0)
+SUM_GRID = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "sum_grid.par"
 
 
 class TestRoundTrip:
@@ -72,7 +77,7 @@ class TestBetaExponents:
             return SimpleNamespace(p=p, q=q, s=s, m=power, combined_exponent=power + s - q + 1.0)
 
         product_limit = sympy.limit(beta2(symbolic(m), b), b, sympy.oo)
-        sum_limit = sympy.limit(sum_beta2(symbolic(0), b), b, sympy.oo)
+        sum_limit = sympy.limit(beta2(symbolic(0), b), b, sympy.oo)
         for limit, inst in ((product_limit, symbolic(m)), (sum_limit, symbolic(0))):
             closed = beta2_large_b_limit(inst)
             assert sympy.simplify(sympy.nsimplify(limit - closed, rational=True)) == 0
@@ -149,28 +154,70 @@ class TestBundle:
             admissible_floor(degenerate)
 
 
+@functools.cache
+def sum_grid_decisions():
+    """classify() of every instance of the benchmark sum grid that selects a b."""
+    decisions = (classify(inst) for inst in expand_instances(parse_params(SUM_GRID.read_text())))
+    return [decision for decision in decisions if decision.exponents is not None]
+
+
 class TestSumExponents:
+    """The sum reaction takes its exponents from the product ones at m = 0;
+    `oracles.sum_beta2_reference` writes its beta2 out as the paper does."""
+
     def test_matches_gradient_free_reduction(self, rng):
-        # the literal sum formula equals the product beta2 with m = 0
-        for _ in range(1000):
-            N = int(rng.integers(2, 6))
+        p, q, s, b = sympy.symbols("p q s b", positive=True)
+        gradient_free = SimpleNamespace(p=p, q=q, s=s, m=0, combined_exponent=s - q + 1)
+        difference = beta2(gradient_free, b) - sum_beta2_reference(p, q, s, b)
+        assert sympy.simplify(sympy.nsimplify(difference, rational=True)) == 0
+
+        def errors(inst, b):
+            """Distances of beta2 at m = 0 and of the formula's float
+            evaluation from the formula's exact value, in units of eps
+            times the size of its terms."""
+            p, q, s = inst.p, inst.q, inst.s
+            exact = sum_beta2_reference(*map(Fraction, (p, q, s, b)))
+            scale = sys.float_info.epsilon * (1.0 + p + q + abs(exact - 1 + p - q))
+            return (float(abs(Fraction(beta2(inst._replace(m=0.0), b)) - exact)) / scale,
+                    float(abs(Fraction(sum_beta2_reference(p, q, s, b)) - exact)) / scale)
+
+        # at every b the sum grid selects, beta2 at m = 0 is never the farther
+        for decision in sum_grid_decisions():
+            ours, literal = errors(decision.inst, decision.exponents.b)
+            assert ours <= literal <= 4.0
+
+        # at random b and at every tau = 2^k the selection could accept, it
+        # is within a few eps and is closer more often than it is farther
+        closer = farther = 0
+        for _ in range(300):
             q = 1.2 + 1.5 * rng.random()
-            p = q + 0.4 * rng.random()
-            s = q - 1.0 + 0.2 + 2.0 * rng.random()
-            b = 1.0 + 4.0 * rng.random()
-            inst = ProblemInstance(N=N, p=p, q=q, kind="sum", s=s, m=1.0, M=1.0)
-            assert sum_beta2(inst, b) == pytest.approx(
-                beta2(inst._replace(m=0.0), b), abs=1e-12
-            )
+            inst = ProblemInstance(N=int(rng.integers(2, 6)), p=q + 0.4 * rng.random(), q=q,
+                                   kind="sum", s=q - 0.8 + 2.0 * rng.random(), m=1.0, M=1.0)
+            powers = [b_from_t(inst._replace(m=0.0), 2.0**k) for k in range(1, 40)]
+            for b in [1.0 + 4.0 * rng.random()] + [b for b in powers if b > 1.0]:
+                ours, literal = errors(inst, b)
+                assert ours <= 4.0
+                closer += ours < literal
+                farther += ours > literal
+        assert closer > farther
 
     def test_limit_example(self):
         inst = ProblemInstance(N=2, p=2.0, q=2.0, kind="sum", s=2.0, m=1.5, M=1.0)
-        assert sum_beta2(inst, 1e9) == pytest.approx(1.0, abs=1e-8)
+        assert beta2(inst._replace(m=0.0), 1e9) == pytest.approx(1.0, abs=1e-8)
 
-    def test_bundle_requires_tau_above_s(self):
-        inst = ProblemInstance(N=2, p=2.0, q=2.0, kind="sum", s=2.0, m=1.5, M=1.0)
-        bundle = sum_exponent_bundle(inst, 4.0)
-        assert bundle.b == pytest.approx(3.0)
-        assert bundle.gamma == min(1.0, bundle.beta2)
-        with pytest.raises(AdmissibilityError):
-            sum_exponent_bundle(inst, 1.0)
+    def test_bundle_is_the_product_bundle_at_m_zero(self):
+        # the tau search accepts only tau > s, so b > 1 and the bundle takes the beta2 branch
+        assert sum_grid_decisions()
+        for decision in sum_grid_decisions():
+            inst, selection = decision.inst, decision.selection
+            assert selection.t_star > inst.s and selection.b_star > 1.0
+            bundle = exponent_bundle(inst._replace(m=0.0), selection.b_star)
+            assert decision.exponents == bundle
+            assert bundle.gamma == min(1.0, bundle.beta2)
+            assert decision.estimate_exponent == 2.0 / bundle.gamma
+        # tau = 4 on the worked example gives b = 3 and t = tau back; tau = 1 gives b = 0
+        gradient_free = ProblemInstance(N=2, p=2.0, q=2.0, kind="sum", s=2.0, m=0.0, M=1.0)
+        bundle = exponent_bundle(gradient_free, b_from_t(gradient_free, 4.0))
+        assert bundle.b == 3.0 and bundle.t == 4.0
+        with pytest.raises(AdmissibilityError, match="b below admissible floor"):
+            exponent_bundle(gradient_free, b_from_t(gradient_free, 1.0))

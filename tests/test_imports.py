@@ -32,10 +32,12 @@ CLOSED_FORM_SKIPS = (*HEAVY, "dataclasses", "inspect", POOL)
 
 
 def fresh(code: str):
-    """Run code in a new interpreter; return the JSON it prints on its last line."""
+    """Run code in a new interpreter, where a RuntimeWarning is an error as in
+    this one; return the JSON it prints on its last line."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 

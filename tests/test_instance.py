@@ -64,6 +64,14 @@ class TestValidation:
             with pytest.raises(ValueError, match="at most"):
                 ProblemInstance(kind="sum", **dict(top, **{key: math.nextafter(MAX_FIELD, math.inf)}))
 
+    def test_int_beyond_float_range(self):
+        # math.isfinite cannot convert such an int; it is refused like any other bad field
+        for field in ("N", "p", "q", "s", "m", "M"):
+            for huge in (10**400, -(10**400)):
+                fields = dict(dict(N=2, p=2.0, q=2.0, kind="sum"), **{field: huge})
+                with pytest.raises(ValueError, match="must be finite"):
+                    ProblemInstance(**fields)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ProblemInstance(N=2, p=2.0, q=2.0, kind="mixed")

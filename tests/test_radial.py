@@ -201,6 +201,11 @@ class TestSolver:
             RadialProblem(LANE, 1.0, 2.0, 0.0, 0.0, reg_eps=0.5)
         with pytest.raises(AdmissibilityError):
             RadialProblem(LANE, 1.0, 2.0, -1.0, 1.0, log_transform=True)
+        # the largest radial weight r1^(N-1) = 2^(N-1) overflows from N = 1025 on
+        for N in (1025, 10**15):
+            with pytest.raises(AdmissibilityError, match=f"overflows a float: N={N}, r1=2.0"):
+                RadialProblem(HJ_Q2._replace(N=N), 1.0, 2.0, -64.0, 0.0)
+        RadialProblem(HJ_Q2._replace(N=1024), 1.0, 2.0, -64.0, 0.0)
 
 
 # the HJ iteration counts on this catalogue since the data stages stop at

@@ -11,7 +11,6 @@ from pqliouville import (
     beta2,
     product_trinomial,
     select_b_product,
-    sum_beta2,
     sum_selection,
     verify_negativity,
 )
@@ -176,7 +175,7 @@ class TestSumSelection:
         assert sel.case_tag == "sum_large_tau"
         assert sel.b_star > 1.0
         assert sel.kappa == 1.0
-        assert sum_beta2(inst, sel.b_star) > 0.0
+        assert beta2(inst._replace(m=0.0), sel.b_star) > 0.0
 
     def test_negative_discriminant_named(self):
         inst = ProblemInstance(N=2, p=2.5, q=2.0, kind="sum", s=2.0, m=1.5, M=1.0)

@@ -13,12 +13,13 @@ from pqliouville import (
     operator_gap,
     product_thresholds,
     product_trinomial,
+    small_s_threshold,
     sum_leading_coefficient,
     sum_thresholds,
     verify_negativity,
 )
 from pqliouville.trinomial import MAX_ORACLE_POINTS, oracle_curve
-from oracles import epsilon_sensitivity, instances, sample_admissible_product
+from oracles import bernstein_bounds, epsilon_sensitivity, instances, sample_admissible_product
 
 
 EXAMPLE = ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=2.0)
@@ -164,6 +165,48 @@ class TestSymbolicWindows:
         if th.discriminant_ok:
             expected = sorted(float(r) for r in roots)
             assert [th.Q1, th.Q2] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+class TestBernsteinBounds:
+    """At eps = 0 the product quadratic, the small-s threshold, Q3 and the
+    sum cap m_max are written in the extremes of the Bernstein weights
+    that `tests/test_weights.py` samples, `oracles.bernstein_bounds`."""
+
+    N, p, q, s, Q = sympy.symbols("N p q s Q", positive=True)
+
+    def test_trinomial_coefficients(self):
+        N, p, q, s, Q = self.N, self.p, self.q, self.s, self.Q
+        lo, hi, upsilon, _ = bernstein_bounds(N, p, q)
+        co = product_trinomial(SimpleNamespace(N=N, p=p, q=q, s=s, combined_exponent=Q), 0)
+        assert vanishes(upsilon - operator_gap(N, p, q))
+        assert vanishes(co.L1 - (1 - 2 * lo / Q + upsilon / Q**2))
+        assert vanishes(co.L2 - (2 * (s / Q) * hi - 2 * lo / Q))
+        assert vanishes(co.L3 - ((s / Q) ** 2 * upsilon + 2 * (s / Q) * (hi - (p - q))))
+
+    def test_small_s_threshold(self):
+        lo, hi, _, _ = bernstein_bounds(self.N, self.p, self.q)
+        assert vanishes(small_s_threshold(SimpleNamespace(N=self.N, p=self.p, q=self.q)) - lo / hi)
+
+    def test_q3_numerator_and_sum_cap(self, rng):
+        # Both threshold functions branch on the sign of an expression in
+        # N, p and q, so those are sampled floats; s stays a symbol, and
+        # Q3 - Q2 comes out as a multiple of (Gamma_lo - s Gamma_hi)^2 over a scale.
+        s = self.s
+        for _ in range(50):
+            inst = sample_admissible_product(rng)
+            N, p, q = inst.N, inst.p, inst.q
+            lo, hi, _, _ = bernstein_bounds(N, p, q)
+            symbolic = SimpleNamespace(kind="product", N=N, p=p, q=q, s=s,
+                                       combined_exponent=inst.combined_exponent)
+            th = product_thresholds(symbolic)
+            numerator, _ = sympy.fraction(sympy.together(th.Q3 - th.Q2))
+            ours = sympy.Poly(numerator, s).all_coeffs()
+            square = sympy.Poly((lo - s * hi) ** 2, s).all_coeffs()
+            assert len(ours) == len(square) == 3
+            assert [float(c) for c in ours] == pytest.approx(
+                [float(c * ours[0] / square[0]) for c in square], rel=1e-13)
+            m_max = sum_thresholds(inst._replace(kind="sum")).m_max
+            assert m_max == pytest.approx((q - 1) + lo, rel=1e-15)
 
 
 class TestGridOracle:

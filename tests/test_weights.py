@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pqliouville import aux_weights
+from oracles import bernstein_bounds
 
 
 class TestReductions:
@@ -52,20 +53,21 @@ class TestIdentitiesAndBounds:
         assert np.all(w.E / w.A >= q - 1.0 - tol)
         assert np.all(w.E / w.A <= p - 1.0 + tol)
         assert np.all((0.0 <= w.frakA) & (w.frakA < 1.0))
-        assert np.all(w.Gamma >= 2.0 * (q - 1.0) / N - tol)
-        assert np.all(w.Gamma <= 2.0 * (p - 1.0) / N + (p - q) + tol)
-        assert np.all(w.Xi <= (p - 1.0) ** 2 / N + tol)
-        upsilon_hi = (p - q) * (p - q + 4.0 * (p - 1.0) / N)
-        assert np.all((w.Upsilon >= -tol) & (w.Upsilon <= upsilon_hi + tol))
+        bounds = bernstein_bounds(N, p, q)
+        assert np.all(w.Gamma >= bounds.gamma_lo - tol)
+        assert np.all(w.Gamma <= bounds.gamma_hi + tol)
+        assert np.all(w.Xi <= bounds.xi_hi + tol)
+        assert np.all((w.Upsilon >= -tol) & (w.Upsilon <= bounds.upsilon_hi + tol))
 
     def test_worked_point_bounds(self):
         p, q, N = 2.5, 2.0, 2
         w = aux_weights(2.0, 1.3, 0.7, p, q, N)
         assert q - 2.0 <= w.D / w.A <= p - 2.0
         assert q - 1.0 <= w.E / w.A <= p - 1.0
-        assert 2.0 * (q - 1.0) / N <= w.Gamma <= 2.0 * (p - 1.0) / N + (p - q)
-        assert w.Xi <= (p - 1.0) ** 2 / N
-        assert 0.0 <= w.Upsilon <= (p - q) * (p - q + 4.0 * (p - 1.0) / N)
+        bounds = bernstein_bounds(N, p, q)
+        assert bounds.gamma_lo <= w.Gamma <= bounds.gamma_hi
+        assert w.Xi <= bounds.xi_hi
+        assert 0.0 <= w.Upsilon <= bounds.upsilon_hi
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):
