@@ -103,9 +103,9 @@ class RegimeDecision(NamedTuple):
         float can put ints among the values, which the table must tell
         from floats.
         The row leaves out `inst` (the report's echoed parameter map gives
-        it back), every None and an empty `matches`; the four records
-        (exponents, thresholds, selection) are written through their own
-        `as_dict`, under the keys RECORD_KEYS gives them.
+        it back), every None, an empty `matches` and the threshold records,
+        which the instance gives back; the records RECORD_KEYS names are
+        written through their own `as_dict`.
         """
         _, p, q, _, s, m, M = self.inst
         floats = type(p) is type(q) is type(s) is type(m) is type(M) is float
@@ -120,14 +120,14 @@ class RegimeDecision(NamedTuple):
             row["estimate_exponent"] = self.estimate_exponent
         if self.estimate_target is not None:
             row["estimate_target"] = self.estimate_target
-        for key, record in zip(RECORD_KEYS, self[7:]):
-            if record is not None:
+        for key in RECORD_KEYS:
+            if (record := getattr(self, key)) is not None:
                 row[key] = record.as_dict()
         return row
 
 
-# The report row keys of the record fields, RegimeDecision's last four.
-RECORD_KEYS = ("exponents", "product_thresholds", "sum_thresholds", "selection")
+# The record fields a report row writes, under their field names.
+RECORD_KEYS = ("exponents", "selection")
 
 
 def _ishii_lions_rows(inst: ProblemInstance, trace: _Trace) -> None:
@@ -168,7 +168,7 @@ def _product_case_rows(
          inst.p < inst.m + 1.0),
     )
     if optimal_search:
-        sel = select_b_product(inst)
+        sel = select_b_product(inst, th)
         _file(trace, theorem, (
             "window_numeric",
             "numeric convex-case feasibility (vertex of the majorant is negative): {}",
@@ -208,7 +208,7 @@ def _classify_product(
     _ishii_lions_rows(inst, trace)
     selection = bundle = None
     if case_theorem is not None and _passes(trace, case_theorem):
-        selection = window_selection or select_b_product(inst)
+        selection = window_selection or select_b_product(inst, th)
         _file(trace, case_theorem, ("selection_feasible", "constructive b-selection: {}",
                                     (selection.case_tag,), selection.feasible))
         if selection.feasible:
@@ -236,7 +236,7 @@ def _classify_sum(
 
     selection = bundle = None
     if _passes(trace, liou):
-        selection = sum_selection(inst)
+        selection = sum_selection(inst, th)
         _file(trace, liou, ("selection_feasible", "constructive tau-selection: {}",
                             (selection.case_tag,), selection.feasible))
         if selection.feasible:

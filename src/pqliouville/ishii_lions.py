@@ -18,6 +18,7 @@ import math
 from typing import NamedTuple
 
 from .errors import AdmissibilityError
+from .instance import MAX_FIELD
 
 
 class ILWindow(NamedTuple):
@@ -50,9 +51,12 @@ def il_alpha_window(q: float, m: float, gamma: float) -> tuple[float, float]:
 
 
 def il_parameter_window(q: float, m: float) -> ILWindow:
-    """Feasible (gamma, alpha) window; empty whenever m <= q."""
+    """Feasible (gamma, alpha) window; empty whenever m <= q.  With q and m at
+    most MAX_FIELD, 1/(m+1-q) >= 1e-15 exceeds an ulp of 1, so gamma_lo < 1."""
     if not (math.isfinite(q) and math.isfinite(m)):
         raise AdmissibilityError("q and m must be finite")
+    if max(q, m) > MAX_FIELD:
+        raise AdmissibilityError(f"q and m must be at most {MAX_FIELD:g}")
     if q <= 1.0:
         raise AdmissibilityError("q must exceed 1")
     if m <= 0.0:

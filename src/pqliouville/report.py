@@ -8,10 +8,12 @@ lists and dicts come from records and never hold themselves.  Wall-clock
 timings are collected but only emitted when explicitly requested, to
 keep the default output reproducible.
 
-Schema 6: a classify or sweep report writes each distinct hypothesis
-condition once, in its top-level `conditions` table (a
-`ConditionTable`), and each row's `conditions` are indices into it.  On
-a sweep most conditions repeat, since each depends on a few keys only.
+A classify or sweep report writes each distinct hypothesis condition
+once, in its top-level `conditions` table (a `ConditionTable`), and each
+row's `conditions` are indices into it (schema 6); on a sweep most
+conditions repeat.  Since schema 7 a row stores no threshold record: each
+is a function of the row's instance, and every threshold a verdict
+compares is among the values of the row's conditions.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import tempfile
 from collections.abc import Sequence
 from typing import NamedTuple
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 class ConditionTable(dict):

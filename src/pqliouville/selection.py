@@ -184,22 +184,22 @@ def _run(blocks: Generator[list[Row], None, tuple]) -> BSelection:
             return BSelection("infeasible", None, None, None, tuple(trace))
 
 
-def select_b_product(inst: ProblemInstance) -> BSelection:
+def select_b_product(inst: ProblemInstance, th: ProductThresholds | None = None) -> BSelection:
     """Constructively select (t*, b*, kappa) for the product reaction.
 
     Dispatches on the position of Q relative to [Q1, Q2] (boundary
     instances use exact floating comparison and route to case 2).  The
     five shared rows form one block, every later check a block of one
     row; the selection stops after the first block with a failing row,
-    so case 1 stops when L1 >= 0.
+    so case 1 stops when L1 >= 0.  `th` is the instance's
+    `product_thresholds`, computed here when not given.
     """
     if inst.kind != "product":
         raise AdmissibilityError("b-selection requires kind='product'")
-    return _run(_product_blocks(inst))
+    return _run(_product_blocks(inst, th or product_thresholds(inst)))
 
 
-def _product_blocks(inst: ProblemInstance):
-    th = product_thresholds(inst)
+def _product_blocks(inst: ProblemInstance, th: ProductThresholds):
     yield product_shared_rows(inst, th)
     coeffs = product_trinomial(inst, epsilon=0.0)
     floor = admissible_floor(inst)
@@ -253,21 +253,22 @@ def _product_blocks(inst: ProblemInstance):
     return tag, t, b, 1.0
 
 
-def sum_selection(inst: ProblemInstance) -> BSelection:
+def sum_selection(inst: ProblemInstance, th: SumThresholds | None = None) -> BSelection:
     """Select tau (hence b > 1) for the sum reaction.
 
     Check blocks, the first with a failing row ending the selection: the
     gap and delta rows, the rest of the sum window, the sign of the leading
     quadratic coefficient, then the first power of two tau > s with
-    b = (tau-q+1)/(s-q+1) > 1 and beta2(b) > 0.
+    b = (tau-q+1)/(s-q+1) > 1 and beta2(b) > 0.  `th` is the instance's
+    `sum_thresholds`, computed here when not given.
     """
     if inst.kind != "sum":
         raise AdmissibilityError("tau-selection requires kind='sum'")
-    return _run(_sum_blocks(inst))
+    return _run(_sum_blocks(inst, th or sum_thresholds(inst)))
 
 
-def _sum_blocks(inst: ProblemInstance):
-    rows = sum_liouville_rows(inst, sum_thresholds(inst))
+def _sum_blocks(inst: ProblemInstance, th: SumThresholds):
+    rows = sum_liouville_rows(inst, th)
     yield rows[:2]  # gap and delta: without them the s-window is not reported
     yield rows[2:]
     lead = sum_leading_coefficient(inst)

@@ -20,11 +20,6 @@ def operator_gap(N: int, p: float, q: float) -> float:
     return (p - q) * (p - q + 4.0 * (p - 1.0) / N)
 
 
-def _defined(thresholds) -> dict:
-    """The report dict of a threshold record: its defined thresholds (absent ones are left out)."""
-    return {key: value for key, value in zip(thresholds._fields, thresholds) if value is not None}
-
-
 class ProductThresholds(NamedTuple):
     """Derived thresholds for the product reaction u^s |grad u|^m.
 
@@ -43,8 +38,6 @@ class ProductThresholds(NamedTuple):
     Q2: float | None = None
     Q3: float | None = None
     a: float | None = None
-
-    as_dict = _defined
 
 
 def product_thresholds(inst: ProblemInstance) -> ProductThresholds:
@@ -91,8 +84,6 @@ class SumThresholds(NamedTuple):
     gap_ok: bool
     s_minus: float | None = None
     s_plus: float | None = None
-
-    as_dict = _defined
 
 
 def sum_thresholds(inst: ProblemInstance) -> SumThresholds:

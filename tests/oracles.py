@@ -13,8 +13,9 @@ for bit, the affine field is written out by hand, the epsilon sensitivity
 bounds the epsilon terms of the product trinomial term by term, and the
 parameter-window oracle brackets the feasibility predicate by bisection,
 the Bernstein bounds and the sum exponent are the paper's formulas
-written out, and the schema-5 view re-expands a report's condition table
-row by row.
+written out, the schema-6 view recomputes a row's threshold records from
+the echoed parameter map, and the schema-5 view re-expands a report's
+condition table row by row.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, solve_bvp
 from scipy.optimize import brentq
 
-from pqliouville import ProblemInstance, product_thresholds, product_trinomial
+from pqliouville import ProblemInstance, product_thresholds, product_trinomial, sum_thresholds
 from pqliouville.exponents import positive_combined_exponent
+from pqliouville.params import expand_instances
 from pqliouville.radial import flux, reaction_function
 from pqliouville.selection import small_s_threshold
 
@@ -569,8 +571,39 @@ def near_window_root(draw):
 
 
 # ---------------------------------------------------------------------------
-# schema-5 view of a report
+# schema-6 and schema-5 views of a report
 # ---------------------------------------------------------------------------
+
+def _report_bytes(report: dict) -> bytes:
+    return (json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def _defined(record) -> dict:
+    """A threshold record as schema 6 wrote it: its fields less the null ones."""
+    return {field: value for field, value in record._asdict().items() if value is not None}
+
+
+def schema6_view(text: str | bytes) -> bytes:
+    """The bytes schema 6 wrote for the run that wrote this report.
+
+    Schema 6 wrote each product row of a classify or sweep report with a
+    `product_thresholds` dict and each sum row with a `sum_thresholds`
+    dict: the record's fields, less those that are null.  Schema 7 leaves
+    both out, and the view computes them again for row `i` from instance
+    `i` of `expand_instances(config_echo["params"])`.  Any other report
+    differs only in `schema`.
+    """
+    report = json.loads(text)
+    report["schema"] = 6
+    echo = report["config_echo"]
+    if echo["command"] in ("classify", "sweep"):
+        for inst, row in zip(expand_instances(echo["params"]), report["results"], strict=True):
+            if inst.kind == "product":
+                row["product_thresholds"] = _defined(product_thresholds(inst))
+            elif inst.kind == "sum":
+                row["sum_thresholds"] = _defined(sum_thresholds(inst))
+    return _report_bytes(report)
+
 
 def schema5_view(text: str | bytes) -> bytes:
     """The bytes schema 5 wrote for the run that wrote this report.
@@ -581,8 +614,9 @@ def schema5_view(text: str | bytes) -> bytes:
     in its row as `[template_index, passed, values]`, the index into a
     top-level `condition_templates` list of `[theorem, label, template]` in
     first-use order.  A report without a condition table differs only in
-    `schema`.  Parsing and writing again give the same bytes: every float
-    a report holds is written as its repr, which reads back to itself.
+    `schema`.  Read a schema-7 report through `schema6_view` first.
+    Parsing and writing again give the same bytes: every float a report
+    holds is written as its repr, which reads back to itself.
     """
     report = json.loads(text)
     report["schema"] = 5
@@ -597,4 +631,4 @@ def schema5_view(text: str | bytes) -> bytes:
                 expanded.append([templates.setdefault(key, len(templates)), passed, values])
             row["conditions"] = expanded
         report["condition_templates"] = [list(key) for key in templates]
-    return (json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return _report_bytes(report)

@@ -292,9 +292,10 @@ def test_optimal_search_selects_once_per_instance(monkeypatch):
     module = sys.modules["pqliouville.classify"]  # pqliouville.classify is the function
     calls = []
 
-    def counted(inst):
+    def counted(inst, th):
         calls.append(inst)
-        return select_b_product(inst)
+        assert th == product_thresholds(inst)
+        return select_b_product(inst, th)
 
     monkeypatch.setattr(module, "select_b_product", counted)
     reused = 0
@@ -307,3 +308,23 @@ def test_optimal_search_selects_once_per_instance(monkeypatch):
             reused += 1
             assert decision.selection == select_b_product(inst)
     assert reused > 0
+
+
+@pytest.mark.parametrize("optimal", [False, True])
+def test_thresholds_computed_once_per_instance(monkeypatch, optimal):
+    """classify hands the threshold record it computed to the selection."""
+    calls = []
+
+    def counted(function):
+        return lambda inst: calls.append(inst) or function(inst)
+
+    for module in (sys.modules["pqliouville.classify"], sys.modules["pqliouville.selection"]):
+        for name in ("product_thresholds", "sum_thresholds"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    selected = 0
+    for grid in (PRODUCT_GRID, PRODUCT_GRID.with_name("sum_grid.par")):
+        for inst in expand_instances(parse_params(grid.read_text())):
+            calls.clear()
+            selected += classify(inst, optimal_search=optimal).selection is not None
+            assert calls == [inst]
+    assert selected > 0

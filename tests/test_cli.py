@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import schema5_view
+from oracles import schema5_view, schema6_view
 
 import pqliouville.cli as cli
 import pqliouville.params
@@ -136,6 +136,11 @@ REFUSED = {
     "il-window-m-inf": (["il-window", "--q", "2", "--m", "inf"], None, "q and m must be finite"),
     "il-window-m-minus-1e3": (["il-window", "--q", "2", "--m", "-1e3"], None,
                               "m must be positive"),
+    # past instance.MAX_FIELD, where 1 - 1/(m+1-q) rounds to gamma_hi = 1
+    "il-window-m-1e300": (["il-window", "--q", "2", "--m", "1e300"], None,
+                          f"q and m must be at most {MAX_FIELD:g}"),
+    "il-window-q-m-1e300": (["il-window", "--q", "1e300", "--m", "1e301"], None,
+                            f"q and m must be at most {MAX_FIELD:g}"),
 }
 
 # Each instance and radial key of one solve-radial run: (flag, token, bad token).
@@ -277,7 +282,7 @@ class TestCommands:
         ])
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == 6
+        assert report["schema"] == 7
         assert "timing" not in report
         row = report["results"][0]
         assert row["theorem"] == "thm_product_A"
@@ -341,7 +346,7 @@ class TestCommands:
         par = tmp_path / "sweep.par"
         par.write_text("kind = product\nN = 2 3\np = 1.5 2 3\nq = p\ns = 0.5\nm = 0\n")
         assert run(["sweep", "--params", str(par)]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = json.loads(schema6_view(capsys.readouterr().out))
         instances = expand_instances(report["config_echo"]["params"])
         for inst, row in zip(instances, report["results"], strict=True):
             th = row["product_thresholds"]
@@ -598,6 +603,9 @@ class TestCommands:
         code = run([*argv, "--out", str(out)])
         assert code in (0, 2)
         assert code == 2 or "NaN" not in out.read_text()
+        if code == 0 and command == "il-window":
+            window = json.loads(out.read_text())["results"][0]["window"]
+            assert not window["feasible"] or window["gamma_lo"] < window["gamma_hi"], window
 
     def test_refused_grid_point_names_its_index_and_values(self, tmp_path, capsys):
         # a one-instance input keeps the bare message (the REFUSED cases)
@@ -738,7 +746,7 @@ class TestCommands:
 
 
 # SHA-256 of reports on the full benchmark grids, pinned at schema 5 and
-# read through `oracles.schema5_view`: plain sweeps, and the reports whose
+# read through `oracles.schema5_view` after `oracles.schema6_view`: plain sweeps, and the reports whose
 # selection traces together reach every selection case.  The sum digests
 # here, in SWEEP_BYTES, SCHEMA6_BYTES and CSV_RESULTS were re-taken when the
 # sum exponents became the product ones at m = 0: only exponents.beta2,
@@ -770,7 +778,7 @@ CSV_RESULTS = {
 }
 
 # SHA-256 of sweep reports on the tiny grids, pinned at schema 5 and read
-# through `oracles.schema5_view`.
+# through `oracles.schema5_view` after `oracles.schema6_view`.
 SWEEP_BYTES = {
     "sweep tiny_product_grid.par": "a13c47fba6ad3fb730a4e2c02ec6f9ae05c9a2687fda9108eabfcad632f68be7",
     "sweep --optimal-search tiny_product_grid.par":
@@ -780,7 +788,8 @@ SWEEP_BYTES = {
         "b0c7d55a00c542b5c24c4fac6b52cf4658620f825c62558306a2b6d47a2ba20b",
 }
 
-# SHA-256 of the raw schema-6 bytes of the sweep reports above.
+# SHA-256 of the schema-6 bytes of the sweep reports above, read through
+# `oracles.schema6_view`.
 SCHEMA6_BYTES = {
     "sweep product_grid.par": "a95a3d334c95a7e69f593628ec69dc36346c667150b28307840f6e780574c6b4",
     "sweep sum_grid.par": "c7cf0195a20d41869ec2c5ef6d5d119151477a57699b5a2225c5c8a235a7d1ff",
@@ -794,6 +803,22 @@ SCHEMA6_BYTES = {
     "sweep tiny_sum_grid.par": "23aff7509e3eb75977757c4001f2e41880d630fcda487863dad4fd2719abeeac",
     "sweep --optimal-search tiny_sum_grid.par":
         "8999ed28ece76a4f839dd5cc40f015f6d5db79c23c043bf34a0494d1d32f8eec",
+}
+
+# SHA-256 of the raw schema-7 bytes of the same sweep reports.
+SCHEMA7_BYTES = {
+    "sweep product_grid.par": "33805f8c61310f9e9c75922a1b9227ee401b6738a9802a30cc46cebad7e9e50a",
+    "sweep sum_grid.par": "860f04d78e6f1f91cd2c59c2b6a4f176c24c57edd8e33f98cd1d83a9c309a0a6",
+    "sweep --optimal-search product_grid.par":
+        "224a4b4f4ae4b8b5d8ad8c0eaf1d9ee397cbfb6bb1371df8a09e656fe4dfaf78",
+    "sweep --optimal-search sum_grid.par":
+        "2cceaf114f83b6e3721e3e16c86bc70c5887f9961b780ac85d1c0299a63a6152",
+    "sweep tiny_product_grid.par": "ac63f5b5c3d4488bebe84c418b7b753df5a4b68e6c10abb1c5f83ade6bd38a5c",
+    "sweep --optimal-search tiny_product_grid.par":
+        "d2ba05258d0e25c5103c9d13cd7b2b8fe598439be6bd5dd6551df5f2d14208a2",
+    "sweep tiny_sum_grid.par": "53ae2144b18f9d7617810f78cd6a85d07849ea002cca0b136d58c1db42682c98",
+    "sweep --optimal-search tiny_sum_grid.par":
+        "8e7679cf8ca9c6afc8a4bd311f7c55257233f1f24d0dbf8b62745ab5dde0314d",
 }
 
 # SHA-256 of the solve-radial CSV tables and plot-data curves: (argv, argv
@@ -839,9 +864,10 @@ RECORD_BYTES = {
         "4d6e51bd708fe1de83a822fad26b92d63f9abe3d5e09c7c78be4c7a7002dfc92"),
 }
 
-# The keys a classify row may hold, and those of its threshold dicts.
+# The keys a classify row may hold, and those of the threshold dicts that
+# schema 6 wrote and `oracles.schema6_view` gives back.
 ROW_KEYS = {"instance", "theorem", "matches", "conditions", "liouville", "estimate_exponent",
-            "estimate_target", "exponents", "product_thresholds", "sum_thresholds", "selection"}
+            "estimate_target", "exponents", "selection"}
 THRESHOLD_KEYS = {"product_thresholds": {"R", "Q", "discriminant_ok", "Q1", "Q2", "Q3", "a"},
                   "sum_thresholds": {"delta_pq", "m_max", "gap_ok", "s_minus", "s_plus"}}
 
@@ -893,16 +919,18 @@ class TestReportSchema:
     def test_selection_traces_keep_their_bytes(self, key, tmp_path):
         text = grid_report(key, tmp_path)
         assert b"epsilon_used" not in text
-        assert hashlib.sha256(schema5_view(text)).hexdigest() == TRACE_BYTES[key]
+        assert hashlib.sha256(schema5_view(schema6_view(text))).hexdigest() == TRACE_BYTES[key]
         if key in SCHEMA6_BYTES:
-            assert hashlib.sha256(text).hexdigest() == SCHEMA6_BYTES[key]
+            assert hashlib.sha256(schema6_view(text)).hexdigest() == SCHEMA6_BYTES[key]
+            assert hashlib.sha256(text).hexdigest() == SCHEMA7_BYTES[key]
 
     @pytest.mark.parametrize("key", sorted(SWEEP_BYTES.keys() | FULL_SWEEP_BYTES.keys()))
     def test_sweep_reports_keep_their_bytes(self, key, tmp_path):
         text = grid_report(key, tmp_path)
-        digest = hashlib.sha256(schema5_view(text)).hexdigest()
+        digest = hashlib.sha256(schema5_view(schema6_view(text))).hexdigest()
         assert digest == {**SWEEP_BYTES, **FULL_SWEEP_BYTES}[key]
-        assert hashlib.sha256(text).hexdigest() == SCHEMA6_BYTES[key]
+        assert hashlib.sha256(schema6_view(text)).hexdigest() == SCHEMA6_BYTES[key]
+        assert hashlib.sha256(text).hexdigest() == SCHEMA7_BYTES[key]
 
     @pytest.mark.parametrize("key", sorted(CSV_RESULTS))
     def test_csv_keeps_its_bytes(self, key, tmp_path):
@@ -975,6 +1003,16 @@ class TestReportSchema:
         # first-use order, and no condition the row does not use
         assert used == list(range(len(used))) == list(range(len(report["conditions"])))
 
+    @pytest.mark.parametrize("optimal", [False, True])
+    def test_rows_hold_no_threshold_records(self, optimal, capsys):
+        flag = ["--optimal-search"] if optimal else []
+        for argv in (["--params", TINY_GRID], ["--params", TINY_GRID.replace("product", "sum")],
+                     [*HJ, "--m", "2.5"]):
+            assert run(["classify", *argv, *flag]) == 0
+            rows = json.loads(capsys.readouterr().out)["results"]
+            assert not any({"product_thresholds", "sum_thresholds"} & set(row) for row in rows)
+            assert any("selection" in row for row in rows) or argv[0] != "--params"
+
     def test_reports_without_conditions_have_no_template_table(self, capsys):
         assert run(["search-b", *PRODUCT]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -1031,6 +1069,7 @@ class TestReportSchema:
             assert None not in row.values() and row.get("matches") != []
             for index in row["conditions"]:
                 assert type(index) is int and 0 <= index < len(table)
+        for row in json.loads(schema6_view(text))["results"]:
             for key, fields in THRESHOLD_KEYS.items():
                 if key in row:
                     assert set(row[key]) <= fields and None not in row[key].values()
@@ -1137,7 +1176,7 @@ class TestReportSchema:
     def test_records_keep_their_bytes(self, argv, digest, capsys):
         assert run(argv) == 0
         text = capsys.readouterr().out
-        assert json.loads(text)["schema"] == 6 and "conditions" not in json.loads(text)
+        assert json.loads(text)["schema"] == 7 and "conditions" not in json.loads(text)
         assert hashlib.sha256(schema5_view(text)).hexdigest() == digest
 
     @pytest.mark.parametrize("source, selector, section, field, value", TAMPERED.values(),
