@@ -13,6 +13,7 @@ import functools
 import importlib
 import io
 import json
+import marshal
 import math
 import os
 import sys
@@ -24,11 +25,14 @@ from .errors import AdmissibilityError
 from .instance import KINDS, ProblemInstance
 from .ishii_lions import il_parameter_window
 from .params import INSTANCE_KEYS, KEYS, ParamError, expand_instances, parse_params, radial_settings
-from .report import ConditionTable, Report, atomic_write_text
+from .report import ConditionTable, Report, atomic_write_text, worker_count
 from .selection import select_b_product, sum_selection
 from .trinomial import MAX_ORACLE_POINTS, TrinomialCoeffs, oracle_curve, product_trinomial, verify_negativity
 
 DEFAULT_ORACLE_POINTS = 2048
+# Instances per row worker at least, a fork's break-even (2 cores: 1,000
+# instances took 9.3 ms in one process, 9.1 ms in two; 2,000 17.6 and 14.3 ms).
+MIN_CHUNK = 1000
 # Size limits: the largest accepted run peaks near 200 MB RSS (oracle about 16 B
 # a point, identities about 150 B a fine node).
 MAX_RESOLUTION = 513
@@ -168,10 +172,92 @@ def _search_one(inst: ProblemInstance, oracle_points: int) -> dict:
     return row
 
 
+def _fork(build, chunk, read_ends) -> tuple[int, int] | None:
+    """(pid, read end) of a child piping marshal(build(chunk, ConditionTable())), or None."""
+    fds = ()
+    try:
+        fds = r, w = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            for fd in (r, *read_ends):  # so that the parent's close reaches each writer
+                os.close(fd)
+            with open(w, "wb") as pipe:
+                marshal.dump(build(chunk, ConditionTable()), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _join(child: tuple[int, int]):
+    """A forked child's payload, or None when it failed; closes its pipe and reaps it."""
+    pid, fd = child
+    try:
+        with open(fd, "rb") as pipe:
+            payload = marshal.loads(pipe.read())
+    except (EOFError, ValueError, TypeError):
+        payload = None
+    finally:
+        failed = os.waitpid(pid, 0)[1]
+    return None if failed else payload
+
+
+def _classify_rows(instances, optimal_search: bool, table: ConditionTable) -> tuple[list, int]:
+    """classify(inst).as_dict(table) of each instance, and how many processes built them.
+
+    k contiguous chunks: one per CPU this process may run on and MIN_CHUNK
+    instances, one alone without os.fork or with another thread running.
+    Forked children build chunks 2..k on tables of their own; the parent
+    builds chunk 1, then folds each child's rows in, in order, numbering new
+    conditions as the serial loop does.  It builds a chunk whose fork, child
+    or payload fails itself, and reaps every child before it returns or
+    raises, so rows, table and any exception are the serial loop's.
+    """
+
+    def build(chunk, table):
+        rows = [classify(inst, optimal_search=optimal_search).as_dict(table) for inst in chunk]
+        return rows, table.entries
+
+    k = max(1, min(worker_count(), len(instances) // MIN_CHUNK))
+    if k > 1:
+        import threading  # loaded already wherever a thread runs
+
+        k = k if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    bounds = [len(instances) * i // k for i in range(k + 1)]
+    chunks = [instances[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    children = []
+    try:
+        for chunk in chunks[1:]:
+            children.append(_fork(build, chunk, [child[1] for child in children if child]))
+        rows, workers = build(chunks[0], table)[0], 1
+        for n, chunk in enumerate(chunks[1:]):
+            child, children[n] = children[n], None
+            payload = child and _join(child)
+            workers += payload is not None
+            part, entries = payload or build(chunk, ConditionTable())
+            index = table.indices([(t, label, tpl, tuple(v), ok) for t, label, tpl, ok, v in entries],
+                                  ints=True)
+            for row in part:
+                row["conditions"] = [index[i] for i in row["conditions"]]
+            rows += part
+        return rows, workers
+    finally:
+        for child in filter(None, children):
+            _join(child)
+
+
 # Each handler returns its Report fields (results; for classify and
 # sweep the condition table as "conditions" and the times of their
-# stages as "timing"; for verify-identities "timing" with "workers", the
-# size of the grid kernels' thread pool),
+# stages and the number of processes that built their rows as "timing";
+# for verify-identities "timing" with "workers", the size of the grid
+# kernels' thread pool),
 # the config_echo entries only it knows, and the exit code; _report times
 # the call and builds the report.  With --format csv the results are the
 # table's rows, header first.
@@ -190,9 +276,9 @@ def _cmd_classify(args, params):
     instances = expand_instances(merged)
     expanded = time.perf_counter()
     table = ConditionTable()
-    results = [classify(inst, optimal_search=args.optimal_search).as_dict(table)
-               for inst in instances]
-    stages = {"expand_s": expanded - started, "rows_s": time.perf_counter() - expanded}
+    results, workers = _classify_rows(instances, args.optimal_search, table)
+    stages = {"expand_s": expanded - started, "rows_s": time.perf_counter() - expanded,
+              "workers": workers}
     fields = {"results": results, "conditions": table.entries, "timing": stages}
     return fields, {"params": merged}, 0
 
@@ -262,8 +348,6 @@ def _identity_suite(resolution: int, factor: float) -> list[dict]:
 
 def _cmd_verify_identities(args, params):
     results = _identity_suite(args.resolution, args.identity_factor)
-    from .operators import worker_count
-
     fields = {"results": results, "timing": {"workers": worker_count()}}
     return fields, {"resolution": args.resolution}, 0
 

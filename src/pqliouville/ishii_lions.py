@@ -38,21 +38,10 @@ class ILWindow(NamedTuple):
         return self._asdict()
 
 
-def il_gamma_lo(q: float, m: float) -> float:
-    """Closed-form lower end of the feasible gamma window: 1 - 1/(m+1-q)."""
-    return 1.0 - 1.0 / (m + 1.0 - q)
-
-
-def il_alpha_window(q: float, m: float, gamma: float) -> tuple[float, float]:
-    """Admissible decay powers for delta(r) = r^(-alpha) at a given gamma:
-    (max{0, gamma - 1 + 1/(m+1-q)}, gamma)."""
-    lo = max(0.0, gamma - 1.0 + 1.0 / (m + 1.0 - q))
-    return lo, gamma
-
-
-def il_parameter_window(q: float, m: float) -> ILWindow:
-    """Feasible (gamma, alpha) window; empty whenever m <= q.  With q and m at
-    most MAX_FIELD, 1/(m+1-q) >= 1e-15 exceeds an ulp of 1, so gamma_lo < 1."""
+def _check(q: float, m: float, window: bool = True) -> None:
+    """Refuse q and m outside the window's domain; with `window`, also m <= q,
+    where the window is empty.  With q and m at most MAX_FIELD,
+    1/(m+1-q) >= 1e-15 exceeds an ulp of 1, so gamma_lo < 1."""
     if not (math.isfinite(q) and math.isfinite(m)):
         raise AdmissibilityError("q and m must be finite")
     if max(q, m) > MAX_FIELD:
@@ -61,6 +50,27 @@ def il_parameter_window(q: float, m: float) -> ILWindow:
         raise AdmissibilityError("q must exceed 1")
     if m <= 0.0:
         raise AdmissibilityError("m must be positive")
+    if window and m <= q:
+        raise AdmissibilityError("the window is empty unless m > q")
+
+
+def il_gamma_lo(q: float, m: float) -> float:
+    """Closed-form lower end of the feasible gamma window: 1 - 1/(m+1-q)."""
+    _check(q, m)
+    return 1.0 - 1.0 / (m + 1.0 - q)
+
+
+def il_alpha_window(q: float, m: float, gamma: float) -> tuple[float, float]:
+    """Admissible decay powers for delta(r) = r^(-alpha) at a given gamma:
+    (max{0, gamma - 1 + 1/(m+1-q)}, gamma)."""
+    _check(q, m)
+    lo = max(0.0, gamma - 1.0 + 1.0 / (m + 1.0 - q))
+    return lo, gamma
+
+
+def il_parameter_window(q: float, m: float) -> ILWindow:
+    """Feasible (gamma, alpha) window; empty whenever m <= q."""
+    _check(q, m, window=False)
     if m <= q:
         return ILWindow(feasible=False, gamma_lo=None, gamma_hi=None)
     return ILWindow(feasible=True, gamma_lo=il_gamma_lo(q, m), gamma_hi=1.0)

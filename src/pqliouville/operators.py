@@ -46,6 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FieldError
+from .report import worker_count
 
 # About this many nodes per block of axis-0 planes (0.5 MB per float64
 # temporary).
@@ -63,14 +64,6 @@ def _forget_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
-
-
-def worker_count() -> int:
-    """Threads in the block pool: the CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _executor():

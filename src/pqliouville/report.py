@@ -1,4 +1,4 @@
-"""Deterministic report records and atomic file output.
+"""Deterministic report records, atomic file output and the CPU count.
 
 Reports serialize as one compact line with sorted keys and stable float
 repr, so identical configurations produce byte-identical files; compact
@@ -26,6 +26,14 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 SCHEMA_VERSION = 7
+
+
+def worker_count() -> int:
+    """The CPUs this process may run on: sweep row workers, grid-kernel threads."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 class ConditionTable(dict):

@@ -1,12 +1,15 @@
 import argparse
 import hashlib
 import json
+import marshal
 import math
 import os
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +23,6 @@ from pqliouville.classify import classify
 from pqliouville.cli import _load_params, _report, build_parser, main
 from pqliouville.identities import DEFAULT_TOLERANCE_FACTOR
 from pqliouville.instance import KINDS, MAX_FIELD, ProblemInstance
-from pqliouville.operators import worker_count
 from pqliouville.params import (MAX_INSTANCES, ParamError, expand_instances, parse_params,
                                 radial_settings)
 from pqliouville.radial import (
@@ -32,7 +34,7 @@ from pqliouville.radial import (
     radial_mesh,
     solve_radial,
 )
-from pqliouville.report import ConditionTable, Report
+from pqliouville.report import ConditionTable, Report, worker_count
 from pqliouville.trinomial import product_trinomial
 
 PRODUCT_GRID = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "product_grid.par"
@@ -706,9 +708,10 @@ class TestCommands:
 
     def test_timing_flag_adds_section(self, tmp_path):
         # classify and sweep time their expansion and their rows (classify
-        # and as_dict), verify-identities gives the size of the grid
-        # kernels' thread pool; other commands give the total alone
-        stages = {"expand_s", "rows_s", "total_s"}
+        # and as_dict) and give the number of processes that built the
+        # rows, verify-identities gives the size of the grid kernels'
+        # thread pool; other commands give the total alone
+        stages = {"expand_s", "rows_s", "workers", "total_s"}
         for argv, keys in (
             (["classify", *PRODUCT_A], stages),
             (["sweep", "--params", TINY_GRID], stages),
@@ -723,6 +726,7 @@ class TestCommands:
             assert all(seconds >= 0.0 for seconds in timing[0].values())
             if keys == stages:
                 assert timing[0]["expand_s"] + timing[0]["rows_s"] <= timing[0]["total_s"]
+                assert timing[0]["workers"] == 1
         assert timing[0]["workers"] == worker_count() >= 1
 
     def test_verify_identities_reruns_are_byte_identical(self, tmp_path):
@@ -1208,6 +1212,124 @@ class TestReportSchema:
         err = capsys.readouterr().err
         assert err.startswith(message) and "Traceback" not in err
         assert not out.exists()
+
+
+# Both zero signs of s on either side of a chunk boundary, so that conditions
+# the condition table keys by their repr cross chunks.
+ZERO_SIGNS = "kind = product\nN = 2\np = 2.5\nq = 2\ns = 0 -0.0\nm = 1.5 2.5\n"
+
+
+def split_rows(monkeypatch, workers: int) -> list:
+    """Give classify and sweep `workers` row workers on any grid of that many
+    instances; return the list that each os.fork call of this process appends to."""
+    monkeypatch.setattr(cli, "MIN_CHUNK", 1)
+    monkeypatch.setattr(cli, "worker_count", lambda: workers)
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def forks_expected(workers: int) -> int:
+    """Children made for `workers` row workers: none while another thread runs."""
+    return workers - 1 if threading.active_count() == 1 else 0
+
+
+def fail_in(monkeypatch, parent: bool) -> None:
+    """Make cli.classify raise in the parent process only, or in its children only."""
+    pid, classify_one = os.getpid(), cli.classify
+
+    def failing(inst, **kwargs):
+        if (os.getpid() == pid) == parent:
+            raise RuntimeError(f"cannot classify {inst}")
+        return classify_one(inst, **kwargs)
+
+    monkeypatch.setattr(cli, "classify", failing)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestRowWorkers:
+    @pytest.mark.parametrize("key", [key for key in sorted(SCHEMA7_BYTES) if "tiny" in key])
+    def test_any_worker_count_gives_the_serial_bytes(self, key, tmp_path, monkeypatch):
+        for workers in (1, 2, 3):
+            forks = split_rows(monkeypatch, workers)
+            assert hashlib.sha256(grid_report(key, tmp_path)).hexdigest() == SCHEMA7_BYTES[key]
+            assert len(forks) == forks_expected(workers)
+        assert_no_child_left()
+
+    def test_zero_signs_cross_chunks(self, tmp_path, monkeypatch):
+        par, out = tmp_path / "zeros.par", tmp_path / "report.json"
+        par.write_text(ZERO_SIGNS)
+        reports = []
+        for workers in (1, 2, 3, 4):
+            split_rows(monkeypatch, workers)
+            assert run(["sweep", "--params", str(par), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert len(set(reports)) == 1
+        shown = [repr(values) for _, label, _, _, values in json.loads(reports[0])["conditions"]
+                 if label == "s_positive"]
+        assert shown == ["[0.0]", "[-0.0]"]
+
+    @pytest.mark.parametrize("failure", ["child-raises", "fork-raises", "payload-bad"])
+    def test_failed_workers_give_the_serial_bytes(self, failure, tmp_path, monkeypatch):
+        key = "sweep --optimal-search tiny_product_grid.par"
+        split_rows(monkeypatch, 3)
+        if failure == "child-raises":
+            fail_in(monkeypatch, parent=False)
+        elif failure == "fork-raises":
+            def refuse():
+                raise OSError("no fork")
+
+            monkeypatch.setattr(os, "fork", refuse)
+        else:
+            def bad(data):
+                raise ValueError("bad marshal data")
+
+            monkeypatch.setattr(cli, "marshal", SimpleNamespace(dump=marshal.dump, loads=bad))
+        assert hashlib.sha256(grid_report(key, tmp_path)).hexdigest() == SCHEMA7_BYTES[key]
+        out = tmp_path / "timed.json"
+        assert run(["sweep", "--params", TINY_GRID, "--timing", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["timing"][0]["workers"] == 1
+        assert_no_child_left()
+
+    def test_parent_failure_raises_the_serial_exception(self, tmp_path, monkeypatch):
+        argv = ["sweep", "--params", TINY_GRID, "--out", str(tmp_path / "report.json")]
+        fail_in(monkeypatch, parent=True)
+        errors = []
+        for workers in (1, 3):
+            forks = split_rows(monkeypatch, workers)
+            with pytest.raises(RuntimeError) as info:
+                run(argv)
+            errors.append(str(info.value))
+            assert len(forks) == forks_expected(workers)
+            assert_no_child_left()
+        assert errors[0] == errors[1] and errors[0].startswith("cannot classify")
+
+    def test_one_instance_never_forks(self, tmp_path, monkeypatch):
+        split_rows(monkeypatch, 4)
+
+        def refuse():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert run(["classify", *PRODUCT_A, "--out", str(tmp_path / "report.json")]) == 0
+
+    @pytest.mark.parametrize("grid, instances", [(PRODUCT_GRID, 9600), (Path(TINY_GRID), 16)])
+    def test_timing_reports_the_split_rule(self, grid, instances, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["sweep", "--params", str(grid), "--timing", "--out", str(out)]) == 0
+        split = max(1, min(worker_count(), instances // cli.MIN_CHUNK))
+        expected = split if threading.active_count() == 1 else 1
+        assert json.loads(out.read_text())["timing"][0]["workers"] == expected
+        assert_no_child_left()
 
 
 def accepted_options() -> dict[str, set[str]]:

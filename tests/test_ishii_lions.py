@@ -1,8 +1,23 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
-from pqliouville import il_alpha_window, il_gamma_lo, il_parameter_window
+from pqliouville import AdmissibilityError, il_alpha_window, il_gamma_lo, il_parameter_window
 from oracles import il_gamma_lo_bisection
+
+# (q, m) outside the window's domain, and what each is refused for.
+REFUSED = {
+    "m-1e300": ((2.0, 1e300), "q and m must be at most 1e+15"),
+    "q-m-1e300": ((1e300, 1e301), "q and m must be at most 1e+15"),
+    "m-inf": ((2.0, math.inf), "q and m must be finite"),
+    "q-nan": ((math.nan, 3.0), "q and m must be finite"),
+    "q-1": ((1.0, 3.0), "q must exceed 1"),
+    "m-0": ((2.0, 0.0), "m must be positive"),
+}
+# (q, m) with m <= q, where the window is empty.
+NO_WINDOW = [(2.0, 2.0), (2.0, 1.5), (3.0, 1e-3)]
 
 
 class TestWindow:
@@ -52,3 +67,31 @@ class TestWindow:
             il_parameter_window(1.0, 2.0)
         with pytest.raises(ValueError):
             il_parameter_window(2.0, 0.0)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("qm, message", REFUSED.values(), ids=REFUSED)
+    def test_gamma_lo_refuses(self, qm, message):
+        with pytest.raises(AdmissibilityError, match=re.escape(message)):
+            il_gamma_lo(*qm)
+
+    @pytest.mark.parametrize("qm, message", REFUSED.values(), ids=REFUSED)
+    def test_alpha_window_refuses(self, qm, message):
+        with pytest.raises(AdmissibilityError, match=re.escape(message)):
+            il_alpha_window(*qm, 0.75)
+
+    @pytest.mark.parametrize("qm, message", REFUSED.values(), ids=REFUSED)
+    def test_parameter_window_refuses_as_gamma_lo_does(self, qm, message):
+        refusals = []
+        for window in (il_parameter_window, il_gamma_lo):
+            with pytest.raises(AdmissibilityError) as info:
+                window(*qm)
+            refusals.append(str(info.value))
+        assert refusals == [message, message]
+
+    @pytest.mark.parametrize("qm", NO_WINDOW)
+    def test_no_window_at_m_at_most_q(self, qm):
+        assert il_parameter_window(*qm) == (False, None, None)
+        for refused in (lambda: il_gamma_lo(*qm), lambda: il_alpha_window(*qm, 0.75)):
+            with pytest.raises(AdmissibilityError, match="the window is empty unless m > q"):
+                refused()
