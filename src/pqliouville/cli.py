@@ -34,7 +34,7 @@ DEFAULT_ORACLE_POINTS = 2048
 # instances took 9.3 ms in one process, 9.1 ms in two; 2,000 17.6 and 14.3 ms).
 MIN_CHUNK = 1000
 # Size limits: the largest accepted run peaks near 200 MB RSS (oracle about 16 B
-# a point, identities about 150 B a fine node).
+# a point, identities about 110 B a fine node).
 MAX_RESOLUTION = 513
 TOLERANCE_DEFAULTS = {"identity_factor": 25.0, "newton_tol": 1e-10}
 
@@ -256,8 +256,8 @@ def _classify_rows(instances, optimal_search: bool, table: ConditionTable) -> tu
 # Each handler returns its Report fields (results; for classify and
 # sweep the condition table as "conditions" and the times of their
 # stages and the number of processes that built their rows as "timing";
-# for verify-identities "timing" with "workers", the size of the grid
-# kernels' thread pool),
+# for verify-identities "timing" with the seconds in each kind of check
+# and "workers", the size of the grid kernels' thread pool),
 # the config_echo entries only it knows, and the exit code; _report times
 # the call and builds the report.  With --format csv the results are the
 # table's rows, header first.
@@ -300,9 +300,18 @@ def _cmd_il_window(args, params):
     return {"results": results}, {"q": args.q, "m": args.m}, 0
 
 
-def _identity_suite(resolution: int, factor: float) -> list[dict]:
+def _identity_suite(resolution: int, factor: float) -> tuple[list[dict], dict]:
+    """The suite's rows, and the seconds spent in each kind of check."""
     _bind_heavy("fields", "identities")
     results = []
+    stages = dict.fromkeys(("change_of_variable_s", "bochner_s", "scaling_s"), 0.0)
+
+    def timed(stage, check, *args, **kwargs):
+        started = time.perf_counter()
+        rep = check(*args, **kwargs)
+        stages[stage] += time.perf_counter() - started
+        return rep
+
     n_coarse = resolution
     n_fine = 2 * (resolution - 1) + 1
     # One sample per field and resolution: the checks on a field share
@@ -312,12 +321,10 @@ def _identity_suite(resolution: int, factor: float) -> list[dict]:
     for b in (0.5, 1.0, 2.0, 5.0):
         for p in (2.2, 3.0):
             for q in (1.5, 2.0):
-                coarse = change_of_variable_check(
-                    v_coarse, b, p, q, tolerance=factor / (n_coarse - 1) ** 2,
-                )
-                fine = change_of_variable_check(
-                    v_fine, b, p, q, tolerance=factor / (n_fine - 1) ** 2,
-                )
+                coarse = timed("change_of_variable_s", change_of_variable_check,
+                               v_coarse, b, p, q, tolerance=factor / (n_coarse - 1) ** 2)
+                fine = timed("change_of_variable_s", change_of_variable_check,
+                             v_fine, b, p, q, tolerance=factor / (n_fine - 1) ** 2)
                 fine = fine._replace(observed_order=refinement_order(coarse, fine))
                 results.append(
                     {
@@ -328,14 +335,14 @@ def _identity_suite(resolution: int, factor: float) -> list[dict]:
                 )
     for name in ("saddle", "offset_sine", "sine_product"):
         v = v_fine if name == "offset_sine" else CATALOG[name].sample(n_fine)
-        rep = bochner_check(v, 2, tolerance=factor / (n_fine - 1) ** 2)
+        rep = timed("bochner_s", bochner_check, v, 2, tolerance=factor / (n_fine - 1) ** 2)
         results.append(
             {"check": "bochner", "params": {"field": name, "h": 1.0 / (n_fine - 1)}, "report": rep.as_dict()}
         )
     for fname, k, alpha, p in (("radial_square", 2.0, 1.0, 2.0), ("sine_x1", 0.5, 2.0, 3.0)):
         f = CATALOG[fname]
-        rep = scaling_check(f, k, alpha, p, n=n_coarse,
-                            tolerance=factor * ((f.hi - f.lo) / (n_coarse - 1)) ** 2)
+        rep = timed("scaling_s", scaling_check, f, k, alpha, p, n=n_coarse,
+                    tolerance=factor * ((f.hi - f.lo) / (n_coarse - 1)) ** 2)
         results.append(
             {
                 "check": "scaling",
@@ -343,12 +350,12 @@ def _identity_suite(resolution: int, factor: float) -> list[dict]:
                 "report": rep.as_dict(),
             }
         )
-    return results
+    return results, stages
 
 
 def _cmd_verify_identities(args, params):
-    results = _identity_suite(args.resolution, args.identity_factor)
-    fields = {"results": results, "timing": {"workers": worker_count()}}
+    results, stages = _identity_suite(args.resolution, args.identity_factor)
+    fields = {"results": results, "timing": {**stages, "workers": worker_count()}}
     return fields, {"resolution": args.resolution}, 0
 
 

@@ -7,7 +7,7 @@ tangential gradients, so one canonical scheme backs every identity
 check.
 
 Every grid kernel (`laplacian`, `flux_divergence`, `gradient_components`,
-`dot_arrays`, and through them the `GridField` derivatives) fills its
+`gradient_dot`, and through them the `GridField` derivatives) fills its
 output in blocks of axis-0 planes through one driver, `map_plane_blocks`.
 A block holds about `_BLOCK_NODES` nodes and reads at most one halo plane
 on either side, so its temporaries stay in cache instead of streaming
@@ -15,9 +15,11 @@ whole-grid arrays through memory at every elementwise step.  Face
 quantities are built only on the tangential interior the divergence
 keeps and updated in place; no full-size NaN-ring temporary is made.
 
-Elementwise results (`dot_arrays`, the change-of-variable right side)
-go through `blocked_result`, which gives a one-block grid the kernel's
-own array, allocated where whole-array code allocates it.
+Elementwise results (`gradient_dot`, u = v^b in the change-of-variable
+check) go through `blocked_result`, which gives a one-block grid the
+kernel's own array, allocated where whole-array code allocates it.
+Reductions go through `map_planes`, one result per block; max, min, all
+and counts combine them into exactly the whole-array value.
 
 A range that fits in one block runs inline on the caller's thread.  A
 larger one is mapped over a module-level thread pool, which numpy's
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -87,30 +89,37 @@ def fits_one_block(arr: np.ndarray) -> bool:
 
 
 def map_plane_blocks(
-    kernel: Callable[[int, int], None], lo: int, hi: int, plane_nodes: int
-) -> None:
-    """Call kernel(i0, i1) on consecutive blocks [i0, i1) that cover planes [lo, hi).
+    kernel: Callable[[int, int], object], lo: int, hi: int, plane_nodes: int
+) -> list:
+    """kernel(i0, i1) on consecutive blocks [i0, i1) that cover planes [lo, hi), in order.
 
     The range splits into as many blocks of about `_BLOCK_NODES` nodes as
     its size rounds to, at most one per plane, of nearly equal length.
     One block runs inline; more go to the pool, each under the caller's
-    np.errstate, and this returns when all are done, raising the first
-    failure.  The kernel must write disjoint parts of its output per
-    block and must not call back into this driver.
+    np.errstate, and this returns their results when all are done,
+    raising the first failure.  The kernel must write disjoint parts of
+    its output per block and must not call back into this driver.
     """
     count = _block_count(hi - lo, plane_nodes)
     if count == 1:
-        kernel(lo, hi)
-        return
+        return [kernel(lo, hi)]
     step = -(-(hi - lo) // count)
     errstate = dict(np.geterr(), call=np.geterrcall())
 
-    def run(i0: int) -> None:
+    def run(i0: int):
         with np.errstate(**errstate):
-            kernel(i0, min(i0 + step, hi))
+            return kernel(i0, min(i0 + step, hi))
 
-    for _ in _executor().map(run, range(lo, hi, step)):
-        pass
+    return list(_executor().map(run, range(lo, hi, step)))
+
+
+def map_planes(fn: Callable[[np.ndarray], object], arr: np.ndarray) -> list:
+    """[fn(block) for each block of arr's axis-0 planes], blocks as in map_plane_blocks.
+
+    For reductions that do not depend on order (max, min, all, counts),
+    combining the block results gives the whole-array result exactly.
+    """
+    return map_plane_blocks(lambda i0, i1: fn(arr[i0:i1]), 0, len(arr), arr[0].size)
 
 
 def blocked_result(
@@ -170,17 +179,19 @@ def gradient_components(values: np.ndarray, h: float) -> list[np.ndarray]:
     reach.
     """
     out = [np.empty_like(values) for _ in range(values.ndim)]
-    map_plane_blocks(lambda i0, i1: _gradient_block(values, h, out, i0, i1),
+    map_plane_blocks(lambda i0, i1: _gradient_planes(values, h, i0, i1, [g[i0:i1] for g in out]),
                      0, values.shape[0], values[0].size)
     return out
 
 
-def _gradient_block(values: np.ndarray, h: float, out: list[np.ndarray], i0: int, i1: int) -> None:
-    """Planes [i0, i1) of every component in `out`."""
+def _gradient_planes(values: np.ndarray, h: float, i0: int, i1: int, out=None) -> list[np.ndarray]:
+    """Planes [i0, i1) of every gradient component, into out (new arrays when None)."""
     d, n0 = values.ndim, values.shape[0]
+    if out is None:
+        out = [np.empty_like(values[i0:i1]) for _ in range(d)]
     # Along axis 0 the block reads one halo plane on either side.
     lo, hi = max(i0, 1), min(i1, n0 - 1)
-    g = out[0][lo:hi]
+    g = out[0][lo - i0:hi - i0]
     np.subtract(values[lo + 1:hi + 1], values[lo - 1:hi - 1], out=g)
     g /= 2.0 * h
     if i0 == 0:
@@ -189,13 +200,33 @@ def _gradient_block(values: np.ndarray, h: float, out: list[np.ndarray], i0: int
         out[0][-1] = np.nan
     block = values[i0:i1]
     for axis in range(1, d):
-        g = out[axis][i0:i1]
+        g = out[axis]
         mid = g[_along(d, axis, slice(1, -1))]
         np.subtract(block[_along(d, axis, slice(2, None))],
                     block[_along(d, axis, slice(0, -2))], out=mid)
         mid /= 2.0 * h
         g[_along(d, axis, slice(0, 1))] = np.nan
         g[_along(d, axis, slice(-1, None))] = np.nan
+    return out
+
+
+def gradient_dot(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
+    """sum_k d_k a * d_k b from centred gradients, added in k order; NaN ring.
+
+    Each block builds the gradient planes it needs and drops them, so no
+    whole-grid gradient is held.
+    """
+
+    def dot(sl: slice, out: np.ndarray | None) -> np.ndarray:
+        i0, i1, _ = sl.indices(len(a))
+        ga = _gradient_planes(a, h, i0, i1)
+        gb = ga if b is a else _gradient_planes(b, h, i0, i1)
+        acc = np.multiply(ga[0], gb[0], out=out)
+        for x, y in zip(ga[1:], gb[1:]):
+            acc += np.multiply(x, y, out=x)
+        return acc
+
+    return blocked_result(dot, a)
 
 
 def laplacian(values: np.ndarray, h: float) -> np.ndarray:
@@ -214,22 +245,8 @@ def _laplacian_block(values: np.ndarray, h: float, acc: np.ndarray) -> None:
     acc /= h * h
 
 
-def dot_arrays(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_k a[k] * b[k], accumulated in k order at every node."""
-
-    def dot(sl: slice, out: np.ndarray | None) -> np.ndarray:
-        acc = np.multiply(a[0][sl], b[0][sl], out=out)
-        term = np.empty_like(acc)
-        for x, y in zip(a[1:], b[1:]):
-            acc += np.multiply(x[sl], y[sl], out=term)
-        return acc
-
-    return blocked_result(dot, a[0])
-
-
 def grad_squared(values: np.ndarray, h: float) -> np.ndarray:
-    comps = gradient_components(values, h)
-    return dot_arrays(comps, comps)
+    return gradient_dot(values, values, h)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -262,7 +279,7 @@ class GridField:
     @cached_property
     def grad_sq(self) -> np.ndarray:
         """z = |grad v|^2."""
-        return _read_only(dot_arrays(self.grads, self.grads))
+        return _read_only(gradient_dot(self.values, self.values, self.spacing))
 
     @cached_property
     def lap(self) -> np.ndarray:
@@ -271,7 +288,7 @@ class GridField:
     @cached_property
     def grad_sq_dot_grad(self) -> np.ndarray:
         """<grad z, grad v>."""
-        return _read_only(dot_arrays(gradient_components(self.grad_sq, self.spacing), self.grads))
+        return _read_only(gradient_dot(self.grad_sq, self.values, self.spacing))
 
 
 def grid_field(values: np.ndarray, spacing: float) -> GridField:
@@ -360,14 +377,25 @@ def _flux_block(
         acc += div
 
 
+def nan_extremes(arr: np.ndarray) -> tuple[np.float64, np.float64]:
+    """(np.nanmin(arr), np.nanmax(arr)) in one blocked pass.
+
+    fmin and fmax reduce each block as nanmin and nanmax do, without
+    their all-NaN warning, which the final combination gives as they do.
+    """
+    ends = np.array(map_planes(
+        lambda x: (np.fmin.reduce(x, axis=None), np.fmax.reduce(x, axis=None)), arr))
+    return np.nanmin(ends[:, 0]), np.nanmax(ends[:, 1])
+
+
 def _auto_eps(values: np.ndarray, h: float) -> float:
-    span = float(np.nanmax(values) - np.nanmin(values))
-    return 1e-10 * max(1.0, span / h)
+    lo, hi = nan_extremes(values)
+    return 1e-10 * max(1.0, float(hi - lo) / h)
 
 
 def _flux_operator(field: GridField, exponents: tuple[float, ...], reg_eps: float) -> GridField:
     out = flux_divergence(field.values, field.spacing, exponents, reg_eps)
-    if not np.isfinite(out[_interior(field.ndim)]).all():
+    if not all(map_planes(lambda x: np.isfinite(x).all(), out[_interior(field.ndim)])):
         raise FieldError("field not smooth enough at spacing h")
     return GridField(values=out, spacing=field.spacing)
 

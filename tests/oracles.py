@@ -7,9 +7,9 @@ equations out from `flux` at eps = 0 instead of calling the solver's
 assembly, the BVP reference solves the radial equation as a first-order
 system by collocation (scipy's solve_bvp), the reference Jacobian
 differences the residual it belongs to, the operator reference is a
-hand-derived analytic expansion, the whole-array stencils are the
-straightforward NaN-ring forms the blocked operators must reproduce bit
-for bit, the affine field is written out by hand, the epsilon sensitivity
+hand-derived analytic expansion, the whole-array stencils and identity
+checks are the straightforward NaN-ring forms the blocked operators must
+reproduce bit for bit, the affine field is written out by hand, the epsilon sensitivity
 bounds the epsilon terms of the product trinomial term by term, and the
 parameter-window oracle brackets the feasibility predicate by bisection,
 the Bernstein bounds and the sum exponent are the paper's formulas
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, solve_bvp
 from scipy.optimize import brentq
 
-from pqliouville import ProblemInstance, product_thresholds, product_trinomial, sum_thresholds
+from pqliouville import FieldError, ProblemInstance, product_thresholds, product_trinomial, sum_thresholds
 from pqliouville.exponents import positive_combined_exponent
 from pqliouville.params import expand_instances
 from pqliouville.radial import flux, reaction_function
@@ -178,13 +178,32 @@ def reference_change_of_variable_sides(values, h, b, p, q):
 
 def reference_change_of_variable_check(values, h, b, p, q, tolerance):
     """The change-of-variable check on the reference sides, as the tuple
-    of IdentityReport's fields."""
+    of IdentityReport's fields; FieldError when more than 10% of the
+    nodes are excluded."""
     lhs, rhs, z = reference_change_of_variable_sides(values, h, b, p, q)
     valid = np.isfinite(lhs) & np.isfinite(rhs) & (z > 1e-12 * float(np.nanmax(z)))
+    if (1.0 - valid.mean()) > 0.10:
+        raise FieldError("test field violates |grad v|>0")
     err = float(np.max(np.abs(lhs[valid] - rhs[valid])))
     scale = max(float(np.max(np.abs(lhs[valid]))), 1e-300)
     rel = err / scale
     return err, rel, rel <= tolerance, tolerance, None
+
+
+def reference_bochner_check(values, h, N, tolerance):
+    """The Bochner check from whole-array stencils, as the tuple of
+    IdentityReport's fields."""
+    grads = reference_gradient_components(values, h)
+    lap = reference_laplacian(values, h)
+    lhs = 0.5 * reference_laplacian(reference_dot(grads, grads), h)
+    rhs = lap * lap / N + reference_dot(reference_gradient_components(lap, h), grads)
+    inner = tuple(slice(2, -2) for _ in range(values.ndim))
+    lhs, rhs = lhs[inner], rhs[inner]
+    valid = np.isfinite(lhs) & np.isfinite(rhs)
+    violation = max(0.0, -float(np.min(lhs[valid] - rhs[valid])))
+    scale = max(float(np.max(np.abs(lhs[valid]))), float(np.max(np.abs(rhs[valid]))), 1e-300)
+    rel = violation / scale
+    return violation, rel, rel <= tolerance, tolerance, None
 
 
 # ---------------------------------------------------------------------------

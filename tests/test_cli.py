@@ -709,15 +709,17 @@ class TestCommands:
     def test_timing_flag_adds_section(self, tmp_path):
         # classify and sweep time their expansion and their rows (classify
         # and as_dict) and give the number of processes that built the
-        # rows, verify-identities gives the size of the grid kernels'
-        # thread pool; other commands give the total alone
+        # rows, verify-identities times each kind of check and gives the
+        # size of the grid kernels' thread pool; other commands give the
+        # total alone
         stages = {"expand_s", "rows_s", "workers", "total_s"}
+        checks = ("change_of_variable_s", "bochner_s", "scaling_s")
         for argv, keys in (
             (["classify", *PRODUCT_A], stages),
             (["sweep", "--params", TINY_GRID], stages),
             (["search-b", *PRODUCT_A], {"total_s"}),
             (["il-window", "--q", "2", "--m", "3"], {"total_s"}),
-            (["verify-identities", "--resolution", "5"], {"workers", "total_s"}),
+            (["verify-identities", "--resolution", "5"], {*checks, "workers", "total_s"}),
         ):
             out = tmp_path / "t.json"
             assert run([*argv, "--timing", "--out", str(out)]) == 0
@@ -728,6 +730,11 @@ class TestCommands:
                 assert timing[0]["expand_s"] + timing[0]["rows_s"] <= timing[0]["total_s"]
                 assert timing[0]["workers"] == 1
         assert timing[0]["workers"] == worker_count() >= 1
+        assert all(timing[0][key] > 0.0 for key in checks)
+        assert sum(timing[0][key] for key in checks) <= timing[0]["total_s"]
+        # Without --timing the report is the one the suite always wrote.
+        assert run([*argv, "--out", str(out)]) == 0
+        assert "timing" not in json.loads(out.read_text())
 
     def test_verify_identities_reruns_are_byte_identical(self, tmp_path):
         paths = [tmp_path / "first.json", tmp_path / "second.json"]

@@ -1,4 +1,9 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +22,9 @@ from pqliouville.cli import _identity_suite
 from pqliouville import operators
 from pqliouville.operators import (
     GridField,
-    dot_arrays,
     grad_squared,
     gradient_components,
+    gradient_dot,
     laplacian,
     sample_function,
 )
@@ -85,9 +90,7 @@ class TestBochner:
         z = grad_squared(field.values, h)
         lhs = 0.5 * laplacian(z, h)
         lap_v = laplacian(field.values, h)
-        rhs = lap_v**2 / 2 + dot_arrays(
-            gradient_components(lap_v, h), gradient_components(field.values, h)
-        )
+        rhs = lap_v**2 / 2 + gradient_dot(lap_v, field.values, h)
         inner = (slice(2, -2), slice(2, -2))
         assert lhs[inner] == pytest.approx(8.0, abs=1e-10)
         assert rhs[inner] == pytest.approx(0.0, abs=1e-10)
@@ -135,6 +138,9 @@ class TestScaling:
 
 
 DERIVATIVES = ("grads", "grad_sq", "lap", "grad_sq_dot_grad")
+# The derivatives the identity checks read; grads is computed only when
+# something reads it.
+CHECKED = DERIVATIVES[1:]
 
 
 class TestSharedDerivatives:
@@ -146,26 +152,33 @@ class TestSharedDerivatives:
         z = grad_squared(v, h)
         assert np.array_equal(field.grad_sq, z, equal_nan=True)
         assert np.array_equal(field.lap, laplacian(v, h), equal_nan=True)
-        dzv = dot_arrays(gradient_components(z, h), gradient_components(v, h))
-        assert np.array_equal(field.grad_sq_dot_grad, dzv, equal_nan=True)
+        assert np.array_equal(field.grad_sq_dot_grad, gradient_dot(z, v, h), equal_nan=True)
 
     def test_each_derivative_is_computed_once_per_field(self, monkeypatch):
         calls = []
-        for name in ("gradient_components", "laplacian", "dot_arrays"):
+        for name in ("gradient_components", "laplacian", "gradient_dot"):
             def counted(*args, _name=name, _original=getattr(operators, name)):
                 calls.append(_name)
                 return _original(*args)
 
             monkeypatch.setattr(operators, name, counted)
-        field = CATALOG["offset_sine"].sample(33)
-        first = [getattr(field, name) for name in DERIVATIVES]
-        for _ in range(2):
+        # One block, and blocks on the pool (the check then takes the
+        # derivatives before the blocks run).
+        for block_nodes in (operators._BLOCK_NODES, 250):
+            monkeypatch.setattr(operators, "_BLOCK_NODES", block_nodes)
+            calls.clear()
+            field = CATALOG["offset_sine"].sample(33)
+            for _ in range(2):
+                change_of_variable_check(field, 2.0, 3.0, 2.0)
+                bochner_check(field, 2)
+            # grad_sq, lap and grad_sq_dot_grad, one pass each; no check reads grads
+            assert sorted(calls) == ["gradient_dot", "gradient_dot", "laplacian"]
+            assert set(vars(field)) & set(DERIVATIVES) == set(CHECKED)
+            first = [getattr(field, name) for name in DERIVATIVES]
+            assert calls.count("gradient_components") == 1
             change_of_variable_check(field, 2.0, 3.0, 2.0)
-            bochner_check(field, 2)
             assert all(getattr(field, name) is ours for name, ours in zip(DERIVATIVES, first))
-        # grads, grad_sq, lap and grad_sq_dot_grad, one pass each
-        assert sorted(calls) == ["dot_arrays", "dot_arrays", "gradient_components",
-                                 "gradient_components", "laplacian"]
+            assert len(calls) == 4
 
     def test_cached_derivatives_are_read_only(self):
         field = CATALOG["offset_sine"].sample(17, 3)
@@ -180,7 +193,7 @@ class TestSharedDerivatives:
     def test_changed_values_do_not_reuse_cached_derivatives(self):
         field = CATALOG["offset_sine"].sample(33)
         before = change_of_variable_check(field, 2.0, 3.0, 2.0)
-        assert set(DERIVATIVES) <= set(vars(field))
+        assert set(vars(field)) & set(DERIVATIVES) == set(CHECKED)
         for other in (
             dataclasses.replace(field, values=field.values * 1.5),
             GridField(values=field.values + 0.25, spacing=field.spacing),
@@ -197,7 +210,7 @@ class TestSharedDerivatives:
     def test_suite_rows_equal_independent_checks(self):
         n_coarse, factor = 17, 25.0
         n_fine = 2 * (n_coarse - 1) + 1
-        rows = _identity_suite(n_coarse, factor)
+        rows, _ = _identity_suite(n_coarse, factor)
         assert len(rows) == 16 + 3 + 2
         for row in rows:
             params = row["params"]
@@ -222,6 +235,31 @@ class TestSharedDerivatives:
                     tolerance=factor * ((f.hi - f.lo) / (n_coarse - 1)) ** 2,
                 )
             assert row["report"] == expected.as_dict(), row
+
+
+# One 65^3 check in a fresh interpreter on one CPU (so one pool thread and
+# one block's temporaries at a time): the tracemalloc peak of the check, in
+# field sizes.  Whole-grid gradients and comparison copies took 11.6.
+PEAK_PROBE = """
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import json, tracemalloc
+from pqliouville import CATALOG, change_of_variable_check
+field = CATALOG["offset_sine"].sample(65, 3)
+tracemalloc.start()
+change_of_variable_check(field, 2.0, 3.0, 2.0)
+print(json.dumps(tracemalloc.get_traced_memory()[1] / field.values.nbytes))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_check_peak_memory_is_bounded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", PEAK_PROBE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) <= 8.0
 
 
 class TestWeightKernel:

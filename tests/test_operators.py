@@ -11,6 +11,7 @@ from pqliouville import (
     CATALOG,
     FieldError,
     IdentityReport,
+    bochner_check,
     change_of_variable_check,
     grid_field,
     laplacian,
@@ -18,11 +19,12 @@ from pqliouville import (
     sample_function,
 )
 from pqliouville import operators
-from pqliouville.identities import _change_of_variable_rhs
-from pqliouville.operators import dot_arrays, flux_divergence, gradient_components
+from pqliouville.identities import _change_of_variable_rhs, _compare_block
+from pqliouville.operators import flux_divergence, gradient_components, gradient_dot
 from oracles import (
     affine_field,
     pq_reference_sin_cos,
+    reference_bochner_check,
     reference_change_of_variable_check,
     reference_change_of_variable_sides,
     reference_dot,
@@ -134,7 +136,7 @@ class TestBlockedStencils:
             grads = reference_gradient_components(v, h)
             z = reference_dot(grads, grads)
             dzv = reference_dot(reference_gradient_components(z, h), grads)
-            assert np.array_equal(dot_arrays(grads, grads), z, equal_nan=True)
+            assert np.array_equal(gradient_dot(v, v, h), z, equal_nan=True)
             assert np.array_equal(field.grad_sq, z, equal_nan=True)
             assert np.array_equal(field.grad_sq_dot_grad, dzv, equal_nan=True)
 
@@ -147,9 +149,9 @@ class TestBlockedStencils:
             assert ours == IdentityReport(*reference_change_of_variable_check(v, h, b, p, q, 1e-3))
             # The check above cached the derivatives the blocks read.
             inner = (slice(2, -2),) * field.ndim
-            rhs = operators.blocked_result(
-                lambda sl, out: _change_of_variable_rhs(field, inner, sl, b, p, q, out),
-                field.grad_sq[inner])
+            rhs = np.concatenate(operators.map_plane_blocks(
+                lambda i0, i1: _change_of_variable_rhs(field, inner, slice(i0, i1), b, p, q),
+                0, field.values.shape[0] - 4, field.grad_sq[inner][0].size))
             _, ref, _ = reference_change_of_variable_sides(v, h, b, p, q)
             assert np.array_equal(rhs, ref, equal_nan=True)
 
@@ -186,6 +188,126 @@ class TestBlockedStencils:
         assert not operators.fits_one_block(np.empty((93, 93, 93)))
         laplacian(np.ones((97, 97, 97)), 0.1)
         assert calls == [1]
+
+
+@pytest.fixture(params=[1, 3])
+def pool_threads(request, monkeypatch):
+    """A pool of this many threads in place of the module's own."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(request.param)
+    monkeypatch.setattr(operators, "_pool", pool)
+    yield request.param
+    pool.shutdown()
+
+
+def _blocks(arr):
+    return operators.map_plane_blocks(lambda i0, i1: (i0, i1), 0, len(arr), arr[0].size)
+
+
+class TestGradientDot:
+    """gradient_dot builds each block's gradient planes itself; the
+    derivatives and checks on it equal the whole-array forms bit for bit."""
+
+    def test_matches_reference(self, block_nodes, pool_threads):
+        short_last = False
+        for field in _stencil_inputs():
+            v, h = field.values, field.spacing
+            blocks = _blocks(v)
+            assert blocks[0][0] == 0 and blocks[-1][1] == len(v)
+            if block_nodes == 1:
+                assert all(i1 - i0 == 1 for i0, i1 in blocks)
+            sizes = [i1 - i0 for i0, i1 in blocks]
+            short_last |= sizes[-1] < sizes[0]
+            grads = reference_gradient_components(v, h)
+            z = reference_dot(grads, grads)
+            lap = reference_laplacian(v, h)
+            for ours, ref in (
+                (gradient_dot(v, v, h), z),
+                (field.grad_sq, z),
+                (field.grad_sq_dot_grad, reference_dot(reference_gradient_components(z, h), grads)),
+                (gradient_dot(lap, v, h), reference_dot(reference_gradient_components(lap, h), grads)),
+            ):
+                assert np.array_equal(ours, ref, equal_nan=True)
+            for N in (2, 3):
+                assert bochner_check(field, N, tolerance=1e-3) == IdentityReport(
+                    *reference_bochner_check(v, h, N, 1e-3))
+        # Some grid ends in a short block, except at one plane a block.
+        assert short_last == (block_nodes != 1)
+
+
+def _kinked_field(flat_planes):
+    """v = 2 + ((i - i0) h)^3 for i > i0 on a 104^2 grid: the first
+    `flat_planes` interior planes of the ring-2 interior have z = 0."""
+    n, h = 104, 1.0 / 103
+    i0 = flat_planes + 2
+    ramp = (np.maximum(np.arange(n) - i0, 0) * h) ** 3
+    return grid_field(np.broadcast_to(2.0 + ramp[:, None], (n, n)).copy(), h)
+
+
+class TestFusedComparison:
+    """The change-of-variable check compares each block as soon as its right
+    side is made; counts and maxima combine to the whole-array comparison."""
+
+    def test_blocks_equal_the_whole_array_comparison(self, monkeypatch):
+        monkeypatch.setattr(operators, "_BLOCK_NODES", 250)
+        b, p, q = 0.7, 2.5, 1.8
+        field = CATALOG["offset_sine"].sample(17, 3)
+        v, h = field.values, field.spacing
+        lhs, rhs, z = reference_change_of_variable_sides(v, h, b, p, q)
+        inner = (slice(2, -2),) * 3
+        blocks = _blocks(z)
+        assert len(blocks) > 2
+        # lhs non-finite in the second block only
+        i0, i1 = blocks[1]
+        lhs = lhs.copy()
+        lhs[i0, 4, 5], lhs[i1 - 1, 6, 6], lhs[i0, 0, 0] = np.nan, np.inf, -np.inf
+        # A floor that also excludes half the nodes, where both sides are finite.
+        z_floor = float(np.median(z))
+        field.lap, field.grad_sq_dot_grad
+        parts = operators.map_plane_blocks(
+            lambda j0, j1: _compare_block(field, lhs, inner, slice(j0, j1), b, p, q, z_floor),
+            0, len(z), z[0].size)
+        valid = np.isfinite(lhs) & np.isfinite(rhs) & (z > z_floor)
+        assert [count for count, _, _ in parts] == [
+            int(np.count_nonzero(valid[j0:j1])) for j0, j1 in blocks]
+        assert max(err for _, err, _ in parts) == float(np.max(np.abs(lhs[valid] - rhs[valid])))
+        assert max(scale for _, _, scale in parts) == float(np.max(np.abs(lhs[valid])))
+
+    def test_blocked_reductions_match_the_whole_array(self, block_nodes):
+        values = np.random.default_rng(5).normal(size=(13, 11, 9))
+        values[3:5] = np.nan  # whole blocks of NaN at small block sizes
+        values[7, 2, 2] = np.inf
+        assert operators.nan_extremes(values) == (np.nanmin(values), np.nanmax(values))
+        with pytest.warns(RuntimeWarning, match="All-NaN"):
+            assert np.isnan(operators.nan_extremes(np.full((9, 7), np.nan))).all()
+        # One non-finite operator node, in one block, refuses the field.
+        spiky = CATALOG["offset_sine"].sample(17, 3)
+        spiky.values[11, 8, 8] = 1e300
+        with np.errstate(all="ignore"), pytest.raises(FieldError, match="not smooth"):
+            pq_laplacian(spiky, 3.0, 2.0)
+        with pytest.raises(FieldError, match="v > 0"):
+            change_of_variable_check(grid_field(np.where(values > 0, 1.0, -1.0), 0.1), 2.0, 3.0, 2.0)
+
+    def test_refusal_edge_matches_the_whole_array_rule(self, block_nodes):
+        # 10 of 100 interior planes excluded is 1 - 0.9 = 0.0999... <= 0.10
+        # and passes; 11 excluded refuses.
+        outcomes = []
+        for flat in (10, 11):
+            field = _kinked_field(flat)
+            args = (2.0, 3.0, 2.0)
+            try:
+                ref = IdentityReport(*reference_change_of_variable_check(
+                    field.values, field.spacing, *args, 1e-3))
+            except FieldError:
+                ref = None
+            if ref is None:
+                with pytest.raises(FieldError, match="violates"):
+                    change_of_variable_check(field, *args, tolerance=1e-3)
+            else:
+                assert change_of_variable_check(field, *args, tolerance=1e-3) == ref
+            outcomes.append(ref is None)
+        assert outcomes == [False, True]
 
 
 class TestSampling:
