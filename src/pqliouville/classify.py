@@ -99,19 +99,15 @@ class RegimeDecision(NamedTuple):
 
         `table` (a `report.ConditionTable`) numbers the distinct conditions
         of a whole report; the report writes them once, as its
-        `conditions` entries.  An instance whose p, q, s, m or M is not a
-        float can put ints among the values, which the table must tell
-        from floats.
+        `conditions` entries.
         The row leaves out `inst` (the report's echoed parameter map gives
         it back), every None, an empty `matches` and the threshold records,
         which the instance gives back; the records RECORD_KEYS names are
         written through their own `as_dict`.
         """
-        _, p, q, _, s, m, M = self.inst
-        floats = type(p) is type(q) is type(s) is type(m) is type(M) is float
         row = {
             "theorem": self.theorem,
-            "conditions": table.indices(self.conditions, ints=not floats),
+            "conditions": table.indices(self.conditions),
             "liouville": self.liouville,
         }
         if self.matches:

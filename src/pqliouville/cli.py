@@ -209,21 +209,21 @@ def _join(child: tuple[int, int]):
     return None if failed else payload
 
 
-def _classify_rows(instances, optimal_search: bool, table: ConditionTable) -> tuple[list, int]:
-    """classify(inst).as_dict(table) of each instance, and how many processes built them.
+def _grid_rows(instances, row, table: ConditionTable) -> tuple[list, int]:
+    """row(inst, table) of each instance, and how many processes built them.
 
     k contiguous chunks: one per CPU this process may run on and MIN_CHUNK
     instances, one alone without os.fork or with another thread running.
     Forked children build chunks 2..k on tables of their own; the parent
-    builds chunk 1, then folds each child's rows in, in order, numbering new
-    conditions as the serial loop does.  It builds a chunk whose fork, child
-    or payload fails itself, and reaps every child before it returns or
-    raises, so rows, table and any exception are the serial loop's.
+    builds chunk 1, then folds each child's rows in, in order, numbering the
+    conditions of rows that file them as the serial loop does.  It builds a
+    chunk whose fork, child or payload fails itself, and reaps every child
+    before it returns or raises, so rows, table and any exception are the
+    serial loop's.
     """
 
     def build(chunk, table):
-        rows = [classify(inst, optimal_search=optimal_search).as_dict(table) for inst in chunk]
-        return rows, table.entries
+        return [row(inst, table) for inst in chunk], table.entries
 
     k = max(1, min(worker_count(), len(instances) // MIN_CHUNK))
     if k > 1:
@@ -242,10 +242,10 @@ def _classify_rows(instances, optimal_search: bool, table: ConditionTable) -> tu
             payload = child and _join(child)
             workers += payload is not None
             part, entries = payload or build(chunk, ConditionTable())
-            index = table.indices([(t, label, tpl, tuple(v), ok) for t, label, tpl, ok, v in entries],
-                                  ints=True)
-            for row in part:
-                row["conditions"] = [index[i] for i in row["conditions"]]
+            if entries:
+                index = table.indices([(t, label, tpl, tuple(v), ok) for t, label, tpl, ok, v in entries])
+                for filed in part:
+                    filed["conditions"] = [index[i] for i in filed["conditions"]]
             rows += part
         return rows, workers
     finally:
@@ -253,45 +253,60 @@ def _classify_rows(instances, optimal_search: bool, table: ConditionTable) -> tu
             _join(child)
 
 
-# Each handler returns its Report fields (results; for classify and
-# sweep the condition table as "conditions" and the times of their
-# stages and the number of processes that built their rows as "timing";
-# for verify-identities "timing" with the seconds in each kind of check
-# and "workers", the size of the grid kernels' thread pool),
-# the config_echo entries only it knows, and the exit code; _report times
-# the call and builds the report.  With --format csv the results are the
-# table's rows, header first.
+def _grid_fields(instances, row, started: float) -> dict:
+    """A grid command's report fields: `_grid_rows` results, condition table and timing.
+
+    The timing's expand_s runs from `started` to this call, rows_s over the rows.
+    """
+    expanded = time.perf_counter()
+    table = ConditionTable()
+    results, workers = _grid_rows(instances, row, table)
+    stages = {"expand_s": expanded - started, "rows_s": time.perf_counter() - expanded,
+              "workers": workers}
+    return {"results": results, "conditions": table.entries, "timing": stages}
+
+
+# Each handler returns its Report fields (results; for classify, sweep
+# and search-b the condition table as "conditions", empty for search-b and
+# CSV rows, and as "timing" the times of their stages and the number of
+# processes that built their rows; for verify-identities "timing" with the
+# seconds in each kind of check and "workers", the size of the grid
+# kernels' thread pool), the config_echo entries only it knows, and the
+# exit code; _report times the call and builds the report.  With --format
+# csv the results are the table's rows, header first.
 
 
 def _cmd_classify(args, params):
     merged = _merged_params(args, params)
-    if args.format == "csv":
-        decisions = (classify(inst, optimal_search=args.optimal_search) for inst in expand_instances(merged))
-        header = ["index", *INSTANCE_KEYS, "theorem", "liouville", "estimate_exponent"]
-        rows = [[i, *(getattr(d.inst, k) for k in INSTANCE_KEYS), d.theorem, d.liouville,
-                 d.estimate_exponent] for i, d in enumerate(decisions)]
-        return {"results": [header, *rows]}, {}, 0
-    # The rows store no instance: row i is instance i of the echoed map's expansion.
+    optimal = args.optimal_search
     started = time.perf_counter()
     instances = expand_instances(merged)
-    expanded = time.perf_counter()
-    table = ConditionTable()
-    results, workers = _classify_rows(instances, args.optimal_search, table)
-    stages = {"expand_s": expanded - started, "rows_s": time.perf_counter() - expanded,
-              "workers": workers}
-    fields = {"results": results, "conditions": table.entries, "timing": stages}
+    if args.format == "csv":
+        def row(inst, _):
+            d = classify(inst, optimal_search=optimal)
+            return [*(getattr(inst, k) for k in INSTANCE_KEYS), d.theorem, d.liouville, d.estimate_exponent]
+    else:
+        # The rows store no instance: row i is instance i of the echoed map's expansion.
+        def row(inst, table):
+            return classify(inst, optimal_search=optimal).as_dict(table)
+
+    fields = _grid_fields(instances, row, started)
+    if args.format == "csv":
+        header = ["index", *INSTANCE_KEYS, "theorem", "liouville", "estimate_exponent"]
+        fields["results"] = [header, *([i, *line] for i, line in enumerate(fields["results"]))]
     return fields, {"params": merged}, 0
 
 
 def _cmd_search_b(args, params):
     merged = _merged_params(args, params)
+    started = time.perf_counter()
     instances = expand_instances(merged)
     if any(inst.kind == "hamilton_jacobi" for inst in instances):
         raise CliError("search-b selects b only for product and sum instances")
-    results = [_search_one(inst, args.oracle_points) for inst in instances]
+    fields = _grid_fields(instances, lambda inst, _: _search_one(inst, args.oracle_points), started)
     # The rows store their instance: the map is echoed only when a file gave one.
     extra = {"oracle_points": args.oracle_points, "params": merged if params else {}}
-    return {"results": results}, extra, 0
+    return fields, extra, 0
 
 
 def _cmd_il_window(args, params):

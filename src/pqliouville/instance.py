@@ -37,8 +37,10 @@ class ProblemInstance(_ProblemFields):
     Requires p >= q > 1, an integer N >= 2 and finite N, p, q, s, m and
     M of at most MAX_FIELD.  q = p is admitted as the single-operator
     reduction mode.  For the Hamilton-Jacobi kind the fields s and M are
-    ignored and normalised to 0.  The constructor validates; `_replace`
-    and `_make` build the tuple directly and skip validation.
+    ignored and normalised to 0.  The constructor validates, then stores N
+    as an int and p, q, s, m and M as floats, so every value computed from
+    them is a float; `_replace` and `_make` build the tuple directly and
+    skip both.
     """
 
     __slots__ = ()
@@ -62,7 +64,7 @@ class ProblemInstance(_ProblemFields):
             raise ValueError("s, m and M must be nonnegative")
         if kind == "hamilton_jacobi":
             s = M = 0.0
-        return tuple.__new__(cls, (int(N), p, q, kind, s, m, M))
+        return tuple.__new__(cls, (int(N), float(p), float(q), kind, float(s), float(m), float(M)))
 
     @property
     def combined_exponent(self) -> float:

@@ -6,9 +6,9 @@ form uses centred fluxes on half-grid faces with face-averaged
 tangential gradients, so one canonical scheme backs every identity
 check.
 
-Every grid kernel (`laplacian`, `flux_divergence`, `gradient_components`,
-`gradient_dot`, and through them the `GridField` derivatives) fills its
-output in blocks of axis-0 planes through one driver, `map_plane_blocks`.
+Every grid kernel (`laplacian`, `flux_divergence`, `gradient_dot`, and
+through them the `GridField` derivatives) fills its output in blocks of
+axis-0 planes through one driver, `map_plane_blocks`.
 A block holds about `_BLOCK_NODES` nodes and reads at most one halo plane
 on either side, so its temporaries stay in cache instead of streaming
 whole-grid arrays through memory at every elementwise step.  Face
@@ -170,25 +170,10 @@ def _ring_stencil(block_kernel, values: np.ndarray, *args) -> np.ndarray:
     return out
 
 
-def gradient_components(values: np.ndarray, h: float) -> list[np.ndarray]:
-    """Centred first derivatives along each axis.
-
-    Each component is valid wherever its own axis is interior (NaN on
-    that axis' end layers), so node-centred combinations are valid on
-    the full interior ring while face averages keep their tangential
-    reach.
-    """
-    out = [np.empty_like(values) for _ in range(values.ndim)]
-    map_plane_blocks(lambda i0, i1: _gradient_planes(values, h, i0, i1, [g[i0:i1] for g in out]),
-                     0, values.shape[0], values[0].size)
-    return out
-
-
-def _gradient_planes(values: np.ndarray, h: float, i0: int, i1: int, out=None) -> list[np.ndarray]:
-    """Planes [i0, i1) of every gradient component, into out (new arrays when None)."""
+def _gradient_planes(values: np.ndarray, h: float, i0: int, i1: int) -> list[np.ndarray]:
+    """Planes [i0, i1) of every centred gradient component, each NaN on its own axis' end layers."""
     d, n0 = values.ndim, values.shape[0]
-    if out is None:
-        out = [np.empty_like(values[i0:i1]) for _ in range(d)]
+    out = [np.empty_like(values[i0:i1]) for _ in range(d)]
     # Along axis 0 the block reads one halo plane on either side.
     lo, hi = max(i0, 1), min(i1, n0 - 1)
     g = out[0][lo - i0:hi - i0]
@@ -271,10 +256,6 @@ class GridField:
     @property
     def ndim(self) -> int:
         return self.values.ndim
-
-    @cached_property
-    def grads(self) -> tuple[np.ndarray, ...]:
-        return tuple(_read_only(g) for g in gradient_components(self.values, self.spacing))
 
     @cached_property
     def grad_sq(self) -> np.ndarray:

@@ -44,10 +44,11 @@ class ConditionTable(dict):
     them by index, as `[theorem, label, template, passed, values]`, for the
     report's `conditions` table.  Two conditions share an index exactly
     when they write the same JSON.  Python equality is looser: 0.0 == -0.0
-    == 0 and 2 == 2.0, and NaN equals nothing.  So a condition whose
-    values hold a zero, an int or NaN is keyed by the repr of its values,
-    which tells those apart as JSON does; any other condition is its own
-    key.
+    and NaN equals nothing.  So a condition whose values hold a zero or NaN
+    is keyed by the repr of its values, which tells those apart as JSON
+    does; any other condition is its own key.  Values are floats: a
+    `ProblemInstance` stores its fields as floats, so none is an int,
+    which would equal the float of the same value.
     """
 
     def __init__(self):
@@ -56,35 +57,24 @@ class ConditionTable(dict):
 
     def __missing__(self, condition) -> int:
         # A condition holding a zero or NaN is never stored as its own key,
-        # so its lookup always lands here, never on a zero of the other sign.
-        for value in condition[3]:
+        # so its lookup always lands here and goes on by the repr of its
+        # values, never to a zero of the other sign.
+        theorem, label, template, values, passed = condition
+        key = condition
+        for value in values:
             if value == 0.0 or value != value:
-                return self._exact(condition)
-        self[condition] = index = self._add(condition)
-        return index
-
-    def _add(self, condition) -> int:
-        theorem, label, template, values, passed = condition
+                key = (theorem, label, template, repr(values), passed)
+                index = self.get(key)
+                if index is not None:
+                    return index
+                break
+        self[key] = index = len(self.entries)
         self.entries.append([theorem, label, template, passed, list(values)])
-        return len(self.entries) - 1
-
-    def _exact(self, condition) -> int:
-        theorem, label, template, values, passed = condition
-        key = (theorem, label, template, repr(values), passed)
-        index = self.get(key)
-        if index is None:
-            self[key] = index = self._add(condition)
         return index
 
-    def indices(self, conditions, ints: bool = False) -> list[int]:
-        """The indices of `conditions`, numbering new ones.
-
-        Pass `ints` when a value may be an int, which equals the float of
-        the same value: each condition is then checked for one.
-        """
-        if not ints:
-            return list(map(self.__getitem__, conditions))
-        return [self._exact(c) if int in map(type, c[3]) else self[c] for c in conditions]
+    def indices(self, conditions) -> list[int]:
+        """The indices of `conditions`, numbering new ones."""
+        return list(map(self.__getitem__, conditions))
 
 
 class Report(NamedTuple):

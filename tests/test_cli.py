@@ -707,17 +707,16 @@ class TestCommands:
         assert "thm_product_A" in lines[1]
 
     def test_timing_flag_adds_section(self, tmp_path):
-        # classify and sweep time their expansion and their rows (classify
-        # and as_dict) and give the number of processes that built the
-        # rows, verify-identities times each kind of check and gives the
-        # size of the grid kernels' thread pool; other commands give the
-        # total alone
+        # classify, sweep and search-b time their expansion and their rows
+        # and give the number of processes that built the rows,
+        # verify-identities times each kind of check and gives the size of
+        # the grid kernels' thread pool; il-window gives the total alone
         stages = {"expand_s", "rows_s", "workers", "total_s"}
         checks = ("change_of_variable_s", "bochner_s", "scaling_s")
         for argv, keys in (
             (["classify", *PRODUCT_A], stages),
             (["sweep", "--params", TINY_GRID], stages),
-            (["search-b", *PRODUCT_A], {"total_s"}),
+            (["search-b", *PRODUCT_A], stages),
             (["il-window", "--q", "2", "--m", "3"], {"total_s"}),
             (["verify-identities", "--resolution", "5"], {*checks, "workers", "total_s"}),
         ):
@@ -905,16 +904,20 @@ def grid_report(key: str, tmp_path: Path) -> bytes:
     return out.read_bytes()
 
 
-def cli_in_fresh_process(argv: list[str]) -> subprocess.CompletedProcess:
-    """`python -m pqliouville.cli argv` in a new interpreter, where nothing is bound yet.
+def python_in_fresh_process(args: list[str]) -> subprocess.CompletedProcess:
+    """`python args` in a new interpreter that imports this checkout's package.
 
     A RuntimeWarning is an error there, as pyproject makes it one in this process.
     """
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "pqliouville.cli",
-                           *argv], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+def cli_in_fresh_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """`python -m pqliouville.cli argv` in a new interpreter, where nothing is bound yet."""
+    return python_in_fresh_process(["-m", "pqliouville.cli", *argv])
 
 
 def plot_in_fresh_process(report: Path) -> str:
@@ -1110,24 +1113,32 @@ class TestReportSchema:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_condition_table_tells_int_from_float_fields(self, data):
-        # library callers may pass int fields: 2 == 2.0 and 0 == -0.0, but JSON tells them apart
+    def test_int_fields_report_as_their_float_values(self, data):
+        # library callers may pass int fields: the instance stores floats, so
+        # no condition value is an int (2 == 2.0, but JSON tells them apart)
         def field(*choices):
             return data.draw(st.sampled_from(choices))
 
-        instances = []
+        given_fields = []
         for _ in range(data.draw(st.integers(1, 6))):
             q = field(2, 2.0, 1.5)
             p = field(q, float(q), 2, 2.0, 3, 2.2)
-            instances.append(ProblemInstance(field(2, 3), max(p, q), q, field(*KINDS),
-                                             s=field(0, 0.0, -0.0, 1, 1.0, 0.5, MAX_FIELD),
-                                             m=field(0, 0.0, -0.0, 1, 1.0, 2, 2.0, 2.5),
-                                             M=field(0, -0.0, 1, 1.0)))
+            given_fields.append((field(2, 3), max(p, q), q, field(*KINDS),
+                                 field(0, 0.0, -0.0, 1, 1.0, 0.5, MAX_FIELD),
+                                 field(0, 0.0, -0.0, 1, 1.0, 2, 2.0, 2.5), field(0, -0.0, 1, 1.0)))
         optimal = data.draw(st.booleans())
-        decisions = [classify(inst, optimal_search=optimal) for inst in instances]
-        table = ConditionTable()
-        results = [decision.as_dict(table) for decision in decisions]
-        text = Report("0", {}, results, conditions=table.entries).to_json()
+
+        def report(instances):
+            decisions = [classify(inst, optimal_search=optimal) for inst in instances]
+            table = ConditionTable()
+            results = [decision.as_dict(table) for decision in decisions]
+            return decisions, Report("0", {}, results, conditions=table.entries).to_json()
+
+        decisions, text = report([ProblemInstance(*fields) for fields in given_fields])
+        as_floats = [ProblemInstance(N, float(p), float(q), kind, float(s), float(m), float(M))
+                     for N, p, q, kind, s, m, M in given_fields]
+        assert report(as_floats)[1] == text
+        assert int not in {type(v) for d in decisions for c in d.conditions for v in c.values}
         assert viewed_conditions(text) == schema5_conditions(decisions)
         entries = [json.dumps(entry) for entry in json.loads(text)["conditions"]]
         assert len(entries) == len(set(entries))
@@ -1227,7 +1238,7 @@ ZERO_SIGNS = "kind = product\nN = 2\np = 2.5\nq = 2\ns = 0 -0.0\nm = 1.5 2.5\n"
 
 
 def split_rows(monkeypatch, workers: int) -> list:
-    """Give classify and sweep `workers` row workers on any grid of that many
+    """Give the grid commands `workers` row workers on any grid of that many
     instances; return the list that each os.fork call of this process appends to."""
     monkeypatch.setattr(cli, "MIN_CHUNK", 1)
     monkeypatch.setattr(cli, "worker_count", lambda: workers)
@@ -1246,16 +1257,17 @@ def forks_expected(workers: int) -> int:
     return workers - 1 if threading.active_count() == 1 else 0
 
 
-def fail_in(monkeypatch, parent: bool) -> None:
-    """Make cli.classify raise in the parent process only, or in its children only."""
-    pid, classify_one = os.getpid(), cli.classify
+def fail_in(monkeypatch, parent: bool, name: str = "classify") -> None:
+    """Make the row function cli.`name` raise in the parent process only, or
+    in its children only."""
+    pid, original = os.getpid(), getattr(cli, name)
 
-    def failing(inst, **kwargs):
+    def failing(inst, *args, **kwargs):
         if (os.getpid() == pid) == parent:
             raise RuntimeError(f"cannot classify {inst}")
-        return classify_one(inst, **kwargs)
+        return original(inst, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "classify", failing)
+    monkeypatch.setattr(cli, name, failing)
 
 
 def assert_no_child_left():
@@ -1263,12 +1275,30 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+# The grid commands' row kinds on the tiny grids besides the JSON sweeps:
+# search-b rows and CSV lines.  Their serial bytes are those of one worker;
+# CSV_RESULTS pins one of them.
+OTHER_ROWS = [f"{command} {grid}" for command in ("search-b", "sweep --format csv")
+              for grid in ("tiny_product_grid.par", "tiny_sum_grid.par")]
+ROW_PINS = {**SCHEMA7_BYTES, "sweep --format csv tiny_product_grid.par":
+            CSV_RESULTS["sweep tiny_product_grid.par"]}
+
+
+def serial_digest(key: str, tmp_path: Path, monkeypatch) -> str:
+    """The digest of a grid key's report built by one worker, checked against its pin."""
+    split_rows(monkeypatch, 1)
+    digest = hashlib.sha256(grid_report(key, tmp_path)).hexdigest()
+    assert digest == ROW_PINS.get(key, digest)
+    return digest
+
+
 class TestRowWorkers:
-    @pytest.mark.parametrize("key", [key for key in sorted(SCHEMA7_BYTES) if "tiny" in key])
+    @pytest.mark.parametrize("key", [*(key for key in sorted(SCHEMA7_BYTES) if "tiny" in key), *OTHER_ROWS])
     def test_any_worker_count_gives_the_serial_bytes(self, key, tmp_path, monkeypatch):
+        serial = serial_digest(key, tmp_path, monkeypatch)
         for workers in (1, 2, 3):
             forks = split_rows(monkeypatch, workers)
-            assert hashlib.sha256(grid_report(key, tmp_path)).hexdigest() == SCHEMA7_BYTES[key]
+            assert hashlib.sha256(grid_report(key, tmp_path)).hexdigest() == serial
             assert len(forks) == forks_expected(workers)
         assert_no_child_left()
 
@@ -1287,24 +1317,32 @@ class TestRowWorkers:
 
     @pytest.mark.parametrize("failure", ["child-raises", "fork-raises", "payload-bad"])
     def test_failed_workers_give_the_serial_bytes(self, failure, tmp_path, monkeypatch):
-        key = "sweep --optimal-search tiny_product_grid.par"
+        # each kind of row: classify's JSON and CSV rows and search-b's
+        rows = {"sweep --optimal-search tiny_product_grid.par": "classify",
+                "sweep --format csv tiny_sum_grid.par": "classify",
+                "search-b tiny_product_grid.par": "_search_one"}
+        serial = {key: serial_digest(key, tmp_path, monkeypatch) for key in rows}
         split_rows(monkeypatch, 3)
-        if failure == "child-raises":
-            fail_in(monkeypatch, parent=False)
-        elif failure == "fork-raises":
+        if failure == "fork-raises":
             def refuse():
                 raise OSError("no fork")
 
             monkeypatch.setattr(os, "fork", refuse)
-        else:
+        elif failure == "payload-bad":
             def bad(data):
                 raise ValueError("bad marshal data")
 
             monkeypatch.setattr(cli, "marshal", SimpleNamespace(dump=marshal.dump, loads=bad))
-        assert hashlib.sha256(grid_report(key, tmp_path)).hexdigest() == SCHEMA7_BYTES[key]
-        out = tmp_path / "timed.json"
-        assert run(["sweep", "--params", TINY_GRID, "--timing", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["timing"][0]["workers"] == 1
+        for key, name in rows.items():
+            with monkeypatch.context() as patch:
+                if failure == "child-raises":
+                    fail_in(patch, parent=False, name=name)
+                assert hashlib.sha256(grid_report(key, tmp_path)).hexdigest() == serial[key]
+                if "csv" not in key:
+                    out = tmp_path / "timed.json"
+                    command = key.split()[0]
+                    assert run([command, "--params", TINY_GRID, "--timing", "--out", str(out)]) == 0
+                    assert json.loads(out.read_text())["timing"][0]["workers"] == 1
         assert_no_child_left()
 
     def test_parent_failure_raises_the_serial_exception(self, tmp_path, monkeypatch):
@@ -1327,7 +1365,27 @@ class TestRowWorkers:
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", refuse)
-        assert run(["classify", *PRODUCT_A, "--out", str(tmp_path / "report.json")]) == 0
+        for argv in (["classify"], ["classify", "--format", "csv"], ["search-b"]):
+            assert run([*argv, *PRODUCT_A, "--out", str(tmp_path / "report")]) == 0
+
+    def test_a_second_search_b_forks_once_numpy_is_loaded(self, tmp_path):
+        # A fresh process loads numpy in its first search-b, after that run has
+        # forked; the second run forks with numpy loaded.
+        serial = grid_report("search-b tiny_product_grid.par", tmp_path)
+        outs = [tmp_path / "first.json", tmp_path / "second.json"]
+        script = ("import os, sys\n"
+                  "import pqliouville.cli as cli\n"
+                  "cli.MIN_CHUNK, cli.worker_count = 1, lambda: 2\n"
+                  "forks, fork = [], os.fork\n"
+                  "os.fork = lambda: forks.append(1) or fork()\n"
+                  "for out in sys.argv[2:]:\n"
+                  "    print('numpy' in sys.modules, len(forks))\n"
+                  "    assert cli.main(['search-b', '--params', sys.argv[1], '--out', out]) == 0\n"
+                  "print('numpy' in sys.modules, len(forks))\n")
+        done = python_in_fresh_process(["-c", script, TINY_GRID, *map(str, outs)])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n") == ["False 0", "True 1", "True 2", ""]
+        assert [out.read_bytes() for out in outs] == [serial, serial]
 
     @pytest.mark.parametrize("grid, instances", [(PRODUCT_GRID, 9600), (Path(TINY_GRID), 16)])
     def test_timing_reports_the_split_rule(self, grid, instances, tmp_path):

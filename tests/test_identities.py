@@ -23,12 +23,11 @@ from pqliouville import operators
 from pqliouville.operators import (
     GridField,
     grad_squared,
-    gradient_components,
     gradient_dot,
     laplacian,
     sample_function,
 )
-from oracles import affine_field
+from oracles import affine_field, reference_dot, reference_gradient_components
 
 
 class TestChangeOfVariable:
@@ -137,26 +136,24 @@ class TestScaling:
             scaling_check(CATALOG["sine_x1"], -1.0, 1.0, 2.0)
 
 
-DERIVATIVES = ("grads", "grad_sq", "lap", "grad_sq_dot_grad")
-# The derivatives the identity checks read; grads is computed only when
-# something reads it.
-CHECKED = DERIVATIVES[1:]
+# The derivatives the identity checks read, each cached on its field.
+DERIVATIVES = ("grad_sq", "lap", "grad_sq_dot_grad")
 
 
 class TestSharedDerivatives:
     def test_cached_derivatives_match_the_operators(self):
         field = CATALOG["offset_sine"].sample(17, 3)
         v, h = field.values, field.spacing
-        for ours, ref in zip(field.grads, gradient_components(v, h)):
-            assert np.array_equal(ours, ref, equal_nan=True)
+        grads = reference_gradient_components(v, h)
         z = grad_squared(v, h)
+        assert np.array_equal(z, reference_dot(grads, grads), equal_nan=True)
         assert np.array_equal(field.grad_sq, z, equal_nan=True)
         assert np.array_equal(field.lap, laplacian(v, h), equal_nan=True)
         assert np.array_equal(field.grad_sq_dot_grad, gradient_dot(z, v, h), equal_nan=True)
 
     def test_each_derivative_is_computed_once_per_field(self, monkeypatch):
         calls = []
-        for name in ("gradient_components", "laplacian", "gradient_dot"):
+        for name in ("laplacian", "gradient_dot"):
             def counted(*args, _name=name, _original=getattr(operators, name)):
                 calls.append(_name)
                 return _original(*args)
@@ -171,19 +168,17 @@ class TestSharedDerivatives:
             for _ in range(2):
                 change_of_variable_check(field, 2.0, 3.0, 2.0)
                 bochner_check(field, 2)
-            # grad_sq, lap and grad_sq_dot_grad, one pass each; no check reads grads
+            # grad_sq, lap and grad_sq_dot_grad, one pass each
             assert sorted(calls) == ["gradient_dot", "gradient_dot", "laplacian"]
-            assert set(vars(field)) & set(DERIVATIVES) == set(CHECKED)
+            assert set(DERIVATIVES) <= set(vars(field))
             first = [getattr(field, name) for name in DERIVATIVES]
-            assert calls.count("gradient_components") == 1
             change_of_variable_check(field, 2.0, 3.0, 2.0)
             assert all(getattr(field, name) is ours for name, ours in zip(DERIVATIVES, first))
-            assert len(calls) == 4
+            assert len(calls) == 3
 
     def test_cached_derivatives_are_read_only(self):
         field = CATALOG["offset_sine"].sample(17, 3)
-        assert isinstance(field.grads, tuple)
-        for arr in (*field.grads, field.grad_sq, field.lap, field.grad_sq_dot_grad):
+        for arr in (field.grad_sq, field.lap, field.grad_sq_dot_grad):
             with pytest.raises(ValueError, match="read-only"):
                 arr[2, 2, 2] = 0.0
         for name in DERIVATIVES:
@@ -193,7 +188,7 @@ class TestSharedDerivatives:
     def test_changed_values_do_not_reuse_cached_derivatives(self):
         field = CATALOG["offset_sine"].sample(33)
         before = change_of_variable_check(field, 2.0, 3.0, 2.0)
-        assert set(vars(field)) & set(DERIVATIVES) == set(CHECKED)
+        assert set(DERIVATIVES) <= set(vars(field))
         for other in (
             dataclasses.replace(field, values=field.values * 1.5),
             GridField(values=field.values + 0.25, spacing=field.spacing),
