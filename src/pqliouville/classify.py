@@ -21,6 +21,8 @@ from .selection import (
     BSelection,
     Row,
     TheoremCondition,
+    _file,
+    _Trace,
     product_shared_rows,
     select_b_product,
     small_s_row,
@@ -28,53 +30,12 @@ from .selection import (
     sum_selection,
     window_position,
 )
-from .thresholds import ProductThresholds, SumThresholds, product_thresholds, sum_thresholds
+from .thresholds import ProductThresholds, product_thresholds, sum_thresholds
 
 PRODUCT_SHARED = "product_shared"
 
 GRAD_U = "|grad u|"
 GRAD_U_POWER = "|grad u^(1/b)|"
-
-
-def _owned(rows, theorem: str) -> list[TheoremCondition]:
-    """The rows a theorem needs: product cases also own the shared block."""
-    owners = {theorem, PRODUCT_SHARED} if theorem.startswith("thm_product_") else {theorem}
-    return [c for c in rows if c.theorem in owners]
-
-
-class _Trace:
-    """The rows classify files, in filing order, and a running verdict per
-    theorem: whether every row filed under it so far passed."""
-
-    __slots__ = ("rows", "verdict")
-
-    def __init__(self):
-        self.rows: list[TheoremCondition] = []
-        self.verdict: dict[str, bool] = {}
-
-
-def _passes(trace: _Trace, theorem: str) -> bool:
-    """A theorem passes when it owns at least one row and every row it owns
-    passes (a product case owns the shared block too, as in `_owned`)."""
-    verdict = trace.verdict.get(theorem)
-    if theorem.startswith("thm_product_"):
-        shared = trace.verdict.get(PRODUCT_SHARED)
-        if shared is not None:
-            verdict = shared if verdict is None else verdict and shared
-    return bool(verdict)
-
-
-def _file(trace: _Trace, theorem: str, *entries: Row) -> None:
-    """File (label, template, values, passed) entries as rows under one theorem."""
-    append = trace.rows.append
-    verdict = trace.verdict.get(theorem, True)
-    for label, template, values, passed in entries:
-        passed = bool(passed)
-        # tuple.__new__ skips the NamedTuple's Python-level __new__, the
-        # larger part of a row's cost.
-        append(tuple.__new__(TheoremCondition, (theorem, label, template, values, passed)))
-        verdict = verdict and passed
-    trace.verdict[theorem] = verdict
 
 
 class RegimeDecision(NamedTuple):
@@ -86,13 +47,12 @@ class RegimeDecision(NamedTuple):
     estimate_exponent: float | None
     estimate_target: str | None
     exponents: ExponentBundle | None
-    product: ProductThresholds | None = None
-    sums: SumThresholds | None = None
     selection: BSelection | None = None
 
     def conditions_for(self, theorem: str) -> tuple[TheoremCondition, ...]:
         """Conditions owned by a theorem (product cases share their common block)."""
-        return tuple(_owned(self.conditions, theorem))
+        owners = {theorem, PRODUCT_SHARED} if theorem.startswith("thm_product_") else {theorem}
+        return tuple(c for c in self.conditions if c.theorem in owners)
 
     def as_dict(self, table) -> dict:
         """The report row.  Each condition becomes its index in `table`.
@@ -101,9 +61,8 @@ class RegimeDecision(NamedTuple):
         of a whole report; the report writes them once, as its
         `conditions` entries.
         The row leaves out `inst` (the report's echoed parameter map gives
-        it back), every None, an empty `matches` and the threshold records,
-        which the instance gives back; the records RECORD_KEYS names are
-        written through their own `as_dict`.
+        it back), every None and an empty `matches`; the exponents and
+        selection records are written through their own `as_dict`.
         """
         row = {
             "theorem": self.theorem,
@@ -116,14 +75,10 @@ class RegimeDecision(NamedTuple):
             row["estimate_exponent"] = self.estimate_exponent
         if self.estimate_target is not None:
             row["estimate_target"] = self.estimate_target
-        for key in RECORD_KEYS:
+        for key in ("exponents", "selection"):
             if (record := getattr(self, key)) is not None:
                 row[key] = record.as_dict()
         return row
-
-
-# The record fields a report row writes, under their field names.
-RECORD_KEYS = ("exponents", "selection")
 
 
 def _ishii_lions_rows(inst: ProblemInstance, trace: _Trace) -> None:
@@ -138,24 +93,26 @@ def _classify_hj(inst: ProblemInstance, trace: _Trace) -> None:
 
 
 def _product_case_rows(
-    inst: ProblemInstance, th: ProductThresholds, trace: _Trace,
+    inst: ProblemInstance, th: ProductThresholds, shared: list[Row], trace: _Trace,
     optimal_search: bool,
 ) -> tuple[str | None, BSelection | None]:
-    """Emit rows for the Q-position-selected case; return its theorem name and
-    the selection its window_numeric row ran (optimal search only)."""
+    """File the rows of the Q-position-selected case, whose running verdict
+    starts from the shared block's; return its theorem name and the
+    selection its window_numeric row ran (optimal search only)."""
     if not th.discriminant_ok:
         return None, None
     Q, q1, q2 = th.Q, th.Q1, th.Q2
     position = window_position(th)
+    theorem = {"boundary": "thm_product_B", "inside": "thm_product_A"}.get(position, "thm_product_C")
+    trace.verdict[theorem] = trace.verdict[PRODUCT_SHARED]
     if position == "boundary":
-        _file(trace, "thm_product_B", ("boundary_window", "Q in {{Q1, Q2}}: Q = {:.6g}", (Q,), True),
+        _file(trace, theorem, ("boundary_window", "Q in {{Q1, Q2}}: Q = {:.6g}", (Q,), True),
               small_s_row(inst))
-        return "thm_product_B", None
+        return theorem, None
     if position == "inside":
-        _file(trace, "thm_product_A",
+        _file(trace, theorem,
               ("open_window", "Q1 < Q < Q2: {:.6g} < {:.6g} < {:.6g}", (q1, Q, q2), True))
-        return "thm_product_A", None
-    theorem = "thm_product_C"
+        return theorem, None
     _file(
         trace, theorem, small_s_row(inst),
         ("m_le_q", "m <= q: {:.6g} <= {:.6g}", (inst.m, inst.q), inst.m <= inst.q),
@@ -164,7 +121,7 @@ def _product_case_rows(
          inst.p < inst.m + 1.0),
     )
     if optimal_search:
-        sel = select_b_product(inst, th)
+        sel = select_b_product(inst, th, shared)
         _file(trace, theorem, (
             "window_numeric",
             "numeric convex-case feasibility (vertex of the majorant is negative): {}",
@@ -197,29 +154,30 @@ def _product_case_rows(
 
 def _classify_product(
     inst: ProblemInstance, trace: _Trace, optimal_search: bool
-) -> tuple[ProductThresholds, str | None, BSelection | None, ExponentBundle | None]:
+) -> tuple[str | None, BSelection | None, ExponentBundle | None]:
     th = product_thresholds(inst)
-    _file(trace, PRODUCT_SHARED, *product_shared_rows(inst, th))
-    case_theorem, window_selection = _product_case_rows(inst, th, trace, optimal_search)
+    shared = product_shared_rows(inst, th)
+    _file(trace, PRODUCT_SHARED, *shared)
+    case_theorem, window_selection = _product_case_rows(inst, th, shared, trace, optimal_search)
     _ishii_lions_rows(inst, trace)
     selection = bundle = None
-    if case_theorem is not None and _passes(trace, case_theorem):
-        selection = window_selection or select_b_product(inst, th)
+    if case_theorem is not None and trace.verdict[case_theorem]:
+        selection = window_selection or select_b_product(inst, th, shared)
         _file(trace, case_theorem, ("selection_feasible", "constructive b-selection: {}",
                                     (selection.case_tag,), selection.feasible))
         if selection.feasible:
             bundle = exponent_bundle(inst, selection.b_star)
-    return th, case_theorem, selection, bundle
+    return case_theorem, selection, bundle
 
 
 def _classify_sum(
     inst: ProblemInstance, trace: _Trace
-) -> tuple[SumThresholds, BSelection | None, ExponentBundle | None]:
-    th = sum_thresholds(inst)
+) -> tuple[BSelection | None, ExponentBundle | None]:
     p, q, s, m = inst.p, inst.q, inst.s, inst.m
     liou = "thm_sum_liouville"
     M_positive = ("M_positive", "M > 0: {:.6g}", (inst.M,), inst.M > 0.0)
-    _file(trace, liou, M_positive, *sum_liouville_rows(inst, th))
+    rows = sum_liouville_rows(inst, sum_thresholds(inst))
+    _file(trace, liou, M_positive, *rows)
 
     s_lo_g = max(q - 1.0, 1.0)
     m_lo = max(q * s / (s + 1.0), 2.0 * s)
@@ -231,13 +189,13 @@ def _classify_sum(
     )
 
     selection = bundle = None
-    if _passes(trace, liou):
-        selection = sum_selection(inst, th)
+    if trace.verdict[liou]:
+        selection = sum_selection(inst, rows)
         _file(trace, liou, ("selection_feasible", "constructive tau-selection: {}",
                             (selection.case_tag,), selection.feasible))
         if selection.feasible:
             bundle = exponent_bundle(inst._replace(m=0.0), selection.b_star)
-    return th, selection, bundle
+    return selection, bundle
 
 
 def classify(inst: ProblemInstance, optimal_search: bool = False) -> RegimeDecision:
@@ -249,36 +207,35 @@ def classify(inst: ProblemInstance, optimal_search: bool = False) -> RegimeDecis
     majorant instead of the stated (non-optimal) closed-form bounds.
     """
     trace = _Trace()
-    product_th = sums_th = selection = bundle = None
+    selection = bundle = None
 
     if inst.kind == "hamilton_jacobi":
         _classify_hj(inst, trace)
         candidates = ["thm_HJ", "thm_IL"]
     elif inst.kind == "product":
-        product_th, case_theorem, selection, bundle = _classify_product(inst, trace, optimal_search)
+        case_theorem, selection, bundle = _classify_product(inst, trace, optimal_search)
         candidates = ([case_theorem] if case_theorem else []) + ["thm_IL"]
     else:
-        sums_th, selection, bundle = _classify_sum(inst, trace)
+        selection, bundle = _classify_sum(inst, trace)
         candidates = ["thm_sum_liouville", "thm_sum_growth"]
 
-    matches = [theorem for theorem in candidates if _passes(trace, theorem)]
+    matches = [theorem for theorem in candidates if trace.verdict[theorem]]
 
     theorem = matches[0] if matches else "none"
     liouville = theorem not in ("none", "thm_sum_growth")
 
+    # Only a feasible selection gives a bundle, and its theorem (the winning
+    # product case or thm_sum_liouville) then leads the matches.
     estimate = target = None
-    exponents = None
-    if theorem == "thm_HJ":
+    if bundle is not None:
+        estimate, target = 2.0 / bundle.gamma, GRAD_U_POWER
+    elif theorem == "thm_HJ":
         estimate, target = 1.0 / (inst.m - inst.p + 1.0), GRAD_U
     elif theorem == "thm_sum_growth":
         estimate, target = 1.0 / (inst.m - inst.p + 2.0), GRAD_U
-    elif theorem.startswith("thm_product_") or theorem == "thm_sum_liouville":
-        exponents = bundle
-        if bundle is not None:
-            estimate, target = 2.0 / bundle.gamma, GRAD_U_POWER
 
     return RegimeDecision(inst, theorem, tuple(matches), tuple(trace.rows), liouville, estimate,
-                          target, exponents, product_th, sums_th, selection)
+                          target, bundle, selection)
 
 
 class EstimateRate(NamedTuple):

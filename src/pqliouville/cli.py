@@ -243,7 +243,7 @@ def _grid_rows(instances, row, table: ConditionTable) -> tuple[list, int]:
             workers += payload is not None
             part, entries = payload or build(chunk, ConditionTable())
             if entries:
-                index = table.indices([(t, label, tpl, tuple(v), ok) for t, label, tpl, ok, v in entries])
+                index = table.merge(entries)
                 for filed in part:
                     filed["conditions"] = [index[i] for i in filed["conditions"]]
             rows += part

@@ -76,6 +76,11 @@ class ConditionTable(dict):
         """The indices of `conditions`, numbering new ones."""
         return list(map(self.__getitem__, conditions))
 
+    def merge(self, entries) -> list[int]:
+        """The indices here of another table's `entries`, numbering new ones."""
+        return self.indices([(theorem, label, template, tuple(values), passed)
+                             for theorem, label, template, passed, values in entries])
+
 
 class Report(NamedTuple):
     tool_version: str

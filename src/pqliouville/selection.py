@@ -16,9 +16,11 @@ coefficient is negative; only that coefficient is available in closed
 form, so the certificate is the coefficient sign plus the b > 1 and
 beta2 > 0 conditions.
 
-A selection is a sequence of check blocks, each appended to the trace
+A selection is a sequence of check blocks, each filed into its trace
 whole; it ends infeasible right after the first block that holds a
 failing row, so it is feasible exactly when every trace row passed.
+`_Trace` and `_file` are package-internal, shared with classify on
+purpose: they are the one builder of hypothesis rows for both.
 """
 
 from __future__ import annotations
@@ -61,6 +63,37 @@ class TheoremCondition(NamedTuple):
         return self.template.format(*self.values)
 
 
+# Hypothesis rows shared with classify are plain (label, template, values,
+# passed) tuples in report order, values a tuple; each caller files them
+# under its theorem.
+Row = tuple[str, str, tuple, bool]
+
+
+class _Trace:
+    """Filed rows, in filing order, and a running verdict per theorem:
+    whether every row filed under it so far passed."""
+
+    __slots__ = ("rows", "verdict")
+
+    def __init__(self):
+        self.rows: list[TheoremCondition] = []
+        self.verdict: dict[str, bool] = {}
+
+
+def _file(trace: _Trace, theorem: str, *entries: Row) -> None:
+    """File (label, template, values, passed) entries as rows under one theorem:
+    the one maker of TheoremCondition rows, for classify and selections alike."""
+    append = trace.rows.append
+    verdict = trace.verdict.get(theorem, True)
+    for label, template, values, passed in entries:
+        passed = bool(passed)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__, the
+        # larger part of a row's cost.
+        append(tuple.__new__(TheoremCondition, (theorem, label, template, values, passed)))
+        verdict = verdict and passed
+    trace.verdict[theorem] = verdict
+
+
 class BSelection(NamedTuple):
     """Selected (t*, b*, kappa) with its trace; selection works at epsilon = 0."""
 
@@ -88,12 +121,6 @@ class BSelection(NamedTuple):
 def small_s_threshold(inst: ProblemInstance) -> float:
     """Side condition bound (q-1)/(p-1 + N(p-q)/2); equivalent to L2 < 0."""
     return (inst.q - 1.0) / (inst.p - 1.0 + inst.N * (inst.p - inst.q) / 2.0)
-
-
-# Hypothesis rows shared with classify are plain (label, template, values,
-# passed) tuples in report order, values a tuple; each caller files them
-# under its theorem.
-Row = tuple[str, str, tuple, bool]
 
 
 def small_s_row(inst: ProblemInstance) -> Row:
@@ -169,38 +196,39 @@ def _first_power_of_two(accept: Callable[[float], bool]) -> float | None:
 
 
 def _run(blocks: Generator[list[Row], None, tuple]) -> BSelection:
-    """Trace each block whole; after the first block with a failing row, stop
-    (infeasible) without resuming the generator.  A generator that runs out
-    returns (case_tag, t, b, kappa)."""
-    trace: list[TheoremCondition] = []
+    """File each block whole under "selection"; once that verdict goes false,
+    stop (infeasible) without resuming the generator.  A generator that runs
+    out returns (case_tag, t, b, kappa)."""
+    trace = _Trace()
     while True:
         try:
             block = next(blocks)
         except StopIteration as done:
-            return BSelection(*done.value, tuple(trace))
-        trace.extend(TheoremCondition("selection", label, template, values, bool(passed))
-                     for label, template, values, passed in block)
-        if not all(row[3] for row in block):
-            return BSelection("infeasible", None, None, None, tuple(trace))
+            return BSelection(*done.value, tuple(trace.rows))
+        _file(trace, "selection", *block)
+        if not trace.verdict["selection"]:
+            return BSelection("infeasible", None, None, None, tuple(trace.rows))
 
 
-def select_b_product(inst: ProblemInstance, th: ProductThresholds | None = None) -> BSelection:
+def select_b_product(
+    inst: ProblemInstance, th: ProductThresholds | None = None, shared: list[Row] | None = None
+) -> BSelection:
     """Constructively select (t*, b*, kappa) for the product reaction.
 
     Dispatches on the position of Q relative to [Q1, Q2] (boundary
     instances use exact floating comparison and route to case 2).  The
     five shared rows form one block, every later check a block of one
     row; the selection stops after the first block with a failing row,
-    so case 1 stops when L1 >= 0.  `th` is the instance's
-    `product_thresholds`, computed here when not given.
+    so case 1 stops when L1 >= 0.  `th` and `shared` are the instance's
+    `product_thresholds` and `product_shared_rows`, built when not given.
     """
     if inst.kind != "product":
         raise AdmissibilityError("b-selection requires kind='product'")
-    return _run(_product_blocks(inst, th or product_thresholds(inst)))
+    return _run(_product_blocks(inst, th or product_thresholds(inst), shared))
 
 
-def _product_blocks(inst: ProblemInstance, th: ProductThresholds):
-    yield product_shared_rows(inst, th)
+def _product_blocks(inst: ProblemInstance, th: ProductThresholds, shared: list[Row] | None):
+    yield shared or product_shared_rows(inst, th)
     coeffs = product_trinomial(inst, epsilon=0.0)
     floor = admissible_floor(inst)
     position = window_position(th)
@@ -253,22 +281,21 @@ def _product_blocks(inst: ProblemInstance, th: ProductThresholds):
     return tag, t, b, 1.0
 
 
-def sum_selection(inst: ProblemInstance, th: SumThresholds | None = None) -> BSelection:
+def sum_selection(inst: ProblemInstance, rows: list[Row] | None = None) -> BSelection:
     """Select tau (hence b > 1) for the sum reaction.
 
     Check blocks, the first with a failing row ending the selection: the
     gap and delta rows, the rest of the sum window, the sign of the leading
     quadratic coefficient, then the first power of two tau > s with
-    b = (tau-q+1)/(s-q+1) > 1 and beta2(b) > 0.  `th` is the instance's
-    `sum_thresholds`, computed here when not given.
+    b = (tau-q+1)/(s-q+1) > 1 and beta2(b) > 0.  `rows` is the instance's
+    `sum_liouville_rows`, built when not given.
     """
     if inst.kind != "sum":
         raise AdmissibilityError("tau-selection requires kind='sum'")
-    return _run(_sum_blocks(inst, th or sum_thresholds(inst)))
+    return _run(_sum_blocks(inst, rows or sum_liouville_rows(inst, sum_thresholds(inst))))
 
 
-def _sum_blocks(inst: ProblemInstance, th: SumThresholds):
-    rows = sum_liouville_rows(inst, th)
+def _sum_blocks(inst: ProblemInstance, rows: list[Row]):
     yield rows[:2]  # gap and delta: without them the s-window is not reported
     yield rows[2:]
     lead = sum_leading_coefficient(inst)

@@ -16,6 +16,7 @@ from pqliouville import (
     sum_selection,
 )
 from pqliouville.params import expand_instances, parse_params
+from pqliouville.selection import product_shared_rows
 from oracles import (
     instances,
     near_window_root,
@@ -286,16 +287,31 @@ class TestSelectionAgreement:
         else:
             assert rows[:2] == _rows(selection.trace)
 
+    @pytest.mark.parametrize("optimal", [False, True])
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(instances("product"), instances("sum"), near_window_root()))
+    @example(product(p=2.0, q=2.0, m=2.5))  # Q = Q2 exactly
+    def test_kept_selection_is_the_standalone_one(self, optimal, inst):
+        """The selection classify keeps from the rows it filed is the one a
+        library caller gets, and the decision has exponents exactly when
+        that selection is feasible."""
+        decision = classify(inst, optimal_search=optimal)
+        kept = decision.selection
+        if kept is not None:
+            assert kept == (select_b_product(inst) if inst.kind == "product" else sum_selection(inst))
+        assert (decision.exponents is not None) == (kept is not None and kept.feasible)
+
 
 def test_optimal_search_selects_once_per_instance(monkeypatch):
     """The window_numeric row's selection is the one a passing theorem C keeps."""
     module = sys.modules["pqliouville.classify"]  # pqliouville.classify is the function
     calls = []
 
-    def counted(inst, th):
+    def counted(inst, th, shared):
         calls.append(inst)
         assert th == product_thresholds(inst)
-        return select_b_product(inst, th)
+        assert shared == product_shared_rows(inst, th)
+        return select_b_product(inst, th, shared)
 
     monkeypatch.setattr(module, "select_b_product", counted)
     reused = 0
@@ -312,19 +328,23 @@ def test_optimal_search_selects_once_per_instance(monkeypatch):
 
 @pytest.mark.parametrize("optimal", [False, True])
 def test_thresholds_computed_once_per_instance(monkeypatch, optimal):
-    """classify hands the threshold record it computed to the selection."""
-    calls = []
+    """classify hands the threshold record and the hypothesis rows it built
+    to the selection: each is built once per instance of its kind."""
+    calls = {}
 
-    def counted(function):
-        return lambda inst: calls.append(inst) or function(inst)
+    def counted(name, function):
+        return lambda inst, *rest: calls.setdefault(name, []).append(inst) or function(inst, *rest)
 
     for module in (sys.modules["pqliouville.classify"], sys.modules["pqliouville.selection"]):
-        for name in ("product_thresholds", "sum_thresholds"):
-            monkeypatch.setattr(module, name, counted(getattr(module, name)))
-    selected = 0
-    for grid in (PRODUCT_GRID, PRODUCT_GRID.with_name("sum_grid.par")):
+        for name in ("product_thresholds", "sum_thresholds", "product_shared_rows",
+                     "sum_liouville_rows"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for grid, built in ((PRODUCT_GRID, ("product_thresholds", "product_shared_rows")),
+                        (PRODUCT_GRID.with_name("sum_grid.par"),
+                         ("sum_thresholds", "sum_liouville_rows"))):
+        selected = 0
         for inst in expand_instances(parse_params(grid.read_text())):
             calls.clear()
             selected += classify(inst, optimal_search=optimal).selection is not None
-            assert calls == [inst]
-    assert selected > 0
+            assert calls == {name: [inst] for name in built}
+        assert selected > 0

@@ -7,6 +7,7 @@ from pqliouville import (
     aux_weights,
     classify,
     il_parameter_window,
+    product_thresholds,
     product_trinomial,
     sum_thresholds,
 )
@@ -17,7 +18,7 @@ PRODUCT = ProblemInstance(N=2, p=2.2, q=2.0, kind="product", s=0.5, m=2.0)
 DECISION = classify(PRODUCT)
 RECORDS = (
     PRODUCT,
-    DECISION.product,
+    product_thresholds(PRODUCT),
     sum_thresholds(ProblemInstance(N=2, p=2.0, q=1.9, kind="sum", s=1.5, m=0.5, M=1.0)),
     DECISION.exponents,
     product_trinomial(PRODUCT),
