@@ -27,7 +27,8 @@ from .ishii_lions import il_parameter_window
 from .params import INSTANCE_KEYS, KEYS, ParamError, expand_instances, parse_params, radial_settings
 from .report import ConditionTable, Report, atomic_write_text, worker_count
 from .selection import select_b_product, sum_selection
-from .trinomial import MAX_ORACLE_POINTS, TrinomialCoeffs, oracle_curve, product_trinomial, verify_negativity
+from .trinomial import (MAX_ORACLE_POINTS, MIN_ORACLE_POINTS, TrinomialCoeffs, oracle_curve,
+                        product_trinomial, verify_negativity)
 
 DEFAULT_ORACLE_POINTS = 2048
 # Instances per row worker at least, a fork's break-even (2 cores: 1,000
@@ -485,7 +486,7 @@ _RADIAL = (*((f"--{key}", {}) for key in ("r0", "r1", "u0", "u1")),
 COMMANDS = {
     "classify": (_cmd_classify, (_PARAMS, _INSTANCE, _OUT, _FORMAT, _OPTIMAL, _TIMING)),
     "search-b": (_cmd_search_b, (_PARAMS, _INSTANCE, _OUT, _TIMING, (
-        ("--oracle-points", dict(type=_int_between(1000, MAX_ORACLE_POINTS),
+        ("--oracle-points", dict(type=_int_between(MIN_ORACLE_POINTS, MAX_ORACLE_POINTS),
                                  default=DEFAULT_ORACLE_POINTS)),))),
     "il-window": (_cmd_il_window, (_OUT, _TIMING, (
         ("--q", dict(type=float, required=True)), ("--m", dict(type=float, required=True))))),

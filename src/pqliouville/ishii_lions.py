@@ -38,10 +38,9 @@ class ILWindow(NamedTuple):
         return self._asdict()
 
 
-def _check(q: float, m: float, window: bool = True) -> None:
-    """Refuse q and m outside the window's domain; with `window`, also m <= q,
-    where the window is empty.  With q and m at most MAX_FIELD,
-    1/(m+1-q) >= 1e-15 exceeds an ulp of 1, so gamma_lo < 1."""
+def _check(q: float, m: float) -> None:
+    """Refuse q and m outside the window's domain.  With q and m at most
+    MAX_FIELD, 1/(m+1-q) >= 1e-15 exceeds an ulp of 1, so gamma_lo < 1."""
     if not (math.isfinite(q) and math.isfinite(m)):
         raise AdmissibilityError("q and m must be finite")
     if max(q, m) > MAX_FIELD:
@@ -50,27 +49,31 @@ def _check(q: float, m: float, window: bool = True) -> None:
         raise AdmissibilityError("q must exceed 1")
     if m <= 0.0:
         raise AdmissibilityError("m must be positive")
-    if window and m <= q:
-        raise AdmissibilityError("the window is empty unless m > q")
 
 
 def il_gamma_lo(q: float, m: float) -> float:
-    """Closed-form lower end of the feasible gamma window: 1 - 1/(m+1-q)."""
+    """Closed-form lower end of the feasible gamma window: 1 - 1/(m+1-q).
+    Refuses m <= q, where the window is empty."""
     _check(q, m)
+    if m <= q:
+        raise AdmissibilityError("the window is empty unless m > q")
     return 1.0 - 1.0 / (m + 1.0 - q)
 
 
 def il_alpha_window(q: float, m: float, gamma: float) -> tuple[float, float]:
-    """Admissible decay powers for delta(r) = r^(-alpha) at a given gamma:
-    (max{0, gamma - 1 + 1/(m+1-q)}, gamma)."""
-    _check(q, m)
-    lo = max(0.0, gamma - 1.0 + 1.0 / (m + 1.0 - q))
+    """Admissible decay powers for delta(r) = r^(-alpha) at a gamma of the
+    window: (gamma - 1 + 1/(m+1-q), gamma).  Refuses any other gamma, NaN
+    included, and m <= q."""
+    gamma_lo = il_gamma_lo(q, m)
+    lo = gamma - 1.0 + 1.0 / (m + 1.0 - q)
+    if not (gamma < 1.0 and lo > 0.0):
+        raise AdmissibilityError(f"gamma must lie in ({gamma_lo!r}, 1), got {gamma!r}")
     return lo, gamma
 
 
 def il_parameter_window(q: float, m: float) -> ILWindow:
     """Feasible (gamma, alpha) window; empty whenever m <= q."""
-    _check(q, m, window=False)
+    _check(q, m)
     if m <= q:
         return ILWindow(feasible=False, gamma_lo=None, gamma_hi=None)
     return ILWindow(feasible=True, gamma_lo=il_gamma_lo(q, m), gamma_hi=1.0)

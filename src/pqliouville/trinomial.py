@@ -17,7 +17,8 @@ from .exponents import positive_combined_exponent
 from .instance import ProblemInstance
 from .thresholds import operator_gap
 
-# The oracle's grid cap, for search-b's --oracle-points and the reports plot-data reads.
+# The oracle's grid floor and cap, for search-b's --oracle-points and the reports plot-data reads.
+MIN_ORACLE_POINTS = 1000
 MAX_ORACLE_POINTS = 10_000_000
 
 
@@ -101,14 +102,15 @@ def oracle_curve(coeffs: TrinomialCoeffs, t_max: float, grid_points: int):
     """The oracle's uniform grid on [0, t_max] and L on it: (t, values).
 
     Checks what search-b and plot-data both pass in: a finite t_max > 0
-    and an int grid_points in [1000, MAX_ORACLE_POINTS].
+    and an int grid_points in [MIN_ORACLE_POINTS, MAX_ORACLE_POINTS].
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise AdmissibilityError(f"oracle t_max must be finite and positive, got {t_max!r}")
     if isinstance(grid_points, bool) or not isinstance(grid_points, int):
         raise AdmissibilityError(f"oracle grid_points must be an int, got {grid_points!r}")
-    if not 1000 <= grid_points <= MAX_ORACLE_POINTS:
-        raise AdmissibilityError(f"oracle grid_points must lie in [1000, {MAX_ORACLE_POINTS:,}]")
+    if not MIN_ORACLE_POINTS <= grid_points <= MAX_ORACLE_POINTS:
+        raise AdmissibilityError(
+            f"oracle grid_points must lie in [{MIN_ORACLE_POINTS}, {MAX_ORACLE_POINTS:,}]")
 
     import numpy as np
 

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from oracles import schema5_view, schema6_view
 
 import pqliouville.cli as cli
+import pqliouville.operators as operators
 import pqliouville.params
 from pqliouville.classify import classify
 from pqliouville.cli import _load_params, _report, build_parser, main
@@ -904,6 +906,16 @@ def grid_report(key: str, tmp_path: Path) -> bytes:
     return out.read_bytes()
 
 
+@pytest.fixture
+def lone_thread():
+    """Retire the grid kernels' pool threads that earlier tests left running,
+    so that the row driver forks as in a fresh process, whatever ran before."""
+    if operators._pool is not None:
+        operators._pool.shutdown()
+        operators._pool = None
+    assert threading.active_count() == 1
+
+
 def python_in_fresh_process(args: list[str]) -> subprocess.CompletedProcess:
     """`python args` in a new interpreter that imports this checkout's package.
 
@@ -929,6 +941,7 @@ def plot_in_fresh_process(report: Path) -> str:
 
 
 class TestReportSchema:
+    @pytest.mark.usefixtures("lone_thread")
     @pytest.mark.parametrize("key", sorted(TRACE_BYTES))
     def test_selection_traces_keep_their_bytes(self, key, tmp_path):
         text = grid_report(key, tmp_path)
@@ -938,6 +951,7 @@ class TestReportSchema:
             assert hashlib.sha256(schema6_view(text)).hexdigest() == SCHEMA6_BYTES[key]
             assert hashlib.sha256(text).hexdigest() == SCHEMA7_BYTES[key]
 
+    @pytest.mark.usefixtures("lone_thread")
     @pytest.mark.parametrize("key", sorted(SWEEP_BYTES.keys() | FULL_SWEEP_BYTES.keys()))
     def test_sweep_reports_keep_their_bytes(self, key, tmp_path):
         text = grid_report(key, tmp_path)
@@ -946,6 +960,7 @@ class TestReportSchema:
         assert hashlib.sha256(schema6_view(text)).hexdigest() == SCHEMA6_BYTES[key]
         assert hashlib.sha256(text).hexdigest() == SCHEMA7_BYTES[key]
 
+    @pytest.mark.usefixtures("lone_thread")
     @pytest.mark.parametrize("key", sorted(CSV_RESULTS))
     def test_csv_keeps_its_bytes(self, key, tmp_path):
         argv = key.split()
@@ -1239,7 +1254,9 @@ ZERO_SIGNS = "kind = product\nN = 2\np = 2.5\nq = 2\ns = 0 -0.0\nm = 1.5 2.5\n"
 
 def split_rows(monkeypatch, workers: int) -> list:
     """Give the grid commands `workers` row workers on any grid of that many
-    instances; return the list that each os.fork call of this process appends to."""
+    instances; return the list that each os.fork call of this process appends to.
+    No other thread may run, or the row driver would not fork."""
+    assert threading.active_count() == 1
     monkeypatch.setattr(cli, "MIN_CHUNK", 1)
     monkeypatch.setattr(cli, "worker_count", lambda: workers)
     forks, fork = [], os.fork
@@ -1250,11 +1267,6 @@ def split_rows(monkeypatch, workers: int) -> list:
 
     monkeypatch.setattr(os, "fork", counted)
     return forks
-
-
-def forks_expected(workers: int) -> int:
-    """Children made for `workers` row workers: none while another thread runs."""
-    return workers - 1 if threading.active_count() == 1 else 0
 
 
 def fail_in(monkeypatch, parent: bool, name: str = "classify") -> None:
@@ -1276,12 +1288,22 @@ def assert_no_child_left():
 
 
 # The grid commands' row kinds on the tiny grids besides the JSON sweeps:
-# search-b rows and CSV lines.  Their serial bytes are those of one worker;
-# CSV_RESULTS pins one of them.
+# search-b rows and CSV lines.
 OTHER_ROWS = [f"{command} {grid}" for command in ("search-b", "sweep --format csv")
               for grid in ("tiny_product_grid.par", "tiny_sum_grid.par")]
-ROW_PINS = {**SCHEMA7_BYTES, "sweep --format csv tiny_product_grid.par":
-            CSV_RESULTS["sweep tiny_product_grid.par"]}
+# Every row kind on the committed grids: JSON sweeps with and without the
+# selection, CSV lines and search-b rows.
+COMMITTED_ROWS = [*(f"{command} {grid}" for command in ("sweep", "sweep --optimal-search",
+                                                        "sweep --format csv")
+                    for grid in ("product_grid.par", "sum_grid.par")), "search-b product_grid.par"]
+# Each grid key, and the row worker counts that must give its one-worker bytes.
+WORKER_COUNTS = {**dict.fromkeys([*(key for key in sorted(SCHEMA7_BYTES) if "tiny" in key),
+                                  *OTHER_ROWS], (1, 2, 3)),
+                 **dict.fromkeys(COMMITTED_ROWS, (3,))}
+# The serial bytes of a key without a pin here are those of one worker.
+ROW_PINS = {**SCHEMA7_BYTES,
+            **{f"sweep --format csv {grid}": CSV_RESULTS[f"sweep {grid}"]
+               for grid in ("tiny_product_grid.par", "product_grid.par")}}
 
 
 def serial_digest(key: str, tmp_path: Path, monkeypatch) -> str:
@@ -1292,14 +1314,15 @@ def serial_digest(key: str, tmp_path: Path, monkeypatch) -> str:
     return digest
 
 
+@pytest.mark.usefixtures("lone_thread")
 class TestRowWorkers:
-    @pytest.mark.parametrize("key", [*(key for key in sorted(SCHEMA7_BYTES) if "tiny" in key), *OTHER_ROWS])
+    @pytest.mark.parametrize("key", WORKER_COUNTS)
     def test_any_worker_count_gives_the_serial_bytes(self, key, tmp_path, monkeypatch):
         serial = serial_digest(key, tmp_path, monkeypatch)
-        for workers in (1, 2, 3):
+        for workers in WORKER_COUNTS[key]:
             forks = split_rows(monkeypatch, workers)
             assert hashlib.sha256(grid_report(key, tmp_path)).hexdigest() == serial
-            assert len(forks) == forks_expected(workers)
+            assert len(forks) == workers - 1
         assert_no_child_left()
 
     def test_zero_signs_cross_chunks(self, tmp_path, monkeypatch):
@@ -1354,7 +1377,7 @@ class TestRowWorkers:
             with pytest.raises(RuntimeError) as info:
                 run(argv)
             errors.append(str(info.value))
-            assert len(forks) == forks_expected(workers)
+            assert len(forks) == workers - 1
             assert_no_child_left()
         assert errors[0] == errors[1] and errors[0].startswith("cannot classify")
 
@@ -1392,9 +1415,25 @@ class TestRowWorkers:
         out = tmp_path / "report.json"
         assert run(["sweep", "--params", str(grid), "--timing", "--out", str(out)]) == 0
         split = max(1, min(worker_count(), instances // cli.MIN_CHUNK))
-        expected = split if threading.active_count() == 1 else 1
-        assert json.loads(out.read_text())["timing"][0]["workers"] == expected
+        assert json.loads(out.read_text())["timing"][0]["workers"] == split
         assert_no_child_left()
+
+
+def test_identity_reports_are_the_same_for_any_pool(tmp_path, monkeypatch):
+    # At 257 coarse nodes the 513^2 fine grid splits into four blocks a kernel.
+    reports = []
+    for threads in (1, 3):
+        started = []
+        pool = ThreadPoolExecutor(threads, initializer=started.append, initargs=(threads,))
+        monkeypatch.setattr(operators, "_pool", pool)
+        out = tmp_path / f"threads-{threads}.json"
+        try:
+            assert run(["verify-identities", "--resolution", "257", "--out", str(out)]) == 0
+        finally:
+            pool.shutdown()
+        assert 1 <= len(started) <= threads
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def accepted_options() -> dict[str, set[str]]:

@@ -18,6 +18,8 @@ REFUSED = {
 }
 # (q, m) with m <= q, where the window is empty.
 NO_WINDOW = [(2.0, 2.0), (2.0, 1.5), (3.0, 1e-3)]
+# gammas outside the window (0.5, 1) of q = 2, m = 3; each once got an alpha interval.
+OUTSIDE_GAMMAS = [0.1, 0.5, 1.0, 1.5, math.nan]
 
 
 class TestWindow:
@@ -50,6 +52,7 @@ class TestWindow:
             window = il_parameter_window(q, m)
             for gamma in np.linspace(window.gamma_lo, window.gamma_hi, 27)[1:-1]:
                 lo, hi = il_alpha_window(q, m, gamma)
+                assert (lo, hi) == (gamma - 1.0 + 1.0 / (m + 1.0 - q), gamma)
                 assert 0.0 < lo < hi == gamma
                 assert lo == pytest.approx(gamma - window.gamma_lo, abs=1e-15)
 
@@ -88,6 +91,12 @@ class TestRefusals:
                 window(*qm)
             refusals.append(str(info.value))
         assert refusals == [message, message]
+
+    @pytest.mark.parametrize("gamma", OUTSIDE_GAMMAS)
+    def test_alpha_window_refuses_gamma_outside_the_window(self, gamma):
+        with pytest.raises(AdmissibilityError,
+                           match=re.escape(f"gamma must lie in (0.5, 1), got {gamma!r}")):
+            il_alpha_window(2.0, 3.0, gamma)
 
     @pytest.mark.parametrize("qm", NO_WINDOW)
     def test_no_window_at_m_at_most_q(self, qm):
