@@ -25,7 +25,7 @@ from .errors import AdmissibilityError
 from .instance import KINDS, ProblemInstance
 from .ishii_lions import il_parameter_window
 from .params import INSTANCE_KEYS, KEYS, ParamError, expand_instances, parse_params, radial_settings
-from .report import ConditionTable, Report, atomic_write_text, worker_count
+from .report import ConditionTable, Report, atomic_write_text, encode_rows, worker_count
 from .selection import select_b_product, sum_selection
 from .trinomial import (MAX_ORACLE_POINTS, MIN_ORACLE_POINTS, TrinomialCoeffs, oracle_curve,
                         product_trinomial, verify_negativity)
@@ -34,6 +34,11 @@ DEFAULT_ORACLE_POINTS = 2048
 # Instances per row worker at least, a fork's break-even (2 cores: 1,000
 # instances took 9.3 ms in one process, 9.1 ms in two; 2,000 17.6 and 14.3 ms).
 MIN_CHUNK = 1000
+# Rows per encoded piece: the parent encodes and drops a grid's rows, and
+# a row worker sends them, this many at a time.  A 96,000-instance sweep's
+# parent peaked at 65.8, 66.4, 69.2 and 73.6 MB with 100, 250, 1,000 and
+# 4,000 rows a piece, in times within the run-to-run spread.
+PIECE_ROWS = 250
 # Size limits: the largest accepted run peaks near 200 MB RSS (oracle about 16 B
 # a point, identities about 110 B a fine node).
 MAX_RESOLUTION = 513
@@ -173,8 +178,26 @@ def _search_one(inst: ProblemInstance, oracle_points: int) -> dict:
     return row
 
 
-def _fork(build, chunk, read_ends) -> tuple[int, int] | None:
-    """(pid, read end) of a child piping marshal(build(chunk, ConditionTable())), or None."""
+def _send(row, chunk, pipe) -> None:
+    """Build `chunk`'s rows on a table of their own, then write them to `pipe` in pieces.
+
+    A piece is the marshal of (the next PIECE_ROWS rows, the table
+    entries those rows filed first) after its length in 8 bytes, so that
+    the reader numbers each piece's conditions as it arrives.
+    """
+    table, built = ConditionTable(), []
+    for lo in range(0, len(chunk), PIECE_ROWS):
+        built.append(([row(inst, table) for inst in chunk[lo:lo + PIECE_ROWS]], len(table.entries)))
+    sent = 0
+    for rows, upto in built:
+        data = marshal.dumps((rows, table.entries[sent:upto]))
+        pipe.write(len(data).to_bytes(8, "little"))
+        pipe.write(data)
+        sent = upto
+
+
+def _fork(row, chunk, read_ends) -> tuple[int, int] | None:
+    """(pid, read end) of a child that `_send`s chunk's rows down a pipe, or None."""
     fds = ()
     try:
         fds = r, w = os.pipe()
@@ -189,7 +212,7 @@ def _fork(build, chunk, read_ends) -> tuple[int, int] | None:
             for fd in (r, *read_ends):  # so that the parent's close reaches each writer
                 os.close(fd)
             with open(w, "wb") as pipe:
-                marshal.dump(build(chunk, ConditionTable()), pipe)
+                _send(row, chunk, pipe)
             code = 0
         finally:
             os._exit(code)
@@ -197,84 +220,119 @@ def _fork(build, chunk, read_ends) -> tuple[int, int] | None:
     return pid, r
 
 
-def _join(child: tuple[int, int]):
-    """A forked child's payload, or None when it failed; closes its pipe and reaps it."""
+def _receive(child: tuple[int, int], lo: int, hi: int, table: ConditionTable, encode):
+    """The encoded pieces of rows lo..hi from a forked child, or None when it failed;
+    closes its pipe and reaps it.
+
+    Each piece's entries are numbered in `table` as it arrives, and its
+    rows' conditions renumbered to them, before its rows are encoded.
+    The child fails at its exit code or at any piece: a short read or bad data.
+    """
     pid, fd = child
+    pieces, index = [], []
     try:
         with open(fd, "rb") as pipe:
-            payload = marshal.loads(pipe.read())
-    except (EOFError, ValueError, TypeError):
-        payload = None
+            for start in range(lo, hi, PIECE_ROWS):
+                size = int.from_bytes(pipe.read(8), "little")
+                data = pipe.read(size)
+                if not size or len(data) < size:
+                    raise EOFError("short read")
+                rows, entries = marshal.loads(data)
+                if len(rows) != min(PIECE_ROWS, hi - start):
+                    raise ValueError("wrong row count")
+                index += table.merge(entries)
+                if index:
+                    for filed in rows:
+                        filed["conditions"] = [index[i] for i in filed["conditions"]]
+                pieces.append(encode(rows, start))
+    except (EOFError, TypeError, ValueError):
+        pieces = None
     finally:
         failed = os.waitpid(pid, 0)[1]
-    return None if failed else payload
+    return None if failed else pieces
 
 
-def _grid_rows(instances, row, table: ConditionTable) -> tuple[list, int]:
-    """row(inst, table) of each instance, and how many processes built them.
+def _grid_rows(instances, row, table: ConditionTable, encode) -> tuple[list[str], int]:
+    """The encoded pieces of row(inst, table) of each instance, and how many processes built them.
 
-    k contiguous chunks: one per CPU this process may run on and MIN_CHUNK
-    instances, one alone without os.fork or with another thread running.
-    Forked children build chunks 2..k on tables of their own; the parent
-    builds chunk 1, then folds each child's rows in, in order, numbering the
-    conditions of rows that file them as the serial loop does.  It builds a
-    chunk whose fork, child or payload fails itself, and reaps every child
-    before it returns or raises, so rows, table and any exception are the
+    encode(rows, start) gives the piece of up to PIECE_ROWS rows, the first
+    of them row `start`.  k contiguous chunks: one per CPU this process may
+    run on and MIN_CHUNK instances, one alone without os.fork or with
+    another thread running (an idle grid-kernel pool is retired first).
+    Forked children build chunks 2..k on tables of their own and stream
+    them back (`_send`); the parent builds and encodes chunk 1 a piece at a
+    time, then each child's pieces in order, numbering the conditions of
+    rows that file them as the serial loop does.  It drops the pieces of a
+    chunk whose fork or child fails and builds that chunk itself: the
+    entries merged from the child's earlier pieces are a prefix of those
+    the rebuild files, in the same order.  Every child is reaped before
+    this returns or raises, so pieces, table and any exception are the
     serial loop's.
     """
 
-    def build(chunk, table):
-        return [row(inst, table) for inst in chunk], table.entries
+    def build(lo, hi):
+        for start in range(lo, hi, PIECE_ROWS):
+            stop = min(start + PIECE_ROWS, hi)
+            pieces.append(encode([row(inst, table) for inst in instances[start:stop]], start))
 
     k = max(1, min(worker_count(), len(instances) // MIN_CHUNK))
     if k > 1:
         import threading  # loaded already wherever a thread runs
 
+        operators = sys.modules.get(f"{__package__}.operators")  # not imported here: it loads numpy
+        if operators is not None:
+            operators.retire_idle_pool()
         k = k if hasattr(os, "fork") and threading.active_count() == 1 else 1
     bounds = [len(instances) * i // k for i in range(k + 1)]
-    chunks = [instances[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    children = []
+    spans = list(zip(bounds, bounds[1:]))
+    pieces, children = [], []
     try:
-        for chunk in chunks[1:]:
-            children.append(_fork(build, chunk, [child[1] for child in children if child]))
-        rows, workers = build(chunks[0], table)[0], 1
-        for n, chunk in enumerate(chunks[1:]):
+        for lo, hi in spans[1:]:
+            children.append(_fork(row, instances[lo:hi], [child[1] for child in children if child]))
+        build(*spans[0])
+        workers = 1
+        for n, (lo, hi) in enumerate(spans[1:]):
             child, children[n] = children[n], None
-            payload = child and _join(child)
-            workers += payload is not None
-            part, entries = payload or build(chunk, ConditionTable())
-            if entries:
-                index = table.merge(entries)
-                for filed in part:
-                    filed["conditions"] = [index[i] for i in filed["conditions"]]
-            rows += part
-        return rows, workers
+            received = child and _receive(child, lo, hi, table, encode)
+            if received is None:
+                build(lo, hi)
+            else:
+                pieces += received
+                workers += 1
+        return pieces, workers
     finally:
-        for child in filter(None, children):
-            _join(child)
+        for pid, fd in filter(None, children):
+            os.close(fd)
+            os.waitpid(pid, 0)
 
 
-def _grid_fields(instances, row, started: float) -> dict:
-    """A grid command's report fields: `_grid_rows` results, condition table and timing.
+def _grid_fields(instances, row, encode, started: float) -> dict:
+    """A grid command's report fields: `_grid_rows` pieces, condition table and timing.
 
-    The timing's expand_s runs from `started` to this call, rows_s over the rows.
+    The timing's expand_s runs from `started` to this call, rows_s over
+    building and encoding the rows.
     """
     expanded = time.perf_counter()
     table = ConditionTable()
-    results, workers = _grid_rows(instances, row, table)
+    results, workers = _grid_rows(instances, row, table, encode)
     stages = {"expand_s": expanded - started, "rows_s": time.perf_counter() - expanded,
               "workers": workers}
     return {"results": results, "conditions": table.entries, "timing": stages}
 
 
-# Each handler returns its Report fields (results; for classify, sweep
+def _json_rows(rows, _start) -> str:
+    """The grid commands' JSON encoder: rows store no index."""
+    return encode_rows(rows)
+
+
+# Each handler returns its Report fields (results, encoded in pieces; for classify, sweep
 # and search-b the condition table as "conditions", empty for search-b and
 # CSV rows, and as "timing" the times of their stages and the number of
 # processes that built their rows; for verify-identities "timing" with the
 # seconds in each kind of check and "workers", the size of the grid
 # kernels' thread pool), the config_echo entries only it knows, and the
 # exit code; _report times the call and builds the report.  With --format
-# csv the results are the table's rows, header first.
+# csv the pieces are the table's lines, header first.
 
 
 def _cmd_classify(args, params):
@@ -286,15 +344,19 @@ def _cmd_classify(args, params):
         def row(inst, _):
             d = classify(inst, optimal_search=optimal)
             return [*(getattr(inst, k) for k in INSTANCE_KEYS), d.theorem, d.liouville, d.estimate_exponent]
+
+        def encode(lines, start):
+            return _csv_table([start + i, *line] for i, line in enumerate(lines))
     else:
         # The rows store no instance: row i is instance i of the echoed map's expansion.
         def row(inst, table):
             return classify(inst, optimal_search=optimal).as_dict(table)
 
-    fields = _grid_fields(instances, row, started)
+        encode = _json_rows
+    fields = _grid_fields(instances, row, encode, started)
     if args.format == "csv":
         header = ["index", *INSTANCE_KEYS, "theorem", "liouville", "estimate_exponent"]
-        fields["results"] = [header, *([i, *line] for i, line in enumerate(fields["results"]))]
+        fields["results"].insert(0, _csv_table([header]))
     return fields, {"params": merged}, 0
 
 
@@ -304,7 +366,8 @@ def _cmd_search_b(args, params):
     instances = expand_instances(merged)
     if any(inst.kind == "hamilton_jacobi" for inst in instances):
         raise CliError("search-b selects b only for product and sum instances")
-    fields = _grid_fields(instances, lambda inst, _: _search_one(inst, args.oracle_points), started)
+    fields = _grid_fields(instances, lambda inst, _: _search_one(inst, args.oracle_points),
+                          _json_rows, started)
     # The rows store their instance: the map is echoed only when a file gave one.
     extra = {"oracle_points": args.oracle_points, "params": merged if params else {}}
     return fields, extra, 0
@@ -313,7 +376,7 @@ def _cmd_search_b(args, params):
 def _cmd_il_window(args, params):
     window = il_parameter_window(args.q, args.m)
     results = [{"q": args.q, "m": args.m, "window": window.as_dict()}]
-    return {"results": results}, {"q": args.q, "m": args.m}, 0
+    return {"results": [encode_rows(results)]}, {"q": args.q, "m": args.m}, 0
 
 
 def _identity_suite(resolution: int, factor: float) -> tuple[list[dict], dict]:
@@ -371,7 +434,7 @@ def _identity_suite(resolution: int, factor: float) -> tuple[list[dict], dict]:
 
 def _cmd_verify_identities(args, params):
     results, stages = _identity_suite(args.resolution, args.identity_factor)
-    fields = {"results": results, "timing": {**stages, "workers": worker_count()}}
+    fields = {"results": [encode_rows(results)], "timing": {**stages, "workers": worker_count()}}
     return fields, {"resolution": args.resolution}, 0
 
 
@@ -393,7 +456,7 @@ def _cmd_solve_radial(args, params):
     code = 0 if sol.converged else 3
     if args.format == "csv":
         rows = zip(sol.r.tolist(), sol.u.tolist(), [*sol.du.tolist(), ""])
-        return {"results": [["r", "u", "du_face"], *rows]}, {}, code
+        return {"results": [_csv_table([["r", "u", "du_face"], *rows])]}, {}, code
     radial = {k: settings[k] for k in sorted(settings)}
     # No r or du: readers rebuild both from r0, r1 and u (RadialSolution.from_row).
     row = {
@@ -413,7 +476,8 @@ def _cmd_solve_radial(args, params):
         except AdmissibilityError as exc:
             row["fit"] = {"error": str(exc)}
     # As in search-b, the map is echoed only when a file gave one.
-    return {"results": [row]}, {"radial": radial, "params": merged if params else {}}, code
+    extra = {"radial": radial, "params": merged if params else {}}
+    return {"results": [encode_rows([row])]}, extra, code
 
 
 def _plot_rows(results: list, selector: str) -> list:
@@ -460,7 +524,7 @@ def _cmd_plot_data(args) -> str:
 
 
 def _csv_table(rows) -> str:
-    """Every CSV the CLI writes: `rows` (header first), floats as their repr."""
+    """CSV lines of `rows`, floats as their repr: every CSV the CLI writes, in pieces."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
@@ -563,7 +627,7 @@ def main(argv=None) -> int:
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise CliError(f"--out: no such directory: {os.path.dirname(args.out)!r}")
         if args.command == "plot-data":
-            text, code = _cmd_plot_data(args), 0
+            pieces, code = [_cmd_plot_data(args)], 0
         else:
             csv_format = getattr(args, "format", "json") == "csv"
             if csv_format and args.timing:
@@ -571,14 +635,14 @@ def main(argv=None) -> int:
             if csv_format and getattr(args, "fit", False):
                 raise CliError("--fit needs --format json: a CSV table has no fit section")
             report, code = _report(args)
-            text = _csv_table(report.results) if csv_format else report.to_json(include_timing=args.timing)
+            pieces = report.results if csv_format else report.to_json(include_timing=args.timing)
     except (CliError, ParamError, AdmissibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        atomic_write_text(args.out, text)
+        atomic_write_text(args.out, pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return code
 
 

@@ -26,10 +26,11 @@ larger one is mapped over a module-level thread pool, which numpy's
 elementwise loops keep busy because they release the interpreter lock.
 The pool is created on the first multi-block call, with one thread per
 CPU this process may run on (`worker_count`), and is dropped in a
-forked child.  A block kernel never submits to the pool, so no worker
-waits on another and nothing can deadlock; it runs under the caller's
-`np.errstate`, which numpy keeps per thread.  Any number of threads may
-call the kernels at once.
+forked child; `retire_idle_pool` shuts it down before the row driver
+forks, when no other thread runs.  A block kernel never submits to the
+pool, so no worker waits on another and nothing can deadlock; it runs
+under the caller's `np.errstate`, which numpy keeps per thread.  Any
+number of threads may call the kernels at once.
 
 Blocking, trimming and threading change which nodes a temporary covers
 and which thread computes them, never the operations applied at a node,
@@ -76,6 +77,20 @@ def _executor():
 
             _pool = ThreadPoolExecutor(worker_count(), thread_name_prefix="pqliouville-block")
         return _pool
+
+
+def retire_idle_pool() -> None:
+    """Shut the pool down when its threads are the only other threads alive.
+
+    The row driver forks only where one thread runs; the next multi-block
+    call makes a new pool.
+    """
+    global _pool
+    with _pool_lock:
+        others = set(threading.enumerate()) - {threading.current_thread()}
+        if _pool is not None and others <= _pool._threads:
+            _pool.shutdown()
+            _pool = None
 
 
 def _block_count(planes: int, plane_nodes: int) -> int:

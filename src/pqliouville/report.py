@@ -6,7 +6,9 @@ output lets ``json`` use its C encoder, which it skips whenever
 ``indent`` is set.  The encoder also skips its cycle check: a report's
 lists and dicts come from records and never hold themselves.  Wall-clock
 timings are collected but only emitted when explicitly requested, to
-keep the default output reproducible.
+keep the default output reproducible.  A report's results arrive
+encoded, in pieces (`encode_rows`), and it is written piece by piece,
+so the writer never holds every row, or the whole text, at once.
 
 A classify or sweep report writes each distinct hypothesis condition
 once, in its top-level `conditions` table (a `ConditionTable`), and each
@@ -41,19 +43,20 @@ class ConditionTable(dict):
 
     `indices` returns the index of each (theorem, label, template, values,
     passed) condition and numbers those it has not seen; `entries` lists
-    them by index, as `[theorem, label, template, passed, values]`, for the
-    report's `conditions` table.  Two conditions share an index exactly
-    when they write the same JSON.  Python equality is looser: 0.0 == -0.0
-    and NaN equals nothing.  So a condition whose values hold a zero or NaN
-    is keyed by the repr of its values, which tells those apart as JSON
-    does; any other condition is its own key.  Values are floats: a
+    them by index, as `(theorem, label, template, passed, values)` with the
+    condition's own values tuple, for the report's `conditions` table.  Two
+    conditions share an index exactly when they write the same JSON.
+    Python equality is looser: 0.0 == -0.0 and NaN equals nothing.  So a
+    condition whose values hold a zero or NaN is keyed by the repr of its
+    values, which tells those apart as JSON does; any other condition is
+    its own key.  Values are floats: a
     `ProblemInstance` stores its fields as floats, so none is an int,
     which would equal the float of the same value.
     """
 
     def __init__(self):
         super().__init__()
-        self.entries: list[list] = []
+        self.entries: list[tuple] = []
 
     def __missing__(self, condition) -> int:
         # A condition holding a zero or NaN is never stored as its own key,
@@ -69,7 +72,7 @@ class ConditionTable(dict):
                     return index
                 break
         self[key] = index = len(self.entries)
-        self.entries.append([theorem, label, template, passed, list(values)])
+        self.entries.append((theorem, label, template, passed, values))
         return index
 
     def indices(self, conditions) -> list[int]:
@@ -82,40 +85,44 @@ class ConditionTable(dict):
                              for theorem, label, template, passed, values in entries])
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
+def encode_rows(rows: list) -> str:
+    """A piece of a report's results: the comma-joined JSON of `rows`, one or more."""
+    return _ENCODER.encode(rows)[1:-1]
+
+
 class Report(NamedTuple):
+    """A report whose `results` are encoded pieces: `encode_rows` of
+    consecutive rows for JSON, or consecutive lines of a CSV table."""
+
     tool_version: str
     config_echo: dict
-    results: list
+    results: Sequence[str]
     timing: Sequence[dict] = ()
-    conditions: Sequence[list] = ()
+    conditions: Sequence[tuple] = ()
 
-    def as_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "schema": SCHEMA_VERSION,
-            "tool_version": self.tool_version,
-            "config_echo": self.config_echo,
-            "results": self.results,
-        }
-        if self.conditions:
-            out["conditions"] = self.conditions
-        if include_timing:
-            out["timing"] = self.timing
-        return out
+    def to_json(self, include_timing: bool = False) -> list[str]:
+        """The report as one compact line with sorted keys, in pieces to write in order.
 
-    def to_json(self, include_timing: bool = False) -> str:
-        """The report as one compact line with sorted keys.
-
-        `check_circular=False`: a report's lists and dicts are built from
-        records and never hold themselves, so the check could only find
-        nothing, at the cost of tracking every container it visits.
+        Only the keys around `results` are encoded here; the results'
+        pieces go in as they are, joined by commas, so the whole text is
+        never built as one string.
         """
-        text = json.dumps(self.as_dict(include_timing), sort_keys=True, separators=(",", ":"),
-                          check_circular=False)
-        return text + "\n"
+        head = {"config_echo": self.config_echo}
+        if self.conditions:
+            head["conditions"] = self.conditions
+        tail = {"schema": SCHEMA_VERSION, "tool_version": self.tool_version}
+        if include_timing:
+            tail["timing"] = self.timing
+        joined = [text for piece in self.results for text in (",", piece)][1:]
+        return [_ENCODER.encode(head)[:-1] + ',"results":[', *joined,
+                "]," + _ENCODER.encode(tail)[1:] + "\n"]
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename.
+def atomic_write_text(path: str, pieces: Sequence[str]) -> None:
+    """Write the text `pieces` in order via a sibling temp file and rename.
 
     The file gets the mode a plain open would give it: an existing
     target keeps its mode, a new one gets 0o666 less the umask.
@@ -131,7 +138,7 @@ def atomic_write_text(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             os.fchmod(fh.fileno(), mode)
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

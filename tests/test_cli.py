@@ -36,7 +36,7 @@ from pqliouville.radial import (
     radial_mesh,
     solve_radial,
 )
-from pqliouville.report import ConditionTable, Report, worker_count
+from pqliouville.report import ConditionTable, Report, encode_rows, worker_count
 from pqliouville.trinomial import product_trinomial
 
 PRODUCT_GRID = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "product_grid.par"
@@ -324,7 +324,7 @@ class TestCommands:
         args = build_parser().parse_args(argv)
         params = _load_params(args)
         report, _ = _report(args)
-        assert json.loads(text) == report.as_dict()
+        assert "".join(report.to_json()) == text
         assert json.loads(text)["config_echo"]["params"] == params
         assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -906,16 +906,6 @@ def grid_report(key: str, tmp_path: Path) -> bytes:
     return out.read_bytes()
 
 
-@pytest.fixture
-def lone_thread():
-    """Retire the grid kernels' pool threads that earlier tests left running,
-    so that the row driver forks as in a fresh process, whatever ran before."""
-    if operators._pool is not None:
-        operators._pool.shutdown()
-        operators._pool = None
-    assert threading.active_count() == 1
-
-
 def python_in_fresh_process(args: list[str]) -> subprocess.CompletedProcess:
     """`python args` in a new interpreter that imports this checkout's package.
 
@@ -941,7 +931,6 @@ def plot_in_fresh_process(report: Path) -> str:
 
 
 class TestReportSchema:
-    @pytest.mark.usefixtures("lone_thread")
     @pytest.mark.parametrize("key", sorted(TRACE_BYTES))
     def test_selection_traces_keep_their_bytes(self, key, tmp_path):
         text = grid_report(key, tmp_path)
@@ -951,7 +940,6 @@ class TestReportSchema:
             assert hashlib.sha256(schema6_view(text)).hexdigest() == SCHEMA6_BYTES[key]
             assert hashlib.sha256(text).hexdigest() == SCHEMA7_BYTES[key]
 
-    @pytest.mark.usefixtures("lone_thread")
     @pytest.mark.parametrize("key", sorted(SWEEP_BYTES.keys() | FULL_SWEEP_BYTES.keys()))
     def test_sweep_reports_keep_their_bytes(self, key, tmp_path):
         text = grid_report(key, tmp_path)
@@ -960,7 +948,6 @@ class TestReportSchema:
         assert hashlib.sha256(schema6_view(text)).hexdigest() == SCHEMA6_BYTES[key]
         assert hashlib.sha256(text).hexdigest() == SCHEMA7_BYTES[key]
 
-    @pytest.mark.usefixtures("lone_thread")
     @pytest.mark.parametrize("key", sorted(CSV_RESULTS))
     def test_csv_keeps_its_bytes(self, key, tmp_path):
         argv = key.split()
@@ -1084,7 +1071,7 @@ class TestReportSchema:
                                for key, values in lines.items()))
         optimal = data.draw(st.booleans())
         argv = ["sweep", "--params", str(par)] + (["--optimal-search"] if optimal else [])
-        text = _report(build_parser().parse_args(argv))[0].to_json()
+        text = "".join(_report(build_parser().parse_args(argv))[0].to_json())
         report = json.loads(text)
         instances = expand_instances(report["config_echo"]["params"])
         assert len(instances) == len(report["results"])
@@ -1147,7 +1134,8 @@ class TestReportSchema:
             decisions = [classify(inst, optimal_search=optimal) for inst in instances]
             table = ConditionTable()
             results = [decision.as_dict(table) for decision in decisions]
-            return decisions, Report("0", {}, results, conditions=table.entries).to_json()
+            report = Report("0", {}, [encode_rows(results)], conditions=table.entries)
+            return decisions, "".join(report.to_json())
 
         decisions, text = report([ProblemInstance(*fields) for fields in given_fields])
         as_floats = [ProblemInstance(N, float(p), float(q), kind, float(s), float(m), float(M))
@@ -1254,9 +1242,7 @@ ZERO_SIGNS = "kind = product\nN = 2\np = 2.5\nq = 2\ns = 0 -0.0\nm = 1.5 2.5\n"
 
 def split_rows(monkeypatch, workers: int) -> list:
     """Give the grid commands `workers` row workers on any grid of that many
-    instances; return the list that each os.fork call of this process appends to.
-    No other thread may run, or the row driver would not fork."""
-    assert threading.active_count() == 1
+    instances; return the list that each os.fork call of this process appends to."""
     monkeypatch.setattr(cli, "MIN_CHUNK", 1)
     monkeypatch.setattr(cli, "worker_count", lambda: workers)
     forks, fork = [], os.fork
@@ -1314,7 +1300,6 @@ def serial_digest(key: str, tmp_path: Path, monkeypatch) -> str:
     return digest
 
 
-@pytest.mark.usefixtures("lone_thread")
 class TestRowWorkers:
     @pytest.mark.parametrize("key", WORKER_COUNTS)
     def test_any_worker_count_gives_the_serial_bytes(self, key, tmp_path, monkeypatch):
@@ -1323,6 +1308,45 @@ class TestRowWorkers:
             forks = split_rows(monkeypatch, workers)
             assert hashlib.sha256(grid_report(key, tmp_path)).hexdigest() == serial
             assert len(forks) == workers - 1
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("key", WORKER_COUNTS)
+    def test_any_piece_length_gives_the_serial_bytes(self, key, tmp_path, monkeypatch):
+        # one row a piece, and one piece longer than any chunk
+        serial = serial_digest(key, tmp_path, monkeypatch)
+        grid = PRODUCT_GRID.with_name(key.split()[-1])
+        for length in (1, len(expand_instances(parse_params(grid.read_text()))) + 1):
+            monkeypatch.setattr(cli, "PIECE_ROWS", length)
+            for workers in (1, 2, 3):
+                forks = split_rows(monkeypatch, workers)
+                assert hashlib.sha256(grid_report(key, tmp_path)).hexdigest() == serial
+                assert len(forks) == workers - 1
+                assert_no_child_left()
+
+    def test_an_idle_pool_is_retired_before_forking(self, tmp_path, monkeypatch):
+        key = "sweep tiny_product_grid.par"
+        serial = serial_digest(key, tmp_path, monkeypatch)
+        field = pqliouville.CATALOG["offset_sine"].sample(49, 3)  # two blocks of planes
+        assert not operators.fits_one_block(field.values)
+        assert pqliouville.change_of_variable_check(field, 2.0, 3.0, 1.5, tolerance=1.0).passed
+        assert operators._pool is not None and threading.active_count() > 1
+        forks = split_rows(monkeypatch, 2)
+        assert hashlib.sha256(grid_report(key, tmp_path)).hexdigest() == serial
+        assert len(forks) == 1 and operators._pool is None
+        assert_no_child_left()
+
+    def test_stdout_gets_the_out_bytes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "PIECE_ROWS", 2)
+        forks = split_rows(monkeypatch, 3)
+        out = tmp_path / "report"
+        for argv in (*(["sweep", *fmt, "--params", str(PRODUCT_GRID.with_name(grid))]
+                       for fmt in ([], ["--format", "csv"])
+                       for grid in ("tiny_product_grid.par", "tiny_sum_grid.par")),
+                     ["il-window", "--q", "2", "--m", "3"]):
+            assert run([*argv, "--out", str(out)]) == 0
+            assert run(argv) == 0
+            assert capsys.readouterr().out.encode() == out.read_bytes(), argv
+        assert len(forks) == 2 * 2 * 4
         assert_no_child_left()
 
     def test_zero_signs_cross_chunks(self, tmp_path, monkeypatch):
@@ -1338,7 +1362,8 @@ class TestRowWorkers:
                  if label == "s_positive"]
         assert shown == ["[0.0]", "[-0.0]"]
 
-    @pytest.mark.parametrize("failure", ["child-raises", "fork-raises", "payload-bad"])
+    @pytest.mark.parametrize("failure", ["child-raises", "fork-raises", "payload-bad",
+                                         "fails-after-its-first-piece"])
     def test_failed_workers_give_the_serial_bytes(self, failure, tmp_path, monkeypatch):
         # each kind of row: classify's JSON and CSV rows and search-b's
         rows = {"sweep --optimal-search tiny_product_grid.par": "classify",
@@ -1346,6 +1371,7 @@ class TestRowWorkers:
                 "search-b tiny_product_grid.par": "_search_one"}
         serial = {key: serial_digest(key, tmp_path, monkeypatch) for key in rows}
         split_rows(monkeypatch, 3)
+        monkeypatch.setattr(cli, "PIECE_ROWS", 2)  # each child's 3 to 6 rows take 2 or 3 pieces
         if failure == "fork-raises":
             def refuse():
                 raise OSError("no fork")
@@ -1355,7 +1381,19 @@ class TestRowWorkers:
             def bad(data):
                 raise ValueError("bad marshal data")
 
-            monkeypatch.setattr(cli, "marshal", SimpleNamespace(dump=marshal.dump, loads=bad))
+            monkeypatch.setattr(cli, "marshal", SimpleNamespace(dumps=marshal.dumps, loads=bad))
+        elif failure == "fails-after-its-first-piece":
+            pid, sent = os.getpid(), []
+
+            def second_fails(obj):
+                if os.getpid() != pid:  # a child counts its own pieces
+                    sent.append(1)
+                    if len(sent) == 2:
+                        raise RuntimeError("cannot encode the second piece")
+                return marshal.dumps(obj)
+
+            monkeypatch.setattr(cli, "marshal", SimpleNamespace(dumps=second_fails,
+                                                                loads=marshal.loads))
         for key, name in rows.items():
             with monkeypatch.context() as patch:
                 if failure == "child-raises":
@@ -1366,7 +1404,7 @@ class TestRowWorkers:
                     command = key.split()[0]
                     assert run([command, "--params", TINY_GRID, "--timing", "--out", str(out)]) == 0
                     assert json.loads(out.read_text())["timing"][0]["workers"] == 1
-        assert_no_child_left()
+                assert_no_child_left()
 
     def test_parent_failure_raises_the_serial_exception(self, tmp_path, monkeypatch):
         argv = ["sweep", "--params", TINY_GRID, "--out", str(tmp_path / "report.json")]
