@@ -47,7 +47,8 @@ _DEFERRED = {
     for module, names in (
         ("fields", ("CATALOG", "ManufacturedField")),
         ("identities", ("AuxWeights", "IdentityReport", "aux_weights", "bochner_check",
-                        "change_of_variable_check", "default_tolerance", "refinement_order",
+                        "change_of_variable_check", "change_of_variable_checks",
+                        "default_tolerance", "refinement_order",
                         "scaling_check")),
         ("operators", ("GridField", "grid_field", "laplacian", "p_laplacian", "pq_laplacian",
                        "sample_function")),

@@ -40,7 +40,7 @@ MIN_CHUNK = 1000
 # 4,000 rows a piece, in times within the run-to-run spread.
 PIECE_ROWS = 250
 # Size limits: the largest accepted run peaks near 200 MB RSS (oracle about 16 B
-# a point, identities about 110 B a fine node).
+# a point, identities about 105 B a fine node, most of it the whole-grid Bochner check).
 MAX_RESOLUTION = 513
 TOLERANCE_DEFAULTS = {"identity_factor": 25.0, "newton_tol": 1e-10}
 
@@ -393,25 +393,26 @@ def _identity_suite(resolution: int, factor: float) -> tuple[list[dict], dict]:
 
     n_coarse = resolution
     n_fine = 2 * (resolution - 1) + 1
-    # One sample per field and resolution: the checks on a field share
-    # the derivatives it caches (GridField.grad_sq, .lap, ...).
+    # One sample per field and resolution, and one batch of every (b, p, q)
+    # per sample: each block of planes builds lap v and <grad z, grad v> once
+    # for all the cases, and the Bochner check on the fine field reuses its
+    # cached z = |grad v|^2.
     v_coarse = CATALOG["offset_sine"].sample(n_coarse)
     v_fine = CATALOG["offset_sine"].sample(n_fine)
-    for b in (0.5, 1.0, 2.0, 5.0):
-        for p in (2.2, 3.0):
-            for q in (1.5, 2.0):
-                coarse = timed("change_of_variable_s", change_of_variable_check,
-                               v_coarse, b, p, q, tolerance=factor / (n_coarse - 1) ** 2)
-                fine = timed("change_of_variable_s", change_of_variable_check,
-                             v_fine, b, p, q, tolerance=factor / (n_fine - 1) ** 2)
-                fine = fine._replace(observed_order=refinement_order(coarse, fine))
-                results.append(
-                    {
-                        "check": "change_of_variable",
-                        "params": {"b": b, "p": p, "q": q, "h": 1.0 / (n_fine - 1)},
-                        "report": fine.as_dict(),
-                    }
-                )
+    bpq = [(b, p, q) for b in (0.5, 1.0, 2.0, 5.0) for p in (2.2, 3.0) for q in (1.5, 2.0)]
+    coarse, fine = (
+        timed("change_of_variable_s", change_of_variable_checks, v,
+              [(*case, factor / (n - 1) ** 2) for case in bpq])
+        for v, n in ((v_coarse, n_coarse), (v_fine, n_fine)))
+    for (b, p, q), rep_h, rep_h2 in zip(bpq, coarse, fine):
+        rep = rep_h2._replace(observed_order=refinement_order(rep_h, rep_h2))
+        results.append(
+            {
+                "check": "change_of_variable",
+                "params": {"b": b, "p": p, "q": q, "h": 1.0 / (n_fine - 1)},
+                "report": rep.as_dict(),
+            }
+        )
     for name in ("saddle", "offset_sine", "sine_product"):
         v = v_fine if name == "offset_sine" else CATALOG[name].sample(n_fine)
         rep = timed("bochner_s", bochner_check, v, 2, tolerance=factor / (n_fine - 1) ** 2)

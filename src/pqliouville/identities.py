@@ -14,17 +14,23 @@ interval bounds that majorise the variable-coefficient quadratic.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FieldError
 from .fields import ManufacturedField
-from .operators import (
+# The check runs on blocks and calls no pq_laplacian; the name stays
+# importable here, where bench/tracing.py wraps it.
+from .operators import (  # noqa: F401
     GridField,
-    blocked_result,
-    fits_one_block,
+    _auto_eps,
+    _dot_planes,
+    _flux_block,
+    _laplacian_block,
     gradient_dot,
     laplacian,
     map_plane_blocks,
@@ -119,87 +125,125 @@ def change_of_variable_check(
 ) -> IdentityReport:
     """Check the expansion of Delta_p(v^b) + Delta_q(v^b) in terms of v.
 
-    The left side applies the flux-form operator to u = v^b directly;
-    the right side assembles
+    The left side applies pq_laplacian's flux-form operator to u = v^b
+    directly; the right side assembles
 
         b |b|^(q-2) v^((b-1)(q-1)) [ z^(q/2-1) A lap(v)
             + (b-1) E z^(q/2) / v + (D/2) z^((q-4)/2) <grad z, grad v> ]
 
-    from the derivatives of v and z = |grad v|^2 that the field caches
-    (`v.grad_sq`, `v.lap`, `v.grad_sq_dot_grad`), so every other check
-    on the same field reuses them.  Nodes with a degenerate gradient are
-    excluded; more than 10% exclusions aborts.
+    from z = |grad v|^2, which the field caches (`v.grad_sq`).  Both are
+    compared on the ring-2 interior.  Nodes with a degenerate gradient
+    are excluded; more than 10% exclusions aborts.  The batch of one
+    case of `change_of_variable_checks`.
     """
-    if b == 0.0:
+    return change_of_variable_checks(v, [(b, p, q, tolerance)])[0]
+
+
+def change_of_variable_checks(
+    v: GridField, cases: Iterable[tuple[float, float, float, float | None]]
+) -> list[IdentityReport]:
+    """change_of_variable_check(v, b, p, q, tolerance) for each (b, p, q, tolerance) case.
+
+    One pass over blocks of ring-2 interior planes runs every case, so
+    each block builds lap v and <grad z, grad v> once; no whole-grid
+    array but v and `v.grad_sq` is held.  Every node gets the operations
+    of the whole-array check, so the reports are bit-identical to it.
+    A case with b = 0, then a v that is not positive, refuses the batch;
+    then each case in turn refuses it where its flux is not finite on the
+    ring-1 interior or more than 10% of its nodes are excluded.
+    """
+    h = v.spacing
+    cases = [(b, p, q, default_tolerance(h) if tol is None else tol) for b, p, q, tol in cases]
+    if any(b == 0.0 for b, *_ in cases):
         raise FieldError("change of variable requires b != 0")
     if not all(map_planes(lambda x: (x > 0.0).all(), v.values)):
         raise FieldError("change of variable requires v > 0")
-    h = v.spacing
-    tol = default_tolerance(h) if tolerance is None else tolerance
-
-    # Both sides are compared on the ring-2 interior, so the right side
-    # is assembled there only, block by block, and each block is compared
-    # as soon as it is made: it is elementwise, so node values match, and
-    # max and count are exact whatever the blocks.  u = v^b lives only
-    # for the operator call.
+    # u = v^b is regularised as pq_laplacian regularises it.
+    eps = [_auto_eps(v.values, h, lambda x, b=b: x**b) for b, *_ in cases]
     inner = tuple(slice(2, -2) for _ in range(v.ndim))
-    u = blocked_result(lambda sl, out: _power(v.values[sl], b, out), v.values)
-    lhs = pq_laplacian(GridField(values=u, spacing=h), p, q).values[inner]
-    del u
-
+    # Taken here, on the caller's thread: pool threads must not compute
+    # cached derivatives.
     z = v.grad_sq[inner]
     z_floor = 1e-12 * float(nan_extremes(z)[1])
-    if not fits_one_block(z):
-        # The blocks run on pool threads, which must not compute the
-        # cached derivatives: take them here, on the caller's thread.
-        v.lap, v.grad_sq_dot_grad
-    counts, errs, scales = zip(*map_plane_blocks(
-        lambda i0, i1: _compare_block(v, lhs, inner, slice(i0, i1), b, p, q, z_floor),
-        0, len(z), z[0].size))
-    if (1.0 - sum(counts) / z.size) > 0.10:
-        raise FieldError("test field violates |grad v|>0")
-    return _report(max(errs), max(max(scales), 1e-300), tol)
+    n0 = len(v.values)
+    parts = map_plane_blocks(lambda i0, i1: _check_block(v, i0, i1, cases, eps, z_floor),
+                             2, n0 - 2, z[0].size)
+    reports = []
+    for (b, p, q, tol), e, per_block in zip(cases, eps, zip(*parts)):
+        finite, counts, errs, scales = zip(*per_block)
+        # The blocks' fluxes cover planes 2 .. n-3; planes 1 and n-2 are
+        # the rest of the ring-1 interior.
+        if not (all(finite) and all(np.isfinite(_flux_planes(v, i, i + 1, b, p, q, e)).all()
+                                    for i in (1, n0 - 2))):
+            raise FieldError("field not smooth enough at spacing h")
+        if (1.0 - sum(counts) / z.size) > 0.10:
+            raise FieldError("test field violates |grad v|>0")
+        reports.append(_report(max(errs), max(max(scales), 1e-300), tol))
+    return reports
 
 
-def _power(x: np.ndarray, b: float, out: np.ndarray | None) -> np.ndarray:
-    """x ** b, into out when given (** is not np.power: it has fast paths for some b)."""
-    if out is None:
-        return x**b
-    out[...] = x**b
-    return out
+def _flux_planes(v: GridField, i0: int, i1: int, b, p, q, eps: float) -> np.ndarray:
+    """Planes [i0, i1) of the flux of u = v^b on the ring-1 interior of the other axes."""
+    u = v.values[i0 - 1:i1 + 1] ** b
+    acc = np.zeros((i1 - i0,) + tuple(n - 2 for n in u.shape[1:]))
+    _flux_block(u, v.spacing, [(p - 2.0) / 2.0, (q - 2.0) / 2.0], eps * eps, acc)
+    return acc
 
 
-def _compare_block(v: GridField, lhs, inner, sl: slice, b, p, q, z_floor: float):
-    """(valid nodes, max |lhs - rhs|, max |lhs|) over planes `sl` of the ring-2 interior.
+def _check_block(v: GridField, i0: int, i1: int, cases, eps, z_floor: float) -> list[tuple]:
+    """For each case, over planes [i0, i1) of the ring-2 interior: whether
+    the flux is finite on its ring-1 rows, the valid nodes, max |lhs - rhs|
+    and max |lhs|.
 
     A node is valid where both sides are finite and z exceeds z_floor.
+    Each case's temporaries are dropped before the next case starts.
     """
-    rhs = _change_of_variable_rhs(v, inner, sl, b, p, q)
-    lhs = lhs[sl]
-    valid = np.isfinite(lhs) & np.isfinite(rhs) & (v.grad_sq[inner][sl] > z_floor)
-    diff = np.abs(np.subtract(lhs, rhs, out=rhs), out=rhs)
-    err = float(np.max(diff, where=valid, initial=0.0))
-    scale = float(np.max(np.abs(lhs, out=rhs), where=valid, initial=0.0))
-    return int(np.count_nonzero(valid)), err, scale
+    h, d = v.spacing, v.ndim
+    rows = (slice(None),) + (slice(2, -2),) * (d - 1)
+    ring2 = (slice(None),) + (slice(1, -1),) * (d - 1)
+    vv, z = v.values[i0:i1][rows], v.grad_sq[i0:i1][rows]
+
+    @functools.cache
+    def lap_v() -> np.ndarray:
+        acc = np.zeros((i1 - i0,) + tuple(n - 2 for n in v.values.shape[1:]))
+        _laplacian_block(v.values[i0 - 1:i1 + 1], h, acc)
+        return acc[ring2]
+
+    @functools.cache
+    def dot_zv() -> np.ndarray:
+        return _dot_planes(v.grad_sq, v.values, h, i0, i1)[rows]
+
+    def compare(b, p, q, eps) -> tuple:
+        flux = _flux_planes(v, i0, i1, b, p, q, eps)
+        finite = bool(np.isfinite(flux).all())
+        lhs = flux[ring2]
+        rhs = _right_side(vv, z, b, p, q, lap_v, dot_zv)
+        valid = np.isfinite(lhs) & np.isfinite(rhs) & (z > z_floor)
+        diff = np.abs(np.subtract(lhs, rhs, out=rhs), out=rhs)
+        err = float(np.max(diff, where=valid, initial=0.0))
+        scale = float(np.max(np.abs(lhs, out=rhs), where=valid, initial=0.0))
+        return finite, int(np.count_nonzero(valid)), err, scale
+
+    return [compare(b, p, q, e) for (b, p, q, _), e in zip(cases, eps)]
 
 
-def _change_of_variable_rhs(v: GridField, inner, sl: slice, b, p, q) -> np.ndarray:
-    """Planes `sl` of the right side on the `inner` nodes of v.
+def _right_side(vv, z, b, p, q, lap_v, dot_zv) -> np.ndarray:
+    """The right side at nodes with values vv and z = |grad v|^2.
 
-    The cached derivatives are read inside the expression, so on a
-    one-block grid they are first computed after the first temporaries,
-    as whole-array code did.  Computed before them, they left the
-    temporaries on top of the heap, where the allocator gave them back
-    and faulted them in again on every check: three times the page
-    faults of `verify-identities --resolution 129`.
+    lap_v() and dot_zv() give lap v and <grad z, grad v> there; they are
+    called inside the expression, so the first case makes them after its
+    first temporaries, as whole-array code did.  Made before them, they
+    left each case's temporaries on top of the heap, where the allocator
+    gave them back and faulted them in again on every case: 29k minor
+    faults for the 257^2 batch of `verify-identities --resolution 129`
+    against 3k.
     """
-    vv, z = v.values[inner][sl], v.grad_sq[inner][sl]
     with np.errstate(invalid="ignore", divide="ignore"):
         A, D, E = _coefficients(b, vv, z, p, q)
         return (b * abs(b) ** (q - 2.0) * vv ** ((b - 1.0) * (q - 1.0))) * (
-            z ** (q / 2.0 - 1.0) * A * v.lap[inner][sl]
+            z ** (q / 2.0 - 1.0) * A * lap_v()
             + (b - 1.0) * E * z ** (q / 2.0) / vv
-            + 0.5 * D * z ** ((q - 4.0) / 2.0) * v.grad_sq_dot_grad[inner][sl]
+            + 0.5 * D * z ** ((q - 4.0) / 2.0) * dot_zv()
         )
 
 

@@ -14,12 +14,13 @@ from pqliouville import (
     IdentityReport,
     bochner_check,
     change_of_variable_check,
+    change_of_variable_checks,
     grid_field,
     refinement_order,
     scaling_check,
 )
 from pqliouville.cli import _identity_suite
-from pqliouville import operators
+from pqliouville import identities, operators
 from pqliouville.operators import (
     GridField,
     grad_squared,
@@ -137,7 +138,7 @@ class TestScaling:
 
 
 # The derivatives the identity checks read, each cached on its field.
-DERIVATIVES = ("grad_sq", "lap", "grad_sq_dot_grad")
+DERIVATIVES = ("grad_sq", "lap")
 
 
 class TestSharedDerivatives:
@@ -149,36 +150,45 @@ class TestSharedDerivatives:
         assert np.array_equal(z, reference_dot(grads, grads), equal_nan=True)
         assert np.array_equal(field.grad_sq, z, equal_nan=True)
         assert np.array_equal(field.lap, laplacian(v, h), equal_nan=True)
-        assert np.array_equal(field.grad_sq_dot_grad, gradient_dot(z, v, h), equal_nan=True)
 
     def test_each_derivative_is_computed_once_per_field(self, monkeypatch):
         calls = []
-        for name in ("laplacian", "gradient_dot"):
-            def counted(*args, _name=name, _original=getattr(operators, name)):
+        for module, name in ((operators, "laplacian"), (operators, "gradient_dot"),
+                             (identities, "_laplacian_block"), (identities, "_dot_planes")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
                 calls.append(_name)
-                return _original(*args)
+                return _original(*args, **kwargs)
 
-            monkeypatch.setattr(operators, name, counted)
-        # One block, and blocks on the pool (the check then takes the
-        # derivatives before the blocks run).
-        for block_nodes in (operators._BLOCK_NODES, 250):
+            monkeypatch.setattr(module, name, counted)
+        cases = [(2.0, 3.0, 2.0, None), (0.5, 2.2, 1.5, None), (5.0, 3.0, 1.5, None)]
+        # One block, and blocks on the pool (the check then takes z before
+        # the blocks run).
+        for block_nodes, blocks in ((operators._BLOCK_NODES, 1), (250, 3)):
             monkeypatch.setattr(operators, "_BLOCK_NODES", block_nodes)
-            calls.clear()
             field = CATALOG["offset_sine"].sample(33)
+            assert len(operators.map_plane_blocks(lambda i0, i1: None, 2, 31, 29)) == blocks
+            calls.clear()
             for _ in range(2):
                 change_of_variable_check(field, 2.0, 3.0, 2.0)
+                change_of_variable_checks(field, cases)
+            # z once for the field; lap v and <grad z, grad v> once a block
+            # and batch, whatever the number of cases; no whole-grid lap.
+            assert sorted(calls) == (["_dot_planes"] * 4 * blocks + ["_laplacian_block"] * 4 * blocks
+                                     + ["gradient_dot"])
+            assert set(vars(field)) & set(DERIVATIVES) == {"grad_sq"}
+            calls.clear()
+            for _ in range(2):
                 bochner_check(field, 2)
-            # grad_sq, lap and grad_sq_dot_grad, one pass each
-            assert sorted(calls) == ["gradient_dot", "gradient_dot", "laplacian"]
-            assert set(DERIVATIVES) <= set(vars(field))
+            assert calls == ["laplacian"]
             first = [getattr(field, name) for name in DERIVATIVES]
             change_of_variable_check(field, 2.0, 3.0, 2.0)
+            bochner_check(field, 2)
             assert all(getattr(field, name) is ours for name, ours in zip(DERIVATIVES, first))
-            assert len(calls) == 3
+            assert calls == ["laplacian"] + ["_laplacian_block", "_dot_planes"] * blocks
 
     def test_cached_derivatives_are_read_only(self):
         field = CATALOG["offset_sine"].sample(17, 3)
-        for arr in (field.grad_sq, field.lap, field.grad_sq_dot_grad):
+        for arr in (field.grad_sq, field.lap):
             with pytest.raises(ValueError, match="read-only"):
                 arr[2, 2, 2] = 0.0
         for name in DERIVATIVES:
@@ -187,7 +197,7 @@ class TestSharedDerivatives:
 
     def test_changed_values_do_not_reuse_cached_derivatives(self):
         field = CATALOG["offset_sine"].sample(33)
-        before = change_of_variable_check(field, 2.0, 3.0, 2.0)
+        before = change_of_variable_check(field, 2.0, 3.0, 2.0), bochner_check(field, 2)
         assert set(DERIVATIVES) <= set(vars(field))
         for other in (
             dataclasses.replace(field, values=field.values * 1.5),
@@ -198,9 +208,10 @@ class TestSharedDerivatives:
             assert change_of_variable_check(other, 2.0, 3.0, 2.0) == change_of_variable_check(
                 fresh, 2.0, 3.0, 2.0
             )
+            assert bochner_check(other, 2) == bochner_check(fresh, 2)
             assert not np.array_equal(other.grad_sq, field.grad_sq)
             assert not np.array_equal(other.lap, field.lap)
-        assert change_of_variable_check(field, 2.0, 3.0, 2.0) == before
+        assert (change_of_variable_check(field, 2.0, 3.0, 2.0), bochner_check(field, 2)) == before
 
     def test_suite_rows_equal_independent_checks(self):
         n_coarse, factor = 17, 25.0
@@ -232,29 +243,42 @@ class TestSharedDerivatives:
             assert row["report"] == expected.as_dict(), row
 
 
-# One 65^3 check in a fresh interpreter on one CPU (so one pool thread and
+# One n^3 check in a fresh interpreter on one CPU (so one pool thread and
 # one block's temporaries at a time): the tracemalloc peak of the check, in
-# field sizes.  Whole-grid gradients and comparison copies took 11.6.
+# field sizes.  Whole-grid gradients and comparison copies took 11.6 at 65^3;
+# whole-grid u, flux, lap v and <grad z, grad v> took 6.29 at 65^3 and 4.62
+# at 97^3.
 PEAK_PROBE = """
-import os
+import os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import json, tracemalloc
 from pqliouville import CATALOG, change_of_variable_check
-field = CATALOG["offset_sine"].sample(65, 3)
+field = CATALOG["offset_sine"].sample(int(sys.argv[1]), 3)
 tracemalloc.start()
 change_of_variable_check(field, 2.0, 3.0, 2.0)
 print(json.dumps(tracemalloc.get_traced_memory()[1] / field.values.nbytes))
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
-def test_check_peak_memory_is_bounded():
+def check_peak(n: int) -> float:
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", PEAK_PROBE], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    done = subprocess.run([sys.executable, "-c", PEAK_PROBE, str(n)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) <= 8.0
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_check_peak_memory_is_bounded():
+    # Three blocks of 21 planes: the blocks' temporaries dominate.
+    assert check_peak(65) <= 6.0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_check_peak_memory_at_the_benchmark_grid():
+    # The benchmark's 97^3 check: z = |grad v|^2 and a few small blocks.
+    assert check_peak(97) <= 3.0
 
 
 class TestWeightKernel:

@@ -1,3 +1,4 @@
+import functools
 import os
 import signal
 import sys
@@ -13,13 +14,14 @@ from pqliouville import (
     IdentityReport,
     bochner_check,
     change_of_variable_check,
+    change_of_variable_checks,
     grid_field,
     laplacian,
     pq_laplacian,
     sample_function,
 )
 from pqliouville import operators
-from pqliouville.identities import _change_of_variable_rhs, _compare_block
+from pqliouville.identities import _check_block
 from pqliouville.operators import flux_divergence, gradient_dot
 from oracles import (
     affine_field,
@@ -142,22 +144,17 @@ class TestBlockedStencils:
             dzv = reference_dot(reference_gradient_components(z, h), grads)
             assert np.array_equal(gradient_dot(v, v, h), z, equal_nan=True)
             assert np.array_equal(field.grad_sq, z, equal_nan=True)
-            assert np.array_equal(field.grad_sq_dot_grad, dzv, equal_nan=True)
+            assert np.array_equal(gradient_dot(field.grad_sq, v, h), dzv, equal_nan=True)
 
     @pytest.mark.parametrize("b, p, q", [(2.0, 3.0, 2.0), (0.5, 2.2, 1.5), (5.0, 3.0, 1.5),
                                          (0.7, 2.5, 1.8)])
     def test_change_of_variable_check_matches_reference(self, block_nodes, b, p, q):
         for field in _stencil_inputs():
             v, h = field.values, field.spacing
-            ours = change_of_variable_check(field, b, p, q, tolerance=1e-3)
-            assert ours == IdentityReport(*reference_change_of_variable_check(v, h, b, p, q, 1e-3))
-            # The check above cached the derivatives the blocks read.
-            inner = (slice(2, -2),) * field.ndim
-            rhs = np.concatenate(operators.map_plane_blocks(
-                lambda i0, i1: _change_of_variable_rhs(field, inner, slice(i0, i1), b, p, q),
-                0, field.values.shape[0] - 4, field.grad_sq[inner][0].size))
-            _, ref, _ = reference_change_of_variable_sides(v, h, b, p, q)
-            assert np.array_equal(rhs, ref, equal_nan=True)
+            ref = IdentityReport(*reference_change_of_variable_check(v, h, b, p, q, 1e-3))
+            assert change_of_variable_check(field, b, p, q, tolerance=1e-3) == ref
+            # In a batch, beside a case that shares its blocks.
+            assert change_of_variable_checks(field, [(1.5, 2.5, 2.0, None), (b, p, q, 1e-3)])[1] == ref
 
     def test_blocks_run_under_the_callers_errstate(self, block_nodes):
         # A constant field has zero face gradients: 0 ** (negative) at eps = 0.
@@ -229,7 +226,8 @@ class TestGradientDot:
             for ours, ref in (
                 (gradient_dot(v, v, h), z),
                 (field.grad_sq, z),
-                (field.grad_sq_dot_grad, reference_dot(reference_gradient_components(z, h), grads)),
+                (gradient_dot(field.grad_sq, v, h),
+                 reference_dot(reference_gradient_components(z, h), grads)),
                 (gradient_dot(lap, v, h), reference_dot(reference_gradient_components(lap, h), grads)),
             ):
                 assert np.array_equal(ours, ref, equal_nan=True)
@@ -255,28 +253,39 @@ class TestFusedComparison:
 
     def test_blocks_equal_the_whole_array_comparison(self, monkeypatch):
         monkeypatch.setattr(operators, "_BLOCK_NODES", 250)
-        b, p, q = 0.7, 2.5, 1.8
+        cases = [(0.7, 2.5, 1.8, None), (2.0, 2.5, 2.0, None)]
         field = CATALOG["offset_sine"].sample(17, 3)
         v, h = field.values, field.spacing
-        lhs, rhs, z = reference_change_of_variable_sides(v, h, b, p, q)
-        inner = (slice(2, -2),) * 3
-        blocks = _blocks(z)
+        blocks = operators.map_plane_blocks(lambda j0, j1: (j0, j1), 2, 15, 13 * 13)
         assert len(blocks) > 2
-        # lhs non-finite in the second block only
+        # A spike on the second block's first plane: at b = 2 its squared face
+        # gradients overflow, so the flux around it is not finite; at b = 0.7 it is.
         i0, i1 = blocks[1]
-        lhs = lhs.copy()
-        lhs[i0, 4, 5], lhs[i1 - 1, 6, 6], lhs[i0, 0, 0] = np.nan, np.inf, -np.inf
-        # A floor that also excludes half the nodes, where both sides are finite.
-        z_floor = float(np.median(z))
-        field.lap, field.grad_sq_dot_grad
-        parts = operators.map_plane_blocks(
-            lambda j0, j1: _compare_block(field, lhs, inner, slice(j0, j1), b, p, q, z_floor),
-            0, len(z), z[0].size)
-        valid = np.isfinite(lhs) & np.isfinite(rhs) & (z > z_floor)
-        assert [count for count, _, _ in parts] == [
-            int(np.count_nonzero(valid[j0:j1])) for j0, j1 in blocks]
-        assert max(err for _, err, _ in parts) == float(np.max(np.abs(lhs[valid] - rhs[valid])))
-        assert max(scale for _, _, scale in parts) == float(np.max(np.abs(lhs[valid])))
+        v[i0, 6, 6] = 1e80
+        with np.errstate(all="ignore"):
+            eps = [operators._auto_eps(v, h, lambda x, b=b: x**b) for b, *_ in cases]
+            sides = [reference_change_of_variable_sides(v, h, b, p, q) for b, p, q, _ in cases]
+            # A floor that also excludes half the nodes, where both sides are finite.
+            z_floor = float(np.median(sides[0][2]))
+            field.grad_sq  # pool threads must not compute it
+            parts = operators.map_plane_blocks(
+                lambda j0, j1: _check_block(field, j0, j1, cases, eps, z_floor), 2, 15, 13 * 13)
+            fluxes = [reference_flux_divergence(v**b, h, (p, q), e)
+                      for (b, p, q, _), e in zip(cases, eps)]
+        finite = []
+        for k, ((lhs, rhs, z), flux) in enumerate(zip(sides, fluxes)):
+            valid = np.isfinite(lhs) & np.isfinite(rhs) & (z > z_floor)
+            for (j0, j1), part in zip(blocks, parts):
+                sl = slice(j0 - 2, j1 - 2)
+                ok = valid[sl]
+                assert part[k] == (
+                    bool(np.isfinite(flux[j0:j1, 1:-1, 1:-1]).all()), int(np.count_nonzero(ok)),
+                    float(np.max(np.abs(lhs[sl][ok] - rhs[sl][ok]), initial=0.0)),
+                    float(np.max(np.abs(lhs[sl][ok]), initial=0.0)))
+            finite.append([part[k][0] for part in parts])
+        assert finite[0] == [True] * len(blocks)
+        # The spike's plane and both its neighbours see it.
+        assert finite[1] == [j1 < i0 or j0 > i0 + 1 for j0, j1 in blocks]
 
     def test_blocked_reductions_match_the_whole_array(self, block_nodes):
         values = np.random.default_rng(5).normal(size=(13, 11, 9))
@@ -312,6 +321,94 @@ class TestFusedComparison:
                 assert change_of_variable_check(field, *args, tolerance=1e-3) == ref
             outcomes.append(ref is None)
         assert outcomes == [False, True]
+
+
+# Positive catalogue fields with a nonvanishing gradient, in 2-d and 3-d;
+# the 65^3 grid splits into blocks at the default block size too.
+ORACLE_FIELDS = [(name, n, dim) for name in ("offset_sine", "radial_square", "sine_x1")
+                 for n, dim in ((33, 2), (17, 3))] + [("offset_sine", 65, 3)]
+ORACLE_CASES = [(2.0, 3.0, 2.0, 1e-3), (0.5, 2.2, 1.5, 1e-3), (5.0, 3.0, 1.5, 1e-3),
+                (0.7, 2.5, 1.8, 1e-3)]
+
+
+@functools.cache
+def _oracle_reports(name, n, dim):
+    v = CATALOG[name].sample(n, dim)
+    return [IdentityReport(*reference_change_of_variable_check(v.values, v.spacing, *case))
+            for case in ORACLE_CASES]
+
+
+def _spiked(dim, at):
+    """offset_sine on 17^dim nodes with one node at 1e80 at index `at`."""
+    field = CATALOG["offset_sine"].sample(17, dim)
+    field.values[at] = 1e80
+    return field
+
+
+
+class TestStreamedCheck:
+    """The batch and single-case entries give the oracle's reports and
+    refuse a field as the whole-array check does, in its order."""
+
+    @pytest.mark.parametrize("nodes", ["250", "default"])
+    def test_reports_equal_the_oracle(self, monkeypatch, nodes, pool_threads):
+        if nodes == "250":
+            monkeypatch.setattr(operators, "_BLOCK_NODES", 250)
+        for name, n, dim in ORACLE_FIELDS:
+            expected = _oracle_reports(name, n, dim)
+            field = CATALOG[name].sample(n, dim)
+            assert change_of_variable_checks(field, ORACLE_CASES) == expected, (name, n, dim)
+            for case, ref in zip(ORACLE_CASES, expected):
+                assert change_of_variable_check(field, *case) == ref, (name, n, dim, case)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("where", ["plane 1", "plane n-2", "ring-1 row"])
+    def test_flux_refusal_off_the_blocks(self, block_nodes, where, dim):
+        # A spike on the boundary leaves the flux of u = v at p = 5 non-finite
+        # only on nodes the ring-2 blocks do not cover: plane 1, plane n-2, or
+        # a ring-1 row of the last axis.
+        at = {"plane 1": (0,) + (8,) * (dim - 1), "plane n-2": (-1,) + (8,) * (dim - 1),
+              "ring-1 row": (8,) * (dim - 1) + (0,)}[where]
+        field = _spiked(dim, at)
+        v, h = field.values, field.spacing
+        with np.errstate(all="ignore"):
+            flux = reference_flux_divergence(v, h, (5.0, 2.0), operators._auto_eps(v, h))
+            lhs, _, _ = reference_change_of_variable_sides(v, h, 1.0, 5.0, 2.0)
+            assert np.isfinite(lhs).all()
+            assert not np.isfinite(interior(flux)).all()
+            with pytest.raises(FieldError, match="not smooth"):
+                pq_laplacian(field, 5.0, 2.0)
+            with pytest.raises(FieldError, match="not smooth"):
+                change_of_variable_check(field, 1.0, 5.0, 2.0)
+            with pytest.raises(FieldError, match="not smooth"):
+                change_of_variable_checks(field, [(1.0, 3.0, 2.0, None), (1.0, 5.0, 2.0, None)])
+            # At p = 3 the spike's flux stays finite and the check reports.
+            assert change_of_variable_check(field, 1.0, 3.0, 2.0).max_abs_error > 0.0
+
+    def test_refusals_come_in_the_whole_array_order(self, block_nodes):
+        # b != 0, then v > 0, then a finite flux, then at most 10% exclusions.
+        negative = grid_field(-np.ones((9, 9)), 0.1)
+        with pytest.raises(FieldError, match="b != 0"):
+            change_of_variable_check(negative, 0.0, 3.0, 2.0)
+        with pytest.raises(FieldError, match="v > 0"):
+            change_of_variable_check(negative, 2.0, 3.0, 2.0)
+        field = _kinked_field(11)
+        with pytest.raises(FieldError, match="violates"):
+            change_of_variable_check(field, 1.0, 5.0, 2.0)
+        field.values[0, 50] = 1e80
+        with np.errstate(all="ignore"):
+            with pytest.raises(FieldError, match="not smooth"):
+                change_of_variable_check(field, 1.0, 5.0, 2.0)
+            # A batch refuses as its cases, run in turn, would first refuse,
+            # after checking every b and then v.
+            with pytest.raises(FieldError, match="violates"):
+                change_of_variable_checks(field, [(1.0, 3.0, 2.0, None), (1.0, 5.0, 2.0, None)])
+            with pytest.raises(FieldError, match="not smooth"):
+                change_of_variable_checks(field, [(1.0, 5.0, 2.0, None), (1.0, 3.0, 2.0, None)])
+            with pytest.raises(FieldError, match="b != 0"):
+                change_of_variable_checks(field, [(1.0, 5.0, 2.0, None), (0.0, 3.0, 2.0, None)])
+        with pytest.raises(FieldError, match="v > 0"):
+            change_of_variable_checks(negative, [(2.0, 3.0, 2.0, None), (1.0, 3.0, 2.0, None)])
 
 
 class TestSampling:
