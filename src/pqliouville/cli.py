@@ -40,7 +40,7 @@ MIN_CHUNK = 1000
 # 4,000 rows a piece, in times within the run-to-run spread.
 PIECE_ROWS = 250
 # Size limits: the largest accepted run peaks near 200 MB RSS (oracle about 16 B
-# a point, identities about 105 B a fine node, most of it the whole-grid Bochner check).
+# a point, identities about 80 B a fine node, most of it the whole-grid Bochner check).
 MAX_RESOLUTION = 513
 TOLERANCE_DEFAULTS = {"identity_factor": 25.0, "newton_tol": 1e-10}
 
@@ -395,8 +395,7 @@ def _identity_suite(resolution: int, factor: float) -> tuple[list[dict], dict]:
     n_fine = 2 * (resolution - 1) + 1
     # One sample per field and resolution, and one batch of every (b, p, q)
     # per sample: each block of planes builds lap v and <grad z, grad v> once
-    # for all the cases, and the Bochner check on the fine field reuses its
-    # cached z = |grad v|^2.
+    # for all the cases.
     v_coarse = CATALOG["offset_sine"].sample(n_coarse)
     v_fine = CATALOG["offset_sine"].sample(n_fine)
     bpq = [(b, p, q) for b in (0.5, 1.0, 2.0, 5.0) for p in (2.2, 3.0) for q in (1.5, 2.0)]

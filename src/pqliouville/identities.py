@@ -131,10 +131,9 @@ def change_of_variable_check(
         b |b|^(q-2) v^((b-1)(q-1)) [ z^(q/2-1) A lap(v)
             + (b-1) E z^(q/2) / v + (D/2) z^((q-4)/2) <grad z, grad v> ]
 
-    from z = |grad v|^2, which the field caches (`v.grad_sq`).  Both are
-    compared on the ring-2 interior.  Nodes with a degenerate gradient
-    are excluded; more than 10% exclusions aborts.  The batch of one
-    case of `change_of_variable_checks`.
+    from z = |grad v|^2.  Both are compared on the ring-2 interior.  Nodes
+    with a degenerate gradient are excluded; more than 10% exclusions
+    aborts.  The batch of one case of `change_of_variable_checks`.
     """
     return change_of_variable_checks(v, [(b, p, q, tolerance)])[0]
 
@@ -146,11 +145,11 @@ def change_of_variable_checks(
 
     One pass over blocks of ring-2 interior planes runs every case, so
     each block builds lap v and <grad z, grad v> once; no whole-grid
-    array but v and `v.grad_sq` is held.  Every node gets the operations
-    of the whole-array check, so the reports are bit-identical to it.
-    A case with b = 0, then a v that is not positive, refuses the batch;
-    then each case in turn refuses it where its flux is not finite on the
-    ring-1 interior or more than 10% of its nodes are excluded.
+    array but v and z = |grad v|^2 is held.  Every node gets the
+    operations of the whole-array check, so the reports are bit-identical
+    to it.  A case with b = 0, then a v that is not positive, refuses the
+    batch; then each case in turn refuses it where its flux is not finite
+    on the ring-1 interior or more than 10% of its nodes are excluded.
     """
     h = v.spacing
     cases = [(b, p, q, default_tolerance(h) if tol is None else tol) for b, p, q, tol in cases]
@@ -161,12 +160,11 @@ def change_of_variable_checks(
     # u = v^b is regularised as pq_laplacian regularises it.
     eps = [_auto_eps(v.values, h, lambda x, b=b: x**b) for b, *_ in cases]
     inner = tuple(slice(2, -2) for _ in range(v.ndim))
-    # Taken here, on the caller's thread: pool threads must not compute
-    # cached derivatives.
-    z = v.grad_sq[inner]
+    grad_sq = gradient_dot(v.values, v.values, h)
+    z = grad_sq[inner]
     z_floor = 1e-12 * float(nan_extremes(z)[1])
     n0 = len(v.values)
-    parts = map_plane_blocks(lambda i0, i1: _check_block(v, i0, i1, cases, eps, z_floor),
+    parts = map_plane_blocks(lambda i0, i1: _check_block(v, grad_sq, i0, i1, cases, eps, z_floor),
                              2, n0 - 2, z[0].size)
     reports = []
     for (b, p, q, tol), e, per_block in zip(cases, eps, zip(*parts)):
@@ -190,10 +188,12 @@ def _flux_planes(v: GridField, i0: int, i1: int, b, p, q, eps: float) -> np.ndar
     return acc
 
 
-def _check_block(v: GridField, i0: int, i1: int, cases, eps, z_floor: float) -> list[tuple]:
+def _check_block(
+    v: GridField, grad_sq: np.ndarray, i0: int, i1: int, cases, eps, z_floor: float
+) -> list[tuple]:
     """For each case, over planes [i0, i1) of the ring-2 interior: whether
     the flux is finite on its ring-1 rows, the valid nodes, max |lhs - rhs|
-    and max |lhs|.
+    and max |lhs|.  grad_sq is v's whole-grid z = |grad v|^2.
 
     A node is valid where both sides are finite and z exceeds z_floor.
     Each case's temporaries are dropped before the next case starts.
@@ -201,7 +201,7 @@ def _check_block(v: GridField, i0: int, i1: int, cases, eps, z_floor: float) -> 
     h, d = v.spacing, v.ndim
     rows = (slice(None),) + (slice(2, -2),) * (d - 1)
     ring2 = (slice(None),) + (slice(1, -1),) * (d - 1)
-    vv, z = v.values[i0:i1][rows], v.grad_sq[i0:i1][rows]
+    vv, z = v.values[i0:i1][rows], grad_sq[i0:i1][rows]
 
     @functools.cache
     def lap_v() -> np.ndarray:
@@ -211,7 +211,7 @@ def _check_block(v: GridField, i0: int, i1: int, cases, eps, z_floor: float) -> 
 
     @functools.cache
     def dot_zv() -> np.ndarray:
-        return _dot_planes(v.grad_sq, v.values, h, i0, i1)[rows]
+        return _dot_planes(grad_sq, v.values, h, i0, i1)[rows]
 
     def compare(b, p, q, eps) -> tuple:
         flux = _flux_planes(v, i0, i1, b, p, q, eps)
@@ -252,16 +252,18 @@ def bochner_check(v: GridField, N_param: int, tolerance: float | None = None) ->
 
     An inequality check: rel_error is the normalised violation
     max(0, -min slack)/scale, so passed keeps its rel_error <= tolerance
-    meaning.
+    meaning.  A field with no node where both sides are finite is refused.
     """
     h = v.spacing
     tol = default_tolerance(h) if tolerance is None else tolerance
-    lap_v = v.lap
-    lhs = 0.5 * laplacian(v.grad_sq, h)
+    lap_v = laplacian(v.values, h)
+    lhs = 0.5 * laplacian(gradient_dot(v.values, v.values, h), h)
     rhs = lap_v * lap_v / N_param + gradient_dot(lap_v, v.values, h)
     inner = tuple(slice(2, -2) for _ in range(v.ndim))
     lhs_i, rhs_i = lhs[inner], rhs[inner]
     valid = np.isfinite(lhs_i) & np.isfinite(rhs_i)
+    if not valid.any():
+        raise FieldError("field not smooth enough at spacing h")
     slack = lhs_i[valid] - rhs_i[valid]
     violation = max(0.0, -float(np.min(slack)))
     scale = max(

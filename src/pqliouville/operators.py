@@ -6,32 +6,31 @@ form uses centred fluxes on half-grid faces with face-averaged
 tangential gradients, so one canonical scheme backs every identity
 check.
 
-Every grid kernel (`laplacian`, `flux_divergence`, `gradient_dot`, and
-through them the `GridField` derivatives) fills its output in blocks of
-axis-0 planes through one driver, `map_plane_blocks`.
-A block holds about `_BLOCK_NODES` nodes and reads at most one halo plane
-on either side, so its temporaries stay in cache instead of streaming
-whole-grid arrays through memory at every elementwise step.  Face
-quantities are built only on the tangential interior the divergence
-keeps and updated in place; no full-size NaN-ring temporary is made.
-The block kernels (`_flux_block`, `_laplacian_block`, `_dot_planes`)
-also serve the change-of-variable check in `identities`, which builds
-u = v^b, its flux, lap v and <grad z, grad v> one block at a time and
-keeps none of them whole.
+Every grid kernel (`laplacian`, `flux_divergence`, `gradient_dot`) fills
+its output in blocks of axis-0 planes through one driver,
+`map_plane_blocks`.  A block holds about `_BLOCK_NODES` nodes and reads
+at most one halo plane on either side, so its temporaries stay in cache
+instead of streaming whole-grid arrays through memory at every
+elementwise step.  Face quantities are built only on the tangential
+interior the divergence keeps and updated in place; no full-size
+NaN-ring temporary is made.  The block kernels (`_flux_block`,
+`_laplacian_block`, `_dot_planes`) also serve the change-of-variable
+check in `identities`, which builds u = v^b, its flux, lap v and
+<grad z, grad v> one block at a time and keeps none of them whole.
 
 Reductions go through `map_planes`, one result per block; max, min, all
 and counts combine them into exactly the whole-array value.
 
-A range that fits in one block runs inline on the caller's thread.  A
-larger one is mapped over a module-level thread pool, which numpy's
-elementwise loops keep busy because they release the interpreter lock.
-The pool is created on the first multi-block call, with one thread per
-CPU this process may run on (`worker_count`), and is dropped in a
-forked child; `retire_idle_pool` shuts it down before the row driver
-forks, when no other thread runs.  A block kernel never submits to the
-pool, so no worker waits on another and nothing can deadlock; it runs
-under the caller's `np.errstate`, which numpy keeps per thread.  Any
-number of threads may call the kernels at once.
+A range that fits in one block runs inline.  A larger one is mapped over
+a module-level thread pool, which numpy's elementwise loops keep busy
+because they release the interpreter lock.  The pool is created on the
+first multi-block call, with one thread per CPU this process may run on
+(`worker_count`), and is dropped in a forked child; `retire_idle_pool`
+shuts it down before the row driver forks, when no other thread runs.  A
+block kernel never submits to the pool, so no worker waits on another
+and nothing can deadlock; it runs under the caller's `np.errstate`,
+which numpy keeps per thread.  Any number of threads may call the
+kernels at once.
 
 Blocking, trimming and threading change which nodes a temporary covers
 and which thread computes them, never the operations applied at a node,
@@ -44,8 +43,7 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,11 +95,6 @@ def retire_idle_pool() -> None:
 def _block_count(planes: int, plane_nodes: int) -> int:
     """Blocks for `planes` planes: about _BLOCK_NODES nodes each, whole planes."""
     return max(1, min(planes, (planes * plane_nodes + _BLOCK_NODES // 2) // _BLOCK_NODES))
-
-
-def fits_one_block(arr: np.ndarray) -> bool:
-    """Whether the driver runs all of arr's axis-0 planes inline, as one block."""
-    return _block_count(arr.shape[0], arr[0].size) == 1
 
 
 def map_plane_blocks(
@@ -217,12 +210,9 @@ def gradient_dot(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
     """sum_k d_k a * d_k b from centred gradients, added in k order; NaN ring.
 
     Each block builds the gradient planes it needs and drops them, so no
-    whole-grid gradient is held.  A grid that fits in one block gets the
-    block's own sum, allocated where whole-array code allocates it; the
-    blocks of a larger one write into one preallocated output.
+    whole-grid gradient is held; the blocks write into one preallocated
+    output.
     """
-    if fits_one_block(a):
-        return _dot_planes(a, b, h, 0, len(a))
     out = np.empty_like(a)
     map_plane_blocks(lambda i0, i1: _dot_planes(a, b, h, i0, i1, out[i0:i1]), 0, len(a), a[0].size)
     return out
@@ -248,21 +238,8 @@ def grad_squared(values: np.ndarray, h: float) -> np.ndarray:
     return gradient_dot(values, values, h)
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class GridField:
-    """Values on a uniform isotropic grid, with their centred derivatives.
-
-    Each derivative is computed on first use and cached on this instance,
-    so every check on the same field shares it; a field built from other
-    values, for example with dataclasses.replace, starts empty.  The
-    cached arrays are read-only; treat `values` as read-only once a
-    derivative has been taken.
-    """
+class GridField(NamedTuple):
+    """Values on a uniform isotropic grid whose nodes are `spacing` apart."""
 
     values: np.ndarray
     spacing: float
@@ -270,15 +247,6 @@ class GridField:
     @property
     def ndim(self) -> int:
         return self.values.ndim
-
-    @cached_property
-    def grad_sq(self) -> np.ndarray:
-        """z = |grad v|^2."""
-        return _read_only(gradient_dot(self.values, self.values, self.spacing))
-
-    @cached_property
-    def lap(self) -> np.ndarray:
-        return _read_only(laplacian(self.values, self.spacing))
 
 
 def grid_field(values: np.ndarray, spacing: float) -> GridField:

@@ -1327,7 +1327,7 @@ class TestRowWorkers:
         key = "sweep tiny_product_grid.par"
         serial = serial_digest(key, tmp_path, monkeypatch)
         field = pqliouville.CATALOG["offset_sine"].sample(49, 3)  # two blocks of planes
-        assert not operators.fits_one_block(field.values)
+        assert operators._block_count(len(field.values), field.values[0].size) > 1
         assert pqliouville.change_of_variable_check(field, 2.0, 3.0, 1.5, tolerance=1.0).passed
         assert operators._pool is not None and threading.active_count() > 1
         forks = split_rows(monkeypatch, 2)

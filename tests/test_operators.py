@@ -20,9 +20,9 @@ from pqliouville import (
     pq_laplacian,
     sample_function,
 )
-from pqliouville import operators
+from pqliouville import identities, operators
 from pqliouville.identities import _check_block
-from pqliouville.operators import flux_divergence, gradient_dot
+from pqliouville.operators import flux_divergence, grad_squared, gradient_dot
 from oracles import (
     affine_field,
     pq_reference_sin_cos,
@@ -143,8 +143,8 @@ class TestBlockedStencils:
             z = reference_dot(grads, grads)
             dzv = reference_dot(reference_gradient_components(z, h), grads)
             assert np.array_equal(gradient_dot(v, v, h), z, equal_nan=True)
-            assert np.array_equal(field.grad_sq, z, equal_nan=True)
-            assert np.array_equal(gradient_dot(field.grad_sq, v, h), dzv, equal_nan=True)
+            assert np.array_equal(grad_squared(v, h), z, equal_nan=True)
+            assert np.array_equal(gradient_dot(grad_squared(v, h), v, h), dzv, equal_nan=True)
 
     @pytest.mark.parametrize("b, p, q", [(2.0, 3.0, 2.0), (0.5, 2.2, 1.5), (5.0, 3.0, 1.5),
                                          (0.7, 2.5, 1.8)])
@@ -167,8 +167,8 @@ class TestBlockedStencils:
     def test_default_blocks_split_a_3d_grid(self):
         # The 3-d input above runs on the pool at the default block size too.
         values = CATALOG["offset_sine"].sample(49, 3).values
-        assert not operators.fits_one_block(values)
-        assert not operators.fits_one_block(values[1:-1])
+        assert operators._block_count(len(values), values[0].size) > 1
+        assert operators._block_count(len(values) - 2, values[0].size) > 1
 
     def test_default_blocks_send_the_benchmark_grid_to_the_pool(self, monkeypatch):
         """A 97^3 grid splits into blocks that run on the pool; the 129^2
@@ -182,11 +182,11 @@ class TestBlockedStencils:
 
         monkeypatch.setattr(operators, "_executor", counted)
         for n in (129, 257):
-            assert operators.fits_one_block(np.empty((n, n)))
+            assert operators._block_count(n, n) == 1
             laplacian(np.ones((n, n)), 0.1)
             gradient_dot(np.ones((n, n)), np.ones((n, n)), 0.1)
         assert calls == []
-        assert not operators.fits_one_block(np.empty((93, 93, 93)))
+        assert operators._block_count(93, 93 * 93) > 1
         laplacian(np.ones((97, 97, 97)), 0.1)
         assert calls == [1]
 
@@ -225,8 +225,8 @@ class TestGradientDot:
             lap = reference_laplacian(v, h)
             for ours, ref in (
                 (gradient_dot(v, v, h), z),
-                (field.grad_sq, z),
-                (gradient_dot(field.grad_sq, v, h),
+                (grad_squared(v, h), z),
+                (gradient_dot(grad_squared(v, h), v, h),
                  reference_dot(reference_gradient_components(z, h), grads)),
                 (gradient_dot(lap, v, h), reference_dot(reference_gradient_components(lap, h), grads)),
             ):
@@ -267,9 +267,9 @@ class TestFusedComparison:
             sides = [reference_change_of_variable_sides(v, h, b, p, q) for b, p, q, _ in cases]
             # A floor that also excludes half the nodes, where both sides are finite.
             z_floor = float(np.median(sides[0][2]))
-            field.grad_sq  # pool threads must not compute it
+            grad_sq = grad_squared(v, h)
             parts = operators.map_plane_blocks(
-                lambda j0, j1: _check_block(field, j0, j1, cases, eps, z_floor), 2, 15, 13 * 13)
+                lambda j0, j1: _check_block(field, grad_sq, j0, j1, cases, eps, z_floor), 2, 15, 13 * 13)
             fluxes = [reference_flux_divergence(v**b, h, (p, q), e)
                       for (b, p, q, _), e in zip(cases, eps)]
         finite = []
@@ -498,6 +498,43 @@ class TestConcurrentUse:
         assert errors == []
         for ours, ref in zip(results, serial):
             assert len(ours) == 5 and all(_same(r, ref) for r in ours)
+
+    def test_a_check_does_not_wait_for_another_fields_derivatives(self, monkeypatch):
+        # Thread A is held inside z = |grad v|^2 of field a; thread B checks
+        # field b meanwhile and must not wait for A.
+        spec = CATALOG["offset_sine"]
+        a, b = spec.sample(17), spec.sample(17)
+        expected = change_of_variable_check(spec.sample(17), 2.0, 3.0, 2.0)
+        inside, release = threading.Event(), threading.Event()
+        original = operators.gradient_dot
+
+        def held(x, y, h):
+            if x is a.values and y is a.values:
+                inside.set()
+                release.wait(60)
+            return original(x, y, h)
+
+        monkeypatch.setattr(operators, "gradient_dot", held)
+        monkeypatch.setattr(identities, "gradient_dot", held)
+        reports = {}
+
+        def check(name, field):
+            reports[name] = change_of_variable_check(field, 2.0, 3.0, 2.0)
+
+        threads = {name: threading.Thread(target=check, args=(name, field), daemon=True)
+                   for name, field in (("a", a), ("b", b))}
+        threads["a"].start()
+        try:
+            assert inside.wait(60)
+            threads["b"].start()
+            threads["b"].join(timeout=10)
+            assert not threads["b"].is_alive(), "b's check waited for a's derivatives"
+        finally:
+            release.set()
+            for t in threads.values():
+                if t.ident is not None:
+                    t.join(timeout=60)
+        assert reports == {"a": expected, "b": expected}
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_its_own_pool(self):
