@@ -39,8 +39,10 @@ MIN_CHUNK = 1000
 # parent peaked at 65.8, 66.4, 69.2 and 73.6 MB with 100, 250, 1,000 and
 # 4,000 rows a piece, in times within the run-to-run spread.
 PIECE_ROWS = 250
-# Size limits: the largest accepted run peaks near 200 MB RSS (oracle about 16 B
-# a point, identities about 80 B a fine node, most of it the whole-grid Bochner check).
+# Size limits: the largest accepted oracle run peaks near 200 MB RSS (about 16 B
+# a point).  verify-identities --resolution 513 peaked at 65 MB in a fresh
+# process against 30 MB at --resolution 5, about 33 B a fine node: the fields the
+# suite holds and the scaling check's whole-grid operators.
 MAX_RESOLUTION = 513
 TOLERANCE_DEFAULTS = {"identity_factor": 25.0, "newton_tol": 1e-10}
 

@@ -31,11 +31,8 @@ from .operators import (  # noqa: F401
     _dot_planes,
     _flux_block,
     _laplacian_block,
-    gradient_dot,
-    laplacian,
     map_plane_blocks,
     map_planes,
-    nan_extremes,
     p_laplacian,
     pq_laplacian,
     sample_function,
@@ -143,29 +140,38 @@ def change_of_variable_checks(
 ) -> list[IdentityReport]:
     """change_of_variable_check(v, b, p, q, tolerance) for each (b, p, q, tolerance) case.
 
-    One pass over blocks of ring-2 interior planes runs every case, so
-    each block builds lap v and <grad z, grad v> once; no whole-grid
-    array but v and z = |grad v|^2 is held.  Every node gets the
-    operations of the whole-array check, so the reports are bit-identical
-    to it.  A case with b = 0, then a v that is not positive, refuses the
-    batch; then each case in turn refuses it where its flux is not finite
-    on the ring-1 interior or more than 10% of its nodes are excluded.
+    Two passes over blocks of ring-2 interior planes: the first finds
+    the largest z = |grad v|^2, whose 1e-12 multiple is the floor below
+    which a node counts as degenerate; the second runs every case, so
+    each block builds z, lap v and <grad z, grad v> once for all of
+    them.  No whole-grid array but v is held.  Every node gets the
+    operations of the whole-array check, so the reports are
+    bit-identical to it.  A case with b = 0, then one with a b, p or q
+    that is not finite, then a v that is not positive, refuses the
+    batch; then each case in turn refuses it where its flux is not
+    finite on the ring-1 interior or more than 10% of its nodes are
+    excluded.
     """
     h = v.spacing
     cases = [(b, p, q, default_tolerance(h) if tol is None else tol) for b, p, q, tol in cases]
     if any(b == 0.0 for b, *_ in cases):
         raise FieldError("change of variable requires b != 0")
+    if not all(math.isfinite(x) for case in cases for x in case[:3]):
+        raise FieldError("b, p and q must be finite")
     if not all(map_planes(lambda x: (x > 0.0).all(), v.values)):
         raise FieldError("change of variable requires v > 0")
     # u = v^b is regularised as pq_laplacian regularises it.
     eps = [_auto_eps(v.values, h, lambda x, b=b: x**b) for b, *_ in cases]
-    inner = tuple(slice(2, -2) for _ in range(v.ndim))
-    grad_sq = gradient_dot(v.values, v.values, h)
-    z = grad_sq[inner]
-    z_floor = 1e-12 * float(nan_extremes(z)[1])
-    n0 = len(v.values)
-    parts = map_plane_blocks(lambda i0, i1: _check_block(v, grad_sq, i0, i1, cases, eps, z_floor),
-                             2, n0 - 2, z[0].size)
+    n0, rows = len(v.values), _rows(v.ndim, 2)
+    nodes = math.prod(n - 4 for n in v.values.shape[1:])
+
+    def z_max(i0: int, i1: int) -> np.float64:
+        # fmax ignores NaN, as nanmax does.
+        return np.fmax.reduce(_dot_planes(v.values, v.values, h, i0, i1)[rows], axis=None)
+
+    z_floor = 1e-12 * float(np.nanmax(map_plane_blocks(z_max, 2, n0 - 2, nodes)))
+    parts = map_plane_blocks(lambda i0, i1: _check_block(v, i0, i1, cases, eps, z_floor),
+                             2, n0 - 2, nodes)
     reports = []
     for (b, p, q, tol), e, per_block in zip(cases, eps, zip(*parts)):
         finite, counts, errs, scales = zip(*per_block)
@@ -174,10 +180,22 @@ def change_of_variable_checks(
         if not (all(finite) and all(np.isfinite(_flux_planes(v, i, i + 1, b, p, q, e)).all()
                                     for i in (1, n0 - 2))):
             raise FieldError("field not smooth enough at spacing h")
-        if (1.0 - sum(counts) / z.size) > 0.10:
+        if (1.0 - sum(counts) / ((n0 - 4) * nodes)) > 0.10:
             raise FieldError("test field violates |grad v|>0")
         reports.append(_report(max(errs), max(max(scales), 1e-300), tol))
     return reports
+
+
+def _rows(ndim: int, k: int) -> tuple[slice, ...]:
+    """Every plane of a block, less k layers at both ends of every other axis."""
+    return (slice(None),) + (slice(k, -k),) * (ndim - 1)
+
+
+def _laplacian_planes(planes: np.ndarray, h: float) -> np.ndarray:
+    """lap on planes[1:-1], on the ring-1 interior of the other axes."""
+    acc = np.zeros((len(planes) - 2,) + tuple(n - 2 for n in planes.shape[1:]))
+    _laplacian_block(planes, h, acc)
+    return acc
 
 
 def _flux_planes(v: GridField, i0: int, i1: int, b, p, q, eps: float) -> np.ndarray:
@@ -188,30 +206,28 @@ def _flux_planes(v: GridField, i0: int, i1: int, b, p, q, eps: float) -> np.ndar
     return acc
 
 
-def _check_block(
-    v: GridField, grad_sq: np.ndarray, i0: int, i1: int, cases, eps, z_floor: float
-) -> list[tuple]:
+def _check_block(v: GridField, i0: int, i1: int, cases, eps, z_floor: float) -> list[tuple]:
     """For each case, over planes [i0, i1) of the ring-2 interior: whether
     the flux is finite on its ring-1 rows, the valid nodes, max |lhs - rhs|
-    and max |lhs|.  grad_sq is v's whole-grid z = |grad v|^2.
+    and max |lhs|.
 
-    A node is valid where both sides are finite and z exceeds z_floor.
-    Each case's temporaries are dropped before the next case starts.
+    A node is valid where both sides are finite and z = |grad v|^2
+    exceeds z_floor.  z is built on the block and one halo plane either
+    side, which <grad z, grad v> reads.  Each case's temporaries are
+    dropped before the next case starts.
     """
     h, d = v.spacing, v.ndim
-    rows = (slice(None),) + (slice(2, -2),) * (d - 1)
-    ring2 = (slice(None),) + (slice(1, -1),) * (d - 1)
-    vv, z = v.values[i0:i1][rows], grad_sq[i0:i1][rows]
+    rows, ring2 = _rows(d, 2), _rows(d, 1)
+    z_halo = _dot_planes(v.values, v.values, h, i0 - 1, i1 + 1)
+    vv, z = v.values[i0:i1][rows], z_halo[1:-1][rows]
 
     @functools.cache
     def lap_v() -> np.ndarray:
-        acc = np.zeros((i1 - i0,) + tuple(n - 2 for n in v.values.shape[1:]))
-        _laplacian_block(v.values[i0 - 1:i1 + 1], h, acc)
-        return acc[ring2]
+        return _laplacian_planes(v.values[i0 - 1:i1 + 1], h)[ring2]
 
     @functools.cache
     def dot_zv() -> np.ndarray:
-        return _dot_planes(grad_sq, v.values, h, i0, i1)[rows]
+        return _dot_planes(z_halo, v.values[i0 - 1:i1 + 1], h, 1, i1 - i0 + 1)[rows]
 
     def compare(b, p, q, eps) -> tuple:
         flux = _flux_planes(v, i0, i1, b, p, q, eps)
@@ -252,24 +268,48 @@ def bochner_check(v: GridField, N_param: int, tolerance: float | None = None) ->
 
     An inequality check: rel_error is the normalised violation
     max(0, -min slack)/scale, so passed keeps its rel_error <= tolerance
-    meaning.  A field with no node where both sides are finite is refused.
+    meaning.  It holds for every integer N at least the grid dimension;
+    any other N_param is refused, and so is a field with no node where
+    both sides are finite.  One pass over blocks of ring-2 interior
+    planes compares the sides, so no whole-grid array but v is held;
+    every node gets the operations of the whole-array check, so the
+    report is bit-identical to it.
     """
+    if isinstance(N_param, bool) or not isinstance(N_param, int) or N_param < v.ndim:
+        raise FieldError(f"N must be an integer at least the grid dimension {v.ndim}, "
+                         f"not {N_param!r}")
     h = v.spacing
     tol = default_tolerance(h) if tolerance is None else tolerance
-    lap_v = laplacian(v.values, h)
-    lhs = 0.5 * laplacian(gradient_dot(v.values, v.values, h), h)
-    rhs = lap_v * lap_v / N_param + gradient_dot(lap_v, v.values, h)
-    inner = tuple(slice(2, -2) for _ in range(v.ndim))
-    lhs_i, rhs_i = lhs[inner], rhs[inner]
-    valid = np.isfinite(lhs_i) & np.isfinite(rhs_i)
-    if not valid.any():
+    n0 = len(v.values)
+    parts = map_plane_blocks(lambda i0, i1: _bochner_block(v, N_param, i0, i1), 2, n0 - 2,
+                             math.prod(n - 4 for n in v.values.shape[1:]))
+    counts, slacks, lhs_max, rhs_max = zip(*parts)
+    if not sum(counts):
         raise FieldError("field not smooth enough at spacing h")
-    slack = lhs_i[valid] - rhs_i[valid]
-    violation = max(0.0, -float(np.min(slack)))
-    scale = max(
-        float(np.max(np.abs(lhs_i[valid]))), float(np.max(np.abs(rhs_i[valid]))), 1e-300
-    )
-    return _report(violation, scale, tol)
+    violation = max(0.0, -float(min(slacks)))
+    return _report(violation, max(float(max(lhs_max)), float(max(rhs_max)), 1e-300), tol)
+
+
+def _bochner_block(v: GridField, N: int, i0: int, i1: int) -> tuple:
+    """Over planes [i0, i1) of the ring-2 interior, at the nodes where both
+    sides are finite: their count, the least slack lhs - rhs, max |lhs|
+    and max |rhs|.
+
+    lap z reads z on one halo plane either side, and <grad lap v, grad v>
+    reads lap v there, which reads v on two.
+    """
+    h, d = v.spacing, v.ndim
+    ring2 = _rows(d, 1)
+    lhs = 0.5 * _laplacian_planes(_dot_planes(v.values, v.values, h, i0 - 1, i1 + 1), h)[ring2]
+    lap = _laplacian_planes(v.values[i0 - 2:i1 + 2], h)
+    rhs = _dot_planes(lap, v.values[i0 - 1:i1 + 1][ring2], h, 1, i1 - i0 + 1)[ring2]
+    sq = lap[1:-1][ring2]
+    rhs = np.add(sq * sq / N, rhs, out=rhs)
+    valid = np.isfinite(lhs) & np.isfinite(rhs)
+    slack = np.subtract(lhs, rhs, out=np.empty_like(lhs), where=valid)
+    return (int(np.count_nonzero(valid)), np.min(slack, where=valid, initial=np.inf),
+            np.max(np.abs(lhs), where=valid, initial=0.0),
+            np.max(np.abs(rhs), where=valid, initial=0.0))
 
 
 def scaling_check(

@@ -8,15 +8,24 @@ check.
 
 Every grid kernel (`laplacian`, `flux_divergence`, `gradient_dot`) fills
 its output in blocks of axis-0 planes through one driver,
-`map_plane_blocks`.  A block holds about `_BLOCK_NODES` nodes and reads
-at most one halo plane on either side, so its temporaries stay in cache
-instead of streaming whole-grid arrays through memory at every
-elementwise step.  Face quantities are built only on the tangential
+`map_plane_blocks`, and so does `sample_function`.  A block holds about
+`_BLOCK_NODES` nodes, and a kernel's block reads at most one halo plane
+on either side.  Face quantities are built only on the tangential
 interior the divergence keeps and updated in place; no full-size
 NaN-ring temporary is made.  The block kernels (`_flux_block`,
-`_laplacian_block`, `_dot_planes`) also serve the change-of-variable
-check in `identities`, which builds u = v^b, its flux, lap v and
-<grad z, grad v> one block at a time and keeps none of them whole.
+`_laplacian_block`, `_dot_planes`) also serve the identity checks in
+`identities`, which build every derivative they read one block at a
+time, z or lap v with a halo plane either side, and hold no whole-grid
+array but v.
+
+The block size sets each block's working set.  The change-of-variable
+check's blocks are the largest: a 97^3 block of 4 planes peaks at 16
+block-sized arrays (4.6 MiB), a 2-d block at 14 (3.5 MiB at 1 << 15
+nodes), and a Bochner block at about half that.  1 << 15 nodes keeps a
+block near the 4 MiB L2 cache of a core (2-CPU Xeon, numpy 2.4.6) and
+splits the 257^2 grids of `verify-identities --resolution 129` in two;
+1 << 16 doubled the working set and kept those grids on one CPU, and
+1 << 14 spent more on halo planes than it saved.
 
 Reductions go through `map_planes`, one result per block; max, min, all
 and counts combine them into exactly the whole-array value.
@@ -50,9 +59,9 @@ import numpy as np
 from .errors import FieldError
 from .report import worker_count
 
-# About this many nodes per block of axis-0 planes (0.5 MB per float64
-# temporary).
-_BLOCK_NODES = 1 << 16
+# About this many nodes per block of axis-0 planes (256 KiB per float64
+# temporary); the module docstring says why.
+_BLOCK_NODES = 1 << 15
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -258,7 +267,7 @@ def grid_field(values: np.ndarray, spacing: float) -> GridField:
         raise FieldError("all dims must be at least 5 (stencils need two interior layers)")
     if not spacing > 0.0:
         raise FieldError("spacing must be positive")
-    if not np.isfinite(values).all():
+    if not all(map_planes(lambda x: np.isfinite(x).all(), values)):
         raise FieldError("field values must be finite")
     return GridField(values=values, spacing=float(spacing))
 
@@ -271,14 +280,23 @@ def sample_function(fn: Callable, lo: float, hi: float, n: int, dim: int = 2) ->
     must combine its arguments by broadcasting, as numpy ufuncs and
     arithmetic do.  Each node still sees the same operations as on a
     dense grid, but transcendental functions run on n values per axis
-    instead of n^dim.  The result, which may keep singleton axes (for
-    example lambda x, y, z: np.sin(x)), is broadcast into one full,
-    C-contiguous, writeable array.
+    instead of n^dim.  The output is filled block by block of axis-0
+    planes (map_plane_blocks): each call gets the block's slice of x1
+    and the whole other axes, so fn may be called several times, from
+    several threads at once, and no whole-grid temporary is made beside
+    the output.  Each result, which may keep singleton axes (for example
+    lambda x, y, z: np.sin(x) or lambda x, y: np.cos(y)), is broadcast
+    into its block of one full, C-contiguous, writeable array.
     """
     h = (hi - lo) / (n - 1)
     axes = [lo + h * np.arange(n) for _ in range(dim)]
+    first, *rest = np.meshgrid(*axes, indexing="ij", sparse=True)
     values = np.empty((n,) * dim)
-    values[...] = fn(*np.meshgrid(*axes, indexing="ij", sparse=True))
+
+    def fill(i0: int, i1: int) -> None:
+        values[i0:i1] = fn(first[i0:i1], *rest)
+
+    map_plane_blocks(fill, 0, n, n ** (dim - 1))
     return grid_field(values, h)
 
 

@@ -72,6 +72,20 @@ class TestChangeOfVariable:
         with pytest.raises(FieldError, match="grad v"):
             change_of_variable_check(flat, 2.0, 2.5, 2.0)
 
+    @pytest.mark.parametrize("b, p, q", [(np.nan, 3.0, 2.0), (2.0, np.inf, 2.0),
+                                         (2.0, 3.0, -np.inf)])
+    def test_non_finite_exponents_are_refused(self, b, p, q):
+        # Refused up front, with no RuntimeWarning (an error under pytest)
+        # and before any pass over v: a negative v is not reached.
+        with pytest.raises(FieldError, match="b, p and q must be finite"):
+            change_of_variable_check(CATALOG["offset_sine"].sample(17), b, p, q)
+        negative = grid_field(-np.ones((9, 9)), 0.1)
+        with pytest.raises(FieldError, match="b, p and q must be finite"):
+            change_of_variable_checks(negative, [(2.0, 3.0, 2.0, None), (b, p, q, None)])
+        # b = 0 is refused first.
+        with pytest.raises(FieldError, match="b != 0"):
+            change_of_variable_checks(negative, [(b, p, q, None), (0.0, 3.0, 2.0, None)])
+
     def test_positivity_and_b_guards(self):
         field = CATALOG["saddle"].sample(16)
         with pytest.raises(FieldError):
@@ -114,6 +128,19 @@ class TestBochner:
         report = bochner_check(field, 100)
         assert report.passed
 
+    @pytest.mark.parametrize("N", [0, -1, 2.5, True])
+    def test_dimension_constant_must_be_an_integer_at_least_the_dimension(self, N):
+        # N = 0 divided by zero; -1, 2.5 and True passed with rel_error 0.
+        field = CATALOG["offset_sine"].sample(17)
+        with pytest.raises(FieldError, match=f"N must be an integer .* not {N!r}$"):
+            bochner_check(field, N)
+
+    def test_dimension_constant_at_least_the_grid_dimension(self):
+        field = CATALOG["offset_sine"].sample(17, 3)
+        with pytest.raises(FieldError, match="grid dimension 3, not 2"):
+            bochner_check(field, 2)
+        assert bochner_check(field, 3).passed
+
     def test_no_finite_node_is_refused(self):
         # z = |grad v|^2 overflows everywhere, so neither side is finite at any node.
         field = CATALOG["offset_sine"].sample(17)
@@ -154,24 +181,39 @@ class TestSharedDerivatives:
         assert np.array_equal(z, reference_dot(grads, grads), equal_nan=True)
         lap = laplacian(v, h)
         assert np.array_equal(lap, reference_laplacian(v, h), equal_nan=True)
-        built = []
-        for name in ("gradient_dot", "laplacian"):
-            def kept(*args, _original=getattr(identities, name)):
-                built.append(_original(*args))
-                return built[-1]
+        # The checks build their derivatives block by block, never whole-grid.
+        assert not hasattr(identities, "gradient_dot") and not hasattr(identities, "laplacian")
+        dots, laps = [], []
 
-            monkeypatch.setattr(identities, name, kept)
+        # Copies: a check may reuse a derivative's memory once it has read it.
+        def kept_dot(a, b, h, i0, i1, out=None, _original=identities._dot_planes):
+            dots.append(_original(a, b, h, i0, i1, out))
+            return dots[-1].copy()
+
+        def kept_lap(planes, h, _original=identities._laplacian_planes):
+            laps.append(_original(planes, h))
+            return laps[-1].copy()
+
+        monkeypatch.setattr(identities, "_dot_planes", kept_dot)
+        monkeypatch.setattr(identities, "_laplacian_planes", kept_lap)
         change_of_variable_check(field, 2.0, 3.0, 2.0)
-        bochner_check(field, 2)
-        # The batch's z; then Bochner's lap v, z, lap z and <grad lap v, grad v>.
-        expected = [z, lap, z, laplacian(z, h), gradient_dot(lap, v, h)]
-        assert len(built) == len(expected)
-        for ours, ref in zip(built, expected):
-            assert np.array_equal(ours, ref, equal_nan=True)
+        bochner_check(field, 3)
+        # One block of ring-2 planes [2, 15), each derivative on the planes it
+        # is read on: the batch's z for its floor, z with halo planes, lap v and
+        # <grad z, grad v>; then Bochner's z with halo planes, lap z, lap v with
+        # halo planes and <grad lap v, grad v>.
+        ring = (slice(None), slice(1, -1), slice(1, -1))
+        expected_dots = [z[2:15], z[1:16], gradient_dot(z, v, h)[2:15],
+                         z[1:16], gradient_dot(lap, v, h)[2:15][ring]]
+        expected_laps = [lap[2:15][ring], laplacian(z, h)[2:15][ring], lap[1:16][ring]]
+        for built, expected in ((dots, expected_dots), (laps, expected_laps)):
+            assert len(built) == len(expected)
+            for ours, ref in zip(built, expected):
+                assert np.array_equal(ours, ref, equal_nan=True)
 
     def test_each_derivative_is_computed_once_per_field(self, monkeypatch):
         calls = []
-        for name in ("laplacian", "gradient_dot", "_laplacian_block", "_dot_planes"):
+        for name in ("_laplacian_block", "_dot_planes"):
             def counted(*args, _name=name, _original=getattr(identities, name), **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
@@ -187,14 +229,14 @@ class TestSharedDerivatives:
                           lambda: change_of_variable_checks(field, cases)):
                 calls.clear()
                 check()
-                # z once a call; lap v and <grad z, grad v> once a block and
-                # batch, whatever the number of cases; no whole-grid lap.
-                assert sorted(calls) == (["_dot_planes"] * blocks + ["_laplacian_block"] * blocks
-                                         + ["gradient_dot"])
+                # z twice a block (the floor pass, then with halo planes); lap v
+                # and <grad z, grad v> once a block and batch, whatever the
+                # number of cases.
+                assert sorted(calls) == ["_dot_planes"] * 3 * blocks + ["_laplacian_block"] * blocks
             calls.clear()
             bochner_check(field, 2)
-            # lap v, z, lap z and <grad lap v, grad v>, each once.
-            assert sorted(calls) == ["gradient_dot"] * 2 + ["laplacian"] * 2
+            # z and <grad lap v, grad v>, lap z and lap v, each once a block.
+            assert sorted(calls) == ["_dot_planes"] * 2 * blocks + ["_laplacian_block"] * 2 * blocks
 
     def test_suite_rows_equal_independent_checks(self):
         n_coarse, factor = 17, 25.0
@@ -230,7 +272,7 @@ class TestSharedDerivatives:
 # one block's temporaries at a time): the tracemalloc peak of the check, in
 # field sizes.  Whole-grid gradients and comparison copies took 11.6 at 65^3;
 # whole-grid u, flux, lap v and <grad z, grad v> took 6.29 at 65^3 and 4.62
-# at 97^3.
+# at 97^3; a whole-grid z and blocks of 1<<16 nodes took 5.85 and 2.28.
 PEAK_PROBE = """
 import os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -257,6 +299,20 @@ print(json.dumps(tracemalloc.get_traced_memory()[1] / (8 * (2 * n - 1) ** 2)))
 """
 
 
+# Sampling an n^3 catalogue field the same way: the tracemalloc peak of
+# sample() in field sizes.
+SAMPLE_PROBE = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import json, tracemalloc
+from pqliouville import CATALOG
+n = int(sys.argv[1])
+tracemalloc.start()
+field = CATALOG["offset_sine"].sample(n, 3)
+print(json.dumps(tracemalloc.get_traced_memory()[1] / field.values.nbytes))
+"""
+
+
 def probe_peak(probe: str, n: int) -> float:
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -268,23 +324,33 @@ def probe_peak(probe: str, n: int) -> float:
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_check_peak_memory_is_bounded():
-    # Three blocks of 21 planes: the blocks' temporaries dominate.
-    assert probe_peak(PEAK_PROBE, 65) <= 6.0
+    # Blocks of 9 planes with z on two halo planes: 2.14.
+    assert probe_peak(PEAK_PROBE, 65) <= 3.0
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_check_peak_memory_at_the_benchmark_grid():
-    # The benchmark's 97^3 check: z = |grad v|^2 and a few small blocks.
-    assert probe_peak(PEAK_PROBE, 97) <= 3.0
+    # The benchmark's 97^3 check holds no whole-grid array but v, which the
+    # probe does not count, and one block of 4 planes at a time: 0.66.
+    assert probe_peak(PEAK_PROBE, 97) <= 1.0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_sample_peak_memory_is_bounded():
+    # The output and one block's temporaries: 1.15.  One call on the whole
+    # open axes made a whole-grid temporary beside the output: 2.03.
+    assert probe_peak(SAMPLE_PROBE, 97) <= 1.4
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_suite_peak_memory_is_bounded():
     # The 513^2 fine grids of verify-identities --resolution 257: no check
-    # keeps a derivative for a later one, and the whole-grid Bochner check
-    # sets the peak at 8.63.  Fields that kept z and lap v for the suite
-    # peaked at 11.88.
-    assert probe_peak(SUITE_PROBE, 257) <= 10.0
+    # keeps a derivative for a later one, and the scaling check's whole-grid
+    # operators, on top of the fields the suite holds, set the peak at 4.57;
+    # the blocked Bochner check reaches 3.44.  The bound leaves 20% margin.
+    # The whole-grid Bochner check peaked at 8.63, and fields that kept z
+    # and lap v for the suite at 11.88.
+    assert probe_peak(SUITE_PROBE, 257) <= 5.5
 
 
 class TestWeightKernel:

@@ -33,6 +33,7 @@ from oracles import (
     reference_flux_divergence,
     reference_gradient_components,
     reference_laplacian,
+    whole_grid_bochner_check,
 )
 
 
@@ -99,9 +100,10 @@ def _stencil_inputs():
     ]
 
 
-# Block sizes: the default, one plane per block, and blocks that do not
-# divide the interior evenly.
-@pytest.fixture(params=[operators._BLOCK_NODES, 1, 250])
+# Block sizes: the default, one plane per block, blocks that do not
+# divide the interior evenly, and 1 << 16, which puts a 257^2 grid in one
+# block.
+@pytest.fixture(params=[operators._BLOCK_NODES, 1, 250, 1 << 16])
 def block_nodes(request, monkeypatch):
     monkeypatch.setattr(operators, "_BLOCK_NODES", request.param)
     return request.param
@@ -156,6 +158,18 @@ class TestBlockedStencils:
             # In a batch, beside a case that shares its blocks.
             assert change_of_variable_checks(field, [(1.5, 2.5, 2.0, None), (b, p, q, 1e-3)])[1] == ref
 
+    def test_per_block_z_check_matches_the_whole_grid_z_oracle(self, block_nodes):
+        # Each block builds z = |grad v|^2 on its planes and one halo plane
+        # either side, after a first pass for z's floor; the oracle holds z
+        # whole.  The kinked field's floor excludes the nodes of its first
+        # 10 interior planes, across block edges at small block sizes.
+        fields = [_kinked_field(10), CATALOG["radial_square"].sample(33),
+                  CATALOG["offset_sine"].sample(17, 3), CATALOG["sine_x1"].sample(17, 3)]
+        for field in fields:
+            expected = [IdentityReport(*reference_change_of_variable_check(
+                field.values, field.spacing, *case)) for case in ORACLE_CASES]
+            assert change_of_variable_checks(field, ORACLE_CASES) == expected
+
     def test_blocks_run_under_the_callers_errstate(self, block_nodes):
         # A constant field has zero face gradients: 0 ** (negative) at eps = 0.
         values = np.ones((9, 7, 7))
@@ -171,8 +185,8 @@ class TestBlockedStencils:
         assert operators._block_count(len(values) - 2, values[0].size) > 1
 
     def test_default_blocks_send_the_benchmark_grid_to_the_pool(self, monkeypatch):
-        """A 97^3 grid splits into blocks that run on the pool; the 129^2
-        and 257^2 grids of verify-identities --resolution 129 run inline."""
+        """A 97^3 grid and the 257^2 grids of verify-identities --resolution
+        129 split into blocks that run on the pool; its 129^2 grids run inline."""
         calls = []
         executor = operators._executor
 
@@ -181,14 +195,17 @@ class TestBlockedStencils:
             return executor()
 
         monkeypatch.setattr(operators, "_executor", counted)
-        for n in (129, 257):
-            assert operators._block_count(n, n) == 1
-            laplacian(np.ones((n, n)), 0.1)
-            gradient_dot(np.ones((n, n)), np.ones((n, n)), 0.1)
+        assert operators._block_count(129, 129) == 1
+        laplacian(np.ones((129, 129)), 0.1)
+        gradient_dot(np.ones((129, 129)), np.ones((129, 129)), 0.1)
         assert calls == []
+        # The ring-2 planes of a 257^2 check, and a 257^2 Laplacian.
+        assert operators._block_count(253, 253) == 2
+        laplacian(np.ones((257, 257)), 0.1)
+        assert calls == [1]
         assert operators._block_count(93, 93 * 93) > 1
         laplacian(np.ones((97, 97, 97)), 0.1)
-        assert calls == [1]
+        assert calls == [1, 1]
 
 
 @pytest.fixture(params=[1, 3])
@@ -231,11 +248,38 @@ class TestGradientDot:
                 (gradient_dot(lap, v, h), reference_dot(reference_gradient_components(lap, h), grads)),
             ):
                 assert np.array_equal(ours, ref, equal_nan=True)
-            for N in (2, 3):
+            for N in (v.ndim, v.ndim + 1):
                 assert bochner_check(field, N, tolerance=1e-3) == IdentityReport(
                     *reference_bochner_check(v, h, N, 1e-3))
         # Some grid ends in a short block, except at one plane a block.
         assert short_last == (block_nodes != 1)
+
+
+class TestBlockedBochner:
+    """The Bochner check compares the sides block by block; counts, minima
+    and maxima combine to the whole-grid check's report."""
+
+    def test_matches_the_whole_grid_check(self, block_nodes):
+        fields = _stencil_inputs() + [CATALOG[name].sample(n, dim) for name in ("saddle", "sine_product")
+                                      for n, dim in ((33, 2), (17, 3))]
+        # Planes 8-12 of a 33^2 field hold no node where both sides are finite.
+        blown = CATALOG["offset_sine"].sample(33)
+        blown.values[10] *= 1e160
+        for field in fields + [blown]:
+            v, h = field.values, field.spacing
+            for N in (v.ndim, v.ndim + 1, 100):
+                with np.errstate(all="ignore" if field is blown else "raise"):
+                    ref = IdentityReport(*whole_grid_bochner_check(v, h, N, 1e-3))
+                    assert bochner_check(field, N, tolerance=1e-3) == ref
+                    assert ref == IdentityReport(*reference_bochner_check(v, h, N, 1e-3))
+
+    def test_no_finite_node_is_refused_as_the_whole_grid_check(self, block_nodes):
+        field = CATALOG["offset_sine"].sample(17, 3)
+        huge = grid_field(1e200 * field.values, field.spacing)
+        with np.errstate(all="ignore"):
+            for check in (bochner_check, lambda f, N: whole_grid_bochner_check(f.values, f.spacing, N, 1.0)):
+                with pytest.raises(FieldError, match="not smooth"):
+                    check(huge, 3)
 
 
 def _kinked_field(flat_planes):
@@ -267,9 +311,8 @@ class TestFusedComparison:
             sides = [reference_change_of_variable_sides(v, h, b, p, q) for b, p, q, _ in cases]
             # A floor that also excludes half the nodes, where both sides are finite.
             z_floor = float(np.median(sides[0][2]))
-            grad_sq = grad_squared(v, h)
             parts = operators.map_plane_blocks(
-                lambda j0, j1: _check_block(field, grad_sq, j0, j1, cases, eps, z_floor), 2, 15, 13 * 13)
+                lambda j0, j1: _check_block(field, j0, j1, cases, eps, z_floor), 2, 15, 13 * 13)
             fluxes = [reference_flux_divergence(v**b, h, (p, q), e)
                       for (b, p, q, _), e in zip(cases, eps)]
         finite = []
@@ -412,6 +455,27 @@ class TestStreamedCheck:
 
 
 class TestSampling:
+    def test_blocks_match_the_dense_broadcast(self, block_nodes):
+        """Blocked sampling equals one call on the whole open axes, broadcast
+        into the grid, whatever fn does with axis 0."""
+        fns = [(field.fn, dim) for field in CATALOG.values() for dim in (2, 3)]
+        fns += [(lambda x, y: np.cos(y), 2), (lambda x, y, z: np.sin(x), 3),
+                (lambda x, y, z: np.float64(2.5), 3)]
+        for fn, dim in fns:
+            n, lo, hi = (33 if dim == 2 else 17), -0.3, 1.3
+            axes = [lo + (hi - lo) / (n - 1) * np.arange(n) for _ in range(dim)]
+            dense = np.empty((n,) * dim)
+            dense[...] = fn(*np.meshgrid(*axes, indexing="ij", sparse=True))
+            planes = []
+
+            def counted(x, *rest, _fn=fn):
+                planes.append(len(x))
+                return _fn(x, *rest)
+
+            sampled = sample_function(counted, lo, hi, n, dim)
+            assert np.array_equal(sampled.values, dense)
+            assert sum(planes) == n and len(planes) == operators._block_count(n, n ** (dim - 1))
+
     @pytest.mark.parametrize("dim, n", [(2, 33), (3, 17)])
     def test_open_axes_match_dense_meshgrid(self, dim, n):
         for field in CATALOG.values():
@@ -500,22 +564,21 @@ class TestConcurrentUse:
             assert len(ours) == 5 and all(_same(r, ref) for r in ours)
 
     def test_a_check_does_not_wait_for_another_fields_derivatives(self, monkeypatch):
-        # Thread A is held inside z = |grad v|^2 of field a; thread B checks
-        # field b meanwhile and must not wait for A.
+        # Thread A is held inside a block's z = |grad v|^2 of field a; thread B
+        # checks field b meanwhile and must not wait for A.
         spec = CATALOG["offset_sine"]
         a, b = spec.sample(17), spec.sample(17)
         expected = change_of_variable_check(spec.sample(17), 2.0, 3.0, 2.0)
         inside, release = threading.Event(), threading.Event()
-        original = operators.gradient_dot
+        original = identities._dot_planes
 
-        def held(x, y, h):
+        def held(x, y, h, i0, i1, out=None):
             if x is a.values and y is a.values:
                 inside.set()
                 release.wait(60)
-            return original(x, y, h)
+            return original(x, y, h, i0, i1, out)
 
-        monkeypatch.setattr(operators, "gradient_dot", held)
-        monkeypatch.setattr(identities, "gradient_dot", held)
+        monkeypatch.setattr(identities, "_dot_planes", held)
         reports = {}
 
         def check(name, field):
