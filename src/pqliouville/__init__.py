@@ -50,8 +50,7 @@ _DEFERRED = {
                         "change_of_variable_check", "change_of_variable_checks",
                         "default_tolerance", "refinement_order",
                         "scaling_check")),
-        ("operators", ("GridField", "grid_field", "laplacian", "p_laplacian", "pq_laplacian",
-                       "sample_function")),
+        ("operators", ("GridField", "grid_field", "p_laplacian", "pq_laplacian", "sample_function")),
         ("radial", ("BlowupFit", "RadialProblem", "RadialSolution", "default_fit_window",
                     "estimate_consistency", "fit_blowup_exponent", "gradient_vs_distance",
                     "manufactured_source", "radial_mesh", "solve_radial")),

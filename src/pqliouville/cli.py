@@ -40,9 +40,9 @@ MIN_CHUNK = 1000
 # 4,000 rows a piece, in times within the run-to-run spread.
 PIECE_ROWS = 250
 # Size limits: the largest accepted oracle run peaks near 200 MB RSS (about 16 B
-# a point).  verify-identities --resolution 513 peaked at 65 MB in a fresh
-# process against 30 MB at --resolution 5, about 33 B a fine node: the fields the
-# suite holds and the scaling check's whole-grid operators.
+# a point).  verify-identities --resolution 513 peaked at 53-54 MB in a fresh
+# process against 30 MB at --resolution 5, about 22 B a fine node: the fields the
+# suite holds and one check's blocks.
 MAX_RESOLUTION = 513
 TOLERANCE_DEFAULTS = {"identity_factor": 25.0, "newton_tol": 1e-10}
 
@@ -420,6 +420,8 @@ def _identity_suite(resolution: int, factor: float) -> tuple[list[dict], dict]:
         results.append(
             {"check": "bochner", "params": {"field": name, "h": 1.0 / (n_fine - 1)}, "report": rep.as_dict()}
         )
+    # The scaling checks sample their own fields: drop the suite's first.
+    del v_coarse, v_fine, v, coarse, fine
     for fname, k, alpha, p in (("radial_square", 2.0, 1.0, 2.0), ("sine_x1", 0.5, 2.0, 3.0)):
         f = CATALOG[fname]
         rep = timed("scaling_s", scaling_check, f, k, alpha, p, n=n_coarse,

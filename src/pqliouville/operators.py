@@ -1,22 +1,22 @@
-"""Uniform grid fields and second-order finite-difference operators on them.
+"""Uniform grid fields and second-order finite-difference kernels on them.
 
-All node-centred stencils are valid one ring inside the boundary; the
-boundary ring of every output is marked unset (NaN).  The divergence
-form uses centred fluxes on half-grid faces with face-averaged
-tangential gradients, so one canonical scheme backs every identity
-check.
+All node-centred stencils are valid one ring inside the boundary.  The
+divergence form uses centred fluxes on half-grid faces with
+face-averaged tangential gradients, so one canonical scheme backs every
+identity check.
 
-Every grid kernel (`laplacian`, `flux_divergence`, `gradient_dot`) fills
-its output in blocks of axis-0 planes through one driver,
-`map_plane_blocks`, and so does `sample_function`.  A block holds about
-`_BLOCK_NODES` nodes, and a kernel's block reads at most one halo plane
-on either side.  Face quantities are built only on the tangential
-interior the divergence keeps and updated in place; no full-size
-NaN-ring temporary is made.  The block kernels (`_flux_block`,
-`_laplacian_block`, `_dot_planes`) also serve the identity checks in
-`identities`, which build every derivative they read one block at a
-time, z or lap v with a halo plane either side, and hold no whole-grid
-array but v.
+The grid kernels work on blocks of axis-0 planes: `_flux_block` and
+`_laplacian_block` give their stencil on the inner planes of a block
+that carries one halo plane either side, on the ring-1 interior of the
+other axes, and `_dot_planes` gives sum_k d_k a * d_k b on any planes,
+building the gradient planes it reads.  Face quantities are built only
+on the tangential interior the divergence keeps and updated in place.
+The identity checks in `identities` build every derivative they read
+from these kernels one block at a time, and hold no whole-grid array but
+their samples.  `pq_laplacian`, `p_laplacian` and `grad_squared` assemble
+whole grids from them.  One driver, `map_plane_blocks`, maps a kernel
+over the blocks of a range of planes, and `sample_function` fills its
+output through it too.  A block holds about `_BLOCK_NODES` nodes.
 
 The block size sets each block's working set.  The change-of-variable
 check's blocks are the largest: a 97^3 block of 4 planes peaks at 16
@@ -112,23 +112,24 @@ def map_plane_blocks(
     """kernel(i0, i1) on consecutive blocks [i0, i1) that cover planes [lo, hi), in order.
 
     The range splits into as many blocks of about `_BLOCK_NODES` nodes as
-    its size rounds to, at most one per plane, of nearly equal length.
-    One block runs inline; more go to the pool, each under the caller's
-    np.errstate, and this returns their results when all are done,
-    raising the first failure.  The kernel must write disjoint parts of
-    its output per block and must not call back into this driver.
+    its size rounds to, at most one per plane, whose lengths differ by at
+    most one plane.  One block runs inline; more go to the pool, each
+    under the caller's np.errstate, and this returns their results when
+    all are done, raising the first failure.  The kernel must write
+    disjoint parts of its output per block and must not call back into
+    this driver.
     """
     count = _block_count(hi - lo, plane_nodes)
     if count == 1:
         return [kernel(lo, hi)]
-    step = -(-(hi - lo) // count)
+    cuts = [lo + (hi - lo) * j // count for j in range(count + 1)]
     errstate = dict(np.geterr(), call=np.geterrcall())
 
-    def run(i0: int):
+    def run(i0: int, i1: int):
         with np.errstate(**errstate):
-            return kernel(i0, min(i0 + step, hi))
+            return kernel(i0, i1)
 
-    return list(_executor().map(run, range(lo, hi, step)))
+    return list(_executor().map(run, cuts[:-1], cuts[1:]))
 
 
 def map_planes(fn: Callable[[np.ndarray], object], arr: np.ndarray) -> list:
@@ -140,8 +141,8 @@ def map_planes(fn: Callable[[np.ndarray], object], arr: np.ndarray) -> list:
     return map_plane_blocks(lambda i0, i1: fn(arr[i0:i1]), 0, len(arr), arr[0].size)
 
 
-def _interior(ndim: int, k: int = 1) -> tuple[slice, ...]:
-    return tuple(slice(k, -k) for _ in range(ndim))
+def _interior(ndim: int) -> tuple[slice, ...]:
+    return (slice(1, -1),) * ndim
 
 
 def _along(ndim: int, axis: int, sl: slice, rest: slice = slice(None)) -> tuple[slice, ...]:
@@ -149,25 +150,6 @@ def _along(ndim: int, axis: int, sl: slice, rest: slice = slice(None)) -> tuple[
     out = [rest] * ndim
     out[axis] = sl
     return tuple(out)
-
-
-def _ring_stencil(block_kernel, values: np.ndarray, *args) -> np.ndarray:
-    """Output of a one-ring stencil, assembled block by block; NaN ring.
-
-    block_kernel(block, *args, acc) adds the stencil of `block` into
-    `acc`, the zero-initialised interior of the block's output.
-    """
-    d = values.ndim
-    out = np.zeros_like(values)
-
-    def fill(i0: int, i1: int) -> None:
-        block_kernel(values[i0 - 1:i1 + 1], *args, out[i0 - 1:i1 + 1][_interior(d)])
-
-    map_plane_blocks(fill, 1, values.shape[0] - 1, values[0].size)
-    for axis in range(d):
-        out[_along(d, axis, slice(0, 1))] = np.nan
-        out[_along(d, axis, slice(-1, None))] = np.nan
-    return out
 
 
 def _gradient_planes(values: np.ndarray, h: float, i0: int, i1: int) -> list[np.ndarray]:
@@ -215,36 +197,27 @@ def _dot_planes(
     return acc
 
 
-def gradient_dot(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
-    """sum_k d_k a * d_k b from centred gradients, added in k order; NaN ring.
-
-    Each block builds the gradient planes it needs and drops them, so no
-    whole-grid gradient is held; the blocks write into one preallocated
-    output.
-    """
-    out = np.empty_like(a)
-    map_plane_blocks(lambda i0, i1: _dot_planes(a, b, h, i0, i1, out[i0:i1]), 0, len(a), a[0].size)
-    return out
-
-
-def laplacian(values: np.ndarray, h: float) -> np.ndarray:
-    """Standard 5-point (d=2) / 7-point (d=3) Laplacian; NaN ring."""
-    return _ring_stencil(_laplacian_block, values, h)
-
-
-def _laplacian_block(values: np.ndarray, h: float, acc: np.ndarray) -> None:
-    d = values.ndim
-    twice = 2.0 * values[_interior(d)]
+def _laplacian_block(planes: np.ndarray, h: float) -> np.ndarray:
+    """Standard 5-point (d=2) / 7-point (d=3) Laplacian on planes[1:-1],
+    on the ring-1 interior of the other axes."""
+    d = planes.ndim
+    twice = 2.0 * planes[_interior(d)]
+    acc = np.zeros_like(twice)
     term = np.empty_like(twice)
     for axis in range(d):
-        np.subtract(values[_along(d, axis, slice(2, None), slice(1, -1))], twice, out=term)
-        term += values[_along(d, axis, slice(0, -2), slice(1, -1))]
+        np.subtract(planes[_along(d, axis, slice(2, None), slice(1, -1))], twice, out=term)
+        term += planes[_along(d, axis, slice(0, -2), slice(1, -1))]
         acc += term
     acc /= h * h
+    return acc
 
 
 def grad_squared(values: np.ndarray, h: float) -> np.ndarray:
-    return gradient_dot(values, values, h)
+    """|grad u|^2 from centred gradients, added in axis order; NaN on the boundary ring."""
+    out = np.empty_like(values)
+    map_plane_blocks(lambda i0, i1: _dot_planes(values, values, h, i0, i1, out[i0:i1]),
+                     0, len(values), values[0].size)
+    return out
 
 
 class GridField(NamedTuple):
@@ -300,34 +273,32 @@ def sample_function(fn: Callable, lo: float, hi: float, n: int, dim: int = 2) ->
     return grid_field(values, h)
 
 
-def flux_divergence(
-    values: np.ndarray, h: float, powers: tuple[float, ...], reg_eps: float
-) -> np.ndarray:
-    """div( sum_s |grad u|^(s-2) grad u ) with centred face fluxes; NaN ring.
-
-    The face gradient combines the exact normal difference with the
-    average of the two adjacent centred tangential gradients; the norm
-    is regularised as (|grad u|^2 + reg_eps^2)^((s-2)/2).
-    """
-    exponents = [(s - 2.0) / 2.0 for s in powers]
-    return _ring_stencil(_flux_block, values, h, exponents, reg_eps * reg_eps)
-
-
 def _flux_block(
-    values: np.ndarray, h: float, exponents: list[float], eps2: float, acc: np.ndarray
-) -> None:
-    d = values.ndim
+    planes: np.ndarray, h: float, powers: tuple[float, ...], reg_eps: float
+) -> np.ndarray:
+    """div( sum_s |grad u|^(s-2) grad u ) on planes[1:-1], on the ring-1
+    interior of the other axes.
+
+    Centred fluxes on half-grid faces: the face gradient combines the
+    exact normal difference with the average of the two adjacent centred
+    tangential gradients; the norm is regularised as
+    (|grad u|^2 + reg_eps^2)^((s-2)/2).
+    """
+    d = planes.ndim
+    exponents = [(s - 2.0) / 2.0 for s in powers]
+    eps2 = reg_eps * reg_eps
+    acc = np.zeros(tuple(n - 2 for n in planes.shape))
     # Centred gradient along each axis, on that axis' interior only.
     centred = []
     for axis in range(d):
-        g = np.subtract(values[_along(d, axis, slice(2, None))],
-                        values[_along(d, axis, slice(0, -2))])
+        g = np.subtract(planes[_along(d, axis, slice(2, None))],
+                        planes[_along(d, axis, slice(0, -2))])
         g /= 2.0 * h
         centred.append(g)
     for axis in range(d):
         # Faces normal to `axis`, on the interior of every other axis.
         keep = _along(d, axis, slice(None), slice(1, -1))
-        kept = values[keep]
+        kept = planes[keep]
         dn = np.subtract(kept[_along(d, axis, slice(1, None))], kept[_along(d, axis, slice(0, -1))])
         dn /= h
         z_face = dn * dn
@@ -351,6 +322,7 @@ def _flux_block(
                           out=tang[_along(d, axis, slice(1, None))])
         div /= h
         acc += div
+    return acc
 
 
 def nan_extremes(
@@ -380,9 +352,20 @@ def _auto_eps(
     return 1e-10 * max(1.0, float(hi - lo) / h)
 
 
-def _flux_operator(field: GridField, exponents: tuple[float, ...], reg_eps: float) -> GridField:
-    out = flux_divergence(field.values, field.spacing, exponents, reg_eps)
-    if not all(map_planes(lambda x: np.isfinite(x).all(), out[_interior(field.ndim)])):
+def _flux_operator(field: GridField, powers: tuple[float, ...], reg_eps: float) -> GridField:
+    """_flux_block on the ring-1 interior, assembled block by block; NaN ring.
+
+    A node where it is not finite refuses the field.
+    """
+    values, d = field.values, field.ndim
+    out = np.full_like(values, np.nan)
+
+    def fill(i0: int, i1: int) -> bool:
+        flux = out[(slice(i0, i1),) + _interior(d - 1)]
+        flux[...] = _flux_block(values[i0 - 1:i1 + 1], field.spacing, powers, reg_eps)
+        return bool(np.isfinite(flux).all())
+
+    if not all(map_plane_blocks(fill, 1, len(values) - 1, values[0].size)):
         raise FieldError("field not smooth enough at spacing h")
     return GridField(values=out, spacing=field.spacing)
 

@@ -9,14 +9,14 @@ system by collocation (scipy's solve_bvp), the reference Jacobian
 differences the residual it belongs to, the operator reference is a
 hand-derived analytic expansion, the whole-array stencils and identity
 checks are the straightforward NaN-ring forms the blocked operators must
-reproduce bit for bit, the whole-grid Bochner check composes the library's
-whole-grid kernels as the blocked check must reproduce, the affine field is written out by hand, the epsilon sensitivity
-bounds the epsilon terms of the product trinomial term by term, and the
-parameter-window oracle brackets the feasibility predicate by bisection,
-the Bernstein bounds and the sum exponent are the paper's formulas
-written out, the schema-6 view recomputes a row's threshold records from
-the echoed parameter map, and the schema-5 view re-expands a report's
-condition table row by row.
+reproduce bit for bit, the scaling check compares whole-array fluxes of
+the library's two samples, the affine field is written out by hand, the
+epsilon sensitivity bounds the epsilon terms of the product trinomial
+term by term, and the parameter-window oracle brackets the feasibility
+predicate by bisection, the Bernstein bounds and the sum exponent are
+the paper's formulas written out, the schema-6 view recomputes a row's
+threshold records from the echoed parameter map, and the schema-5 view
+re-expands a report's condition table row by row.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from scipy.optimize import brentq
 
 from pqliouville import FieldError, ProblemInstance, product_thresholds, product_trinomial, sum_thresholds
 from pqliouville.exponents import positive_combined_exponent
-from pqliouville.operators import gradient_dot, laplacian
+from pqliouville.operators import sample_function
 from pqliouville.params import expand_instances
 from pqliouville.radial import flux, reaction_function
 from pqliouville.selection import small_s_threshold
@@ -194,7 +194,8 @@ def reference_change_of_variable_check(values, h, b, p, q, tolerance):
 
 def reference_bochner_check(values, h, N, tolerance):
     """The Bochner check from whole-array stencils, as the tuple of
-    IdentityReport's fields."""
+    IdentityReport's fields; FieldError when no node has both sides
+    finite."""
     grads = reference_gradient_components(values, h)
     lap = reference_laplacian(values, h)
     lhs = 0.5 * reference_laplacian(reference_dot(grads, grads), h)
@@ -202,31 +203,30 @@ def reference_bochner_check(values, h, N, tolerance):
     inner = tuple(slice(2, -2) for _ in range(values.ndim))
     lhs, rhs = lhs[inner], rhs[inner]
     valid = np.isfinite(lhs) & np.isfinite(rhs)
+    if not valid.any():
+        raise FieldError("field not smooth enough at spacing h")
     violation = max(0.0, -float(np.min(lhs[valid] - rhs[valid])))
     scale = max(float(np.max(np.abs(lhs[valid]))), float(np.max(np.abs(rhs[valid]))), 1e-300)
     rel = violation / scale
     return violation, rel, rel <= tolerance, tolerance, None
 
 
-def whole_grid_bochner_check(values, h, N, tolerance):
-    """The Bochner check on whole-grid z, lap v, lap z and <grad lap v,
-    grad v> from the library's kernels, as the tuple of IdentityReport's
-    fields; FieldError when no node has both sides finite."""
-    lap_v = laplacian(values, h)
-    lhs = 0.5 * laplacian(gradient_dot(values, values, h), h)
-    rhs = lap_v * lap_v / N + gradient_dot(lap_v, values, h)
-    inner = tuple(slice(2, -2) for _ in range(values.ndim))
-    lhs_i, rhs_i = lhs[inner], rhs[inner]
-    valid = np.isfinite(lhs_i) & np.isfinite(rhs_i)
-    if not valid.any():
+def reference_scaling_check(field, k, alpha, p, n, dim, tolerance):
+    """The scaling check from whole-array fluxes of the library's two
+    samples, as the tuple of IdentityReport's fields; FieldError when
+    either flux is not finite on the ring-1 interior."""
+    w = sample_function(lambda *c: k**alpha * field.fn(*(k * x for x in c)), field.lo, field.hi, n, dim)
+    scaled = field.sample_scaled(k, n, dim)
+    inner = _ring_interior(dim)
+    lhs = reference_flux_divergence(w.values, w.spacing, (p,), 1e-12)[inner]
+    flux_ = reference_flux_divergence(scaled.values, scaled.spacing, (p,), 1e-12)[inner]
+    if not (np.isfinite(lhs).all() and np.isfinite(flux_).all()):
         raise FieldError("field not smooth enough at spacing h")
-    slack = lhs_i[valid] - rhs_i[valid]
-    violation = max(0.0, -float(np.min(slack)))
-    scale = max(
-        float(np.max(np.abs(lhs_i[valid]))), float(np.max(np.abs(rhs_i[valid]))), 1e-300
-    )
-    rel = violation / scale
-    return violation, rel, rel <= tolerance, tolerance, None
+    rhs = k ** (alpha * (p - 1.0) + p) * flux_
+    err = float(np.max(np.abs(lhs - rhs)))
+    scale = max(float(np.max(np.abs(rhs))), 1e-300)
+    rel = err / scale
+    return err, rel, rel <= tolerance, tolerance, None
 
 
 # ---------------------------------------------------------------------------

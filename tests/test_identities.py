@@ -20,12 +20,7 @@ from pqliouville import (
 )
 from pqliouville.cli import _identity_suite
 from pqliouville import identities, operators
-from pqliouville.operators import (
-    grad_squared,
-    gradient_dot,
-    laplacian,
-    sample_function,
-)
+from pqliouville.operators import grad_squared, sample_function
 from oracles import affine_field, reference_dot, reference_gradient_components, reference_laplacian
 
 
@@ -99,10 +94,10 @@ class TestBochner:
         # v = x^2 - y^2: (1/2) lap z = |D2 v|^2 = 8 exactly, rhs = 0
         field = CATALOG["saddle"].sample(33)
         h = field.spacing
-        z = grad_squared(field.values, h)
-        lhs = 0.5 * laplacian(z, h)
-        lap_v = laplacian(field.values, h)
-        rhs = lap_v**2 / 2 + gradient_dot(lap_v, field.values, h)
+        grads = reference_gradient_components(field.values, h)
+        lhs = 0.5 * reference_laplacian(reference_dot(grads, grads), h)
+        lap_v = reference_laplacian(field.values, h)
+        rhs = lap_v**2 / 2 + reference_dot(reference_gradient_components(lap_v, h), grads)
         inner = (slice(2, -2), slice(2, -2))
         assert lhs[inner] == pytest.approx(8.0, abs=1e-10)
         assert rhs[inner] == pytest.approx(0.0, abs=1e-10)
@@ -179,10 +174,10 @@ class TestSharedDerivatives:
         grads = reference_gradient_components(v, h)
         z = grad_squared(v, h)
         assert np.array_equal(z, reference_dot(grads, grads), equal_nan=True)
-        lap = laplacian(v, h)
-        assert np.array_equal(lap, reference_laplacian(v, h), equal_nan=True)
+        lap = reference_laplacian(v, h)
         # The checks build their derivatives block by block, never whole-grid.
-        assert not hasattr(identities, "gradient_dot") and not hasattr(identities, "laplacian")
+        for name in ("gradient_dot", "laplacian", "flux_divergence"):
+            assert not hasattr(identities, name) and not hasattr(operators, name)
         dots, laps = [], []
 
         # Copies: a check may reuse a derivative's memory once it has read it.
@@ -190,12 +185,12 @@ class TestSharedDerivatives:
             dots.append(_original(a, b, h, i0, i1, out))
             return dots[-1].copy()
 
-        def kept_lap(planes, h, _original=identities._laplacian_planes):
+        def kept_lap(planes, h, _original=identities._laplacian_block):
             laps.append(_original(planes, h))
             return laps[-1].copy()
 
         monkeypatch.setattr(identities, "_dot_planes", kept_dot)
-        monkeypatch.setattr(identities, "_laplacian_planes", kept_lap)
+        monkeypatch.setattr(identities, "_laplacian_block", kept_lap)
         change_of_variable_check(field, 2.0, 3.0, 2.0)
         bochner_check(field, 3)
         # One block of ring-2 planes [2, 15), each derivative on the planes it
@@ -203,9 +198,9 @@ class TestSharedDerivatives:
         # <grad z, grad v>; then Bochner's z with halo planes, lap z, lap v with
         # halo planes and <grad lap v, grad v>.
         ring = (slice(None), slice(1, -1), slice(1, -1))
-        expected_dots = [z[2:15], z[1:16], gradient_dot(z, v, h)[2:15],
-                         z[1:16], gradient_dot(lap, v, h)[2:15][ring]]
-        expected_laps = [lap[2:15][ring], laplacian(z, h)[2:15][ring], lap[1:16][ring]]
+        expected_dots = [z[2:15], z[1:16], reference_dot(reference_gradient_components(z, h), grads)[2:15],
+                         z[1:16], reference_dot(reference_gradient_components(lap, h), grads)[2:15][ring]]
+        expected_laps = [lap[2:15][ring], reference_laplacian(z, h)[2:15][ring], lap[1:16][ring]]
         for built, expected in ((dots, expected_dots), (laps, expected_laps)):
             assert len(built) == len(expected)
             for ours, ref in zip(built, expected):
@@ -345,12 +340,12 @@ def test_sample_peak_memory_is_bounded():
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_suite_peak_memory_is_bounded():
     # The 513^2 fine grids of verify-identities --resolution 257: no check
-    # keeps a derivative for a later one, and the scaling check's whole-grid
-    # operators, on top of the fields the suite holds, set the peak at 4.57;
-    # the blocked Bochner check reaches 3.44.  The bound leaves 20% margin.
-    # The whole-grid Bochner check peaked at 8.63, and fields that kept z
-    # and lap v for the suite at 11.88.
-    assert probe_peak(SUITE_PROBE, 257) <= 5.5
+    # keeps a derivative for a later one, and the blocked Bochner check sets
+    # the peak at 3.44.  The bound leaves 20% margin.  Whole-grid scaling
+    # checks, run while the suite still held its fields, peaked at 4.57; the
+    # whole-grid Bochner check at 8.63, and fields that kept z and lap v for
+    # the suite at 11.88.
+    assert probe_peak(SUITE_PROBE, 257) <= 4.1
 
 
 class TestWeightKernel:

@@ -136,9 +136,9 @@ def test_dgtsv_falls_back_to_the_public_import():
 def test_thread_pool_loads_on_the_first_multi_block_call(tmp_path):
     # verify-identities at resolution 9 fits every kernel into one block.
     assert loaded_by_cli(["verify-identities", "--resolution", "9"], tmp_path, (POOL,)) == []
-    grid_3d = "import numpy as np\nfrom pqliouville.operators import laplacian\n"
-    assert loaded_by(f"{grid_3d}laplacian(np.ones((9, 9, 9)), 0.1)", (POOL,)) == []
-    assert loaded_by(f"{grid_3d}laplacian(np.ones((97, 97, 97)), 0.1)", (POOL,)) == [POOL]
+    grid_3d = "import numpy as np\nfrom pqliouville.operators import grad_squared\n"
+    assert loaded_by(f"{grid_3d}grad_squared(np.ones((9, 9, 9)), 0.1)", (POOL,)) == []
+    assert loaded_by(f"{grid_3d}grad_squared(np.ones((97, 97, 97)), 0.1)", (POOL,)) == [POOL]
 
 
 def test_public_names_resolve_in_a_fresh_interpreter():

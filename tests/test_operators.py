@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 import signal
 import sys
@@ -16,13 +17,15 @@ from pqliouville import (
     change_of_variable_check,
     change_of_variable_checks,
     grid_field,
-    laplacian,
+    p_laplacian,
     pq_laplacian,
     sample_function,
+    scaling_check,
 )
 from pqliouville import identities, operators
+from pqliouville.fields import ManufacturedField
 from pqliouville.identities import _check_block
-from pqliouville.operators import flux_divergence, grad_squared, gradient_dot
+from pqliouville.operators import grad_squared
 from oracles import (
     affine_field,
     pq_reference_sin_cos,
@@ -33,12 +36,22 @@ from oracles import (
     reference_flux_divergence,
     reference_gradient_components,
     reference_laplacian,
-    whole_grid_bochner_check,
+    reference_scaling_check,
 )
 
 
 def interior(values, k=1):
     return values[tuple(slice(k, -k) for _ in range(values.ndim))]
+
+
+def blocked(kernel, lo, hi, arr):
+    """kernel(i0, i1)'s blocks of planes [lo, hi) of arr, joined along axis 0."""
+    return np.concatenate(operators.map_plane_blocks(kernel, lo, hi, arr[0].size))
+
+
+def blocked_dot(a, b, h):
+    """sum_k d_k a * d_k b on the whole grid, from _dot_planes block by block."""
+    return blocked(lambda i0, i1: operators._dot_planes(a, b, h, i0, i1), 0, len(a), a)
 
 
 class TestFluxForm:
@@ -55,7 +68,7 @@ class TestFluxForm:
     def test_matches_five_point_stencil(self):
         field = CATALOG["offset_sine"].sample(49)
         ours = pq_laplacian(field, 2.0, 2.0).values
-        reference = 2.0 * laplacian(field.values, field.spacing)
+        reference = 2.0 * reference_laplacian(field.values, field.spacing)
         assert np.max(np.abs(interior(ours) - interior(reference))) <= 1e-12
 
     def test_matches_seven_point_stencil_3d(self):
@@ -64,7 +77,7 @@ class TestFluxForm:
 
         field = sample_function(fn, 0.0, 1.0, 13, dim=3)
         ours = pq_laplacian(field, 2.0, 2.0).values
-        reference = 2.0 * laplacian(field.values, field.spacing)
+        reference = 2.0 * reference_laplacian(field.values, field.spacing)
         assert np.max(np.abs(interior(ours) - interior(reference))) <= 1e-12
 
     def test_analytic_reference_convergence(self):
@@ -100,10 +113,13 @@ def _stencil_inputs():
     ]
 
 
+DEFAULT_BLOCK_NODES = operators._BLOCK_NODES
+
+
 # Block sizes: the default, one plane per block, blocks that do not
 # divide the interior evenly, and 1 << 16, which puts a 257^2 grid in one
 # block.
-@pytest.fixture(params=[operators._BLOCK_NODES, 1, 250, 1 << 16])
+@pytest.fixture(params=[DEFAULT_BLOCK_NODES, 1, 250, 1 << 16])
 def block_nodes(request, monkeypatch):
     monkeypatch.setattr(operators, "_BLOCK_NODES", request.param)
     return request.param
@@ -116,22 +132,23 @@ class TestBlockedStencils:
     def test_flux_divergence_matches_reference(self, block_nodes, powers):
         for field in _stencil_inputs():
             eps = operators._auto_eps(field.values, field.spacing)
-            ours = flux_divergence(field.values, field.spacing, powers, eps)
+            ours = operators._flux_operator(field, powers, eps).values
             ref = reference_flux_divergence(field.values, field.spacing, powers, eps)
             assert np.array_equal(ours, ref, equal_nan=True)
 
     @pytest.mark.parametrize("powers", [(2.0, 2.0), (3.0, 2.0), (2.5, 4.0)])
     def test_flux_divergence_zero_eps_matches_reference(self, block_nodes, powers):
         for field in _stencil_inputs():
-            ours = flux_divergence(field.values, field.spacing, powers, 0.0)
+            ours = operators._flux_operator(field, powers, 0.0).values
             ref = reference_flux_divergence(field.values, field.spacing, powers, 0.0)
             assert np.array_equal(ours, ref, equal_nan=True)
 
     def test_laplacian_and_gradients_match_reference(self, block_nodes):
         for field in _stencil_inputs():
             v, h = field.values, field.spacing
-            assert np.array_equal(laplacian(v, h), reference_laplacian(v, h), equal_nan=True)
-            # gradient_dot's blocks build their own gradient planes
+            lap = blocked(lambda i0, i1: operators._laplacian_block(v[i0 - 1:i1 + 1], h), 1, len(v) - 1, v)
+            assert np.array_equal(lap, interior(reference_laplacian(v, h)))
+            # _dot_planes' blocks build their own gradient planes
             blocks = operators.map_plane_blocks(lambda i0, i1: operators._gradient_planes(v, h, i0, i1),
                                                 0, len(v), v[0].size)
             for axis, ref in enumerate(reference_gradient_components(v, h)):
@@ -144,9 +161,9 @@ class TestBlockedStencils:
             grads = reference_gradient_components(v, h)
             z = reference_dot(grads, grads)
             dzv = reference_dot(reference_gradient_components(z, h), grads)
-            assert np.array_equal(gradient_dot(v, v, h), z, equal_nan=True)
+            assert np.array_equal(blocked_dot(v, v, h), z, equal_nan=True)
             assert np.array_equal(grad_squared(v, h), z, equal_nan=True)
-            assert np.array_equal(gradient_dot(grad_squared(v, h), v, h), dzv, equal_nan=True)
+            assert np.array_equal(blocked_dot(grad_squared(v, h), v, h), dzv, equal_nan=True)
 
     @pytest.mark.parametrize("b, p, q", [(2.0, 3.0, 2.0), (0.5, 2.2, 1.5), (5.0, 3.0, 1.5),
                                          (0.7, 2.5, 1.8)])
@@ -171,12 +188,14 @@ class TestBlockedStencils:
             assert change_of_variable_checks(field, ORACLE_CASES) == expected
 
     def test_blocks_run_under_the_callers_errstate(self, block_nodes):
-        # A constant field has zero face gradients: 0 ** (negative) at eps = 0.
-        values = np.ones((9, 7, 7))
+        # A constant field has zero face gradients: 0 ** (negative) at eps = 0,
+        # and then 0 * inf, so the flux is NaN at every interior node.
+        field = grid_field(np.ones((9, 7, 7)), 0.1)
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-            flux_divergence(values, 0.1, (1.5,), 0.0)
-        with np.errstate(all="ignore"):  # a RuntimeWarning would fail the test
-            assert np.isnan(flux_divergence(values, 0.1, (1.5,), 0.0)[1:-1, 1:-1, 1:-1]).all()
+            p_laplacian(field, 1.5, 0.0)
+        # A RuntimeWarning would fail the test.
+        with np.errstate(all="ignore"), pytest.raises(FieldError, match="not smooth"):
+            p_laplacian(field, 1.5, 0.0)
 
     def test_default_blocks_split_a_3d_grid(self):
         # The 3-d input above runs on the pool at the default block size too.
@@ -196,16 +215,30 @@ class TestBlockedStencils:
 
         monkeypatch.setattr(operators, "_executor", counted)
         assert operators._block_count(129, 129) == 1
-        laplacian(np.ones((129, 129)), 0.1)
-        gradient_dot(np.ones((129, 129)), np.ones((129, 129)), 0.1)
+        grad_squared(np.ones((129, 129)), 0.1)
         assert calls == []
-        # The ring-2 planes of a 257^2 check, and a 257^2 Laplacian.
+        # The ring-2 planes of a 257^2 check, and a 257^2 |grad u|^2.
         assert operators._block_count(253, 253) == 2
-        laplacian(np.ones((257, 257)), 0.1)
+        grad_squared(np.ones((257, 257)), 0.1)
         assert calls == [1]
         assert operators._block_count(93, 93 * 93) > 1
-        laplacian(np.ones((97, 97, 97)), 0.1)
+        grad_squared(np.ones((97, 97, 97)), 0.1)
         assert calls == [1, 1]
+
+    def test_blocks_split_evenly(self, block_nodes):
+        # A ceiling step ran the 93 ring-2 planes of a 97^3 check as 23 blocks
+        # of 4 planes and one of 1: 24 blocks where _block_count asks for 25.
+        for lo, hi, plane_nodes in ((2, 95, 93 * 93), (1, 96, 97 * 97), (0, 97, 97 * 97),
+                                    (2, 255, 253), (1, 256, 257), (0, 49, 49 * 49), (2, 31, 29),
+                                    (0, 9, 7), (0, 13, 99), (3, 4, 1000)):
+            blocks = operators.map_plane_blocks(lambda i0, i1: (i0, i1), lo, hi, plane_nodes)
+            assert len(blocks) == operators._block_count(hi - lo, plane_nodes)
+            assert [i0 for i0, _ in blocks] + [hi] == [lo] + [i1 for _, i1 in blocks]
+            sizes = [i1 - i0 for i0, i1 in blocks]
+            assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+        blocks = operators.map_plane_blocks(lambda i0, i1: i1 - i0, 2, 95, 93 * 93)
+        if block_nodes == DEFAULT_BLOCK_NODES:
+            assert len(blocks) == 25 and sorted(set(blocks)) == [3, 4]
 
 
 @pytest.fixture(params=[1, 3])
@@ -224,11 +257,11 @@ def _blocks(arr):
 
 
 class TestGradientDot:
-    """gradient_dot builds each block's gradient planes itself; the
+    """_dot_planes builds each block's gradient planes itself; the
     derivatives and checks on it equal the whole-array forms bit for bit."""
 
     def test_matches_reference(self, block_nodes, pool_threads):
-        short_last = False
+        uneven = False
         for field in _stencil_inputs():
             v, h = field.values, field.spacing
             blocks = _blocks(v)
@@ -236,23 +269,23 @@ class TestGradientDot:
             if block_nodes == 1:
                 assert all(i1 - i0 == 1 for i0, i1 in blocks)
             sizes = [i1 - i0 for i0, i1 in blocks]
-            short_last |= sizes[-1] < sizes[0]
+            uneven |= len(set(sizes)) > 1
             grads = reference_gradient_components(v, h)
             z = reference_dot(grads, grads)
             lap = reference_laplacian(v, h)
             for ours, ref in (
-                (gradient_dot(v, v, h), z),
+                (blocked_dot(v, v, h), z),
                 (grad_squared(v, h), z),
-                (gradient_dot(grad_squared(v, h), v, h),
+                (blocked_dot(grad_squared(v, h), v, h),
                  reference_dot(reference_gradient_components(z, h), grads)),
-                (gradient_dot(lap, v, h), reference_dot(reference_gradient_components(lap, h), grads)),
+                (blocked_dot(lap, v, h), reference_dot(reference_gradient_components(lap, h), grads)),
             ):
                 assert np.array_equal(ours, ref, equal_nan=True)
             for N in (v.ndim, v.ndim + 1):
                 assert bochner_check(field, N, tolerance=1e-3) == IdentityReport(
                     *reference_bochner_check(v, h, N, 1e-3))
-        # Some grid ends in a short block, except at one plane a block.
-        assert short_last == (block_nodes != 1)
+        # Some grid splits into blocks of two lengths, except at one plane a block.
+        assert uneven == (block_nodes != 1)
 
 
 class TestBlockedBochner:
@@ -269,17 +302,62 @@ class TestBlockedBochner:
             v, h = field.values, field.spacing
             for N in (v.ndim, v.ndim + 1, 100):
                 with np.errstate(all="ignore" if field is blown else "raise"):
-                    ref = IdentityReport(*whole_grid_bochner_check(v, h, N, 1e-3))
+                    ref = IdentityReport(*reference_bochner_check(v, h, N, 1e-3))
                     assert bochner_check(field, N, tolerance=1e-3) == ref
-                    assert ref == IdentityReport(*reference_bochner_check(v, h, N, 1e-3))
 
     def test_no_finite_node_is_refused_as_the_whole_grid_check(self, block_nodes):
         field = CATALOG["offset_sine"].sample(17, 3)
         huge = grid_field(1e200 * field.values, field.spacing)
         with np.errstate(all="ignore"):
-            for check in (bochner_check, lambda f, N: whole_grid_bochner_check(f.values, f.spacing, N, 1.0)):
+            for check in (bochner_check, lambda f, N: reference_bochner_check(f.values, f.spacing, N, 1.0)):
                 with pytest.raises(FieldError, match="not smooth"):
                     check(huge, 3)
+
+
+class TestBlockedScaling:
+    """The scaling check compares the two samples' fluxes block by block;
+    the maxima combine to the whole-array check's report."""
+
+    # The last case's w = 2^-60 sin(2x) has |grad w|^2 far below the 1e-24
+    # regularisation, which then sets the left side.
+    CASES = [("radial_square", 2.0, 1.0, 2.0), ("sine_x1", 0.5, 2.0, 3.0), ("sine_x1", 1.0, 1.3, 2.4),
+             ("offset_sine", 1.5, 0.5, 2.5), ("sine_product", 0.8, -1.0, 1.7), ("sine_x1", 2.0, -60.0, 3.0)]
+
+    GRIDS = [(2, 33), (3, 17)]
+
+    def test_matches_the_whole_array_check(self, block_nodes):
+        for (dim, n), (name, k, alpha, p) in itertools.product(self.GRIDS, self.CASES):
+            field = CATALOG[name]
+            ref = IdentityReport(*reference_scaling_check(field, k, alpha, p, n, dim, 1e-3))
+            assert scaling_check(field, k, alpha, p, n=n, dim=dim, tolerance=1e-3) == ref, (name, dim)
+
+    def test_a_flux_that_is_not_finite_refuses_the_field(self, block_nodes):
+        # Plane `at` of both samples (k = 1) is 1e160.  At p = 3 the squared
+        # face gradients next to it overflow, so the flux is not finite on
+        # the planes that read it: at an end plane, only the first or the
+        # last block's.  At p = 2 the flux stays finite and the check reports.
+        for (dim, n), at in itertools.product(self.GRIDS, (0, 10, -1)):
+            x_spike = (0.25 + 1.0 / (n - 1) * np.arange(n))[at]
+            field = ManufacturedField(
+                "spiked", lambda x, *rest, s=x_spike: np.where(x == s, 1e160, np.sin(x)), 0.25, 1.25)
+            with np.errstate(all="ignore"):
+                for check in (scaling_check, reference_scaling_check):
+                    with pytest.raises(FieldError, match="field not smooth enough at spacing h"):
+                        check(field, 1.0, 1.0, 3.0, n, dim, 1e-3)
+                ref = IdentityReport(*reference_scaling_check(field, 1.0, 1.0, 2.0, n, dim, 1e-3))
+                assert scaling_check(field, 1.0, 1.0, 2.0, n, dim, 1e-3) == ref
+
+    def test_an_overflowing_right_side_gives_a_report(self, block_nodes):
+        # At p = 0.5 the factor k^(alpha(p-1)+p) is 2^1023: times the k-scaled
+        # flux it overflows, while w = 2^-2045 sin(2x) is 0 and so is its flux.
+        # The refusal reads the fluxes before the factor, so the check reports.
+        for dim, n in self.GRIDS:
+            args = (CATALOG["sine_x1"], 2.0, -2045.0, 0.5, n, dim, 1e-3)
+            with np.errstate(over="ignore"):
+                report = scaling_check(*args)
+                ref = IdentityReport(*reference_scaling_check(*args))
+            assert report.max_abs_error == np.inf and np.isnan(report.rel_error) and not report.passed
+            assert np.array_equal(report[:4], ref[:4], equal_nan=True) and report.observed_order is None
 
 
 def _kinked_field(flat_planes):
@@ -602,13 +680,13 @@ class TestConcurrentUse:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_its_own_pool(self):
         values = CATALOG["offset_sine"].sample(97, 3).values
-        expected = laplacian(values, 0.1)  # the parent's pool now runs
+        expected = grad_squared(values, 0.1)  # the parent's pool now runs
         assert operators._pool is not None
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                code = 0 if np.array_equal(laplacian(values, 0.1), expected, equal_nan=True) else 1
+                code = 0 if np.array_equal(grad_squared(values, 0.1), expected, equal_nan=True) else 1
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 60
